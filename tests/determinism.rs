@@ -79,6 +79,26 @@ fn churn_scenario() -> Scenario {
     s
 }
 
+/// Trusted-node injection (Section VI-B) under loss: 5 % extra
+/// view-poisoned trusted nodes bootstrapped inside a Byzantine-only
+/// network and advertised by the adversary.
+fn injected_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.injected_poisoned_fraction = 0.05;
+    s.message_loss = 0.05;
+    s
+}
+
+/// The raptee golden scenario with the real four-message HMAC
+/// handshake before every pull instead of the role shortcut (the nonce
+/// draws shift the node RNG streams, so the bits differ from
+/// `golden_raptee`).
+fn real_handshakes_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.real_crypto_handshakes = true;
+    s
+}
+
 fn basalt_targeted_scenario() -> Scenario {
     let mut s = base(Protocol::Brahms).basalt_variant(10);
     s.attack = AttackStrategy::Targeted {
@@ -345,6 +365,69 @@ fn golden_raptee_under_churn_loss_validation_and_identification() {
             rotations: 0,
         },
     );
+    // The fingerprint omits `RunResult::identification`, so the attack's
+    // observation pulls and per-round classification are pinned here.
+    let id = Simulation::new(churn_scenario())
+        .run()
+        .identification
+        .expect("the identification attack is on");
+    assert_eq!(
+        (
+            id.precision.to_bits(),
+            id.recall.to_bits(),
+            id.f1.to_bits(),
+            id.round
+        ),
+        (
+            0x3fd83759f2298376,
+            0x3fedddddddddddde,
+            0x3fe13b13b13b13b2,
+            48
+        ),
+        "raptee-churn: IdentificationResult diverged from the seed-commit engine"
+    );
+}
+
+// Golden constants for the two uniform-RAPTEE capabilities no other
+// golden reaches — injected poisoned trusted nodes and real handshakes —
+// captured at the last commit that still had a separate uniform lane.
+
+#[test]
+fn golden_raptee_injected() {
+    assert_golden(
+        "raptee-injected",
+        injected_scenario(),
+        Fingerprint {
+            resilience_bits: 0x3fd616c8c6ad6c1e,
+            series_hash: 0x48071d376d5ca521,
+            discovery: None,
+            mean_discovery_bits: Some(4632912606498898254),
+            stability: Some(7),
+            spread_stability: None,
+            floods: 1,
+            evicted: 29666,
+            rotations: 0,
+        },
+    );
+}
+
+#[test]
+fn golden_raptee_real_handshakes() {
+    assert_golden(
+        "raptee-real-handshakes",
+        real_handshakes_scenario(),
+        Fingerprint {
+            resilience_bits: 0x3fd709d1d78e3735,
+            series_hash: 0x6048a23232ae5a17,
+            discovery: None,
+            mean_discovery_bits: Some(4632969405969277141),
+            stability: Some(10),
+            spread_stability: None,
+            floods: 3,
+            evicted: 21970,
+            rotations: 0,
+        },
+    );
 }
 
 #[test]
@@ -608,13 +691,15 @@ fn single_run_identical_across_intra_run_thread_counts() {
     // override) must produce bit-identical RunResults for all three
     // protocols and each attack type, including churn/loss/validation
     // and the deferred Byzantine pull-answer replay.
-    let scenarios: [(&str, Scenario); 17] = [
+    let scenarios: [(&str, Scenario); 19] = [
         ("brahms", base(Protocol::Brahms).brahms_baseline()),
         ("raptee", base(Protocol::Raptee)),
         ("basalt", base(Protocol::Brahms).basalt_variant(15)),
         ("lift", lift_scenario()),
         ("honeybee", honeybee_scenario()),
         ("raptee-churn", churn_scenario()),
+        ("raptee-injected", injected_scenario()),
+        ("raptee-real-handshakes", real_handshakes_scenario()),
         ("basalt-targeted", basalt_targeted_scenario()),
         ("adaptive-mixed", adaptive_mixed_scenario()),
         ("mixed-brahms-basalt", mixed_brahms_basalt_scenario()),
