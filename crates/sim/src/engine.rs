@@ -1,16 +1,23 @@
 //! The synchronous round engine — phase-parallel since PR 4.
 //!
-//! Wires together the RAPTEE/Brahms/BASALT nodes, the limited-pushes
+//! Wires together the Brahms-family (Brahms, RAPTEE) and ranked-family
+//! (BASALT, BASALT+TEE, LIFT, Honeybee) nodes, the limited-pushes
 //! defence, the adversary, and the metric collectors. One [`Simulation`]
 //! executes one run of one [`Scenario`]; the [`crate::runner`] module
 //! handles repetition and sweeps.
+//!
+//! There is one lane: the correct population is a list of contiguous
+//! per-protocol segments ([`Scenario::segments`]), and a uniform run is
+//! simply a one-segment population. Every family therefore faces the
+//! same limiter, loss stream and adversary by construction, and shared
+//! sequential streams are consumed in segment-layout order.
 //!
 //! Round structure (mirroring the paper's 2.5 s protocol rounds):
 //!
 //! 1. every correct node plans its `α·l1` pushes and `β·l1` pulls;
 //! 2. pushes are delivered through the per-identity rate limiter —
-//!    honest pushes first, then the adversary's balanced faulty pushes
-//!    (the adversary saturates exactly its lawful budget);
+//!    honest pushes first, then the adversary's segment-matched faulty
+//!    pushes (the adversary saturates exactly its lawful budget);
 //! 3. pulls execute: mutual authentication precedes each one, trusted
 //!    pairs run the trusted view-swap, all other answers flow back as
 //!    untrusted pulls (Byzantine responders answer with all-Byzantine
@@ -18,8 +25,8 @@
 //! 4. when enabled, Byzantine nodes issue observation pulls for the
 //!    identification attack;
 //! 5. every correct node finalises its round (eviction → Brahms
-//!    defences → view renewal → sampling) and the engine updates the
-//!    discovery/stability/resilience metrics.
+//!    defences → view renewal → sampling, or ranked-view finalisation)
+//!    and the engine updates the discovery/stability/resilience metrics.
 //!
 //! # Intra-run parallelism
 //!
@@ -52,10 +59,10 @@
 //! pull buffers that dominated peak RSS at paper scale — the streams
 //! only ever exist in a handful of per-worker arenas.
 //!
-//! BASALT's pull phase ranks every answer into the responder's and
+//! A ranked-family pull ranks every answer into the responder's and
 //! requester's views *on arrival*, making answers order-dependent across
-//! nodes; that one phase stays sequential, while BASALT planning, push
-//! application and round finalisation shard like the Brahms path.
+//! nodes; that one phase stays sequential, while ranked-family planning,
+//! push application and round finalisation shard like the Brahms path.
 
 use crate::adversary::{AdaptiveCoordinator, Adversary, PushPlan};
 use crate::audit::{AuditResponse, Challenger, Verdict};
@@ -140,58 +147,68 @@ struct TrustTier {
     degraded: Vec<bool>,
 }
 
-/// The correct population in dense, unboxed storage. Byzantine actors
-/// are pure identities (the adversary coordinates them centrally), so
-/// they occupy no node state at all: actor index `i` maps to population
-/// index `i - byz_count` for `i >= byz_count`. Mixed populations store
-/// one contiguous per-protocol arena per segment.
-enum Population {
-    Raptee(Vec<RapteeNode>),
-    Basalt(Vec<RankedNode>),
-    Mixed(Vec<SegmentNodes>),
-}
-
-/// One segment's node arena of a mixed population. The `Basalt` variant
+/// One segment's node arena: the correct population is stored densely
+/// and unboxed, one contiguous per-protocol arena per segment. Byzantine
+/// actors are pure identities (the adversary coordinates them
+/// centrally), so they occupy no node state at all: actor index `i` maps
+/// to population index `i - byz_count` for `i >= byz_count`. `Ranked`
 /// carries the whole ranked family (BASALT, BASALT+TEE, LIFT, Honeybee)
-/// behind the [`RankedNode`] delegation surface; the name survives from
-/// when BASALT was its only member, and keeps the diff of every
-/// dispatch site minimal.
+/// behind the [`RankedNode`] delegation surface.
 enum SegmentNodes {
     Raptee(Vec<RapteeNode>),
-    Basalt(Vec<RankedNode>),
+    Ranked(Vec<RankedNode>),
 }
 
-impl SegmentNodes {
-    fn len(&self) -> usize {
-        match self {
-            SegmentNodes::Raptee(v) => v.len(),
-            SegmentNodes::Basalt(v) => v.len(),
-        }
-    }
-}
-
-impl Population {
-    fn len(&self) -> usize {
-        match self {
-            Population::Raptee(v) => v.len(),
-            Population::Basalt(v) => v.len(),
-            Population::Mixed(segs) => segs.iter().map(SegmentNodes::len).sum(),
-        }
-    }
-}
-
-/// Static metadata of one mixed-population segment (see
+/// Static metadata of one population segment (see
 /// [`crate::scenario::SegmentSpec`]): its protocol, its contiguous slice
-/// `[start, start + len)` of the correct-population index space, the
-/// per-identity push fanout its protocol grants, and the victim list the
-/// adversary aims its segment-matched attack at.
+/// `[start, start + len)` of the correct-population index space (also
+/// its range of [`Simulation::victims`], the pool the adversary aims its
+/// segment-matched attack at) and the per-identity push fanout its
+/// protocol grants.
 struct SegMeta {
     protocol: Protocol,
     start: usize,
     len: usize,
     fanout: usize,
     ranked_cfg: Option<RankedCfg>,
-    victims: Vec<NodeId>,
+}
+
+/// The ranked-family configuration `protocol` runs under, or `None` for
+/// the Brahms family.
+fn ranked_cfg_of(protocol: Protocol) -> Option<RankedCfg> {
+    match protocol {
+        Protocol::Basalt {
+            view_size,
+            rotation_interval,
+        } => Some(RankedCfg::Basalt(BasaltConfig::for_view(
+            view_size,
+            rotation_interval,
+        ))),
+        Protocol::BasaltTee {
+            view_size,
+            rotation_interval,
+            wlist_ttl,
+        } => Some(RankedCfg::Basalt(if wlist_ttl > 0 {
+            BasaltConfig::with_wlist(view_size, rotation_interval, wlist_ttl)
+        } else {
+            BasaltConfig::for_view(view_size, rotation_interval)
+        })),
+        Protocol::Lift {
+            view_size,
+            fade_interval,
+        } => Some(RankedCfg::Lift(LiftConfig::for_view(
+            view_size,
+            fade_interval,
+        ))),
+        Protocol::Honeybee {
+            view_size,
+            walk_length,
+        } => Some(RankedCfg::Honeybee(HoneybeeConfig::for_view(
+            view_size,
+            walk_length,
+        ))),
+        Protocol::Brahms | Protocol::Raptee => None,
+    }
 }
 
 /// Mutable access to the `ci`-th correct node, which must live in a
@@ -205,13 +222,37 @@ fn raptee_at<'a>(
     let si = seg_of[ci] as usize;
     match &mut seg_nodes[si] {
         SegmentNodes::Raptee(v) => &mut v[ci - segs[si].start],
-        SegmentNodes::Basalt(_) => unreachable!("index {ci} is not in a Raptee-family segment"),
+        SegmentNodes::Ranked(_) => unreachable!("index {ci} is not in a Raptee-family segment"),
+    }
+}
+
+/// Split-borrows two distinct correct nodes of one Raptee-family
+/// segment. Every caller's pair shares a segment: trusted pairs because
+/// only the RAPTEE segment carries a Brahms-family trusted tier, real
+/// handshakes because `Scenario::validate` confines them to uniform
+/// runs.
+fn raptee_pair<'a>(
+    seg_nodes: &'a mut [SegmentNodes],
+    segs: &[SegMeta],
+    seg_of: &[u32],
+    a: usize,
+    b: usize,
+) -> (&'a mut RapteeNode, &'a mut RapteeNode) {
+    let si = seg_of[a] as usize;
+    assert_eq!(
+        si, seg_of[b] as usize,
+        "nodes {a} and {b} live in different segments"
+    );
+    let start = segs[si].start;
+    match &mut seg_nodes[si] {
+        SegmentNodes::Raptee(v) => two_nodes(v, a - start, b - start),
+        SegmentNodes::Ranked(_) => unreachable!("index {a} is not in a Raptee-family segment"),
     }
 }
 
 /// Mutable access to the `ci`-th correct node, which must live in a
 /// ranked-family segment.
-fn basalt_at<'a>(
+fn ranked_at<'a>(
     seg_nodes: &'a mut [SegmentNodes],
     segs: &[SegMeta],
     seg_of: &[u32],
@@ -219,7 +260,7 @@ fn basalt_at<'a>(
 ) -> &'a mut RankedNode {
     let si = seg_of[ci] as usize;
     match &mut seg_nodes[si] {
-        SegmentNodes::Basalt(v) => &mut v[ci - segs[si].start],
+        SegmentNodes::Ranked(v) => &mut v[ci - segs[si].start],
         SegmentNodes::Raptee(_) => unreachable!("index {ci} is not in a ranked-family segment"),
     }
 }
@@ -358,16 +399,12 @@ struct WorkerScratch {
 struct Scratch {
     /// One Brahms/RAPTEE plan per population index, refilled in place.
     plans: Vec<RoundPlan>,
-    /// One BASALT plan per population index, refilled in place.
-    basalt_plans: Vec<BasaltPlan>,
+    /// One ranked-family plan per population index, refilled in place.
+    ranked_plans: Vec<BasaltPlan>,
     /// Whether population index `ci` produced a plan this round.
     live: Vec<bool>,
-    /// The adversary's push plan for the round.
+    /// The adversary's push plan for the segment being attacked.
     byz_plan: PushPlan,
-    /// Per-segment staging buffer for the mixed-population adversary:
-    /// each segment's matching attack is planned here, then appended to
-    /// `byz_plan` so one delivery pass charges the combined plan.
-    byz_seg_plan: PushPlan,
     /// Honest pushes surviving limiter/liveness/loss, as
     /// `(absolute target index, sender)` in sender-major order. Senders
     /// are dense [`NodeIdx`]es, halving the pair width at paper scale+.
@@ -384,8 +421,8 @@ struct Scratch {
     byz_sorted: Vec<(u32, NodeIdx)>,
     /// Counting-sort offsets for the adversary runs.
     byz_counts: Vec<u32>,
-    /// Reusable sequential-phase answer buffer (BASALT pulls, trusted
-    /// ablation answers, adversary RNG advancement).
+    /// Reusable sequential-phase answer buffer (ranked-family pulls,
+    /// trusted ablation answers, adversary RNG advancement).
     reply: Vec<NodeId>,
     /// Reusable observation-target buffer (identification attack).
     observed: Vec<NodeId>,
@@ -415,7 +452,7 @@ impl Scratch {
     fn ensure_capacity(&mut self, pop: usize) {
         if self.live.len() != pop {
             self.plans.resize_with(pop, RoundPlan::default);
-            self.basalt_plans.resize_with(pop, BasaltPlan::default);
+            self.ranked_plans.resize_with(pop, BasaltPlan::default);
             self.live.resize(pop, false);
             self.view_mutated.resize(pop, false);
             self.stats.resize_with(pop, RoundStat::default);
@@ -468,6 +505,37 @@ struct FinishItem<'a, N> {
     stat: &'a mut RoundStat,
     disc: DiscoveryLane<'a>,
     ring: ShareRingRow<'a>,
+}
+
+/// One node's post-round view census, shared by both families' apply
+/// closures: Byzantine entries feed the pollution share, correct ones
+/// the discovery row.
+#[derive(Default)]
+struct ViewTally {
+    len: usize,
+    byz_in_view: usize,
+}
+
+impl ViewTally {
+    fn see(&mut self, id: NodeId, byz: usize, total: usize, disc: &mut DiscoveryLane<'_>) {
+        self.len += 1;
+        if id.index() < byz {
+            self.byz_in_view += 1;
+        } else if id.index() < total {
+            disc.insert(id.index());
+        }
+    }
+
+    /// Books the census into the node's stat slot and smoothing window.
+    fn book(self, stat: &mut RoundStat, disc: &mut DiscoveryLane<'_>, ring: &mut ShareRingRow<'_>) {
+        stat.discovered = disc.count() as u32;
+        if self.len > 0 {
+            let share = self.byz_in_view as f64 / self.len as f64;
+            stat.share = share;
+            stat.has_share = true;
+            stat.smoothed = ring.push_and_mean(share);
+        }
+    }
 }
 
 /// Narrows a wire identity to its dense arena index. Valid because the
@@ -534,9 +602,7 @@ fn run_bounds(counts: &[u32], t: usize) -> (usize, usize) {
 }
 
 /// Marks non-Byzantine `id` as discovered in `row` (no-op for Byzantine
-/// and out-of-universe IDs). An associated function over the matrix so
-/// the sequential BASALT pull pass can call it while the population is
-/// borrowed.
+/// and out-of-universe IDs).
 fn note_discovered(
     discovery: &mut Discovery,
     byz_count: usize,
@@ -552,13 +618,19 @@ fn note_discovered(
 /// One deterministic simulation run.
 pub struct Simulation {
     scenario: Scenario,
-    population: Population,
+    /// The correct population, one node arena per segment in layout
+    /// order (a uniform run has exactly one).
+    population: Vec<SegmentNodes>,
     trusted: Vec<bool>,
     alive: Vec<bool>,
     loss_rng: Xoshiro256StarStar,
     byz_count: usize,
     adversary: Adversary,
     limiter: PushRateLimiter,
+    /// The per-identity push allowance the limiter grants: the largest
+    /// fanout any segment uses (equal across segments at matched view
+    /// sizes). The adversary's lawful budget is `byz_count` times this.
+    limiter_fanout: usize,
     /// The wire-identity ↔ dense-index mapping. Interned in identity
     /// order at construction and asserted to be the identity mapping —
     /// the invariant that licenses the cast-based [`narrow`]/[`widen`]
@@ -573,23 +645,21 @@ pub struct Simulation {
     /// Per-node rings of recent per-round view pollution shares, used
     /// for the smoothed spread-stability criterion.
     share_rings: ShareRings,
-    /// All non-Byzantine actor IDs (the adversary's victim pool; alive
-    /// filtering happens at delivery time) — built once.
+    /// All non-Byzantine actor IDs by population index (the adversary's
+    /// victim pool; alive filtering happens at delivery time) — built
+    /// once. Segment `s` owns `victims[s.start..s.start + s.len]`, and
+    /// the prefix below `Scenario::n` (everything but injected nodes) is
+    /// what the identification attack may observe.
     victims: Vec<NodeId>,
-    /// Mixed-population segment metadata, in layout order (empty for
-    /// uniform populations).
+    /// Segment metadata, in layout order.
     segs: Vec<SegMeta>,
-    /// Correct-population index → segment index (empty for uniform
-    /// populations).
+    /// Correct-population index → segment index.
     seg_of: Vec<u32>,
-    /// Per-segment mean Byzantine-share series (mixed populations only).
+    /// Per-segment mean Byzantine-share series.
     seg_series: Vec<Vec<f64>>,
-    /// Per-segment mean discovered-fraction series (mixed populations
-    /// only) — feeds the per-segment discovery-round metric.
+    /// Per-segment mean discovered-fraction series — feeds the
+    /// per-segment discovery-round metric.
     seg_discovered_series: Vec<Vec<f64>>,
-    /// Correct original-population IDs the identification attack may
-    /// observe — built once.
-    ident_candidates: Vec<NodeId>,
     /// Reusable round buffers (see [`Scratch`]).
     scratch: Scratch,
     /// Per-worker arenas for the parallel phases.
@@ -634,34 +704,26 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds the population: Byzantine identities, trusted nodes
-    /// (provisioned through the simulated attestation service), honest
-    /// nodes, and optionally the adversary's injected view-poisoned
-    /// trusted nodes.
+    /// Builds the population: Byzantine identities, then the correct
+    /// nodes as contiguous per-protocol segments in
+    /// [`Scenario::segments`] order — trusted tiers distributed per
+    /// [`Scenario::segment_trusted_counts`] and provisioned through the
+    /// simulated attestation service — and optionally the adversary's
+    /// injected view-poisoned trusted nodes.
     pub fn new(scenario: Scenario) -> Self {
         scenario.validate();
-        // Mixed populations (and the BASALT+TEE hybrid, which carries a
-        // trusted tier plain BASALT lacks) run through the segmented
-        // builder; the uniform protocols keep their historical path —
-        // and their historical RNG draw order — untouched.
-        let mut sim = if !scenario.population.is_empty()
-            || matches!(scenario.protocol, Protocol::BasaltTee { .. })
-        {
-            Self::new_mixed(scenario)
-        } else {
-            Self::new_uniform(scenario)
-        };
-        sim.init_robustness();
-        sim
-    }
-
-    /// The historical uniform-population builder (see [`Simulation::new`]).
-    fn new_uniform(scenario: Scenario) -> Self {
         let mut rng = Xoshiro256StarStar::seed_from_u64(scenario.seed);
         let n = scenario.n;
         let total = scenario.total_actors();
         let byz = scenario.byzantine_count();
-        let trusted_n = scenario.trusted_count();
+        let mut specs = scenario.segments();
+        let trusted_counts = scenario.segment_trusted_counts();
+        // Injected poisoned trusted nodes take the identities
+        // `[n, total)`. `validate` admits them in uniform Brahms/RAPTEE
+        // runs only, so they extend the one Raptee-family segment.
+        if total > n {
+            specs[0].count += total - n;
+        }
 
         let gamma = scenario.gamma;
         let ab = (1.0 - gamma) / 2.0;
@@ -692,243 +754,17 @@ impl Simulation {
         let all_ids: Vec<NodeId> = (0..n as u64).map(NodeId).collect();
         let byz_ids: Vec<NodeId> = (0..byz as u64).map(NodeId).collect();
 
-        // Under a ranked-family protocol (BASALT, LIFT, Honeybee) the
-        // whole correct population runs that protocol's node type behind
-        // the RankedNode delegation surface instead of Brahms/RAPTEE.
-        let basalt_config = match scenario.protocol {
-            Protocol::Basalt {
-                view_size,
-                rotation_interval,
-            } => Some(RankedCfg::Basalt(BasaltConfig::for_view(
-                view_size,
-                rotation_interval,
-            ))),
-            Protocol::Lift {
-                view_size,
-                fade_interval,
-            } => Some(RankedCfg::Lift(LiftConfig::for_view(
-                view_size,
-                fade_interval,
-            ))),
-            Protocol::Honeybee {
-                view_size,
-                walk_length,
-            } => Some(RankedCfg::Honeybee(HoneybeeConfig::for_view(
-                view_size,
-                walk_length,
-            ))),
-            _ => None,
-        };
-
         // Byzantine actors are the identity prefix [0, byz) and carry no
-        // state; the correct population is stored densely and unboxed.
-        let mut raptee_nodes: Vec<RapteeNode> = Vec::new();
-        let mut basalt_nodes: Vec<RankedNode> = Vec::new();
-        let mut trusted_flags = vec![false; total];
-        #[allow(clippy::needless_range_loop)] // i is the node identity
-        for i in byz..total {
-            let id = NodeId(i as u64);
-            let seed = rng.next_u64();
-            if let Some(bcfg) = basalt_config {
-                let bootstrap = rng.sample(&all_ids, (bcfg.view_size() + 2).min(all_ids.len()));
-                basalt_nodes.push(RankedNode::new(id, &bcfg, &bootstrap, seed));
-                continue;
-            }
-            let is_trusted = i < byz + trusted_n;
-            let is_injected = i >= n;
-            // Paper bootstrap: a uniform random sample of the global
-            // membership — except injected nodes, which the adversary
-            // bootstrapped inside a Byzantine-only network.
-            let bootstrap = if is_injected {
-                rng.sample(&byz_ids, scenario.view_size.min(byz_ids.len()))
-            } else {
-                rng.sample(&all_ids, (scenario.view_size + 2).min(all_ids.len()))
-            };
-            let mut node = if is_trusted || is_injected {
-                trusted_flags[i] = true;
-                let key = provision(0x1000 + i as u64);
-                RapteeNode::new_trusted(id, config.clone(), &bootstrap, seed, key)
-            } else {
-                RapteeNode::new_untrusted(id, config.clone(), &bootstrap, seed)
-            };
-            // The sampler seen-cache is pure memoization (identical
-            // samples either way) whose backing bitset grows toward one
-            // bit per live identity *per node* — an O(N²)-bit structure
-            // in aggregate (≈ 125 KiB/node at N = 1,000,000, dwarfing
-            // the protocol state). Past the same population threshold
-            // that retires exact discovery bitsets, run uncached.
-            if total > EXACT_DISCOVERY_THRESHOLD {
-                node.brahms_mut().sampler_mut().limit_seen_cache(0);
-            }
-            raptee_nodes.push(node);
-        }
-        let population = if basalt_config.is_some() {
-            Population::Basalt(basalt_nodes)
-        } else {
-            Population::Raptee(raptee_nodes)
-        };
-
-        // Discovery state (non-Byzantine actors only) seeded with the
-        // bootstrap view and the node itself.
-        let non_byz_total = total - byz;
-        let mut discovery = Discovery::new(non_byz_total, total, scenario.sketch_discovery());
-        let mut seed_row = |ci: usize, ids: &mut dyn Iterator<Item = NodeId>| {
-            discovery.insert(ci, byz + ci);
-            for id in ids {
-                if id.index() >= byz {
-                    discovery.insert(ci, id.index());
-                }
-            }
-        };
-        match &population {
-            Population::Raptee(nodes) => {
-                for (ci, node) in nodes.iter().enumerate() {
-                    seed_row(ci, &mut node.brahms().view().ids());
-                }
-            }
-            Population::Basalt(nodes) => {
-                for (ci, node) in nodes.iter().enumerate() {
-                    seed_row(ci, &mut node.sample_ids().into_iter());
-                }
-            }
-            Population::Mixed(_) => unreachable!("mixed populations build via new_mixed"),
-        }
-        let discovery_target = (DISCOVERY_TARGET_SHARE * non_byz_total as f64).ceil() as usize;
-
-        // The per-identity push budget: Brahms' α·l1, or the ranked
-        // family's equal-bandwidth push fanout.
-        let alpha_count = basalt_config.map_or(config.brahms.alpha_count(), |c| c.push_count());
-        // The adversary answers pulls with views matching the protocol
-        // the correct population runs.
-        let answer_size = basalt_config.map_or(scenario.view_size, |c| c.view_size());
-        let mut adversary = Adversary::new(byz_ids, total, answer_size, rng.next_u64());
-        // Section VI-B: the adversary advertises its injected poisoned
-        // trusted nodes so the system contacts them and the poison can
-        // flow into the genuine trusted tier.
-        adversary.advertise_injected((n..total).map(|i| NodeId(i as u64)));
-        let net = EventNet::from_scenario(&scenario);
-        Self {
-            adversary,
-            limiter: PushRateLimiter::new(total, alpha_count as u32),
-            population,
-            trusted: trusted_flags,
-            alive: vec![true; total],
-            loss_rng: rng.split(),
-            byz_count: byz,
-            interner: Self::intern_population(total),
-            discovery,
-            discovery_target,
-            share_rings: ShareRings::new(non_byz_total),
-            victims: (byz..total).map(|i| NodeId(i as u64)).collect(),
-            segs: Vec::new(),
-            seg_of: Vec::new(),
-            seg_series: Vec::new(),
-            seg_discovered_series: Vec::new(),
-            ident_candidates: (byz..n).map(|i| NodeId(i as u64)).collect(),
-            scratch: Scratch::default(),
-            workers: Vec::new(),
-            net,
-            non_byz_total,
-            round: 0,
-            byz_share_series: Vec::with_capacity(scenario.rounds),
-            mean_discovered_series: Vec::with_capacity(scenario.rounds),
-            discovery_round: None,
-            spread_stability_round: None,
-            best_identification: None,
-            floods_detected: 0,
-            total_evicted: 0,
-            seed_rotations: 0,
-            churn_seed: 0,
-            recovery: None,
-            trust: None,
-            audit: None,
-            bandit: None,
-            trusted_dir: Vec::new(),
-            scenario,
-        }
-    }
-
-    /// Builds a segmented (mixed-population) simulation: the correct
-    /// population is split into contiguous per-protocol segments in spec
-    /// order, trusted tiers distributed per
-    /// [`Scenario::segment_trusted_counts`] and provisioned through the
-    /// same attestation flow as the uniform RAPTEE path. With a single
-    /// segment this draws the scenario RNG in exactly the uniform
-    /// builder's order, so a 100 %-one-protocol population is
-    /// bit-identical to the single-protocol engine (pinned by
-    /// `tests/determinism.rs`).
-    fn new_mixed(scenario: Scenario) -> Self {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(scenario.seed);
-        let n = scenario.n;
-        let total = n; // mixed mode forbids injected actors
-        let byz = scenario.byzantine_count();
-        let specs = scenario.segments();
-        let trusted_counts = scenario.segment_trusted_counts();
-
-        let gamma = scenario.gamma;
-        let ab = (1.0 - gamma) / 2.0;
-        let alpha_count = (ab * scenario.view_size as f64).round();
-        let flood_threshold = if scenario.flood_slack_sigmas > 0.0 {
-            Some((alpha_count + scenario.flood_slack_sigmas * alpha_count.sqrt()).round() as usize)
-        } else {
-            None
-        };
-        let config = RapteeConfig {
-            brahms: BrahmsConfig {
-                view_size: scenario.view_size,
-                sample_size: scenario.sample_size,
-                alpha: ab,
-                beta: ab,
-                gamma,
-                flood_threshold,
-            },
-            eviction: scenario.eviction,
-        };
-
-        let mut attestation = provisioning::new_attestation_service(scenario.seed ^ 0x6E0C);
-        let all_ids: Vec<NodeId> = (0..n as u64).map(NodeId).collect();
-        let byz_ids: Vec<NodeId> = (0..byz as u64).map(NodeId).collect();
-
+        // state; the correct population follows, segment by segment,
+        // each segment's trusted nodes first.
         let non_byz_total = total - byz;
         let mut trusted_flags = vec![false; total];
         let mut seg_of = vec![0u32; non_byz_total];
         let mut segs: Vec<SegMeta> = Vec::with_capacity(specs.len());
-        let mut seg_nodes: Vec<SegmentNodes> = Vec::with_capacity(specs.len());
+        let mut population: Vec<SegmentNodes> = Vec::with_capacity(specs.len());
         let mut start = 0usize;
         for (si, (spec, &seg_trusted)) in specs.iter().zip(&trusted_counts).enumerate() {
-            let ranked_cfg = match spec.protocol {
-                Protocol::Basalt {
-                    view_size,
-                    rotation_interval,
-                } => Some(RankedCfg::Basalt(BasaltConfig::for_view(
-                    view_size,
-                    rotation_interval,
-                ))),
-                Protocol::BasaltTee {
-                    view_size,
-                    rotation_interval,
-                    wlist_ttl,
-                } => Some(RankedCfg::Basalt(if wlist_ttl > 0 {
-                    BasaltConfig::with_wlist(view_size, rotation_interval, wlist_ttl)
-                } else {
-                    BasaltConfig::for_view(view_size, rotation_interval)
-                })),
-                Protocol::Lift {
-                    view_size,
-                    fade_interval,
-                } => Some(RankedCfg::Lift(LiftConfig::for_view(
-                    view_size,
-                    fade_interval,
-                ))),
-                Protocol::Honeybee {
-                    view_size,
-                    walk_length,
-                } => Some(RankedCfg::Honeybee(HoneybeeConfig::for_view(
-                    view_size,
-                    walk_length,
-                ))),
-                Protocol::Brahms | Protocol::Raptee => None,
-            };
+            let ranked_cfg = ranked_cfg_of(spec.protocol);
             let nodes = if let Some(rcfg) = ranked_cfg {
                 let mut v = Vec::with_capacity(spec.count);
                 for i in 0..spec.count {
@@ -938,10 +774,7 @@ impl Simulation {
                     let bootstrap = rng.sample(&all_ids, (rcfg.view_size() + 2).min(all_ids.len()));
                     if i < seg_trusted {
                         trusted_flags[abs] = true;
-                        let key = provisioning::certify_and_provision(
-                            &mut attestation,
-                            0x1000 + abs as u64,
-                        );
+                        let key = provision(0x1000 + abs as u64);
                         let RankedCfg::Basalt(bcfg) = rcfg else {
                             unreachable!("only BASALT+TEE segments provision a trusted tier")
                         };
@@ -952,28 +785,38 @@ impl Simulation {
                         v.push(RankedNode::new(id, &rcfg, &bootstrap, seed));
                     }
                 }
-                SegmentNodes::Basalt(v)
+                SegmentNodes::Ranked(v)
             } else {
                 let mut v = Vec::with_capacity(spec.count);
                 for i in 0..spec.count {
                     let abs = byz + start + i;
                     let id = NodeId(abs as u64);
                     let seed = rng.next_u64();
-                    let bootstrap =
-                        rng.sample(&all_ids, (scenario.view_size + 2).min(all_ids.len()));
-                    let mut node = if i < seg_trusted {
+                    let is_injected = abs >= n;
+                    // Paper bootstrap: a uniform random sample of the
+                    // global membership — except injected nodes, which
+                    // the adversary bootstrapped inside a Byzantine-only
+                    // network.
+                    let bootstrap = if is_injected {
+                        rng.sample(&byz_ids, scenario.view_size.min(byz_ids.len()))
+                    } else {
+                        rng.sample(&all_ids, (scenario.view_size + 2).min(all_ids.len()))
+                    };
+                    let mut node = if i < seg_trusted || is_injected {
                         trusted_flags[abs] = true;
-                        let key = provisioning::certify_and_provision(
-                            &mut attestation,
-                            0x1000 + abs as u64,
-                        );
+                        let key = provision(0x1000 + abs as u64);
                         RapteeNode::new_trusted(id, config.clone(), &bootstrap, seed, key)
                     } else {
                         RapteeNode::new_untrusted(id, config.clone(), &bootstrap, seed)
                     };
-                    // Same large-population seen-cache policy as the
-                    // uniform constructor (see `new`): the cache is an
-                    // O(N²)-bit memoization in aggregate.
+                    // The sampler seen-cache is pure memoization
+                    // (identical samples either way) whose backing
+                    // bitset grows toward one bit per live identity *per
+                    // node* — an O(N²)-bit structure in aggregate
+                    // (≈ 125 KiB/node at N = 1,000,000, dwarfing the
+                    // protocol state). Past the same population
+                    // threshold that retires exact discovery bitsets,
+                    // run uncached.
                     if total > EXACT_DISCOVERY_THRESHOLD {
                         node.brahms_mut().sampler_mut().limit_seen_cache(0);
                     }
@@ -990,15 +833,13 @@ impl Simulation {
                 len: spec.count,
                 fanout: ranked_cfg.map_or(config.brahms.alpha_count(), |c| c.push_count()),
                 ranked_cfg,
-                victims: (byz + start..byz + start + spec.count)
-                    .map(|i| NodeId(i as u64))
-                    .collect(),
             });
-            seg_nodes.push(nodes);
+            population.push(nodes);
             start += spec.count;
         }
 
-        // Discovery state seeded from the bootstrap views, per family.
+        // Discovery state (non-Byzantine actors only) seeded with the
+        // bootstrap view and the node itself.
         let mut discovery = Discovery::new(non_byz_total, total, scenario.sketch_discovery());
         {
             let mut seed_row = |ci: usize, ids: &mut dyn Iterator<Item = NodeId>| {
@@ -1009,14 +850,14 @@ impl Simulation {
                     }
                 }
             };
-            for (seg, nodes) in segs.iter().zip(&seg_nodes) {
+            for (seg, nodes) in segs.iter().zip(&population) {
                 match nodes {
                     SegmentNodes::Raptee(v) => {
                         for (i, node) in v.iter().enumerate() {
                             seed_row(seg.start + i, &mut node.brahms().view().ids());
                         }
                     }
-                    SegmentNodes::Basalt(v) => {
+                    SegmentNodes::Ranked(v) => {
                         for (i, node) in v.iter().enumerate() {
                             seed_row(seg.start + i, &mut node.sample_ids().into_iter());
                         }
@@ -1035,12 +876,17 @@ impl Simulation {
             .map(|x| x.ranked_cfg.map_or(scenario.view_size, |c| c.view_size()))
             .max()
             .unwrap_or(scenario.view_size);
-        let adversary = Adversary::new(byz_ids, total, answer_size, rng.next_u64());
+        let mut adversary = Adversary::new(byz_ids, total, answer_size, rng.next_u64());
+        // Section VI-B: the adversary advertises its injected poisoned
+        // trusted nodes so the system contacts them and the poison can
+        // flow into the genuine trusted tier.
+        adversary.advertise_injected((n..total).map(|i| NodeId(i as u64)));
         let net = EventNet::from_scenario(&scenario);
-        Self {
+        let mut sim = Self {
             adversary,
             limiter: PushRateLimiter::new(total, limiter_fanout as u32),
-            population: Population::Mixed(seg_nodes),
+            limiter_fanout,
+            population,
             trusted: trusted_flags,
             alive: vec![true; total],
             loss_rng: rng.split(),
@@ -1054,7 +900,6 @@ impl Simulation {
             seg_discovered_series: vec![Vec::with_capacity(scenario.rounds); segs.len()],
             segs,
             seg_of,
-            ident_candidates: Vec::new(),
             scratch: Scratch::default(),
             workers: Vec::new(),
             net,
@@ -1075,14 +920,17 @@ impl Simulation {
             bandit: None,
             trusted_dir: Vec::new(),
             scenario,
-        }
+        };
+        sim.init_robustness();
+        sim
     }
 
-    /// Initialises the robustness subsystems both builders share: the
-    /// churn draw seed, the recovery accounting (dynamic churn or
-    /// attestation expiry only) and the trusted-tier degradation state.
-    /// With everything off this sets one integer and leaves both options
-    /// `None` — the historical engine, bit for bit.
+    /// Initialises the robustness subsystems: the churn draw seed, the
+    /// recovery accounting (dynamic churn or attestation expiry only),
+    /// the trusted-tier degradation state, the audit challenger and the
+    /// adaptive adversary's bandit. With everything off this sets one
+    /// integer and leaves every option `None` — the historical engine,
+    /// bit for bit.
     fn init_robustness(&mut self) {
         self.churn_seed = mix64(self.scenario.seed ^ 0x0C4A_54E5_50DD_BA11);
         if self.scenario.churn.dynamic() || self.scenario.attest_ttl > 0 {
@@ -1094,7 +942,7 @@ impl Simulation {
         if self.scenario.attest_ttl > 0 {
             let total = self.total_actors();
             let ttl = self.scenario.attest_ttl as u64;
-            // Rebuild the attestation service the constructors
+            // Rebuild the attestation service the constructor
             // provisioned through (same measurement, same group key) and
             // re-certify every trusted platform so renewals verify.
             let mut service = provisioning::new_attestation_service(self.scenario.seed ^ 0x6E0C);
@@ -1127,13 +975,11 @@ impl Simulation {
             ));
         }
         if self.scenario.adversary_mode == AdversaryMode::Adaptive {
-            // One arm per (segment, candidate strategy) pair; uniform
-            // populations count as a single segment. The coordinator is
-            // pure bookkeeping (no RNG), so static-mode runs — where it
-            // stays `None` — replay byte-identically.
-            let seg_count = self.segs.len().max(1);
+            // One arm per (segment, candidate strategy) pair. The
+            // coordinator is pure bookkeeping (no RNG), so static-mode
+            // runs — where it stays `None` — replay byte-identically.
             self.bandit = Some(AdaptiveCoordinator::new(
-                seg_count * ADAPTIVE_STRATEGIES.len(),
+                self.segs.len() * ADAPTIVE_STRATEGIES.len(),
             ));
         }
     }
@@ -1181,7 +1027,7 @@ impl Simulation {
 
     /// Total actors in the run (Byzantine identities + correct nodes).
     pub fn total_actors(&self) -> usize {
-        self.byz_count + self.population.len()
+        self.byz_count + self.non_byz_total
     }
 
     /// Whether actor `id` is Byzantine.
@@ -1230,40 +1076,22 @@ impl Simulation {
     /// Read access to a correct Brahms/RAPTEE node (None for Byzantine
     /// actors and for BASALT-family actors).
     pub fn node(&self, id: NodeId) -> Option<&RapteeNode> {
-        if id.index() < self.byz_count {
-            return None;
-        }
-        let ci = id.index() - self.byz_count;
-        match &self.population {
-            Population::Raptee(nodes) => nodes.get(ci),
-            Population::Basalt(_) => None,
-            Population::Mixed(seg_nodes) => {
-                let si = *self.seg_of.get(ci)? as usize;
-                match &seg_nodes[si] {
-                    SegmentNodes::Raptee(v) => v.get(ci - self.segs[si].start),
-                    SegmentNodes::Basalt(_) => None,
-                }
-            }
+        let ci = id.index().checked_sub(self.byz_count)?;
+        let si = *self.seg_of.get(ci)? as usize;
+        match &self.population[si] {
+            SegmentNodes::Raptee(v) => v.get(ci - self.segs[si].start),
+            SegmentNodes::Ranked(_) => None,
         }
     }
 
     /// Read access to a correct ranked-family node (None for Byzantine
     /// actors and for Brahms-family actors).
     pub fn ranked(&self, id: NodeId) -> Option<&RankedNode> {
-        if id.index() < self.byz_count {
-            return None;
-        }
-        let ci = id.index() - self.byz_count;
-        match &self.population {
-            Population::Basalt(nodes) => nodes.get(ci),
-            Population::Raptee(_) => None,
-            Population::Mixed(seg_nodes) => {
-                let si = *self.seg_of.get(ci)? as usize;
-                match &seg_nodes[si] {
-                    SegmentNodes::Basalt(v) => v.get(ci - self.segs[si].start),
-                    SegmentNodes::Raptee(_) => None,
-                }
-            }
+        let ci = id.index().checked_sub(self.byz_count)?;
+        let si = *self.seg_of.get(ci)? as usize;
+        match &self.population[si] {
+            SegmentNodes::Ranked(v) => v.get(ci - self.segs[si].start),
+            SegmentNodes::Raptee(_) => None,
         }
     }
 
@@ -1359,12 +1187,8 @@ impl Simulation {
         // `&mut self` stays available to the control passes.
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut workers = std::mem::take(&mut self.workers);
-        scratch.ensure_capacity(self.population.len());
-        match &self.population {
-            Population::Basalt(_) => self.basalt_round(&mut scratch, &mut workers),
-            Population::Raptee(_) => self.raptee_round(&mut scratch, &mut workers),
-            Population::Mixed(_) => self.mixed_round(&mut scratch, &mut workers),
-        }
+        scratch.ensure_capacity(self.non_byz_total);
+        self.protocol_round(&mut scratch, &mut workers);
         self.scratch = scratch;
         self.workers = workers;
 
@@ -1415,53 +1239,28 @@ impl Simulation {
         let churn_seed = self.churn_seed;
         let alive = &self.alive;
         let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
-        let segs = &self.segs;
-        let seg_of = &self.seg_of;
-        match &mut self.population {
-            Population::Raptee(nodes) => match rejoin {
+        let si = self.seg_of[ci] as usize;
+        let local = ci - self.segs[si].start;
+        match &mut self.population[si] {
+            SegmentNodes::Raptee(nodes) => match rejoin {
                 RejoinPolicy::Cold => {
                     let boot = bootstrap_of(churn_seed, view_size + 2);
-                    nodes[ci].rejoin_cold(&boot, cold_seed);
+                    nodes[local].rejoin_cold(&boot, cold_seed);
                 }
                 RejoinPolicy::Warm => {
-                    nodes[ci].rejoin_warm(is_alive);
+                    nodes[local].rejoin_warm(is_alive);
                 }
             },
-            Population::Basalt(nodes) => match rejoin {
+            SegmentNodes::Ranked(nodes) => match rejoin {
                 RejoinPolicy::Cold => {
-                    let k = nodes[ci].view_size() + 2;
+                    let k = nodes[local].view_size() + 2;
                     let boot = bootstrap_of(churn_seed, k);
-                    nodes[ci].rejoin_cold(&boot, cold_seed);
+                    nodes[local].rejoin_cold(&boot, cold_seed);
                 }
                 RejoinPolicy::Warm => {
-                    nodes[ci].rejoin_warm();
+                    nodes[local].rejoin_warm();
                 }
             },
-            Population::Mixed(seg_nodes) => {
-                let si = seg_of[ci] as usize;
-                let local = ci - segs[si].start;
-                match &mut seg_nodes[si] {
-                    SegmentNodes::Raptee(nodes) => match rejoin {
-                        RejoinPolicy::Cold => {
-                            let boot = bootstrap_of(churn_seed, view_size + 2);
-                            nodes[local].rejoin_cold(&boot, cold_seed);
-                        }
-                        RejoinPolicy::Warm => {
-                            nodes[local].rejoin_warm(is_alive);
-                        }
-                    },
-                    SegmentNodes::Basalt(nodes) => match rejoin {
-                        RejoinPolicy::Cold => {
-                            let k = nodes[local].view_size() + 2;
-                            let boot = bootstrap_of(churn_seed, k);
-                            nodes[local].rejoin_cold(&boot, cold_seed);
-                        }
-                        RejoinPolicy::Warm => {
-                            nodes[local].rejoin_warm();
-                        }
-                    },
-                }
-            }
         }
         // A trusted rejoiner re-attests on the spot (the trusted
         // re-handshake): fresh certificate, degradation cleared.
@@ -1631,41 +1430,21 @@ impl Simulation {
     /// from every honest view, waiting list and trusted directory. The
     /// pull-path blacklist keeps re-learned entries out afterwards.
     fn purge_quarantined(&mut self, convicted: &[usize]) {
-        match &mut self.population {
-            Population::Raptee(nodes) => {
-                for node in nodes.iter_mut() {
-                    for &c in convicted {
-                        let id = NodeId(c as u64);
-                        node.brahms_mut().view_mut().remove(id);
-                        node.forget_trusted_peer(id);
-                    }
-                }
-            }
-            Population::Basalt(nodes) => {
-                for node in nodes.iter_mut() {
-                    for &c in convicted {
-                        node.quarantine(NodeId(c as u64));
-                    }
-                }
-            }
-            Population::Mixed(seg_nodes) => {
-                for nodes in seg_nodes.iter_mut() {
-                    match nodes {
-                        SegmentNodes::Raptee(v) => {
-                            for node in v.iter_mut() {
-                                for &c in convicted {
-                                    let id = NodeId(c as u64);
-                                    node.brahms_mut().view_mut().remove(id);
-                                    node.forget_trusted_peer(id);
-                                }
-                            }
+        for nodes in self.population.iter_mut() {
+            match nodes {
+                SegmentNodes::Raptee(v) => {
+                    for node in v.iter_mut() {
+                        for &c in convicted {
+                            let id = NodeId(c as u64);
+                            node.brahms_mut().view_mut().remove(id);
+                            node.forget_trusted_peer(id);
                         }
-                        SegmentNodes::Basalt(v) => {
-                            for node in v.iter_mut() {
-                                for &c in convicted {
-                                    node.quarantine(NodeId(c as u64));
-                                }
-                            }
+                    }
+                }
+                SegmentNodes::Ranked(v) => {
+                    for node in v.iter_mut() {
+                        for &c in convicted {
+                            node.quarantine(NodeId(c as u64));
                         }
                     }
                 }
@@ -1723,107 +1502,149 @@ impl Simulation {
         self.recovery = Some(rec);
     }
 
-    /// Collects the honest pushes surviving the rate limiter, liveness
-    /// and message loss (in sender-major order, so the loss RNG stream is
-    /// unchanged), then counting-sorts them by target into `sorted`. An
-    /// associated function over the delivery fields so callers can hold
-    /// population borrows.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_and_sort_pushes<'a>(
-        limiter: &mut PushRateLimiter,
-        loss_rng: &mut Xoshiro256StarStar,
-        alive: &[bool],
-        message_loss: f64,
-        total: usize,
-        survivors: &mut Vec<(u32, NodeIdx)>,
-        sorted: &mut Vec<(u32, NodeIdx)>,
-        counts: &mut Vec<u32>,
-        net: &mut Option<EventNet>,
-        round: usize,
-        planned: impl Iterator<Item = (usize, &'a [NodeId])>,
-    ) {
-        survivors.clear();
+    /// Collects the honest pushes of every segment, in population-index
+    /// order, that survive the rate limiter, liveness and message loss
+    /// (sender-major, so the loss RNG stream is unchanged), then
+    /// counting-sorts them by target into `s.sorted`.
+    fn collect_and_sort_pushes(&mut self, s: &mut Scratch) {
+        let byz = self.byz_count;
+        let message_loss = self.scenario.message_loss;
+        s.survivors.clear();
         // Late pushes from earlier rounds arrive first: they are the
         // oldest messages each receiver sees, and the stable counting
         // sort preserves that ordering per target.
-        if let Some(net) = net.as_mut() {
-            net.drain_due_pushes(NetLane::Honest, survivors);
+        if let Some(net) = self.net.as_mut() {
+            net.drain_due_pushes(NetLane::Honest, &mut s.survivors);
         }
-        for (i, targets) in planned {
-            let sender = NodeId(i as u64);
-            let granted = limiter.try_push_n(sender, targets.len());
-            for &target in &targets[..granted] {
-                if !alive[target.index()] {
-                    continue;
-                }
-                if message_loss > 0.0 && loss_rng.chance(message_loss) {
-                    continue;
-                }
-                if let Some(net) = net.as_mut() {
-                    if !net.send_push(round, i, target.index(), sender, NetLane::Honest) {
+        for seg in &self.segs {
+            for ci in (seg.start..seg.start + seg.len).filter(|&ci| s.live[ci]) {
+                let targets = if seg.ranked_cfg.is_some() {
+                    &s.ranked_plans[ci].push_targets
+                } else {
+                    &s.plans[ci].push_targets
+                };
+                let sender = NodeId((byz + ci) as u64);
+                let granted = self.limiter.try_push_n(sender, targets.len());
+                for &target in &targets[..granted] {
+                    if !self.alive[target.index()] {
                         continue;
                     }
+                    if message_loss > 0.0 && self.loss_rng.chance(message_loss) {
+                        continue;
+                    }
+                    if let Some(net) = self.net.as_mut() {
+                        if !net.send_push(
+                            self.round,
+                            byz + ci,
+                            target.index(),
+                            sender,
+                            NetLane::Honest,
+                        ) {
+                            continue;
+                        }
+                    }
+                    s.survivors.push((target.index() as u32, narrow(sender)));
                 }
-                survivors.push((target.index() as u32, narrow(sender)));
             }
         }
-        counting_sort_by_target(survivors, sorted, counts, total);
+        let total = self.total_actors();
+        counting_sort_by_target(&s.survivors, &mut s.sorted, &mut s.counts, total);
     }
 
-    /// Charges each planned adversary push to a Byzantine identity
-    /// through the rate limiter (rotating payers — the budget equals
-    /// exactly B × the per-identity allowance), applies the liveness and
-    /// message-loss filters, and counting-sorts the survivors by victim
-    /// for the parallel apply phase. Shared by every protocol path so
-    /// Brahms-vs-BASALT comparisons face provably identical adversary
+    /// The adversary's segment-matched attacks — balanced/targeted
+    /// random-ID pushes against Brahms-family segments, distinct-ID
+    /// force pushes against ranked-family segments — saturating exactly
+    /// its lawful budget B·fanout, split proportionally to segment sizes.
+    /// In adaptive mode the bandit instead concentrates the entire
+    /// budget on its chosen (segment, strategy) `bandit_arm`; every
+    /// other segment gets zero this round.
+    ///
+    /// Each planned push is charged to a Byzantine identity through the
+    /// rate limiter (rotating payers), passes the liveness and
+    /// message-loss filters, and the survivors are counting-sorted by
+    /// victim for the parallel phases. One pass for every segment, so
+    /// cross-family comparisons face provably identical adversary
     /// machinery.
-    fn collect_byz_pushes(
-        &mut self,
-        byz_plan: &[(NodeId, NodeId)],
-        survivors: &mut Vec<(u32, NodeIdx)>,
-        sorted: &mut Vec<(u32, NodeIdx)>,
-        counts: &mut Vec<u32>,
-    ) {
+    fn collect_byz_pushes(&mut self, s: &mut Scratch, bandit_arm: Option<usize>) {
+        let Scratch {
+            byz_plan: plan,
+            byz_survivors: survivors,
+            byz_sorted: sorted,
+            byz_counts: counts,
+            ..
+        } = s;
         survivors.clear();
         if let Some(net) = self.net.as_mut() {
             net.drain_due_pushes(NetLane::Adversary, survivors);
         }
+        let total_budget = self.byz_count * self.limiter_fanout;
+        let mut assigned = 0usize;
         let mut charge_rotor = 0usize;
-        for &(victim, advertised) in byz_plan {
-            let mut charged = false;
-            for _ in 0..self.byz_count {
-                let payer = NodeId((charge_rotor % self.byz_count.max(1)) as u64);
-                charge_rotor += 1;
-                if self.limiter.try_push(payer) {
-                    charged = true;
-                    break;
+        for (si, seg) in self.segs.iter().enumerate() {
+            let (budget, attack) = match bandit_arm {
+                Some(arm) => {
+                    let budget = if si == arm / ADAPTIVE_STRATEGIES.len() {
+                        total_budget
+                    } else {
+                        0
+                    };
+                    (budget, ADAPTIVE_STRATEGIES[arm % ADAPTIVE_STRATEGIES.len()])
                 }
-            }
-            if !charged {
-                continue;
-            }
-            if !self.alive[victim.index()] {
-                continue;
-            }
-            if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss)
-            {
-                continue;
-            }
-            if let Some(net) = self.net.as_mut() {
-                // The adversary's pushes originate at the advertised
-                // identity's host (injected poisoned nodes send from
-                // their own addresses).
-                if !net.send_push(
-                    self.round,
-                    advertised.index(),
-                    victim.index(),
-                    advertised,
-                    NetLane::Adversary,
-                ) {
+                None => {
+                    let budget = if si + 1 == self.segs.len() {
+                        total_budget - assigned
+                    } else {
+                        total_budget * seg.len / self.non_byz_total
+                    };
+                    (budget, self.scenario.attack)
+                }
+            };
+            assigned += budget;
+            Self::plan_attack(
+                &mut self.adversary,
+                attack,
+                seg.ranked_cfg.is_some(),
+                &self.victims[seg.start..seg.start + seg.len],
+                budget,
+                plan,
+            );
+            for &(victim, advertised) in plan.iter() {
+                let mut charged = false;
+                for _ in 0..self.byz_count {
+                    let payer = NodeId((charge_rotor % self.byz_count.max(1)) as u64);
+                    charge_rotor += 1;
+                    if self.limiter.try_push(payer) {
+                        charged = true;
+                        break;
+                    }
+                }
+                if !charged {
                     continue;
                 }
+                if !self.alive[victim.index()] {
+                    continue;
+                }
+                if self.scenario.message_loss > 0.0
+                    && self.loss_rng.chance(self.scenario.message_loss)
+                {
+                    continue;
+                }
+                if let Some(net) = self.net.as_mut() {
+                    // The adversary's pushes originate at the advertised
+                    // identity's host (injected poisoned nodes send from
+                    // their own addresses).
+                    if !net.send_push(
+                        self.round,
+                        advertised.index(),
+                        victim.index(),
+                        advertised,
+                        NetLane::Adversary,
+                    ) {
+                        continue;
+                    }
+                }
+                survivors.push((victim.index() as u32, narrow(advertised)));
             }
-            survivors.push((victim.index() as u32, narrow(advertised)));
         }
         // Quarantine filter: adversary pushes advertising a convicted
         // identity (including copies drained from earlier rounds) are
@@ -1834,94 +1655,58 @@ impl Simulation {
         counting_sort_by_target(survivors, sorted, counts, self.total_actors());
     }
 
-    /// Plans the adversary's pushes for this round, honouring the
-    /// scenario's attack strategy: `balanced` spreads the budget evenly,
-    /// `targeted` focuses a share of it on a fixed prefix of the correct
+    /// Plans one segment's share of the adversary's pushes, honouring the
+    /// attack strategy: `balanced` spreads the budget evenly, `targeted`
+    /// focuses a share of it on a fixed prefix of the segment's correct
     /// nodes (deterministic per scenario; the adversary knows the
-    /// membership). The planners are protocol-specific (random Byzantine
-    /// IDs against Brahms/RAPTEE, distinct-ID coverage against BASALT).
-    fn plan_adversary_pushes(
-        &mut self,
-        budget: usize,
-        balanced: fn(&mut Adversary, &[NodeId], usize, &mut PushPlan),
-        targeted: fn(&mut Adversary, &[NodeId], &[NodeId], usize, f64, &mut PushPlan),
-        plan: &mut PushPlan,
-    ) -> Option<usize> {
-        // Adaptive mode: the bandit overrides the static strategy with
-        // its current-best arm (uniform populations are one segment, so
-        // the arm index encodes the strategy alone). The chosen arm is
-        // returned so the round can feed the observed yield back.
-        let (attack, arm) = match self.bandit.as_ref() {
-            Some(bandit) => {
-                let arm = bandit.choose();
-                (
-                    ADAPTIVE_STRATEGIES[arm % ADAPTIVE_STRATEGIES.len()],
-                    Some(arm),
-                )
-            }
-            None => (self.scenario.attack, None),
-        };
-        Self::plan_attack(
-            &mut self.adversary,
-            attack,
-            &self.victims,
-            budget,
-            balanced,
-            targeted,
-            plan,
-        );
-        arm
-    }
-
-    /// The strategy-dispatching body of [`Simulation::plan_adversary_pushes`],
-    /// parameterised over the victim pool so the mixed-population round
-    /// can aim each segment's matching attack at that segment alone.
-    #[allow(clippy::too_many_arguments)]
+    /// membership). The planners match the victim family: random
+    /// Byzantine IDs against Brahms/RAPTEE, distinct-ID coverage against
+    /// ranked views.
     fn plan_attack(
         adversary: &mut Adversary,
         attack: AttackStrategy,
+        ranked: bool,
         victims: &[NodeId],
         budget: usize,
-        balanced: fn(&mut Adversary, &[NodeId], usize, &mut PushPlan),
-        targeted: fn(&mut Adversary, &[NodeId], &[NodeId], usize, f64, &mut PushPlan),
         plan: &mut PushPlan,
     ) {
         match attack {
-            AttackStrategy::Balanced => balanced(adversary, victims, budget, plan),
+            AttackStrategy::Balanced if !ranked => {
+                adversary.plan_balanced_pushes_into(victims, budget, plan);
+            }
+            // The coverage play is family-independent: always the
+            // round-robin distinct-identity planner, and the ranked
+            // family's balanced attack is exactly that.
+            AttackStrategy::Balanced | AttackStrategy::ForcePush => {
+                adversary.plan_force_pushes_into(victims, budget, plan);
+            }
             AttackStrategy::Targeted {
                 victim_fraction,
                 focus,
             } => {
                 let k = ((victims.len() as f64) * victim_fraction).round() as usize;
                 let targets = &victims[..k.min(victims.len())];
-                targeted(adversary, victims, targets, budget, focus, plan);
-            }
-            // The coverage play is family-independent: always the
-            // round-robin distinct-identity planner, whatever planners
-            // the victim family paired with Balanced/Targeted.
-            AttackStrategy::ForcePush => {
-                adversary.plan_force_pushes_into(victims, budget, plan);
+                if ranked {
+                    adversary
+                        .plan_targeted_force_pushes_into(victims, targets, budget, focus, plan);
+                } else {
+                    adversary.plan_targeted_pushes_into(victims, targets, budget, focus, plan);
+                }
             }
         }
     }
 
     /// Feeds the adaptive bandit the observed pollution yield of the arm
     /// it played this round: the mean Byzantine view share over the
-    /// attacked segment (whole population for uniform runs). No-op when
-    /// the adversary is static.
+    /// attacked segment. No-op when the adversary is static.
     fn bandit_reward(&mut self, stats: &[RoundStat], arm: Option<usize>) {
         let (Some(bandit), Some(arm)) = (self.bandit.as_mut(), arm) else {
             return;
         };
-        let (start, len) = if self.segs.is_empty() {
-            (0, stats.len())
-        } else {
-            let si = arm / ADAPTIVE_STRATEGIES.len();
-            (self.segs[si].start, self.segs[si].len)
-        };
+        let seg = &self.segs[arm / ADAPTIVE_STRATEGIES.len()];
         let mut sum = 0.0;
         let mut count = 0usize;
-        for st in &stats[start..(start + len).min(stats.len())] {
+        for st in &stats[seg.start..seg.start + seg.len] {
             if st.participated && st.has_share {
                 sum += st.share;
                 count += 1;
@@ -1931,896 +1716,16 @@ impl Simulation {
         bandit.reward(arm, observed);
     }
 
-    /// One Brahms/RAPTEE round (the paper's protocol loop).
-    fn raptee_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
+    /// One protocol round (the paper's loop) for every segment: the
+    /// phases of the module doc, driven per segment over the shared
+    /// scratch arenas. Shared sequential streams (rate limiter, loss RNG,
+    /// adversary coordinator RNG) are consumed in segment-layout order.
+    fn protocol_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
         let total = self.total_actors();
         let byz = self.byz_count;
         let stride = self.scenario.view_size;
-        let (pop, alpha_count) = match &self.population {
-            Population::Raptee(nodes) => (
-                nodes.len(),
-                nodes.first().map(|n| n.config().brahms.alpha_count()),
-            ),
-            Population::Basalt(_) => unreachable!("BASALT runs through basalt_round"),
-            Population::Mixed(_) => unreachable!("mixed populations run through mixed_round"),
-        };
-        // No correct nodes: nothing to simulate (matches the historical
-        // early return before the adversary planned anything).
-        let Some(alpha_count) = alpha_count else {
-            return;
-        };
-
-        // Phase 1 (parallel, sharded by node): plans — dead nodes do not
-        // participate — plus the post-plan view snapshot that deferred
-        // pull answers will reference, and the per-round reset of the
-        // view-mutation flags.
-        if s.snap_ids.len() != pop * stride {
-            s.snap_ids.resize(pop * stride, NodeIdx(0));
-        }
-        {
-            let Population::Raptee(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let alive = &self.alive;
-            struct Lane<'a> {
-                item: PlanItem<'a, RapteeNode>,
-                plan: &'a mut RoundPlan,
-                mutated: &'a mut bool,
-                snap: &'a mut [NodeIdx],
-                snap_len: &'a mut u32,
-            }
-            let mut lanes: Vec<Lane> = nodes
-                .iter_mut()
-                .zip(s.plans.iter_mut())
-                .zip(s.live.iter_mut())
-                .zip(s.view_mutated.iter_mut())
-                .zip(s.snap_ids.chunks_mut(stride))
-                .zip(s.snap_len.iter_mut())
-                .map(|(((((node, plan), live), mutated), snap), snap_len)| Lane {
-                    item: PlanItem { node, live },
-                    plan,
-                    mutated,
-                    snap,
-                    snap_len,
-                })
-                .collect();
-            rayon::par_for_each_mut(&mut lanes, |ci, lane| {
-                *lane.mutated = false;
-                if !alive[byz + ci] {
-                    *lane.item.live = false;
-                    *lane.snap_len = 0;
-                    return;
-                }
-                lane.item.node.plan_round_into(lane.plan);
-                *lane.item.live = true;
-                let view = lane.item.node.brahms().view();
-                for (k, e) in view.entries().iter().enumerate() {
-                    lane.snap[k] = narrow(e.id);
-                }
-                *lane.snap_len = view.len() as u32;
-            });
-        }
-
-        // Phase 2a (sequential control): honest pushes through the rate
-        // limiter and loss filter, counting-sorted into per-receiver
-        // runs. No per-ID node work happens here — the runs are consumed
-        // by the parallel apply phase.
-        {
-            let Scratch {
-                plans,
-                live,
-                survivors,
-                sorted,
-                counts,
-                ..
-            } = s;
-            let planned = plans
-                .iter()
-                .enumerate()
-                .filter(|(ci, _)| live[*ci])
-                .map(|(ci, p)| (byz + ci, p.push_targets.as_slice()));
-            Self::collect_and_sort_pushes(
-                &mut self.limiter,
-                &mut self.loss_rng,
-                &self.alive,
-                self.scenario.message_loss,
-                total,
-                survivors,
-                sorted,
-                counts,
-                &mut self.net,
-                self.round,
-                planned,
-            );
-        }
-
-        // Phase 2b (sequential control): the adversary's balanced
-        // pushes, saturating exactly its lawful budget B·α·l1 (every
-        // push charged to a Byzantine identity).
-        let budget = byz * alpha_count;
-        let bandit_arm = self.plan_adversary_pushes(
-            budget,
-            Adversary::plan_balanced_pushes_into,
-            Adversary::plan_targeted_pushes_into,
-            &mut s.byz_plan,
-        );
-        {
-            let Scratch {
-                byz_plan,
-                byz_survivors,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let plan = std::mem::take(byz_plan);
-            self.collect_byz_pushes(&plan, byz_survivors, byz_sorted, byz_counts);
-            *byz_plan = plan;
-        }
-
-        // Phase 3 (sequential control): pulls. Only the shared ordered
-        // streams run here — loss draws, handshakes, the adversary RNG,
-        // and the (rare) trusted swaps; every untrusted answer is
-        // deferred as a pull event for the parallel apply phase.
-        s.events.clear();
-        s.arena.clear();
-        // Event model: pull answers deferred from earlier rounds arrive
-        // ahead of this round's fresh pulls (they are the oldest answers
-        // the requester sees). Dead requesters consume and drop theirs.
-        let due = self
-            .net
-            .as_mut()
-            .map(|n| n.take_due_answers())
-            .unwrap_or_default();
-        let mut due_cursor = 0usize;
-        for ci in 0..pop {
-            s.event_start[ci] = s.events.len() as u32;
-            while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
-                let ans = &due[due_cursor];
-                due_cursor += 1;
-                if ans.ci as usize != ci {
-                    continue;
-                }
-                // First delivered copy claims the answer nonce; deadline
-                // retransmits and injected duplicates are suppressed.
-                let fresh = self.net.as_mut().is_none_or(|n| n.accept_answer(ans.nonce));
-                if fresh && s.live[ci] {
-                    let start = s.arena.len() as u32;
-                    s.arena.extend(ans.ids.iter().map(|&id| narrow(id)));
-                    s.events.push(PullEvent::Arena {
-                        start,
-                        len: ans.ids.len() as u32,
-                    });
-                }
-            }
-            if !s.live[ci] {
-                continue;
-            }
-            let n_pulls = s.plans[ci].pull_targets.len();
-            for k in 0..n_pulls {
-                let target = s.plans[ci].pull_targets[k];
-                self.control_pull(ci, target, s);
-            }
-        }
-        s.event_start[pop] = s.events.len() as u32;
-        if let Some(net) = self.net.as_mut() {
-            net.restore_due_answers(due);
-        }
-
-        // Phase 3b (sequential): proactive trusted exchanges. Each
-        // trusted node initiates one exchange with the oldest entry of
-        // its trusted directory (framework criterion (1): round-robin
-        // probing) — the mechanism that keeps a sparse trusted
-        // population meeting every round once discovered. Swaps here
-        // cannot invalidate snapshot-deferred answers: those reference
-        // the frozen snapshot arena, not the live views.
-        if self.scenario.trusted_swap {
-            let Population::Raptee(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            for ci in 0..pop {
-                let abs = byz + ci;
-                if !Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), abs) {
-                    continue;
-                }
-                let Some(partner) = nodes[ci].trusted_partner() else {
-                    continue;
-                };
-                if partner.index() == abs || !self.alive[abs] {
-                    continue;
-                }
-                if !self.alive[partner.index()] {
-                    // Timeout: forget the dead trusted peer.
-                    nodes[ci].forget_trusted_peer(partner);
-                    continue;
-                }
-                if !Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), partner.index())
-                {
-                    // The partner is alive but its certificate lapsed:
-                    // skip the exchange without forgetting it — it will
-                    // re-attest and answer again.
-                    continue;
-                }
-                assert!(
-                    partner.index() >= byz,
-                    "directory entries are authenticated trusted peers"
-                );
-                let (a, b) = two_nodes(nodes, ci, partner.index() - byz);
-                RapteeNode::trusted_swap_kind(a, b, false);
-            }
-        }
-
-        // Phase 4 (sequential): adversary observation pulls
-        // (identification attack).
-        if self.scenario.identification_attack && byz > 0 {
-            let beta_count = alpha_count; // α = β in the paper's config
-            let Population::Raptee(nodes) = &self.population else {
-                unreachable!()
-            };
-            for _ in 0..byz {
-                self.adversary.observation_targets_into(
-                    &self.ident_candidates,
-                    beta_count,
-                    &mut s.observed,
-                );
-                for idx in 0..s.observed.len() {
-                    let t = s.observed[idx];
-                    let view = nodes[t.index() - byz].brahms().view();
-                    if view.is_empty() {
-                        continue;
-                    }
-                    let byz_in_view = view.ids().filter(|id| id.index() < byz).count();
-                    let share = byz_in_view as f64 / view.len() as f64;
-                    self.adversary.record_share(t, share);
-                }
-            }
-        }
-
-        // Phase 5 (parallel apply, sharded by node): stream
-        // reconstruction from the shared arenas, round finalisation and
-        // per-node metric observation into the stat slots.
-        let validation_due = self.scenario.sampler_validation_period > 0
-            && (self.round + 1).is_multiple_of(self.scenario.sampler_validation_period);
-        {
-            let Population::Raptee(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let Scratch {
-                stats,
-                events,
-                event_start,
-                arena,
-                snap_ids,
-                snap_len,
-                sorted,
-                counts,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let (events, event_start) = (&events[..], &event_start[..]);
-            let (arena, snap_ids, snap_len) = (&arena[..], &snap_ids[..], &snap_len[..]);
-            let (sorted, counts) = (&sorted[..], &counts[..]);
-            let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
-            let alive = &self.alive;
-            let adversary = &self.adversary;
-            let mut items: Vec<FinishItem<RapteeNode>> = nodes
-                .iter_mut()
-                .zip(stats.iter_mut())
-                .zip(self.discovery.rows_mut())
-                .zip(self.share_rings.rows_mut())
-                .map(|(((node, stat), disc), ring)| FinishItem {
-                    node,
-                    stat,
-                    disc,
-                    ring,
-                })
-                .collect();
-            rayon::par_for_each_scratch(&mut items, workers, |ws, ci, it| {
-                let abs = byz + ci;
-                *it.stat = RoundStat::default();
-                if !alive[abs] {
-                    return;
-                }
-                it.stat.participated = true;
-                if validation_due {
-                    // Brahms sampler validation: probe sampled nodes,
-                    // re-draw the samplers whose sample is dead.
-                    let brahms = it.node.brahms_mut();
-                    let (sampler, rng) = brahms.sampler_and_rng_mut();
-                    sampler.validate(|id| alive.get(id.index()).copied().unwrap_or(false), rng);
-                }
-                let me = NodeId(abs as u64);
-                // Push stream: the honest counting-sorted run, then the
-                // adversary's run — each receiver's historical arrival
-                // order, with the `record_push` self-filter.
-                ws.pushed.clear();
-                let (h0, h1) = run_bounds(counts, abs);
-                ws.pushed.extend(
-                    sorted[h0..h1]
-                        .iter()
-                        .map(|&(_, sender)| widen(sender))
-                        .filter(|&x| x != me),
-                );
-                let (b0, b1) = run_bounds(byz_counts, abs);
-                ws.pushed.extend(
-                    byz_sorted[b0..b1]
-                        .iter()
-                        .map(|&(_, advertised)| widen(advertised))
-                        .filter(|&x| x != me),
-                );
-                // Untrusted pull stream, reconstructed in delivery order.
-                ws.untrusted.clear();
-                let e0 = event_start[ci] as usize;
-                let e1 = event_start[ci + 1] as usize;
-                for ev in &events[e0..e1] {
-                    match ev {
-                        PullEvent::Snapshot { responder } => {
-                            let r = *responder as usize;
-                            let base = r * stride;
-                            ws.untrusted.extend(
-                                snap_ids[base..base + snap_len[r] as usize]
-                                    .iter()
-                                    .map(|&i| widen(i)),
-                            );
-                        }
-                        PullEvent::Arena { start, len } => {
-                            let (a, b) = (*start as usize, (*start + *len) as usize);
-                            ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
-                        }
-                        PullEvent::ByzReplay { rng } => {
-                            let mut rng = rng.clone();
-                            adversary.replay_pull_answer(&mut rng, &mut ws.idx, &mut ws.reply);
-                            ws.untrusted.extend_from_slice(&ws.reply);
-                        }
-                    }
-                }
-                let outcome = it.node.finish_round_streamed(
-                    &ws.pushed,
-                    &mut ws.untrusted,
-                    (e1 - e0) as u32,
-                    &mut ws.pulled,
-                    &mut ws.finish,
-                );
-                it.stat.evicted = outcome.evicted as u32;
-                it.stat.flood = outcome.report.push_flood_detected;
-                // Discovery counts an ID once it has *entered the
-                // dynamic view* (matching the paper's round counts; IDs
-                // merely seen in transit — or evicted — do not count).
-                let mut len = 0usize;
-                let mut byz_in_view = 0usize;
-                for id in it.node.brahms().view().ids() {
-                    len += 1;
-                    if id.index() < byz {
-                        byz_in_view += 1;
-                    } else if id.index() < total {
-                        it.disc.insert(id.index());
-                    }
-                }
-                it.stat.discovered = it.disc.count() as u32;
-                if len > 0 {
-                    let share = byz_in_view as f64 / len as f64;
-                    it.stat.share = share;
-                    it.stat.has_share = true;
-                    it.stat.smoothed = it.ring.push_and_mean(share);
-                }
-            });
-        }
-
-        // Fold (sequential, node-index order — float accumulation order
-        // is exactly the historical per-actor loop's).
-        self.fold_round_stats(&s.stats);
-        self.bandit_reward(&s.stats, bandit_arm);
-
-        if self.scenario.identification_attack {
-            let flagged = self
-                .adversary
-                .classify_trusted(self.scenario.identification_threshold);
-            let trusted = &self.trusted;
-            let n = self.scenario.n;
-            // Ground truth: genuine trusted nodes (injected ones are the
-            // adversary's own and excluded).
-            let actual = trusted[byz..n].iter().filter(|&&t| t).count();
-            let result = IdentificationResult::evaluate(
-                &flagged,
-                |id| id.index() < n && trusted[id.index()],
-                actual,
-                self.round,
-            );
-            let better = match &self.best_identification {
-                None => true,
-                Some(best) => result.f1 > best.f1,
-            };
-            if better {
-                self.best_identification = Some(result);
-            }
-        }
-    }
-
-    /// One pull of the sequential exchange pass: replicates the
-    /// historical `handle_pull` control flow but defers untrusted
-    /// answers as [`PullEvent`]s instead of copying IDs.
-    fn control_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
-        let byz = self.byz_count;
-        let requester_abs = byz + requester_ci;
-        let t = target.index();
-        if t == requester_abs || t >= self.total_actors() {
-            return;
-        }
-        // A convicted (quarantined) target is blacklisted before any
-        // connection or RNG draw: drop it from the view and the trusted
-        // directory, like a dead-peer timeout.
-        if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let Population::Raptee(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let node = &mut nodes[requester_ci];
-            node.brahms_mut().view_mut().remove(target);
-            node.forget_trusted_peer(target);
-            s.view_mutated[requester_ci] = true;
-            return;
-        }
-        // Event model: reachability gating and round-trip timing. A
-        // refused exchange never opens a connection, so (unlike a crash
-        // timeout) the requester drops nothing and no loss RNG draw
-        // happens — at the zero-latency config no exchange is ever
-        // refused and this is a pass-through.
-        let gate = match self.net.as_mut() {
-            Some(net) => net.gate_pull(self.round, requester_abs, t),
-            None => PullGate::Inline,
-        };
-        if gate == PullGate::Refused {
-            return;
-        }
-        let Population::Raptee(nodes) = &mut self.population else {
-            unreachable!()
-        };
-        // A crashed responder times out: the requester learns nothing
-        // and drops the stale link (Cyclon-style timeout handling). Any
-        // in-flight retransmit copies die with the exchange.
-        if !self.alive[t] {
-            let node = &mut nodes[requester_ci];
-            node.brahms_mut().view_mut().remove(target);
-            node.forget_trusted_peer(target);
-            s.view_mutated[requester_ci] = true;
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return;
-        }
-        if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return; // request or answer lost in transit
-        }
-        if t < byz {
-            // Byzantine responders fail authentication (random keys) and
-            // answer with exclusively Byzantine IDs. The coordinator RNG
-            // must advance here, in event order; the answer itself is
-            // regenerated in parallel from the pre-draw snapshot.
-            let snapshot = self.adversary.rng_snapshot();
-            self.adversary.pull_answer_into(&mut s.reply);
-            if let PullGate::Deferred { round, held } = gate {
-                // The answer was drawn now (the adversary's RNG advances
-                // in event order) but lands in a later round.
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-            } else {
-                s.events.push(PullEvent::ByzReplay { rng: snapshot });
-            }
-            return;
-        }
-        let tc = t - byz;
-        // Effective trust: an expired attestation certificate fails the
-        // freshness check even though the group keys still agree, so a
-        // degraded pair's exchange falls back to the untrusted path.
-        let both_trusted =
-            Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), requester_abs)
-                && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
-        let outcome_trusted = if self.scenario.real_crypto_handshakes {
-            let (a, b) = two_nodes(nodes, requester_ci, tc);
-            let (oa, ob) = RapteeNode::run_handshake(a, b);
-            debug_assert_eq!(oa, ob);
-            debug_assert_eq!(
-                oa == AuthOutcome::Trusted,
-                self.trusted[requester_abs] && self.trusted[t]
-            );
-            oa == AuthOutcome::Trusted && both_trusted
-        } else {
-            both_trusted
-        };
-        if outcome_trusted {
-            // Trusted exchanges apply inline even when the gate deferred
-            // the answer (the attested channel is synchronous); drop any
-            // pending retransmit copies so they cannot double-deliver.
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-        }
-        if outcome_trusted && self.scenario.trusted_swap {
-            let (a, b) = two_nodes(nodes, requester_ci, tc);
-            RapteeNode::trusted_swap(a, b);
-            s.view_mutated[requester_ci] = true;
-            s.view_mutated[tc] = true;
-        } else if outcome_trusted {
-            // The swap-disabled ablation: the pair still recognises each
-            // other, so the answer bypasses eviction, but no half-view
-            // exchange happens. Trusted answers are rare — record them
-            // immediately from the live view.
-            s.reply.clear();
-            s.reply.extend(nodes[tc].brahms().view().ids());
-            nodes[requester_ci].record_trusted_pull(&s.reply);
-        } else if let PullGate::Deferred { round, held } = gate {
-            // An untrusted answer crossing a round boundary: materialise
-            // the responder's view *now* (the answer reflects the state
-            // at request time) and deliver it in a later round.
-            let ids: Vec<NodeId> = nodes[tc].brahms().view().ids().collect();
-            if let Some(net) = self.net.as_mut() {
-                net.queue_answer(round, held, requester_ci as u32, target, ids);
-            }
-        } else {
-            // An untrusted answer: the responder's full view at this
-            // moment. If the responder's view is still exactly its
-            // post-plan snapshot, defer by reference; otherwise copy the
-            // live view into the answer arena.
-            if !s.view_mutated[tc] {
-                s.events.push(PullEvent::Snapshot {
-                    responder: tc as u32,
-                });
-            } else {
-                let start = s.arena.len() as u32;
-                s.arena.extend(nodes[tc].brahms().view().ids().map(narrow));
-                let len = s.arena.len() as u32 - start;
-                s.events.push(PullEvent::Arena { start, len });
-            }
-        }
-    }
-
-    /// One BASALT round: pushes and pulls ranked on arrival, the
-    /// adversary running the force-push attack, periodic seed rotation at
-    /// round end. Shares the rate limiter, message-loss and crash
-    /// machinery with the Brahms/RAPTEE path. Planning, push application
-    /// and finalisation shard across workers; the pull phase stays
-    /// sequential because ranked views make answers order-dependent
-    /// across nodes.
-    fn basalt_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
-        let total = self.total_actors();
-        let byz = self.byz_count;
-        let (pop, push_count) = match &self.population {
-            Population::Basalt(nodes) => (nodes.len(), nodes.first().map(|n| n.push_count())),
-            Population::Raptee(_) => unreachable!("Brahms/RAPTEE runs through raptee_round"),
-            Population::Mixed(_) => unreachable!("mixed populations run through mixed_round"),
-        };
+        let pop = self.non_byz_total;
         // No correct nodes: nothing to simulate.
-        let Some(push_count) = push_count else {
-            return;
-        };
-
-        // Phase 1 (parallel): plans — dead nodes do not participate.
-        {
-            let Population::Basalt(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let alive = &self.alive;
-            struct Lane<'a> {
-                item: PlanItem<'a, RankedNode>,
-                plan: &'a mut BasaltPlan,
-            }
-            let mut lanes: Vec<Lane> = nodes
-                .iter_mut()
-                .zip(s.basalt_plans.iter_mut())
-                .zip(s.live.iter_mut())
-                .map(|((node, plan), live)| Lane {
-                    item: PlanItem { node, live },
-                    plan,
-                })
-                .collect();
-            rayon::par_for_each_mut(&mut lanes, |ci, lane| {
-                if alive[byz + ci] {
-                    lane.item.node.plan_round_into(lane.plan);
-                    *lane.item.live = true;
-                } else {
-                    *lane.item.live = false;
-                }
-            });
-        }
-
-        // Phase 2a (sequential control): honest pushes (each node
-        // advertises itself) through the rate limiter, counting-sorted
-        // into per-receiver runs.
-        {
-            let Scratch {
-                basalt_plans,
-                live,
-                survivors,
-                sorted,
-                counts,
-                ..
-            } = s;
-            let planned = basalt_plans
-                .iter()
-                .enumerate()
-                .filter(|(ci, _)| live[*ci])
-                .map(|(ci, p)| (byz + ci, p.push_targets.as_slice()));
-            Self::collect_and_sort_pushes(
-                &mut self.limiter,
-                &mut self.loss_rng,
-                &self.alive,
-                self.scenario.message_loss,
-                total,
-                survivors,
-                sorted,
-                counts,
-                &mut self.net,
-                self.round,
-                planned,
-            );
-        }
-
-        // Phase 2b (sequential control): the adversary's force pushes —
-        // maximal identity coverage at exactly its lawful budget
-        // B·push_count, every push charged to a Byzantine identity.
-        let budget = byz * push_count;
-        let bandit_arm = self.plan_adversary_pushes(
-            budget,
-            Adversary::plan_force_pushes_into,
-            Adversary::plan_targeted_force_pushes_into,
-            &mut s.byz_plan,
-        );
-        {
-            let Scratch {
-                byz_plan,
-                byz_survivors,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let plan = std::mem::take(byz_plan);
-            self.collect_byz_pushes(&plan, byz_survivors, byz_sorted, byz_counts);
-            *byz_plan = plan;
-        }
-
-        // Phase 2-apply (parallel, sharded by receiver): rank the honest
-        // run, then the adversary's run, into each receiver's
-        // hit-counter view; honest senders count as discovered.
-        {
-            let Population::Basalt(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let Scratch {
-                sorted,
-                counts,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let (sorted, counts) = (&sorted[..], &counts[..]);
-            let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
-            struct Lane<'a> {
-                node: &'a mut RankedNode,
-                disc: DiscoveryLane<'a>,
-            }
-            let mut lanes: Vec<Lane> = nodes
-                .iter_mut()
-                .zip(self.discovery.rows_mut())
-                .map(|(node, disc)| Lane { node, disc })
-                .collect();
-            rayon::par_for_each_mut(&mut lanes, |ci, lane| {
-                let abs = byz + ci;
-                let (h0, h1) = run_bounds(counts, abs);
-                for &(_, sender) in &sorted[h0..h1] {
-                    let sender = widen(sender);
-                    lane.node.record_push(sender);
-                    if sender.index() >= byz && sender.index() < total {
-                        lane.disc.insert(sender.index());
-                    }
-                }
-                let (b0, b1) = run_bounds(byz_counts, abs);
-                for &(_, advertised) in &byz_sorted[b0..b1] {
-                    lane.node.record_push(widen(advertised));
-                }
-            });
-        }
-
-        // Phase 3 (sequential): pull exchanges, least-confirmed samples
-        // first. Order-dependent across nodes (every answer is ranked on
-        // arrival and shapes later answers), so this phase does not
-        // shard. Under the event model, answers deferred from earlier
-        // rounds rank first (oldest arrivals), then this round's fresh
-        // exchanges.
-        let due = self
-            .net
-            .as_mut()
-            .map(|n| n.take_due_answers())
-            .unwrap_or_default();
-        let mut due_cursor = 0usize;
-        for ci in 0..pop {
-            while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
-                let ans = &due[due_cursor];
-                due_cursor += 1;
-                if ans.ci as usize != ci {
-                    continue;
-                }
-                let fresh = self.net.as_mut().is_none_or(|n| n.accept_answer(ans.nonce));
-                if !fresh || !s.live[ci] {
-                    continue;
-                }
-                let Population::Basalt(nodes) = &mut self.population else {
-                    unreachable!()
-                };
-                nodes[ci].record_pull_answer(ans.from, &ans.ids);
-                note_discovered(&mut self.discovery, byz, total, ci, ans.from);
-                for &id in &ans.ids {
-                    note_discovered(&mut self.discovery, byz, total, ci, id);
-                }
-            }
-            if !s.live[ci] {
-                continue;
-            }
-            let n_pulls = s.basalt_plans[ci].pull_targets.len();
-            for k in 0..n_pulls {
-                let target = s.basalt_plans[ci].pull_targets[k];
-                self.basalt_pull(ci, target, s);
-            }
-        }
-        if let Some(net) = self.net.as_mut() {
-            net.restore_due_answers(due);
-        }
-
-        // Phase 4 (parallel): finalisation (seed rotation) + metrics
-        // over the per-slot samples.
-        {
-            let Population::Basalt(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let alive = &self.alive;
-            let mut items: Vec<FinishItem<RankedNode>> = nodes
-                .iter_mut()
-                .zip(s.stats.iter_mut())
-                .zip(self.discovery.rows_mut())
-                .zip(self.share_rings.rows_mut())
-                .map(|(((node, stat), disc), ring)| FinishItem {
-                    node,
-                    stat,
-                    disc,
-                    ring,
-                })
-                .collect();
-            rayon::par_for_each_mut(&mut items, |ci, it| {
-                *it.stat = RoundStat::default();
-                if !alive[byz + ci] {
-                    return;
-                }
-                it.stat.participated = true;
-                // Quarantine drain before finalisation: a no-op for
-                // BASALT/LIFT uniform configs (wlist disabled), live for
-                // Honeybee, whose verified walk endpoints pass the
-                // reachability probe here.
-                it.node
-                    .drain_wlist(|id| alive.get(id.index()).copied().unwrap_or(false));
-                it.stat.rotated = it.node.finish_round() as u32;
-                let mut len = 0usize;
-                let mut byz_in_view = 0usize;
-                it.node.for_each_sample(|id| {
-                    len += 1;
-                    if id.index() < byz {
-                        byz_in_view += 1;
-                    } else if id.index() < total {
-                        it.disc.insert(id.index());
-                    }
-                });
-                it.stat.discovered = it.disc.count() as u32;
-                if len > 0 {
-                    let share = byz_in_view as f64 / len as f64;
-                    it.stat.share = share;
-                    it.stat.has_share = true;
-                    it.stat.smoothed = it.ring.push_and_mean(share);
-                }
-            });
-        }
-        let _ = workers; // ranked-family finalisation needs no per-worker arenas
-
-        self.fold_round_stats(&s.stats);
-        self.bandit_reward(&s.stats, bandit_arm);
-    }
-
-    /// One BASALT pull exchange of the sequential phase: the responder's
-    /// distinct view flows back (through the round's reusable reply
-    /// buffer) and is ranked immediately; the responder learns the
-    /// requester (exchanges are bidirectional contacts).
-    fn basalt_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
-        let byz = self.byz_count;
-        let total = self.total_actors();
-        let requester_abs = byz + requester_ci;
-        let t = target.index();
-        if t == requester_abs || t >= total {
-            return;
-        }
-        // Quarantine blacklist (see `control_pull`): evict before any
-        // connection or RNG draw.
-        if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let Population::Basalt(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            nodes[requester_ci].quarantine(target);
-            return;
-        }
-        // Event model: reachability gating and round-trip timing (see
-        // `control_pull` — refusals happen before any RNG draw).
-        let gate = match self.net.as_mut() {
-            Some(net) => net.gate_pull(self.round, requester_abs, t),
-            None => PullGate::Inline,
-        };
-        if gate == PullGate::Refused {
-            return;
-        }
-        // A crashed responder times out; its stale samples are recycled
-        // by seed rotation rather than an explicit removal. In-flight
-        // retransmit copies die with the exchange.
-        if !self.alive[t] {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return;
-        }
-        if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return; // request or answer lost in transit
-        }
-        let Population::Basalt(nodes) = &mut self.population else {
-            unreachable!()
-        };
-        if t < byz {
-            // Byzantine responders answer with exclusively Byzantine IDs
-            // — rank-blind poison the hit-counter view absorbs.
-            self.adversary.pull_answer_into(&mut s.reply);
-        } else {
-            nodes[t - byz].pull_answer_into(&mut s.reply);
-        }
-        if let PullGate::Deferred { round, held } = gate {
-            // The answer reflects the responder's state at request time
-            // but ranks at the requester in a later round.
-            if let Some(net) = self.net.as_mut() {
-                net.queue_answer(round, held, requester_ci as u32, target, s.reply.clone());
-            }
-        } else {
-            nodes[requester_ci].record_pull_answer(target, &s.reply);
-            // Discovery under BASALT counts *ranked candidates*: the view
-            // is deliberately stable (slots converge to their distance
-            // minima), so the Brahms "entered the dynamic view" criterion
-            // would measure rotation pacing, not knowledge. A candidate
-            // that has been ranked against every slot has genuinely been
-            // discovered.
-            note_discovered(&mut self.discovery, byz, total, requester_ci, target);
-            for idx in 0..s.reply.len() {
-                note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
-            }
-        }
-        // The request itself arrives synchronously (requests are tiny;
-        // only answers carry enough state to matter across rounds), so
-        // the responder's contact bookkeeping stays inline.
-        let requester_id = NodeId(requester_abs as u64);
-        if t >= byz {
-            nodes[t - byz].record_push(requester_id);
-            note_discovered(&mut self.discovery, byz, total, t - byz, requester_id);
-        }
-    }
-
-    /// One mixed-population round: the same phase-parallel structure as
-    /// the uniform engines, driven per segment over the shared scratch
-    /// arenas. Shared sequential streams (rate limiter, loss RNG,
-    /// adversary coordinator RNG) are consumed in segment-layout order,
-    /// so a population with a single segment replays the uniform round's
-    /// draw sequence exactly (pinned by `tests/determinism.rs`).
-    fn mixed_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
-        let total = self.total_actors();
-        let byz = self.byz_count;
-        let stride = self.scenario.view_size;
-        let pop = self.population.len();
         if pop == 0 {
             return;
         }
@@ -2832,11 +1737,8 @@ impl Simulation {
             s.snap_ids.resize(pop * stride, NodeIdx(0));
         }
         {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
             let alive = &self.alive;
-            for (seg, nodes) in self.segs.iter().zip(seg_nodes.iter_mut()) {
+            for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
                 let start = seg.start;
                 match nodes {
                     SegmentNodes::Raptee(nodes) => {
@@ -2881,14 +1783,14 @@ impl Simulation {
                             *lane.snap_len = view.len() as u32;
                         });
                     }
-                    SegmentNodes::Basalt(nodes) => {
+                    SegmentNodes::Ranked(nodes) => {
                         struct Lane<'a> {
                             item: PlanItem<'a, RankedNode>,
                             plan: &'a mut BasaltPlan,
                         }
                         let mut lanes: Vec<Lane> = nodes
                             .iter_mut()
-                            .zip(s.basalt_plans[start..start + seg.len].iter_mut())
+                            .zip(s.ranked_plans[start..start + seg.len].iter_mut())
                             .zip(s.live[start..start + seg.len].iter_mut())
                             .map(|((node, plan), live)| Lane {
                                 item: PlanItem { node, live },
@@ -2910,128 +1812,22 @@ impl Simulation {
 
         // Phase 2a (sequential control): honest pushes from every
         // segment, in population-index order, through the shared rate
-        // limiter and loss filter.
-        {
-            let Scratch {
-                plans,
-                basalt_plans,
-                live,
-                survivors,
-                sorted,
-                counts,
-                ..
-            } = s;
-            let (plans, basalt_plans, live) = (&plans[..], &basalt_plans[..], &live[..]);
-            let segs = &self.segs;
-            let planned = segs.iter().flat_map(|seg| {
-                let basalt = seg.ranked_cfg.is_some();
-                (seg.start..seg.start + seg.len)
-                    .filter(move |&ci| live[ci])
-                    .map(move |ci| {
-                        let targets = if basalt {
-                            basalt_plans[ci].push_targets.as_slice()
-                        } else {
-                            plans[ci].push_targets.as_slice()
-                        };
-                        (byz + ci, targets)
-                    })
-            });
-            Self::collect_and_sort_pushes(
-                &mut self.limiter,
-                &mut self.loss_rng,
-                &self.alive,
-                self.scenario.message_loss,
-                total,
-                survivors,
-                sorted,
-                counts,
-                &mut self.net,
-                self.round,
-                planned,
-            );
-        }
+        // limiter and loss filter, counting-sorted into per-receiver
+        // runs. No per-ID node work happens here — the runs are consumed
+        // by the parallel phases below.
+        self.collect_and_sort_pushes(s);
 
-        // Phase 2b (sequential control): the adversary's segment-matched
-        // attacks — balanced/targeted random-ID pushes against
-        // Brahms-family segments, distinct-ID force pushes against
-        // BASALT-family segments — sharing one lawful budget split
-        // proportionally to segment sizes, then one combined delivery
-        // pass through the limiter.
-        let limiter_fanout = self.segs.iter().map(|x| x.fanout).max().unwrap_or(1);
-        let total_budget = byz * limiter_fanout;
-        s.byz_plan.clear();
-        // Adaptive mode: instead of the static proportional split, the
-        // bandit concentrates the entire lawful budget on its chosen
-        // (segment, strategy) arm; every other segment gets zero this
-        // round. The arm is fed its observed yield after the fold.
+        // Phase 2b (sequential control): the adversary's pushes. The
+        // adaptive bandit's arm is fed its observed yield after the fold.
         let bandit_arm = self.bandit.as_ref().map(|b| b.choose());
-        {
-            let mut assigned = 0usize;
-            for si in 0..self.segs.len() {
-                let (budget, attack) = match bandit_arm {
-                    Some(arm) => {
-                        let budget = if si == arm / ADAPTIVE_STRATEGIES.len() {
-                            total_budget
-                        } else {
-                            0
-                        };
-                        (budget, ADAPTIVE_STRATEGIES[arm % ADAPTIVE_STRATEGIES.len()])
-                    }
-                    None => {
-                        let budget = if si + 1 == self.segs.len() {
-                            total_budget - assigned
-                        } else {
-                            total_budget * self.segs[si].len / pop
-                        };
-                        (budget, self.scenario.attack)
-                    }
-                };
-                assigned += budget;
-                if self.segs[si].ranked_cfg.is_some() {
-                    Self::plan_attack(
-                        &mut self.adversary,
-                        attack,
-                        &self.segs[si].victims,
-                        budget,
-                        Adversary::plan_force_pushes_into,
-                        Adversary::plan_targeted_force_pushes_into,
-                        &mut s.byz_seg_plan,
-                    );
-                } else {
-                    Self::plan_attack(
-                        &mut self.adversary,
-                        attack,
-                        &self.segs[si].victims,
-                        budget,
-                        Adversary::plan_balanced_pushes_into,
-                        Adversary::plan_targeted_pushes_into,
-                        &mut s.byz_seg_plan,
-                    );
-                }
-                s.byz_plan.extend_from_slice(&s.byz_seg_plan);
-            }
-        }
-        {
-            let Scratch {
-                byz_plan,
-                byz_survivors,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let plan = std::mem::take(byz_plan);
-            self.collect_byz_pushes(&plan, byz_survivors, byz_sorted, byz_counts);
-            *byz_plan = plan;
-        }
+        self.collect_byz_pushes(s, bandit_arm);
 
-        // Phase 2c (parallel, per BASALT segment): rank the delivered
-        // push runs into the hit-counter views (BASALT consumes pushes
-        // before the pull phase; the Brahms family consumes its runs at
-        // finish time, like the uniform engines).
+        // Phase 2c (parallel, per ranked segment, sharded by receiver):
+        // rank the honest run, then the adversary's run, into each
+        // receiver's view; honest senders count as discovered. (The
+        // ranked family consumes pushes before the pull phase; the
+        // Brahms family consumes its runs at finish time.)
         {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
             let Scratch {
                 sorted,
                 counts,
@@ -3041,8 +1837,8 @@ impl Simulation {
             } = s;
             let (sorted, counts) = (&sorted[..], &counts[..]);
             let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
-            for (seg, nodes) in self.segs.iter().zip(seg_nodes.iter_mut()) {
-                let SegmentNodes::Basalt(nodes) = nodes else {
+            for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
+                let SegmentNodes::Ranked(nodes) = nodes else {
                     continue;
                 };
                 let start = seg.start;
@@ -3073,10 +1869,17 @@ impl Simulation {
             }
         }
 
-        // Phase 3 (sequential): pulls in population-index order, each
-        // requester running its own family's exchange control flow.
-        // Under the event model, answers deferred from earlier rounds
-        // deliver first, through the requester's own family path.
+        // Phase 3 (sequential control): pulls in population-index order,
+        // each requester running its own family's exchange control flow.
+        // Only the shared ordered streams run here for the Brahms family
+        // — loss draws, handshakes, the adversary RNG, and the (rare)
+        // trusted swaps — with every untrusted answer deferred as a pull
+        // event for the parallel apply phase. Ranked-family answers are
+        // ranked on arrival and shape later answers, so they cannot
+        // shard. Under the event model, answers deferred from earlier
+        // rounds deliver first (they are the oldest answers the
+        // requester sees), through the requester's own family path;
+        // dead requesters consume and drop theirs.
         s.events.clear();
         s.arena.clear();
         let due = self
@@ -3087,7 +1890,7 @@ impl Simulation {
         let mut due_cursor = 0usize;
         for si in 0..self.segs.len() {
             let (start, len) = (self.segs[si].start, self.segs[si].len);
-            let is_basalt = self.segs[si].ranked_cfg.is_some();
+            let is_ranked = self.segs[si].ranked_cfg.is_some();
             for ci in start..start + len {
                 s.event_start[ci] = s.events.len() as u32;
                 while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
@@ -3096,22 +1899,15 @@ impl Simulation {
                     if ans.ci as usize != ci {
                         continue;
                     }
+                    // First delivered copy claims the answer nonce;
+                    // deadline retransmits and injected duplicates are
+                    // suppressed.
                     let fresh = self.net.as_mut().is_none_or(|n| n.accept_answer(ans.nonce));
                     if !fresh || !s.live[ci] {
                         continue;
                     }
-                    if is_basalt {
-                        let Population::Mixed(seg_nodes) = &mut self.population else {
-                            unreachable!()
-                        };
-                        let SegmentNodes::Basalt(nodes) = &mut seg_nodes[si] else {
-                            unreachable!()
-                        };
-                        nodes[ci - start].record_pull_answer(ans.from, &ans.ids);
-                        note_discovered(&mut self.discovery, byz, total, ci, ans.from);
-                        for &id in &ans.ids {
-                            note_discovered(&mut self.discovery, byz, total, ci, id);
-                        }
+                    if is_ranked {
+                        self.rank_answer(ci, ans.from, &ans.ids, false);
                     } else {
                         let a0 = s.arena.len() as u32;
                         s.arena.extend(ans.ids.iter().map(|&id| narrow(id)));
@@ -3124,17 +1920,24 @@ impl Simulation {
                 if !s.live[ci] {
                     continue;
                 }
-                if is_basalt {
-                    let n_pulls = s.basalt_plans[ci].pull_targets.len();
-                    for k in 0..n_pulls {
-                        let target = s.basalt_plans[ci].pull_targets[k];
-                        self.mixed_basalt_pull(ci, target, s);
-                    }
+                let n_pulls = if is_ranked {
+                    s.ranked_plans[ci].pull_targets.len()
                 } else {
-                    let n_pulls = s.plans[ci].pull_targets.len();
-                    for k in 0..n_pulls {
-                        let target = s.plans[ci].pull_targets[k];
-                        self.mixed_control_pull(ci, target, s);
+                    s.plans[ci].pull_targets.len()
+                };
+                for k in 0..n_pulls {
+                    let target = if is_ranked {
+                        s.ranked_plans[ci].pull_targets[k]
+                    } else {
+                        s.plans[ci].pull_targets[k]
+                    };
+                    let Some(gate) = self.open_pull(ci, target, s) else {
+                        continue;
+                    };
+                    if is_ranked {
+                        self.ranked_pull(ci, target, gate, s);
+                    } else {
+                        self.raptee_pull(ci, target, gate, s);
                     }
                 }
             }
@@ -3145,14 +1948,17 @@ impl Simulation {
         }
 
         // Phase 3b (sequential): proactive trusted exchanges of the
-        // Raptee segment (directory round-robin, as in the uniform
-        // engine). BASALT-family trusted nodes have no directory — their
-        // trusted exchanges are opportunistic, on the pull path.
+        // Raptee segment. Each trusted node initiates one exchange with
+        // the oldest entry of its trusted directory (framework criterion
+        // (1): round-robin probing) — the mechanism that keeps a sparse
+        // trusted population meeting every round once discovered. Swaps
+        // here cannot invalidate snapshot-deferred answers: those
+        // reference the frozen snapshot arena, not the live views.
+        // Ranked-family trusted nodes have no node-level directory —
+        // their trusted exchanges are opportunistic, on the pull path,
+        // or driven by phase 3c.
         if self.scenario.trusted_swap {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            for (seg, nodes) in self.segs.iter().zip(seg_nodes.iter_mut()) {
+            for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
                 let SegmentNodes::Raptee(nodes) = nodes else {
                     continue;
                 };
@@ -3168,6 +1974,7 @@ impl Simulation {
                         continue;
                     }
                     if !self.alive[partner.index()] {
+                        // Timeout: forget the dead trusted peer.
                         nodes[local].forget_trusted_peer(partner);
                         continue;
                     }
@@ -3176,8 +1983,9 @@ impl Simulation {
                         self.trust.as_ref(),
                         partner.index(),
                     ) {
-                        // Degraded partner: skip, don't forget (see the
-                        // uniform phase 3b).
+                        // The partner is alive but its certificate lapsed:
+                        // skip the exchange without forgetting it — it
+                        // will re-attest and answer again.
                         continue;
                     }
                     assert!(
@@ -3195,8 +2003,8 @@ impl Simulation {
             }
         }
 
-        // Phase 3c (sequential): proactive BASALT trusted exchanges off
-        // the engine-level directory (`Scenario::trusted_directory_refresh`)
+        // Phase 3c (sequential): proactive ranked-family trusted exchanges
+        // off the engine-level directory (`Scenario::trusted_directory_refresh`)
         // — the hybrid's counterpart of the Raptee directory
         // round-robin, so trusted swaps and audit coverage don't depend
         // on random encounter. Partner draws come from a dedicated hash
@@ -3209,9 +2017,7 @@ impl Simulation {
             for &abs_u in &dir {
                 let abs = abs_u as usize;
                 let ci = abs - byz;
-                if !self.alive[abs]
-                    || !Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), abs)
-                {
+                if !self.alive[abs] || !self.effective_trusted(abs) {
                     continue;
                 }
                 if self.segs[self.seg_of[ci] as usize].ranked_cfg.is_none() {
@@ -3226,65 +2032,60 @@ impl Simulation {
                 let pc = partner_abs - byz;
                 if partner_abs == abs
                     || !self.alive[partner_abs]
-                    || !Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), partner_abs)
+                    || !self.effective_trusted(partner_abs)
                     || self.segs[self.seg_of[pc] as usize].ranked_cfg.is_none()
                 {
                     continue;
                 }
-                // Bidirectional attested swap (the `mixed_basalt_pull`
+                // Bidirectional attested swap (the `ranked_pull`
                 // both-trusted idiom): each side's distinct view ranks
                 // into the other, bypassing the waiting lists.
-                {
-                    let Population::Mixed(seg_nodes) = &mut self.population else {
-                        unreachable!()
-                    };
-                    {
-                        let partner = basalt_at(seg_nodes, &self.segs, &self.seg_of, pc);
-                        partner.pull_answer_into(&mut s.reply);
-                    }
-                    basalt_at(seg_nodes, &self.segs, &self.seg_of, ci)
-                        .record_pull_answer_trusted(NodeId(partner_abs as u64), &s.reply);
-                }
-                note_discovered(
-                    &mut self.discovery,
-                    byz,
-                    total,
-                    ci,
-                    NodeId(partner_abs as u64),
-                );
-                for idx in 0..s.reply.len() {
-                    note_discovered(&mut self.discovery, byz, total, ci, s.reply[idx]);
-                }
-                {
-                    let Population::Mixed(seg_nodes) = &mut self.population else {
-                        unreachable!()
-                    };
-                    {
-                        let me = basalt_at(seg_nodes, &self.segs, &self.seg_of, ci);
-                        me.pull_answer_into(&mut s.observed);
-                    }
-                    basalt_at(seg_nodes, &self.segs, &self.seg_of, pc)
-                        .record_pull_answer_trusted(NodeId(abs as u64), &s.observed);
-                }
-                note_discovered(&mut self.discovery, byz, total, pc, NodeId(abs as u64));
-                for idx in 0..s.observed.len() {
-                    note_discovered(&mut self.discovery, byz, total, pc, s.observed[idx]);
-                }
+                ranked_at(&mut self.population, &self.segs, &self.seg_of, pc)
+                    .pull_answer_into(&mut s.reply);
+                self.rank_answer(ci, NodeId(partner_abs as u64), &s.reply, true);
+                ranked_at(&mut self.population, &self.segs, &self.seg_of, ci)
+                    .pull_answer_into(&mut s.observed);
+                self.rank_answer(pc, NodeId(abs as u64), &s.observed, true);
             }
             self.trusted_dir = dir;
         }
 
-        // Phase 4 (parallel, per segment): round finalisation. Raptee
-        // segments reconstruct their push/pull streams from the shared
-        // arenas (identical to the uniform apply phase); BASALT segments
-        // verify their waiting lists (probe contacts succeed iff the
-        // candidate is alive), then finalise.
+        // Phase 4 (sequential): adversary observation pulls of the
+        // identification attack (`validate` confines it to uniform
+        // Brahms/RAPTEE runs, so every candidate is a Raptee-family
+        // node).
+        if self.scenario.identification_attack && byz > 0 {
+            // β·l1 observation pulls each; α = β in the paper's config.
+            let beta_count = self.limiter_fanout;
+            let candidates = &self.victims[..self.scenario.n - byz];
+            for _ in 0..byz {
+                self.adversary
+                    .observation_targets_into(candidates, beta_count, &mut s.observed);
+                for &t in &s.observed {
+                    let view = self
+                        .node(t)
+                        .expect("identification candidates are Brahms-family nodes")
+                        .brahms()
+                        .view();
+                    if view.is_empty() {
+                        continue;
+                    }
+                    let byz_in_view = view.ids().filter(|id| id.index() < byz).count();
+                    let share = byz_in_view as f64 / view.len() as f64;
+                    self.adversary.record_share(t, share);
+                }
+            }
+        }
+
+        // Phase 5 (parallel apply, per segment, sharded by node): round
+        // finalisation and per-node metric observation into the stat
+        // slots. Raptee segments reconstruct their push/pull streams
+        // from the shared arenas; ranked segments verify their waiting
+        // lists (probe contacts succeed iff the candidate is alive),
+        // then finalise.
         let validation_due = self.scenario.sampler_validation_period > 0
             && (self.round + 1).is_multiple_of(self.scenario.sampler_validation_period);
         {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
             let Scratch {
                 stats,
                 events,
@@ -3304,7 +2105,7 @@ impl Simulation {
             let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
             let alive = &self.alive;
             let adversary = &self.adversary;
-            for (seg, nodes) in self.segs.iter().zip(seg_nodes.iter_mut()) {
+            for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
                 let start = seg.start;
                 match nodes {
                     SegmentNodes::Raptee(nodes) => {
@@ -3329,6 +2130,9 @@ impl Simulation {
                             }
                             it.stat.participated = true;
                             if validation_due {
+                                // Brahms sampler validation: probe sampled
+                                // nodes, re-draw the samplers whose sample
+                                // is dead.
                                 let brahms = it.node.brahms_mut();
                                 let (sampler, rng) = brahms.sampler_and_rng_mut();
                                 sampler.validate(
@@ -3337,6 +2141,10 @@ impl Simulation {
                                 );
                             }
                             let me = NodeId(abs as u64);
+                            // Push stream: the honest counting-sorted run,
+                            // then the adversary's run — each receiver's
+                            // historical arrival order, with the
+                            // `record_push` self-filter.
                             ws.pushed.clear();
                             let (h0, h1) = run_bounds(counts, abs);
                             ws.pushed.extend(
@@ -3352,6 +2160,8 @@ impl Simulation {
                                     .map(|&(_, advertised)| widen(advertised))
                                     .filter(|&x| x != me),
                             );
+                            // Untrusted pull stream, reconstructed in
+                            // delivery order.
                             ws.untrusted.clear();
                             let e0 = event_start[ci] as usize;
                             let e1 = event_start[ci + 1] as usize;
@@ -3390,26 +2200,18 @@ impl Simulation {
                             );
                             it.stat.evicted = outcome.evicted as u32;
                             it.stat.flood = outcome.report.push_flood_detected;
-                            let mut len = 0usize;
-                            let mut byz_in_view = 0usize;
+                            // Discovery counts an ID once it has *entered
+                            // the dynamic view* (matching the paper's
+                            // round counts; IDs merely seen in transit —
+                            // or evicted — do not count).
+                            let mut tally = ViewTally::default();
                             for id in it.node.brahms().view().ids() {
-                                len += 1;
-                                if id.index() < byz {
-                                    byz_in_view += 1;
-                                } else if id.index() < total {
-                                    it.disc.insert(id.index());
-                                }
+                                tally.see(id, byz, total, &mut it.disc);
                             }
-                            it.stat.discovered = it.disc.count() as u32;
-                            if len > 0 {
-                                let share = byz_in_view as f64 / len as f64;
-                                it.stat.share = share;
-                                it.stat.has_share = true;
-                                it.stat.smoothed = it.ring.push_and_mean(share);
-                            }
+                            tally.book(it.stat, &mut it.disc, &mut it.ring);
                         });
                     }
-                    SegmentNodes::Basalt(nodes) => {
+                    SegmentNodes::Ranked(nodes) => {
                         let mut items: Vec<FinishItem<RankedNode>> = nodes
                             .iter_mut()
                             .zip(stats[start..start + seg.len].iter_mut())
@@ -3429,94 +2231,156 @@ impl Simulation {
                                 return;
                             }
                             it.stat.participated = true;
+                            // Quarantine drain before finalisation: a
+                            // no-op while the waiting list is disabled
+                            // (plain BASALT, LIFT), live for the wlist
+                            // hybrid and for Honeybee, whose verified walk
+                            // endpoints pass the reachability probe here.
                             it.node
                                 .drain_wlist(|id| alive.get(id.index()).copied().unwrap_or(false));
                             it.stat.rotated = it.node.finish_round() as u32;
-                            let mut len = 0usize;
-                            let mut byz_in_view = 0usize;
-                            it.node.for_each_sample(|id| {
-                                len += 1;
-                                if id.index() < byz {
-                                    byz_in_view += 1;
-                                } else if id.index() < total {
-                                    it.disc.insert(id.index());
-                                }
-                            });
-                            it.stat.discovered = it.disc.count() as u32;
-                            if len > 0 {
-                                let share = byz_in_view as f64 / len as f64;
-                                it.stat.share = share;
-                                it.stat.has_share = true;
-                                it.stat.smoothed = it.ring.push_and_mean(share);
-                            }
+                            let mut tally = ViewTally::default();
+                            it.node
+                                .for_each_sample(|id| tally.see(id, byz, total, &mut it.disc));
+                            tally.book(it.stat, &mut it.disc, &mut it.ring);
                         });
                     }
                 }
             }
         }
 
+        // Fold (sequential, node-index order — float accumulation order
+        // is exactly the historical per-actor loop's).
         self.fold_round_stats(&s.stats);
         self.bandit_reward(&s.stats, bandit_arm);
+
+        if self.scenario.identification_attack {
+            let flagged = self
+                .adversary
+                .classify_trusted(self.scenario.identification_threshold);
+            let trusted = &self.trusted;
+            let n = self.scenario.n;
+            // Ground truth: genuine trusted nodes (injected ones are the
+            // adversary's own and excluded).
+            let actual = trusted[byz..n].iter().filter(|&&t| t).count();
+            let result = IdentificationResult::evaluate(
+                &flagged,
+                |id| id.index() < n && trusted[id.index()],
+                actual,
+                self.round,
+            );
+            let better = match &self.best_identification {
+                None => true,
+                Some(best) => result.f1 > best.f1,
+            };
+            if better {
+                self.best_identification = Some(result);
+            }
+        }
     }
 
-    /// One pull of the mixed sequential exchange pass for a
-    /// Raptee-family requester: the uniform [`Simulation::control_pull`]
-    /// control flow (role-based auth shortcut — mixed mode forbids real
-    /// handshakes), extended with BASALT-family responders, whose ranked
-    /// answers are always materialised (their views mutate during the
-    /// pull phase) and who treat the incoming exchange as a contact.
-    fn mixed_control_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
-        let byz = self.byz_count;
-        let total = self.total_actors();
-        let requester_abs = byz + requester_ci;
+    /// The prelude every pull shares, whatever the requester's family:
+    /// self and out-of-range targets, the quarantine blacklist, the
+    /// event model's reachability gate, the dead-peer timeout and the
+    /// loss draw, in that order. Returns the gate when the exchange goes
+    /// ahead and `None` when it ended here.
+    fn open_pull(
+        &mut self,
+        requester_ci: usize,
+        target: NodeId,
+        s: &mut Scratch,
+    ) -> Option<PullGate> {
+        let requester_abs = self.byz_count + requester_ci;
         let t = target.index();
-        if t == requester_abs || t >= total {
-            return;
+        if t == requester_abs || t >= self.total_actors() {
+            return None;
         }
-        // Quarantine blacklist (see `control_pull`): drop before any
+        // A convicted (quarantined) target is blacklisted before any
         // connection or RNG draw.
         if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let node = raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
-            node.brahms_mut().view_mut().remove(target);
-            node.forget_trusted_peer(target);
-            s.view_mutated[requester_ci] = true;
-            return;
+            self.drop_link(requester_ci, target, true, s);
+            return None;
         }
-        // Event model: reachability gating and round-trip timing (see
-        // `control_pull`).
+        // Event model: reachability gating and round-trip timing. A
+        // refused exchange never opens a connection, so (unlike a crash
+        // timeout) the requester drops nothing and no loss RNG draw
+        // happens — at the zero-latency config no exchange is ever
+        // refused and this is a pass-through.
         let gate = match self.net.as_mut() {
             Some(net) => net.gate_pull(self.round, requester_abs, t),
             None => PullGate::Inline,
         };
         if gate == PullGate::Refused {
-            return;
+            return None;
         }
+        // A crashed responder times out: the requester learns nothing,
+        // and any in-flight retransmit copies die with the exchange.
         if !self.alive[t] {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let node = raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
-            node.brahms_mut().view_mut().remove(target);
-            node.forget_trusted_peer(target);
-            s.view_mutated[requester_ci] = true;
+            self.drop_link(requester_ci, target, false, s);
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
             }
-            return;
+            return None;
         }
         if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
             }
-            return;
+            return None; // request or answer lost in transit
         }
+        Some(gate)
+    }
+
+    /// The requester gives up on `target` after a timeout or a
+    /// conviction. A Brahms-family requester drops the stale link from
+    /// its view and trusted directory either way (Cyclon-style timeout
+    /// handling). A ranked-family requester evicts only a convicted
+    /// identity: a dead peer's stale samples are recycled by seed
+    /// rotation rather than an explicit removal.
+    fn drop_link(&mut self, requester_ci: usize, target: NodeId, convicted: bool, s: &mut Scratch) {
+        let si = self.seg_of[requester_ci] as usize;
+        let local = requester_ci - self.segs[si].start;
+        match &mut self.population[si] {
+            SegmentNodes::Raptee(nodes) => {
+                let node = &mut nodes[local];
+                node.brahms_mut().view_mut().remove(target);
+                node.forget_trusted_peer(target);
+                s.view_mutated[requester_ci] = true;
+            }
+            SegmentNodes::Ranked(nodes) => {
+                if convicted {
+                    nodes[local].quarantine(target);
+                }
+            }
+        }
+    }
+
+    /// One opened pull (see [`Simulation::open_pull`]) of a Raptee-family
+    /// requester: authentication, then the trusted swap or an untrusted
+    /// answer — deferred as a [`PullEvent`] instead of copying IDs.
+    /// Ranked-family responders' answers are always materialised
+    /// (their views mutate during the pull phase), and they treat the
+    /// incoming exchange as a contact.
+    fn raptee_pull(
+        &mut self,
+        requester_ci: usize,
+        target: NodeId,
+        gate: PullGate,
+        s: &mut Scratch,
+    ) {
+        let byz = self.byz_count;
+        let requester_abs = byz + requester_ci;
+        let t = target.index();
         if t < byz {
+            // Byzantine responders fail authentication (random keys) and
+            // answer with exclusively Byzantine IDs. The coordinator RNG
+            // must advance here, in event order; the answer itself is
+            // regenerated in parallel from the pre-draw snapshot.
             let snapshot = self.adversary.rng_snapshot();
             self.adversary.pull_answer_into(&mut s.reply);
             if let PullGate::Deferred { round, held } = gate {
+                // The answer was drawn now (the adversary's RNG advances
+                // in event order) but lands in a later round.
                 let ids = s.reply.clone();
                 if let Some(net) = self.net.as_mut() {
                     net.queue_answer(round, held, requester_ci as u32, target, ids);
@@ -3527,48 +2391,59 @@ impl Simulation {
             return;
         }
         let tc = t - byz;
-        let both_trusted =
-            Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), requester_abs)
-                && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
+        let target_ranked = self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some();
+        // Effective trust: an expired attestation certificate fails the
+        // freshness check even though the group keys still agree, so a
+        // degraded pair's exchange falls back to the untrusted path.
+        let mut both_trusted = self.effective_trusted(requester_abs) && self.effective_trusted(t);
+        if self.scenario.real_crypto_handshakes && !target_ranked {
+            // The real four-message handshake instead of the role-based
+            // shortcut; its nonces draw from both nodes' own RNGs.
+            let (a, b) = raptee_pair(
+                &mut self.population,
+                &self.segs,
+                &self.seg_of,
+                requester_ci,
+                tc,
+            );
+            let (oa, ob) = RapteeNode::run_handshake(a, b);
+            debug_assert_eq!(oa, ob);
+            debug_assert_eq!(
+                oa == AuthOutcome::Trusted,
+                self.trusted[requester_abs] && self.trusted[t]
+            );
+            both_trusted &= oa == AuthOutcome::Trusted;
+        }
         if both_trusted {
-            // Trusted exchanges apply inline even when deferred by the
-            // gate — discard pending retransmit copies (see
-            // `control_pull`).
+            // Trusted exchanges apply inline even when the gate deferred
+            // the answer (the attested channel is synchronous); drop any
+            // pending retransmit copies so they cannot double-deliver.
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
             }
         }
-        let target_basalt = self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some();
-        let Population::Mixed(seg_nodes) = &mut self.population else {
-            unreachable!()
-        };
-        if !target_basalt {
+        let seg_nodes = &mut self.population;
+        if !target_ranked {
             if both_trusted && self.scenario.trusted_swap {
-                let si = self.seg_of[requester_ci] as usize;
-                debug_assert_eq!(
-                    si, self.seg_of[tc] as usize,
-                    "trusted Raptee nodes share one segment"
-                );
-                let start = self.segs[si].start;
-                let SegmentNodes::Raptee(nodes) = &mut seg_nodes[si] else {
-                    unreachable!()
-                };
-                let (a, b) = two_nodes(nodes, requester_ci - start, tc - start);
+                let (a, b) = raptee_pair(seg_nodes, &self.segs, &self.seg_of, requester_ci, tc);
                 RapteeNode::trusted_swap(a, b);
                 s.view_mutated[requester_ci] = true;
                 s.view_mutated[tc] = true;
             } else if both_trusted {
+                // The swap-disabled ablation: the pair still recognises
+                // each other, so the answer bypasses eviction, but no
+                // half-view exchange happens. Trusted answers are rare —
+                // record them immediately from the live view.
                 s.reply.clear();
-                {
-                    let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                    s.reply.extend(responder.brahms().view().ids());
-                }
+                let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
+                s.reply.extend(responder.brahms().view().ids());
                 raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
                     .record_trusted_pull(&s.reply);
             } else if let PullGate::Deferred { round, held } = gate {
-                // An untrusted answer crossing a round boundary (trusted
-                // exchanges above run over the attested synchronous
-                // channel and stay inline).
+                // An untrusted answer crossing a round boundary:
+                // materialise the responder's view *now* (the answer
+                // reflects the state at request time) and deliver it in
+                // a later round.
                 let ids: Vec<NodeId> = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
                     .brahms()
                     .view()
@@ -3578,23 +2453,22 @@ impl Simulation {
                     net.queue_answer(round, held, requester_ci as u32, target, ids);
                 }
             } else if !s.view_mutated[tc] {
+                // An untrusted answer is the responder's full view at
+                // this moment. While that is still exactly its post-plan
+                // snapshot, defer by reference; otherwise copy the live
+                // view into the answer arena.
                 s.events.push(PullEvent::Snapshot {
                     responder: tc as u32,
                 });
             } else {
                 let start = s.arena.len() as u32;
-                {
-                    let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                    s.arena.extend(responder.brahms().view().ids().map(narrow));
-                }
+                let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
+                s.arena.extend(responder.brahms().view().ids().map(narrow));
                 let len = s.arena.len() as u32 - start;
                 s.events.push(PullEvent::Arena { start, len });
             }
         } else {
-            {
-                let responder = basalt_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                responder.pull_answer_into(&mut s.reply);
-            }
+            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).pull_answer_into(&mut s.reply);
             if both_trusted {
                 // Cross-family mutual trust: no view-format-compatible
                 // swap exists, but the attested answer bypasses eviction.
@@ -3611,231 +2485,160 @@ impl Simulation {
                 let len = s.arena.len() as u32 - start;
                 s.events.push(PullEvent::Arena { start, len });
             }
-            let requester_id = NodeId(requester_abs as u64);
-            basalt_at(seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester_id);
-            note_discovered(&mut self.discovery, byz, total, tc, requester_id);
+            self.note_contact(tc, NodeId(requester_abs as u64));
         }
     }
 
-    /// One pull exchange of the mixed pass for a BASALT-family
-    /// requester: the uniform [`Simulation::basalt_pull`] flow, extended
-    /// with the hybrid's trusted exchange (a bidirectional full-view
-    /// swap bypassing both waiting lists) and Brahms-family responders
-    /// (whose dynamic view answers; the Brahms protocol has no
-    /// responder-side hook for an incoming exchange).
-    fn mixed_basalt_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
+    /// One opened pull (see [`Simulation::open_pull`]) of a ranked-family
+    /// requester: the responder's distinct view flows back (through the
+    /// round's reusable reply buffer) and is ranked immediately, and a
+    /// ranked responder learns the requester (exchanges are
+    /// bidirectional contacts). The hybrid's trusted exchange is a
+    /// bidirectional full-view swap bypassing both waiting lists. A
+    /// Brahms-family responder answers with its dynamic view; the Brahms
+    /// protocol has no responder-side hook for an incoming exchange.
+    fn ranked_pull(
+        &mut self,
+        requester_ci: usize,
+        target: NodeId,
+        gate: PullGate,
+        s: &mut Scratch,
+    ) {
         let byz = self.byz_count;
-        let total = self.total_actors();
-        let requester_abs = byz + requester_ci;
+        let requester_id = NodeId((byz + requester_ci) as u64);
         let t = target.index();
-        if t == requester_abs || t >= total {
-            return;
-        }
-        // Quarantine blacklist (see `control_pull`): evict before any
-        // connection or RNG draw.
-        if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci).quarantine(target);
-            return;
-        }
-        // Event model: reachability gating and round-trip timing (see
-        // `control_pull`).
-        let gate = match self.net.as_mut() {
-            Some(net) => net.gate_pull(self.round, requester_abs, t),
-            None => PullGate::Inline,
-        };
-        if gate == PullGate::Refused {
-            return;
-        }
-        if !self.alive[t] {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return;
-        }
-        if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return;
-        }
-        let requester_id = NodeId(requester_abs as u64);
-        if t < byz {
+        let (target_ranked, both_trusted) = if t < byz {
+            // Byzantine responders answer with exclusively Byzantine IDs
+            // — rank-blind poison the ranked view absorbs.
             self.adversary.pull_answer_into(&mut s.reply);
-            if let PullGate::Deferred { round, held } = gate {
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-                return;
-            }
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
-                .record_pull_answer(target, &s.reply);
-            note_discovered(&mut self.discovery, byz, total, requester_ci, target);
-            for idx in 0..s.reply.len() {
-                note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
-            }
-            return;
-        }
-        let tc = t - byz;
-        let both_trusted =
-            Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), requester_abs)
-                && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
-        if both_trusted {
-            // Trusted exchanges apply inline regardless of the gate —
-            // discard pending retransmit copies (see `control_pull`).
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-        }
-        let target_basalt = self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some();
-        let Population::Mixed(seg_nodes) = &mut self.population else {
-            unreachable!()
-        };
-        if target_basalt {
-            {
-                let responder = basalt_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                responder.pull_answer_into(&mut s.reply);
-            }
-            if let (PullGate::Deferred { round, held }, false) = (gate, both_trusted) {
-                // Untrusted cross-round answer; the responder-side
-                // contact bookkeeping below stays inline (the request
-                // arrives synchronously).
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-            } else {
-                let requester = basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
-                if both_trusted {
-                    requester.record_pull_answer_trusted(target, &s.reply);
-                } else {
-                    requester.record_pull_answer(target, &s.reply);
-                }
-                note_discovered(&mut self.discovery, byz, total, requester_ci, target);
-                for idx in 0..s.reply.len() {
-                    note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
-                }
-            }
-            if both_trusted {
-                // The swap's reverse half: the requester's attested
-                // distinct view ranks into the responder, bypassing its
-                // waiting list.
-                {
-                    let requester = basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
-                    requester.pull_answer_into(&mut s.observed);
-                }
-                basalt_at(seg_nodes, &self.segs, &self.seg_of, tc)
-                    .record_pull_answer_trusted(requester_id, &s.observed);
-                note_discovered(&mut self.discovery, byz, total, tc, requester_id);
-                for idx in 0..s.observed.len() {
-                    note_discovered(&mut self.discovery, byz, total, tc, s.observed[idx]);
-                }
-            } else {
-                basalt_at(seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester_id);
-                note_discovered(&mut self.discovery, byz, total, tc, requester_id);
-            }
+            (false, false)
         } else {
-            s.reply.clear();
-            {
-                let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
+            let tc = t - byz;
+            let target_ranked = self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some();
+            if target_ranked {
+                ranked_at(&mut self.population, &self.segs, &self.seg_of, tc)
+                    .pull_answer_into(&mut s.reply);
+            } else {
+                s.reply.clear();
+                let responder = raptee_at(&mut self.population, &self.segs, &self.seg_of, tc);
                 s.reply.extend(responder.brahms().view().ids());
             }
-            if let (PullGate::Deferred { round, held }, false) = (gate, both_trusted) {
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-                return;
-            }
-            let requester = basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
-            if both_trusted {
-                requester.record_pull_answer_trusted(target, &s.reply);
-            } else {
-                requester.record_pull_answer(target, &s.reply);
-            }
-            note_discovered(&mut self.discovery, byz, total, requester_ci, target);
-            for idx in 0..s.reply.len() {
-                note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
+            let both_trusted =
+                self.effective_trusted(requester_id.index()) && self.effective_trusted(t);
+            (target_ranked, both_trusted)
+        };
+        if both_trusted {
+            // Trusted exchanges apply inline regardless of the gate —
+            // discard pending retransmit copies (see `raptee_pull`).
+            if let Some(net) = self.net.as_mut() {
+                net.drop_pending_copies();
             }
         }
+        if let (PullGate::Deferred { round, held }, false) = (gate, both_trusted) {
+            // The answer reflects the responder's state at request time
+            // but ranks at the requester in a later round.
+            if let Some(net) = self.net.as_mut() {
+                net.queue_answer(round, held, requester_ci as u32, target, s.reply.clone());
+            }
+        } else {
+            self.rank_answer(requester_ci, target, &s.reply, both_trusted);
+        }
+        // The request itself arrives synchronously (requests are tiny;
+        // only answers carry enough state to matter across rounds), so
+        // the responder's bookkeeping stays inline.
+        if target_ranked && both_trusted {
+            // The swap's reverse half: the requester's attested distinct
+            // view ranks into the responder, bypassing its waiting list.
+            ranked_at(&mut self.population, &self.segs, &self.seg_of, requester_ci)
+                .pull_answer_into(&mut s.observed);
+            self.rank_answer(t - byz, requester_id, &s.observed, true);
+        } else if target_ranked {
+            self.note_contact(t - byz, requester_id);
+        }
+    }
+
+    /// Ranks a pull answer into ranked-family node `ci` — through the
+    /// attested path, bypassing the waiting list, when `trusted` — and
+    /// counts the responder and every answered ID as discovered.
+    ///
+    /// Discovery in the ranked family counts *ranked candidates*: the
+    /// view is deliberately stable (slots converge to their distance
+    /// minima), so the Brahms "entered the dynamic view" criterion would
+    /// measure rotation pacing, not knowledge. A candidate that has been
+    /// ranked against every slot has genuinely been discovered.
+    fn rank_answer(&mut self, ci: usize, from: NodeId, ids: &[NodeId], trusted: bool) {
+        let node = ranked_at(&mut self.population, &self.segs, &self.seg_of, ci);
+        if trusted {
+            node.record_pull_answer_trusted(from, ids);
+        } else {
+            node.record_pull_answer(from, ids);
+        }
+        let (byz, total) = (self.byz_count, self.total_actors());
+        note_discovered(&mut self.discovery, byz, total, ci, from);
+        for &id in ids {
+            note_discovered(&mut self.discovery, byz, total, ci, id);
+        }
+    }
+
+    /// Ranked-family responder `ci` books an incoming exchange from
+    /// `requester` as a contact: the requester is ranked like a pushed
+    /// ID and counts as discovered.
+    fn note_contact(&mut self, ci: usize, requester: NodeId) {
+        ranked_at(&mut self.population, &self.segs, &self.seg_of, ci).record_push(requester);
+        let (byz, total) = (self.byz_count, self.total_actors());
+        note_discovered(&mut self.discovery, byz, total, ci, requester);
     }
 
     /// Folds the apply phase's per-node stat slots, in node-index order,
     /// into the run counters and this round's [`RoundAccumulator`], then
-    /// into the run series. Mixed populations additionally fold each
-    /// segment's mean raw share and mean discovered fraction into its
-    /// per-segment series — the combined accumulator sees exactly the
-    /// same addition sequence either way.
+    /// into the run series. Each segment's mean raw share and mean
+    /// discovered fraction additionally land in its per-segment series.
     fn fold_round_stats(&mut self, stats: &[RoundStat]) {
         let mut acc = RoundAccumulator::new();
-        if self.segs.is_empty() {
-            for stat in stats {
-                self.accumulate_stat(stat, &mut acc);
-            }
-        } else {
-            let target_pool = (self.non_byz_total as f64).max(1.0);
-            for si in 0..self.segs.len() {
-                let (start, len) = (self.segs[si].start, self.segs[si].len);
-                let mut seg_sum = 0.0;
-                let mut seg_count = 0usize;
-                let mut seg_disc_sum = 0usize;
-                let mut seg_disc_count = 0usize;
-                for stat in &stats[start..start + len] {
-                    self.accumulate_stat(stat, &mut acc);
-                    if !stat.participated {
-                        continue;
-                    }
-                    seg_disc_sum += stat.discovered as usize;
-                    seg_disc_count += 1;
-                    if stat.has_share {
-                        seg_sum += stat.share;
-                        seg_count += 1;
-                    }
+        let target_pool = (self.non_byz_total as f64).max(1.0);
+        for si in 0..self.segs.len() {
+            let (start, len) = (self.segs[si].start, self.segs[si].len);
+            let mut seg_sum = 0.0;
+            let mut seg_count = 0usize;
+            let mut seg_disc_sum = 0usize;
+            let mut seg_disc_count = 0usize;
+            for stat in &stats[start..start + len] {
+                if !stat.participated {
+                    continue;
                 }
-                self.seg_series[si].push(if seg_count == 0 {
-                    0.0
-                } else {
-                    seg_sum / seg_count as f64
-                });
-                self.seg_discovered_series[si].push(if seg_disc_count == 0 {
-                    0.0
-                } else {
-                    seg_disc_sum as f64 / seg_disc_count as f64 / target_pool
-                });
+                self.total_evicted += u64::from(stat.evicted);
+                if stat.flood {
+                    self.floods_detected += 1;
+                }
+                self.seed_rotations += u64::from(stat.rotated);
+                acc.discovered_sum += stat.discovered as usize;
+                acc.discovered_nodes += 1;
+                if (stat.discovered as usize) < self.discovery_target {
+                    acc.all_discovered = false;
+                }
+                seg_disc_sum += stat.discovered as usize;
+                seg_disc_count += 1;
+                if stat.has_share {
+                    acc.smoothed_sum += stat.smoothed;
+                    acc.smoothed_count += 1;
+                    acc.share_sum += stat.share;
+                    acc.share_count += 1;
+                    seg_sum += stat.share;
+                    seg_count += 1;
+                }
             }
+            self.seg_series[si].push(if seg_count == 0 {
+                0.0
+            } else {
+                seg_sum / seg_count as f64
+            });
+            self.seg_discovered_series[si].push(if seg_disc_count == 0 {
+                0.0
+            } else {
+                seg_disc_sum as f64 / seg_disc_count as f64 / target_pool
+            });
         }
         self.finish_round_metrics(&acc, stats);
-    }
-
-    /// Folds one node's round outcome into the run counters and the
-    /// round accumulator (extracted so the uniform and segmented folds
-    /// share the exact accumulation order).
-    fn accumulate_stat(&mut self, stat: &RoundStat, acc: &mut RoundAccumulator) {
-        if !stat.participated {
-            return;
-        }
-        self.total_evicted += u64::from(stat.evicted);
-        if stat.flood {
-            self.floods_detected += 1;
-        }
-        self.seed_rotations += u64::from(stat.rotated);
-        acc.discovered_sum += stat.discovered as usize;
-        acc.discovered_nodes += 1;
-        if (stat.discovered as usize) < self.discovery_target {
-            acc.all_discovered = false;
-        }
-        if stat.has_share {
-            acc.smoothed_sum += stat.smoothed;
-            acc.smoothed_count += 1;
-            acc.share_sum += stat.share;
-            acc.share_count += 1;
-        }
     }
 
     /// Folds one round's [`RoundAccumulator`] into the run series:
@@ -3906,42 +2709,37 @@ impl Simulation {
             crate::metrics::DISCOVERY_TARGET_SHARE,
         );
         // Per-segment pollution, discovery and stability: one entry per
-        // population segment (a uniform run is one segment covering
-        // everything, so `segments` is never empty and combined ==
-        // segments[0]).
-        let segments: Vec<SegmentResult> = if self.segs.is_empty() {
-            vec![SegmentResult {
-                protocol: self.scenario.protocol,
-                nodes: self.population.len(),
-                resilience,
-                mean_discovery_round,
-                stability_round,
-                byz_share_series: self.byz_share_series.clone(),
-            }]
-        } else {
-            self.segs
-                .iter()
-                .zip(&self.seg_series)
-                .zip(&self.seg_discovered_series)
-                .map(|((seg, series), disc_series)| {
-                    let seg_resilience = Self::tail_mean(series, self.scenario.tail_window);
-                    SegmentResult {
-                        protocol: seg.protocol,
-                        nodes: seg.len,
-                        resilience: seg_resilience,
-                        mean_discovery_round: crate::metrics::fractional_crossing(
-                            disc_series,
-                            crate::metrics::DISCOVERY_TARGET_SHARE,
-                        ),
-                        stability_round: crate::metrics::series_stability_round(
-                            series,
-                            seg_resilience,
-                        ),
-                        byz_share_series: series.clone(),
-                    }
-                })
-                .collect()
-        };
+        // population segment, from the per-segment series.
+        let mut segments: Vec<SegmentResult> = self
+            .segs
+            .iter()
+            .zip(&self.seg_series)
+            .zip(&self.seg_discovered_series)
+            .map(|((seg, series), disc_series)| {
+                let seg_resilience = Self::tail_mean(series, self.scenario.tail_window);
+                SegmentResult {
+                    protocol: seg.protocol,
+                    nodes: seg.len,
+                    resilience: seg_resilience,
+                    mean_discovery_round: crate::metrics::fractional_crossing(
+                        disc_series,
+                        crate::metrics::DISCOVERY_TARGET_SHARE,
+                    ),
+                    stability_round: crate::metrics::series_stability_round(series, seg_resilience),
+                    byz_share_series: series.clone(),
+                }
+            })
+            .collect();
+        // A lone segment *is* the population, so however it was spelled
+        // it reports the combined metrics: the spread criterion before
+        // the series-only stability fallback, and a discovery series
+        // that skips rounds nobody took part in. (Its share series and
+        // resilience already equal the combined ones bit for bit — same
+        // additions in the same order.)
+        if let [only] = &mut segments[..] {
+            only.mean_discovery_round = mean_discovery_round;
+            only.stability_round = stability_round;
+        }
         // Virtual time: event runs measure ticks, round runs count one
         // tick per round. `finish` drains the queue, counting messages
         // still in flight.

@@ -16,7 +16,9 @@
 //!   identification classifier of Section VI-A, and the view-poisoned
 //!   trusted-node injection of Section VI-B.
 //! * [`engine`] — the synchronous round loop gluing nodes, network
-//!   defences and adversary together; phase-parallel within a single
+//!   defences and adversary together: one loop for every protocol
+//!   family, a uniform run being a one-segment population;
+//!   phase-parallel within a single
 //!   run (plan/apply phases shard by node over `RAYON_NUM_THREADS`
 //!   workers) with bit-identical results at every thread count.
 //! * [`event`] — the discrete-event delivery substrate
@@ -38,8 +40,8 @@
 //!   selectable per scenario via [`scenario::DiscoveryMode`].
 //! * [`ranked`] — the ranked-family dispatch layer
 //!   ([`ranked::RankedNode`] / [`ranked::RankedCfg`]): a thin delegation
-//!   enum over the BASALT / LIFT / Honeybee nodes so one engine lane
-//!   (and the mixed-population loop) drives all three families.
+//!   enum over the BASALT / LIFT / Honeybee nodes so one engine path
+//!   drives all three families.
 //! * [`audit`] — the verifiable audit layer: merkle-committed views,
 //!   beacon-sampled challenges, replay verification, conviction and
 //!   quarantine.

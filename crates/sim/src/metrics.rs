@@ -246,7 +246,8 @@ pub struct AuditStats {
 /// Pollution metrics of one population segment (see
 /// `Scenario::population`). Uniform runs report exactly one segment
 /// covering the whole correct population, so `segments[_].resilience`
-/// is comparable across uniform and mixed runs.
+/// is comparable across uniform and mixed runs. A lone segment — however
+/// the run was spelled — reports the combined [`RunResult`] metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentResult {
     /// The protocol this segment ran.
@@ -258,11 +259,12 @@ pub struct SegmentResult {
     pub resilience: f64,
     /// The (fractional) round at which this segment's mean discovered
     /// share crossed 75 % (like [`RunResult::mean_discovery_round`];
-    /// equal to it for uniform runs).
+    /// equal to it for one-segment runs).
     pub mean_discovery_round: Option<f64>,
     /// First round from which this segment's mean Byzantine share stayed
     /// within tolerance of its converged value (like
-    /// [`RunResult::stability_round`]; equal to it for uniform runs).
+    /// [`RunResult::stability_round`]; equal to it for one-segment runs,
+    /// series-only — without the spread criterion — otherwise).
     pub stability_round: Option<usize>,
     /// This segment's mean Byzantine share per round.
     pub byz_share_series: Vec<f64>,
@@ -305,8 +307,8 @@ pub struct RunResult {
     /// Total BASALT ranking-seed rotations across nodes and rounds (0
     /// under Brahms/RAPTEE).
     pub seed_rotations: u64,
-    /// Per-segment pollution (one entry per population segment; exactly
-    /// one — equal to the combined metrics — for uniform runs).
+    /// Per-segment pollution (one entry per population segment; a lone
+    /// entry equals the combined metrics).
     pub segments: Vec<SegmentResult>,
     /// Virtual time elapsed: `rounds × round_ticks` for event-driven
     /// runs, `rounds` (one tick per round) for round-model runs.

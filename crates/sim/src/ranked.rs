@@ -1,4 +1,4 @@
-//! The engine's ranked-family lane: one wrapper over the three
+//! The engine's ranked-family node surface: one wrapper over the three
 //! non-Brahms protocol crates.
 //!
 //! BASALT (+TEE), LIFT and Honeybee share an exchange shape the engine

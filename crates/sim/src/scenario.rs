@@ -147,7 +147,7 @@ impl Protocol {
         matches!(self, Protocol::Basalt { .. } | Protocol::BasaltTee { .. })
     }
 
-    /// Whether this protocol runs on the engine's ranked-family lane
+    /// Whether this protocol runs as a ranked-family engine segment
     /// (caller-owned plan/exchange/finish delegation through
     /// [`crate::RankedNode`]): BASALT, BASALT+TEE, LIFT or Honeybee, as
     /// opposed to the Brahms/RAPTEE view-renewal family.

@@ -286,6 +286,13 @@ fn assert_golden(name: &str, scenario: Scenario, golden: Fingerprint) {
         golden,
         "{name}: RunResult diverged from the seed-commit engine"
     );
+    if let [only] = &a.segments[..] {
+        assert_eq!(
+            only.resilience.to_bits(),
+            a.resilience.to_bits(),
+            "{name}: the single segment must report the combined resilience"
+        );
+    }
 }
 
 // Golden constants captured from the engine BEFORE the perf rewrite
@@ -449,11 +456,9 @@ fn golden_basalt_under_targeted_attack_and_loss() {
     );
 }
 
-// Golden constants for the PR 5 mixed-population engine, captured at
-// its introduction commit. The *uniform* goldens above pin the
-// segmented engine indirectly too: a single-segment population must be
-// bit-identical to them (see
-// `mixed_single_segment_population_matches_uniform_engine`).
+// Golden constants for multi-segment populations, captured at the PR 5
+// introduction commit. They run the same lane as the uniform goldens
+// above: a uniform scenario is a one-segment population.
 
 #[test]
 fn golden_mixed_brahms_basalt() {
@@ -635,52 +640,37 @@ fn sketch_mode_only_moves_discovery_metrics() {
 }
 
 #[test]
-fn mixed_single_segment_population_matches_uniform_engine() {
-    // The property the segmented engine is built around: a population
-    // spec whose single segment covers 100 % of the correct nodes must
-    // be *bit-identical* to the uniform single-protocol path — same RNG
-    // draw order end to end, for every protocol family and under
-    // churn/loss/validation.
-    let scenarios: [(&str, Scenario); 6] = [
-        ("brahms", base(Protocol::Brahms).brahms_baseline()),
-        ("raptee", base(Protocol::Raptee)),
-        ("basalt", base(Protocol::Brahms).basalt_variant(15)),
-        ("lift", lift_scenario()),
-        ("honeybee", honeybee_scenario()),
-        ("raptee-churn", {
-            let mut s = churn_scenario();
-            // Mixed mode forbids the identification attack; everything
-            // else (loss, churn, sampler validation) carries over.
-            s.identification_attack = false;
-            s
-        }),
-    ];
-    for (name, uniform) in scenarios {
-        let correct = uniform.n - uniform.byzantine_count();
-        let mixed = Scenario {
-            population: vec![SegmentSpec {
-                protocol: uniform.protocol,
-                count: correct,
-            }],
-            ..uniform.clone()
-        };
-        let a = Simulation::new(uniform).run();
-        let b = Simulation::new(mixed).run();
-        assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
-            "{name}: single-segment population diverged from the uniform engine"
-        );
-        assert_eq!(
-            a.byz_share_series, b.byz_share_series,
-            "{name}: full series must match"
-        );
-        assert_eq!(
-            a.segments[0].resilience.to_bits(),
-            b.segments[0].resilience.to_bits(),
-            "{name}: the single segment must report the combined resilience"
-        );
+fn one_segment_runs_report_the_combined_result_however_spelled() {
+    // Regression: an explicit one-segment population used to report
+    // `segments[0]` by the per-segment rules (series-only stability,
+    // 0.0 pushed on participant-less rounds) while the same run spelled
+    // as a uniform scenario reported the combined values — Some(13) vs
+    // Some(34) for the stability round here. A lone segment is the
+    // population: both spellings must report the combined result.
+    let uniform = Scenario {
+        n: 1000,
+        byzantine_fraction: 0.1,
+        trusted_fraction: 0.1,
+        view_size: 60,
+        sample_size: 60,
+        rounds: 60,
+        protocol: Protocol::Brahms,
+        seed: 0xD5EED,
+        ..Scenario::default()
+    };
+    let explicit = uniform.with_population(vec![SegmentSpec {
+        protocol: uniform.protocol,
+        count: uniform.n - uniform.byzantine_count(),
+    }]);
+    let a = Simulation::new(uniform).run();
+    let b = Simulation::new(explicit).run();
+    assert_eq!(a.stability_round, Some(34));
+    for r in [&a, &b] {
+        assert_eq!(r.segments.len(), 1);
+        assert_eq!(r.segments[0].stability_round, r.stability_round);
+        assert_eq!(r.segments[0].mean_discovery_round, r.mean_discovery_round);
     }
+    assert_eq!(a, b, "the two spellings of one run must agree entirely");
 }
 
 #[test]
