@@ -29,9 +29,10 @@ pub struct LiftConfig {
     /// Pull (exchange) requests sent per round, aimed at the
     /// lowest-score — least hub-like — view members.
     pub pull_count: usize,
-    /// Maximum tracked hub-score counters. Estimation state stays
-    /// bounded regardless of how many IDs gossip mentions: once full,
-    /// the coldest off-view counters are pruned.
+    /// Maximum tracked hub-score counters, view members included.
+    /// Estimation state stays bounded regardless of how many IDs gossip
+    /// mentions: once full, the coldest off-view counter is evicted, so
+    /// the table must have room for at least one beyond the view.
     pub score_capacity: usize,
 }
 
@@ -56,14 +57,14 @@ impl LiftConfig {
     /// # Panics
     ///
     /// Panics when any size is zero or the score table cannot hold the
-    /// view.
+    /// view plus one off-view counter.
     pub fn validate(&self) {
         assert!(self.view_size > 0, "LIFT view size must be positive");
         assert!(self.push_count > 0, "push count must be positive");
         assert!(self.pull_count > 0, "pull count must be positive");
         assert!(
-            self.score_capacity >= self.view_size,
-            "score capacity must cover the view"
+            self.score_capacity > self.view_size,
+            "score capacity must exceed the view: a full view needs an off-view counter to evict"
         );
     }
 }
@@ -99,6 +100,16 @@ mod tests {
     fn undersized_score_table_rejected() {
         LiftConfig {
             score_capacity: 4,
+            ..LiftConfig::for_view(8, 0)
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "score capacity must exceed the view")]
+    fn view_sized_score_table_rejected() {
+        LiftConfig {
+            score_capacity: 8,
             ..LiftConfig::for_view(8, 0)
         }
         .validate();

@@ -29,9 +29,19 @@
 //! loss and adversary, and `finish_round` handles periodic upkeep —
 //! which is what lets the simulator run `Protocol::Lift` as a drop-in
 //! fourth protocol family.
+//!
+//! Gossip mentions some 300 IDs to a node every round, so the view and
+//! the counters live in one indexed table (`table::ScoreTable`: scores
+//! beside the view slots, off-view counters in flat arrays sorted by
+//! ID and by `(score, id)`); the plain `BTreeMap` node it replaced is
+//! kept under `#[cfg(test)]` as the oracle a property test compares it
+//! with step by step.
 
 pub mod config;
 pub mod node;
+#[cfg(test)]
+mod reference;
+mod table;
 
 pub use config::LiftConfig;
 pub use node::{LiftNode, LiftRoundReport};
