@@ -137,10 +137,11 @@ impl BrahmsNode {
             }
             view.insert_fresh(b);
         }
-        let mut sampler = SamplerArray::new(self.config.sample_size, &mut rng);
-        sampler.observe_all(view.ids());
+        // Re-seeded in place so that a seen-cache the engine capped stays
+        // capped.
+        self.sampler.reinit(&mut rng);
+        self.sampler.observe_all(view.ids());
         self.view = view;
-        self.sampler = sampler;
         self.rng = rng;
         self.pushed.clear();
         self.pulled.clear();
@@ -422,6 +423,26 @@ mod tests {
         let fresh = BrahmsNode::new(NodeId(0), cfg(10), &boot, 99);
         assert_eq!(n.view().ids().collect::<Vec<_>>(), boot);
         assert_eq!(n.sampler().samples(), fresh.sampler().samples());
+    }
+
+    #[test]
+    fn cold_rejoin_keeps_the_seen_cache_disabled() {
+        // What the engine does to every node of a population too large
+        // for per-node caches; a restart must not quietly undo it.
+        let mut n = node(10);
+        n.sampler_mut().limit_seen_cache(0);
+        let boot = ids(100..110);
+        n.rejoin_cold(&boot, 99);
+        n.record_push(NodeId(55));
+        n.record_pulled(&ids(1000..2000));
+        n.finish_round();
+        assert_eq!(n.sampler().seen_cached(), 0);
+
+        let mut fresh = SamplerArray::new(10, &mut Xoshiro256StarStar::seed_from_u64(99));
+        fresh.observe_all(boot.iter().copied());
+        fresh.observe(NodeId(55));
+        fresh.observe_all(ids(1000..2000));
+        assert_eq!(n.sampler().samples(), fresh.samples());
     }
 
     #[test]

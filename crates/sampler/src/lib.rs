@@ -19,7 +19,9 @@
 //! [`SamplerArray`] packages `l2` independent samplers with the probe
 //! based *validation* of the original Brahms paper: sampled nodes are
 //! periodically pinged and a dead sample causes its sampler to re-draw a
-//! fresh hash function, so departed nodes eventually leave `S`.
+//! fresh hash function, so departed nodes eventually leave `S`. It keeps
+//! its samplers as three flat lanes hashed eight at a time where the CPU
+//! can; [`Sampler`] is the one-function reference its tests compare it to.
 
 use raptee_net::NodeId;
 use raptee_util::bitset::{IdSet, DENSE_ID_LIMIT};
@@ -77,15 +79,7 @@ impl Sampler {
 
     /// Feeds one ID through the sampler.
     pub fn observe(&mut self, id: NodeId) {
-        self.observe_premixed(id, premix(id));
-    }
-
-    /// [`Sampler::observe`] with the ID's [`premix`] already computed —
-    /// the [`SamplerArray`] hot path shares one premix across all `l2`
-    /// samplers.
-    #[inline]
-    fn observe_premixed(&mut self, id: NodeId, pre: u64) {
-        let h = mix64(self.seed ^ pre);
+        let h = self.hash(id);
         if h < self.best_hash {
             self.best_hash = h;
             self.sample = Some(id);
@@ -104,7 +98,69 @@ impl Sampler {
     }
 }
 
+/// Samplers one 512-bit vector instruction covers; the lanes are padded
+/// to a multiple of it so the vectorised kernel has no scalar tail.
+const LANE_BLOCK: usize = 8;
+
+/// The cold path, and its only body: hashes one ID (pre-mixed to `pre`)
+/// under every lane's seed and keeps it wherever it beats the lane's best
+/// hash. Branch-free selects over three slices, so LLVM vectorises it as
+/// far as the target features of the function it is inlined into allow.
+#[inline(always)]
+fn observe_lanes(seeds: &[u64], best: &mut [u64], ids: &mut [NodeId], id: NodeId, pre: u64) {
+    for ((&seed, best), slot) in seeds.iter().zip(best).zip(ids) {
+        let h = mix64(seed ^ pre);
+        let wins = h < *best;
+        *best = if wins { h } else { *best };
+        *slot = if wins { id } else { *slot };
+    }
+}
+
+/// [`observe_lanes`] on the widest compiled copy this CPU runs; returns
+/// whether that was the AVX-512 one — a 64-bit vector multiply
+/// (`vpmullq`, AVX-512DQ), an unsigned compare into a mask and masked
+/// stores, eight samplers per instruction. Out of line so the seen-cache
+/// test in front of it stays a tight loop over a batch.
+#[inline(never)]
+fn observe_lanes_widest(
+    seeds: &[u64],
+    best: &mut [u64],
+    ids: &mut [NodeId],
+    id: NodeId,
+    pre: u64,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx512f,avx512dq")]
+        fn wide(seeds: &[u64], best: &mut [u64], ids: &mut [NodeId], id: NodeId, pre: u64) {
+            observe_lanes(seeds, best, ids, id, pre)
+        }
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+            // SAFETY: `wide` is a safe function whose only requirement is
+            // the two CPU features its attribute enables, and the run-time
+            // detection on the line above has just confirmed both.
+            unsafe { wide(seeds, best, ids, id, pre) };
+            return true;
+        }
+    }
+    observe_lanes(seeds, best, ids, id, pre);
+    false
+}
+
 /// The full sampling component: `l2` independent samplers.
+///
+/// # Layout
+///
+/// Three flat `u64` lanes — hash seeds, best hashes, sampled IDs — not an
+/// array of [`Sampler`]s, so the cold path (a new ID is hashed under all
+/// `l2` seeds: N × l2 hashes per node and run) is one vectorisable loop.
+/// A lane holds no sample exactly when its best hash is `u64::MAX`: a
+/// fresh function starts there and an update needs a strictly smaller
+/// hash. The lanes are padded to a multiple of eight with inert lanes
+/// (best hash 0, unbeatable) so the loop has no scalar tail; only the
+/// first `l2` are read back. `x ↦ mix64(seed ^ premix(x))` is a
+/// bijection, so distinct IDs never tie and each sample is the argmin
+/// over the *set* streamed, whatever the order, batching or kernel copy.
 ///
 /// # Examples
 ///
@@ -122,7 +178,13 @@ impl Sampler {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SamplerArray {
-    samplers: Vec<Sampler>,
+    /// `l2`; each lane is this rounded up to a multiple of [`LANE_BLOCK`].
+    len: usize,
+    seeds: Vec<u64>,
+    /// Smallest hash so far; `u64::MAX` = no sample yet, 0 in the padding.
+    best: Vec<u64>,
+    /// The ID that hashed to `best` (unspecified while there is none).
+    ids: Vec<NodeId>,
     /// Dense IDs every sampler has already observed since its last
     /// (re-)initialisation. Min-wise sampling is invariant under
     /// repetition, so a cached ID can skip the whole hash loop — after
@@ -148,11 +210,29 @@ impl SamplerArray {
     /// Panics if `l2` is zero.
     pub fn new(l2: usize, rng: &mut Xoshiro256StarStar) -> Self {
         assert!(l2 > 0, "sampler array needs at least one sampler");
-        Self {
-            samplers: (0..l2).map(|_| Sampler::new(rng.next_u64())).collect(),
+        let padded = l2.next_multiple_of(LANE_BLOCK);
+        let mut array = Self {
+            len: l2,
+            seeds: vec![0; padded],
+            best: vec![0; padded],
+            ids: vec![NodeId(0); padded],
             seen: IdSet::new(),
             seen_limit: DENSE_ID_LIMIT,
+        };
+        array.reinit(rng);
+        array
+    }
+
+    /// Re-draws every hash function from `rng` — the draws of
+    /// [`SamplerArray::new`] — and forgets every sample, keeping the lane
+    /// allocations and the seen-cache limit: a node restarted cold in a
+    /// population that runs uncached must stay uncached.
+    pub fn reinit(&mut self, rng: &mut Xoshiro256StarStar) {
+        for (seed, best) in self.seeds.iter_mut().zip(&mut self.best).take(self.len) {
+            *seed = rng.next_u64();
+            *best = u64::MAX;
         }
+        self.seen.clear();
     }
 
     /// Caps the seen-cache to IDs below `limit` and *frees* the backing
@@ -168,28 +248,31 @@ impl SamplerArray {
         self.seen = IdSet::new();
     }
 
+    /// Number of IDs the seen-cache holds (0 while it is limited to 0).
+    pub fn seen_cached(&self) -> usize {
+        self.seen.count()
+    }
+
     /// Number of samplers (`l2`).
     pub fn len(&self) -> usize {
-        self.samplers.len()
+        self.len
     }
 
     /// True when the array holds no samplers (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.samplers.is_empty()
+        self.len == 0
     }
 
     /// Feeds one ID to every sampler. Repeats of an already-seen ID are
     /// O(1): min-wise sampling cannot change on repetition, so the
     /// seen-cache short-circuits the hash loop.
+    #[inline]
     pub fn observe(&mut self, id: NodeId) {
         let idx = id.0 as usize;
         if idx < self.seen_limit && !self.seen.insert(idx) {
             return;
         }
-        let pre = premix(id);
-        for s in &mut self.samplers {
-            s.observe_premixed(id, pre);
-        }
+        observe_lanes_widest(&self.seeds, &mut self.best, &mut self.ids, id, premix(id));
     }
 
     /// Feeds a batch of IDs.
@@ -199,28 +282,36 @@ impl SamplerArray {
         }
     }
 
+    /// The sampled IDs in lane order, skipping lanes that hold none.
+    fn sampled(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let live = self.best[..self.len].iter().zip(&self.ids);
+        live.filter(|(&best, _)| best != u64::MAX)
+            .map(|(_, &id)| id)
+    }
+
     /// The current sample list (one entry per sampler that has observed at
     /// least one ID). May contain duplicates across samplers — Brahms uses
     /// it as a multiset.
     pub fn samples(&self) -> Vec<NodeId> {
-        self.samplers.iter().filter_map(Sampler::sample).collect()
+        self.sampled().collect()
     }
 
     /// [`SamplerArray::samples`] into a caller-owned buffer (cleared
     /// first) — the per-round history-sample path allocates nothing.
     pub fn samples_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
-        out.extend(self.samplers.iter().filter_map(Sampler::sample));
+        out.extend(self.sampled());
     }
 
     /// Draws `k` entries uniformly from the sample list — the "history
     /// sample" feeding `γ·l1` entries of the view renewal.
     pub fn history_sample(&self, k: usize, rng: &mut Xoshiro256StarStar) -> Vec<NodeId> {
-        let current = self.samples();
-        if current.is_empty() {
+        let live = self.sampled().count();
+        if live == 0 {
             return Vec::new();
         }
-        (0..k).map(|_| current[rng.index(current.len())]).collect()
+        let nth = |i| self.sampled().nth(i).expect("drawn below the live count");
+        (0..k).map(|_| nth(rng.index(live))).collect()
     }
 
     /// Brahms validation: probes each current sample with `is_alive` and
@@ -232,12 +323,11 @@ impl SamplerArray {
         rng: &mut Xoshiro256StarStar,
     ) -> usize {
         let mut reset = 0;
-        for s in &mut self.samplers {
-            if let Some(id) = s.sample() {
-                if !is_alive(id) {
-                    s.reinit(rng.next_u64());
-                    reset += 1;
-                }
+        for k in 0..self.len {
+            if self.best[k] != u64::MAX && !is_alive(self.ids[k]) {
+                self.seeds[k] = rng.next_u64();
+                self.best[k] = u64::MAX;
+                reset += 1;
             }
         }
         if reset > 0 {
@@ -253,17 +343,94 @@ impl SamplerArray {
     /// true — used by the experiment metrics (e.g. "how Byzantine is the
     /// sample list").
     pub fn fraction_matching<F: Fn(NodeId) -> bool>(&self, pred: F) -> f64 {
-        let samples = self.samples();
-        if samples.is_empty() {
-            return 0.0;
+        match self.sampled().count() {
+            0 => 0.0,
+            live => self.sampled().filter(|&id| pred(id)).count() as f64 / live as f64,
         }
-        samples.iter().filter(|&&id| pred(id)).count() as f64 / samples.len() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The array as it was before the lanes, and what they are checked
+    /// against: one [`Sampler`] per hash function, no cache, no padding.
+    pub(super) struct Reference(Vec<Sampler>);
+
+    impl Reference {
+        /// Draws the seeds [`SamplerArray::new`] draws from an equal RNG.
+        pub(super) fn new(l2: usize, rng: &mut Xoshiro256StarStar) -> Self {
+            Self((0..l2).map(|_| Sampler::new(rng.next_u64())).collect())
+        }
+
+        pub(super) fn observe(&mut self, id: NodeId) {
+            self.0.iter_mut().for_each(|s| s.observe(id));
+        }
+
+        pub(super) fn validate<F: FnMut(NodeId) -> bool>(
+            &mut self,
+            mut is_alive: F,
+            rng: &mut Xoshiro256StarStar,
+        ) -> usize {
+            let mut reset = 0;
+            for s in &mut self.0 {
+                if s.sample().is_some_and(|id| !is_alive(id)) {
+                    s.reinit(rng.next_u64());
+                    reset += 1;
+                }
+            }
+            reset
+        }
+
+        pub(super) fn samples(&self) -> Vec<NodeId> {
+            self.0.iter().filter_map(Sampler::sample).collect()
+        }
+    }
+
+    /// Every read accessor of `arr` against the formula over the
+    /// reference's sample list, history-sample RNG draws included.
+    pub(super) fn assert_matches(arr: &SamplerArray, reference: &Reference) {
+        let expect = reference.samples();
+        assert_eq!(arr.len(), reference.0.len());
+        assert_eq!(arr.samples(), expect);
+        let mut into = vec![NodeId(7)];
+        arr.samples_into(&mut into);
+        assert_eq!(into, expect);
+
+        let low_bit = |id: NodeId| id.0 & 1 == 0;
+        let fraction = match expect.len() {
+            0 => 0.0,
+            n => expect.iter().filter(|&&id| low_bit(id)).count() as f64 / n as f64,
+        };
+        assert_eq!(arr.fraction_matching(low_bit), fraction);
+
+        let mut rng = Xoshiro256StarStar::seed_from_u64(expect.len() as u64);
+        let mut rng_ref = rng.clone();
+        let history: Vec<NodeId> = match expect.len() {
+            0 => Vec::new(),
+            n => (0..5).map(|_| expect[rng_ref.index(n)]).collect(),
+        };
+        assert_eq!(arr.history_sample(5, &mut rng), history);
+        assert_eq!(rng.next_u64(), rng_ref.next_u64(), "same RNG draws");
+    }
+
+    /// `mix64` backwards (it is a bijection: two odd multiplies and three
+    /// xor-shifts).
+    fn unmix64(mut z: u64) -> u64 {
+        // Newton's iteration doubles the correct low bits of an inverse
+        // modulo 2⁶⁴; an odd `a` is its own inverse to three bits.
+        let inverse = |a: u64| {
+            (0..5).fold(a, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)))
+            })
+        };
+        z ^= (z >> 31) ^ (z >> 62);
+        z = z.wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        z ^= (z >> 27) ^ (z >> 54);
+        z = z.wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        z ^ (z >> 30) ^ (z >> 60)
+    }
 
     #[test]
     fn sampler_keeps_minimum() {
@@ -326,6 +493,82 @@ mod tests {
     }
 
     #[test]
+    fn lanes_are_padded_to_whole_blocks_at_exact_capacity() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
+        for (l2, padded) in [(1, 8), (7, 8), (8, 8), (9, 16), (16, 16), (100, 104)] {
+            let mut arr = SamplerArray::new(l2, &mut rng);
+            arr.observe_all((0..50).map(NodeId));
+            assert_eq!(arr.len(), l2);
+            assert_eq!(arr.samples().len(), l2, "padding is never read back");
+            for lens in [
+                (arr.seeds.len(), arr.seeds.capacity()),
+                (arr.best.len(), arr.best.capacity()),
+                (arr.ids.len(), arr.ids.capacity()),
+            ] {
+                assert_eq!(lens, (padded, padded));
+            }
+            assert!(
+                arr.best[l2..].iter().all(|&b| b == 0),
+                "padding stays inert"
+            );
+        }
+    }
+
+    #[test]
+    fn both_compiled_kernels_agree() {
+        // 100 real lanes and 4 inert ones, as at the paper's l2.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(17);
+        const PAD: NodeId = NodeId(0xDEAD);
+        let seeds: Vec<u64> = (0..104).map(|_| rng.next_u64()).collect();
+        let mut best = vec![u64::MAX; 104];
+        best[100..].fill(0);
+        let mut ids = vec![PAD; 104];
+        let (mut best_wide, mut ids_wide) = (best.clone(), ids.clone());
+        let mut reference: Vec<Sampler> = seeds[..100].iter().map(|&s| Sampler::new(s)).collect();
+
+        let mut ran_wide = true;
+        for _ in 0..10_000 {
+            let id = NodeId(rng.next_u64() >> rng.next_below(64));
+            let pre = premix(id);
+            observe_lanes(&seeds, &mut best, &mut ids, id, pre);
+            ran_wide &= observe_lanes_widest(&seeds, &mut best_wide, &mut ids_wide, id, pre);
+            reference.iter_mut().for_each(|s| s.observe(id));
+        }
+
+        let expect: Vec<NodeId> = reference.iter().map(|s| s.sample().unwrap()).collect();
+        assert_eq!(&ids[..100], &expect[..]);
+        assert_eq!((&best[100..], &ids[100..]), (&[0; 4][..], &[PAD; 4][..]));
+        if ran_wide {
+            assert_eq!((best_wide, ids_wide), (best, ids));
+        } else {
+            eprintln!("both_compiled_kernels_agree: AVX-512 copy SKIPPED (this CPU cannot run it)");
+        }
+    }
+
+    #[test]
+    fn an_id_hashing_to_u64_max_is_never_sampled() {
+        // `best == u64::MAX` means "no sample", so the one ID per seed
+        // whose hash is exactly that must lose even to nothing — as it
+        // did when the sample was an `Option` behind `h < best_hash`.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(23);
+        let mut arr = SamplerArray::new(9, &mut rng.clone());
+        let mut reference = Reference::new(9, &mut rng);
+        let lane = 4;
+        let pre = unmix64(u64::MAX) ^ arr.seeds[lane];
+        let unlucky = NodeId(unmix64(pre).wrapping_sub(0x9E37_79B9_7F4A_7C15));
+        assert_eq!(Sampler::new(arr.seeds[lane]).hash(unlucky), u64::MAX);
+
+        arr.observe(unlucky);
+        reference.observe(unlucky);
+        assert_eq!(arr.samples(), vec![unlucky; 8], "every lane but one");
+        assert_matches(&arr, &reference);
+        arr.observe(NodeId(1));
+        reference.observe(NodeId(1));
+        assert_eq!(arr.samples().len(), 9);
+        assert_matches(&arr, &reference);
+    }
+
+    #[test]
     fn history_sample_draws_from_samples() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(3);
         let mut arr = SamplerArray::new(8, &mut rng);
@@ -356,24 +599,21 @@ mod tests {
     #[test]
     fn seen_cache_is_observationally_invisible() {
         // A stream with heavy repetition must leave the array in exactly
-        // the state of the deduplicated stream — and the cache must reach
-        // the same samples as an uncached element-wise feed.
+        // the state of the deduplicated stream fed element-wise to
+        // uncached samplers with the same hash functions.
         let mut rng = Xoshiro256StarStar::seed_from_u64(21);
-        let mut cached = SamplerArray::new(16, &mut rng);
-        let mut reference = SamplerArray::new(16, &mut rng.clone());
-        // Same hash functions: rebuild reference from identical seeds.
-        reference.samplers.clone_from(&cached.samplers);
+        let mut cached = SamplerArray::new(16, &mut rng.clone());
+        let mut reference = Reference::new(16, &mut rng);
         for rep in 0..5 {
-            for id in 0..200u64 {
-                cached.observe(NodeId(id));
+            for id in (0..200).map(NodeId) {
+                cached.observe(id);
                 if rep == 0 {
-                    for s in &mut reference.samplers {
-                        s.observe(NodeId(id));
-                    }
+                    reference.observe(id);
                 }
             }
         }
-        assert_eq!(cached.samples(), reference.samples());
+        assert_eq!(cached.seen.count(), 200);
+        assert_matches(&cached, &reference);
     }
 
     #[test]
@@ -427,6 +667,29 @@ mod tests {
     }
 
     #[test]
+    fn reinit_equals_new_and_keeps_the_cache_limit_and_the_lanes() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(41);
+        let mut arr = SamplerArray::new(100, &mut rng);
+        arr.observe_all((0..300).map(NodeId));
+        arr.limit_seen_cache(0);
+        let lanes = (arr.seeds.as_ptr(), arr.best.as_ptr(), arr.ids.as_ptr());
+
+        arr.reinit(&mut Xoshiro256StarStar::seed_from_u64(42));
+        assert!(arr.samples().is_empty());
+        arr.observe_all((0..1000).map(NodeId));
+
+        assert_eq!(arr.seen_cached(), 0, "an uncached array stays uncached");
+        assert_eq!(
+            lanes,
+            (arr.seeds.as_ptr(), arr.best.as_ptr(), arr.ids.as_ptr()),
+            "the lane allocations are reused"
+        );
+        let mut fresh = SamplerArray::new(100, &mut Xoshiro256StarStar::seed_from_u64(42));
+        fresh.observe_all((0..1000).map(NodeId));
+        assert_eq!(arr.samples(), fresh.samples());
+    }
+
+    #[test]
     fn fraction_matching() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(5);
         let mut arr = SamplerArray::new(64, &mut rng);
@@ -475,8 +738,20 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::{assert_matches, Reference};
     use super::*;
     use proptest::prelude::*;
+
+    /// Small IDs (heavy repetition, cached), IDs past the cache's reach,
+    /// and the top of the ID space.
+    fn id_of(x: u64) -> NodeId {
+        let k = (x >> 2) % 40;
+        NodeId(match x % 4 {
+            0 | 1 => k,
+            2 => DENSE_ID_LIMIT as u64 + k,
+            _ => u64::MAX - k,
+        })
+    }
 
     proptest! {
         /// Stream order never affects the final sample.
@@ -528,6 +803,51 @@ mod prop_tests {
             }
             let h2 = s.hash(s.sample().unwrap());
             prop_assert!(h2 <= h1);
+        }
+
+        /// Differential oracle: the lanes (cache, padding, whichever
+        /// kernel copy this CPU runs) and a plain `Vec<Sampler>` on the
+        /// same seeds, driven by the same arbitrary interleaving of every
+        /// mutating operation, agree on every read after every step.
+        #[test]
+        fn lanes_match_the_sampler_reference(
+            l2 in prop_oneof![Just(1usize), Just(7), Just(8), Just(9), Just(16), Just(100)],
+            seed in 0u64..10_000,
+            ops in proptest::collection::vec((0u8..16, 0u64..1 << 20, 0u64..1 << 20), 1..200),
+        ) {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let mut rng_ref = rng.clone();
+            let mut arr = SamplerArray::new(l2, &mut rng);
+            let mut reference = Reference::new(l2, &mut rng_ref);
+            assert_matches(&arr, &reference);
+            for &(op, a, b) in &ops {
+                match op {
+                    0..=6 => {
+                        arr.observe(id_of(a));
+                        reference.observe(id_of(a));
+                    }
+                    7..=11 => {
+                        let batch: Vec<NodeId> = (0..b % 30).map(|k| id_of(a + k * (b | 1))).collect();
+                        arr.observe_all(batch.iter().copied());
+                        batch.iter().for_each(|&id| reference.observe(id));
+                    }
+                    12..=14 => {
+                        // All dead, none dead, or an arbitrary third.
+                        let is_alive = |id: NodeId| match b % 4 {
+                            0 => false,
+                            1 => true,
+                            _ => !mix64(id.0 ^ a).is_multiple_of(3),
+                        };
+                        prop_assert_eq!(
+                            arr.validate(is_alive, &mut rng),
+                            reference.validate(is_alive, &mut rng_ref)
+                        );
+                    }
+                    _ => arr.limit_seen_cache([0, 20, DENSE_ID_LIMIT, usize::MAX][a as usize % 4]),
+                }
+                assert_matches(&arr, &reference);
+            }
+            prop_assert_eq!(rng.next_u64(), rng_ref.next_u64());
         }
     }
 }
