@@ -18,7 +18,7 @@ use crate::config::BrahmsConfig;
 use raptee_gossip::view::{View, ViewEntry};
 use raptee_net::NodeId;
 use raptee_sampler::SamplerArray;
-use raptee_util::rng::Xoshiro256StarStar;
+use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 
 /// The send targets a node chose for the current round.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -53,7 +53,7 @@ pub struct RoundReport {
 /// allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct FinishScratch {
-    idx: Vec<u32>,
+    idx: IndexScratch,
     pick: Vec<NodeId>,
     samples: Vec<NodeId>,
     next: Vec<ViewEntry>,
@@ -106,8 +106,11 @@ impl BrahmsNode {
             view.insert_fresh(b);
         }
         let mut sampler = SamplerArray::new(config.sample_size, &mut rng);
-        // The bootstrap list is the first observed stream.
-        sampler.observe_all(view.ids());
+        // The bootstrap list is the first observed stream. It bypasses the
+        // seen-cache: whoever builds a large population caps the cache
+        // after this returns (`limit_seen_cache`), and must not pay for a
+        // bitset up to the largest bootstrap ID in every node first.
+        sampler.observe_all_uncached(view.ids());
         Self {
             id,
             config,
@@ -443,6 +446,34 @@ mod tests {
         fresh.observe(NodeId(55));
         fresh.observe_all(ids(1000..2000));
         assert_eq!(n.sampler().samples(), fresh.samples());
+    }
+
+    #[test]
+    fn a_node_built_and_capped_at_zero_never_holds_cache_words() {
+        // Bootstrap IDs near the top of a million-node population: cached,
+        // they would cost 125 KB of bitset per node before the cap.
+        let boot = ids(999_000..999_010);
+        let mut n = BrahmsNode::new(NodeId(0), cfg(10), &boot, 7);
+        assert_eq!(n.sampler().seen_cache_words(), 0, "nothing grown by `new`");
+        n.sampler_mut().limit_seen_cache(0);
+        n.record_push(NodeId(999_500));
+        n.record_pulled(&ids(998_000..998_100));
+        n.finish_round();
+        n.rejoin_cold(&boot, 8);
+        assert_eq!(n.sampler().seen_cache_words(), 0);
+
+        // Left uncapped, the same node caches from its first round on and
+        // samples what a fully cached array samples.
+        let mut cached = BrahmsNode::new(NodeId(0), cfg(10), &boot, 7);
+        cached.record_push(NodeId(999_500));
+        cached.record_pulled(&ids(998_000..998_100));
+        cached.finish_round();
+        assert!(cached.sampler().seen_cache_words() > 0);
+        let mut reference = SamplerArray::new(10, &mut Xoshiro256StarStar::seed_from_u64(7));
+        reference.observe_all(boot.iter().copied());
+        reference.observe(NodeId(999_500));
+        reference.observe_all(ids(998_000..998_100));
+        assert_eq!(cached.sampler().samples(), reference.samples());
     }
 
     #[test]

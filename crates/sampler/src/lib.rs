@@ -282,6 +282,25 @@ impl SamplerArray {
         }
     }
 
+    /// Feeds a batch of IDs to every sampler without consulting or
+    /// filling the seen-cache. Same samples as
+    /// [`SamplerArray::observe_all`] (the cache only ever skips work); a
+    /// later repeat of one of these IDs is hashed once more. For a stream
+    /// observed before the owner of the array could cap the cache — a
+    /// node's bootstrap list — so that a population that runs uncached
+    /// never allocates `max_id / 8` bytes per node just to free them.
+    pub fn observe_all_uncached<I: IntoIterator<Item = NodeId>>(&mut self, ids: I) {
+        for id in ids {
+            observe_lanes_widest(&self.seeds, &mut self.best, &mut self.ids, id, premix(id));
+        }
+    }
+
+    /// Words of backing storage the seen-cache holds (0 until it first
+    /// caches an ID, and again after [`SamplerArray::limit_seen_cache`]).
+    pub fn seen_cache_words(&self) -> usize {
+        self.seen.words()
+    }
+
     /// The sampled IDs in lane order, skipping lanes that hold none.
     fn sampled(&self) -> impl Iterator<Item = NodeId> + '_ {
         let live = self.best[..self.len].iter().zip(&self.ids);
@@ -828,7 +847,11 @@ mod prop_tests {
                     }
                     7..=11 => {
                         let batch: Vec<NodeId> = (0..b % 30).map(|k| id_of(a + k * (b | 1))).collect();
-                        arr.observe_all(batch.iter().copied());
+                        if op == 11 {
+                            arr.observe_all_uncached(batch.iter().copied());
+                        } else {
+                            arr.observe_all(batch.iter().copied());
+                        }
                         batch.iter().for_each(|&id| reference.observe(id));
                     }
                     12..=14 => {

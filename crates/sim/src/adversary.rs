@@ -21,7 +21,7 @@
 //!   network so their initial views are fully poisoned.
 
 use raptee_net::NodeId;
-use raptee_util::rng::Xoshiro256StarStar;
+use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 
 /// A planned batch of adversary pushes: `(victim, advertised ID)` pairs.
 pub type PushPlan = Vec<(NodeId, NodeId)>;
@@ -54,9 +54,9 @@ pub struct Adversary {
     /// views).
     force_rotor: usize,
     /// Reusable buffers for the per-round sampling calls (Fisher–Yates
-    /// index scratch and the remainder-victim draw) — planning and pull
+    /// index table and the remainder-victim draw) — planning and pull
     /// answers allocate nothing in steady state.
-    idx_scratch: Vec<u32>,
+    idx_scratch: IndexScratch,
     extra_scratch: Vec<NodeId>,
 }
 
@@ -76,7 +76,7 @@ impl Adversary {
             rng: Xoshiro256StarStar::seed_from_u64(seed),
             observations: vec![None; total_actors],
             force_rotor: 0,
-            idx_scratch: Vec::new(),
+            idx_scratch: IndexScratch::default(),
             extra_scratch: Vec::new(),
         }
     }
@@ -180,8 +180,9 @@ impl Adversary {
         Self::answer_with(rng, byzantine_ids, injected, *view_size, idx_scratch, out);
     }
 
-    /// A snapshot of the adversary's RNG, taken *before* a
-    /// [`Adversary::pull_answer_into`] call so the identical answer can
+    /// A snapshot of the adversary's RNG, taken *before* the draws of an
+    /// answer ([`Adversary::skip_pull_answer`], or
+    /// [`Adversary::pull_answer_into`]) so the identical answer can
     /// later be regenerated by [`Adversary::replay_pull_answer`]. The
     /// parallel engine stores these 32-byte states per deferred answer
     /// instead of materialising the answer IDs — the coordinator RNG
@@ -201,7 +202,7 @@ impl Adversary {
     pub fn replay_pull_answer(
         &self,
         rng: &mut Xoshiro256StarStar,
-        idx: &mut Vec<u32>,
+        idx: &mut IndexScratch,
         out: &mut Vec<NodeId>,
     ) {
         Self::answer_with(
@@ -221,15 +222,39 @@ impl Adversary {
         byzantine_ids: &[NodeId],
         injected: &[NodeId],
         view_size: usize,
-        idx: &mut Vec<u32>,
+        idx: &mut IndexScratch,
         out: &mut Vec<NodeId>,
     ) {
         let k = view_size.min(byzantine_ids.len());
         rng.sample_into(byzantine_ids, k, idx, out);
-        if !injected.is_empty() && !out.is_empty() && rng.chance(0.25) {
-            let slot = rng.index(out.len());
-            out[slot] = injected[rng.index(injected.len())];
+        if let Some((slot, id)) = Self::injected_slot(rng, injected, out.len()) {
+            out[slot] = id;
         }
+    }
+
+    /// The sparse advertisement draw closing every answer of `len` IDs:
+    /// one answer in four trades one slot for an injected ID.
+    fn injected_slot(
+        rng: &mut Xoshiro256StarStar,
+        injected: &[NodeId],
+        len: usize,
+    ) -> Option<(usize, NodeId)> {
+        if injected.is_empty() || len == 0 || !rng.chance(0.25) {
+            return None;
+        }
+        let slot = rng.index(len);
+        Some((slot, injected[rng.index(injected.len())]))
+    }
+
+    /// Advances the coordinator RNG exactly as
+    /// [`Adversary::pull_answer_into`] would and builds nothing: for a
+    /// caller that keeps the [`Adversary::rng_snapshot`] taken just before
+    /// and lets [`Adversary::replay_pull_answer`] produce the IDs later.
+    pub fn skip_pull_answer(&mut self) {
+        let pool = self.byzantine_ids.len();
+        let len = self.view_size.min(pool);
+        self.rng.skip_sample(pool, len);
+        Self::injected_slot(&mut self.rng, &self.injected, len);
     }
 
     /// Records the Byzantine share observed in a pull answer received
@@ -423,7 +448,9 @@ impl Adversary {
     /// Picks `k` observation targets uniformly among `candidates` (the
     /// Byzantine nodes' own pull requests for the identification attack).
     pub fn observation_targets(&mut self, candidates: &[NodeId], k: usize) -> Vec<NodeId> {
-        self.rng.sample(candidates, k)
+        let mut targets = Vec::new();
+        self.observation_targets_into(candidates, k, &mut targets);
+        targets
     }
 
     /// [`Adversary::observation_targets`] into a caller-owned buffer
@@ -804,12 +831,41 @@ mod tests {
     fn replayed_pull_answers_match_the_original() {
         let mut a = adversary(50, 100);
         a.advertise_injected([NodeId(90), NodeId(91)]);
-        let (mut idx, mut out) = (Vec::new(), Vec::new());
+        let (mut idx, mut out) = (IndexScratch::default(), Vec::new());
         for _ in 0..100 {
             let mut snap = a.rng_snapshot();
             let original = a.pull_answer();
             a.replay_pull_answer(&mut snap, &mut idx, &mut out);
             assert_eq!(out, original, "replay must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn skip_pull_answer_makes_the_draws_of_pull_answer_into() {
+        // Fewer identities than the view (full shuffle), exactly as many,
+        // and the usual partial draw; view size is 10.
+        for byz in [3u64, 10, 50] {
+            for inject in [false, true] {
+                let mut generating = adversary(byz, 100);
+                if inject {
+                    generating.advertise_injected([NodeId(90), NodeId(91)]);
+                }
+                let mut skipping = generating.clone();
+                let (mut idx, mut answer, mut replayed) =
+                    (IndexScratch::default(), Vec::new(), Vec::new());
+                for _ in 0..200 {
+                    let mut snap = skipping.rng_snapshot();
+                    generating.pull_answer_into(&mut answer);
+                    skipping.skip_pull_answer();
+                    assert_eq!(
+                        skipping.rng_snapshot(),
+                        generating.rng_snapshot(),
+                        "byz={byz} inject={inject}"
+                    );
+                    skipping.replay_pull_answer(&mut snap, &mut idx, &mut replayed);
+                    assert_eq!(replayed, answer, "byz={byz} inject={inject}");
+                }
+            }
         }
     }
 

@@ -83,7 +83,7 @@ use raptee_honeybee::HoneybeeConfig;
 use raptee_lift::LiftConfig;
 use raptee_net::{IdInterner, NodeId, NodeIdx, PushRateLimiter};
 use raptee_tee::AttestationService;
-use raptee_util::rng::{mix64, Xoshiro256StarStar};
+use raptee_util::rng::{mix64, IndexScratch, Xoshiro256StarStar};
 
 /// Rounds of per-node share smoothing for the spread-stability check.
 const SMOOTHING_WINDOW: usize = 10;
@@ -382,8 +382,8 @@ struct WorkerScratch {
     untrusted: Vec<NodeId>,
     /// `record_pulled`-equivalent combined stream.
     pulled: Vec<NodeId>,
-    /// Fisher–Yates index scratch for Byzantine answer replay.
-    idx: Vec<u32>,
+    /// Fisher–Yates index table for Byzantine answer replay.
+    idx: IndexScratch,
     /// Replay output buffer.
     reply: Vec<NodeId>,
     /// Brahms finalisation scratch (renewal sampling buffers).
@@ -422,7 +422,8 @@ struct Scratch {
     /// Counting-sort offsets for the adversary runs.
     byz_counts: Vec<u32>,
     /// Reusable sequential-phase answer buffer (ranked-family pulls,
-    /// trusted ablation answers, adversary RNG advancement).
+    /// trusted ablation answers, Byzantine answers held by the event
+    /// network).
     reply: Vec<NodeId>,
     /// Reusable observation-target buffer (identification attack).
     observed: Vec<NodeId>,
@@ -753,6 +754,10 @@ impl Simulation {
 
         let all_ids: Vec<NodeId> = (0..n as u64).map(NodeId).collect();
         let byz_ids: Vec<NodeId> = (0..byz as u64).map(NodeId).collect();
+        // One index table and one list buffer serve every bootstrap draw,
+        // so a draw costs its `k`, not the population.
+        let mut idx = IndexScratch::default();
+        let mut bootstrap: Vec<NodeId> = Vec::new();
 
         // Byzantine actors are the identity prefix [0, byz) and carry no
         // state; the correct population follows, segment by segment,
@@ -771,7 +776,7 @@ impl Simulation {
                     let abs = byz + start + i;
                     let id = NodeId(abs as u64);
                     let seed = rng.next_u64();
-                    let bootstrap = rng.sample(&all_ids, (rcfg.view_size() + 2).min(all_ids.len()));
+                    rng.sample_into(&all_ids, rcfg.view_size() + 2, &mut idx, &mut bootstrap);
                     if i < seg_trusted {
                         trusted_flags[abs] = true;
                         let key = provision(0x1000 + abs as u64);
@@ -797,11 +802,12 @@ impl Simulation {
                     // global membership — except injected nodes, which
                     // the adversary bootstrapped inside a Byzantine-only
                     // network.
-                    let bootstrap = if is_injected {
-                        rng.sample(&byz_ids, scenario.view_size.min(byz_ids.len()))
+                    let (pool, k) = if is_injected {
+                        (&byz_ids, scenario.view_size)
                     } else {
-                        rng.sample(&all_ids, (scenario.view_size + 2).min(all_ids.len()))
+                        (&all_ids, scenario.view_size + 2)
                     };
+                    rng.sample_into(pool, k, &mut idx, &mut bootstrap);
                     let mut node = if i < seg_trusted || is_injected {
                         trusted_flags[abs] = true;
                         let key = provision(0x1000 + abs as u64);
@@ -2374,19 +2380,20 @@ impl Simulation {
         if t < byz {
             // Byzantine responders fail authentication (random keys) and
             // answer with exclusively Byzantine IDs. The coordinator RNG
-            // must advance here, in event order; the answer itself is
-            // regenerated in parallel from the pre-draw snapshot.
-            let snapshot = self.adversary.rng_snapshot();
-            self.adversary.pull_answer_into(&mut s.reply);
+            // must advance here, in event order.
             if let PullGate::Deferred { round, held } = gate {
-                // The answer was drawn now (the adversary's RNG advances
-                // in event order) but lands in a later round.
+                // The answer is drawn now but lands in a later round.
+                self.adversary.pull_answer_into(&mut s.reply);
                 let ids = s.reply.clone();
                 if let Some(net) = self.net.as_mut() {
                     net.queue_answer(round, held, requester_ci as u32, target, ids);
                 }
             } else {
-                s.events.push(PullEvent::ByzReplay { rng: snapshot });
+                // Only the draws happen here; the parallel apply phase
+                // regenerates the IDs from the pre-draw snapshot.
+                let rng = self.adversary.rng_snapshot();
+                self.adversary.skip_pull_answer();
+                s.events.push(PullEvent::ByzReplay { rng });
             }
             return;
         }

@@ -185,6 +185,12 @@ impl IdSet {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
+
+    /// Backing words grown so far — what the set costs in memory, which
+    /// [`IdSet::clear`] keeps.
+    pub fn words(&self) -> usize {
+        self.words.len()
+    }
 }
 
 #[cfg(test)]

@@ -172,27 +172,37 @@ impl Xoshiro256StarStar {
         }
     }
 
-    /// Draws `k` distinct elements from `slice` by partial Fisher–Yates on a
-    /// scratch index vector; order of the sample is random.
+    /// Draws `k` distinct elements from `slice` by partial Fisher–Yates
+    /// over an index table; order of the sample is random.
     ///
     /// If `k >= slice.len()`, returns a shuffled copy of the whole slice.
+    ///
+    /// Convenience wrapper over [`Xoshiro256StarStar::sample_into`] that
+    /// builds a fresh [`IndexScratch`] per call, so it costs
+    /// O(`slice.len()`) whatever `k` is. Anything that samples more than
+    /// once keeps a scratch and calls `sample_into`.
     pub fn sample<T: Clone>(&mut self, slice: &[T], k: usize) -> Vec<T> {
-        let mut idx = Vec::new();
         let mut out = Vec::with_capacity(k.min(slice.len()));
-        self.sample_into(slice, k, &mut idx, &mut out);
+        self.sample_into(slice, k, &mut IndexScratch::default(), &mut out);
         out
     }
 
-    /// Exactly [`Xoshiro256StarStar::sample`], but writing into
-    /// caller-owned scratch (`idx`) and output (`out`) buffers so hot
-    /// loops can sample without allocating. The draw sequence is
-    /// *bit-identical* to `sample` — the simulation engine depends on
-    /// this to keep optimized runs reproducible against golden results.
+    /// Exactly [`Xoshiro256StarStar::sample`], but over a caller-owned
+    /// [`IndexScratch`] and output buffer (cleared first): O(`k`) once the
+    /// scratch has seen a slice this long, and no allocation.
+    ///
+    /// For `k < n = slice.len()` the draws are `j = i + index(n − i)` for
+    /// `i` in `0..k`, each followed by swapping table entries `i` and `j`;
+    /// pick `i` is the entry left at `i`. That sequence is pinned by every
+    /// golden result of the simulation, so the *algorithm* is fixed — what
+    /// the scratch removes is only the O(n) refill of the table: it is the
+    /// identity between calls, and a call puts back the at most `2k`
+    /// entries it moved, also when a `Clone` panics half-way.
     pub fn sample_into<T: Clone>(
         &mut self,
         slice: &[T],
         k: usize,
-        idx: &mut Vec<u32>,
+        scratch: &mut IndexScratch,
         out: &mut Vec<T>,
     ) {
         out.clear();
@@ -202,13 +212,28 @@ impl Xoshiro256StarStar {
             self.shuffle(out);
             return;
         }
-        // Partial shuffle over indices: O(n) setup, O(k) draws.
-        idx.clear();
-        idx.extend(0..n as u32);
+        let mut moved = scratch.borrow(n);
         for i in 0..k {
             let j = i + self.index(n - i);
-            idx.swap(i, j);
-            out.push(slice[idx[i] as usize].clone());
+            moved.table.swap(i, j);
+            moved.prefix = i + 1;
+            out.push(slice[moved.table[i] as usize].clone());
+        }
+    }
+
+    /// Advances the generator exactly as
+    /// [`Xoshiro256StarStar::sample_into`] does for a slice of `n` elements
+    /// and this `k`, and picks nothing — for a caller that only needs the
+    /// generator to end up where a sample it regenerates later left it.
+    pub fn skip_sample(&mut self, n: usize, k: usize) {
+        if k >= n {
+            for i in (1..n).rev() {
+                self.index(i + 1);
+            }
+        } else {
+            for i in 0..k {
+                self.index(n - i);
+            }
         }
     }
 
@@ -225,6 +250,75 @@ impl Xoshiro256StarStar {
     /// generators from the scenario generator without sharing state.
     pub fn split(&mut self) -> Self {
         Self::seed_from_u64(self.next_u64())
+    }
+}
+
+/// The index table [`Xoshiro256StarStar::sample_into`] runs its partial
+/// Fisher–Yates over, kept between calls so that drawing `k` of `n` costs
+/// `k`, not `n`.
+///
+/// Invariant: `table[i] == i` whenever no call is in progress. The table
+/// only grows — 4 bytes × the longest slice this scratch has been used
+/// with — so a scratch belongs with one call site (or one thread), not
+/// with each sampled object.
+///
+/// # Examples
+///
+/// ```
+/// use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
+/// let population: Vec<u32> = (0..100_000).collect();
+/// let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+/// let (mut scratch, mut out) = (IndexScratch::default(), Vec::new());
+/// for _ in 0..1000 {
+///     rng.sample_into(&population, 16, &mut scratch, &mut out); // O(16) after the first
+///     assert_eq!(out.len(), 16);
+/// }
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct IndexScratch {
+    table: Vec<u32>,
+}
+
+impl IndexScratch {
+    /// The table over `0..n`, grown if this is the longest slice so far,
+    /// behind the guard that makes it the identity again.
+    #[inline]
+    fn borrow(&mut self, n: usize) -> Moved<'_> {
+        if self.table.len() < n {
+            let end = u32::try_from(n).expect("sampled slices are indexed by u32");
+            self.table.extend(self.table.len() as u32..end);
+        }
+        Moved {
+            table: &mut self.table,
+            prefix: 0,
+        }
+    }
+}
+
+/// The table of a partial Fisher–Yates in progress: `prefix` steps are
+/// done, and dropping it undoes them.
+struct Moved<'a> {
+    table: &'a mut [u32],
+    prefix: usize,
+}
+
+impl Drop for Moved<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        // An entry at or beyond the prefix is first moved by the swap that
+        // carries its own index into the prefix, where no later step
+        // reaches: the moved entries are the prefix and the positions the
+        // prefix names. Slot `i` is read before it is rewritten, and the
+        // second store lands beyond the prefix or on `i` again — a select,
+        // not a branch: whether a pick came from inside the prefix is a
+        // coin the predictor loses (at 100 of 500 that branch cost more
+        // than refilling the table did).
+        for i in 0..self.prefix {
+            let p = self.table[i] as usize;
+            self.table[i] = i as u32;
+            let moved = if p >= self.prefix { p } else { i };
+            self.table[moved] = moved as u32;
+        }
     }
 }
 
@@ -339,19 +433,89 @@ mod tests {
         assert_eq!(s, v);
     }
 
+    impl IndexScratch {
+        /// Asserts the between-calls invariant.
+        pub(super) fn check(&self) {
+            for (i, &entry) in self.table.iter().enumerate() {
+                assert_eq!(entry as usize, i, "table entry {i} not restored");
+            }
+        }
+    }
+
+    /// The historical `sample_into`: a dense index table refilled on every
+    /// call. The reference `sample_into` is held to, draw for draw.
+    pub(super) fn sample_into_dense<T: Clone>(
+        rng: &mut Xoshiro256StarStar,
+        slice: &[T],
+        k: usize,
+        out: &mut Vec<T>,
+    ) {
+        out.clear();
+        let n = slice.len();
+        if k >= n {
+            out.extend_from_slice(slice);
+            rng.shuffle(out);
+            return;
+        }
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        for i in 0..k {
+            let j = i + rng.index(n - i);
+            idx.swap(i, j);
+            out.push(slice[idx[i] as usize].clone());
+        }
+    }
+
     #[test]
     fn sample_into_matches_sample() {
         let v: Vec<u32> = (0..200).collect();
+        let mut scratch = IndexScratch::default();
         for k in [0usize, 1, 50, 199, 200, 500] {
             let mut a = Xoshiro256StarStar::seed_from_u64(77);
             let mut b = Xoshiro256StarStar::seed_from_u64(77);
             let plain = a.sample(&v, k);
-            let mut idx = Vec::new();
             let mut out = vec![999]; // stale content must be cleared
-            b.sample_into(&v, k, &mut idx, &mut out);
+            b.sample_into(&v, k, &mut scratch, &mut out);
             assert_eq!(plain, out, "k={k}");
             assert_eq!(a.next_u64(), b.next_u64(), "identical draw count, k={k}");
+            scratch.check();
         }
+    }
+
+    #[test]
+    fn a_panicking_clone_leaves_the_table_restored() {
+        #[derive(Debug, PartialEq)]
+        struct Fragile(u32);
+        impl Clone for Fragile {
+            fn clone(&self) -> Self {
+                assert!(self.0 != 13, "unlucky");
+                Fragile(self.0)
+            }
+        }
+        let v: Vec<Fragile> = (0..40).map(Fragile).collect();
+        let mut scratch = IndexScratch::default();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
+        let mut panics = 0;
+        for _ in 0..50 {
+            let mut reference = rng.clone();
+            let mut out = Vec::new();
+            let call =
+                std::panic::AssertUnwindSafe(|| rng.sample_into(&v, 10, &mut scratch, &mut out));
+            let panicked = std::panic::catch_unwind(call).is_err();
+            panics += usize::from(panicked);
+            scratch.check();
+            if !panicked {
+                let mut expect = Vec::new();
+                sample_into_dense(&mut reference, &v, 10, &mut expect);
+                assert_eq!(
+                    out, expect,
+                    "the call after a panic draws from the identity"
+                );
+            }
+        }
+        assert!(
+            (1..50).contains(&panics),
+            "both outcomes exercised: {panics}"
+        );
     }
 
     #[test]
@@ -385,5 +549,51 @@ mod tests {
         outs.sort_unstable();
         outs.dedup();
         assert_eq!(outs.len(), 10_000);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::tests::sample_into_dense;
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Differential oracle: one scratch, reused over calls whose `n`
+        /// goes up and down and whose `k` sits on every edge, draws what
+        /// the dense table drew, leaves the generator where it left it
+        /// (which is also where `skip_sample` leaves it) and is the
+        /// identity again after every call — for a `Copy` element and for
+        /// one whose `Clone` allocates.
+        #[test]
+        fn sample_into_matches_the_dense_reference(
+            seed in 0u64..10_000,
+            calls in proptest::collection::vec((0usize..6, 0usize..5), 1..40),
+        ) {
+            const SIZES: [usize; 6] = [0, 1, 2, 17, 500, 5_000];
+            let numbers: Vec<u32> = (0..5_000).collect();
+            let names: Vec<String> = numbers.iter().map(|i| format!("node-{i}")).collect();
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let (mut rng_ref, mut rng_skip) = (rng.clone(), rng.clone());
+            let mut scratch = IndexScratch::default();
+            let (mut out_n, mut expect_n) = (vec![7u32], Vec::new());
+            let (mut out_s, mut expect_s) = (vec![String::from("stale")], Vec::new());
+            for &(size, edge) in &calls {
+                let n = SIZES[size];
+                let k = [0, 1, n.saturating_sub(1), n, n + 3][edge];
+                rng.sample_into(&numbers[..n], k, &mut scratch, &mut out_n);
+                sample_into_dense(&mut rng_ref, &numbers[..n], k, &mut expect_n);
+                prop_assert_eq!(&out_n, &expect_n);
+                scratch.check();
+                rng.sample_into(&names[..n], k, &mut scratch, &mut out_s);
+                sample_into_dense(&mut rng_ref, &names[..n], k, &mut expect_s);
+                prop_assert_eq!(&out_s, &expect_s);
+                scratch.check();
+                prop_assert_eq!(&rng, &rng_ref);
+                rng_skip.skip_sample(n, k);
+                rng_skip.skip_sample(n, k);
+                prop_assert_eq!(&rng, &rng_skip);
+            }
+        }
     }
 }

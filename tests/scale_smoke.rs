@@ -8,10 +8,19 @@
 //! discovery state alone at this population) or a reintroduced
 //! per-(node,node) structure blows the budget immediately.
 //!
+//! A second test holds population construction to linear time: every
+//! node's bootstrap list is `view_size + 2` draws out of N, and a draw
+//! that sets up O(N) state first (an index table refilled per call, a
+//! per-node bitset grown to the largest bootstrap ID) makes construction
+//! quadratic without changing a single result.
+//!
 //! Expensive (tens of seconds in release) — ignored by default and run
-//! explicitly by the CI `scale-smoke` job with `-- --ignored`.
+//! explicitly by the CI `scale-smoke` job with `-- --ignored`, one test
+//! per process: the first reads the process' peak RSS, the second a
+//! clock.
 
-use raptee_sim::{Protocol, Scenario, Simulation};
+use raptee_sim::{DiscoveryMode, Protocol, Scenario, Simulation};
+use std::time::Instant;
 
 /// Peak resident set size in KiB from `/proc/self/status` (Linux).
 fn peak_rss_kib() -> Option<u64> {
@@ -68,4 +77,42 @@ fn hundred_thousand_node_sketch_run_fits_memory_budget() {
     } else {
         println!("scale smoke: no /proc/self/status; RSS budget not checked");
     }
+}
+
+/// Wall time of `Simulation::new` alone at population `n`, the faster of
+/// two constructions.
+fn construction_secs(n: usize) -> f64 {
+    let scenario = Scenario {
+        n,
+        view_size: 16,
+        sample_size: 16,
+        protocol: Protocol::Raptee,
+        discovery: DiscoveryMode::Sketch,
+        ..Scenario::default()
+    };
+    (0..2)
+        .map(|_| {
+            let start = Instant::now();
+            let sim = std::hint::black_box(Simulation::new(scenario.clone()));
+            let secs = start.elapsed().as_secs_f64();
+            drop(sim);
+            secs
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Eight times the population must cost about eight times the
+/// construction. Measured ratios (two runs each): 21.6 and 22.5 while a
+/// bootstrap draw refilled an N-entry table, 8.7 and 9.6 since.
+#[test]
+#[ignore = "scale smoke (~10 s in release): run explicitly, see the CI scale-smoke job"]
+fn construction_scales_linearly() {
+    let small = construction_secs(20_000);
+    let large = construction_secs(160_000);
+    let ratio = large / small;
+    println!("scale smoke: Simulation::new {small:.3} s at N=20,000, {large:.3} s at N=160,000, ratio {ratio:.1} (linear: 8)");
+    assert!(
+        ratio < 15.0,
+        "construction is superlinear again: {small:.3} s -> {large:.3} s is x{ratio:.1} for x8 the population"
+    );
 }
