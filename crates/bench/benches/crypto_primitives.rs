@@ -4,16 +4,19 @@
 //! primitives backing the mutual-authentication handshake and the
 //! encrypted channels are fast enough that `real_crypto_handshakes`
 //! simulations remain practical (the handshake costs 4 HMAC-SHA-256
-//! evaluations per pull).
+//! evaluations per pull: ≈ 1.3 µs where SHA-256 runs on the CPU's SHA
+//! extensions, ≈ 6.4 µs on the portable compress loop — the first line
+//! printed says which of the two these timings were taken on).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use raptee_crypto::chacha20;
 use raptee_crypto::hmac::hmac_sha256;
-use raptee_crypto::sha256::Sha256;
+use raptee_crypto::sha256::{self, Sha256};
 use raptee_crypto::{Authenticator, SecretKey};
 use std::hint::black_box;
 
 fn primitives(c: &mut Criterion) {
+    println!("sha256 backend: {}", sha256::backend());
     let mut group = c.benchmark_group("crypto");
     group.sample_size(30);
 

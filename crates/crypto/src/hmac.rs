@@ -21,6 +21,12 @@ const BLOCK_LEN: usize = 64;
 /// assert_eq!(tag.len(), 32);
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+    hmac_parts(key, &[message])
+}
+
+/// `HMAC-SHA256(key, parts[0] ‖ parts[1] ‖ …)`, the parts streamed
+/// through the inner hash and never concatenated.
+fn hmac_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
     let mut key_block = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
         let hashed = Sha256::digest(key);
@@ -36,7 +42,9 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     }
     let mut inner = Sha256::new();
     inner.update(&ipad);
-    inner.update(message);
+    for part in parts {
+        inner.update(part);
+    }
     let inner_digest = inner.finalize();
     let mut outer = Sha256::new();
     outer.update(&opad);
@@ -48,60 +56,90 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 /// and `context` (single-block HKDF-expand style: `HMAC(key, label || 0x00
 /// || context || 0x01)`).
 pub fn derive_key(key: &[u8], label: &str, context: &[u8]) -> Digest {
-    let mut msg = Vec::with_capacity(label.len() + 2 + context.len());
-    msg.extend_from_slice(label.as_bytes());
-    msg.push(0);
-    msg.extend_from_slice(context);
-    msg.push(1);
-    hmac_sha256(key, &msg)
+    hmac_parts(key, &[label.as_bytes(), &[0], context, &[1]])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::testing::{bodies, digest_with, Body};
     use crate::sha256::to_hex;
 
-    // RFC 4231 test vectors.
+    /// RFC 2104 written out over one compress body, nothing shared with
+    /// [`hmac_sha256`] but the hash underneath.
+    fn hmac_with(body: Body, key: &[u8], message: &[u8]) -> Digest {
+        let mut key_block = if key.len() > BLOCK_LEN {
+            digest_with(body, key).to_vec()
+        } else {
+            key.to_vec()
+        };
+        key_block.resize(BLOCK_LEN, 0);
+        let pad = |byte: u8, tail: &[u8]| {
+            let mut m: Vec<u8> = key_block.iter().map(|k| k ^ byte).collect();
+            m.extend_from_slice(tail);
+            digest_with(body, &m)
+        };
+        pad(0x5c, &pad(0x36, message))
+    }
+
+    /// An RFC 4231 case: through [`hmac_sha256`], and through each compress
+    /// body alone.
+    fn rfc4231(key: &[u8], message: &[u8], expect: &str) {
+        assert_eq!(to_hex(&hmac_sha256(key, message)), expect);
+        for (name, body) in bodies() {
+            assert_eq!(
+                to_hex(&hmac_with(body, key, message)),
+                expect,
+                "{name} body"
+            );
+        }
+    }
+
     #[test]
     fn rfc4231_case_1() {
-        let key = [0x0b; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            to_hex(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        rfc4231(
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case_2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            to_hex(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        rfc4231(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case_3() {
-        let key = [0xaa; 20];
-        let data = [0xdd; 50];
-        let tag = hmac_sha256(&key, &data);
-        assert_eq!(
-            to_hex(&tag),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        rfc4231(
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case_6_long_key() {
-        let key = [0xaa; 131];
-        let tag = hmac_sha256(
-            &key,
+        rfc4231(
+            &[0xaa; 131],
             b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
+    }
+
+    #[test]
+    fn derive_key_is_hmac_of_the_concatenation() {
+        let mut msg = b"channel".to_vec();
+        msg.push(0);
+        msg.extend_from_slice(b"node-1");
+        msg.push(1);
         assert_eq!(
-            to_hex(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+            derive_key(b"group key", "channel", b"node-1"),
+            hmac_sha256(b"group key", &msg)
         );
     }
 

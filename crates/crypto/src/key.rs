@@ -103,6 +103,18 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// The untrusted-node key of `raptee::RapteeNode::new`, pinned at the
+    /// commit before the hardware compress kernel and the streamed
+    /// `derive_key`: a wrong kernel on some future CPU fails here by name.
+    #[test]
+    fn pinned_untrusted_node_key() {
+        let key = SecretKey::from_seed(42).derive("raptee-untrusted-node-key", &7u64.to_le_bytes());
+        assert_eq!(
+            crate::sha256::to_hex(key.as_bytes()),
+            "3251a3d6cc7dc30bd7d6a7c355fd7e9efb52e40e1bd40c7a74e713a1e7362e6e"
+        );
+    }
+
     #[test]
     fn derive_changes_key() {
         let k = SecretKey::from_seed(9);

@@ -186,6 +186,16 @@ mod tests {
         }
     }
 
+    /// Pinned at the commit before the hardware compress kernel: a wrong
+    /// kernel on some future CPU fails here by name.
+    #[test]
+    fn pinned_five_hop_head_commit() {
+        assert_eq!(
+            raptee_crypto::sha256::to_hex(&honest_walk(5).head_commit()),
+            "1ca673024d5441140ad4450c11b1a1cbb28195c333abe1ce0285a3646a185ee1"
+        );
+    }
+
     #[test]
     fn empty_transcript_verifies_trivially() {
         let t = WalkTranscript::new(NodeId(1), 0);

@@ -34,7 +34,7 @@
 use crate::metrics::AuditStats;
 use crate::scenario::AuditConfig;
 use raptee_net::NodeId;
-use raptee_tee::merkle::{leaf_hash, verify, MerkleTree, ViewCommitment};
+use raptee_tee::merkle::{leaf_hash, verify, IncrementalMerkle, MerkleTree, ViewCommitment};
 use raptee_util::rng::mix64;
 
 /// Salt of the audit randomness beacon — a dedicated hash stream so the
@@ -198,7 +198,11 @@ impl Challenger {
     /// chains onto the previous one (genesis after boot or a cold
     /// rejoin).
     pub fn commit_view(&mut self, round: u32, abs: usize, view: &[NodeId]) {
-        let root = view_tree(view).root();
+        let mut fold = IncrementalMerkle::new();
+        for id in view {
+            fold.push_payload(&id.0.to_le_bytes());
+        }
+        let root = fold.root();
         let commitment = match &self.chains[abs] {
             None => ViewCommitment::genesis(round as u64, root),
             Some(prev) => ViewCommitment::chained(prev, round as u64, root),
@@ -364,7 +368,8 @@ impl Challenger {
 }
 
 /// The merkle tree over a view: one leaf per slot, hashing the ID's
-/// little-endian bytes in slot order.
+/// little-endian bytes in slot order. For the audits, which open a leaf;
+/// [`Challenger::commit_view`] folds the same root without the levels.
 fn view_tree(view: &[NodeId]) -> MerkleTree {
     let leaves: Vec<_> = view
         .iter()

@@ -242,10 +242,10 @@ impl AttestationService {
     /// quoting side and the service derive the same key.
     fn platform_sign(platform_id: u64, measurement: Measurement, nonce: [u8; 16]) -> [u8; 32] {
         let key = raptee_crypto::hmac::derive_key(&platform_id.to_le_bytes(), "platform-epid", &[]);
-        let mut msg = Vec::with_capacity(8 + 32 + 16);
-        msg.extend_from_slice(&platform_id.to_le_bytes());
-        msg.extend_from_slice(&measurement.0);
-        msg.extend_from_slice(&nonce);
+        let mut msg = [0u8; 8 + 32 + 16];
+        msg[..8].copy_from_slice(&platform_id.to_le_bytes());
+        msg[8..40].copy_from_slice(&measurement.0);
+        msg[40..].copy_from_slice(&nonce);
         hmac_sha256(&key, &msg)
     }
 }

@@ -14,7 +14,8 @@
 //!   `O(log n)` perfect-subtree peaks; [`IncrementalMerkle::root`]
 //!   pads with the same empty-subtree ladder and folds, so it equals
 //!   the fixed-shape root over the same leaves without ever holding
-//!   the full tree. Used where views are folded slot-by-slot.
+//!   the full tree. Used where only the root is wanted (the audit
+//!   layer's per-round view commitments).
 //!
 //! Hashing is domain-separated ([`leaf_hash`] prefixes `0x00`, interior
 //! nodes `0x01`, the empty pad `0x02`) so a leaf can never be
@@ -28,6 +29,7 @@
 //! rejoin continues where it left off.
 
 use raptee_crypto::sha256::{Digest, Sha256, DIGEST_LEN};
+use std::sync::OnceLock;
 
 /// The all-zero digest used as the genesis `prev` link of a commitment
 /// chain.
@@ -51,14 +53,18 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
 }
 
 /// The empty-subtree digest at `level` (level 0 = the padding leaf,
-/// domain tag `0x02`). A short ladder — views are tiny — recomputed on
-/// demand.
+/// domain tag `0x02`): one ladder as tall as a `usize` leaf count can
+/// need, hashed on first use.
 fn empty_at(level: usize) -> Digest {
-    let mut d = Sha256::digest(&[0x02]);
-    for _ in 0..level {
-        d = node_hash(&d, &d);
-    }
-    d
+    static LADDER: OnceLock<[Digest; usize::BITS as usize]> = OnceLock::new();
+    LADDER.get_or_init(|| {
+        let mut d = Sha256::digest(&[0x02]);
+        std::array::from_fn(|_| {
+            let rung = d;
+            d = node_hash(&d, &d);
+            rung
+        })
+    })[level]
 }
 
 /// An opening of one leaf: its index and the sibling digests from the
@@ -284,6 +290,7 @@ impl ViewCommitment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raptee_crypto::sha256::to_hex;
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {
         (0..n as u64).map(|i| i.to_le_bytes().to_vec()).collect()
@@ -371,7 +378,8 @@ mod tests {
 
     #[test]
     fn incremental_matches_fixed_shape() {
-        for n in 0..=17 {
+        // Spans the 40-, 100- and 128-leaf shapes the workloads commit.
+        for n in 0..=130 {
             let ps = payloads(n);
             let fixed = MerkleTree::from_payloads(&ps);
             let mut inc = IncrementalMerkle::new();
@@ -381,6 +389,23 @@ mod tests {
             assert_eq!(inc.root(), fixed.root(), "n={n}");
             assert_eq!(inc.len(), n);
         }
+    }
+
+    /// Pinned at the commit before the hardware compress kernel: a wrong
+    /// kernel on some future CPU fails here by name.
+    #[test]
+    fn pinned_root_and_commitment_digest() {
+        let root = MerkleTree::from_payloads(&payloads(40)).root();
+        assert_eq!(
+            to_hex(&root),
+            "c4d019a45bb314beff96c5b7dcc8ab9005748e924698cc3d52395ca684718faa"
+        );
+        let c0 = ViewCommitment::genesis(3, root);
+        let c1 = ViewCommitment::chained(&c0, 4, MerkleTree::from_payloads(&payloads(5)).root());
+        assert_eq!(
+            to_hex(&c1.digest()),
+            "e65b2b30d37be262e239d50bff92011c126c928e789edc635907a08beba303da"
+        );
     }
 
     #[test]
