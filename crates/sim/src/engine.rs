@@ -1119,6 +1119,12 @@ impl Simulation {
         self.ranked(id).and_then(RankedNode::as_honeybee)
     }
 
+    /// The event-network substrate (`None` under
+    /// [`NetworkModel::Rounds`](crate::scenario::NetworkModel::Rounds)).
+    pub fn event_net(&self) -> Option<&EventNet> {
+        self.net.as_ref()
+    }
+
     /// Executes the full run and returns the collected metrics.
     pub fn run(mut self) -> RunResult {
         for _ in 0..self.scenario.rounds {
@@ -1130,8 +1136,8 @@ impl Simulation {
     /// Executes one round (public so tests can single-step).
     pub fn run_round(&mut self) {
         self.limiter.next_round();
-        // Event model: consume this round's SelfNotif round-timer tick
-        // and drain every envelope due inside the round window.
+        // Event model: take over every message arriving inside this
+        // round's window.
         if let Some(net) = &mut self.net {
             net.begin_round(self.round);
         }
@@ -1905,21 +1911,24 @@ impl Simulation {
                     if ans.ci as usize != ci {
                         continue;
                     }
-                    // First delivered copy claims the answer nonce;
+                    // The first delivered copy claims the exchange;
                     // deadline retransmits and injected duplicates are
                     // suppressed.
-                    let fresh = self.net.as_mut().is_none_or(|n| n.accept_answer(ans.nonce));
-                    if !fresh || !s.live[ci] {
+                    let net = self.net.as_mut().expect("due answers come from the net");
+                    if !net.accept_answer(ans) || !s.live[ci] {
                         continue;
                     }
+                    let ids = net.due_ids(ans);
                     if is_ranked {
-                        self.rank_answer(ci, ans.from, &ans.ids, false);
+                        s.reply.clear();
+                        s.reply.extend(ids.iter().map(|&idx| widen(idx)));
+                        self.rank_answer(ci, ans.from, &s.reply, false);
                     } else {
-                        let a0 = s.arena.len() as u32;
-                        s.arena.extend(ans.ids.iter().map(|&id| narrow(id)));
+                        let start = s.arena.len() as u32;
+                        s.arena.extend_from_slice(ids);
                         s.events.push(PullEvent::Arena {
-                            start: a0,
-                            len: ans.ids.len() as u32,
+                            start,
+                            len: ids.len() as u32,
                         });
                     }
                 }
@@ -1949,9 +1958,6 @@ impl Simulation {
             }
         }
         s.event_start[pop] = s.events.len() as u32;
-        if let Some(net) = self.net.as_mut() {
-            net.restore_due_answers(due);
-        }
 
         // Phase 3b (sequential): proactive trusted exchanges of the
         // Raptee segment. Each trusted node initiates one exchange with
@@ -2384,9 +2390,8 @@ impl Simulation {
             if let PullGate::Deferred { round, held } = gate {
                 // The answer is drawn now but lands in a later round.
                 self.adversary.pull_answer_into(&mut s.reply);
-                let ids = s.reply.clone();
                 if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
+                    net.queue_answer(round, held, requester_ci as u32, target, &s.reply);
                 }
             } else {
                 // Only the draws happen here; the parallel apply phase
@@ -2451,13 +2456,11 @@ impl Simulation {
                 // materialise the responder's view *now* (the answer
                 // reflects the state at request time) and deliver it in
                 // a later round.
-                let ids: Vec<NodeId> = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
-                    .brahms()
-                    .view()
-                    .ids()
-                    .collect();
+                s.reply.clear();
+                let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
+                s.reply.extend(responder.brahms().view().ids());
                 if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
+                    net.queue_answer(round, held, requester_ci as u32, target, &s.reply);
                 }
             } else if !s.view_mutated[tc] {
                 // An untrusted answer is the responder's full view at
@@ -2482,9 +2485,8 @@ impl Simulation {
                 raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
                     .record_trusted_pull(&s.reply);
             } else if let PullGate::Deferred { round, held } = gate {
-                let ids = s.reply.clone();
                 if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
+                    net.queue_answer(round, held, requester_ci as u32, target, &s.reply);
                 }
             } else {
                 let start = s.arena.len() as u32;
@@ -2545,7 +2547,7 @@ impl Simulation {
             // The answer reflects the responder's state at request time
             // but ranks at the requester in a later round.
             if let Some(net) = self.net.as_mut() {
-                net.queue_answer(round, held, requester_ci as u32, target, s.reply.clone());
+                net.queue_answer(round, held, requester_ci as u32, target, &s.reply);
             }
         } else {
             self.rank_answer(requester_ci, target, &s.reply, both_trusted);
@@ -2748,8 +2750,7 @@ impl Simulation {
             only.stability_round = stability_round;
         }
         // Virtual time: event runs measure ticks, round runs count one
-        // tick per round. `finish` drains the queue, counting messages
-        // still in flight.
+        // tick per round. `finish` counts the messages still in flight.
         let (virtual_ticks, net) = match self.net {
             Some(n) => (self.round as u64 * n.round_ticks(), Some(n.finish())),
             None => (self.round as u64, None),

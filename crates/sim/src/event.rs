@@ -2,12 +2,10 @@
 //!
 //! The round engine in [`crate::engine`] is lockstep: every message sent
 //! in round `r` arrives in round `r`. This module adds the asynchronous
-//! counterpart — an [`EventNet`] that routes the same protocol messages
-//! ([`raptee::wire::Message`] payloads) through a deterministic
-//! binary-heap [`EventQueue`] ordered by `(time, seq)`, with per-link
-//! latency ([`LatencyModel`]), partition/healing schedules
-//! ([`PartitionWindow`]) and NAT-like asymmetric reachability
-//! ([`Reachability::Nat`]).
+//! counterpart — an [`EventNet`] that gives every protocol message a
+//! per-link latency ([`LatencyModel`]), holds it at partition boundaries
+//! ([`PartitionWindow`]), bounces it off NATs ([`Reachability::Nat`]) and
+//! delivers it in the round its arrival tick falls into.
 //!
 //! The protocol cores are *not* rewritten: [`crate::engine::Simulation`]
 //! keeps its phase-parallel round structure and per-node round timers,
@@ -15,34 +13,66 @@
 //! leaves a node — each honest or adversarial push, each pull
 //! request/answer exchange. A message whose arrival time falls inside
 //! the sending round is delivered through the unchanged historical code
-//! path; a message that crosses a round boundary is queued as a timed
-//! [`Envelope`] and drained into the receiving round by
-//! [`EventNet::begin_round`] (a `SelfNotif` round-timer event marks each
-//! round boundary on the same queue). With the all-zero
-//! [`EventNetConfig`] every gate is a pass-through, which is why the
-//! event engine reproduces the round engine **bit-for-bit** at zero
-//! latency (`tests/asynchrony.rs`).
+//! path; a message that crosses a round boundary is filed in the
+//! calendar and handed to the receiving round by
+//! [`EventNet::begin_round`]. With the all-zero [`EventNetConfig`] every
+//! gate is a pass-through, which is why the event engine reproduces the
+//! round engine **bit-for-bit** at zero latency (`tests/asynchrony.rs`).
+//!
+//! # The round calendar
+//!
+//! The engine only ever asks "what arrives during round `r`?", so the
+//! store is a calendar with one bucket per *arrival round* rather than a
+//! priority queue over ticks:
+//!
+//! * A late push is one 24-byte `Copy` record appended to the push
+//!   bucket of its arrival round; one copy of a late pull answer is one
+//!   32-byte [`DueAnswer`] appended to the answer bucket of its arrival
+//!   round. A record that would arrive after the run ends is counted
+//!   (`in_flight_at_end`) and never stored.
+//! * Delivery order is ascending `(arrival tick, filing order)`. Records
+//!   are filed from the engine's sequential control passes, so the order
+//!   inside a bucket *is* the filing order, and a **stable** sort of the
+//!   bucket by arrival tick yields exactly the `(time, seq)` order a
+//!   min-heap with a monotone sequence number pops — which is what this
+//!   module stored its messages in before, and what the differential
+//!   test against `reference::HeapNet` pins.
+//! * An answered view is written **once**, as [`NodeIdx`], however many
+//!   copies of the answer travel (the primary, deadline retransmits, an
+//!   injected duplicate). It lives in the payload group of the *last*
+//!   arrival round among those copies, and the group — one flat arena
+//!   plus a slot table — is released when that round is over. The
+//!   slot's `applied` bit is the exchange's dedup state: the first copy
+//!   presented to [`EventNet::accept_answer`] sets it, later copies are
+//!   suppressed, and releasing the group retires it
+//!   (`nonce_evictions`).
+//!
+//! [`EventQueue`], the `(time, seq)` min-heap, is no longer on the
+//! engine's path. It stays public for the scheduler property tests in
+//! `tests/asynchrony.rs` and the benchmark's `queue_push_pop_ns` probe.
 //!
 //! # Determinism
 //!
 //! Latency draws and round-timer offsets are *hash-derived* from
 //! `(seed, link, message counter)` — no shared RNG stream is consumed,
 //! so enabling the substrate never perturbs the protocol or loss RNG
-//! draw order. All queue mutations happen in the engine's sequential
-//! control passes, so the `(time, seq)` order — and therefore every
-//! delivery — is independent of `RAYON_NUM_THREADS` (pinned by the
-//! event-family goldens in `tests/determinism.rs`).
+//! draw order. Every record is filed from the engine's sequential
+//! control passes, so the delivery order is independent of
+//! `RAYON_NUM_THREADS` (pinned by the event-family goldens in
+//! `tests/determinism.rs`).
 
 use crate::engine::Simulation;
 use crate::metrics::{NetRunStats, RunResult};
 use crate::scenario::{
     EventNetConfig, LatencyModel, NetworkModel, PartitionWindow, Reachability, Scenario,
 };
-use raptee::wire::Message;
 use raptee_net::{NodeId, NodeIdx};
 use raptee_util::rng::mix64;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
+
+#[cfg(test)]
+mod reference;
 
 /// A deterministic min-ordered event queue.
 ///
@@ -154,7 +184,7 @@ impl<T> EventQueue<T> {
 /// counting-sorted run or the adversary's run. The split cannot be
 /// derived from the advertised identity (injected poisoned nodes
 /// advertise honest-range IDs through the adversary's lane), so the lane
-/// travels with the envelope.
+/// travels with the record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Honest pushes — delivered before the adversary's, as in the round
@@ -164,60 +194,65 @@ pub enum Lane {
     Adversary,
 }
 
-/// A timed protocol event in flight. The payload is the wire-level
-/// [`Message`]; routing metadata (receiver, lane, partition-hold flag)
-/// rides alongside it.
-#[derive(Debug, Clone)]
-pub enum Envelope {
-    /// A round-timer tick: the boundary event that opens round `round`.
-    /// One is scheduled per round at construction;
-    /// [`EventNet::begin_round`] consumes it.
-    SelfNotif {
-        /// The round this tick opens.
-        round: usize,
-    },
-    /// A push request in flight ([`Message::Push`]).
-    Request {
-        /// Absolute actor index of the receiver.
-        dst: u32,
-        /// Honest or adversarial delivery bucket.
-        lane: Lane,
-        /// Whether a partition cut held this message back.
-        held: bool,
-        /// The wire payload.
-        msg: Message,
-    },
-    /// A pull answer in flight ([`Message::PullAnswer`]).
-    Reply {
-        /// Correct-population index of the requester.
-        ci: u32,
-        /// The responder's wire identity.
-        from: NodeId,
-        /// Whether a partition cut held this message back.
-        held: bool,
-        /// Exchange nonce: every copy of the same answer (deadline
-        /// retransmits, injected duplicates) carries the same value, so
-        /// the engine's dedup applies at most one.
-        nonce: u64,
-        /// The wire payload.
-        msg: Message,
-    },
+/// A push in flight: one record in the bucket of its arrival round.
+#[derive(Debug, Clone, Copy)]
+struct PushRecord {
+    /// Arrival tick — the delivery order inside the bucket.
+    arrival: u64,
+    /// Absolute actor index of the receiver.
+    dst: u32,
+    /// The advertised identity, narrowed for the survivor list.
+    sender: NodeIdx,
+    lane: Lane,
+    /// Whether a partition cut held this message back.
+    held: bool,
 }
 
-/// A pull answer due this round, drained from the queue by
-/// [`EventNet::begin_round`] and injected at the head of the requester's
-/// pull phase.
-#[derive(Debug, Clone)]
+/// One copy of a pull answer: in flight it is a record in the bucket of
+/// its arrival round; once [`EventNet::begin_round`] hands it over it is
+/// the handle the engine reads the answered view through
+/// ([`EventNet::due_ids`]) and claims the exchange with
+/// ([`EventNet::accept_answer`]). Valid for the round it is due in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DueAnswer {
-    /// Correct-population index of the requester.
-    pub ci: u32,
+    /// Arrival tick — the delivery order per requester.
+    arrival: u64,
     /// The responder's wire identity.
     pub from: NodeId,
-    /// Exchange nonce — pass to [`EventNet::accept_answer`] before
-    /// applying; duplicates of an already-applied answer return `false`.
-    pub nonce: u64,
-    /// The answered view.
-    pub ids: Vec<NodeId>,
+    /// Correct-population index of the requester.
+    pub ci: u32,
+    /// Payload group holding the answered view.
+    group: u32,
+    /// The exchange's slot in that group. Every copy of one answer
+    /// (deadline retransmits, injected duplicates) names the same slot,
+    /// so the engine applies at most one.
+    slot: u32,
+    /// Whether a partition cut held this message back.
+    held: bool,
+}
+
+impl DueAnswer {
+    /// Identifies the exchange this copy belongs to: equal for every
+    /// copy of one answer, distinct between the answers of a run.
+    pub fn exchange(&self) -> (u32, u32) {
+        (self.group, self.slot)
+    }
+}
+
+/// The answered views whose last copy arrives in one round: a flat ID
+/// arena plus one slot per exchange.
+#[derive(Debug, Clone, Default)]
+struct PayloadGroup {
+    ids: Vec<NodeIdx>,
+    slots: Vec<PayloadSlot>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct PayloadSlot {
+    start: u32,
+    len: u32,
+    /// Whether a copy of this exchange has been applied.
+    applied: bool,
 }
 
 /// The substrate's verdict on one pull exchange.
@@ -256,10 +291,11 @@ pub struct EventNet {
     /// First NAT-ted absolute actor index (== `total` when reachability
     /// is full).
     natted_from: usize,
-    /// Punched NAT holes: `(natted node, peer) -> round of last outbound
-    /// contact`. A plain HashMap — never iterated, only point-queried,
-    /// so its order cannot leak into results.
-    holes: HashMap<(u32, u32), usize>,
+    /// Punched NAT holes: `pair_key(natted node, peer) -> round of last
+    /// outbound contact`, swept of expired entries at every round open.
+    /// A plain HashMap — its order never reaches a result (point
+    /// queries, and a sweep that only removes).
+    holes: HashMap<u64, usize>,
     /// Per-message counter salting the latency hash, bumped in
     /// sequential control order.
     msg_seq: u64,
@@ -268,30 +304,41 @@ pub struct EventNet {
     /// advance `msg_seq`, so the protocol-visible latency sequence of a
     /// run is identical whether the injectors are on or off.
     fault_seq: u64,
-    /// Next exchange nonce (0 is never issued).
-    next_nonce: u64,
-    /// Nonces whose answer has already been applied (point-queried
-    /// only — set order cannot leak into results).
-    seen_nonces: HashSet<u64>,
-    /// Retirement schedule bounding `seen_nonces`: `(last possible
-    /// arrival round, nonce)` min-heap, swept at each round open. Every
-    /// copy of a nonce is queued at `queue_answer` time, so its last
-    /// arrival round is known exactly — the sweep can never evict a
-    /// nonce that could still be presented, keeping dedup behaviour
-    /// byte-identical while the set stays bounded on long runs.
-    nonce_retire: BinaryHeap<Reverse<(usize, u64)>>,
     /// Deadline-expired answer copies of the pull currently being
-    /// gated: `(arrival tick, held)` recorded by the retry loop, queued
-    /// (with the shared nonce) when the engine materialises the answer.
+    /// gated: `(arrival tick, held)` recorded by the retry loop, filed
+    /// (under the shared payload slot) when the engine materialises the
+    /// answer.
     dup_pending: Vec<(u64, bool)>,
-    queue: EventQueue<Envelope>,
+    /// Late pushes by arrival round (`rounds` buckets).
+    pushes: Vec<Vec<PushRecord>>,
+    /// Late answer copies by arrival round (`rounds` buckets).
+    replies: Vec<Vec<DueAnswer>>,
+    /// Answered views by the arrival round of their last copy. The
+    /// extra group `rounds` holds the exchanges whose last copy outlives
+    /// the run; it is never retired.
+    groups: Vec<PayloadGroup>,
+    /// Buckets below this index have been handed over.
+    opened: usize,
+    /// Payload groups below this index have been released.
+    freed: usize,
     /// This round's due pushes, honest lane: `(receiver, advertised)`
     /// pairs ready to head the survivor list.
     due_honest: Vec<(u32, NodeIdx)>,
     /// This round's due pushes, adversary lane.
     due_byz: Vec<(u32, NodeIdx)>,
-    /// This round's due pull answers, stably sorted by requester.
+    /// This round's due pull answers, by requester, then arrival.
     due_answers: Vec<DueAnswer>,
+    /// Late messages that would arrive after the last round: counted,
+    /// never stored.
+    past_horizon: u64,
+    /// Records handed over so far — with `applied`, the bookkeeping
+    /// behind [`EventNet::check_conservation`].
+    drained_pushes: u64,
+    drained_answers: u64,
+    /// Answer copies accepted so far.
+    applied: u64,
+    /// Records filed in the calendar with their partition-hold flag set.
+    filed_held: u64,
     stats: NetRunStats,
 }
 
@@ -315,28 +362,29 @@ impl EventNet {
                 total - ((fraction * correct as f64).ceil() as usize).min(correct)
             }
         };
-        let mut queue = EventQueue::new();
-        // The per-round SelfNotif ticks: the round-timer events that
-        // anchor every round window on the shared queue.
-        for r in 0..scenario.rounds {
-            queue.push(r as u64 * cfg.round_ticks, Envelope::SelfNotif { round: r });
-        }
+        let rounds = scenario.rounds;
         Self {
             seed: scenario.seed ^ 0xE7E7_4E75_C0DE_D00D,
             total,
-            rounds: scenario.rounds,
+            rounds,
             natted_from,
             holes: HashMap::new(),
             msg_seq: 0,
             fault_seq: 0,
-            next_nonce: 0,
-            seen_nonces: HashSet::new(),
-            nonce_retire: BinaryHeap::new(),
             dup_pending: Vec::new(),
-            queue,
+            pushes: vec![Vec::new(); rounds],
+            replies: vec![Vec::new(); rounds],
+            groups: vec![PayloadGroup::default(); rounds + 1],
+            opened: 0,
+            freed: 0,
             due_honest: Vec::new(),
             due_byz: Vec::new(),
             due_answers: Vec::new(),
+            past_horizon: 0,
+            drained_pushes: 0,
+            drained_answers: 0,
+            applied: 0,
+            filed_held: 0,
             stats: NetRunStats::default(),
             cfg,
         }
@@ -347,78 +395,70 @@ impl EventNet {
         self.cfg.round_ticks
     }
 
-    /// Opens round `round`: consumes the round's `SelfNotif` tick and
-    /// drains every envelope scheduled inside the round window into the
-    /// due buckets (pushes per lane; answers stably sorted by
-    /// requester).
+    /// Opens round `round` (later than every round opened before, and
+    /// inside the run): hands every record arriving up to and including
+    /// this round to the due buckets — pushes per lane in arrival order;
+    /// answers by requester, in arrival order within one — and retires
+    /// what the rounds now over leave behind.
     pub fn begin_round(&mut self, round: usize) {
+        assert!(
+            self.opened <= round && round < self.rounds,
+            "rounds open in ascending order, inside the run"
+        );
         self.due_honest.clear();
         self.due_byz.clear();
         self.due_answers.clear();
-        // Generation sweep: retire nonces whose last possible arrival
-        // round has passed — no remaining copy can present them, so
-        // removal is invisible to the dedup semantics.
-        while let Some(&Reverse((last_round, nonce))) = self.nonce_retire.peek() {
-            if last_round >= round {
-                break;
-            }
-            self.nonce_retire.pop();
-            if self.seen_nonces.remove(&nonce) {
-                self.stats.nonce_evictions += 1;
-            }
+        // A hole that has expired by now is closed to every later
+        // lookup, so dropping it is invisible.
+        if let Reachability::Nat { hole_ttl, .. } = self.cfg.reachability {
+            self.holes
+                .retain(|_, &mut punched| punched + hole_ttl >= round);
         }
-        let horizon = (round as u64 + 1) * self.cfg.round_ticks;
-        let mut ticked = false;
-        while let Some((_, _, env)) = self.queue.pop_before(horizon) {
-            match env {
-                Envelope::SelfNotif { round: r } => {
-                    debug_assert_eq!(r, round, "round-timer ticks fire in order");
-                    ticked = true;
-                }
-                Envelope::Request {
-                    dst,
-                    lane,
-                    held,
-                    msg,
-                } => {
-                    let Message::Push { sender } = msg else {
-                        unreachable!("requests carry push payloads")
-                    };
-                    if held {
-                        self.stats.partition_released += 1;
-                    }
-                    let pair = (dst, NodeIdx(sender.0 as u32));
-                    match lane {
-                        Lane::Honest => self.due_honest.push(pair),
-                        Lane::Adversary => self.due_byz.push(pair),
-                    }
-                }
-                Envelope::Reply {
-                    ci,
-                    from,
-                    held,
-                    nonce,
-                    msg,
-                } => {
-                    let Message::PullAnswer { ids } = msg else {
-                        unreachable!("replies carry pull-answer payloads")
-                    };
-                    if held {
-                        self.stats.partition_released += 1;
-                    }
-                    self.due_answers.push(DueAnswer {
-                        ci,
-                        from,
-                        nonce,
-                        ids,
-                    });
+        // A payload group retires once its round is over: no copy of its
+        // exchanges is still in flight, so their dedup state goes. The
+        // groups of *skipped* rounds retire here too, although their
+        // copies are only being delivered now — a driver that skips
+        // rounds gets them again as fresh, exactly as from the heap
+        // substrate — so those stay allocated for one more round.
+        for group in &mut self.groups[self.opened.saturating_sub(1)..round] {
+            for slot in &mut group.slots {
+                if std::mem::take(&mut slot.applied) {
+                    self.stats.nonce_evictions += 1;
                 }
             }
         }
-        debug_assert!(ticked, "every round window contains its SelfNotif tick");
-        // Stable sort: per requester, answers keep their (time, seq)
-        // arrival order.
-        self.due_answers.sort_by_key(|a| a.ci);
+        for group in &mut self.groups[self.freed..self.opened] {
+            *group = PayloadGroup::default();
+        }
+        self.freed = self.opened;
+        // Buckets are disjoint, ascending tick ranges, so sorting each
+        // by arrival and concatenating is the global order. The sorts
+        // must be stable: ties keep their filing order.
+        for bucket in self.opened..=round {
+            let mut pushes = std::mem::take(&mut self.pushes[bucket]);
+            pushes.sort_by_key(|p| p.arrival);
+            self.drained_pushes += pushes.len() as u64;
+            for p in pushes {
+                self.stats.partition_released += u64::from(p.held);
+                let due = match p.lane {
+                    Lane::Honest => &mut self.due_honest,
+                    Lane::Adversary => &mut self.due_byz,
+                };
+                due.push((p.dst, p.sender));
+            }
+            let replies = std::mem::take(&mut self.replies[bucket]);
+            // Unless rounds were skipped there is one bucket, taken whole.
+            if self.due_answers.is_empty() {
+                self.due_answers = replies;
+            } else {
+                self.due_answers.extend(replies);
+            }
+        }
+        self.drained_answers += self.due_answers.len() as u64;
+        self.stats.partition_released += self.due_answers.iter().filter(|a| a.held).count() as u64;
+        self.due_answers.sort_by_key(|a| (a.ci, a.arrival));
+        self.opened = round + 1;
+        debug_assert_eq!(self.check_conservation(), Ok(()));
     }
 
     /// Moves this round's due pushes of `lane` to the head of
@@ -435,7 +475,7 @@ impl EventNet {
     /// Routes one push from actor `src` to actor `dst` advertising
     /// `advertised`. Returns `true` when the message lands inside the
     /// sending round (deliver through the unchanged inline path), `false`
-    /// when it was queued for a later round or blocked by the NAT.
+    /// when it was filed for a later round or blocked by the NAT.
     pub fn send_push(
         &mut self,
         round: usize,
@@ -447,7 +487,7 @@ impl EventNet {
         if self.natted(src) {
             // Outbound contact punches the return hole peers need to
             // reach this node.
-            self.holes.insert((src as u32, dst as u32), round);
+            self.holes.insert(pair_key(src, dst), round);
         }
         if self.natted(dst) && !self.hole_open(dst, src, round) {
             self.stats.nat_blocked += 1;
@@ -455,7 +495,7 @@ impl EventNet {
         }
         let ticks = self.cfg.round_ticks;
         let send = round as u64 * ticks + self.offset(src);
-        let (mut arrival, _) = (send + self.latency(src, dst), ());
+        let mut arrival = send + self.latency(src, dst);
         let held = self.partition_clamp(src, dst, &mut arrival);
         if held {
             self.stats.partition_held += 1;
@@ -465,15 +505,19 @@ impl EventNet {
             return true;
         }
         self.stats.late_deliveries += 1;
-        self.queue.push(
-            arrival,
-            Envelope::Request {
+        if arrival_round >= self.rounds {
+            self.past_horizon += 1;
+        } else {
+            debug_assert!(arrival_round >= self.opened, "that round is already open");
+            self.filed_held += u64::from(held);
+            self.pushes[arrival_round].push(PushRecord {
+                arrival,
                 dst: dst as u32,
+                sender: NodeIdx(advertised.0 as u32),
                 lane,
                 held,
-                msg: Message::Push { sender: advertised },
-            },
-        );
+            });
+        }
         false
     }
 
@@ -486,9 +530,9 @@ impl EventNet {
     /// connection re-attempts after bounded exponential backoff plus
     /// hash-derived jitter (a cut that heals before the re-attempt
     /// succeeds); an answer that would miss the deadline is treated as
-    /// lost and retried, while the late copy still arrives and carries
-    /// the *same* nonce — exercising the dedup in the engine's answer
-    /// path. The first attempt consumes draws exactly like the
+    /// lost and retried, while the late copy still arrives and names
+    /// the *same* payload slot — exercising the dedup in the engine's
+    /// answer path. The first attempt consumes draws exactly like the
     /// retry-free gate, so the all-off config stays byte-identical.
     pub fn gate_pull(&mut self, round: usize, req: usize, tgt: usize) -> PullGate {
         debug_assert!(self.dup_pending.is_empty(), "pending copies were drained");
@@ -506,7 +550,7 @@ impl EventNet {
             // Each attempt is an outbound contact: it re-punches the
             // requester's NAT hole at its own departure round.
             if self.natted(req) {
-                self.holes.insert((req as u32, tgt as u32), depart_round);
+                self.holes.insert(pair_key(req, tgt), depart_round);
             }
             let refused = if self.natted(tgt) && !self.hole_open(tgt, req, depart_round) {
                 self.stats.nat_blocked += 1;
@@ -537,7 +581,7 @@ impl EventNet {
                 // Deadline expired: the requester assumes loss and
                 // retries. The late copy is still in flight — record it
                 // so the materialised answer is also delivered at this
-                // arrival, under the shared nonce.
+                // arrival, under the shared payload slot.
                 self.dup_pending.push((arrival, held));
                 depart += self.backoff(attempt, req, tgt);
                 continue;
@@ -570,23 +614,25 @@ impl EventNet {
         (base << attempt.min(16)) + self.fault_draw(req, tgt) % base.max(1)
     }
 
-    /// Queues a materialised pull answer for delivery at `round` (as
-    /// returned by [`PullGate::Deferred`]), plus every pending
-    /// deadline-retransmit copy and any injected duplicate — all under
-    /// one fresh nonce, so the engine applies exactly one copy.
+    /// Files a materialised pull answer for delivery at `round` (as
+    /// returned by [`PullGate::Deferred`], so later than the open
+    /// round), plus every pending deadline-retransmit copy and any
+    /// injected duplicate. `ids` — dense actor identities — is stored
+    /// once, in the payload group of the last copy's arrival round, and
+    /// every copy names that one slot, so the engine applies exactly one.
     pub fn queue_answer(
         &mut self,
         round: usize,
         held: bool,
         ci: u32,
         from: NodeId,
-        ids: Vec<NodeId>,
+        ids: &[NodeId],
     ) {
-        self.next_nonce += 1;
-        let nonce = self.next_nonce;
-        let primary = round as u64 * self.cfg.round_ticks;
-        let mut copies: Vec<(u64, bool)> = vec![(primary, held)];
-        copies.append(&mut self.dup_pending);
+        let ticks = self.cfg.round_ticks;
+        let primary = round as u64 * ticks;
+        // The copies in filing order: the primary, the retransmits the
+        // gate recorded, the injected duplicate.
+        self.dup_pending.insert(0, (primary, held));
         if self.cfg.duplicate_rate > 0.0
             && unit(self.fault_draw(ci as usize, from.0 as usize)) < self.cfg.duplicate_rate
         {
@@ -597,25 +643,55 @@ impl EventNet {
             } else {
                 0
             };
-            copies.push((primary + extra, held));
+            self.dup_pending.push((primary + extra, held));
         }
-        let last_arrival = copies.iter().map(|&(a, _)| a).max().unwrap_or(primary);
-        self.nonce_retire.push(Reverse((
-            (last_arrival / self.cfg.round_ticks) as usize,
-            nonce,
-        )));
-        for (arrival, held) in copies {
-            self.stats.late_deliveries += 1;
-            self.queue.push(
+        self.stats.late_deliveries += self.dup_pending.len() as u64;
+        let rounds = self.rounds;
+        let arrival_round = |arrival: u64| (arrival / ticks) as usize;
+        let landing = self
+            .dup_pending
+            .iter()
+            .filter(|&&(arrival, _)| arrival_round(arrival) < rounds)
+            .count();
+        self.past_horizon += (self.dup_pending.len() - landing) as u64;
+        if landing == 0 {
+            // Nothing arrives inside the run: there is no view to keep.
+            self.dup_pending.clear();
+            return;
+        }
+        let last_round = self
+            .dup_pending
+            .iter()
+            .map(|&(arrival, _)| arrival_round(arrival))
+            .max()
+            .expect("the primary copy is always present");
+        let group = last_round.min(rounds);
+        let payload = &mut self.groups[group];
+        let offset = |len: usize| u32::try_from(len).expect("one round's answers fit u32 offsets");
+        let slot = offset(payload.slots.len());
+        payload.slots.push(PayloadSlot {
+            start: offset(payload.ids.len()),
+            len: offset(ids.len()),
+            applied: false,
+        });
+        payload
+            .ids
+            .extend(ids.iter().map(|id| NodeIdx(id.0 as u32)));
+        for (arrival, held) in self.dup_pending.drain(..) {
+            let bucket = arrival_round(arrival);
+            if bucket >= rounds {
+                continue;
+            }
+            debug_assert!(bucket >= self.opened, "that round is already open");
+            self.filed_held += u64::from(held);
+            self.replies[bucket].push(DueAnswer {
                 arrival,
-                Envelope::Reply {
-                    ci,
-                    from,
-                    held,
-                    nonce,
-                    msg: Message::PullAnswer { ids: ids.clone() },
-                },
-            );
+                from,
+                ci,
+                group: group as u32,
+                slot,
+                held,
+            });
         }
     }
 
@@ -627,42 +703,115 @@ impl EventNet {
         self.dup_pending.clear();
     }
 
-    /// Whether this answer nonce is fresh. The engine consults this
-    /// before applying a due answer: the first copy claims the nonce,
-    /// every later duplicate (deadline retransmit, injected copy)
-    /// returns `false` and is counted as suppressed — the idempotence
-    /// guarantee of the wire path.
-    pub fn accept_answer(&mut self, nonce: u64) -> bool {
-        if self.seen_nonces.insert(nonce) {
-            true
-        } else {
+    /// The answered view of a due answer.
+    pub fn due_ids(&self, answer: &DueAnswer) -> &[NodeIdx] {
+        let group = &self.groups[answer.group as usize];
+        let slot = group.slots[answer.slot as usize];
+        &group.ids[slot.start as usize..][..slot.len as usize]
+    }
+
+    /// Whether this due answer is the first copy of its exchange. The
+    /// engine consults this before applying a due answer: the first
+    /// copy claims the exchange, every later duplicate (deadline
+    /// retransmit, injected copy) returns `false` and is counted as
+    /// suppressed — the idempotence guarantee of the wire path.
+    pub fn accept_answer(&mut self, answer: &DueAnswer) -> bool {
+        let slot = &mut self.groups[answer.group as usize].slots[answer.slot as usize];
+        if slot.applied {
             self.stats.duplicates_suppressed += 1;
             false
+        } else {
+            slot.applied = true;
+            self.applied += 1;
+            true
         }
     }
 
-    /// Takes this round's due answers (sorted by requester). The engine
-    /// hands the buffer back through [`EventNet::restore_due_answers`]
-    /// so the allocation is reused.
+    /// Takes this round's due answers (by requester, then arrival).
     pub fn take_due_answers(&mut self) -> Vec<DueAnswer> {
         std::mem::take(&mut self.due_answers)
     }
 
-    /// Returns the due-answer buffer after the round consumed it.
-    pub fn restore_due_answers(&mut self, mut buf: Vec<DueAnswer>) {
-        buf.clear();
-        self.due_answers = buf;
+    /// Finalises the run: whatever the calendar still holds, and
+    /// whatever was due after the last round, is in flight forever.
+    pub fn finish(mut self) -> NetRunStats {
+        debug_assert_eq!(self.check_conservation(), Ok(()));
+        self.stats.in_flight_at_end = self.bucketed() + self.past_horizon;
+        self.stats
     }
 
-    /// Finalises the run: anything still queued past the last round is
-    /// in flight forever.
-    pub fn finish(mut self) -> NetRunStats {
-        while let Some((_, _, env)) = self.queue.pop() {
-            if !matches!(env, Envelope::SelfNotif { .. }) {
-                self.stats.in_flight_at_end += 1;
+    /// Records still waiting in the calendar.
+    fn bucketed(&self) -> u64 {
+        let pushes: usize = self.pushes.iter().map(Vec::len).sum();
+        let replies: usize = self.replies.iter().map(Vec::len).sum();
+        (pushes + replies) as u64
+    }
+
+    /// The message-conservation invariant of the substrate, checked at
+    /// every round open and at the end of the run in debug builds:
+    ///
+    /// * every late delivery is accounted for — handed over, still in
+    ///   the calendar, or due after the run;
+    /// * every message filed as held at a partition was released or is
+    ///   still in the calendar (an injected duplicate of a held answer
+    ///   is itself held, so `partition_released` may exceed
+    ///   `partition_held`, which counts exchanges);
+    /// * every answer copy handed over was applied or suppressed at
+    ///   most once;
+    /// * an opened bucket is empty, and so is a released payload group;
+    /// * every answer copy in the calendar names a payload slot that
+    ///   exists, in a group that outlives the copy.
+    ///
+    /// Returns the first violation found.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let s = &self.stats;
+        let drained = self.drained_pushes + self.drained_answers;
+        let accounted = drained + self.bucketed() + self.past_horizon;
+        if s.late_deliveries != accounted {
+            return Err(format!(
+                "{} late deliveries, but {drained} handed over + {} in the calendar + {} past \
+                 the horizon",
+                s.late_deliveries,
+                self.bucketed(),
+                self.past_horizon
+            ));
+        }
+        let pushes = self.pushes.iter().flatten().filter(|p| p.held).count();
+        let replies = self.replies.iter().flatten().filter(|a| a.held).count();
+        let waiting = (pushes + replies) as u64;
+        if s.partition_released + waiting != self.filed_held {
+            return Err(format!(
+                "{} held messages filed, but {} released + {waiting} in the calendar",
+                self.filed_held, s.partition_released
+            ));
+        }
+        if self.applied + s.duplicates_suppressed > self.drained_answers {
+            return Err(format!(
+                "{} answers applied + {} suppressed out of {} handed over",
+                self.applied, s.duplicates_suppressed, self.drained_answers
+            ));
+        }
+        for bucket in 0..self.opened {
+            if !self.pushes[bucket].is_empty() || !self.replies[bucket].is_empty() {
+                return Err(format!("opened bucket {bucket} still holds records"));
             }
         }
-        self.stats
+        for (g, group) in self.groups[..self.freed].iter().enumerate() {
+            if !(group.ids.is_empty() && group.slots.is_empty()) {
+                return Err(format!("released payload group {g} still holds a payload"));
+            }
+        }
+        for (bucket, replies) in self.replies.iter().enumerate() {
+            for copy in replies {
+                let (g, slot) = (copy.group as usize, copy.slot as usize);
+                if g < bucket || slot >= self.groups[g].slots.len() {
+                    return Err(format!(
+                        "an answer copy due in round {bucket} names slot {slot} of payload group {g}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Read access to the running statistics (tests).
@@ -675,14 +824,21 @@ impl EventNet {
     }
 
     /// Whether `src` can traverse `natted_dst`'s NAT in `round`: the
-    /// destination contacted `src` within the hole TTL.
+    /// destination contacted `src` within the hole TTL. A retry's
+    /// backoff can date a hole in the round *after* the one it was
+    /// gated in; to a lookup from the earlier round that hole is not
+    /// open yet.
     fn hole_open(&self, natted_dst: usize, src: usize, round: usize) -> bool {
         let Reachability::Nat { hole_ttl, .. } = self.cfg.reachability else {
             return true;
         };
         self.holes
-            .get(&(natted_dst as u32, src as u32))
-            .is_some_and(|&opened| round - opened <= hole_ttl)
+            .get(&pair_key(natted_dst, src))
+            .is_some_and(|&punched| {
+                round
+                    .checked_sub(punched)
+                    .is_some_and(|age| age <= hole_ttl)
+            })
     }
 
     /// Whether an active partition window separates `a` and `b` in
@@ -764,7 +920,7 @@ impl EventNet {
     /// thread count, and independent of every protocol RNG stream.
     fn draw(&mut self, src: usize, dst: usize) -> u64 {
         self.msg_seq += 1;
-        mix64(self.seed ^ mix64(((src as u64) << 32) | dst as u64) ^ mix64(self.msg_seq))
+        mix64(self.seed ^ mix64(pair_key(src, dst)) ^ mix64(self.msg_seq))
     }
 
     /// The fault-injection uniform (retry jitter, duplicate/reorder
@@ -772,15 +928,14 @@ impl EventNet {
     /// protocol-visible latency sequence of [`EventNet::draw`].
     fn fault_draw(&mut self, a: usize, b: usize) -> u64 {
         self.fault_seq += 1;
-        mix64(
-            self.seed ^ 0xD0D0_FA17 ^ mix64(((a as u64) << 32) | b as u64) ^ mix64(self.fault_seq),
-        )
+        mix64(self.seed ^ 0xD0D0_FA17 ^ mix64(pair_key(a, b)) ^ mix64(self.fault_seq))
     }
+}
 
-    /// Number of rounds this substrate was built for (tests).
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
+/// An ordered pair of actor indices packed into one word: the NAT
+/// table's key (`natted node`, `peer`) and the link salt of the draws.
+fn pair_key(a: usize, b: usize) -> u64 {
+    ((a as u64) << 32) | b as u64
 }
 
 /// Maps a hash draw to a uniform in the open interval `(0, 1)`.
@@ -828,7 +983,6 @@ impl EventEngine {
         &self.sim
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,12 +1146,11 @@ mod tests {
     #[test]
     fn deferred_answers_sort_stably_by_requester() {
         let mut net = net(EventNetConfig::default());
-        net.queue_answer(1, false, 7, NodeId(40), vec![NodeId(1)]);
-        net.queue_answer(1, false, 2, NodeId(41), vec![NodeId(2)]);
-        net.queue_answer(1, false, 7, NodeId(42), vec![NodeId(3)]);
+        net.queue_answer(1, false, 7, NodeId(40), &[NodeId(1)]);
+        net.queue_answer(1, false, 2, NodeId(41), &[NodeId(2)]);
+        net.queue_answer(1, false, 7, NodeId(42), &[NodeId(3)]);
         net.begin_round(0);
         assert!(net.take_due_answers().is_empty());
-        net.restore_due_answers(Vec::new());
         net.begin_round(1);
         let due = net.take_due_answers();
         let order: Vec<(u32, NodeId)> = due.iter().map(|a| (a.ci, a.from)).collect();
@@ -1006,6 +1159,8 @@ mod tests {
             vec![(2, NodeId(41)), (7, NodeId(40)), (7, NodeId(42))],
             "sorted by requester, arrival order preserved within one"
         );
+        let views: Vec<&[NodeIdx]> = due.iter().map(|a| net.due_ids(a)).collect();
+        assert_eq!(views, [[NodeIdx(2)], [NodeIdx(1)], [NodeIdx(3)]]);
     }
 
     use crate::scenario::RetryConfig;
@@ -1057,7 +1212,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_retransmits_share_one_nonce_and_dedup_suppresses_them() {
+    fn deadline_retransmits_share_one_slot_and_dedup_suppresses_them() {
         let mut net = net(EventNetConfig {
             latency: LatencyModel::Constant(2500),
             retry: RetryConfig {
@@ -1075,16 +1230,28 @@ mod tests {
             panic!("expected deferred, got {gate:?}")
         };
         assert_eq!(net.stats().retries_issued, 2);
-        net.queue_answer(round, held, 4, NodeId(2), vec![NodeId(9)]);
+        net.queue_answer(round, held, 4, NodeId(2), &[NodeId(9), NodeId(8)]);
+        let stored: usize = net.groups.iter().map(|g| g.ids.len()).sum();
+        assert_eq!(stored, 2, "three copies in flight, one stored view");
         for r in 1..=round {
             net.begin_round(r);
         }
         let due = net.take_due_answers();
         assert_eq!(due.len(), 3, "final answer + two deadline retransmits");
-        assert!(due.iter().all(|a| a.nonce == due[0].nonce));
-        let applied = due.iter().filter(|a| net.accept_answer(a.nonce)).count();
+        assert!(due.iter().all(|a| a.exchange() == due[0].exchange()));
+        assert!(due
+            .iter()
+            .all(|a| net.due_ids(a) == [NodeIdx(9), NodeIdx(8)]));
+        let applied = due.iter().filter(|a| net.accept_answer(a)).count();
         assert_eq!(applied, 1, "dedup applies exactly one copy");
         assert_eq!(net.stats().duplicates_suppressed, 2);
+        // The group outlives its last copy's round and not a round more.
+        net.begin_round(round + 1);
+        assert_eq!(net.stats().nonce_evictions, 1);
+        assert!(net
+            .groups
+            .iter()
+            .all(|g| g.ids.is_empty() && g.slots.is_empty()));
     }
 
     #[test]
@@ -1094,16 +1261,14 @@ mod tests {
             reorder_jitter: 100,
             ..EventNetConfig::default()
         });
-        net.queue_answer(1, false, 3, NodeId(8), vec![NodeId(5)]);
+        net.queue_answer(1, false, 3, NodeId(8), &[NodeId(5)]);
         net.begin_round(0);
-        let buf = net.take_due_answers();
-        net.restore_due_answers(buf);
         net.begin_round(1);
         let due = net.take_due_answers();
         assert_eq!(due.len(), 2, "the injector added one copy");
-        assert_eq!(due[0].nonce, due[1].nonce);
-        assert!(net.accept_answer(due[0].nonce));
-        assert!(!net.accept_answer(due[1].nonce), "second copy suppressed");
+        assert_eq!(due[0].exchange(), due[1].exchange());
+        assert!(net.accept_answer(&due[0]));
+        assert!(!net.accept_answer(&due[1]), "second copy suppressed");
         assert_eq!(net.stats().duplicates_suppressed, 1);
     }
 
@@ -1144,6 +1309,282 @@ mod tests {
             let lb = b.latency(i % 7, (i + 1) % 11);
             assert_eq!(la, lb, "hash-derived draws replay exactly");
             assert!(la <= 10_000, "cap truncates the tail");
+        }
+    }
+
+    fn natted_net(hole_ttl: usize, retry: RetryConfig) -> EventNet {
+        // As above: actors 55..100 are NAT-ted.
+        net(EventNetConfig {
+            reachability: Reachability::Nat {
+                fraction: 0.5,
+                hole_ttl,
+            },
+            retry,
+            ..EventNetConfig::default()
+        })
+    }
+
+    #[test]
+    fn a_hole_dated_in_the_future_is_not_open_yet() {
+        let mut net = natted_net(2, RetryConfig::default());
+        // What a retry's backoff leaves behind: a hole punched in the
+        // round after the one the exchange was gated in.
+        net.holes.insert(pair_key(70, 3), 5);
+        assert!(
+            !net.hole_open(70, 3, 4),
+            "round 4 cannot use a round-5 hole"
+        );
+        assert!(net.hole_open(70, 3, 5));
+        assert!(net.hole_open(70, 3, 7), "ttl 2");
+        assert!(!net.hole_open(70, 3, 8), "expired");
+        assert!(!net.send_push(4, 3, 70, NodeId(3), Lane::Honest));
+        assert_eq!(net.stats().nat_blocked, 1);
+    }
+
+    #[test]
+    fn a_retry_backoff_into_the_next_round_dates_its_hole_there() {
+        // Requester 70 is NAT-ted, and so is target 80, which never
+        // contacted it: every attempt is refused, and the second one
+        // departs in round 1 — where it re-punches 70's own hole.
+        let mut net = natted_net(
+            3,
+            RetryConfig {
+                max_retries: 1,
+                base_backoff: 1_000,
+            },
+        );
+        net.begin_round(0);
+        assert_eq!(net.gate_pull(0, 70, 80), PullGate::Refused);
+        assert_eq!(net.holes[&pair_key(70, 80)], 1);
+        // Round 0 still has traffic for that pair; the lookup neither
+        // underflows nor finds the hole open.
+        assert!(!net.send_push(0, 80, 70, NodeId(80), Lane::Honest));
+        assert!(net.send_push(1, 80, 70, NodeId(80), Lane::Honest));
+    }
+
+    #[test]
+    fn the_nat_table_drops_a_hole_once_it_has_expired() {
+        let mut net = natted_net(2, RetryConfig::default());
+        net.begin_round(0);
+        for peer in 0..10 {
+            assert!(net.send_push(0, 70, peer, NodeId(70), Lane::Honest));
+        }
+        for r in 1..=2 {
+            net.begin_round(r);
+            assert_eq!(net.holes.len(), 10, "open through round 0 + ttl");
+        }
+        assert!(net.send_push(2, 71, 4, NodeId(71), Lane::Honest));
+        net.begin_round(3);
+        assert_eq!(net.holes.len(), 1, "only the round-2 hole is left");
+    }
+
+    #[test]
+    fn messages_past_the_horizon_are_counted_not_stored() {
+        let mut net = net(EventNetConfig {
+            latency: LatencyModel::Constant(2500),
+            ..EventNetConfig::default()
+        });
+        for r in 0..40 {
+            net.begin_round(r);
+        }
+        // The run has 40 rounds: a push sent in round 38 would land in
+        // round 40, an answer deferred to round 44 never lands either.
+        assert!(!net.send_push(38, 1, 2, NodeId(1), Lane::Honest));
+        let PullGate::Deferred { round, held } = net.gate_pull(39, 1, 2) else {
+            panic!("a 5000-tick round trip defers")
+        };
+        assert_eq!(round, 44);
+        net.queue_answer(round, held, 1, NodeId(2), &[NodeId(3)]);
+        assert_eq!(net.stats().late_deliveries, 2);
+        assert_eq!(net.bucketed(), 0);
+        assert!(net.groups.iter().all(|g| g.ids.is_empty()));
+        assert_eq!(net.check_conservation(), Ok(()));
+        assert_eq!(net.finish().in_flight_at_end, 2);
+    }
+
+    #[test]
+    fn the_conservation_check_names_a_lost_record() {
+        let mut net = net(EventNetConfig {
+            latency: LatencyModel::Constant(2500),
+            ..EventNetConfig::default()
+        });
+        net.begin_round(0);
+        assert!(!net.send_push(0, 3, 7, NodeId(3), Lane::Honest));
+        net.queue_answer(3, false, 4, NodeId(9), &[NodeId(1)]);
+        assert_eq!(net.check_conservation(), Ok(()));
+        let mut lossy = net.clone();
+        lossy.pushes[2].clear();
+        let err = lossy.check_conservation().expect_err("a push went missing");
+        assert!(err.contains("2 late deliveries"), "{err}");
+        let mut dangling = net.clone();
+        dangling.groups[3] = PayloadGroup::default();
+        let err = dangling
+            .check_conservation()
+            .expect_err("a payload went missing");
+        assert!(err.contains("payload group 3"), "{err}");
+    }
+
+    use super::reference::HeapNet;
+    use proptest::prelude::*;
+
+    /// Actors of the differential scenario (4 of them Byzantine).
+    const ACTORS: usize = 40;
+    /// Its rounds.
+    const ROUNDS: usize = 12;
+
+    /// The calendar and the heap reference side by side, driven by the
+    /// same calls and compared after each.
+    struct Pair {
+        cal: EventNet,
+        heap: HeapNet,
+        /// The round both are in (0 before the first `begin_round`).
+        round: usize,
+        begun: bool,
+    }
+
+    impl Pair {
+        fn new(cfg: EventNetConfig) -> Self {
+            let scenario = Scenario {
+                n: ACTORS,
+                rounds: ROUNDS,
+                network: NetworkModel::Events(cfg),
+                ..Scenario::default()
+            };
+            Self {
+                cal: EventNet::from_scenario(&scenario).expect("events model"),
+                heap: HeapNet::from_scenario(&scenario).expect("events model"),
+                round: 0,
+                begun: false,
+            }
+        }
+
+        fn push(&mut self, src: usize, dst: usize, lane: Lane) {
+            let advertised = NodeId(src as u64);
+            assert_eq!(
+                self.cal.send_push(self.round, src, dst, advertised, lane),
+                self.heap.send_push(self.round, src, dst, advertised, lane),
+                "push {src} -> {dst} in round {}",
+                self.round
+            );
+        }
+
+        /// One gated pull; a deferred answer is materialised unless
+        /// `answered` is false (a crashed or lossy responder).
+        fn pull(&mut self, req: usize, tgt: usize, answered: bool, view_len: usize) {
+            let gate = self.cal.gate_pull(self.round, req, tgt);
+            assert_eq!(gate, self.heap.gate_pull(self.round, req, tgt));
+            let PullGate::Deferred { round, held } = gate else {
+                return;
+            };
+            if !answered {
+                self.cal.drop_pending_copies();
+                self.heap.drop_pending_copies();
+                return;
+            }
+            let ids: Vec<NodeId> = (0..view_len)
+                .map(|k| NodeId(((req * 7 + tgt + k) % ACTORS) as u64))
+                .collect();
+            let (ci, from) = (req as u32, NodeId(tgt as u64));
+            self.cal.queue_answer(round, held, ci, from, &ids);
+            self.heap.queue_answer(round, held, ci, from, ids);
+        }
+
+        /// Opens `round` on both and compares everything it hands over.
+        fn begin(&mut self, round: usize) {
+            self.cal.begin_round(round);
+            self.heap.begin_round(round);
+            (self.round, self.begun) = (round, true);
+            for lane in [Lane::Honest, Lane::Adversary] {
+                let (mut cal, mut heap) = (Vec::new(), Vec::new());
+                self.cal.drain_due_pushes(lane, &mut cal);
+                self.heap.drain_due_pushes(lane, &mut heap);
+                assert_eq!(cal, heap, "{lane:?} pushes due in round {round}");
+            }
+            let cal = self.cal.take_due_answers();
+            let heap = self.heap.take_due_answers();
+            assert_eq!(cal.len(), heap.len(), "answers due in round {round}");
+            for (c, h) in cal.iter().zip(&heap) {
+                let narrowed: Vec<NodeIdx> = h.ids.iter().map(|id| NodeIdx(id.0 as u32)).collect();
+                assert_eq!(
+                    (c.ci, c.from, self.cal.due_ids(c)),
+                    (h.ci, h.from, &narrowed[..]),
+                    "answer due in round {round}"
+                );
+                assert_eq!(
+                    self.cal.accept_answer(c),
+                    self.heap.accept_answer(h.nonce),
+                    "dedup verdict in round {round}"
+                );
+            }
+            assert_eq!(self.cal.check_conservation(), Ok(()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The calendar is the heap substrate with different storage:
+        /// whatever the configuration and however pushes, pulls and
+        /// round opens (skipped rounds included) interleave, both hand
+        /// over the same messages in the same order, give the same dedup
+        /// verdicts and count the same statistics.
+        #[test]
+        fn calendar_matches_the_heap_reference(
+            (latency_kind, latency, jitter) in (0u8..3, 0u64..3_000, 0u64..300),
+            partitions in proptest::collection::vec((0usize..ROUNDS, 1usize..6, 1usize..ACTORS), 0..3),
+            (nat, retries, base_backoff) in (0usize..5, 0u32..4, 1u64..800),
+            (duplicates, reorder_jitter) in (0usize..3, 0u64..500),
+            ops in proptest::collection::vec((0u8..16, 0usize..ACTORS, 0usize..ACTORS, 0usize..60), 1..240),
+        ) {
+            let mut pair = Pair::new(EventNetConfig {
+                latency: match latency_kind {
+                    0 => LatencyModel::Constant(latency),
+                    1 => LatencyModel::Uniform { min: latency / 4, max: latency },
+                    _ => LatencyModel::LogNormal {
+                        mu: 5.0 + (latency % 25) as f64 / 10.0,
+                        sigma: 0.8,
+                        cap: 4_000,
+                    },
+                },
+                jitter,
+                partitions: partitions
+                    .iter()
+                    .map(|&(start, len, boundary)| PartitionWindow { start, end: start + len, boundary })
+                    .collect(),
+                reachability: match nat {
+                    0 => Reachability::Full,
+                    ttl => Reachability::Nat { fraction: 0.5, hole_ttl: ttl - 1 },
+                },
+                retry: RetryConfig { max_retries: retries, base_backoff },
+                duplicate_rate: [0.0, 0.3, 1.0][duplicates],
+                reorder_jitter: if duplicates == 0 { 0 } else { reorder_jitter },
+                ..EventNetConfig::default()
+            });
+            for (kind, a, b, c) in ops {
+                match kind {
+                    0..=2 => pair.push(a, b, Lane::Honest),
+                    3 => pair.push(a, b, Lane::Adversary),
+                    // A burst wide enough that an unstable sort of its
+                    // bucket shows.
+                    4 => for k in 0..c {
+                        let lane = if k % 5 == 0 { Lane::Adversary } else { Lane::Honest };
+                        pair.push((a + k) % ACTORS, b, lane);
+                    },
+                    5..=9 => pair.pull(a, b, c % 4 != 0, c % 5),
+                    // One requester's answers tie on their arrival tick.
+                    10 => for k in 0..c {
+                        pair.pull(a, (b + k) % ACTORS, k % 7 != 0, 1 + k % 3);
+                    },
+                    _ => {
+                        let next = if pair.begun { pair.round + 1 + [0, 0, 0, 1, 2][c % 5] } else { 0 };
+                        if next < ROUNDS {
+                            pair.begin(next);
+                        }
+                    }
+                }
+                prop_assert_eq!(pair.cal.stats(), pair.heap.stats());
+            }
+            prop_assert_eq!(pair.cal.finish(), pair.heap.finish());
         }
     }
 }

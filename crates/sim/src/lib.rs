@@ -23,10 +23,11 @@
 //!   workers) with bit-identical results at every thread count.
 //! * [`event`] — the discrete-event delivery substrate
 //!   ([`event::EventNet`], [`event::EventEngine`]): a deterministic
-//!   `(time, seq)` binary-heap queue carrying `raptee::wire::Message`
-//!   payloads, per-link latency models, partition/healing schedules and
-//!   NAT-like asymmetric reachability; bit-for-bit equal to the round
-//!   engine at zero latency (`tests/asynchrony.rs`).
+//!   round calendar — one bucket of flat records per arrival round,
+//!   delivered in `(arrival tick, sending order)` — under per-link
+//!   latency models, partition/healing schedules and NAT-like
+//!   asymmetric reachability; bit-for-bit equal to the round engine at
+//!   zero latency (`tests/asynchrony.rs`).
 //! * [`metrics`] — resilience, system-discovery time, view-stability
 //!   time, identification precision/recall/F1.
 //! * [`runner`] — repetition and (rayon-parallel) parameter sweeps, plus

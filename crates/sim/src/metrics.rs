@@ -172,12 +172,13 @@ pub struct NetRunStats {
     /// Pull retry attempts issued by the bounded-backoff timer (0 with
     /// retries disabled).
     pub retries_issued: u64,
-    /// Duplicate pull-answer deliveries suppressed by the engine's
-    /// nonce dedup (retransmitted answers plus injected copies).
+    /// Duplicate pull-answer deliveries suppressed by the per-exchange
+    /// dedup (retransmitted answers plus injected copies).
     pub duplicates_suppressed: u64,
-    /// Nonces retired from the dedup set by the per-round generation
-    /// sweep (a nonce is evicted once its last possible arrival round
-    /// has passed, so the set stays bounded on long runs).
+    /// Applied exchanges whose dedup state was retired: an answer's
+    /// stored view and its applied mark are released once the arrival
+    /// round of its last copy is over, so the state stays bounded on
+    /// long runs.
     pub nonce_evictions: u64,
 }
 

@@ -244,8 +244,10 @@ pub enum Reachability {
     /// actors (by index) sit behind NATs. Inbound traffic to a NATted
     /// node is only delivered through a *hole* — a reverse path opened
     /// whenever the NATted node itself contacts a peer (push or pull),
-    /// fresh for `hole_ttl` rounds. Pull answers always pass (the
-    /// requester just contacted the responder). This is the
+    /// fresh for `hole_ttl` rounds. A retry whose backoff crosses into
+    /// the next round dates its hole there: traffic still leaving in
+    /// the earlier round finds it not open yet. Pull answers always
+    /// pass (the requester just contacted the responder). This is the
     /// hole-punching asymmetry that lets an adversary who gets into a
     /// victim's view amplify an eclipse: the victim keeps refreshing
     /// holes toward its (poisoned) view while random honest pushes
@@ -331,11 +333,11 @@ pub enum NetworkModel {
     /// the pre-event-engine behavior).
     #[default]
     Rounds,
-    /// The discrete-event engine: protocol messages become timed
-    /// `Request`/`Reply` events ordered by `(time, seq)` on a
-    /// deterministic binary heap, with per-link latency, partitions and
-    /// NAT-like reachability. With the all-zero default config this
-    /// reproduces the round engine bit-for-bit (`tests/asynchrony.rs`).
+    /// The discrete-event engine: protocol messages get an arrival
+    /// tick and deliver in `(tick, sending order)`, with per-link
+    /// latency, partitions and NAT-like reachability. With the all-zero
+    /// default config this reproduces the round engine bit-for-bit
+    /// (`tests/asynchrony.rs`).
     Events(EventNetConfig),
 }
 

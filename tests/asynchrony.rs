@@ -21,7 +21,8 @@ use raptee_net::{NodeId, NodeIdx};
 use raptee_sim::event::{EventNet, Lane, PullGate};
 use raptee_sim::{
     AttackStrategy, ChurnSchedule, DiscoveryMode, EventEngine, EventNetConfig, EventQueue,
-    LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol, Scenario, Simulation,
+    LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol, Reachability, RetryConfig,
+    Scenario, Simulation,
 };
 
 // ---------------------------------------------------------------------
@@ -218,6 +219,67 @@ fn partition_heal_burst_is_inexpressible_in_the_round_model() {
     assert!(
         max_window_gap > 0.02,
         "pollution series must diverge during the cut (max gap {max_window_gap:.4})"
+    );
+}
+
+/// Single-steps `scenario` to its last round, checking the substrate's
+/// conservation invariant after each, and returns the counters.
+fn run_conserving(scenario: Scenario) -> NetRunStats {
+    let rounds = scenario.rounds;
+    let mut sim = Simulation::new(scenario);
+    for round in 0..rounds {
+        sim.run_round();
+        let net = sim.event_net().expect("an Events scenario has a substrate");
+        assert_eq!(net.check_conservation(), Ok(()), "after round {round}");
+    }
+    *sim.event_net().expect("checked above").stats()
+}
+
+#[test]
+fn partitioned_run_conserves_every_message() {
+    let net = run_conserving(event_partition_scenario());
+    assert!(net.late_deliveries > 0 && net.partition_held > 0);
+    assert_eq!(net.partition_held, net.partition_released);
+}
+
+/// NAT with retries: a retry's backoff carries its departure — and the
+/// hole it punches — into the next round, while the current round still
+/// has lookups for that pair. Those must read the future-dated hole as
+/// closed; debug builds used to panic on the subtraction in round 0.
+#[test]
+fn nat_with_retries_survives_a_hole_dated_in_the_next_round() {
+    let scenario = Scenario {
+        n: 300,
+        view_size: 16,
+        sample_size: 16,
+        rounds: 80,
+        protocol: Protocol::Raptee,
+        ..Scenario::default()
+    }
+    .with_network(EventNetConfig {
+        latency: LatencyModel::LogNormal {
+            mu: 6.3,
+            sigma: 0.8,
+            cap: 4_000,
+        },
+        round_ticks: 1_000,
+        jitter: 200,
+        reachability: Reachability::Nat {
+            fraction: 0.6,
+            hole_ttl: 3,
+        },
+        retry: RetryConfig {
+            max_retries: 2,
+            base_backoff: 250,
+        },
+        ..EventNetConfig::default()
+    });
+    let net = run_conserving(scenario);
+    assert!(net.nat_blocked > 0, "the NAT must bounce traffic");
+    assert!(net.retries_issued > 0, "refused pulls must retry");
+    assert!(
+        net.nonce_evictions > 0,
+        "retransmitted answers were applied"
     );
 }
 

@@ -215,7 +215,7 @@ proptest! {
             rounds,
         );
         for (ci, from) in &answers {
-            net.queue_answer(1, false, *ci, NodeId(*from), vec![NodeId(7)]);
+            net.queue_answer(1, false, *ci, NodeId(*from), &[NodeId(7)]);
         }
         let mut delivered = 0usize;
         let mut applied = std::collections::HashMap::new();
@@ -224,11 +224,10 @@ proptest! {
             let due = net.take_due_answers();
             delivered += due.len();
             for a in &due {
-                if net.accept_answer(a.nonce) {
-                    *applied.entry(a.nonce).or_insert(0u32) += 1;
+                if net.accept_answer(a) {
+                    *applied.entry(a.exchange()).or_insert(0u32) += 1;
                 }
             }
-            net.restore_due_answers(due);
         }
         prop_assert_eq!(applied.len(), answers.len(), "every exchange lands");
         prop_assert!(applied.values().all(|&c| c == 1), "each applied exactly once");
