@@ -45,8 +45,8 @@ pub struct RoundReport {
 
 /// Reusable buffers for the round-finalisation pipeline (index scratch
 /// for `sample_into`, drawn picks, the current sample list and the next
-/// view). Every [`BrahmsNode`] owns one for the standalone
-/// [`BrahmsNode::finish_round`] API; the simulation engine instead keeps
+/// view). A [`BrahmsNode`] boxes one on its first standalone
+/// [`BrahmsNode::finish_round`] call; the simulation engine instead keeps
 /// **one per worker thread** and finalises thousands of nodes through it
 /// via [`BrahmsNode::finish_round_with`], so per-node state stays small
 /// (struct-of-arrays engine layout) and the parallel round loop still
@@ -86,9 +86,10 @@ pub struct BrahmsNode {
     rounds: u64,
     renewals: u64,
     floods_detected: u64,
-    /// Scratch for the standalone [`BrahmsNode::finish_round`] path (the
-    /// engine passes per-worker scratch instead — see [`FinishScratch`]).
-    scratch: FinishScratch,
+    /// Scratch for the standalone [`BrahmsNode::finish_round`] path,
+    /// created by its first call (the engine passes per-worker scratch
+    /// instead — see [`FinishScratch`]).
+    scratch: Option<Box<FinishScratch>>,
 }
 
 impl BrahmsNode {
@@ -122,7 +123,7 @@ impl BrahmsNode {
             rounds: 0,
             renewals: 0,
             floods_detected: 0,
-            scratch: FinishScratch::default(),
+            scratch: None,
         }
     }
 
@@ -241,9 +242,10 @@ impl BrahmsNode {
     }
 
     /// [`BrahmsNode::plan_round`] into a caller-owned plan whose target
-    /// vectors are cleared and refilled — the engine keeps one plan per
-    /// actor alive across rounds, so planning allocates nothing. The RNG
-    /// draw sequence is identical to `plan_round`.
+    /// vectors are cleared and refilled — the engine plans every node
+    /// through one plan per worker thread, so planning allocates nothing
+    /// once those have grown. The RNG draw sequence is identical to
+    /// `plan_round`.
     pub fn plan_round_into(&mut self, plan: &mut RoundPlan) {
         plan.push_targets.clear();
         plan.pull_targets.clear();
@@ -292,9 +294,9 @@ impl BrahmsNode {
     pub fn finish_round(&mut self) -> RoundReport {
         let pushed = std::mem::take(&mut self.pushed);
         let pulled = std::mem::take(&mut self.pulled);
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = self.scratch.take().unwrap_or_default();
         let report = self.finish_round_with(&pushed, &pulled, &mut scratch);
-        self.scratch = scratch;
+        self.scratch = Some(scratch);
         // Hand the buffers back for next-round reuse, emptied (the
         // historical drain semantics).
         self.pushed = pushed;

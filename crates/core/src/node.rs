@@ -82,8 +82,11 @@ pub struct RapteeRoundOutcome {
 /// [`crate::provisioning`] for how trusted nodes obtain the group key.
 #[derive(Debug, Clone)]
 pub struct RapteeNode {
+    /// The Brahms layer, which holds the `BrahmsConfig` half of the
+    /// node's [`RapteeConfig`].
     brahms: BrahmsNode,
-    config: RapteeConfig,
+    /// The other half: the Byzantine-eviction policy.
+    eviction: EvictionPolicy,
     authenticator: Authenticator,
     trusted: bool,
     /// Directory of peers that have mutually authenticated as trusted —
@@ -138,7 +141,7 @@ impl RapteeNode {
         Self {
             brahms: BrahmsNode::new(id, config.brahms, bootstrap, seed),
             directory: View::new(id, config.brahms.view_size),
-            config,
+            eviction: config.eviction,
             authenticator: Authenticator::new(key),
             trusted,
             pulled_untrusted: Vec::new(),
@@ -158,7 +161,7 @@ impl RapteeNode {
     /// see the sealing test in [`crate::provisioning`]).
     pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         self.brahms.rejoin_cold(bootstrap, seed);
-        self.directory = View::new(self.id(), self.config.brahms.view_size);
+        self.directory = View::new(self.id(), self.brahms.config().view_size);
         self.pulled_untrusted.clear();
         self.pulled_trusted.clear();
         self.contacts_total = 0;
@@ -186,11 +189,6 @@ impl RapteeNode {
     /// Whether this node runs inside an (attested, simulated) enclave.
     pub fn is_trusted(&self) -> bool {
         self.trusted
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RapteeConfig {
-        &self.config
     }
 
     /// The underlying Brahms node (views, samplers, counters).
@@ -227,7 +225,7 @@ impl RapteeNode {
     }
 
     /// [`RapteeNode::plan_round`] into a caller-owned plan (cleared and
-    /// refilled) — the engine reuses one plan per actor across rounds.
+    /// refilled) — the engine reuses one plan per worker thread.
     pub fn plan_round_into(&mut self, plan: &mut RoundPlan) {
         self.contacts_total = 0;
         self.contacts_trusted = 0;
@@ -385,7 +383,7 @@ impl RapteeNode {
             initiator.trusted && responder.trusted,
             "trusted_swap requires two authenticated trusted nodes"
         );
-        let cfg = raptee_trusted(initiator.config.brahms.view_size);
+        let cfg = raptee_trusted(initiator.brahms.config().view_size);
         // Dynamic-view halves are prepared on both sides first (the swap
         // is symmetric), then integrated.
         let buf_i = {
@@ -469,7 +467,7 @@ impl RapteeNode {
         } else {
             f64::from(self.contacts_trusted) / f64::from(contacts_total)
         };
-        self.config.eviction.rate(trusted_share)
+        self.eviction.rate(trusted_share)
     }
 
     /// Finalises the round: applies Byzantine eviction to the IDs pulled

@@ -79,7 +79,10 @@ impl PartialEq for View {
 impl Eq for View {}
 
 impl View {
-    /// Creates an empty view for `owner` with the given capacity.
+    /// Creates an empty view for `owner` with the given capacity. Nothing
+    /// is allocated until the first entry arrives, which reserves exactly
+    /// `capacity` slots — a view that is never written (the trusted
+    /// directory of an untrusted RAPTEE node) costs no heap at all.
     ///
     /// # Panics
     ///
@@ -89,9 +92,19 @@ impl View {
         Self {
             owner,
             capacity,
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
             present: IdSet::new(),
         }
+    }
+
+    /// Appends a new entry, reserving the full capacity on the first one.
+    #[inline]
+    fn push_entry(&mut self, entry: ViewEntry) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(self.capacity);
+        }
+        self.entries.push(entry);
+        self.index_insert(entry.id);
     }
 
     /// Whether this view maintains the O(1) membership index (large
@@ -194,8 +207,7 @@ impl View {
         if self.entries.len() >= self.capacity {
             return false;
         }
-        self.entries.push(entry);
-        self.index_insert(entry.id);
+        self.push_entry(entry);
         true
     }
 
@@ -222,8 +234,7 @@ impl View {
                 self.index_remove(evicted.id);
             }
         }
-        self.entries.push(entry);
-        self.index_insert(entry.id);
+        self.push_entry(entry);
     }
 
     /// Increments every entry's age by one round.
@@ -314,8 +325,7 @@ impl View {
                     existing.age = e.age;
                 }
             } else {
-                self.entries.push(e);
-                self.index_insert(e.id);
+                self.push_entry(e);
             }
         }
     }
@@ -401,17 +411,28 @@ impl View {
     /// plus the consistency of the O(1) membership index; used by tests
     /// and debug assertions.
     pub fn invariants_hold(&self) -> bool {
-        if self.entries.iter().any(|e| e.id == self.owner) {
-            return false;
-        }
-        let mut ids: Vec<NodeId> = self.ids().collect();
-        ids.sort_unstable();
-        if !ids.windows(2).all(|w| w[0] != w[1]) {
+        self.invariants_hold_using(&mut Vec::new())
+    }
+
+    /// [`View::invariants_hold`] with a caller-owned sort buffer for
+    /// indexed views, so a checker run over every node each round
+    /// allocates nothing once the buffer has grown to the largest view.
+    pub fn invariants_hold_using(&self, ids: &mut Vec<NodeId>) -> bool {
+        let e = &self.entries;
+        if e.iter().any(|x| x.id == self.owner) {
             return false;
         }
         if !self.indexed() {
-            // Small views never touch the index: it must stay empty.
-            return self.present.is_empty();
+            // Small views never touch the index: it must stay empty; a
+            // pairwise scan of at most 64 entries finds any duplicate.
+            return self.present.is_empty()
+                && (1..e.len()).all(|i| e[..i].iter().all(|x| x.id != e[i].id));
+        }
+        ids.clear();
+        ids.extend(self.ids());
+        ids.sort_unstable();
+        if !ids.windows(2).all(|w| w[0] != w[1]) {
+            return false;
         }
         let dense = ids.iter().filter(|id| (id.0 as usize) < DENSE_ID_LIMIT);
         dense.clone().count() == self.present.count()
@@ -711,6 +732,30 @@ mod tests {
         for i in 0..=45u64 {
             assert_eq!(small.contains(NodeId(i)), big.contains(NodeId(i)), "id {i}");
         }
+    }
+
+    #[test]
+    fn storage_is_reserved_by_the_first_entry_only() {
+        let mut v = View::new(NodeId(0), 16);
+        assert_eq!(v.entries.capacity(), 0, "an unwritten view owns no buffer");
+        v.insert_fresh(NodeId(0));
+        assert_eq!(
+            v.entries.capacity(),
+            0,
+            "a rejected insert reserves nothing"
+        );
+        v.insert_fresh(NodeId(1));
+        assert_eq!(
+            v.entries.capacity(),
+            16,
+            "the first entry reserves exactly capacity"
+        );
+        v.append_dedup(
+            &(2..=16)
+                .map(|i| ViewEntry::fresh(NodeId(i)))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(v.entries.capacity(), 16);
     }
 
     #[test]

@@ -56,11 +56,13 @@ impl std::fmt::Display for NodeId {
 /// A dense arena index for a node — the compact (u32) hot-path identity.
 ///
 /// [`NodeId`] stays the wire/public identity (64-bit, sparse, chosen by
-/// the node); `NodeIdx` is the simulation-internal arena slot assigned by
-/// an [`IdInterner`] at the sim boundary. Arena-sized buffers (push runs,
-/// counting-sort scratch, snapshot arenas) store `NodeIdx` and halve
-/// their footprint, which is what keeps million-node scratch state in
-/// cache-friendly territory.
+/// the node); `NodeIdx` is the simulation-internal arena slot. A sparse
+/// population would assign slots through an [`IdInterner`]; the
+/// simulation numbers its actors densely from 0, so there the slot is
+/// the identity cast to `u32` and nothing is interned. Arena-sized
+/// buffers (push runs, plan rows, counting-sort scratch, snapshot arenas)
+/// store `NodeIdx` and halve their footprint, which is what keeps
+/// million-node scratch state in cache-friendly territory.
 ///
 /// # Examples
 ///
@@ -92,12 +94,11 @@ impl std::fmt::Display for NodeIdx {
 /// The explicit `NodeId` ↔ `NodeIdx` mapping at the simulation boundary.
 ///
 /// Interning is first-come-first-served: the k-th distinct `NodeId`
-/// interned gets arena slot `NodeIdx(k)`. The simulation interns its
-/// population in node order at construction, so a dense population
-/// `NodeId(0..n)` maps to the *identity* (`NodeId(i)` ↔ `NodeIdx(i)`) —
-/// which is what lets the hot path convert back with a cast instead of a
-/// table lookup. The interner still keeps the real map so the boundary
-/// stays correct if a future population ever uses sparse wire IDs.
+/// interned gets arena slot `NodeIdx(k)`, so a dense population
+/// `NodeId(0..n)` interned in order maps to the *identity*
+/// (`NodeId(i)` ↔ `NodeIdx(i)`). The simulation's population is exactly
+/// that, so it converts with a cast and builds no interner; this type is
+/// the boundary a population with sparse wire IDs would need.
 #[derive(Debug, Clone, Default)]
 pub struct IdInterner {
     forward: std::collections::HashMap<NodeId, NodeIdx>,
@@ -162,9 +163,8 @@ impl IdInterner {
     }
 
     /// Whether the interned population maps every `NodeId(i)` to
-    /// `NodeIdx(i)` — the dense-identity fast path the simulation
-    /// asserts once at construction to justify cast-based conversion in
-    /// the hot loop.
+    /// `NodeIdx(i)` — the dense-identity case in which cast-based
+    /// conversion is exact.
     pub fn is_identity(&self) -> bool {
         self.reverse
             .iter()

@@ -44,8 +44,8 @@
 //!   pass records per-requester *pull events*: a reference into the
 //!   view-snapshot arena when the responder's view was still untouched
 //!   at pull time, a materialised copy when it had already mutated
-//!   (swap or churn removal), or a 32-byte adversary-RNG snapshot for
-//!   Byzantine answers (regenerated in parallel later).
+//!   (swap or churn removal), or the slot of an adversary-RNG snapshot
+//!   for Byzantine answers (regenerated in parallel later).
 //! * **apply** (parallel, sharded by receiving node) — each node
 //!   reconstructs its push/pull streams from the shared arenas into
 //!   per-**worker** scratch and finalises its round; per-node metric
@@ -81,7 +81,7 @@ use raptee_brahms::{BrahmsConfig, FinishScratch, RoundPlan};
 use raptee_crypto::auth::AuthOutcome;
 use raptee_honeybee::HoneybeeConfig;
 use raptee_lift::LiftConfig;
-use raptee_net::{IdInterner, NodeId, NodeIdx, PushRateLimiter};
+use raptee_net::{NodeId, NodeIdx, PushRateLimiter};
 use raptee_tee::AttestationService;
 use raptee_util::rng::{mix64, IndexScratch, Xoshiro256StarStar};
 
@@ -282,11 +282,13 @@ enum PullEvent {
         /// Number of IDs.
         len: u32,
     },
-    /// A Byzantine answer: regenerate it from this snapshot of the
-    /// adversary's RNG (see [`Adversary::replay_pull_answer`]).
+    /// A Byzantine answer: regenerate it from a snapshot of the
+    /// adversary's RNG (see [`Adversary::replay_pull_answer`]), kept
+    /// beside the events so each event stays 12 bytes.
     ByzReplay {
-        /// The coordinator RNG state just before the answer was drawn.
-        rng: Xoshiro256StarStar,
+        /// Index into `Scratch::byz_rngs` of the coordinator RNG state
+        /// just before the answer was drawn.
+        slot: u32,
     },
 }
 
@@ -388,6 +390,86 @@ struct WorkerScratch {
     reply: Vec<NodeId>,
     /// Brahms finalisation scratch (renewal sampling buffers).
     finish: FinishScratch,
+    /// The plan a Brahms/RAPTEE node draws into before it is copied to
+    /// the [`PlanArena`].
+    plan: RoundPlan,
+    /// The same for a ranked-family node.
+    ranked_plan: BasaltPlan,
+}
+
+/// This round's push and pull targets of every correct node, both
+/// families: one `stride`-wide row of each per population index, as
+/// dense indices, plus each row's occupied length. Every family plans at
+/// most its fanout of pushes and as many pulls (α = β for the Brahms
+/// family, `push_count = pull_count` for the ranked ones), so the stride
+/// is the largest fanout in play.
+#[derive(Default)]
+struct PlanArena {
+    stride: usize,
+    push_ids: Vec<NodeIdx>,
+    push_len: Vec<u32>,
+    pull_ids: Vec<NodeIdx>,
+    pull_len: Vec<u32>,
+}
+
+/// Exclusive access to one node's plan rows.
+struct PlanRow<'a> {
+    push: &'a mut [NodeIdx],
+    push_len: &'a mut u32,
+    pull: &'a mut [NodeIdx],
+    pull_len: &'a mut u32,
+}
+
+impl PlanArena {
+    fn resize(&mut self, pop: usize, stride: usize) {
+        self.stride = stride;
+        self.push_ids.resize(pop * stride, NodeIdx(0));
+        self.pull_ids.resize(pop * stride, NodeIdx(0));
+        self.push_len.resize(pop, 0);
+        self.pull_len.resize(pop, 0);
+    }
+
+    /// Disjoint row handles of population indices `start..start + len`.
+    fn rows(&mut self, start: usize, len: usize) -> impl Iterator<Item = PlanRow<'_>> {
+        let (lo, hi) = (start * self.stride, (start + len) * self.stride);
+        self.push_ids[lo..hi]
+            .chunks_mut(self.stride)
+            .zip(&mut self.push_len[start..start + len])
+            .zip(self.pull_ids[lo..hi].chunks_mut(self.stride))
+            .zip(&mut self.pull_len[start..start + len])
+            .map(|(((push, push_len), pull), pull_len)| PlanRow {
+                push,
+                push_len,
+                pull,
+                pull_len,
+            })
+    }
+
+    /// Node `ci`'s push targets this round.
+    fn pushes(&self, ci: usize) -> &[NodeIdx] {
+        let base = ci * self.stride;
+        &self.push_ids[base..base + self.push_len[ci] as usize]
+    }
+
+    /// Node `ci`'s pull targets this round.
+    fn pulls(&self, ci: usize) -> &[NodeIdx] {
+        let base = ci * self.stride;
+        &self.pull_ids[base..base + self.pull_len[ci] as usize]
+    }
+}
+
+impl PlanRow<'_> {
+    /// Stores one node's planned targets.
+    fn store(&mut self, push: &[NodeId], pull: &[NodeId]) {
+        for (slot, &id) in self.push[..push.len()].iter_mut().zip(push) {
+            *slot = narrow(id);
+        }
+        for (slot, &id) in self.pull[..pull.len()].iter_mut().zip(pull) {
+            *slot = narrow(id);
+        }
+        *self.push_len = push.len() as u32;
+        *self.pull_len = pull.len() as u32;
+    }
 }
 
 /// Per-simulation scratch arenas: every buffer the round loop needs is
@@ -397,10 +479,8 @@ struct WorkerScratch {
 /// the end.
 #[derive(Default)]
 struct Scratch {
-    /// One Brahms/RAPTEE plan per population index, refilled in place.
-    plans: Vec<RoundPlan>,
-    /// One ranked-family plan per population index, refilled in place.
-    ranked_plans: Vec<BasaltPlan>,
+    /// Both families' plans (see [`PlanArena`]).
+    plans: PlanArena,
     /// Whether population index `ci` produced a plan this round.
     live: Vec<bool>,
     /// The adversary's push plan for the segment being attacked.
@@ -429,6 +509,8 @@ struct Scratch {
     observed: Vec<NodeId>,
     /// Deferred pull answers, requester-major.
     events: Vec<PullEvent>,
+    /// The adversary-RNG snapshots `PullEvent::ByzReplay` events name.
+    byz_rngs: Vec<Xoshiro256StarStar>,
     /// Event range per population index (`events[start[ci]..start[ci+1]]`).
     event_start: Vec<u32>,
     /// Materialised answers for responders whose view had already
@@ -450,10 +532,9 @@ struct Scratch {
 
 impl Scratch {
     /// Sizes the per-node lanes once (no-op afterwards).
-    fn ensure_capacity(&mut self, pop: usize) {
+    fn ensure_capacity(&mut self, pop: usize, plan_stride: usize) {
         if self.live.len() != pop {
-            self.plans.resize_with(pop, RoundPlan::default);
-            self.ranked_plans.resize_with(pop, BasaltPlan::default);
+            self.plans.resize(pop, plan_stride);
             self.live.resize(pop, false);
             self.view_mutated.resize(pop, false);
             self.stats.resize_with(pop, RoundStat::default);
@@ -497,6 +578,7 @@ impl RoundAccumulator {
 /// Per-node lanes of the parallel plan phase.
 struct PlanItem<'a, N> {
     node: &'a mut N,
+    row: PlanRow<'a>,
     live: &'a mut bool,
 }
 
@@ -539,9 +621,9 @@ impl ViewTally {
     }
 }
 
-/// Narrows a wire identity to its dense arena index. Valid because the
-/// simulation interns its population in identity order at construction
-/// and asserts [`IdInterner::is_identity`], so the mapping is a cast.
+/// Narrows a wire identity to its dense arena index: a cast, because
+/// the simulation numbers its actors `0..total_actors()` (Byzantine
+/// prefix first), so the identity *is* the index.
 #[inline]
 fn narrow(id: NodeId) -> NodeIdx {
     NodeIdx(id.0 as u32)
@@ -632,11 +714,6 @@ pub struct Simulation {
     /// fanout any segment uses (equal across segments at matched view
     /// sizes). The adversary's lawful budget is `byz_count` times this.
     limiter_fanout: usize,
-    /// The wire-identity ↔ dense-index mapping. Interned in identity
-    /// order at construction and asserted to be the identity mapping —
-    /// the invariant that licenses the cast-based [`narrow`]/[`widen`]
-    /// conversions on the hot path.
-    interner: IdInterner,
     /// Per-node discovery state of every non-Byzantine actor: exact
     /// bitset rows below [`crate::bitset::EXACT_DISCOVERY_THRESHOLD`]
     /// actors, mergeable HLL sketches above (rows by population index,
@@ -702,6 +779,8 @@ pub struct Simulation {
     /// `Scenario::trusted_directory_refresh` rounds (empty while the
     /// refresh is off).
     trusted_dir: Vec<u32>,
+    /// The sort buffer of [`Simulation::check_invariants`].
+    invariant_ids: Vec<NodeId>,
 }
 
 impl Simulation {
@@ -897,7 +976,6 @@ impl Simulation {
             alive: vec![true; total],
             loss_rng: rng.split(),
             byz_count: byz,
-            interner: Self::intern_population(total),
             discovery,
             discovery_target,
             share_rings: ShareRings::new(non_byz_total),
@@ -925,6 +1003,7 @@ impl Simulation {
             audit: None,
             bandit: None,
             trusted_dir: Vec::new(),
+            invariant_ids: Vec::new(),
             scenario,
         };
         sim.init_robustness();
@@ -1005,30 +1084,9 @@ impl Simulation {
         trusted[abs] && trust.is_none_or(|t| !t.degraded[abs])
     }
 
-    /// Interns the actor population at the wire-identity boundary and
-    /// asserts the dense-ID invariant: identity-order interning must
-    /// yield the identity mapping, or the hot path's cast-based
-    /// [`narrow`]/[`widen`] conversions would be wrong.
-    fn intern_population(total: usize) -> IdInterner {
-        let mut interner = IdInterner::with_capacity(total);
-        for i in 0..total as u64 {
-            interner.intern(NodeId(i));
-        }
-        assert!(
-            interner.is_identity(),
-            "simulation actor IDs must intern to the identity mapping"
-        );
-        interner
-    }
-
     /// The scenario driving this run.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
-    }
-
-    /// The wire-identity ↔ dense-index interner covering every actor.
-    pub fn interner(&self) -> &IdInterner {
-        &self.interner
     }
 
     /// Total actors in the run (Byzantine identities + correct nodes).
@@ -1041,14 +1099,16 @@ impl Simulation {
         id.index() < self.byz_count
     }
 
-    /// Whether actor `id` is alive (crashed nodes stop participating).
+    /// Whether actor `id` is alive (crashed nodes stop participating;
+    /// `false` for an ID that names no actor).
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.alive[id.index()]
+        self.alive.get(id.index()).copied().unwrap_or(false)
     }
 
-    /// Whether actor `id` is a (genuine or injected) trusted node.
+    /// Whether actor `id` is a (genuine or injected) trusted node
+    /// (`false` for an ID that names no actor).
     pub fn is_trusted(&self, id: NodeId) -> bool {
-        self.trusted[id.index()]
+        self.trusted.get(id.index()).copied().unwrap_or(false)
     }
 
     /// Current round index.
@@ -1063,17 +1123,20 @@ impl Simulation {
     }
 
     /// Whether actor `id` has been convicted and quarantined by the
-    /// challenger (always false when audits are off).
+    /// challenger (always false when audits are off, and for an ID that
+    /// names no actor).
     pub fn is_quarantined(&self, id: NodeId) -> bool {
-        self.audit
-            .as_ref()
-            .is_some_and(|a| a.is_quarantined(id.index()))
+        id.index() < self.total_actors()
+            && self
+                .audit
+                .as_ref()
+                .is_some_and(|a| a.is_quarantined(id.index()))
     }
 
     /// Number of non-Byzantine IDs `id` has discovered so far (None for
-    /// Byzantine actors).
+    /// Byzantine actors and for an ID that names no actor).
     pub fn discovery_count(&self, id: NodeId) -> Option<usize> {
-        if id.index() < self.byz_count {
+        if id.index() < self.byz_count || id.index() >= self.total_actors() {
             return None;
         }
         Some(self.discovery.count(id.index() - self.byz_count))
@@ -1199,7 +1262,7 @@ impl Simulation {
         // `&mut self` stays available to the control passes.
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut workers = std::mem::take(&mut self.workers);
-        scratch.ensure_capacity(self.non_byz_total);
+        scratch.ensure_capacity(self.non_byz_total, self.limiter_fanout.max(1));
         self.protocol_round(&mut scratch, &mut workers);
         self.scratch = scratch;
         self.workers = workers;
@@ -1210,7 +1273,84 @@ impl Simulation {
         self.audit_round();
 
         self.update_recovery_metrics();
+        if cfg!(debug_assertions) {
+            if let Err(violation) = self.check_invariants() {
+                panic!("{violation}");
+            }
+        }
         self.round += 1;
+    }
+
+    /// Checks the protocol invariants every Raptee-family node must hold
+    /// between rounds:
+    ///
+    /// * a live node's view passes `View::invariants_hold` (no
+    ///   duplicate, never its owner), holds at most `view_size`
+    ///   entries and only IDs of actors of this run;
+    /// * its sampler has `sample_size` lanes;
+    /// * a node that was never provisioned has an empty trusted
+    ///   directory, and every directory entry is a provisioned trusted
+    ///   actor other than the owner.
+    ///
+    /// Run at the end of every [`Simulation::run_round`] in debug builds.
+    /// It allocates nothing after its first call (views above 64 slots
+    /// sort through one reused buffer; smaller ones need none), so
+    /// allocation counts are the same in debug and release. Returns the
+    /// first violation found.
+    pub fn check_invariants(&mut self) -> Result<(), String> {
+        let (byz, total, round) = (self.byz_count, self.total_actors(), self.round);
+        let (view_size, sample_size) = (self.scenario.view_size, self.scenario.sample_size);
+        let ids = &mut self.invariant_ids;
+        for (seg, nodes) in self.segs.iter().zip(&self.population) {
+            let SegmentNodes::Raptee(nodes) = nodes else {
+                continue;
+            };
+            for (i, node) in nodes.iter().enumerate() {
+                let abs = byz + seg.start + i;
+                let fail = |what: String| Err(format!("round {round}, node {abs}: {what}"));
+                let view = node.brahms().view();
+                if self.alive[abs] {
+                    if !view.invariants_hold_using(ids) {
+                        return fail(format!(
+                            "view {:?} holds a duplicate or itself",
+                            view.id_vec()
+                        ));
+                    }
+                    if view.len() > view_size {
+                        return fail(format!("view holds {} > {view_size} entries", view.len()));
+                    }
+                    if let Some(id) = view.ids().find(|id| id.index() >= total) {
+                        return fail(format!("view holds {id:?}, not an actor of this run"));
+                    }
+                }
+                let lanes = node.brahms().sampler().len();
+                if lanes != sample_size {
+                    return fail(format!("sampler has {lanes} lanes, not {sample_size}"));
+                }
+                let dir = node.directory();
+                if !self.trusted[abs] && !dir.is_empty() {
+                    return fail(format!(
+                        "never provisioned, yet its directory holds {:?}",
+                        dir.id_vec()
+                    ));
+                }
+                if !dir.invariants_hold_using(ids) {
+                    return fail(format!(
+                        "directory {:?} holds a duplicate or itself",
+                        dir.id_vec()
+                    ));
+                }
+                if let Some(id) = dir
+                    .ids()
+                    .find(|id| !self.trusted.get(id.index()).copied().unwrap_or(false))
+                {
+                    return fail(format!(
+                        "directory holds {id:?}, not a provisioned trusted actor"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Marks a correct actor dead and books the crash. A node that was
@@ -1528,35 +1668,26 @@ impl Simulation {
         if let Some(net) = self.net.as_mut() {
             net.drain_due_pushes(NetLane::Honest, &mut s.survivors);
         }
-        for seg in &self.segs {
-            for ci in (seg.start..seg.start + seg.len).filter(|&ci| s.live[ci]) {
-                let targets = if seg.ranked_cfg.is_some() {
-                    &s.ranked_plans[ci].push_targets
-                } else {
-                    &s.plans[ci].push_targets
-                };
-                let sender = NodeId((byz + ci) as u64);
-                let granted = self.limiter.try_push_n(sender, targets.len());
-                for &target in &targets[..granted] {
-                    if !self.alive[target.index()] {
-                        continue;
-                    }
-                    if message_loss > 0.0 && self.loss_rng.chance(message_loss) {
-                        continue;
-                    }
-                    if let Some(net) = self.net.as_mut() {
-                        if !net.send_push(
-                            self.round,
-                            byz + ci,
-                            target.index(),
-                            sender,
-                            NetLane::Honest,
-                        ) {
-                            continue;
-                        }
-                    }
-                    s.survivors.push((target.index() as u32, narrow(sender)));
+        // Segments are contiguous in layout order, so population-index
+        // order is every segment's senders in turn.
+        for ci in (0..self.non_byz_total).filter(|&ci| s.live[ci]) {
+            let targets = s.plans.pushes(ci);
+            let sender = NodeId((byz + ci) as u64);
+            let granted = self.limiter.try_push_n(sender, targets.len());
+            for &target in &targets[..granted] {
+                let t = target.index();
+                if !self.alive[t] {
+                    continue;
                 }
+                if message_loss > 0.0 && self.loss_rng.chance(message_loss) {
+                    continue;
+                }
+                if let Some(net) = self.net.as_mut() {
+                    if !net.send_push(self.round, byz + ci, t, sender, NetLane::Honest) {
+                        continue;
+                    }
+                }
+                s.survivors.push((target.0, narrow(sender)));
             }
         }
         let total = self.total_actors();
@@ -1742,51 +1873,53 @@ impl Simulation {
             return;
         }
 
-        // Phase 1 (parallel, per segment): plans. Raptee-family rows
-        // also snapshot their post-plan views (for deferred answers) and
-        // reset the per-round view-mutation flags.
+        // Phase 1 (parallel, per segment): plans, drawn into a per-worker
+        // plan buffer and stored in the flat plan arena. Raptee-family
+        // rows also snapshot their post-plan views (for deferred answers)
+        // and reset the per-round view-mutation flags.
         if s.snap_ids.len() != pop * stride {
             s.snap_ids.resize(pop * stride, NodeIdx(0));
         }
         {
             let alive = &self.alive;
             for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
-                let start = seg.start;
+                let (start, len) = (seg.start, seg.len);
                 match nodes {
                     SegmentNodes::Raptee(nodes) => {
                         struct Lane<'a> {
                             item: PlanItem<'a, RapteeNode>,
-                            plan: &'a mut RoundPlan,
                             mutated: &'a mut bool,
                             snap: &'a mut [NodeIdx],
                             snap_len: &'a mut u32,
                         }
                         let mut lanes: Vec<Lane> = nodes
                             .iter_mut()
-                            .zip(s.plans[start..start + seg.len].iter_mut())
-                            .zip(s.live[start..start + seg.len].iter_mut())
-                            .zip(s.view_mutated[start..start + seg.len].iter_mut())
+                            .zip(s.plans.rows(start, len))
+                            .zip(&mut s.live[start..start + len])
+                            .zip(&mut s.view_mutated[start..start + len])
                             .zip(
-                                s.snap_ids[start * stride..(start + seg.len) * stride]
+                                s.snap_ids[start * stride..(start + len) * stride]
                                     .chunks_mut(stride),
                             )
-                            .zip(s.snap_len[start..start + seg.len].iter_mut())
-                            .map(|(((((node, plan), live), mutated), snap), snap_len)| Lane {
-                                item: PlanItem { node, live },
-                                plan,
+                            .zip(&mut s.snap_len[start..start + len])
+                            .map(|(((((node, row), live), mutated), snap), snap_len)| Lane {
+                                item: PlanItem { node, row, live },
                                 mutated,
                                 snap,
                                 snap_len,
                             })
                             .collect();
-                        rayon::par_for_each_mut(&mut lanes, |i, lane| {
+                        rayon::par_for_each_scratch(&mut lanes, workers, |ws, i, lane| {
                             *lane.mutated = false;
                             if !alive[byz + start + i] {
                                 *lane.item.live = false;
                                 *lane.snap_len = 0;
                                 return;
                             }
-                            lane.item.node.plan_round_into(lane.plan);
+                            lane.item.node.plan_round_into(&mut ws.plan);
+                            lane.item
+                                .row
+                                .store(&ws.plan.push_targets, &ws.plan.pull_targets);
                             *lane.item.live = true;
                             let view = lane.item.node.brahms().view();
                             for (k, e) in view.entries().iter().enumerate() {
@@ -1796,25 +1929,18 @@ impl Simulation {
                         });
                     }
                     SegmentNodes::Ranked(nodes) => {
-                        struct Lane<'a> {
-                            item: PlanItem<'a, RankedNode>,
-                            plan: &'a mut BasaltPlan,
-                        }
-                        let mut lanes: Vec<Lane> = nodes
+                        let mut lanes: Vec<PlanItem<RankedNode>> = nodes
                             .iter_mut()
-                            .zip(s.ranked_plans[start..start + seg.len].iter_mut())
-                            .zip(s.live[start..start + seg.len].iter_mut())
-                            .map(|((node, plan), live)| Lane {
-                                item: PlanItem { node, live },
-                                plan,
-                            })
+                            .zip(s.plans.rows(start, len))
+                            .zip(&mut s.live[start..start + len])
+                            .map(|((node, row), live)| PlanItem { node, row, live })
                             .collect();
-                        rayon::par_for_each_mut(&mut lanes, |i, lane| {
-                            if alive[byz + start + i] {
-                                lane.item.node.plan_round_into(lane.plan);
-                                *lane.item.live = true;
-                            } else {
-                                *lane.item.live = false;
+                        rayon::par_for_each_scratch(&mut lanes, workers, |ws, i, lane| {
+                            *lane.live = alive[byz + start + i];
+                            if *lane.live {
+                                lane.node.plan_round_into(&mut ws.ranked_plan);
+                                let plan = &ws.ranked_plan;
+                                lane.row.store(&plan.push_targets, &plan.pull_targets);
                             }
                         });
                     }
@@ -1893,6 +2019,7 @@ impl Simulation {
         // requester sees), through the requester's own family path;
         // dead requesters consume and drop theirs.
         s.events.clear();
+        s.byz_rngs.clear();
         s.arena.clear();
         let due = self
             .net
@@ -1935,17 +2062,8 @@ impl Simulation {
                 if !s.live[ci] {
                     continue;
                 }
-                let n_pulls = if is_ranked {
-                    s.ranked_plans[ci].pull_targets.len()
-                } else {
-                    s.plans[ci].pull_targets.len()
-                };
-                for k in 0..n_pulls {
-                    let target = if is_ranked {
-                        s.ranked_plans[ci].pull_targets[k]
-                    } else {
-                        s.plans[ci].pull_targets[k]
-                    };
+                for k in 0..s.plans.pulls(ci).len() {
+                    let target = widen(s.plans.pulls(ci)[k]);
                     let Some(gate) = self.open_pull(ci, target, s) else {
                         continue;
                     };
@@ -2101,6 +2219,7 @@ impl Simulation {
             let Scratch {
                 stats,
                 events,
+                byz_rngs,
                 event_start,
                 arena,
                 snap_ids,
@@ -2111,7 +2230,7 @@ impl Simulation {
                 byz_counts,
                 ..
             } = s;
-            let (events, event_start) = (&events[..], &event_start[..]);
+            let (events, byz_rngs, event_start) = (&events[..], &byz_rngs[..], &event_start[..]);
             let (arena, snap_ids, snap_len) = (&arena[..], &snap_ids[..], &snap_len[..]);
             let (sorted, counts) = (&sorted[..], &counts[..]);
             let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
@@ -2192,8 +2311,8 @@ impl Simulation {
                                         let (a, b) = (*start as usize, (*start + *len) as usize);
                                         ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
                                     }
-                                    PullEvent::ByzReplay { rng } => {
-                                        let mut rng = rng.clone();
+                                    PullEvent::ByzReplay { slot } => {
+                                        let mut rng = byz_rngs[*slot as usize].clone();
                                         adversary.replay_pull_answer(
                                             &mut rng,
                                             &mut ws.idx,
@@ -2396,9 +2515,10 @@ impl Simulation {
             } else {
                 // Only the draws happen here; the parallel apply phase
                 // regenerates the IDs from the pre-draw snapshot.
-                let rng = self.adversary.rng_snapshot();
+                let slot = s.byz_rngs.len() as u32;
+                s.byz_rngs.push(self.adversary.rng_snapshot());
                 self.adversary.skip_pull_answer();
-                s.events.push(PullEvent::ByzReplay { rng });
+                s.events.push(PullEvent::ByzReplay { slot });
             }
             return;
         }
@@ -2991,6 +3111,52 @@ mod tests {
         assert!(sim.is_trusted(NodeId(byz as u64)));
         assert!(sim.node(NodeId(0)).is_none());
         assert!(sim.node(NodeId(byz as u64)).is_some());
+    }
+
+    #[test]
+    fn queries_about_an_id_beyond_the_run_answer_instead_of_panicking() {
+        let mut s = small(Protocol::Raptee);
+        s.audit = Some(crate::scenario::AuditConfig::with_budget(2));
+        let sim = Simulation::new(s);
+        for id in [NodeId(sim.total_actors() as u64), NodeId(u64::MAX)] {
+            assert!(!sim.is_alive(id));
+            assert!(!sim.is_trusted(id));
+            assert!(!sim.is_quarantined(id));
+            assert_eq!(sim.discovery_count(id), None);
+            assert!(sim.node(id).is_none() && sim.ranked(id).is_none());
+        }
+    }
+
+    #[test]
+    fn every_round_keeps_the_node_invariants() {
+        let mut s = small(Protocol::Raptee);
+        s.trusted_fraction = 0.2;
+        s.rounds = 20;
+        s.churn = crate::scenario::ChurnSchedule::steady(0.02, 0.4);
+        let mut sim = Simulation::new(s);
+        for _ in 0..20 {
+            sim.run_round();
+            assert_eq!(sim.check_invariants(), Ok(()));
+        }
+        // A directory entry that was never provisioned is named.
+        let untrusted = (0..sim.total_actors())
+            .map(|i| NodeId(i as u64))
+            .find(|&id| sim.node(id).is_some() && !sim.is_trusted(id))
+            .expect("an untrusted correct node");
+        let trusted = (0..sim.total_actors())
+            .map(|i| NodeId(i as u64))
+            .find(|&id| sim.node(id).is_some() && sim.is_trusted(id))
+            .expect("a trusted correct node");
+        let ci = trusted.index() - sim.byz_count;
+        let node = raptee_at(&mut sim.population, &sim.segs, &sim.seg_of, ci);
+        if let Some(oldest) = node.directory().oldest() {
+            node.forget_trusted_peer(oldest.id); // make room
+        }
+        node.note_trusted_peer(untrusted);
+        let err = sim
+            .check_invariants()
+            .expect_err("an untrusted directory entry");
+        assert!(err.contains("not a provisioned trusted actor"), "{err}");
     }
 
     #[test]
