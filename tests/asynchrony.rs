@@ -20,9 +20,9 @@ use proptest::prelude::*;
 use raptee_net::{NodeId, NodeIdx};
 use raptee_sim::event::{EventNet, Lane, PullGate};
 use raptee_sim::{
-    AttackStrategy, ChurnSchedule, DiscoveryMode, EventEngine, EventNetConfig, EventQueue,
-    LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol, Reachability, RetryConfig,
-    Scenario, Simulation,
+    AdversaryMode, AttackStrategy, AuditConfig, ChurnSchedule, DiscoveryMode, EventEngine,
+    EventNetConfig, EventQueue, LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol,
+    Reachability, RetryConfig, Scenario, Simulation,
 };
 
 // ---------------------------------------------------------------------
@@ -80,6 +80,66 @@ fn sketch_scenario() -> Scenario {
     let mut s = base(Protocol::Raptee);
     s.discovery = DiscoveryMode::Sketch;
     s.rounds = 120;
+    s
+}
+
+fn injected_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.injected_poisoned_fraction = 0.05;
+    s.message_loss = 0.05;
+    s
+}
+
+fn real_handshakes_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.real_crypto_handshakes = true;
+    s
+}
+
+fn mixed_brahms_basalt_scenario() -> Scenario {
+    let mut s = base(Protocol::Brahms).brahms_baseline().half_and_half(
+        Protocol::Brahms,
+        Protocol::Basalt {
+            view_size: 12,
+            rotation_interval: 15,
+        },
+    );
+    s.message_loss = 0.05;
+    s
+}
+
+fn lift_scenario() -> Scenario {
+    let mut s = base(Protocol::Brahms).lift_variant(15);
+    s.message_loss = 0.05;
+    s
+}
+
+fn honeybee_scenario() -> Scenario {
+    let mut s = base(Protocol::Brahms).honeybee_variant(4);
+    s.message_loss = 0.05;
+    s
+}
+
+fn adaptive_mixed_scenario() -> Scenario {
+    let mut s = mixed_brahms_basalt_scenario();
+    s.adversary_mode = AdversaryMode::Adaptive;
+    s
+}
+
+fn trusted_expiry_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.attest_ttl = 15;
+    s
+}
+
+/// The audit layer on the round model: the 10 % trusted tier commits
+/// its views, and the challenger's partition lookup finds no cut.
+fn audited_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.audit = Some(AuditConfig {
+        budget: 4,
+        grace: 8,
+    });
     s
 }
 
@@ -159,6 +219,46 @@ fn zero_latency_matches_rounds_mixed_population() {
         "mixed-raptee-basalt-tee",
         mixed_raptee_basalt_tee_scenario(),
     );
+}
+
+#[test]
+fn zero_latency_matches_rounds_injected() {
+    assert_equivalent("raptee-injected", injected_scenario());
+}
+
+#[test]
+fn zero_latency_matches_rounds_real_handshakes() {
+    assert_equivalent("raptee-real-handshakes", real_handshakes_scenario());
+}
+
+#[test]
+fn zero_latency_matches_rounds_mixed_brahms_basalt() {
+    assert_equivalent("mixed-brahms-basalt", mixed_brahms_basalt_scenario());
+}
+
+#[test]
+fn zero_latency_matches_rounds_lift() {
+    assert_equivalent("lift", lift_scenario());
+}
+
+#[test]
+fn zero_latency_matches_rounds_honeybee() {
+    assert_equivalent("honeybee", honeybee_scenario());
+}
+
+#[test]
+fn zero_latency_matches_rounds_adaptive_mixed() {
+    assert_equivalent("adaptive-mixed", adaptive_mixed_scenario());
+}
+
+#[test]
+fn zero_latency_matches_rounds_trusted_expiry() {
+    assert_equivalent("trusted-expiry", trusted_expiry_scenario());
+}
+
+#[test]
+fn zero_latency_matches_rounds_audited() {
+    assert_equivalent("raptee-audited", audited_scenario());
 }
 
 // ---------------------------------------------------------------------
