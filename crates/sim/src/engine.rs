@@ -10,7 +10,9 @@
 //! per-protocol segments ([`Scenario::segments`]), and a uniform run is
 //! simply a one-segment population. Every family therefore faces the
 //! same limiter, loss stream and adversary by construction, and shared
-//! sequential streams are consumed in segment-layout order.
+//! sequential streams are consumed in segment-layout order. Delivery
+//! has one lane too: every message leaves through the run's
+//! [`EventNet`], and a lockstep run is the net at zero latency.
 //!
 //! Round structure (mirroring the paper's 2.5 s protocol rounds):
 //!
@@ -73,7 +75,9 @@ use crate::metrics::{
     STABILITY_SPREAD,
 };
 use crate::ranked::{RankedCfg, RankedNode};
-use crate::scenario::{AdversaryMode, AttackStrategy, Protocol, RejoinPolicy, Scenario};
+use crate::scenario::{
+    AdversaryMode, AttackStrategy, NetworkModel, Protocol, RejoinPolicy, Scenario,
+};
 use raptee::provisioning;
 use raptee::{RapteeConfig, RapteeNode};
 use raptee_basalt::{BasaltConfig, BasaltNode, BasaltPlan};
@@ -742,10 +746,10 @@ pub struct Simulation {
     scratch: Scratch,
     /// Per-worker arenas for the parallel phases.
     workers: Vec<WorkerScratch>,
-    /// The event-driven delivery substrate (`None` under
-    /// [`crate::scenario::NetworkModel::Rounds`] — in which case every
-    /// message follows the historical lockstep path untouched).
-    net: Option<EventNet>,
+    /// The delivery substrate every message leaves through — at the
+    /// all-zero configuration under [`NetworkModel::Rounds`], where
+    /// every message lands in its sending round.
+    net: EventNet,
     non_byz_total: usize,
     round: usize,
     byz_share_series: Vec<f64>,
@@ -1182,10 +1186,9 @@ impl Simulation {
         self.ranked(id).and_then(RankedNode::as_honeybee)
     }
 
-    /// The event-network substrate (`None` under
-    /// [`NetworkModel::Rounds`](crate::scenario::NetworkModel::Rounds)).
-    pub fn event_net(&self) -> Option<&EventNet> {
-        self.net.as_ref()
+    /// The delivery substrate of this run.
+    pub fn event_net(&self) -> &EventNet {
+        &self.net
     }
 
     /// Executes the full run and returns the collected metrics.
@@ -1199,11 +1202,8 @@ impl Simulation {
     /// Executes one round (public so tests can single-step).
     pub fn run_round(&mut self) {
         self.limiter.next_round();
-        // Event model: take over every message arriving inside this
-        // round's window.
-        if let Some(net) = &mut self.net {
-            net.begin_round(self.round);
-        }
+        // Take over every late message arriving inside this round.
+        self.net.begin_round(self.round);
         let total = self.total_actors();
 
         // Churn injection, one-shot flavour: crash a batch of correct
@@ -1290,7 +1290,10 @@ impl Simulation {
     /// * its sampler has `sample_size` lanes;
     /// * a node that was never provisioned has an empty trusted
     ///   directory, and every directory entry is a provisioned trusted
-    ///   actor other than the owner.
+    ///   actor other than the owner;
+    ///
+    /// and then the net's message conservation
+    /// ([`EventNet::check_conservation`]).
     ///
     /// Run at the end of every [`Simulation::run_round`] in debug builds.
     /// It allocates nothing after its first call (views above 64 slots
@@ -1350,7 +1353,9 @@ impl Simulation {
                 }
             }
         }
-        Ok(())
+        self.net
+            .check_conservation()
+            .map_err(|violation| format!("round {round}, net: {violation}"))
     }
 
     /// Marks a correct actor dead and books the crash. A node that was
@@ -1534,10 +1539,7 @@ impl Simulation {
             // space; a partition window separating it from the target
             // makes the opening undeliverable (a pure schedule lookup —
             // no latency or loss draws are consumed).
-            let partitioned = self
-                .net
-                .as_ref()
-                .is_some_and(|n| n.separated(self.round, t, total - 1));
+            let partitioned = self.net.separated(self.round, t, total - 1);
             let response = if t < byz {
                 // Byzantine responders answer, but recorded traffic and
                 // chained commitment cannot both hold — the replay
@@ -1665,9 +1667,7 @@ impl Simulation {
         // Late pushes from earlier rounds arrive first: they are the
         // oldest messages each receiver sees, and the stable counting
         // sort preserves that ordering per target.
-        if let Some(net) = self.net.as_mut() {
-            net.drain_due_pushes(NetLane::Honest, &mut s.survivors);
-        }
+        self.net.drain_due_pushes(NetLane::Honest, &mut s.survivors);
         // Segments are contiguous in layout order, so population-index
         // order is every segment's senders in turn.
         for ci in (0..self.non_byz_total).filter(|&ci| s.live[ci]) {
@@ -1682,10 +1682,11 @@ impl Simulation {
                 if message_loss > 0.0 && self.loss_rng.chance(message_loss) {
                     continue;
                 }
-                if let Some(net) = self.net.as_mut() {
-                    if !net.send_push(self.round, byz + ci, t, sender, NetLane::Honest) {
-                        continue;
-                    }
+                if !self
+                    .net
+                    .send_push(self.round, byz + ci, t, sender, NetLane::Honest)
+                {
+                    continue;
                 }
                 s.survivors.push((target.0, narrow(sender)));
             }
@@ -1717,9 +1718,7 @@ impl Simulation {
             ..
         } = s;
         survivors.clear();
-        if let Some(net) = self.net.as_mut() {
-            net.drain_due_pushes(NetLane::Adversary, survivors);
-        }
+        self.net.drain_due_pushes(NetLane::Adversary, survivors);
         let total_budget = self.byz_count * self.limiter_fanout;
         let mut assigned = 0usize;
         let mut charge_rotor = 0usize;
@@ -1772,19 +1771,17 @@ impl Simulation {
                 {
                     continue;
                 }
-                if let Some(net) = self.net.as_mut() {
-                    // The adversary's pushes originate at the advertised
-                    // identity's host (injected poisoned nodes send from
-                    // their own addresses).
-                    if !net.send_push(
-                        self.round,
-                        advertised.index(),
-                        victim.index(),
-                        advertised,
-                        NetLane::Adversary,
-                    ) {
-                        continue;
-                    }
+                // The adversary's pushes originate at the advertised
+                // identity's host (injected poisoned nodes send from
+                // their own addresses).
+                if !self.net.send_push(
+                    self.round,
+                    advertised.index(),
+                    victim.index(),
+                    advertised,
+                    NetLane::Adversary,
+                ) {
+                    continue;
                 }
                 survivors.push((victim.index() as u32, narrow(advertised)));
             }
@@ -2014,18 +2011,14 @@ impl Simulation {
         // trusted swaps — with every untrusted answer deferred as a pull
         // event for the parallel apply phase. Ranked-family answers are
         // ranked on arrival and shape later answers, so they cannot
-        // shard. Under the event model, answers deferred from earlier
-        // rounds deliver first (they are the oldest answers the
-        // requester sees), through the requester's own family path;
-        // dead requesters consume and drop theirs.
+        // shard. Answers deferred from earlier rounds deliver first
+        // (they are the oldest answers the requester sees), through the
+        // requester's own family path; dead requesters consume and drop
+        // theirs.
         s.events.clear();
         s.byz_rngs.clear();
         s.arena.clear();
-        let due = self
-            .net
-            .as_mut()
-            .map(|n| n.take_due_answers())
-            .unwrap_or_default();
+        let due = self.net.take_due_answers();
         let mut due_cursor = 0usize;
         for si in 0..self.segs.len() {
             let (start, len) = (self.segs[si].start, self.segs[si].len);
@@ -2041,11 +2034,10 @@ impl Simulation {
                     // The first delivered copy claims the exchange;
                     // deadline retransmits and injected duplicates are
                     // suppressed.
-                    let net = self.net.as_mut().expect("due answers come from the net");
-                    if !net.accept_answer(ans) || !s.live[ci] {
+                    if !self.net.accept_answer(ans) || !s.live[ci] {
                         continue;
                     }
-                    let ids = net.due_ids(ans);
+                    let ids = self.net.due_ids(ans);
                     if is_ranked {
                         s.reply.clear();
                         s.reply.extend(ids.iter().map(|&idx| widen(idx)));
@@ -2432,15 +2424,12 @@ impl Simulation {
             self.drop_link(requester_ci, target, true, s);
             return None;
         }
-        // Event model: reachability gating and round-trip timing. A
-        // refused exchange never opens a connection, so (unlike a crash
-        // timeout) the requester drops nothing and no loss RNG draw
-        // happens — at the zero-latency config no exchange is ever
-        // refused and this is a pass-through.
-        let gate = match self.net.as_mut() {
-            Some(net) => net.gate_pull(self.round, requester_abs, t),
-            None => PullGate::Inline,
-        };
+        // Reachability gating and round-trip timing. A refused exchange
+        // never opens a connection, so (unlike a crash timeout) the
+        // requester drops nothing and no loss RNG draw happens — at the
+        // zero-latency config no exchange is ever refused and every one
+        // runs inline.
+        let gate = self.net.gate_pull(self.round, requester_abs, t);
         if gate == PullGate::Refused {
             return None;
         }
@@ -2448,15 +2437,11 @@ impl Simulation {
         // and any in-flight retransmit copies die with the exchange.
         if !self.alive[t] {
             self.drop_link(requester_ci, target, false, s);
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
+            self.net.drop_pending_copies();
             return None;
         }
         if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
+            self.net.drop_pending_copies();
             return None; // request or answer lost in transit
         }
         Some(gate)
@@ -2509,9 +2494,8 @@ impl Simulation {
             if let PullGate::Deferred { round, held } = gate {
                 // The answer is drawn now but lands in a later round.
                 self.adversary.pull_answer_into(&mut s.reply);
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, &s.reply);
-                }
+                self.net
+                    .queue_answer(round, held, requester_ci as u32, target, &s.reply);
             } else {
                 // Only the draws happen here; the parallel apply phase
                 // regenerates the IDs from the pre-draw snapshot.
@@ -2550,9 +2534,7 @@ impl Simulation {
             // Trusted exchanges apply inline even when the gate deferred
             // the answer (the attested channel is synchronous); drop any
             // pending retransmit copies so they cannot double-deliver.
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
+            self.net.drop_pending_copies();
         }
         let seg_nodes = &mut self.population;
         if !target_ranked {
@@ -2579,9 +2561,8 @@ impl Simulation {
                 s.reply.clear();
                 let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
                 s.reply.extend(responder.brahms().view().ids());
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, &s.reply);
-                }
+                self.net
+                    .queue_answer(round, held, requester_ci as u32, target, &s.reply);
             } else if !s.view_mutated[tc] {
                 // An untrusted answer is the responder's full view at
                 // this moment. While that is still exactly its post-plan
@@ -2605,9 +2586,8 @@ impl Simulation {
                 raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
                     .record_trusted_pull(&s.reply);
             } else if let PullGate::Deferred { round, held } = gate {
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, &s.reply);
-                }
+                self.net
+                    .queue_answer(round, held, requester_ci as u32, target, &s.reply);
             } else {
                 let start = s.arena.len() as u32;
                 s.arena.extend(s.reply.iter().map(|&id| narrow(id)));
@@ -2659,16 +2639,13 @@ impl Simulation {
         if both_trusted {
             // Trusted exchanges apply inline regardless of the gate —
             // discard pending retransmit copies (see `raptee_pull`).
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
+            self.net.drop_pending_copies();
         }
         if let (PullGate::Deferred { round, held }, false) = (gate, both_trusted) {
             // The answer reflects the responder's state at request time
             // but ranks at the requester in a later round.
-            if let Some(net) = self.net.as_mut() {
-                net.queue_answer(round, held, requester_ci as u32, target, &s.reply);
-            }
+            self.net
+                .queue_answer(round, held, requester_ci as u32, target, &s.reply);
         } else {
             self.rank_answer(requester_ci, target, &s.reply, both_trusted);
         }
@@ -2869,11 +2846,16 @@ impl Simulation {
             only.mean_discovery_round = mean_discovery_round;
             only.stability_round = stability_round;
         }
-        // Virtual time: event runs measure ticks, round runs count one
-        // tick per round. `finish` counts the messages still in flight.
-        let (virtual_ticks, net) = match self.net {
-            Some(n) => (self.round as u64 * n.round_ticks(), Some(n.finish())),
-            None => (self.round as u64, None),
+        // The two reporting rules of the one net: an event run measures
+        // ticks and reports its counters (`finish` counts the messages
+        // still in flight); a round run counts one tick per round and
+        // reports none.
+        let (virtual_ticks, net) = match self.scenario.network {
+            NetworkModel::Rounds => (self.round as u64, None),
+            NetworkModel::Events(_) => (
+                self.round as u64 * self.net.round_ticks(),
+                Some(self.net.finish()),
+            ),
         };
         // Recovery metrics exist only when dynamic churn or attestation
         // expiry ran — the all-off configuration reports `None` and

@@ -1,23 +1,26 @@
 //! The discrete-event delivery substrate.
 //!
-//! The round engine in [`crate::engine`] is lockstep: every message sent
-//! in round `r` arrives in round `r`. This module adds the asynchronous
-//! counterpart — an [`EventNet`] that gives every protocol message a
+//! Every run owns one [`EventNet`]. It gives every protocol message a
 //! per-link latency ([`LatencyModel`]), holds it at partition boundaries
 //! ([`PartitionWindow`]), bounces it off NATs ([`Reachability::Nat`]) and
 //! delivers it in the round its arrival tick falls into.
 //!
-//! The protocol cores are *not* rewritten: [`crate::engine::Simulation`]
-//! keeps its phase-parallel round structure and per-node round timers,
-//! and consults the substrate at exactly the points where a message
+//! [`crate::engine::Simulation`] keeps its phase-parallel round
+//! structure and consults the net at exactly the points where a message
 //! leaves a node — each honest or adversarial push, each pull
-//! request/answer exchange. A message whose arrival time falls inside
-//! the sending round is delivered through the unchanged historical code
-//! path; a message that crosses a round boundary is filed in the
-//! calendar and handed to the receiving round by
-//! [`EventNet::begin_round`]. With the all-zero [`EventNetConfig`] every
-//! gate is a pass-through, which is why the event engine reproduces the
-//! round engine **bit-for-bit** at zero latency (`tests/asynchrony.rs`).
+//! request/answer exchange. A message whose arrival falls inside the
+//! sending round is delivered in place; a message that crosses a round
+//! boundary is filed in the calendar and handed to the receiving round
+//! by [`EventNet::begin_round`].
+//!
+//! The paper's lockstep round is this net at the all-zero
+//! [`EventNetConfig`]: no latency, no clock offset, no partition, full
+//! reachability. Every message then lands inside its sending round and
+//! nothing is ever filed, so a [`NetworkModel::Rounds`] run is built on
+//! that configuration and differs from its zero-latency
+//! [`NetworkModel::Events`] twin only in how the result reports time and
+//! network counters (`tests/asynchrony.rs` pins the equality on every
+//! round-model golden).
 //!
 //! # The round calendar
 //!
@@ -28,8 +31,10 @@
 //! * A late push is one 24-byte `Copy` record appended to the push
 //!   bucket of its arrival round; one copy of a late pull answer is one
 //!   32-byte [`DueAnswer`] appended to the answer bucket of its arrival
-//!   round. A record that would arrive after the run ends is counted
-//!   (`in_flight_at_end`) and never stored.
+//!   round. A record that would arrive after the run's last round is
+//!   counted (`in_flight_at_end`) and never stored; a driver stepping
+//!   past that horizon gets rounds with nothing due, and their late
+//!   traffic is counted the same way.
 //! * Delivery order is ascending `(arrival tick, filing order)`. Records
 //!   are filed from the engine's sequential control passes, so the order
 //!   inside a bucket *is* the filing order, and a **stable** sort of the
@@ -61,8 +66,7 @@
 //! `RAYON_NUM_THREADS` (pinned by the event-family goldens in
 //! `tests/determinism.rs`).
 
-use crate::engine::Simulation;
-use crate::metrics::{NetRunStats, RunResult};
+use crate::metrics::NetRunStats;
 use crate::scenario::{
     EventNetConfig, LatencyModel, NetworkModel, PartitionWindow, Reachability, Scenario,
 };
@@ -187,8 +191,7 @@ impl<T> EventQueue<T> {
 /// travels with the record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// Honest pushes — delivered before the adversary's, as in the round
-    /// engine.
+    /// Honest pushes — delivered before the adversary's.
     Honest,
     /// Adversarial pushes.
     Adversary,
@@ -258,8 +261,8 @@ struct PayloadSlot {
 /// The substrate's verdict on one pull exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PullGate {
-    /// The round trip completes within the sending round: run the
-    /// historical inline exchange unchanged.
+    /// The round trip completes within the sending round: the exchange
+    /// runs in place.
     Inline,
     /// No connection: the target is NAT-blocked or behind an active
     /// partition cut. The requester learns nothing (and, unlike a crash
@@ -276,9 +279,10 @@ pub enum PullGate {
     },
 }
 
-/// The event-driven delivery substrate of one run (`None` under
-/// [`NetworkModel::Rounds`]). Owned by [`Simulation`]; consulted from
-/// the sequential control passes only.
+/// The delivery substrate of one run, built from the all-zero
+/// [`EventNetConfig`] under [`NetworkModel::Rounds`]. Owned by
+/// [`Simulation`](crate::engine::Simulation); consulted from the
+/// sequential control passes only.
 #[derive(Debug, Clone)]
 pub struct EventNet {
     cfg: EventNetConfig,
@@ -343,16 +347,14 @@ pub struct EventNet {
 }
 
 impl EventNet {
-    /// Builds the substrate for `scenario`, or `None` under the round
-    /// model. Pure derivation from the scenario — consumes no RNG.
-    pub fn from_scenario(scenario: &Scenario) -> Option<Self> {
-        match &scenario.network {
-            NetworkModel::Rounds => None,
-            NetworkModel::Events(cfg) => Some(Self::new(scenario, cfg.clone())),
-        }
-    }
-
-    fn new(scenario: &Scenario, cfg: EventNetConfig) -> Self {
+    /// Builds the substrate for `scenario`: its event configuration, or
+    /// the all-zero one under the round model. Pure derivation from the
+    /// scenario — consumes no RNG.
+    pub fn from_scenario(scenario: &Scenario) -> Self {
+        let cfg = match &scenario.network {
+            NetworkModel::Rounds => EventNetConfig::default(),
+            NetworkModel::Events(cfg) => cfg.clone(),
+        };
         let total = scenario.total_actors();
         let byz = scenario.byzantine_count();
         let natted_from = match cfg.reachability {
@@ -390,21 +392,21 @@ impl EventNet {
         }
     }
 
-    /// Ticks per round (for [`RunResult::virtual_ticks`]).
+    /// Ticks per round (for an event run's
+    /// [`RunResult::virtual_ticks`](crate::metrics::RunResult::virtual_ticks)).
     pub fn round_ticks(&self) -> u64 {
         self.cfg.round_ticks
     }
 
-    /// Opens round `round` (later than every round opened before, and
-    /// inside the run): hands every record arriving up to and including
-    /// this round to the due buckets — pushes per lane in arrival order;
-    /// answers by requester, in arrival order within one — and retires
-    /// what the rounds now over leave behind.
+    /// Opens round `round` (later than every round opened before): hands
+    /// every record arriving up to and including this round to the due
+    /// buckets — pushes per lane in arrival order; answers by requester,
+    /// in arrival order within one — and retires what the rounds now
+    /// over leave behind. A round at or past the run's horizon has
+    /// nothing due.
     pub fn begin_round(&mut self, round: usize) {
-        assert!(
-            self.opened <= round && round < self.rounds,
-            "rounds open in ascending order, inside the run"
-        );
+        assert!(self.opened <= round, "rounds open in ascending order");
+        let open_to = (round + 1).min(self.rounds);
         self.due_honest.clear();
         self.due_byz.clear();
         self.due_answers.clear();
@@ -420,7 +422,7 @@ impl EventNet {
         // copies are only being delivered now — a driver that skips
         // rounds gets them again as fresh, exactly as from the heap
         // substrate — so those stay allocated for one more round.
-        for group in &mut self.groups[self.opened.saturating_sub(1)..round] {
+        for group in &mut self.groups[self.opened.saturating_sub(1)..open_to - 1] {
             for slot in &mut group.slots {
                 if std::mem::take(&mut slot.applied) {
                     self.stats.nonce_evictions += 1;
@@ -434,7 +436,7 @@ impl EventNet {
         // Buckets are disjoint, ascending tick ranges, so sorting each
         // by arrival and concatenating is the global order. The sorts
         // must be stable: ties keep their filing order.
-        for bucket in self.opened..=round {
+        for bucket in self.opened..open_to {
             let mut pushes = std::mem::take(&mut self.pushes[bucket]);
             pushes.sort_by_key(|p| p.arrival);
             self.drained_pushes += pushes.len() as u64;
@@ -457,8 +459,7 @@ impl EventNet {
         self.drained_answers += self.due_answers.len() as u64;
         self.stats.partition_released += self.due_answers.iter().filter(|a| a.held).count() as u64;
         self.due_answers.sort_by_key(|a| (a.ci, a.arrival));
-        self.opened = round + 1;
-        debug_assert_eq!(self.check_conservation(), Ok(()));
+        self.opened = open_to;
     }
 
     /// Moves this round's due pushes of `lane` to the head of
@@ -474,7 +475,7 @@ impl EventNet {
 
     /// Routes one push from actor `src` to actor `dst` advertising
     /// `advertised`. Returns `true` when the message lands inside the
-    /// sending round (deliver through the unchanged inline path), `false`
+    /// sending round (the caller delivers it in place), `false`
     /// when it was filed for a later round or blocked by the NAT.
     pub fn send_push(
         &mut self,
@@ -500,11 +501,11 @@ impl EventNet {
         if held {
             self.stats.partition_held += 1;
         }
-        let arrival_round = (arrival / ticks) as usize;
-        if arrival_round <= round {
+        if arrival < (round as u64 + 1) * ticks {
             return true;
         }
         self.stats.late_deliveries += 1;
+        let arrival_round = (arrival / ticks) as usize;
         if arrival_round >= self.rounds {
             self.past_horizon += 1;
         } else {
@@ -538,14 +539,20 @@ impl EventNet {
         debug_assert!(self.dup_pending.is_empty(), "pending copies were drained");
         let ticks = self.cfg.round_ticks;
         let retry = self.cfg.retry;
+        // The first attempt departs in `round` itself: the clock offset
+        // stays below one round.
         let mut depart = round as u64 * ticks + self.offset(req);
+        let mut depart_round = round;
         for attempt in 0..=retry.max_retries {
             let last = attempt == retry.max_retries;
-            let depart_round = (depart / ticks) as usize;
-            if depart_round >= self.rounds {
-                // The run ends before this attempt fires.
-                self.dup_pending.clear();
-                return PullGate::Refused;
+            if attempt > 0 {
+                depart += self.backoff(attempt - 1, req, tgt);
+                depart_round = (depart / ticks) as usize;
+                if depart_round >= self.rounds {
+                    // The run ends before this retry fires.
+                    self.dup_pending.clear();
+                    return PullGate::Refused;
+                }
             }
             // Each attempt is an outbound contact: it re-punches the
             // requester's NAT hole at its own departure round.
@@ -555,7 +562,7 @@ impl EventNet {
             let refused = if self.natted(tgt) && !self.hole_open(tgt, req, depart_round) {
                 self.stats.nat_blocked += 1;
                 true
-            } else if self.cut_active(depart_round, req, tgt) {
+            } else if self.separated(depart_round, req, tgt) {
                 self.stats.refused_pulls += 1;
                 true
             } else {
@@ -566,7 +573,6 @@ impl EventNet {
                     self.dup_pending.clear();
                     return PullGate::Refused;
                 }
-                depart += self.backoff(attempt, req, tgt);
                 continue;
             }
             let rtt = self.latency(req, tgt) + self.latency(tgt, req);
@@ -583,18 +589,16 @@ impl EventNet {
                 // so the materialised answer is also delivered at this
                 // arrival, under the shared payload slot.
                 self.dup_pending.push((arrival, held));
-                depart += self.backoff(attempt, req, tgt);
                 continue;
             }
-            let answer_round = (arrival / ticks) as usize;
-            return if answer_round <= round && self.dup_pending.is_empty() {
+            return if arrival < (round as u64 + 1) * ticks && self.dup_pending.is_empty() {
                 PullGate::Inline
             } else {
                 // Retransmit copies are pending: the exchange must go
                 // through `queue_answer` so they get their payload, so
                 // an in-round arrival defers to the next round.
                 PullGate::Deferred {
-                    round: answer_round.max(if self.dup_pending.is_empty() {
+                    round: ((arrival / ticks) as usize).max(if self.dup_pending.is_empty() {
                         0
                     } else {
                         round + 1
@@ -735,7 +739,6 @@ impl EventNet {
     /// Finalises the run: whatever the calendar still holds, and
     /// whatever was due after the last round, is in flight forever.
     pub fn finish(mut self) -> NetRunStats {
-        debug_assert_eq!(self.check_conservation(), Ok(()));
         self.stats.in_flight_at_end = self.bucketed() + self.past_horizon;
         self.stats
     }
@@ -747,8 +750,9 @@ impl EventNet {
         (pushes + replies) as u64
     }
 
-    /// The message-conservation invariant of the substrate, checked at
-    /// every round open and at the end of the run in debug builds:
+    /// The message-conservation invariant of the substrate, checked after
+    /// every round by
+    /// [`Simulation::check_invariants`](crate::engine::Simulation::check_invariants):
     ///
     /// * every late delivery is accounted for — handed over, still in
     ///   the calendar, or due after the run;
@@ -843,13 +847,9 @@ impl EventNet {
 
     /// Whether an active partition window separates `a` and `b` in
     /// `round` — a pure schedule lookup (no stream draws), used by the
-    /// audit challenger to recognise targets it cannot reach.
+    /// pull gate and by the audit challenger to recognise targets it
+    /// cannot reach.
     pub fn separated(&self, round: usize, a: usize, b: usize) -> bool {
-        self.cut_active(round, a, b)
-    }
-
-    /// Whether an active partition separates `a` and `b` in `round`.
-    fn cut_active(&self, round: usize, a: usize, b: usize) -> bool {
         self.cfg
             .partitions
             .iter()
@@ -867,6 +867,9 @@ impl EventNet {
     /// hold applied — the invariant the partition property tests pin:
     /// held messages are delayed to the heal, never dropped.
     fn partition_clamp(&self, a: usize, b: usize, arrival: &mut u64) -> bool {
+        if self.cfg.partitions.is_empty() {
+            return false;
+        }
         let ticks = self.cfg.round_ticks;
         let mut held = false;
         loop {
@@ -943,46 +946,6 @@ fn unit(x: u64) -> f64 {
     ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64
 }
 
-/// The event-driven engine: a thin, explicitly-named driver over
-/// [`Simulation`] for scenarios on [`NetworkModel::Events`]. The
-/// substrate activates transparently inside [`Simulation::new`] as well
-/// — this wrapper exists so call sites (and docs) can name the engine
-/// they mean, and so the network-model precondition is asserted.
-pub struct EventEngine {
-    sim: Simulation,
-}
-
-impl EventEngine {
-    /// Builds the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the scenario is not on [`NetworkModel::Events`].
-    pub fn new(scenario: Scenario) -> Self {
-        assert!(
-            matches!(scenario.network, NetworkModel::Events(_)),
-            "EventEngine drives NetworkModel::Events scenarios; use Simulation for rounds"
-        );
-        Self {
-            sim: Simulation::new(scenario),
-        }
-    }
-
-    /// Executes the full run.
-    pub fn run(self) -> RunResult {
-        self.sim.run()
-    }
-
-    /// Executes one round (tests single-step through this).
-    pub fn run_round(&mut self) {
-        self.sim.run_round();
-    }
-
-    /// The underlying simulation.
-    pub fn simulation(&self) -> &Simulation {
-        &self.sim
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1039,20 +1002,32 @@ mod tests {
             ..Scenario::default()
         };
         scenario.validate();
-        EventNet::from_scenario(&scenario).expect("events model")
+        EventNet::from_scenario(&scenario)
     }
 
     #[test]
     fn zero_latency_config_is_a_pass_through() {
-        let mut net = net(EventNetConfig::default());
-        net.begin_round(0);
-        for dst in 1..50 {
-            assert!(net.send_push(0, 0, dst, NodeId(0), Lane::Honest));
-            assert_eq!(net.gate_pull(0, 0, dst), PullGate::Inline);
+        // The round model's net and the zero-latency event net, inside
+        // the 40-round run and stepped past it.
+        let rounds_model = Scenario {
+            n: 100,
+            rounds: 40,
+            ..Scenario::default()
+        };
+        for mut net in [
+            EventNet::from_scenario(&rounds_model),
+            net(EventNetConfig::default()),
+        ] {
+            for round in [0, 39, 40, 45] {
+                net.begin_round(round);
+                for dst in 1..50 {
+                    assert!(net.send_push(round, 0, dst, NodeId(0), Lane::Honest));
+                    assert_eq!(net.gate_pull(round, 0, dst), PullGate::Inline);
+                }
+            }
+            assert_eq!(net.check_conservation(), Ok(()));
+            assert_eq!(net.finish(), NetRunStats::default());
         }
-        assert_eq!(net.stats().late_deliveries, 0);
-        let stats = net.finish();
-        assert_eq!(stats, NetRunStats::default());
     }
 
     #[test]
@@ -1399,7 +1374,14 @@ mod tests {
         assert_eq!(net.bucketed(), 0);
         assert!(net.groups.iter().all(|g| g.ids.is_empty()));
         assert_eq!(net.check_conservation(), Ok(()));
-        assert_eq!(net.finish().in_flight_at_end, 2);
+        // Stepped past the horizon: nothing is due, and late traffic is
+        // counted the same way.
+        net.begin_round(42);
+        assert!(net.take_due_answers().is_empty());
+        assert!(!net.send_push(42, 1, 2, NodeId(1), Lane::Honest));
+        assert_eq!(net.stats().late_deliveries, 3);
+        assert_eq!(net.check_conservation(), Ok(()));
+        assert_eq!(net.finish().in_flight_at_end, 3);
     }
 
     #[test]
@@ -1451,7 +1433,7 @@ mod tests {
                 ..Scenario::default()
             };
             Self {
-                cal: EventNet::from_scenario(&scenario).expect("events model"),
+                cal: EventNet::from_scenario(&scenario),
                 heap: HeapNet::from_scenario(&scenario).expect("events model"),
                 round: 0,
                 begun: false,

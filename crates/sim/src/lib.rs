@@ -15,19 +15,18 @@
 //!   answers containing exclusively Byzantine IDs, the trusted-node
 //!   identification classifier of Section VI-A, and the view-poisoned
 //!   trusted-node injection of Section VI-B.
-//! * [`engine`] — the synchronous round loop gluing nodes, network
-//!   defences and adversary together: one loop for every protocol
-//!   family, a uniform run being a one-segment population;
-//!   phase-parallel within a single
+//! * [`engine`] — the round loop gluing nodes, network defences and
+//!   adversary together: one loop for every protocol family, a uniform
+//!   run being a one-segment population and a lockstep run a
+//!   zero-latency one; phase-parallel within a single
 //!   run (plan/apply phases shard by node over `RAYON_NUM_THREADS`
 //!   workers) with bit-identical results at every thread count.
-//! * [`event`] — the discrete-event delivery substrate
-//!   ([`event::EventNet`], [`event::EventEngine`]): a deterministic
-//!   round calendar — one bucket of flat records per arrival round,
-//!   delivered in `(arrival tick, sending order)` — under per-link
-//!   latency models, partition/healing schedules and NAT-like
-//!   asymmetric reachability; bit-for-bit equal to the round engine at
-//!   zero latency (`tests/asynchrony.rs`).
+//! * [`event`] — the delivery substrate every run owns
+//!   ([`event::EventNet`]): a deterministic round calendar — one bucket
+//!   of flat records per arrival round, delivered in `(arrival tick,
+//!   sending order)` — under per-link latency models, partition/healing
+//!   schedules and NAT-like asymmetric reachability. Its all-zero
+//!   configuration is the paper's lockstep round.
 //! * [`metrics`] — resilience, system-discovery time, view-stability
 //!   time, identification precision/recall/F1.
 //! * [`runner`] — repetition and (rayon-parallel) parameter sweeps, plus
@@ -63,7 +62,7 @@ pub use adversary::AdaptiveCoordinator;
 pub use audit::{AuditResponse, Beacon, Challenger, Verdict};
 pub use bitset::{Discovery, EXACT_DISCOVERY_THRESHOLD};
 pub use engine::Simulation;
-pub use event::{EventEngine, EventQueue};
+pub use event::EventQueue;
 pub use metrics::{AuditStats, RecoveryStats};
 pub use metrics::{IdentificationResult, NetRunStats, RunResult, SegmentResult};
 pub use ranked::{RankedCfg, RankedNode};

@@ -1,13 +1,15 @@
-//! Asynchrony-equivalence suite for the event-driven network model.
+//! Asynchrony suite for the event network every run owns.
 //!
 //! Three layers:
 //!
-//! 1. **Zero-latency equivalence** — the event engine in its all-zero
-//!    configuration (constant-0 latency, synchronized round timers, no
-//!    partitions, full reachability) must reproduce the round engine
-//!    *bit-for-bit* on every pinned golden scenario. This is the
-//!    license for sharing one protocol core between both engines: the
-//!    delivery substrate is provably the only thing that changes.
+//! 1. **Zero-latency equivalence** — a `NetworkModel::Rounds` run is
+//!    the net at its all-zero configuration (constant-0 latency,
+//!    synchronized round timers, no partitions, full reachability), so
+//!    it must equal the same scenario on `NetworkModel::Events` with
+//!    that configuration *bit-for-bit*, on every round-model golden
+//!    scenario. The two differ only in the reporting rule: a round run
+//!    counts one tick per round and reports no net counters. Runs
+//!    stepped past their last round keep both models going.
 //! 2. **A pollution effect the round model cannot express** — a
 //!    partition-and-heal run whose held-then-released message burst
 //!    trips the flood defences and delays convergence, visible in the
@@ -20,9 +22,9 @@ use proptest::prelude::*;
 use raptee_net::{NodeId, NodeIdx};
 use raptee_sim::event::{EventNet, Lane, PullGate};
 use raptee_sim::{
-    AdversaryMode, AttackStrategy, AuditConfig, ChurnSchedule, DiscoveryMode, EventEngine,
-    EventNetConfig, EventQueue, LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol,
-    Reachability, RetryConfig, Scenario, Simulation,
+    AdversaryMode, AttackStrategy, AuditConfig, ChurnSchedule, DiscoveryMode, EventNetConfig,
+    EventQueue, LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol, Reachability,
+    RetryConfig, Scenario, Simulation,
 };
 
 // ---------------------------------------------------------------------
@@ -156,14 +158,16 @@ fn event_partition_scenario() -> Scenario {
 }
 
 // ---------------------------------------------------------------------
-// 1. Zero-latency equivalence: event engine ≡ round engine, bit for bit.
+// 1. Zero-latency equivalence: a round run is the zero-latency event
+//    run under another reporting rule, bit for bit.
 
-/// Runs `scenario` under both engines and asserts the event engine in
-/// the equivalence configuration reproduces the round engine exactly —
-/// every metric, every series value, every per-segment result.
+/// Runs `scenario` on both network models and asserts the zero-latency
+/// event run reproduces the round run exactly — every metric, every
+/// series value, every per-segment result — with only the reporting
+/// rule's fields apart.
 fn assert_equivalent(name: &str, scenario: Scenario) {
     let round = Simulation::new(scenario.clone()).run();
-    let mut event = EventEngine::new(scenario.evented_zero_latency()).run();
+    let mut event = Simulation::new(scenario.evented_zero_latency()).run();
     assert_eq!(
         event.net,
         Some(NetRunStats::default()),
@@ -174,12 +178,17 @@ fn assert_equivalent(name: &str, scenario: Scenario) {
         round.rounds as u64 * 1_000,
         "{name}: event time advances in whole synchronized rounds"
     );
-    // The only fields allowed to differ are the substrate's own.
+    // The only fields allowed to differ are the reporting rule's.
+    assert_eq!(
+        round.net, None,
+        "{name}: a round run reports no net counters"
+    );
+    assert_eq!(round.virtual_ticks, round.rounds as u64);
     event.net = round.net;
     event.virtual_ticks = round.virtual_ticks;
     assert_eq!(
         event, round,
-        "{name}: zero-latency event run diverged from the round engine"
+        "{name}: zero-latency event run diverged from the round run"
     );
 }
 
@@ -322,24 +331,50 @@ fn partition_heal_burst_is_inexpressible_in_the_round_model() {
     );
 }
 
-/// Single-steps `scenario` to its last round, checking the substrate's
-/// conservation invariant after each, and returns the counters.
-fn run_conserving(scenario: Scenario) -> NetRunStats {
-    let rounds = scenario.rounds;
+/// Single-steps `scenario` for `rounds` rounds, checking the node
+/// invariants and the net's message conservation after each, and
+/// returns the net's counters.
+fn run_conserving(scenario: Scenario, rounds: usize) -> NetRunStats {
     let mut sim = Simulation::new(scenario);
-    for round in 0..rounds {
+    for _ in 0..rounds {
         sim.run_round();
-        let net = sim.event_net().expect("an Events scenario has a substrate");
-        assert_eq!(net.check_conservation(), Ok(()), "after round {round}");
+        assert_eq!(sim.check_invariants(), Ok(()));
     }
-    *sim.event_net().expect("checked above").stats()
+    *sim.event_net().stats()
 }
 
 #[test]
 fn partitioned_run_conserves_every_message() {
-    let net = run_conserving(event_partition_scenario());
+    let net = run_conserving(event_partition_scenario(), 60);
     assert!(net.late_deliveries > 0 && net.partition_held > 0);
     assert_eq!(net.partition_held, net.partition_released);
+}
+
+/// A run stepped past its last round keeps going on either network
+/// model: a round run gives what the longer scenario gives, and an
+/// event run finds nothing due past its horizon and still conserves
+/// every message.
+#[test]
+fn stepping_past_the_last_round_keeps_either_model_going() {
+    let (rounds, extra) = (40, 5);
+    let mut short = base(Protocol::Raptee);
+    short.rounds = rounds;
+    let mut long = short.clone();
+    long.rounds = rounds + extra;
+    let mut stepped = Simulation::new(short);
+    for _ in 0..extra {
+        stepped.run_round();
+    }
+    // `run` executes the scenario's `rounds` more: R + 5 in all.
+    let stepped = stepped.run();
+    let whole = Simulation::new(long).run();
+    assert_eq!(stepped.byz_share_series, whole.byz_share_series);
+    assert_eq!(stepped, whole);
+
+    let mut evented = event_partition_scenario();
+    evented.rounds = rounds;
+    let net = run_conserving(evented, rounds + extra);
+    assert!(net.late_deliveries > 0 && net.partition_held > 0);
 }
 
 /// NAT with retries: a retry's backoff carries its departure — and the
@@ -374,7 +409,7 @@ fn nat_with_retries_survives_a_hole_dated_in_the_next_round() {
         },
         ..EventNetConfig::default()
     });
-    let net = run_conserving(scenario);
+    let net = run_conserving(scenario, 80);
     assert!(net.nat_blocked > 0, "the NAT must bounce traffic");
     assert!(net.retries_issued > 0, "refused pulls must retry");
     assert!(
@@ -394,7 +429,7 @@ fn harness(rounds: usize, cfg: EventNetConfig) -> EventNet {
         network: NetworkModel::Events(cfg),
         ..Scenario::default()
     };
-    EventNet::from_scenario(&scenario).expect("an Events scenario builds a substrate")
+    EventNet::from_scenario(&scenario)
 }
 
 /// The partition window shared by the substrate properties.

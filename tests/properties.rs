@@ -31,7 +31,7 @@ fn event_net(cfg: EventNetConfig, rounds: usize) -> EventNet {
         ..Scenario::default()
     };
     scenario.validate();
-    EventNet::from_scenario(&scenario).expect("events model")
+    EventNet::from_scenario(&scenario)
 }
 
 proptest! {
