@@ -10,7 +10,7 @@
 //! with prefixes (e.g. `fig`), only rows whose bench target starts with
 //! one of them. A row whose CSV cell names no `.csv` file (wall-clock
 //! benches) is skipped. `*` in a CSV name is a glob over the directory
-//! listing (`overlay_quality_*.csv`). A named CSV must exist **and** be
+//! listing (`fig_panels_*.csv`). A named CSV must exist **and** be
 //! non-empty; otherwise the checker lists every violation and exits 1 —
 //! that is what fails the CI `experiments` job when a bench target
 //! silently stops emitting its figure data.
@@ -191,7 +191,7 @@ mod tests {
 | Target | Paper value | Measured | CSV |
 |---|---|---|---|
 | `fig3_brahms_baseline` | claim | cell | `fig3a.csv`, `fig3b.csv` |
-| `overlay_quality` | claim | | `overlay_quality_*.csv` |
+| `fig_panels` | claim | | `fig_panels_*.csv` |
 | `crypto_primitives` | claim | | — (wall-clock, printed) |
 | `fig_basalt_comparison` | claim | cell | `fig_basalt_comparisona.csv` — panel (b) differs |
 ";
@@ -202,7 +202,7 @@ mod tests {
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].target, "fig3_brahms_baseline");
         assert_eq!(rows[0].csvs, vec!["fig3a.csv", "fig3b.csv"]);
-        assert_eq!(rows[1].csvs, vec!["overlay_quality_*.csv"]);
+        assert_eq!(rows[1].csvs, vec!["fig_panels_*.csv"]);
         assert!(rows[2].csvs.is_empty(), "wall-clock rows promise no CSV");
         assert_eq!(
             rows[3].csvs,
@@ -213,12 +213,9 @@ mod tests {
 
     #[test]
     fn globs_match_prefix_patterns() {
-        assert!(glob_matches(
-            "overlay_quality_*.csv",
-            "overlay_quality_deg.csv"
-        ));
+        assert!(glob_matches("fig_panels_*.csv", "fig_panels_deg.csv"));
         assert!(glob_matches("a.csv", "a.csv"));
-        assert!(!glob_matches("overlay_quality_*.csv", "fig3a.csv"));
+        assert!(!glob_matches("fig_panels_*.csv", "fig3a.csv"));
         assert!(!glob_matches("a.csv", "b.csv"));
         assert!(glob_matches("*b*.csv", "abc.csv"));
     }
@@ -245,12 +242,12 @@ mod tests {
     fn glob_rows_need_at_least_one_match() {
         let dir = std::env::temp_dir();
         let row = Row {
-            target: "overlay_quality".into(),
-            csvs: vec!["overlay_quality_*.csv".into()],
+            target: "fig_panels".into(),
+            csvs: vec!["fig_panels_*.csv".into()],
         };
         let problems = check_row(&row, &dir, &[]);
         assert_eq!(problems.len(), 1);
-        let ok = check_row(&row, &dir, &["overlay_quality_deg.csv".to_string()]);
+        let ok = check_row(&row, &dir, &["fig_panels_deg.csv".to_string()]);
         assert!(ok.is_empty());
     }
 
@@ -258,19 +255,19 @@ mod tests {
     fn glob_matched_files_must_be_non_empty() {
         let dir = std::env::temp_dir().join(format!("raptee-glob-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("overlay_quality_deg.csv"), "h\n1\n").unwrap();
-        std::fs::write(dir.join("overlay_quality_path.csv"), "").unwrap();
+        std::fs::write(dir.join("fig_panels_deg.csv"), "h\n1\n").unwrap();
+        std::fs::write(dir.join("fig_panels_path.csv"), "").unwrap();
         let row = Row {
-            target: "overlay_quality".into(),
-            csvs: vec!["overlay_quality_*.csv".into()],
+            target: "fig_panels".into(),
+            csvs: vec!["fig_panels_*.csv".into()],
         };
         let listing = vec![
-            "overlay_quality_deg.csv".to_string(),
-            "overlay_quality_path.csv".to_string(),
+            "fig_panels_deg.csv".to_string(),
+            "fig_panels_path.csv".to_string(),
         ];
         let problems = check_row(&row, &dir, &listing);
         assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("overlay_quality_path.csv") && problems[0].contains("empty"));
+        assert!(problems[0].contains("fig_panels_path.csv") && problems[0].contains("empty"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -139,6 +139,41 @@ mod tests {
     }
 
     #[test]
+    fn none_evicts_nothing() {
+        assert_eq!(EvictionPolicy::none(), EvictionPolicy::Fixed(0.0));
+        assert_eq!(EvictionPolicy::none().rate(0.0), 0.0);
+    }
+
+    #[test]
+    fn custom_adaptive_bounds_clamp_the_rate() {
+        let p = EvictionPolicy::Adaptive { lo: 0.3, hi: 0.6 };
+        p.validate();
+        assert_eq!(p.rate(0.0), 0.6);
+        assert_eq!(p.rate(0.9), 0.3);
+        assert!((p.rate(0.55) - 0.45).abs() < 1e-12);
+        assert_eq!(p.label(), "adaptive");
+    }
+
+    #[test]
+    fn closed_interval_endpoints_validate() {
+        for p in [
+            EvictionPolicy::Fixed(0.0),
+            EvictionPolicy::Fixed(1.0),
+            EvictionPolicy::Adaptive { lo: 0.0, hi: 1.0 },
+            EvictionPolicy::Adaptive { lo: 0.5, hi: 0.5 },
+        ] {
+            p.validate();
+        }
+        assert_eq!(EvictionPolicy::Fixed(1.0).label(), "ER-100%");
+    }
+
+    #[test]
+    #[should_panic(expected = "bounds must be in [0,1]")]
+    fn out_of_range_adaptive_bound_rejected() {
+        EvictionPolicy::Adaptive { lo: -0.1, hi: 0.5 }.validate();
+    }
+
+    #[test]
     #[should_panic(expected = "in [0,1]")]
     fn out_of_range_fixed_rejected() {
         EvictionPolicy::Fixed(1.2).validate();

@@ -49,9 +49,7 @@
 pub mod eviction;
 pub mod node;
 pub mod provisioning;
-pub mod service;
 pub mod wire;
 
 pub use eviction::EvictionPolicy;
 pub use node::{RapteeConfig, RapteeNode};
-pub use service::PeerSamplingService;

@@ -27,7 +27,6 @@ use raptee_crypto::auth::{
 };
 use raptee_crypto::SecretKey;
 use raptee_gossip::exchange::{integrate, prepare_buffer};
-use raptee_gossip::protocols::raptee_trusted;
 use raptee_gossip::view::View;
 use raptee_net::NodeId;
 
@@ -383,24 +382,23 @@ impl RapteeNode {
             initiator.trusted && responder.trusted,
             "trusted_swap requires two authenticated trusted nodes"
         );
-        let cfg = raptee_trusted(initiator.brahms.config().view_size);
         // Dynamic-view halves are prepared on both sides first (the swap
         // is symmetric), then integrated.
         let buf_i = {
             let (view, rng) = initiator.brahms.view_and_rng_mut();
-            prepare_buffer(view, &cfg, rng)
+            prepare_buffer(view, rng)
         };
         let buf_r = {
             let (view, rng) = responder.brahms.view_and_rng_mut();
-            prepare_buffer(view, &cfg, rng)
+            prepare_buffer(view, rng)
         };
         {
             let (view, rng) = initiator.brahms.view_and_rng_mut();
-            integrate(view, &buf_r, &cfg, rng);
+            integrate(view, &buf_r, rng);
         }
         {
             let (view, rng) = responder.brahms.view_and_rng_mut();
-            integrate(view, &buf_i, &cfg, rng);
+            integrate(view, &buf_i, rng);
         }
         initiator.note_trusted_exchange(buf_r.iter().map(|e| e.id));
         responder.note_trusted_exchange(buf_i.iter().map(|e| e.id));
@@ -412,29 +410,10 @@ impl RapteeNode {
         // sparse trusted population (t = 1 %) find itself and keep
         // meeting every round — the "dissemination-efficient" exchange
         // among trusted nodes of Section III-A.
-        let dir_cfg = raptee_trusted(initiator.directory.capacity());
-        let dir_i = prepare_buffer(
-            &mut initiator.directory,
-            &dir_cfg,
-            initiator.brahms.rng_mut(),
-        );
-        let dir_r = prepare_buffer(
-            &mut responder.directory,
-            &dir_cfg,
-            responder.brahms.rng_mut(),
-        );
-        integrate(
-            &mut initiator.directory,
-            &dir_r,
-            &dir_cfg,
-            initiator.brahms.rng_mut(),
-        );
-        integrate(
-            &mut responder.directory,
-            &dir_i,
-            &dir_cfg,
-            responder.brahms.rng_mut(),
-        );
+        let dir_i = prepare_buffer(&mut initiator.directory, initiator.brahms.rng_mut());
+        let dir_r = prepare_buffer(&mut responder.directory, responder.brahms.rng_mut());
+        integrate(&mut initiator.directory, &dir_r, initiator.brahms.rng_mut());
+        integrate(&mut responder.directory, &dir_i, responder.brahms.rng_mut());
         if opportunistic {
             initiator.note_trusted_peer(responder.id());
             responder.note_trusted_peer(initiator.id());

@@ -141,6 +141,46 @@ mod tests {
     }
 
     #[test]
+    fn certify_and_provision_is_the_manual_flow_in_one_step() {
+        let mut one_step = new_attestation_service(7);
+        let mut manual = new_attestation_service(7);
+        manual.certify_platform(3);
+        assert_eq!(
+            certify_and_provision(&mut one_step, 3),
+            provision_trusted_key(&mut manual, 3).unwrap()
+        );
+    }
+
+    #[test]
+    fn group_seed_selects_the_group_key() {
+        let mut a = new_attestation_service(1);
+        let mut b = new_attestation_service(2);
+        assert_ne!(
+            certify_and_provision(&mut a, 1),
+            certify_and_provision(&mut b, 1)
+        );
+    }
+
+    #[test]
+    fn provisioned_enclave_runs_the_trusted_code() {
+        let mut service = new_attestation_service(99);
+        service.certify_platform(8);
+        let enclave = provision_trusted_enclave(&mut service, 8).unwrap();
+        assert_eq!(enclave.measurement(), expected_measurement());
+        assert_eq!(expected_measurement(), Measurement::of_code(TRUSTED_CODE));
+        assert_ne!(expected_measurement(), Measurement::of_code(b"other code"));
+    }
+
+    #[test]
+    fn uncertified_platform_cannot_renew() {
+        let mut service = new_attestation_service(99);
+        assert_eq!(
+            renew_attestation(&mut service, 11, 0, 10).unwrap_err(),
+            AttestationError::UnknownPlatform
+        );
+    }
+
+    #[test]
     fn uncertified_platform_cannot_provision() {
         let mut service = new_attestation_service(99);
         assert_eq!(

@@ -25,7 +25,7 @@
 //! secrets.
 
 use raptee_crypto::auth::{AuthChallenge, AuthConfirm, AuthResponse, NONCE_LEN};
-use raptee_net::{MessageMeter, NodeId};
+use raptee_net::NodeId;
 
 /// A RAPTEE wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,6 +88,19 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 impl Message {
+    /// A short, static label for the message kind ("push",
+    /// "pull-answer", ...).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Message::Push { .. } => "push",
+            Message::PullRequest => "pull-request",
+            Message::PullAnswer { .. } => "pull-answer",
+            Message::AuthChallenge(_) => "auth-challenge",
+            Message::AuthResponse(_) => "auth-response",
+            Message::AuthConfirm(_) => "auth-confirm",
+        }
+    }
+
     /// Encodes the message to bytes.
     pub fn encode(&self) -> Vec<u8> {
         match self {
@@ -223,23 +236,6 @@ impl Message {
     }
 }
 
-impl MessageMeter for Message {
-    fn kind(&self) -> &'static str {
-        match self {
-            Message::Push { .. } => "push",
-            Message::PullRequest => "pull-request",
-            Message::PullAnswer { .. } => "pull-answer",
-            Message::AuthChallenge(_) => "auth-challenge",
-            Message::AuthResponse(_) => "auth-response",
-            Message::AuthConfirm(_) => "auth-confirm",
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.encode().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +264,6 @@ mod tests {
         for msg in samples() {
             let bytes = msg.encode();
             assert_eq!(Message::decode(&bytes).unwrap(), msg, "{msg:?}");
-            assert_eq!(msg.size_bytes(), bytes.len());
         }
     }
 
@@ -359,6 +354,99 @@ mod tests {
         assert_eq!(Message::decode(&pt).unwrap(), msg);
         // Length preservation: ciphertext length = encoded length.
         assert_eq!(ct.len(), msg.encode().len());
+    }
+
+    #[test]
+    fn kind_labels_each_variant_once() {
+        let kinds: Vec<&str> = samples().iter().map(Message::kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                "push",
+                "pull-request",
+                "pull-answer",
+                "pull-answer",
+                "auth-challenge",
+                "auth-response",
+                "auth-confirm"
+            ]
+        );
+    }
+
+    #[test]
+    fn encoded_lengths_follow_the_layout() {
+        let lens: Vec<usize> = samples().iter().map(|m| m.encode().len()).collect();
+        assert_eq!(
+            lens,
+            [9, 1, 5, 5 + 200 * 8, 1 + NONCE_LEN, 1 + NONCE_LEN + 32, 33]
+        );
+    }
+
+    #[test]
+    fn every_encoding_starts_with_its_tag() {
+        let tags: Vec<u8> = samples().iter().map(|m| m.encode()[0]).collect();
+        assert_eq!(tags, [1, 2, 3, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn integers_are_little_endian() {
+        let push = Message::Push {
+            sender: NodeId(0x0102_0304_0506_0708),
+        };
+        assert_eq!(push.encode(), [1, 8, 7, 6, 5, 4, 3, 2, 1]);
+        let answer = Message::PullAnswer {
+            ids: vec![NodeId(0x0a0b)],
+        };
+        assert_eq!(
+            answer.encode(),
+            [3, 1, 0, 0, 0, 0x0b, 0x0a, 0, 0, 0, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn pull_answer_without_a_full_length_prefix_is_truncated() {
+        for cut in 1..5 {
+            let bytes = &Message::PullAnswer { ids: vec![] }.encode()[..cut];
+            assert_eq!(Message::decode(bytes).unwrap_err(), WireError::Truncated);
+        }
+    }
+
+    #[test]
+    fn largest_declared_length_is_a_bad_length() {
+        let mut buf = vec![3u8];
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0; 16]);
+        assert_eq!(Message::decode(&buf).unwrap_err(), WireError::BadLength);
+    }
+
+    #[test]
+    fn decode_prefix_leaves_the_rest_of_the_stream() {
+        let mut bytes = Message::Push { sender: NodeId(5) }.encode();
+        bytes.extend(Message::PullRequest.encode());
+        let (first, used) = Message::decode_prefix(&bytes).unwrap();
+        assert_eq!(first, Message::Push { sender: NodeId(5) });
+        assert_eq!(used, 9);
+        assert_eq!(
+            Message::decode_prefix(&bytes[used..]).unwrap(),
+            (Message::PullRequest, 1)
+        );
+    }
+
+    #[test]
+    fn errors_read_as_sentences() {
+        assert_eq!(WireError::Truncated.to_string(), "message truncated");
+        assert_eq!(
+            WireError::UnknownTag(0).to_string(),
+            "unknown message tag 0"
+        );
+        assert_eq!(
+            WireError::BadLength.to_string(),
+            "declared length exceeds the buffer"
+        );
+        assert_eq!(
+            WireError::TrailingBytes.to_string(),
+            "trailing bytes after message"
+        );
     }
 }
 

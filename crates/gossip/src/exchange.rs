@@ -1,163 +1,71 @@
-//! The generic view-exchange algorithm of the framework.
+//! The half-view exchange RAPTEE's trusted nodes run.
 //!
-//! Jelasity et al. factor every gossip peer-sampling protocol into an
-//! active and a passive thread around three design dimensions:
+//! Jelasity et al. factor every gossip peer-sampling protocol into peer
+//! selection, view propagation and view selection, the last governed by
+//! `H` (*healer*: prefer dropping the oldest links) and `S` (*swapper*:
+//! prefer dropping the links just sent). RAPTEE fixes one point of that
+//! space (paper Section II): push–pull, `H = 0` and `S = c/2` for a view
+//! of capacity `c`, with the initiator inserting a fresh link to itself.
+//! Both halves are pure functions over one [`View`], so each side of an
+//! exchange calls [`prepare_buffer`] and then, with the partner's buffer,
+//! [`integrate`].
 //!
-//! * **peer selection** — contact a random view entry, or the *oldest*
-//!   (which yields round-robin probing and fast failure detection);
-//! * **view propagation** — push only, or push–pull;
-//! * **view selection** — governed by `H` (*healer*: prefer dropping the
-//!   oldest links) and `S` (*swapper*: prefer dropping the links just
-//!   sent to the partner).
+//! ```
+//! use raptee_gossip::exchange::{integrate, prepare_buffer};
+//! use raptee_gossip::view::View;
+//! use raptee_net::NodeId;
+//! use raptee_util::rng::Xoshiro256StarStar;
 //!
-//! The exchange is expressed here as pure functions over [`View`]s so the
-//! same code drives three different callers: the in-process
-//! [`crate::protocols::Population`] driver (tests, metrics), the
-//! message-based trusted view-swap in `raptee`, and the Cyclon/Newscast
-//! baselines.
+//! let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+//! let [mut a, mut b] = [(0, 1..5), (10, 11..15)].map(|(owner, ids)| {
+//!     let mut v = View::new(NodeId(owner), 4);
+//!     ids.for_each(|i| assert!(v.insert_fresh(NodeId(i))));
+//!     v
+//! });
+//! let (to_b, to_a) = (prepare_buffer(&mut a, &mut rng), prepare_buffer(&mut b, &mut rng));
+//! integrate(&mut a, &to_a, &mut rng);
+//! integrate(&mut b, &to_b, &mut rng);
+//! assert!(a.contains(NodeId(10)) && b.contains(NodeId(0)));
+//! assert_eq!((a.len(), b.len()), (4, 4));
+//! ```
 
 use crate::view::{View, ViewEntry};
-use raptee_net::NodeId;
 use raptee_util::rng::Xoshiro256StarStar;
 
-/// Which neighbour the active thread contacts each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PeerSelection {
-    /// Uniformly random view entry.
-    Random,
-    /// The entry with the highest age (round-robin probing; RAPTEE's
-    /// choice, criterion (1) in the paper).
-    Oldest,
-}
-
-/// Parameters of one framework instantiation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GossipConfig {
-    /// View size `c`.
-    pub view_size: usize,
-    /// Healer parameter `H`: how many of the oldest items to prefer
-    /// dropping during view selection.
-    pub healer: usize,
-    /// Swapper parameter `S`: how many of the just-sent items to prefer
-    /// dropping during view selection.
-    pub swapper: usize,
-    /// Partner selection policy.
-    pub peer_selection: PeerSelection,
-    /// `true` for push–pull propagation, `false` for push-only.
-    pub pull: bool,
-}
-
-impl GossipConfig {
-    /// Number of entries shipped per message: half the view, with the
-    /// sender itself occupying one slot (criterion (2) of the paper).
-    pub fn exchange_len(&self) -> usize {
-        (self.view_size / 2).max(1)
-    }
-
-    /// Validates the parameter ranges (`H + S` may not exceed the half
-    /// view that can be dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is inconsistent.
-    pub fn validate(&self) {
-        assert!(self.view_size > 0, "view size must be positive");
-        assert!(
-            self.healer <= self.view_size && self.swapper <= self.view_size,
-            "H and S must not exceed the view size"
-        );
-    }
-}
-
-/// Selects the gossip partner for this round according to the policy.
-pub fn select_partner(
-    view: &View,
-    config: &GossipConfig,
-    rng: &mut Xoshiro256StarStar,
-) -> Option<NodeId> {
-    match config.peer_selection {
-        PeerSelection::Random => view.random(rng).map(|e| e.id),
-        PeerSelection::Oldest => view.oldest().map(|e| e.id),
-    }
-}
-
 /// Builds the buffer a node sends to its partner and reorders the local
-/// view so the *sent* entries sit at its head (which is what the `S`
-/// dropping rule in [`integrate`] later refers to).
+/// view so the *sent* entries sit at its head (which is what the swap
+/// rule in [`integrate`] later drops).
 ///
-/// Framework steps: buffer ← {(self, 0)}; permute view; move `H` oldest
-/// to the end; append the first `exchange_len - 1` entries.
-pub fn prepare_buffer(
-    view: &mut View,
-    config: &GossipConfig,
-    rng: &mut Xoshiro256StarStar,
-) -> Vec<ViewEntry> {
-    let mut buffer = Vec::with_capacity(config.exchange_len());
+/// Framework steps with `H = 0`: buffer ← {(self, 0)}; permute view;
+/// append the first `max(c/2, 1) - 1` entries.
+pub fn prepare_buffer(view: &mut View, rng: &mut Xoshiro256StarStar) -> Vec<ViewEntry> {
+    let len = (view.capacity() / 2).max(1);
+    let mut buffer = Vec::with_capacity(len);
     buffer.push(ViewEntry::fresh(view.owner()));
     view.permute(rng);
-    view.move_oldest_to_end(config.healer.min(view.len()));
-    buffer.extend_from_slice(view.head_slice(config.exchange_len().saturating_sub(1)));
+    buffer.extend_from_slice(view.head_slice(len - 1));
     buffer
 }
 
 /// Merges a received buffer into the view (the framework's
-/// `select(c, H, S, buffer)`):
+/// `select(c, H = 0, S = c/2, buffer)`):
 ///
 /// 1. append the buffer, dropping duplicates (keeping the youngest age)
 ///    and the owner's own ID;
-/// 2. remove `min(H, len - c)` of the *oldest* entries;
-/// 3. remove `min(S, len - c)` entries from the *head* (the ones just
+/// 2. remove `min(c/2, len - c)` entries from the *head* (the ones just
 ///    sent — swap semantics, criterion (3) of the paper);
-/// 4. remove random entries until the view is back at capacity `c`.
-pub fn integrate(
-    view: &mut View,
-    received: &[ViewEntry],
-    config: &GossipConfig,
-    rng: &mut Xoshiro256StarStar,
-) {
+/// 3. remove random entries until the view is back at capacity `c`.
+pub fn integrate(view: &mut View, received: &[ViewEntry], rng: &mut Xoshiro256StarStar) {
+    let c = view.capacity();
     view.append_dedup(received);
-    let c = config.view_size;
-    view.remove_oldest(config.healer, c);
-    view.remove_head(config.swapper, c);
+    view.remove_head(c / 2, c);
     view.shrink_to_capacity(rng);
-}
-
-/// Runs one complete, synchronous push–pull exchange between an initiator
-/// and a responder (helper for in-process drivers and for the trusted
-/// view-swap, where the two parties have already authenticated within the
-/// round). Message-based protocols instead call [`prepare_buffer`] /
-/// [`integrate`] on each side.
-pub fn run_exchange(
-    initiator: &mut View,
-    responder: &mut View,
-    config: &GossipConfig,
-    rng: &mut Xoshiro256StarStar,
-) {
-    let request = prepare_buffer(initiator, config, rng);
-    let reply = if config.pull {
-        prepare_buffer(responder, config, rng)
-    } else {
-        Vec::new()
-    };
-    integrate(responder, &request, config, rng);
-    if config.pull {
-        integrate(initiator, &reply, config, rng);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config() -> GossipConfig {
-        GossipConfig {
-            view_size: 8,
-            healer: 1,
-            swapper: 3,
-            peer_selection: PeerSelection::Oldest,
-            pull: true,
-        }
-    }
+    use raptee_net::NodeId;
 
     fn full_view(owner: u64, ids: std::ops::Range<u64>, cap: usize) -> View {
         let mut v = View::new(NodeId(owner), cap);
@@ -168,69 +76,17 @@ mod tests {
     }
 
     #[test]
-    fn partner_selection_policies() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        let mut v = full_view(0, 1..5, 8);
-        v.increase_age();
-        v.insert_fresh(NodeId(9)); // the only age-0 entry
-        let cfg_old = GossipConfig {
-            peer_selection: PeerSelection::Oldest,
-            ..config()
-        };
-        let p = select_partner(&v, &cfg_old, &mut rng).unwrap();
-        assert_ne!(p, NodeId(9), "oldest selection avoids the fresh entry");
-        let cfg_rand = GossipConfig {
-            peer_selection: PeerSelection::Random,
-            ..config()
-        };
-        assert!(select_partner(&v, &cfg_rand, &mut rng).is_some());
-        let empty = View::new(NodeId(0), 4);
-        assert!(select_partner(&empty, &cfg_rand, &mut rng).is_none());
-    }
-
-    #[test]
     fn buffer_contains_self_first_and_half_view() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(2);
         let mut v = full_view(7, 10..20, 10);
-        let cfg = GossipConfig {
-            view_size: 10,
-            ..config()
-        };
-        let buf = prepare_buffer(&mut v, &cfg, &mut rng);
+        let buf = prepare_buffer(&mut v, &mut rng);
         assert_eq!(buf.len(), 5, "c/2 entries");
         assert_eq!(
             buf[0],
             ViewEntry::fresh(NodeId(7)),
             "self link first, age 0"
         );
-        for e in &buf[1..] {
-            assert!(v.contains(e.id));
-        }
-    }
-
-    #[test]
-    fn buffer_excludes_oldest_when_healing() {
-        // With H >= c/2 the oldest entries are moved out of the sent head.
-        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
-        let mut v = View::new(NodeId(0), 8);
-        for i in 1..=8u64 {
-            v.insert(ViewEntry {
-                id: NodeId(i),
-                age: if i <= 4 { 10 } else { 0 },
-            });
-        }
-        let cfg = GossipConfig {
-            view_size: 8,
-            healer: 4,
-            ..config()
-        };
-        let buf = prepare_buffer(&mut v, &cfg, &mut rng);
-        for e in &buf[1..] {
-            assert!(
-                e.age == 0,
-                "aged entries must not be gossiped when H covers them"
-            );
-        }
+        assert_eq!(&buf[1..], v.head_slice(4), "the sent entries head the view");
     }
 
     #[test]
@@ -238,82 +94,160 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(4);
         let mut v = full_view(0, 1..9, 8);
         let incoming: Vec<ViewEntry> = (20..30).map(|i| ViewEntry::fresh(NodeId(i))).collect();
-        integrate(&mut v, &incoming, &config(), &mut rng);
+        integrate(&mut v, &incoming, &mut rng);
         assert_eq!(v.len(), 8);
         assert!(v.invariants_hold());
     }
 
     #[test]
     fn swap_semantics_drop_sent_entries() {
-        // With S = c/2 and a full exchange, the initiator keeps the
-        // partner's entries in place of its own sent ones.
+        // Both buffers are prepared before either is integrated, as in the
+        // trusted swap. With disjoint full views each side keeps exactly
+        // the partner's buffer in place of its own head.
         let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-        let cfg = GossipConfig {
-            view_size: 8,
-            healer: 0,
-            swapper: 4,
-            peer_selection: PeerSelection::Oldest,
-            pull: true,
-        };
         let mut a = full_view(0, 1..9, 8);
         let mut b = full_view(100, 101..109, 8);
-        run_exchange(&mut a, &mut b, &cfg, &mut rng);
-        assert!(a.invariants_hold() && b.invariants_hold());
-        assert_eq!(a.len(), 8);
-        assert_eq!(b.len(), 8);
-        // Each side must now know some of the other's region.
-        assert!(
-            a.ids().any(|id| id.0 >= 100),
-            "initiator learned partner links"
-        );
-        assert!(
-            b.ids().any(|id| id.0 < 100),
-            "responder learned initiator links"
-        );
+        let buf_a = prepare_buffer(&mut a, &mut rng);
+        let buf_b = prepare_buffer(&mut b, &mut rng);
+        integrate(&mut a, &buf_b, &mut rng);
+        integrate(&mut b, &buf_a, &mut rng);
+        for (view, sent, received) in [(&a, &buf_a, &buf_b), (&b, &buf_b, &buf_a)] {
+            assert!(view.invariants_hold());
+            assert_eq!(view.len(), 8);
+            assert!(
+                sent[1..].iter().all(|e| !view.contains(e.id)),
+                "sent links are kept only by the partner"
+            );
+            assert!(received.iter().all(|e| view.contains(e.id)));
+        }
         // The initiator's own ID travelled to the responder.
         assert!(b.contains(NodeId(0)));
     }
 
     #[test]
-    fn push_only_leaves_initiator_unchanged() {
+    fn one_slot_view_sends_only_itself_and_drops_nothing_from_its_head() {
+        // c = 1 is the one size where the buffer length max(c/2, 1) and the
+        // swap count c/2 differ: the buffer is the self link alone, and the
+        // overflow is settled by the random shrink, not by the head.
         let mut rng = Xoshiro256StarStar::seed_from_u64(6);
-        let cfg = GossipConfig {
-            pull: false,
-            ..config()
-        };
-        let mut a = full_view(0, 1..9, 8);
-        let before = a.clone();
-        let mut b = full_view(100, 101..109, 8);
-        run_exchange(&mut a, &mut b, &cfg, &mut rng);
-        // Initiator view order may have been permuted by buffer
-        // preparation, but its content is unchanged.
-        let mut ids_before: Vec<_> = before.id_vec();
-        let mut ids_after: Vec<_> = a.id_vec();
-        ids_before.sort_unstable();
-        ids_after.sort_unstable();
-        assert_eq!(ids_before, ids_after);
-        assert!(b.ids().any(|id| id.0 < 100));
+        let mut v = full_view(0, 1..2, 1);
+        assert_eq!(
+            prepare_buffer(&mut v, &mut rng),
+            [ViewEntry::fresh(NodeId(0))]
+        );
+        let received = [ViewEntry::fresh(NodeId(9))];
+        let mut expected = v.clone();
+        let mut expected_rng = rng.clone();
+        expected.append_dedup(&received);
+        expected.shrink_to_capacity(&mut expected_rng);
+        integrate(&mut v, &received, &mut rng);
+        assert_eq!(v, expected);
+        assert_eq!(rng.next_u64(), expected_rng.next_u64(), "same RNG draws");
     }
 
     #[test]
-    fn exchange_len_is_at_least_one() {
-        let cfg = GossipConfig {
-            view_size: 1,
-            healer: 0,
-            swapper: 0,
-            peer_selection: PeerSelection::Random,
-            pull: true,
-        };
-        assert_eq!(cfg.exchange_len(), 1);
+    fn empty_view_sends_only_itself() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+        let mut v = View::new(NodeId(3), 8);
+        assert_eq!(
+            prepare_buffer(&mut v, &mut rng),
+            [ViewEntry::fresh(NodeId(3))]
+        );
+        assert!(v.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "exceed")]
-    fn validate_rejects_oversized_h() {
-        let cfg = GossipConfig {
-            healer: 99,
-            ..config()
+    fn prepare_buffer_reorders_but_keeps_the_view() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(8);
+        let mut v = full_view(0, 1..11, 10);
+        let before = v.clone();
+        prepare_buffer(&mut v, &mut rng);
+        let mut kept = v.entries().to_vec();
+        let mut orig = before.entries().to_vec();
+        kept.sort_by_key(|e| e.id);
+        orig.sort_by_key(|e| e.id);
+        assert_eq!(kept, orig, "only the order changes");
+        assert!(v.invariants_hold());
+    }
+
+    #[test]
+    fn prepare_buffer_draws_exactly_one_permutation() {
+        // The only randomness in building a buffer is the view shuffle, so
+        // the RNG stream continues exactly as after a bare `permute`.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(9);
+        let mut v = full_view(0, 1..9, 8);
+        let mut expected = v.clone();
+        let mut expected_rng = rng.clone();
+        expected.permute(&mut expected_rng);
+        prepare_buffer(&mut v, &mut rng);
+        assert_eq!(v, expected);
+        assert_eq!(rng.next_u64(), expected_rng.next_u64());
+    }
+
+    #[test]
+    fn full_view_swaps_its_head_for_new_links_without_drawing() {
+        // Four new links into a full view of eight: exactly the four head
+        // entries leave (c/2 = len - c = 4), so the random shrink has
+        // nothing to do and draws nothing.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(10);
+        let mut v = full_view(0, 1..9, 8);
+        let received: Vec<ViewEntry> = (20..24).map(|i| ViewEntry::fresh(NodeId(i))).collect();
+        let mut expected: Vec<ViewEntry> = v.entries()[4..].to_vec();
+        expected.extend_from_slice(&received);
+        let untouched = rng.clone();
+        integrate(&mut v, &received, &mut rng);
+        assert_eq!(v.entries(), expected.as_slice());
+        assert_eq!(rng, untouched, "no RNG draw");
+    }
+
+    #[test]
+    fn integrate_below_capacity_keeps_everything() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(11);
+        let mut v = full_view(0, 1..4, 8);
+        let received: Vec<ViewEntry> = (20..23).map(|i| ViewEntry::fresh(NodeId(i))).collect();
+        integrate(&mut v, &received, &mut rng);
+        assert_eq!(v.len(), 6);
+        assert!((1..4).chain(20..23).all(|i| v.contains(NodeId(i))));
+    }
+
+    #[test]
+    fn integrate_skips_the_owner_and_keeps_the_younger_duplicate() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(12);
+        let mut v = View::new(NodeId(0), 8);
+        v.insert(ViewEntry {
+            id: NodeId(5),
+            age: 6,
+        });
+        let received = [
+            ViewEntry::fresh(NodeId(0)),
+            ViewEntry {
+                id: NodeId(5),
+                age: 2,
+            },
+        ];
+        integrate(&mut v, &received, &mut rng);
+        assert_eq!(
+            v.entries(),
+            [ViewEntry {
+                id: NodeId(5),
+                age: 2
+            }]
+        );
+    }
+
+    #[test]
+    fn exchange_is_a_function_of_the_seed() {
+        let run = |seed: u64| {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let mut a = full_view(0, 1..13, 12);
+            let mut b = full_view(50, 60..72, 12);
+            let buf_a = prepare_buffer(&mut a, &mut rng);
+            let buf_b = prepare_buffer(&mut b, &mut rng);
+            integrate(&mut a, &buf_b, &mut rng);
+            integrate(&mut b, &buf_a, &mut rng);
+            (a, b)
         };
-        cfg.validate();
+        assert_eq!(run(13), run(13));
+        assert_ne!(run(13), run(14));
     }
 }

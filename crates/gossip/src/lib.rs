@@ -1,4 +1,4 @@
-//! Gossip-based peer sampling — the Jelasity et al. framework.
+//! Aged partial views and the trusted half-view exchange.
 //!
 //! RAPTEE's *trusted communications* follow "the instantiation of the
 //! Gossip-based Peer Sampling framework" of Jelasity, Voulgaris,
@@ -12,22 +12,16 @@
 //! 3. **swap** semantics: a link sent by the initiator is kept only by the
 //!    partner and vice-versa.
 //!
-//! This crate implements the full generic framework — aged partial views,
-//! the `H` (healer) and `S` (swapper) parameters, peer-selection and
-//! view-propagation policies — plus the classic instantiations the paper
-//! cites as related work ([`protocols::cyclon`], [`protocols::newscast`])
-//! and the overlay-quality metrics used to sanity-check any peer-sampling
-//! service ([`metrics`]: in-degree balance, clustering coefficient,
-//! path lengths, connectivity).
+//! This crate holds that one instantiation: the aged [`View`] (whose
+//! [`View::oldest`] entry is criterion 1's partner) and the two halves of
+//! the exchange, [`exchange::prepare_buffer`] and [`exchange::integrate`]
+//! (criteria 2 and 3).
 //!
-//! `raptee` (the core crate) reuses [`View`] and the exchange functions
-//! for the trusted view-swap; `raptee-brahms` reuses [`View`] for its
-//! dynamic view.
+//! `raptee` (the core crate) runs the exchange for the trusted view-swap
+//! and the trusted-directory gossip; `raptee-brahms` reuses [`View`] for
+//! its dynamic view.
 
 pub mod exchange;
-pub mod metrics;
-pub mod protocols;
 pub mod view;
 
-pub use exchange::{GossipConfig, PeerSelection};
 pub use view::{View, ViewEntry};

@@ -1,9 +1,9 @@
 //! Aged partial views.
 //!
 //! A [`View`] is the local, partial knowledge a node has of the global
-//! membership: a bounded list of (node ID, age) entries. Ages drive the
-//! framework's healing (drop stale links) and partner selection
-//! (round-robin by oldest). The view maintains two invariants at all
+//! membership: a bounded list of (node ID, age) entries. Ages drive
+//! partner selection (round-robin by oldest) and the expiry of RAPTEE's
+//! trusted directory. The view maintains two invariants at all
 //! times: no duplicate IDs, and never the owner's own ID.
 
 use raptee_net::NodeId;
@@ -212,7 +212,7 @@ impl View {
     }
 
     /// Inserts `entry`, evicting the oldest entry if the view is full
-    /// (used by protocols with unconditional admission like Newscast).
+    /// (unconditional admission, Newscast-style).
     pub fn insert_replacing_oldest(&mut self, entry: ViewEntry) {
         if entry.id == self.owner {
             return;
@@ -274,37 +274,10 @@ impl View {
         rng.shuffle(&mut self.entries);
     }
 
-    /// Moves the `h` oldest entries (by age) to the end of the view,
-    /// preserving the relative order of the others — step "move oldest H
-    /// items to the end" of the framework's active/passive threads.
-    pub fn move_oldest_to_end(&mut self, h: usize) {
-        if h == 0 || self.entries.is_empty() {
-            return;
-        }
-        let h = h.min(self.entries.len());
-        // Select the h oldest indices.
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.entries[i].age));
-        let mut oldest: Vec<usize> = order.into_iter().take(h).collect();
-        oldest.sort_unstable();
-        let mut tail: Vec<ViewEntry> = Vec::with_capacity(h);
-        for &i in oldest.iter().rev() {
-            tail.push(self.entries.remove(i));
-        }
-        tail.reverse();
-        self.entries.extend(tail);
-    }
-
-    /// The first `n` entries in current order (the "head" the framework
-    /// sends to the partner), borrowed — no allocation.
+    /// The first `n` entries in current order (the "head" the exchange
+    /// sends to the partner).
     pub fn head_slice(&self, n: usize) -> &[ViewEntry] {
         &self.entries[..n.min(self.entries.len())]
-    }
-
-    /// Owned variant of [`View::head_slice`] (convenience for tests and
-    /// message construction outside the hot path).
-    pub fn head(&self, n: usize) -> Vec<ViewEntry> {
-        self.head_slice(n).to_vec()
     }
 
     /// Appends entries without enforcing capacity (used mid-exchange; the
@@ -328,19 +301,6 @@ impl View {
                 self.push_entry(e);
             }
         }
-    }
-
-    /// Removes up to `n` of the oldest entries, but never shrinks below
-    /// `floor` entries. Returns how many were removed.
-    pub fn remove_oldest(&mut self, n: usize, floor: usize) -> usize {
-        let removable = self.entries.len().saturating_sub(floor).min(n);
-        for _ in 0..removable {
-            if let Some(i) = self.oldest_index() {
-                let removed = self.entries.remove(i);
-                self.index_remove(removed.id);
-            }
-        }
-        removable
     }
 
     /// Removes up to `n` entries from the head, but never below `floor`.
@@ -381,11 +341,6 @@ impl View {
         } else {
             Some(self.entries[rng.index(self.entries.len())])
         }
-    }
-
-    /// Draws `k` distinct random entries.
-    pub fn sample(&self, rng: &mut Xoshiro256StarStar, k: usize) -> Vec<ViewEntry> {
-        rng.sample(&self.entries, k)
     }
 
     /// Keeps only the entries satisfying the predicate; returns how many
@@ -519,35 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn move_oldest_to_end_preserves_content() {
-        let mut v = View::new(NodeId(0), 8);
-        for (i, age) in [(1u64, 3u32), (2, 7), (3, 1), (4, 7), (5, 0)] {
-            v.insert(ViewEntry { id: NodeId(i), age });
-        }
-        v.move_oldest_to_end(2);
-        assert_eq!(v.len(), 5);
-        // The two age-7 entries must occupy the last two slots.
-        let tail: Vec<u32> = v.entries()[3..].iter().map(|e| e.age).collect();
-        assert_eq!(tail, vec![7, 7]);
-        // Relative order of the others preserved: 1 (age3), 3 (age1), 5 (age0).
-        let head: Vec<u64> = v.entries()[..3].iter().map(|e| e.id.0).collect();
-        assert_eq!(head, vec![1, 3, 5]);
-        assert!(v.invariants_hold());
-    }
-
-    #[test]
-    fn move_oldest_handles_degenerate_inputs() {
-        let mut v = view_with(0, 4, &[1, 2]);
-        v.move_oldest_to_end(0);
-        assert_eq!(v.len(), 2);
-        v.move_oldest_to_end(99); // more than len
-        assert_eq!(v.len(), 2);
-        let mut empty = View::new(NodeId(0), 4);
-        empty.move_oldest_to_end(3);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn append_dedup_respects_owner_and_duplicates() {
         let mut v = view_with(0, 2, &[1]);
         v.append_dedup(&[
@@ -562,21 +488,6 @@ mod tests {
         assert_eq!(v.len(), 3, "append may exceed capacity temporarily");
         assert!(!v.contains(NodeId(0)));
         assert!(v.invariants_hold());
-    }
-
-    #[test]
-    fn remove_oldest_respects_floor() {
-        let mut v = View::new(NodeId(0), 8);
-        for i in 1..=4 {
-            v.insert(ViewEntry {
-                id: NodeId(i),
-                age: i as u32,
-            });
-        }
-        let removed = v.remove_oldest(10, 3);
-        assert_eq!(removed, 1);
-        assert_eq!(v.len(), 3);
-        assert!(!v.contains(NodeId(4)), "the oldest (age 4) went first");
     }
 
     #[test]
@@ -618,15 +529,12 @@ mod tests {
     }
 
     #[test]
-    fn random_and_sample() {
+    fn random_draws_an_entry() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let v = view_with(0, 8, &[1, 2, 3, 4, 5]);
-        assert!(v.random(&mut rng).is_some());
-        let s = v.sample(&mut rng, 3);
-        assert_eq!(s.len(), 3);
+        assert!(v.random(&mut rng).is_some_and(|e| v.contains(e.id)));
         let empty = View::new(NodeId(0), 2);
         assert!(empty.random(&mut rng).is_none());
-        assert!(empty.sample(&mut rng, 3).is_empty());
     }
 
     #[test]
@@ -650,7 +558,6 @@ mod tests {
         assert!(v.invariants_hold() && !v.contains(NodeId(6)));
         v.remove(NodeId(1));
         assert!(v.invariants_hold() && !v.contains(NodeId(1)));
-        v.remove_oldest(1, 0);
         v.remove_head(1, 0);
         assert!(v.invariants_hold());
         v.append_dedup(&[ViewEntry::fresh(NodeId(20)), ViewEntry::fresh(NodeId(21))]);
@@ -763,7 +670,153 @@ mod tests {
         let v = view_with(0, 8, &[1, 2, 3, 4]);
         assert_eq!(v.head_slice(2), &v.entries()[..2]);
         assert_eq!(v.head_slice(99).len(), 4);
-        assert_eq!(v.head(2), v.head_slice(2).to_vec());
+    }
+
+    #[test]
+    fn ids_follow_entry_order() {
+        let mut v = view_with(0, 8, &[4, 2, 9]);
+        assert_eq!(v.id_vec(), vec![NodeId(4), NodeId(2), NodeId(9)]);
+        assert!(v.ids().eq(v.entries().iter().map(|e| e.id)));
+        assert_eq!((v.len(), v.is_empty()), (3, false));
+        v.retain(|_| false);
+        assert_eq!((v.len(), v.is_empty()), (0, true));
+        assert_eq!(v.owner(), NodeId(0));
+        assert_eq!(v.capacity(), 8);
+    }
+
+    #[test]
+    fn remove_returns_the_entry_or_none() {
+        let mut v = View::new(NodeId(0), 4);
+        v.insert(ViewEntry {
+            id: NodeId(3),
+            age: 7,
+        });
+        assert_eq!(v.remove(NodeId(9)), None);
+        assert_eq!(
+            v.remove(NodeId(3)),
+            Some(ViewEntry {
+                id: NodeId(3),
+                age: 7
+            })
+        );
+        assert_eq!(v.remove(NodeId(3)), None, "second remove finds nothing");
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn retain_reports_how_many_left() {
+        let mut v = view_with(0, 8, &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(v.retain(|e| e.id.0 % 2 == 0), 3);
+        assert_eq!(v.id_vec(), vec![NodeId(2), NodeId(4), NodeId(6)]);
+        assert_eq!(v.retain(|_| true), 0);
+    }
+
+    #[test]
+    fn ages_saturate_instead_of_wrapping() {
+        let mut v = View::new(NodeId(0), 2);
+        v.insert(ViewEntry {
+            id: NodeId(1),
+            age: u32::MAX,
+        });
+        v.insert_fresh(NodeId(2));
+        v.increase_age();
+        assert_eq!(v.entries()[0].age, u32::MAX);
+        assert_eq!(v.entries()[1].age, 1);
+    }
+
+    #[test]
+    fn oldest_of_an_empty_view_is_none_and_ties_go_to_the_later_entry() {
+        assert_eq!(View::new(NodeId(0), 4).oldest(), None);
+        let v = view_with(0, 4, &[1, 2, 3]);
+        assert_eq!(v.oldest(), Some(ViewEntry::fresh(NodeId(3))));
+    }
+
+    #[test]
+    fn permute_keeps_the_entries() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
+        let mut v = view_with(0, 16, &(1..=16).collect::<Vec<_>>());
+        let before = v.id_vec();
+        v.permute(&mut rng);
+        let mut after = v.id_vec();
+        assert_ne!(after, before, "sixteen entries are reordered");
+        after.sort();
+        assert_eq!(after, before);
+        assert!(v.invariants_hold());
+    }
+
+    #[test]
+    fn replacing_insert_skips_the_owner_and_refreshes_duplicates() {
+        let mut v = View::new(NodeId(0), 2);
+        v.insert(ViewEntry {
+            id: NodeId(1),
+            age: 4,
+        });
+        v.insert_replacing_oldest(ViewEntry::fresh(NodeId(0)));
+        assert_eq!(v.id_vec(), vec![NodeId(1)]);
+        v.insert_replacing_oldest(ViewEntry {
+            id: NodeId(1),
+            age: 1,
+        });
+        assert_eq!(
+            v.entries(),
+            [ViewEntry {
+                id: NodeId(1),
+                age: 1
+            }]
+        );
+        v.insert_replacing_oldest(ViewEntry::fresh(NodeId(2)));
+        assert_eq!(v.len(), 2, "room left: nothing evicted");
+    }
+
+    #[test]
+    fn invariant_check_catches_the_owner_and_duplicates() {
+        for cap in [4, LINEAR_SCAN_CAPACITY + 1] {
+            let clean = view_with(0, cap, &[1, 2]);
+            let mut with_owner = clean.clone();
+            with_owner.entries.push(ViewEntry::fresh(NodeId(0)));
+            assert!(!with_owner.invariants_hold(), "owner, capacity {cap}");
+            let mut with_dup = clean.clone();
+            with_dup.entries.push(ViewEntry::fresh(NodeId(2)));
+            assert!(!with_dup.invariants_hold(), "duplicate, capacity {cap}");
+        }
+    }
+
+    #[test]
+    fn invariant_check_catches_a_stale_index() {
+        let mut v = view_with(0, LINEAR_SCAN_CAPACITY + 1, &[1, 2, 3]);
+        v.present.remove(2);
+        assert!(!v.invariants_hold(), "entry missing from the index");
+        let mut w = view_with(0, LINEAR_SCAN_CAPACITY + 1, &[1, 2, 3]);
+        w.present.insert(9);
+        assert!(!w.invariants_hold(), "index holds an absent ID");
+        let mut small = view_with(0, 4, &[1]);
+        small.present.insert(1);
+        assert!(!small.invariants_hold(), "small views keep no index");
+    }
+
+    #[test]
+    fn invariant_check_reuses_its_buffer() {
+        let v = view_with(0, LINEAR_SCAN_CAPACITY + 1, &(1..=40).collect::<Vec<_>>());
+        let mut ids = Vec::new();
+        assert!(v.invariants_hold_using(&mut ids));
+        let grown = ids.capacity();
+        assert!(grown >= 40);
+        assert!(v.invariants_hold_using(&mut ids));
+        assert_eq!(ids.capacity(), grown, "the second check does not regrow");
+    }
+
+    #[test]
+    fn equality_ignores_the_membership_index() {
+        // Same entries, different insert histories: the index of `a` grew
+        // to ID 1000, that of `b` did not.
+        let cap = LINEAR_SCAN_CAPACITY + 1;
+        let mut a = view_with(0, cap, &[1000, 1, 2]);
+        a.remove(NodeId(1000));
+        let b = view_with(0, cap, &[1, 2]);
+        assert_ne!(a.present, b.present);
+        assert_eq!(a, b);
+        assert_ne!(a, view_with(0, cap + 1, &[1, 2]), "capacity counts");
+        assert_ne!(a, view_with(5, cap, &[1, 2]), "owner counts");
     }
 }
 
@@ -805,24 +858,6 @@ mod prop_tests {
             v.shrink_to_capacity(&mut rng);
             prop_assert!(v.len() <= 8);
             prop_assert!(v.invariants_hold());
-        }
-
-        /// move_oldest_to_end never changes the multiset of entries.
-        #[test]
-        fn move_oldest_is_a_permutation(
-            items in proptest::collection::vec((0u64..100, 0u32..50), 0..20),
-            h in 0usize..25,
-        ) {
-            let mut v = View::new(NodeId(200), 32);
-            for (id, age) in items {
-                v.insert(ViewEntry { id: NodeId(id), age });
-            }
-            let mut before: Vec<_> = v.entries().to_vec();
-            v.move_oldest_to_end(h);
-            let mut after: Vec<_> = v.entries().to_vec();
-            before.sort_by_key(|e| e.id);
-            after.sort_by_key(|e| e.id);
-            prop_assert_eq!(before, after);
         }
     }
 }

@@ -230,4 +230,50 @@ mod tests {
     fn empty_interner_is_trivially_identity() {
         assert!(IdInterner::new().is_identity());
     }
+
+    #[test]
+    fn byte_encoding_is_little_endian() {
+        assert_eq!(
+            NodeId(0x0102_0304_0506_0708).to_bytes(),
+            [8, 7, 6, 5, 4, 3, 2, 1]
+        );
+    }
+
+    #[test]
+    fn defaults_are_slot_and_id_zero() {
+        assert_eq!(NodeId::default(), NodeId(0));
+        assert_eq!(NodeIdx::default(), NodeIdx(0));
+    }
+
+    #[test]
+    fn node_idx_indexes_and_orders_like_its_integer() {
+        assert_eq!(NodeIdx(9).index(), 9);
+        assert_eq!(NodeIdx(u32::MAX).index(), u32::MAX as usize);
+        assert!(NodeIdx(1) < NodeIdx(2));
+    }
+
+    #[test]
+    fn dense_ids_interned_out_of_order_are_not_the_identity() {
+        let mut interner = IdInterner::new();
+        interner.intern(NodeId(1));
+        interner.intern(NodeId(0));
+        assert_eq!(interner.lookup(NodeId(1)), Some(NodeIdx(0)));
+        assert!(!interner.is_identity());
+    }
+
+    #[test]
+    fn with_capacity_starts_empty() {
+        let interner = IdInterner::with_capacity(64);
+        assert!(interner.is_empty());
+        assert_eq!(interner.len(), 0);
+        assert_eq!(interner.lookup(NodeId(0)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn resolving_an_unassigned_slot_panics() {
+        let mut interner = IdInterner::new();
+        interner.intern(NodeId(3));
+        interner.resolve(NodeIdx(1));
+    }
 }

@@ -1,15 +1,15 @@
-//! Simulated round-based network substrate.
+//! Node addressing, push rate limiting and link encryption.
 //!
 //! The paper evaluates RAPTEE on Grid'5000 with 10,000 OS processes
 //! speaking TCP; every reported metric, however, is counted in protocol
-//! *rounds* (2.5 s each), not wall-clock time. This crate provides the
-//! deterministic, round-based message fabric the simulation runs on:
+//! *rounds* (2.5 s each), not wall-clock time. The simulator moves
+//! messages itself (`raptee-sim`'s event network); this crate holds the
+//! protocol-agnostic pieces every layer above it shares:
 //!
-//! * [`id`] — [`id::NodeId`], the transport address of a simulated node.
-//! * [`network`] — [`network::Network`], a generic router with per-node
-//!   inboxes, optional message loss, per-kind traffic accounting and an
-//!   adversary *tap* modelling the paper's (explicitly excluded, but
-//!   testable) global eavesdropper.
+//! * [`id`] — [`id::NodeId`], the transport address of a simulated node,
+//!   its dense arena slot [`id::NodeIdx`], and [`id::IdInterner`], the
+//!   mapping between the two that a population with sparse wire IDs
+//!   would need.
 //! * [`rate`] — [`rate::PushRateLimiter`], the "limited pushes" defence
 //!   Brahms assumes (computational puzzles / virtual currency): it caps
 //!   how many pushes any identity can emit per round, which bounds the
@@ -19,18 +19,15 @@
 //!   any two nodes, including trusted ones, are cyphered with symmetric
 //!   encryption").
 //!
-//! The network is generic over the payload type `M`, so the protocol
-//! crates (`raptee-brahms`, `raptee`) define their own message enums and
-//! this crate stays protocol-agnostic.
+//! The wire encoding of RAPTEE's messages lives with the protocol, in
+//! `raptee::wire`.
 
 #![warn(missing_docs)]
 
 pub mod channel;
 pub mod id;
-pub mod network;
 pub mod rate;
 
 pub use channel::SecureChannel;
 pub use id::{IdInterner, NodeId, NodeIdx};
-pub use network::{Envelope, MessageMeter, Network, TrafficTap};
 pub use rate::PushRateLimiter;

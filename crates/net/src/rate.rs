@@ -165,4 +165,41 @@ mod tests {
         }
         assert_eq!(adversary_pushes, byz as u32 * budget);
     }
+
+    #[test]
+    fn remaining_counts_down_with_each_charge() {
+        let mut rl = PushRateLimiter::new(2, 4);
+        assert_eq!(rl.budget(), 4);
+        assert_eq!(rl.remaining(NodeId(1)), 4);
+        rl.try_push(NodeId(1));
+        assert_eq!(rl.remaining(NodeId(1)), 3);
+        rl.try_push_n(NodeId(1), 2);
+        assert_eq!(rl.remaining(NodeId(1)), 1);
+        assert_eq!(rl.remaining(NodeId(0)), 4);
+    }
+
+    #[test]
+    fn rejections_outlive_the_round() {
+        let mut rl = PushRateLimiter::new(1, 1);
+        rl.try_push_n(NodeId(0), 3);
+        assert_eq!(rl.rejected_total(), 2);
+        rl.next_round();
+        assert_eq!(rl.rejected_total(), 2, "the reset only refills budgets");
+        assert!(rl.try_push(NodeId(0)));
+    }
+
+    #[test]
+    fn a_huge_batch_is_granted_the_budget_and_rejects_the_rest() {
+        let mut rl = PushRateLimiter::new(1, 5);
+        let n = 1usize << 40;
+        assert_eq!(rl.try_push_n(NodeId(0), n), 5);
+        assert_eq!(rl.rejected_total(), n as u64 - 5);
+        assert_eq!(rl.remaining(NodeId(0)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn an_unknown_sender_panics() {
+        PushRateLimiter::new(2, 1).try_push(NodeId(2));
+    }
 }

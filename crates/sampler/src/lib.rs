@@ -4,7 +4,7 @@
 //! `S` of `l2` entries that converges to a uniform random sample of all
 //! IDs ever streamed through the node — regardless of how biased the
 //! stream is. The trick is min-wise independent permutations (Broder et
-//! al., JCSS 2000): each [`Sampler`] draws a random hash function at
+//! al., JCSS 2000): each sampler draws a random hash function at
 //! initialisation and remembers the ID with the smallest hash seen so
 //! far. Because the hash is fixed *before* the stream arrives, every
 //! distinct ID has the same chance of being the minimum, no matter how
@@ -21,7 +21,7 @@
 //! periodically pinged and a dead sample causes its sampler to re-draw a
 //! fresh hash function, so departed nodes eventually leave `S`. It keeps
 //! its samplers as three flat lanes hashed eight at a time where the CPU
-//! can; [`Sampler`] is the one-function reference its tests compare it to.
+//! can; its tests compare it with a plain `Vec` of one-function samplers.
 
 use raptee_net::NodeId;
 use raptee_util::bitset::{IdSet, DENSE_ID_LIMIT};
@@ -33,69 +33,6 @@ use raptee_util::rng::{mix64, Xoshiro256StarStar};
 #[inline]
 fn premix(id: NodeId) -> u64 {
     mix64(id.0.wrapping_add(0x9E37_79B9_7F4A_7C15))
-}
-
-/// A single min-wise sampler: remembers the streamed ID minimising a
-/// randomly drawn hash function.
-///
-/// # Examples
-///
-/// ```
-/// use raptee_sampler::Sampler;
-/// use raptee_net::NodeId;
-///
-/// let mut s = Sampler::new(7);
-/// s.observe(NodeId(1));
-/// s.observe(NodeId(2));
-/// let first = s.sample().unwrap();
-/// // Feeding the same IDs again cannot change the sample.
-/// s.observe(NodeId(1));
-/// s.observe(NodeId(2));
-/// assert_eq!(s.sample(), Some(first));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sampler {
-    seed: u64,
-    best_hash: u64,
-    sample: Option<NodeId>,
-}
-
-impl Sampler {
-    /// Creates a sampler with a hash function drawn from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            best_hash: u64::MAX,
-            sample: None,
-        }
-    }
-
-    /// The keyed hash `h_seed(id)` — a SplitMix64-finalizer construction
-    /// approximating a min-wise independent family.
-    #[inline]
-    pub fn hash(&self, id: NodeId) -> u64 {
-        mix64(self.seed ^ premix(id))
-    }
-
-    /// Feeds one ID through the sampler.
-    pub fn observe(&mut self, id: NodeId) {
-        let h = self.hash(id);
-        if h < self.best_hash {
-            self.best_hash = h;
-            self.sample = Some(id);
-        }
-    }
-
-    /// The current sample, if any ID was observed.
-    pub fn sample(&self) -> Option<NodeId> {
-        self.sample
-    }
-
-    /// Re-initialises with a fresh hash function, forgetting the current
-    /// sample (Brahms' reaction to a failed validation probe).
-    pub fn reinit(&mut self, new_seed: u64) {
-        *self = Sampler::new(new_seed);
-    }
 }
 
 /// Samplers one 512-bit vector instruction covers; the lanes are padded
@@ -152,7 +89,7 @@ fn observe_lanes_widest(
 /// # Layout
 ///
 /// Three flat `u64` lanes — hash seeds, best hashes, sampled IDs — not an
-/// array of [`Sampler`]s, so the cold path (a new ID is hashed under all
+/// array of per-sampler structs, so the cold path (a new ID is hashed under all
 /// `l2` seeds: N × l2 hashes per node and run) is one vectorisable loop.
 /// A lane holds no sample exactly when its best hash is `u64::MAX`: a
 /// fresh function starts there and an update needs a strictly smaller
@@ -372,6 +309,54 @@ impl SamplerArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A single min-wise sampler: remembers the streamed ID minimising a
+    /// randomly drawn hash function. The public sampler before the lanes,
+    /// kept as the one-function reference [`Reference`] is built from.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Sampler {
+        seed: u64,
+        best_hash: u64,
+        sample: Option<NodeId>,
+    }
+
+    impl Sampler {
+        /// Creates a sampler with a hash function drawn from `seed`.
+        pub(super) fn new(seed: u64) -> Self {
+            Self {
+                seed,
+                best_hash: u64::MAX,
+                sample: None,
+            }
+        }
+
+        /// The keyed hash `h_seed(id)` — a SplitMix64-finalizer construction
+        /// approximating a min-wise independent family.
+        #[inline]
+        pub(super) fn hash(&self, id: NodeId) -> u64 {
+            mix64(self.seed ^ premix(id))
+        }
+
+        /// Feeds one ID through the sampler.
+        pub(super) fn observe(&mut self, id: NodeId) {
+            let h = self.hash(id);
+            if h < self.best_hash {
+                self.best_hash = h;
+                self.sample = Some(id);
+            }
+        }
+
+        /// The current sample, if any ID was observed.
+        pub(super) fn sample(&self) -> Option<NodeId> {
+            self.sample
+        }
+
+        /// Re-initialises with a fresh hash function, forgetting the current
+        /// sample (Brahms' reaction to a failed validation probe).
+        pub(super) fn reinit(&mut self, new_seed: u64) {
+            *self = Sampler::new(new_seed);
+        }
+    }
 
     /// The array as it was before the lanes, and what they are checked
     /// against: one [`Sampler`] per hash function, no cache, no padding.
@@ -757,7 +742,7 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
-    use super::tests::{assert_matches, Reference};
+    use super::tests::{assert_matches, Reference, Sampler};
     use super::*;
     use proptest::prelude::*;
 

@@ -279,4 +279,44 @@ mod tests {
         }
         assert!(s.is_empty());
     }
+
+    #[test]
+    fn bitset_word_boundaries() {
+        let mut b = BitSet::new(129);
+        for idx in [63usize, 64, 128] {
+            assert!(b.insert(idx));
+        }
+        assert_eq!(b.words.len(), 3);
+        assert!(!b.contains(62) && !b.contains(65) && !b.contains(127));
+        assert!(!b.contains(129), "one past the universe");
+    }
+
+    #[test]
+    fn bitset_len_is_the_universe_not_the_count() {
+        let mut b = BitSet::new(70);
+        assert_eq!((b.len(), b.count(), b.is_empty()), (70, 0, true));
+        b.insert(69);
+        assert_eq!((b.len(), b.count(), b.is_empty()), (70, 1, false));
+    }
+
+    #[test]
+    fn idset_grows_to_its_largest_index_and_clear_keeps_the_words() {
+        let mut s = IdSet::new();
+        assert_eq!(s.words(), 0, "nothing allocated before the first insert");
+        s.insert(200);
+        assert_eq!(s.words(), 4);
+        s.insert(5);
+        assert_eq!(s.words(), 4, "a smaller index does not grow");
+        s.clear();
+        assert_eq!(s.words(), 4);
+    }
+
+    #[test]
+    fn idset_queries_never_grow() {
+        let mut s = IdSet::new();
+        s.insert(1);
+        assert!(!s.contains(DENSE_ID_LIMIT));
+        assert!(!s.remove(DENSE_ID_LIMIT));
+        assert_eq!(s.words(), 1);
+    }
 }

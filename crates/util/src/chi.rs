@@ -2,9 +2,7 @@
 //!
 //! The heart of Brahms is the claim that its sampler converges to a
 //! *uniform* random sample of the ID stream. The sampler property tests in
-//! `raptee-sampler` draw many samples and check uniformity with this test;
-//! the overlay-quality metrics in `raptee-gossip` use it on in-degree
-//! distributions.
+//! `raptee-sampler` draw many samples and check uniformity with this test.
 
 /// Result of a chi-square uniformity test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,6 +107,34 @@ mod tests {
         // chi2(0.99, 100) = 135.807.
         let c = chi_square_critical(100, 2.326_347_87);
         assert!((c - 135.807).abs() / 135.807 < 0.01, "got {c}");
+    }
+
+    #[test]
+    fn statistic_matches_the_hand_computation() {
+        // Expected 20 per bin: (10-20)²/20 + 0 + (30-20)²/20 = 10.
+        let t = chi_square_uniform(&[10, 20, 30]);
+        assert!((t.statistic - 10.0).abs() < 1e-12, "got {}", t.statistic);
+        assert_eq!(t.dof, 2);
+        assert_eq!(t.critical_1pct, chi_square_critical(2, 2.326_347_87));
+    }
+
+    #[test]
+    fn critical_value_grows_with_the_degrees_of_freedom() {
+        let crit: Vec<f64> = [1, 2, 5, 10, 50, 200]
+            .iter()
+            .map(|&k| chi_square_critical(k, 2.326_347_87))
+            .collect();
+        assert!(crit.windows(2).all(|w| w[0] < w[1]), "{crit:?}");
+        // Above the mean `dof` at the 1 % level.
+        assert!(crit[5] > 200.0);
+    }
+
+    #[test]
+    fn two_bins_are_enough() {
+        let even = chi_square_uniform(&[50, 50]);
+        assert_eq!((even.statistic, even.dof), (0.0, 1));
+        assert!(even.is_uniform());
+        assert!(!chi_square_uniform(&[100, 0]).is_uniform());
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub const REGISTERS: usize = 256;
 const HASH_SEED: u64 = 0xC0DE_5EED_57E7_C4B1;
 
 /// Folds `item` into the sketch. Returns `true` when a register grew
-/// (i.e. the sketch — and therefore the estimate — changed).
+/// (i.e. the sketch changed; while it returns `false` the estimate
+/// cannot move).
 ///
 /// # Panics
 ///
@@ -204,6 +205,45 @@ mod tests {
         let mut ba = b.clone();
         merge(&mut ba, &a);
         assert_eq!(ab, ba);
+    }
+
+    #[test]
+    fn merge_with_an_empty_sketch_or_itself_changes_nothing() {
+        let a = sketch_of(0..300);
+        let mut merged = a.clone();
+        merge(&mut merged, &[0u8; REGISTERS]);
+        assert_eq!(merged, a);
+        merge(&mut merged, &a);
+        assert_eq!(merged, a);
+    }
+
+    #[test]
+    fn estimate_never_falls_as_items_arrive() {
+        let mut regs = vec![0u8; REGISTERS];
+        let mut prev = estimate(&regs);
+        for item in 0..3_000u64 {
+            let grew = update(&mut regs, item);
+            let est = estimate(&regs);
+            assert!(est >= prev, "item {item}: {prev} -> {est}");
+            // A grown register need not move the estimate (linear counting
+            // reads only the empty registers), but an unchanged sketch
+            // never does.
+            assert!(grew || est == prev, "item {item}");
+            prev = est;
+        }
+    }
+
+    #[test]
+    fn registers_hold_ranks_up_to_57() {
+        let regs = sketch_of(0..50_000);
+        assert!(regs.iter().all(|&r| r <= 57));
+        assert!(regs.iter().all(|&r| r > 0), "every register is hit");
+    }
+
+    #[test]
+    #[should_panic(expected = "registers")]
+    fn merge_rejects_a_short_source() {
+        merge(&mut [0u8; REGISTERS], &[0u8; 8]);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!   of the Brahms sampling component.
 //! * [`stats`] — online mean/variance accumulators, percentiles and
 //!   confidence half-widths used by the experiment harness.
-//! * [`hist`] — fixed-width histograms for in-degree distribution and
-//!   round-latency reporting.
 //! * [`bitset`] — dense fixed-universe and growable bitsets used for
 //!   O(1) membership over node-ID spaces (view indices, seen-caches,
 //!   discovery tracking).
@@ -40,7 +38,6 @@
 
 pub mod bitset;
 pub mod chi;
-pub mod hist;
 pub mod hll;
 pub mod rng;
 pub mod series;

@@ -201,6 +201,35 @@ mod tests {
     }
 
     #[test]
+    fn series_and_xs_are_ordered_whatever_the_insert_order() {
+        let mut t = SeriesTable::new("t (%)");
+        t.insert("t=5%", 2.5, 1.0);
+        t.insert("ER-40%", -1.0, 2.0);
+        t.insert("adaptive", 10.0, 3.0);
+        t.insert("t=5%", 0.5, 4.0);
+        assert_eq!(t.series_names(), ["ER-40%", "adaptive", "t=5%"]);
+        assert_eq!(t.xs(), [-1.0, 0.5, 2.5, 10.0]);
+    }
+
+    #[test]
+    fn empty_table_renders_its_header_only() {
+        let t = SeriesTable::new("f");
+        assert_eq!(t.to_csv(), "f\n");
+        assert!(t.xs().is_empty() && t.series_names().is_empty());
+        assert_eq!(t.to_aligned(), "       f\n");
+    }
+
+    #[test]
+    fn aligned_columns_widen_to_long_series_names() {
+        let mut t = SeriesTable::new("f");
+        t.insert("a-very-long-series-name", 1.0, 2.0);
+        let text = t.to_aligned();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0].len(), lines[1].len(), "{text}");
+        assert!(lines[1].ends_with("2.00"));
+    }
+
+    #[test]
     #[should_panic(expected = "NaN")]
     fn nan_x_panics() {
         let mut t = SeriesTable::new("x");

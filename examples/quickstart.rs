@@ -1,5 +1,5 @@
-//! Quickstart: stand up a small RAPTEE system and consume the
-//! peer-sampling service.
+//! Quickstart: stand up a small RAPTEE system and read a node's
+//! peer-sampling output.
 //!
 //! Run with:
 //! ```text
@@ -8,11 +8,10 @@
 //!
 //! The example provisions two trusted nodes through the simulated SGX
 //! attestation flow, runs a 400-node population (10 % Byzantine) for 100
-//! rounds with the adaptive eviction policy, and then uses the
-//! [`PeerSamplingService`] facade the way an upper-layer protocol would.
+//! rounds with the adaptive eviction policy, and reads a node's view and
+//! sample list the way an upper-layer protocol would.
 
-use raptee::{provisioning, EvictionPolicy};
-use raptee::{PeerSamplingService, RapteeConfig, RapteeNode};
+use raptee::{provisioning, EvictionPolicy, RapteeConfig, RapteeNode};
 use raptee_net::NodeId;
 use raptee_sim::{run_scenario, Protocol, Scenario};
 
@@ -30,11 +29,18 @@ fn main() {
         eviction: EvictionPolicy::adaptive(),
     };
     let bootstrap: Vec<NodeId> = (1..=20).map(NodeId).collect();
-    let mut node = RapteeNode::new_trusted(NodeId(0), config, &bootstrap, 42, key);
+    let node = RapteeNode::new_trusted(NodeId(0), config, &bootstrap, 42, key);
     println!("node {} is trusted: {}", node.id(), node.is_trusted());
-    println!("initial view: {} entries", node.current_view().len());
-    let peer = node.next_peer().expect("bootstrap provides peers");
-    println!("a uniform peer sample: {peer}");
+    // The dynamic view is the gossip neighbourhood; the sample list is the
+    // service's uniform output stream.
+    let brahms = node.brahms();
+    println!("initial view: {} entries", brahms.view().len());
+    let samples = brahms.sampler().samples();
+    println!(
+        "sample list: {} entries, first {}",
+        samples.len(),
+        samples[0]
+    );
 
     // --- 2. A whole system ----------------------------------------------
     let scenario = Scenario {

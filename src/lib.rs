@@ -13,7 +13,6 @@ pub use raptee_gossip;
 pub use raptee_net;
 pub use raptee_sampler;
 pub use raptee_sim;
-pub use raptee_sps;
 pub use raptee_tee;
 pub use raptee_util;
 

@@ -1,11 +1,12 @@
-//! Cross-crate cryptographic integration: the real handshake over the
-//! simulated network, wire indistinguishability, and the crypto-shortcut
-//! equivalence the large sweeps rely on.
+//! Cross-crate cryptographic integration: the real handshake carried as
+//! encoded wire messages, wire indistinguishability, and the
+//! crypto-shortcut equivalence the large sweeps rely on.
 
+use raptee::wire::Message;
 use raptee::{provisioning, EvictionPolicy, RapteeConfig, RapteeNode};
 use raptee_brahms::BrahmsConfig;
-use raptee_crypto::auth::{AuthChallenge, AuthConfirm, AuthOutcome, AuthResponse};
-use raptee_net::{MessageMeter, Network, NodeId};
+use raptee_crypto::auth::AuthOutcome;
+use raptee_net::NodeId;
 use raptee_sim::{run_scenario, Scenario};
 
 fn cfg() -> RapteeConfig {
@@ -19,68 +20,38 @@ fn boot() -> Vec<NodeId> {
     (10..18).map(NodeId).collect()
 }
 
-/// Wire messages for the authentication exchange.
-#[derive(Debug, Clone)]
-enum AuthMsg {
-    Challenge(AuthChallenge),
-    Response(AuthResponse),
-    Confirm(AuthConfirm),
+/// One hop on the wire: the sender encodes, an eavesdropper records the
+/// message kind and encoded length, and the receiver decodes.
+fn transmit(msg: Message, trace: &mut Vec<(&'static str, usize)>) -> Message {
+    let bytes = msg.encode();
+    trace.push((msg.kind(), bytes.len()));
+    Message::decode(&bytes).expect("an encoded message decodes")
 }
 
-impl MessageMeter for AuthMsg {
-    fn kind(&self) -> &'static str {
-        match self {
-            AuthMsg::Challenge(_) => "auth-challenge",
-            AuthMsg::Response(_) => "auth-response",
-            AuthMsg::Confirm(_) => "auth-confirm",
-        }
-    }
-    fn size_bytes(&self) -> usize {
-        match self {
-            AuthMsg::Challenge(_) => 16,
-            AuthMsg::Response(_) => 48,
-            AuthMsg::Confirm(_) => 32,
-        }
-    }
-}
-
-/// Runs the four-step handshake through `Network` inboxes instead of
-/// in-process calls, and returns both verdicts plus the observed wire
-/// trace.
+/// Runs the four-step handshake as encoded [`Message`]s instead of
+/// in-process calls, and returns both verdicts plus the eavesdropper's
+/// trace of `(kind, encoded length)` pairs.
 fn handshake_over_network(
     a: &mut RapteeNode,
     b: &mut RapteeNode,
-) -> (AuthOutcome, AuthOutcome, Vec<&'static str>) {
-    let mut net: Network<AuthMsg> = Network::new(64, 9);
-    net.install_tap();
-    let (na, nb) = (a.id(), b.id());
-
+) -> (AuthOutcome, AuthOutcome, Vec<(&'static str, usize)>) {
+    let mut trace = Vec::new();
     let (challenge, a_pending) = a.auth_initiate();
-    net.send(na, nb, AuthMsg::Challenge(challenge));
-    let challenge = match net.take_inbox(nb).pop().unwrap().payload {
-        AuthMsg::Challenge(c) => c,
+    let challenge = match transmit(Message::AuthChallenge(challenge), &mut trace) {
+        Message::AuthChallenge(c) => c,
         other => panic!("expected challenge, got {other:?}"),
     };
     let (response, b_pending) = b.auth_respond(&challenge);
-    net.send(nb, na, AuthMsg::Response(response));
-    let response = match net.take_inbox(na).pop().unwrap().payload {
-        AuthMsg::Response(r) => r,
+    let response = match transmit(Message::AuthResponse(response), &mut trace) {
+        Message::AuthResponse(r) => r,
         other => panic!("expected response, got {other:?}"),
     };
     let (a_outcome, confirm) = a.auth_finish_initiator(&a_pending, &response);
-    net.send(na, nb, AuthMsg::Confirm(confirm));
-    let confirm = match net.take_inbox(nb).pop().unwrap().payload {
-        AuthMsg::Confirm(c) => c,
+    let confirm = match transmit(Message::AuthConfirm(confirm), &mut trace) {
+        Message::AuthConfirm(c) => c,
         other => panic!("expected confirm, got {other:?}"),
     };
     let b_outcome = b.auth_finish_responder(&b_pending, &confirm);
-    let trace = net
-        .tap()
-        .unwrap()
-        .records()
-        .iter()
-        .map(|r| r.kind)
-        .collect();
     (a_outcome, b_outcome, trace)
 }
 
@@ -100,8 +71,8 @@ fn provisioned_handshake_over_the_network() {
 
 #[test]
 fn wire_trace_is_identical_for_trusted_and_untrusted_handshakes() {
-    // The eavesdropper's view (message kinds, sizes, order) must not
-    // reveal whether a handshake concluded Trusted.
+    // The eavesdropper's view (message kinds, encoded sizes, order) must
+    // not reveal whether a handshake concluded Trusted.
     let key = raptee_crypto::SecretKey::from_seed(7);
     let mut t1 = RapteeNode::new_trusted(NodeId(1), cfg(), &boot(), 1, key.clone());
     let mut t2 = RapteeNode::new_trusted(NodeId(2), cfg(), &boot(), 2, key);

@@ -6,9 +6,7 @@
 //! lib, a missing dependency edge — fails `cargo test -q` instead of
 //! only `cargo run --example quickstart`.
 
-use raptee_repro::raptee::{
-    provisioning, EvictionPolicy, PeerSamplingService, RapteeConfig, RapteeNode,
-};
+use raptee_repro::raptee::{provisioning, EvictionPolicy, RapteeConfig, RapteeNode};
 use raptee_repro::raptee_brahms::BrahmsConfig;
 use raptee_repro::raptee_crypto::SecretKey;
 use raptee_repro::raptee_net::NodeId;
@@ -24,12 +22,11 @@ fn all_reexports_resolve() {
     let _key: raptee_repro::raptee_crypto::SecretKey = SecretKey::from_bytes([1u8; 32]);
     let _ev: raptee_repro::raptee::EvictionPolicy = EvictionPolicy::adaptive();
     let _sc: raptee_repro::raptee_sim::Scenario = Scenario::default();
-    let _sampler = raptee_repro::raptee_sampler::Sampler::new(0x5EED);
-    let _hist = raptee_repro::raptee_util::hist::Histogram::new(0.0, 1.0, 10);
+    let mut rng = raptee_repro::raptee_util::Xoshiro256StarStar::seed_from_u64(0x5EED);
+    let _sampler = raptee_repro::raptee_sampler::SamplerArray::new(8, &mut rng);
     let _gossip_view = raptee_repro::raptee_gossip::View::new(NodeId(0), 8);
     let _overhead = raptee_repro::raptee_tee::SgxOverheadModel::paper_table1();
     let _usage = raptee_repro::cli::USAGE;
-    let _sps = raptee_repro::raptee_sps::SpsConfig::with_view_size(8);
 }
 
 /// Quickstart part 1: provision a trusted node through attestation and
@@ -46,12 +43,14 @@ fn provisioned_trusted_node_serves_peers() {
         eviction: EvictionPolicy::adaptive(),
     };
     let bootstrap: Vec<NodeId> = (1..=20).map(NodeId).collect();
-    let mut node = RapteeNode::new_trusted(NodeId(0), config, &bootstrap, 42, key);
+    let node = RapteeNode::new_trusted(NodeId(0), config, &bootstrap, 42, key);
     assert!(node.is_trusted());
-    assert_eq!(node.current_view().len(), 20);
-    let peer = node.next_peer().expect("bootstrap provides peers");
+    let brahms = node.brahms();
+    assert_eq!(brahms.view().len(), 20);
+    let samples = brahms.sampler().samples();
+    assert_eq!(samples.len(), 20);
     assert!(
-        bootstrap.contains(&peer),
+        samples.iter().all(|peer| bootstrap.contains(peer)),
         "samples come from the bootstrap view"
     );
 }
