@@ -41,21 +41,20 @@ impl EvictionPolicy {
 
     /// Validates the parameters.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a rate or bound leaves `[0, 1]` or `lo > hi`.
-    pub fn validate(&self) {
+    /// The broken rule when a rate or bound leaves `[0, 1]` or `lo > hi`.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
         match *self {
-            EvictionPolicy::Fixed(r) => {
-                assert!((0.0..=1.0).contains(&r), "eviction rate must be in [0,1]");
+            EvictionPolicy::Fixed(r) if !unit(r) => Err("eviction rate must be in [0,1]"),
+            EvictionPolicy::Adaptive { lo, hi } if !(unit(lo) && unit(hi)) => {
+                Err("bounds must be in [0,1]")
             }
-            EvictionPolicy::Adaptive { lo, hi } => {
-                assert!(
-                    (0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi),
-                    "bounds must be in [0,1]"
-                );
-                assert!(lo <= hi, "adaptive lower bound must not exceed upper bound");
+            EvictionPolicy::Adaptive { lo, hi } if lo > hi => {
+                Err("adaptive lower bound must not exceed upper bound")
             }
+            _ => Ok(()),
         }
     }
 
@@ -94,7 +93,7 @@ mod tests {
     #[test]
     fn fixed_rate_is_constant() {
         let p = EvictionPolicy::Fixed(0.6);
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         for share in [0.0, 0.3, 1.0] {
             assert_eq!(p.rate(share), 0.6);
         }
@@ -103,7 +102,7 @@ mod tests {
     #[test]
     fn adaptive_matches_paper_rule() {
         let p = EvictionPolicy::adaptive();
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         // ≤ 20 % trusted contacts → 80 % eviction.
         assert_eq!(p.rate(0.0), 0.8);
         assert_eq!(p.rate(0.2), 0.8);
@@ -147,7 +146,7 @@ mod tests {
     #[test]
     fn custom_adaptive_bounds_clamp_the_rate() {
         let p = EvictionPolicy::Adaptive { lo: 0.3, hi: 0.6 };
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         assert_eq!(p.rate(0.0), 0.6);
         assert_eq!(p.rate(0.9), 0.3);
         assert!((p.rate(0.55) - 0.45).abs() < 1e-12);
@@ -162,26 +161,32 @@ mod tests {
             EvictionPolicy::Adaptive { lo: 0.0, hi: 1.0 },
             EvictionPolicy::Adaptive { lo: 0.5, hi: 0.5 },
         ] {
-            p.validate();
+            assert_eq!(p.validate(), Ok(()));
         }
         assert_eq!(EvictionPolicy::Fixed(1.0).label(), "ER-100%");
     }
 
     #[test]
-    #[should_panic(expected = "bounds must be in [0,1]")]
     fn out_of_range_adaptive_bound_rejected() {
-        EvictionPolicy::Adaptive { lo: -0.1, hi: 0.5 }.validate();
+        assert_eq!(
+            EvictionPolicy::Adaptive { lo: -0.1, hi: 0.5 }.validate(),
+            Err("bounds must be in [0,1]")
+        );
     }
 
     #[test]
-    #[should_panic(expected = "in [0,1]")]
     fn out_of_range_fixed_rejected() {
-        EvictionPolicy::Fixed(1.2).validate();
+        assert_eq!(
+            EvictionPolicy::Fixed(1.2).validate(),
+            Err("eviction rate must be in [0,1]")
+        );
     }
 
     #[test]
-    #[should_panic(expected = "not exceed")]
     fn inverted_bounds_rejected() {
-        EvictionPolicy::Adaptive { lo: 0.9, hi: 0.1 }.validate();
+        assert_eq!(
+            EvictionPolicy::Adaptive { lo: 0.9, hi: 0.1 }.validate(),
+            Err("adaptive lower bound must not exceed upper bound")
+        );
     }
 }

@@ -52,10 +52,13 @@ impl RapteeConfig {
     ///
     /// # Panics
     ///
-    /// Propagates the panics of the component validators.
+    /// Propagates the panics of the component validators, and panics
+    /// with the eviction policy's broken rule.
     pub fn validate(&self) {
         self.brahms.validate();
-        self.eviction.validate();
+        if let Err(rule) = self.eviction.validate() {
+            panic!("{rule}");
+        }
     }
 }
 

@@ -794,8 +794,16 @@ impl Simulation {
     /// [`Scenario::segment_trusted_counts`] and provisioned through the
     /// simulated attestation service — and optionally the adversary's
     /// injected view-poisoned trusted nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ScenarioError`](crate::ScenarioError)'s message
+    /// (`knob: reason`) when [`Scenario::validate`] rejects `scenario`;
+    /// call `validate` first to get the error as a value.
     pub fn new(scenario: Scenario) -> Self {
-        scenario.validate();
+        if let Err(e) = scenario.validate() {
+            panic!("{e}");
+        }
         let mut rng = Xoshiro256StarStar::seed_from_u64(scenario.seed);
         let n = scenario.n;
         let total = scenario.total_actors();

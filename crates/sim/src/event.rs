@@ -1001,7 +1001,7 @@ mod tests {
             network: NetworkModel::Events(cfg),
             ..Scenario::default()
         };
-        scenario.validate();
+        scenario.validate().unwrap();
         EventNet::from_scenario(&scenario)
     }
 

@@ -70,5 +70,5 @@ pub use runner::{run_repeated, run_scenario, AggregatedResult, SegmentAggregate}
 pub use scenario::{
     AdversaryMode, AttackStrategy, AuditConfig, ChurnBurst, ChurnSchedule, DiscoveryMode,
     EventNetConfig, LatencyModel, NetworkModel, PartitionWindow, Protocol, Reachability,
-    RejoinPolicy, RetryConfig, Scenario, SegmentSpec, DEFAULT_AUDIT_GRACE,
+    RejoinPolicy, RetryConfig, Scenario, ScenarioError, SegmentSpec, DEFAULT_AUDIT_GRACE,
 };

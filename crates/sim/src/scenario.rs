@@ -2,6 +2,7 @@
 
 use crate::bitset::EXACT_DISCOVERY_THRESHOLD;
 use raptee::EvictionPolicy;
+use std::fmt;
 
 /// How the engine tracks per-node discovery (see
 /// [`crate::bitset::Discovery`]).
@@ -491,7 +492,7 @@ impl AuditConfig {
 ///     protocol: Protocol::Raptee,
 ///     ..Scenario::default()
 /// };
-/// s.validate();
+/// assert_eq!(s.validate(), Ok(()));
 /// assert_eq!(s.byzantine_count(), 50);
 /// assert_eq!(s.trusted_count(), 5);
 /// ```
@@ -640,6 +641,78 @@ impl Default for Scenario {
     }
 }
 
+/// Why [`Scenario::validate`] rejected a scenario: the first rule it
+/// broke. Displays as `knob: reason`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScenarioError {
+    /// The [`Scenario`] field path of the offending knob, e.g. `"n"`,
+    /// `"network.partitions"` or `"audit"`.
+    pub knob: &'static str,
+    /// The rule the knob broke.
+    pub reason: String,
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.knob, self.reason)
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
+/// One validation rule about `knob`; [`Check::or`] gives its reason.
+fn check(holds: bool, knob: &'static str) -> Check {
+    Check { holds, knob }
+}
+
+/// A rule [`check`] evaluated, waiting for the reason it reports.
+struct Check {
+    holds: bool,
+    knob: &'static str,
+}
+
+impl Check {
+    /// `Ok` when the rule holds, otherwise the error naming the knob.
+    /// `reason` is only formatted on failure, so a valid scenario
+    /// allocates nothing.
+    fn or(self, reason: impl fmt::Display) -> Result<(), ScenarioError> {
+        if self.holds {
+            Ok(())
+        } else {
+            Err(ScenarioError {
+                knob: self.knob,
+                reason: reason.to_string(),
+            })
+        }
+    }
+}
+
+/// Each family's own parameter checks, for the uniform protocol
+/// (`knob = "protocol"`) and every population segment (`"population"`).
+fn validate_protocol(protocol: Protocol, knob: &'static str) -> Result<(), ScenarioError> {
+    match protocol {
+        Protocol::Brahms | Protocol::Raptee => Ok(()),
+        Protocol::Basalt { view_size, .. } | Protocol::BasaltTee { view_size, .. } => {
+            check(view_size > 0, knob).or("BASALT view size must be positive")
+        }
+        Protocol::Lift {
+            view_size,
+            fade_interval,
+        } => {
+            check(view_size > 0, knob).or("LIFT view size must be positive")?;
+            check(fade_interval > 0, knob)
+                .or("LIFT needs a positive fade interval (scores must decay)")
+        }
+        Protocol::Honeybee {
+            view_size,
+            walk_length,
+        } => {
+            check(view_size > 0, knob).or("Honeybee view size must be positive")?;
+            check(walk_length > 0, knob).or("Honeybee walk length must be positive")
+        }
+    }
+}
+
 impl Scenario {
     /// The paper's full-scale configuration: 10,000 nodes, view size 200,
     /// 200 rounds.
@@ -654,14 +727,31 @@ impl Scenario {
         }
     }
 
-    /// Validates ranges and consistency.
+    /// Checks every range and consistency rule, in a fixed order, and
+    /// reports the first one broken.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when fractions leave `[0, 1]`, their sum exceeds 1, or any
-    /// size is zero.
-    pub fn validate(&self) {
-        assert!(self.n > 1, "population must contain at least two nodes");
+    /// A [`ScenarioError`] naming the offending knob when, for example,
+    /// a fraction leaves `[0, 1]`, the fractions sum past 1, a size or
+    /// window is zero or outside the run, or a RAPTEE-only toggle is set
+    /// outside a uniform Brahms or RAPTEE run.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # fn main() -> Result<(), raptee_sim::ScenarioError> {
+    /// use raptee_sim::Scenario;
+    ///
+    /// Scenario::default().validate()?;
+    /// let err = Scenario { n: 1, ..Scenario::default() }.validate().unwrap_err();
+    /// assert_eq!(err.knob, "n");
+    /// assert_eq!(err.to_string(), "n: population must contain at least two nodes");
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        check(self.n > 1, "n").or("population must contain at least two nodes")?;
         for (name, v) in [
             ("byzantine_fraction", self.byzantine_fraction),
             ("trusted_fraction", self.trusted_fraction),
@@ -670,269 +760,207 @@ impl Scenario {
                 self.injected_poisoned_fraction,
             ),
         ] {
-            assert!((0.0..=1.0).contains(&v), "{name} must be in [0,1]");
+            check((0.0..=1.0).contains(&v), name).or(format_args!("{name} must be in [0,1]"))?;
         }
-        assert!(
+        check(
             self.byzantine_fraction + self.trusted_fraction <= 1.0 + 1e-9,
-            "byzantine + trusted fractions exceed the population"
-        );
-        assert!(
-            self.view_size > 0 && self.sample_size > 0,
-            "sizes must be positive"
-        );
-        assert!(self.rounds > 0, "must run at least one round");
-        assert!(self.tail_window > 0, "tail window must be positive");
-        assert!((0.0..1.0).contains(&self.gamma), "gamma must be in [0,1)");
-        assert!(
-            self.flood_slack_sigmas >= 0.0,
-            "flood slack must be non-negative"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.message_loss),
-            "message loss must be in [0,1]"
-        );
+            "trusted_fraction",
+        )
+        .or("byzantine + trusted fractions exceed the population")?;
+        check(self.view_size > 0, "view_size").or("sizes must be positive")?;
+        check(self.sample_size > 0, "sample_size").or("sizes must be positive")?;
+        check(self.rounds > 0, "rounds").or("must run at least one round")?;
+        check(self.tail_window > 0, "tail_window").or("tail window must be positive")?;
+        check((0.0..1.0).contains(&self.gamma), "gamma").or("gamma must be in [0,1)")?;
+        check(self.flood_slack_sigmas >= 0.0, "flood_slack_sigmas")
+            .or("flood slack must be non-negative")?;
+        check((0.0..=1.0).contains(&self.message_loss), "message_loss")
+            .or("message loss must be in [0,1]")?;
         if let AttackStrategy::Targeted {
             victim_fraction,
             focus,
         } = self.attack
         {
-            assert!(
-                (0.0..=1.0).contains(&victim_fraction),
-                "victim fraction must be in [0,1]"
-            );
-            assert!((0.0..=1.0).contains(&focus), "focus must be in [0,1]");
+            check((0.0..=1.0).contains(&victim_fraction), "attack")
+                .or("victim fraction must be in [0,1]")?;
+            check((0.0..=1.0).contains(&focus), "attack").or("focus must be in [0,1]")?;
         }
-        self.validate_churn();
-        assert!(
+        self.validate_churn()?;
+        check(
             self.attest_ttl == 0 || self.trusted_count() > 0,
-            "attestation expiry needs a provisioned trusted tier"
-        );
-        self.validate_audit();
-        assert!(
+            "attest_ttl",
+        )
+        .or("attestation expiry needs a provisioned trusted tier")?;
+        self.validate_audit()?;
+        check(
             self.trusted_directory_refresh == 0 || self.trusted_count() > 0,
-            "the trusted-directory refresh needs a provisioned trusted tier"
-        );
-        self.eviction.validate();
-        assert!(
+            "trusted_directory_refresh",
+        )
+        .or("the trusted-directory refresh needs a provisioned trusted tier")?;
+        self.eviction.validate().map_err(|reason| ScenarioError {
+            knob: "eviction",
+            reason: reason.to_string(),
+        })?;
+        check(
             (0.0..=1.0).contains(&self.identification_threshold),
-            "identification threshold must be in [0,1]"
-        );
-        assert!(
+            "identification_threshold",
+        )
+        .or("identification threshold must be in [0,1]")?;
+        check(
             self.discovery != DiscoveryMode::Exact || self.total_actors() <= EXACT_FORCE_LIMIT,
+            "discovery",
+        )
+        .or(format_args!(
             "exact discovery forced at {} actors: the O(N²) matrix would exceed the \
              ~2 GiB guard (limit {EXACT_FORCE_LIMIT}); use DiscoveryMode::Auto or Sketch",
             self.total_actors()
-        );
+        ))?;
         if let NetworkModel::Events(net) = &self.network {
-            self.validate_network(net);
+            self.validate_network(net)?;
+        }
+        // Injected poisoned trusted nodes, the identification attack and
+        // real handshakes are wired into the Brahms/RAPTEE node alone.
+        if !self.population.is_empty() || self.protocol.is_ranked_family() {
+            for (knob, on) in [
+                (
+                    "injected_poisoned_fraction",
+                    self.injected_poisoned_fraction > 0.0,
+                ),
+                ("identification_attack", self.identification_attack),
+                ("real_crypto_handshakes", self.real_crypto_handshakes),
+            ] {
+                check(!on, knob)
+                    .or("RAPTEE-only toggle: it needs a uniform Brahms or RAPTEE run")?;
+            }
         }
         if self.population.is_empty() {
-            self.validate_protocol(self.protocol);
+            validate_protocol(self.protocol, "protocol")
         } else {
-            self.validate_population();
+            self.validate_population()
         }
     }
 
     /// Event-network consistency checks.
-    fn validate_network(&self, net: &EventNetConfig) {
-        assert!(net.round_ticks > 0, "round_ticks must be positive");
-        assert!(
-            net.jitter < net.round_ticks,
-            "round-timer jitter must stay below one round period"
-        );
+    fn validate_network(&self, net: &EventNetConfig) -> Result<(), ScenarioError> {
+        check(net.round_ticks > 0, "network.round_ticks").or("round_ticks must be positive")?;
+        check(net.jitter < net.round_ticks, "network.jitter")
+            .or("round-timer jitter must stay below one round period")?;
         match net.latency {
             LatencyModel::Constant(_) => {}
             LatencyModel::Uniform { min, max } => {
-                assert!(min <= max, "uniform latency needs min <= max");
+                check(min <= max, "network.latency").or("uniform latency needs min <= max")?;
             }
             LatencyModel::LogNormal { sigma, cap, .. } => {
-                assert!(sigma >= 0.0, "log-normal sigma must be non-negative");
-                assert!(cap > 0, "log-normal latency cap must be positive");
+                check(sigma >= 0.0, "network.latency")
+                    .or("log-normal sigma must be non-negative")?;
+                check(cap > 0, "network.latency").or("log-normal latency cap must be positive")?;
             }
         }
         for p in &net.partitions {
-            assert!(
+            check(
                 p.start < p.end && p.end <= self.rounds,
-                "partition windows need start < end <= rounds"
-            );
-            assert!(
-                p.boundary <= self.total_actors(),
-                "partition boundary exceeds the actor count"
-            );
+                "network.partitions",
+            )
+            .or("partition windows need start < end <= rounds")?;
+            check(p.boundary <= self.total_actors(), "network.partitions")
+                .or("partition boundary exceeds the actor count")?;
         }
         if let Reachability::Nat { fraction, hole_ttl } = net.reachability {
-            assert!(
-                (0.0..1.0).contains(&fraction),
-                "NAT fraction must be in [0,1)"
-            );
-            assert!(hole_ttl >= 1, "NAT hole TTL must be at least one round");
+            check((0.0..1.0).contains(&fraction), "network.reachability")
+                .or("NAT fraction must be in [0,1)")?;
+            check(hole_ttl >= 1, "network.reachability")
+                .or("NAT hole TTL must be at least one round")?;
         }
-        assert!(
+        check(
             net.retry.max_retries == 0 || net.retry.base_backoff > 0,
-            "retry backoff base must be positive when retries are enabled"
-        );
-        assert!(
+            "network.retry",
+        )
+        .or("retry backoff base must be positive when retries are enabled")?;
+        check(
             (0.0..=1.0).contains(&net.duplicate_rate),
-            "duplicate rate must be in [0,1]"
-        );
-        assert!(
+            "network.duplicate_rate",
+        )
+        .or("duplicate rate must be in [0,1]")?;
+        check(
             net.reorder_jitter == 0 || net.duplicate_rate > 0.0,
-            "reorder jitter shuffles duplicate copies; it needs duplicate_rate > 0"
-        );
+            "network.reorder_jitter",
+        )
+        .or("reorder jitter shuffles duplicate copies; it needs duplicate_rate > 0")
     }
 
     /// Audit-layer consistency checks.
-    fn validate_audit(&self) {
-        let Some(audit) = &self.audit else { return };
-        assert!(audit.budget > 0, "audit budget must be positive");
-        assert!(audit.grace > 0, "audit grace window must be positive");
-        assert!(
-            self.trusted_count() > 0,
-            "the audit layer needs a provisioned trusted tier (t > 0 under a TEE protocol)"
-        );
+    fn validate_audit(&self) -> Result<(), ScenarioError> {
+        let Some(audit) = &self.audit else {
+            return Ok(());
+        };
+        check(audit.budget > 0, "audit").or("audit budget must be positive")?;
+        check(audit.grace > 0, "audit").or("audit grace window must be positive")?;
+        check(self.trusted_count() > 0, "audit")
+            .or("the audit layer needs a provisioned trusted tier (t > 0 under a TEE protocol)")?;
         // Commitments expire with the attestation certificate: a TTL
         // shorter than the grace window would leave an honest node
         // certificate-less for longer than suspicion is allowed to
         // persist, making an expired-but-honest node indistinguishable
         // from an evasive one. Reject the combination outright.
-        assert!(
+        check(
             self.attest_ttl == 0 || self.attest_ttl >= audit.grace,
+            "audit",
+        )
+        .or(
             "attestation TTL shorter than the audit grace window would make \
-             expired-but-honest nodes convictable; use attest_ttl >= grace"
-        );
+             expired-but-honest nodes convictable; use attest_ttl >= grace",
+        )
     }
 
     /// Churn-schedule consistency checks.
-    fn validate_churn(&self) {
+    fn validate_churn(&self) -> Result<(), ScenarioError> {
         let churn = &self.churn;
-        assert!(
+        check(
             (0.0..1.0).contains(&churn.crash_fraction),
-            "crash fraction must be in [0,1)"
-        );
-        assert!(
+            "churn.crash_fraction",
+        )
+        .or("crash fraction must be in [0,1)")?;
+        check(
             churn.crash_fraction == 0.0 || churn.crash_round < self.rounds,
-            "one-shot crash round must fall inside the run (crash_round < rounds)"
-        );
-        assert!(
-            (0.0..1.0).contains(&churn.crash_rate),
-            "steady churn crash rate must be in [0,1)"
-        );
-        assert!(
+            "churn.crash_round",
+        )
+        .or("one-shot crash round must fall inside the run (crash_round < rounds)")?;
+        check((0.0..1.0).contains(&churn.crash_rate), "churn.crash_rate")
+            .or("steady churn crash rate must be in [0,1)")?;
+        check(
             (0.0..=1.0).contains(&churn.restart_rate),
-            "restart rate must be in [0,1]"
-        );
+            "churn.restart_rate",
+        )
+        .or("restart rate must be in [0,1]")?;
         for b in &churn.bursts {
-            assert!(
-                b.start < b.end && b.end <= self.rounds,
-                "churn bursts need start < end <= rounds"
-            );
-            assert!(
-                (0.0..1.0).contains(&b.crash_rate),
-                "churn burst crash rate must be in [0,1)"
-            );
+            check(b.start < b.end && b.end <= self.rounds, "churn.bursts")
+                .or("churn bursts need start < end <= rounds")?;
+            check((0.0..1.0).contains(&b.crash_rate), "churn.bursts")
+                .or("churn burst crash rate must be in [0,1)")?;
         }
-    }
-
-    /// Per-protocol consistency checks shared by the uniform and mixed
-    /// validation paths.
-    fn validate_protocol(&self, protocol: Protocol) {
-        match protocol {
-            Protocol::Brahms | Protocol::Raptee => {}
-            Protocol::Basalt { view_size, .. } => {
-                assert!(view_size > 0, "BASALT view size must be positive");
-                assert!(
-                    self.injected_poisoned_fraction == 0.0,
-                    "trusted-node injection needs a trusted tier (RAPTEE only)"
-                );
-                assert!(
-                    !self.identification_attack,
-                    "the identification attack targets trusted nodes (RAPTEE only)"
-                );
-            }
-            Protocol::BasaltTee { view_size, .. } => {
-                assert!(view_size > 0, "BASALT view size must be positive");
-                assert!(
-                    self.injected_poisoned_fraction == 0.0,
-                    "trusted-node injection bootstraps poisoned Brahms views (RAPTEE only)"
-                );
-                assert!(
-                    !self.identification_attack,
-                    "the identification attack reads Brahms view statistics (RAPTEE only)"
-                );
-                assert!(
-                    !self.real_crypto_handshakes,
-                    "real handshakes are wired for the uniform Brahms-family pull path"
-                );
-            }
-            Protocol::Lift {
-                view_size,
-                fade_interval,
-            } => {
-                assert!(view_size > 0, "LIFT view size must be positive");
-                assert!(
-                    fade_interval > 0,
-                    "LIFT needs a positive fade interval (scores must decay)"
-                );
-                assert!(
-                    self.injected_poisoned_fraction == 0.0,
-                    "trusted-node injection needs a trusted tier (RAPTEE only)"
-                );
-                assert!(
-                    !self.identification_attack,
-                    "the identification attack targets trusted nodes (RAPTEE only)"
-                );
-            }
-            Protocol::Honeybee {
-                view_size,
-                walk_length,
-            } => {
-                assert!(view_size > 0, "Honeybee view size must be positive");
-                assert!(walk_length > 0, "Honeybee walk length must be positive");
-                assert!(
-                    self.injected_poisoned_fraction == 0.0,
-                    "trusted-node injection needs a trusted tier (RAPTEE only)"
-                );
-                assert!(
-                    !self.identification_attack,
-                    "the identification attack targets trusted nodes (RAPTEE only)"
-                );
-            }
-        }
+        Ok(())
     }
 
     /// Mixed-population consistency checks.
-    fn validate_population(&self) {
-        assert!(
-            self.injected_poisoned_fraction == 0.0,
-            "trusted-node injection is a uniform-RAPTEE attack (no mixed populations)"
-        );
-        assert!(
-            !self.identification_attack,
-            "the identification attack is a uniform-RAPTEE attack (no mixed populations)"
-        );
-        assert!(
-            !self.real_crypto_handshakes,
-            "real handshakes are wired for the uniform Brahms-family path only"
-        );
+    fn validate_population(&self) -> Result<(), ScenarioError> {
         let mut sum = 0usize;
         for (i, seg) in self.population.iter().enumerate() {
-            assert!(seg.count > 0, "population segments must be non-empty");
-            self.validate_protocol(seg.protocol);
-            assert!(
-                !self.population[..i]
-                    .iter()
-                    .any(|s| std::mem::discriminant(&s.protocol)
-                        == std::mem::discriminant(&seg.protocol)),
-                "each protocol may appear at most once in a population spec"
-            );
-            sum += seg.count;
+            check(seg.count > 0, "population").or("population segments must be non-empty")?;
+            validate_protocol(seg.protocol, "population")?;
+            check(
+                !self.population[..i].iter().any(|s| {
+                    std::mem::discriminant(&s.protocol) == std::mem::discriminant(&seg.protocol)
+                }),
+                "population",
+            )
+            .or("each protocol may appear at most once in a population spec")?;
+            sum = sum.saturating_add(seg.count);
         }
-        let correct = self.n - self.byzantine_count();
-        assert_eq!(
-            sum, correct,
+        let correct = self.n.saturating_sub(self.byzantine_count());
+        check(sum == correct, "population").or(format_args!(
             "population segment counts must sum to the correct population \
              (n - byzantine_count = {correct})"
-        );
+        ))?;
         // Like uniform Brahms/BASALT, a population without TEE-capable
         // segments simply ignores `trusted_fraction`; but where a tier
         // *can* exist, it must fit.
@@ -942,10 +970,11 @@ impl Scenario {
             .filter(|s| s.protocol.supports_trusted())
             .map(|s| s.count)
             .sum();
-        assert!(
+        check(
             capacity == 0 || self.total_trusted_target() <= capacity,
-            "trusted fraction exceeds the TEE-capable segment capacity"
-        );
+            "trusted_fraction",
+        )
+        .or("trusted fraction exceeds the TEE-capable segment capacity")
     }
 
     /// Number of Byzantine nodes `⌊f·N⌋` (at least 1 when `f > 0`).
@@ -1014,17 +1043,23 @@ impl Scenario {
         let capable: Vec<usize> = (0..segs.len())
             .filter(|&i| segs[i].protocol.supports_trusted())
             .collect();
-        if capable.is_empty() {
+        // No capacity (no TEE-capable segment, or only empty ones, which
+        // `validate` rejects) takes no trusted tier. The arithmetic
+        // cannot overflow even on the counts `validate` has yet to reject.
+        let cap_total = capable
+            .iter()
+            .fold(0usize, |sum, &i| sum.saturating_add(segs[i].count));
+        if cap_total == 0 {
             return out;
         }
-        let cap_total: usize = capable.iter().map(|&i| segs[i].count).sum();
         let total = self.total_trusted_target().min(cap_total);
         let mut assigned = 0usize;
         for &i in &capable {
-            out[i] = (total * segs[i].count / cap_total).min(segs[i].count);
-            assigned += out[i];
+            let share = total as u128 * segs[i].count as u128 / cap_total as u128;
+            out[i] = (share as usize).min(segs[i].count);
+            assigned = assigned.saturating_add(out[i]);
         }
-        let mut remainder = total - assigned;
+        let mut remainder = total.saturating_sub(assigned);
         while remainder > 0 {
             let mut progressed = false;
             for &i in &capable {
@@ -1057,7 +1092,7 @@ impl Scenario {
 
     /// Total actors in the run, including injected nodes.
     pub fn total_actors(&self) -> usize {
-        self.n + self.injected_count()
+        self.n.saturating_add(self.injected_count())
     }
 
     /// Whether this run tracks discovery with HLL sketches (resolving
@@ -1090,15 +1125,11 @@ impl Scenario {
     /// rounds.
     pub fn basalt_variant(&self, rotation_interval: usize) -> Scenario {
         Scenario {
-            protocol: Protocol::Basalt {
+            trusted_fraction: 0.0,
+            ..self.uniform_ranked(Protocol::Basalt {
                 view_size: self.view_size,
                 rotation_interval,
-            },
-            trusted_fraction: 0.0,
-            injected_poisoned_fraction: 0.0,
-            identification_attack: false,
-            population: Vec::new(),
-            ..self.clone()
+            })
         }
     }
 
@@ -1108,18 +1139,11 @@ impl Scenario {
     /// quarantine), plus this scenario's `trusted_fraction` of
     /// enclave-attested nodes whose mutual exchanges bypass the list.
     pub fn basalt_tee_variant(&self, rotation_interval: usize, wlist_ttl: usize) -> Scenario {
-        Scenario {
-            protocol: Protocol::BasaltTee {
-                view_size: self.view_size,
-                rotation_interval,
-                wlist_ttl,
-            },
-            injected_poisoned_fraction: 0.0,
-            identification_attack: false,
-            real_crypto_handshakes: false,
-            population: Vec::new(),
-            ..self.clone()
-        }
+        self.uniform_ranked(Protocol::BasaltTee {
+            view_size: self.view_size,
+            rotation_interval,
+            wlist_ttl,
+        })
     }
 
     /// A copy of this scenario switched to LIFT at the same view size
@@ -1127,15 +1151,11 @@ impl Scenario {
     /// `fade_interval` rounds, no trusted tier.
     pub fn lift_variant(&self, fade_interval: usize) -> Scenario {
         Scenario {
-            protocol: Protocol::Lift {
+            trusted_fraction: 0.0,
+            ..self.uniform_ranked(Protocol::Lift {
                 view_size: self.view_size,
                 fade_interval,
-            },
-            trusted_fraction: 0.0,
-            injected_poisoned_fraction: 0.0,
-            identification_attack: false,
-            population: Vec::new(),
-            ..self.clone()
+            })
         }
     }
 
@@ -1144,15 +1164,21 @@ impl Scenario {
     /// quarantined endpoint admission, no trusted tier.
     pub fn honeybee_variant(&self, walk_length: usize) -> Scenario {
         Scenario {
-            protocol: Protocol::Honeybee {
+            trusted_fraction: 0.0,
+            ..self.uniform_ranked(Protocol::Honeybee {
                 view_size: self.view_size,
                 walk_length,
-            },
-            trusted_fraction: 0.0,
-            injected_poisoned_fraction: 0.0,
-            identification_attack: false,
-            population: Vec::new(),
-            ..self.clone()
+            })
+        }
+    }
+
+    /// A uniform copy running the ranked `protocol`, with the RAPTEE-only
+    /// toggles a ranked family rejects cleared (as by an empty
+    /// [`Scenario::with_population`]).
+    fn uniform_ranked(&self, protocol: Protocol) -> Scenario {
+        Scenario {
+            protocol,
+            ..self.with_population(Vec::new())
         }
     }
 
@@ -1212,8 +1238,8 @@ mod tests {
 
     #[test]
     fn default_validates() {
-        Scenario::default().validate();
-        Scenario::paper_scale().validate();
+        Scenario::default().validate().unwrap();
+        Scenario::paper_scale().validate().unwrap();
         assert_eq!(Scenario::paper_scale().n, 10_000);
     }
 
@@ -1294,7 +1320,7 @@ mod tests {
             ..Scenario::default()
         };
         let b = s.basalt_variant(30);
-        b.validate();
+        b.validate().unwrap();
         assert_eq!(
             b.protocol,
             Protocol::Basalt {
@@ -1312,32 +1338,80 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RAPTEE only")]
     fn basalt_rejects_injection_attack() {
-        Scenario {
+        let s = Scenario {
             injected_poisoned_fraction: 0.1,
             ..Scenario::default().basalt_variant(10)
-        }
-        .validate();
+        };
+        assert_eq!(rejected(s), "injected_poisoned_fraction");
     }
 
     #[test]
-    #[should_panic(expected = "view size must be positive")]
     fn basalt_zero_view_rejected() {
-        Scenario {
+        let s = Scenario {
             protocol: Protocol::Basalt {
                 view_size: 0,
                 rotation_interval: 10,
             },
             ..Scenario::default()
+        };
+        let err = s.validate().unwrap_err();
+        assert_eq!(err.knob, "protocol");
+        assert_eq!(err.reason, "BASALT view size must be positive");
+    }
+
+    #[test]
+    fn real_handshakes_need_a_uniform_brahms_family_run() {
+        let s = Scenario {
+            real_crypto_handshakes: true,
+            ..Scenario::default()
+        };
+        assert_eq!(s.validate(), Ok(()));
+        assert_eq!(s.brahms_baseline().validate(), Ok(()));
+        for ranked in [
+            Scenario {
+                protocol: Protocol::Basalt {
+                    view_size: 20,
+                    rotation_interval: 10,
+                },
+                ..s.clone()
+            },
+            Scenario {
+                protocol: Protocol::Lift {
+                    view_size: 20,
+                    fade_interval: 10,
+                },
+                ..s.clone()
+            },
+            Scenario {
+                protocol: Protocol::Honeybee {
+                    view_size: 20,
+                    walk_length: 4,
+                },
+                ..s.clone()
+            },
+        ] {
+            let err = ranked.validate().unwrap_err();
+            assert_eq!(err.knob, "real_crypto_handshakes", "{err}");
+            // The family variants clear the toggle they would reject.
+            assert_eq!(
+                Scenario {
+                    real_crypto_handshakes: false,
+                    ..ranked
+                }
+                .validate(),
+                Ok(())
+            );
         }
-        .validate();
+        assert_eq!(s.basalt_variant(10).validate(), Ok(()));
+        assert_eq!(s.lift_variant(10).validate(), Ok(()));
+        assert_eq!(s.honeybee_variant(4).validate(), Ok(()));
     }
 
     #[test]
     fn event_network_validates() {
         let s = Scenario::default().evented_zero_latency();
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(
             s.network,
             NetworkModel::Events(EventNetConfig::default()),
@@ -1362,60 +1436,64 @@ mod tests {
                 },
                 ..EventNetConfig::default()
             })
-            .validate();
+            .validate()
+            .unwrap();
+    }
+
+    /// The knob `validate` blames for `s`.
+    fn rejected(s: Scenario) -> &'static str {
+        s.validate().unwrap_err().knob
     }
 
     #[test]
-    #[should_panic(expected = "jitter must stay below")]
     fn event_network_rejects_jitter_over_round() {
-        Scenario::default()
-            .with_network(EventNetConfig {
-                round_ticks: 100,
-                jitter: 100,
-                ..EventNetConfig::default()
-            })
-            .validate();
+        let s = Scenario::default().with_network(EventNetConfig {
+            round_ticks: 100,
+            jitter: 100,
+            ..EventNetConfig::default()
+        });
+        assert_eq!(rejected(s), "network.jitter");
     }
 
     #[test]
-    #[should_panic(expected = "start < end <= rounds")]
     fn event_network_rejects_partition_past_run() {
         let s = Scenario::default();
         let rounds = s.rounds;
-        s.with_network(EventNetConfig {
+        let s = s.with_network(EventNetConfig {
             partitions: vec![PartitionWindow {
                 start: 5,
                 end: rounds + 1,
                 boundary: 10,
             }],
             ..EventNetConfig::default()
-        })
-        .validate();
+        });
+        let err = s.validate().unwrap_err();
+        assert_eq!(err.knob, "network.partitions");
+        assert_eq!(
+            err.to_string(),
+            "network.partitions: partition windows need start < end <= rounds"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "min <= max")]
     fn event_network_rejects_inverted_uniform() {
-        Scenario::default()
-            .with_network(EventNetConfig {
-                latency: LatencyModel::Uniform { min: 9, max: 3 },
-                ..EventNetConfig::default()
-            })
-            .validate();
+        let s = Scenario::default().with_network(EventNetConfig {
+            latency: LatencyModel::Uniform { min: 9, max: 3 },
+            ..EventNetConfig::default()
+        });
+        assert_eq!(rejected(s), "network.latency");
     }
 
     #[test]
-    #[should_panic(expected = "NAT fraction")]
     fn event_network_rejects_full_nat() {
-        Scenario::default()
-            .with_network(EventNetConfig {
-                reachability: Reachability::Nat {
-                    fraction: 1.0,
-                    hole_ttl: 2,
-                },
-                ..EventNetConfig::default()
-            })
-            .validate();
+        let s = Scenario::default().with_network(EventNetConfig {
+            reachability: Reachability::Nat {
+                fraction: 1.0,
+                hole_ttl: 2,
+            },
+            ..EventNetConfig::default()
+        });
+        assert_eq!(rejected(s), "network.reachability");
     }
 
     fn mixed(n: usize, f: f64, specs: &[(Protocol, usize)]) -> Scenario {
@@ -1445,7 +1523,7 @@ mod tests {
             ..Scenario::default()
         };
         let b = s.basalt_tee_variant(30, 10);
-        b.validate();
+        b.validate().unwrap();
         assert_eq!(
             b.protocol,
             Protocol::BasaltTee {
@@ -1473,7 +1551,7 @@ mod tests {
     #[test]
     fn mixed_population_validates_and_partitions() {
         let s = mixed(400, 0.1, &[(Protocol::Raptee, 180), (basalt_tee(20), 180)]);
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.byzantine_count(), 40);
         let segs = s.segments();
         assert_eq!(segs.len(), 2);
@@ -1484,7 +1562,7 @@ mod tests {
     fn trusted_tier_splits_proportionally_over_tee_segments() {
         let mut s = mixed(400, 0.1, &[(Protocol::Raptee, 180), (basalt_tee(20), 180)]);
         s.trusted_fraction = 0.1; // round(0.1·400) = 40 trusted total
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.segment_trusted_counts(), vec![20, 20]);
         assert_eq!(s.trusted_count(), 40);
 
@@ -1495,7 +1573,7 @@ mod tests {
             &[(Protocol::Brahms, 180), (Protocol::Raptee, 180)],
         );
         s.trusted_fraction = 0.1;
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.segment_trusted_counts(), vec![0, 40]);
 
         // No TEE-capable segment → no trusted tier at all.
@@ -1514,7 +1592,7 @@ mod tests {
             ],
         );
         s.trusted_fraction = 0.1;
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.trusted_count(), 0);
     }
 
@@ -1522,7 +1600,7 @@ mod tests {
     fn trusted_remainder_lands_in_segment_order() {
         let mut s = mixed(100, 0.1, &[(Protocol::Raptee, 45), (basalt_tee(10), 45)]);
         s.trusted_fraction = 0.05; // 5 trusted over two 45-node segments
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.segment_trusted_counts(), vec![3, 2]);
     }
 
@@ -1534,37 +1612,41 @@ mod tests {
             ..Scenario::default()
         }
         .half_and_half(Protocol::Raptee, basalt_tee(20));
-        s.validate();
+        s.validate().unwrap();
         let segs = s.segments();
         assert_eq!(segs[0].count + segs[1].count, 401 - s.byzantine_count());
         assert!(segs[0].count >= segs[1].count);
     }
 
     #[test]
-    #[should_panic(expected = "sum to the correct population")]
     fn population_counts_must_sum() {
-        mixed(400, 0.1, &[(Protocol::Raptee, 100), (basalt_tee(20), 100)]).validate();
+        let err = mixed(400, 0.1, &[(Protocol::Raptee, 100), (basalt_tee(20), 100)])
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.knob, "population");
+        assert!(
+            err.reason.contains("sum to the correct population"),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "at most once")]
     fn duplicate_protocols_rejected() {
-        mixed(
+        let s = mixed(
             400,
             0.1,
             &[(Protocol::Raptee, 180), (Protocol::Raptee, 180)],
-        )
-        .validate();
+        );
+        assert_eq!(rejected(s), "population");
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
     fn empty_segment_rejected() {
-        mixed(400, 0.1, &[(Protocol::Raptee, 0), (basalt_tee(20), 360)]).validate();
+        let s = mixed(400, 0.1, &[(Protocol::Raptee, 0), (basalt_tee(20), 360)]);
+        assert_eq!(rejected(s), "population");
     }
 
     #[test]
-    #[should_panic(expected = "no mixed populations")]
     fn mixed_rejects_identification_attack() {
         let mut s = mixed(
             400,
@@ -1572,15 +1654,14 @@ mod tests {
             &[(Protocol::Raptee, 180), (Protocol::Brahms, 180)],
         );
         s.identification_attack = true;
-        s.validate();
+        assert_eq!(rejected(s), "identification_attack");
     }
 
     #[test]
-    #[should_panic(expected = "RAPTEE only")]
     fn basalt_tee_rejects_injection() {
         let mut s = Scenario::default().basalt_tee_variant(15, 8);
         s.injected_poisoned_fraction = 0.1;
-        s.validate();
+        assert_eq!(rejected(s), "injected_poisoned_fraction");
     }
 
     #[test]
@@ -1592,24 +1673,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceed the population")]
     fn overfull_population_rejected() {
-        Scenario {
+        let s = Scenario {
             byzantine_fraction: 0.7,
             trusted_fraction: 0.5,
             ..Scenario::default()
-        }
-        .validate();
+        };
+        assert_eq!(rejected(s), "trusted_fraction");
     }
 
     #[test]
-    #[should_panic(expected = "in [0,1]")]
     fn negative_fraction_rejected() {
-        Scenario {
+        let s = Scenario {
             byzantine_fraction: -0.1,
             ..Scenario::default()
-        }
-        .validate();
+        };
+        let err = s.validate().unwrap_err();
+        assert_eq!(err.knob, "byzantine_fraction");
+        assert_eq!(err.reason, "byzantine_fraction must be in [0,1]");
     }
 
     #[test]
@@ -1628,13 +1709,13 @@ mod tests {
             discovery: DiscoveryMode::Sketch,
             ..Scenario::default()
         };
-        forced.validate();
+        forced.validate().unwrap();
         assert!(forced.sketch_discovery());
         let forced_exact = Scenario {
             discovery: DiscoveryMode::Exact,
             ..Scenario::default()
         };
-        forced_exact.validate();
+        forced_exact.validate().unwrap();
         assert!(!forced_exact.sketch_discovery());
     }
 
@@ -1649,7 +1730,8 @@ mod tests {
             churn: c,
             ..Scenario::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -1673,34 +1755,32 @@ mod tests {
             churn: c,
             ..Scenario::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "crash_round < rounds")]
     fn one_shot_crash_past_the_run_rejected() {
-        Scenario {
+        let s = Scenario {
             churn: ChurnSchedule::one_shot(0.2, 120),
             rounds: 120,
             ..Scenario::default()
-        }
-        .validate();
+        };
+        assert_eq!(rejected(s), "churn.crash_round");
     }
 
     #[test]
-    #[should_panic(expected = "steady churn crash rate")]
     fn full_steady_crash_rate_rejected() {
-        Scenario {
+        let s = Scenario {
             churn: ChurnSchedule::steady(1.0, 0.5),
             ..Scenario::default()
-        }
-        .validate();
+        };
+        assert_eq!(rejected(s), "churn.crash_rate");
     }
 
     #[test]
-    #[should_panic(expected = "churn bursts need start < end <= rounds")]
     fn churn_burst_past_the_run_rejected() {
-        Scenario {
+        let s = Scenario {
             churn: ChurnSchedule {
                 bursts: vec![ChurnBurst {
                     start: 100,
@@ -1711,19 +1791,18 @@ mod tests {
             },
             rounds: 120,
             ..Scenario::default()
-        }
-        .validate();
+        };
+        assert_eq!(rejected(s), "churn.bursts");
     }
 
     #[test]
-    #[should_panic(expected = "needs a provisioned trusted tier")]
     fn attest_ttl_requires_trusted_tier() {
-        Scenario {
+        let s = Scenario {
             attest_ttl: 20,
             protocol: Protocol::Brahms,
             ..Scenario::default()
-        }
-        .validate();
+        };
+        assert_eq!(rejected(s), "attest_ttl");
     }
 
     #[test]
@@ -1733,32 +1812,29 @@ mod tests {
             trusted_fraction: 0.1,
             ..Scenario::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "retry backoff base must be positive")]
     fn retry_without_backoff_base_rejected() {
-        Scenario::default()
-            .with_network(EventNetConfig {
-                retry: RetryConfig {
-                    max_retries: 3,
-                    base_backoff: 0,
-                },
-                ..EventNetConfig::default()
-            })
-            .validate();
+        let s = Scenario::default().with_network(EventNetConfig {
+            retry: RetryConfig {
+                max_retries: 3,
+                base_backoff: 0,
+            },
+            ..EventNetConfig::default()
+        });
+        assert_eq!(rejected(s), "network.retry");
     }
 
     #[test]
-    #[should_panic(expected = "needs duplicate_rate > 0")]
     fn reorder_without_duplicates_rejected() {
-        Scenario::default()
-            .with_network(EventNetConfig {
-                reorder_jitter: 50,
-                ..EventNetConfig::default()
-            })
-            .validate();
+        let s = Scenario::default().with_network(EventNetConfig {
+            reorder_jitter: 50,
+            ..EventNetConfig::default()
+        });
+        assert_eq!(rejected(s), "network.reorder_jitter");
     }
 
     #[test]
@@ -1773,17 +1849,20 @@ mod tests {
                 reorder_jitter: 80,
                 ..EventNetConfig::default()
             })
-            .validate();
+            .validate()
+            .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "2 GiB guard")]
     fn forced_exact_discovery_rejected_at_scale() {
-        Scenario {
+        let err = Scenario {
             n: (EXACT_FORCE_LIMIT) + 1,
             discovery: DiscoveryMode::Exact,
             ..Scenario::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert_eq!(err.knob, "discovery");
+        assert!(err.reason.contains("2 GiB guard"), "{err}");
     }
 }

@@ -2,7 +2,12 @@
 //!
 //! Dependency-free by design (no clap offline): a small hand-rolled
 //! `--key value` parser with typed accessors, unit-tested separately
-//! from I/O.
+//! from I/O. The parser checks only what the library cannot know —
+//! syntax, flags that need `--network events`, `--rejoin` without a
+//! churn process, percent shares that miss 100 % — and leaves every
+//! range and consistency rule to [`Scenario::validate`], whose error
+//! comes back as [`CliError::Invalid`]. The binary prints any
+//! [`CliError`] as `error: …` and exits 2.
 //!
 //! ```text
 //! raptee-cli run    [--n 400] [--f 0.2] [--t 0.1] [--eviction adaptive]
@@ -18,7 +23,7 @@ use raptee_bench::Scale;
 use raptee_sim::{
     runner, AdversaryMode, AttackStrategy, AuditConfig, ChurnBurst, ChurnSchedule, DiscoveryMode,
     EventNetConfig, LatencyModel, NetworkModel, PartitionWindow, Protocol, Reachability,
-    RejoinPolicy, RetryConfig, Scenario, SegmentSpec, DEFAULT_AUDIT_GRACE,
+    RejoinPolicy, RetryConfig, Scenario, ScenarioError, SegmentSpec, DEFAULT_AUDIT_GRACE,
 };
 use std::collections::BTreeMap;
 
@@ -49,6 +54,8 @@ pub enum CliError {
     },
     /// Unknown subcommand.
     UnknownCommand(String),
+    /// The options parsed into a scenario [`Scenario::validate`] rejects.
+    Invalid(ScenarioError),
 }
 
 impl std::fmt::Display for CliError {
@@ -61,6 +68,7 @@ impl std::fmt::Display for CliError {
                 write!(f, "invalid value {value:?} for --{key}")
             }
             CliError::UnknownCommand(c) => write!(f, "unknown subcommand {c:?}"),
+            CliError::Invalid(e) => write!(f, "{e}"),
         }
     }
 }
@@ -101,11 +109,21 @@ impl Args {
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
         match self.options.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| CliError::BadValue {
-                key: key.to_string(),
-                value: v.clone(),
-            }),
+            Some(v) => v.parse().map_err(|_| bad_value(key, v)),
         }
+    }
+
+    /// Looks `--key`'s value up among `names`; the first entry is the
+    /// default when the flag is absent.
+    fn choice<T: Copy>(&self, key: &str, names: &[(&str, T)]) -> Result<T, CliError> {
+        let Some(v) = self.options.get(key) else {
+            return Ok(names[0].1);
+        };
+        names
+            .iter()
+            .find(|(name, _)| name == v)
+            .map(|&(_, t)| t)
+            .ok_or_else(|| bad_value(key, v))
     }
 
     /// Whether a boolean flag (`--series true` / presence with any value
@@ -127,13 +145,7 @@ impl Args {
         match self.options.get("eviction").map(String::as_str) {
             None | Some("adaptive") => Ok(EvictionPolicy::adaptive()),
             Some("none") => Ok(EvictionPolicy::none()),
-            Some(v) => match v.parse::<f64>() {
-                Ok(r) if (0.0..=1.0).contains(&r) => Ok(EvictionPolicy::Fixed(r)),
-                _ => Err(CliError::BadValue {
-                    key: "eviction".into(),
-                    value: v.into(),
-                }),
-            },
+            Some(_) => self.get("eviction", 0.0).map(EvictionPolicy::Fixed),
         }
     }
 
@@ -181,10 +193,7 @@ impl Args {
                 view_size,
                 walk_length: self.get("walk-length", 5usize)?,
             }),
-            v => Err(CliError::BadValue {
-                key: "protocol".into(),
-                value: v.into(),
-            }),
+            v => Err(bad_value("protocol", v)),
         }
     }
 
@@ -196,7 +205,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// [`CliError::BadValue`] when an entry fails to parse.
+    /// [`CliError::BadValue`] when an entry fails to parse or percent
+    /// shares miss 100 %.
     pub fn population(
         &self,
         view_size: usize,
@@ -205,16 +215,11 @@ impl Args {
         let Some(spec) = self.options.get("population") else {
             return Ok(Vec::new());
         };
-        let bad = |value: &str| CliError::BadValue {
-            key: "population".into(),
-            value: value.into(),
-        };
+        let bad = |value: &str| bad_value("population", value);
         let mut segments = Vec::new();
-        let mut allocated = 0usize;
         let mut percent_sum = 0.0f64;
         let mut all_percent = true;
-        let entries: Vec<&str> = spec.split(',').collect();
-        for entry in &entries {
+        for entry in spec.split(',') {
             let (name, amount) = entry.split_once(':').ok_or_else(|| bad(entry))?;
             let protocol = self
                 .named_protocol(name.trim(), view_size)
@@ -231,7 +236,6 @@ impl Args {
                 all_percent = false;
                 amount.parse().map_err(|_| bad(entry))?
             };
-            allocated += count;
             segments.push(SegmentSpec { protocol, count });
         }
         if all_percent {
@@ -244,16 +248,9 @@ impl Args {
                     "{spec} (shares sum to {percent_sum}%, need 100%)"
                 )));
             }
-            if let Some(last) = segments.last_mut() {
-                let others = allocated - last.count;
-                last.count = correct.saturating_sub(others);
-                allocated = correct;
+            if let Some((last, others)) = segments.split_last_mut() {
+                last.count = correct.saturating_sub(others.iter().map(|s| s.count).sum());
             }
-        }
-        if allocated != correct {
-            return Err(bad(&format!(
-                "{spec} (counts sum to {allocated}, but the correct population is {correct})"
-            )));
         }
         Ok(segments)
     }
@@ -271,10 +268,7 @@ impl Args {
             None => Ok(None),
             Some(name) => Scale::named(name)
                 .map(Some)
-                .ok_or_else(|| CliError::BadValue {
-                    key: "scale".into(),
-                    value: name.clone(),
-                }),
+                .ok_or_else(|| bad_value("scale", name)),
         }
     }
 
@@ -287,15 +281,14 @@ impl Args {
     ///
     /// [`CliError::BadValue`] on anything else.
     pub fn discovery(&self) -> Result<DiscoveryMode, CliError> {
-        match self.options.get("discovery").map(String::as_str) {
-            None | Some("auto") => Ok(DiscoveryMode::Auto),
-            Some("exact") => Ok(DiscoveryMode::Exact),
-            Some("sketch") => Ok(DiscoveryMode::Sketch),
-            Some(v) => Err(CliError::BadValue {
-                key: "discovery".into(),
-                value: v.into(),
-            }),
-        }
+        self.choice(
+            "discovery",
+            &[
+                ("auto", DiscoveryMode::Auto),
+                ("exact", DiscoveryMode::Exact),
+                ("sketch", DiscoveryMode::Sketch),
+            ],
+        )
     }
 
     /// Parses the network-model options. `--network events` selects the
@@ -319,33 +312,13 @@ impl Args {
             "duplicate",
             "reorder",
         ];
-        let events = match self.options.get("network").map(String::as_str) {
-            None | Some("rounds") => false,
-            Some("events") => true,
-            Some(v) => {
-                return Err(CliError::BadValue {
-                    key: "network".into(),
-                    value: v.into(),
-                })
-            }
-        };
-        if !events {
+        if !self.choice("network", &[("rounds", false), ("events", true)])? {
             if let Some(k) = SHAPING.iter().find(|k| self.options.contains_key(**k)) {
-                return Err(CliError::BadValue {
-                    key: (*k).to_string(),
-                    value: "requires --network events".into(),
-                });
+                return Err(bad_value(k, "requires --network events"));
             }
             return Ok(NetworkModel::Rounds);
         }
         let round_ticks = self.get("round-ticks", 1_000u64)?;
-        let duplicate_rate = self.get("duplicate", 0.0f64)?;
-        if !(0.0..1.0).contains(&duplicate_rate) {
-            return Err(CliError::BadValue {
-                key: "duplicate".into(),
-                value: self.options["duplicate"].clone(),
-            });
-        }
         Ok(NetworkModel::Events(EventNetConfig {
             latency: self.latency(round_ticks)?,
             round_ticks,
@@ -353,7 +326,7 @@ impl Args {
             partitions: self.partitions()?,
             reachability: self.reachability()?,
             retry: self.retry()?,
-            duplicate_rate,
+            duplicate_rate: self.get("duplicate", 0.0f64)?,
             reorder_jitter: self.get("reorder", 0u64)?,
         }))
     }
@@ -362,28 +335,12 @@ impl Args {
     /// missed deadline and the exponential-backoff base in ticks
     /// (default 250).
     fn retry(&self) -> Result<RetryConfig, CliError> {
-        let Some(spec) = self.options.get("retry") else {
-            return Ok(RetryConfig::default());
-        };
-        let bad = || CliError::BadValue {
-            key: "retry".into(),
-            value: spec.clone(),
-        };
-        let (max, backoff) = match spec.split_once(':') {
-            Some((m, b)) => (m, Some(b)),
-            None => (spec.as_str(), None),
-        };
-        let max_retries: u32 = max.parse().map_err(|_| bad())?;
-        let base_backoff: u64 = match backoff {
-            Some(b) => b.parse().map_err(|_| bad())?,
-            None => 250,
-        };
-        if max_retries > 0 && base_backoff == 0 {
-            return Err(bad());
-        }
-        Ok(RetryConfig {
-            max_retries,
-            base_backoff,
+        Ok(match self.pair("retry", 250)? {
+            None => RetryConfig::default(),
+            Some((max_retries, base_backoff)) => RetryConfig {
+                max_retries,
+                base_backoff,
+            },
         })
     }
 
@@ -391,26 +348,32 @@ impl Args {
     /// the verifiable-audit challenger and the suspicion grace window in
     /// rounds (default 10).
     fn audit(&self) -> Result<Option<AuditConfig>, CliError> {
-        let Some(spec) = self.options.get("audit") else {
+        Ok(self
+            .pair("audit", DEFAULT_AUDIT_GRACE)?
+            .map(|(budget, grace)| AuditConfig { budget, grace }))
+    }
+
+    /// Parses an optional `--key first[:second]` spec; `second` falls
+    /// back to `default` when the colon part is omitted.
+    fn pair<A: std::str::FromStr, B: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: B,
+    ) -> Result<Option<(A, B)>, CliError> {
+        let Some(spec) = self.options.get(key) else {
             return Ok(None);
         };
-        let bad = || CliError::BadValue {
-            key: "audit".into(),
-            value: spec.clone(),
-        };
-        let (budget, grace) = match spec.split_once(':') {
-            Some((b, g)) => (b, Some(g)),
+        let bad = || bad_value(key, spec);
+        let (first, second) = match spec.split_once(':') {
+            Some((a, b)) => (a, Some(b)),
             None => (spec.as_str(), None),
         };
-        let budget: usize = budget.parse().map_err(|_| bad())?;
-        let grace: usize = match grace {
-            Some(g) => g.parse().map_err(|_| bad())?,
-            None => DEFAULT_AUDIT_GRACE,
+        let first = first.parse().map_err(|_| bad())?;
+        let second = match second {
+            Some(b) => b.parse().map_err(|_| bad())?,
+            None => default,
         };
-        if budget == 0 || grace == 0 {
-            return Err(bad());
-        }
-        Ok(Some(AuditConfig { budget, grace }))
+        Ok(Some((first, second)))
     }
 
     /// Parses the churn options: `--churn rate[:restart-rate]` (steady
@@ -420,73 +383,27 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// [`CliError::BadValue`] on malformed specs, out-of-range rates, or
-    /// `--rejoin` without any restart process.
+    /// [`CliError::BadValue`] on malformed specs or `--rejoin` without
+    /// any restart process.
     fn churn(&self) -> Result<ChurnSchedule, CliError> {
         let mut churn = ChurnSchedule::default();
-        if let Some(spec) = self.options.get("churn") {
-            let bad = || CliError::BadValue {
-                key: "churn".into(),
-                value: spec.clone(),
-            };
-            let (crash, restart) = match spec.split_once(':') {
-                Some((c, r)) => (c, Some(r)),
-                None => (spec.as_str(), None),
-            };
-            churn.crash_rate = crash.parse().map_err(|_| bad())?;
-            churn.restart_rate = match restart {
-                Some(r) => r.parse().map_err(|_| bad())?,
-                None => 0.0,
-            };
-            if !(0.0..1.0).contains(&churn.crash_rate) || !(0.0..=1.0).contains(&churn.restart_rate)
-            {
-                return Err(bad());
-            }
+        if let Some((crash_rate, restart_rate)) = self.pair("churn", 0.0)? {
+            churn.crash_rate = crash_rate;
+            churn.restart_rate = restart_rate;
         }
-        if let Some(spec) = self.options.get("catastrophe") {
-            let bad = |v: &str| CliError::BadValue {
-                key: "catastrophe".into(),
-                value: v.into(),
-            };
-            churn.bursts = spec
-                .split(';')
-                .map(|entry| {
-                    let entry = entry.trim();
-                    let (range, rate) = entry.split_once('@').ok_or_else(|| bad(entry))?;
-                    let (start, end) = range.split_once("..").ok_or_else(|| bad(entry))?;
-                    let (start, end): (usize, usize) = (
-                        start.trim().parse().map_err(|_| bad(entry))?,
-                        end.trim().parse().map_err(|_| bad(entry))?,
-                    );
-                    let crash_rate: f64 = rate.trim().parse().map_err(|_| bad(entry))?;
-                    if start >= end || !(0.0..1.0).contains(&crash_rate) {
-                        return Err(bad(entry));
-                    }
-                    Ok(ChurnBurst {
-                        start,
-                        end,
-                        crash_rate,
-                    })
-                })
-                .collect::<Result<_, _>>()?;
+        churn.bursts = self.windows("catastrophe", |start, end, crash_rate| ChurnBurst {
+            start,
+            end,
+            crash_rate,
+        })?;
+        if let Some(v) = self.options.get("rejoin").filter(|_| !churn.dynamic()) {
+            let why = format!("{v} (requires --churn or --catastrophe)");
+            return Err(bad_value("rejoin", why));
         }
-        match self.options.get("rejoin").map(String::as_str) {
-            None => {}
-            Some(v) if !churn.dynamic() => {
-                return Err(CliError::BadValue {
-                    key: "rejoin".into(),
-                    value: format!("{v} (requires --churn or --catastrophe)"),
-                });
-            }
-            Some("cold") => churn.rejoin = RejoinPolicy::Cold,
-            Some("warm") => churn.rejoin = RejoinPolicy::Warm,
-            Some(v) => {
-                return Err(CliError::BadValue {
-                    key: "rejoin".into(),
-                    value: v.into(),
-                });
-            }
-        }
+        churn.rejoin = self.choice(
+            "rejoin",
+            &[("cold", RejoinPolicy::Cold), ("warm", RejoinPolicy::Warm)],
+        )?;
         Ok(churn)
     }
 
@@ -496,39 +413,32 @@ impl Args {
         let Some(spec) = self.options.get("latency") else {
             return Ok(LatencyModel::Constant(0));
         };
-        let bad = || CliError::BadValue {
-            key: "latency".into(),
-            value: spec.clone(),
-        };
+        let bad = || bad_value("latency", spec);
         let (kind, params) = spec.split_once(':').ok_or_else(bad)?;
         match kind {
             "const" | "constant" => Ok(LatencyModel::Constant(params.parse().map_err(|_| bad())?)),
             "uniform" => {
                 let (lo, hi) = params.split_once("..").ok_or_else(bad)?;
-                let (min, max): (u64, u64) = (
-                    lo.parse().map_err(|_| bad())?,
-                    hi.parse().map_err(|_| bad())?,
-                );
-                if min > max {
-                    return Err(bad());
-                }
-                Ok(LatencyModel::Uniform { min, max })
+                Ok(LatencyModel::Uniform {
+                    min: lo.parse().map_err(|_| bad())?,
+                    max: hi.parse().map_err(|_| bad())?,
+                })
             }
             "lognormal" => {
                 let parts: Vec<&str> = params.split(',').collect();
-                if !(2..=3).contains(&parts.len()) {
-                    return Err(bad());
-                }
-                let mu: f64 = parts[0].parse().map_err(|_| bad())?;
-                let sigma: f64 = parts[1].parse().map_err(|_| bad())?;
-                let cap: u64 = match parts.get(2) {
-                    Some(c) => c.parse().map_err(|_| bad())?,
-                    None => round_ticks.saturating_mul(10),
+                let (mu, sigma, cap) = match parts[..] {
+                    [mu, sigma] => (mu, sigma, None),
+                    [mu, sigma, cap] => (mu, sigma, Some(cap)),
+                    _ => return Err(bad()),
                 };
-                if sigma < 0.0 || cap == 0 {
-                    return Err(bad());
-                }
-                Ok(LatencyModel::LogNormal { mu, sigma, cap })
+                Ok(LatencyModel::LogNormal {
+                    mu: mu.parse().map_err(|_| bad())?,
+                    sigma: sigma.parse().map_err(|_| bad())?,
+                    cap: match cap {
+                        Some(c) => c.parse().map_err(|_| bad())?,
+                        None => round_ticks.saturating_mul(10),
+                    },
+                })
             }
             _ => Err(bad()),
         }
@@ -537,30 +447,34 @@ impl Args {
     /// Parses `--partition start..end@boundary[;start..end@boundary...]`
     /// (rounds and an actor-index boundary per window).
     fn partitions(&self) -> Result<Vec<PartitionWindow>, CliError> {
-        let Some(spec) = self.options.get("partition") else {
+        self.windows("partition", |start, end, boundary| PartitionWindow {
+            start,
+            end,
+            boundary,
+        })
+    }
+
+    /// Parses an optional semicolon-separated `--key start..end@value`
+    /// list of round windows (empty when the flag is absent).
+    fn windows<V: std::str::FromStr, T>(
+        &self,
+        key: &str,
+        window: impl Fn(usize, usize, V) -> T,
+    ) -> Result<Vec<T>, CliError> {
+        let Some(spec) = self.options.get(key) else {
             return Ok(Vec::new());
         };
-        let bad = |v: &str| CliError::BadValue {
-            key: "partition".into(),
-            value: v.into(),
-        };
+        let bad = |entry: &str| bad_value(key, entry);
         spec.split(';')
             .map(|entry| {
                 let entry = entry.trim();
-                let (range, boundary) = entry.split_once('@').ok_or_else(|| bad(entry))?;
+                let (range, value) = entry.split_once('@').ok_or_else(|| bad(entry))?;
                 let (start, end) = range.split_once("..").ok_or_else(|| bad(entry))?;
-                let (start, end): (usize, usize) = (
+                Ok(window(
                     start.trim().parse().map_err(|_| bad(entry))?,
                     end.trim().parse().map_err(|_| bad(entry))?,
-                );
-                if start >= end {
-                    return Err(bad(entry));
-                }
-                Ok(PartitionWindow {
-                    start,
-                    end,
-                    boundary: boundary.trim().parse().map_err(|_| bad(entry))?,
-                })
+                    value.trim().parse().map_err(|_| bad(entry))?,
+                ))
             })
             .collect()
     }
@@ -572,24 +486,16 @@ impl Args {
         let Some(spec) = self.options.get("attack") else {
             return Ok(AttackStrategy::Balanced);
         };
-        let bad = || CliError::BadValue {
-            key: "attack".into(),
-            value: spec.clone(),
-        };
+        let bad = || bad_value("attack", spec);
         match spec.as_str() {
             "balanced" => Ok(AttackStrategy::Balanced),
             "force-push" => Ok(AttackStrategy::ForcePush),
             s => {
                 let params = s.strip_prefix("targeted:").ok_or_else(bad)?;
                 let (fraction, focus) = params.split_once(',').ok_or_else(bad)?;
-                let victim_fraction: f64 = fraction.trim().parse().map_err(|_| bad())?;
-                let focus: f64 = focus.trim().parse().map_err(|_| bad())?;
-                if !(0.0..=1.0).contains(&victim_fraction) || !(0.0..=1.0).contains(&focus) {
-                    return Err(bad());
-                }
                 Ok(AttackStrategy::Targeted {
-                    victim_fraction,
-                    focus,
+                    victim_fraction: fraction.trim().parse().map_err(|_| bad())?,
+                    focus: focus.trim().parse().map_err(|_| bad())?,
                 })
             }
         }
@@ -599,49 +505,31 @@ impl Args {
     /// the adversary plays `--attack` every round or lets the UCB bandit
     /// coordinator re-aim the budget by observed pollution yield.
     fn adversary_mode(&self) -> Result<AdversaryMode, CliError> {
-        match self.options.get("adversary").map(String::as_str) {
-            None | Some("static") => Ok(AdversaryMode::Static),
-            Some("adaptive") => Ok(AdversaryMode::Adaptive),
-            Some(v) => Err(CliError::BadValue {
-                key: "adversary".into(),
-                value: v.into(),
-            }),
-        }
+        self.choice(
+            "adversary",
+            &[
+                ("static", AdversaryMode::Static),
+                ("adaptive", AdversaryMode::Adaptive),
+            ],
+        )
     }
 
     /// Parses `--nat fraction[:ttl]`: the NAT-ted share of the correct
     /// population and the punched-hole TTL in rounds (default 3).
     fn reachability(&self) -> Result<Reachability, CliError> {
-        let Some(spec) = self.options.get("nat") else {
-            return Ok(Reachability::Full);
-        };
-        let bad = || CliError::BadValue {
-            key: "nat".into(),
-            value: spec.clone(),
-        };
-        let (fraction, ttl) = match spec.split_once(':') {
-            Some((f, t)) => (f, Some(t)),
-            None => (spec.as_str(), None),
-        };
-        let fraction: f64 = fraction.parse().map_err(|_| bad())?;
-        if !(0.0..1.0).contains(&fraction) {
-            return Err(bad());
-        }
-        let hole_ttl: usize = match ttl {
-            Some(t) => t.parse().map_err(|_| bad())?,
-            None => 3,
-        };
-        if hole_ttl == 0 {
-            return Err(bad());
-        }
-        Ok(Reachability::Nat { fraction, hole_ttl })
+        Ok(match self.pair("nat", 3)? {
+            None => Reachability::Full,
+            Some((fraction, hole_ttl)) => Reachability::Nat { fraction, hole_ttl },
+        })
     }
 
-    /// Builds the scenario common to all subcommands.
+    /// Builds and validates the scenario common to all subcommands. The
+    /// `ident` subcommand's scenario runs the identification attack.
     ///
     /// # Errors
     ///
-    /// Propagates option-parsing failures.
+    /// Propagates option-parsing failures, and the scenario's first
+    /// broken rule as [`CliError::Invalid`].
     pub fn scenario(&self) -> Result<Scenario, CliError> {
         let scale = self.scale()?;
         let (n_default, view_default, rounds_default) =
@@ -649,8 +537,7 @@ impl Args {
         let view = self.get("view", view_default)?;
         let rounds = self.get("rounds", rounds_default)?;
         // `--t` is ignored under `--protocol basalt` (no trusted tier
-        // exists); an explicit `--injected` under BASALT is rejected by
-        // `Scenario::validate` when the simulation starts.
+        // exists).
         let mut scenario = Scenario {
             n: self.get("n", n_default)?,
             byzantine_fraction: self.get("f", 0.10f64)?,
@@ -670,43 +557,33 @@ impl Args {
             attest_ttl: self.get("attest-ttl", 0usize)?,
             audit: self.audit()?,
             trusted_directory_refresh: self.get("trusted-refresh", 0usize)?,
+            identification_attack: self.command == "ident",
             seed: self.get("seed", 0x5A97EE_u64)?,
             ..Scenario::default()
         };
-        // Attestation expiry degrades the trusted tier — meaningless
-        // (and rejected) when the scenario runs no trusted nodes.
-        if scenario.attest_ttl > 0 && scenario.trusted_count() == 0 {
-            return Err(CliError::BadValue {
-                key: "attest-ttl".into(),
-                value: "requires a trusted tier (--t > 0 under a TEE protocol)".into(),
-            });
-        }
-        let correct = scenario.n - scenario.byzantine_count();
+        let correct = scenario.n.saturating_sub(scenario.byzantine_count());
         scenario.population = self.population(view, correct)?;
-        // The audit layer only makes sense with commitments to audit:
-        // it needs a trusted tier, and an attestation TTL shorter than
-        // the grace window would make expired-but-honest trusted nodes
-        // look convictable (the library assert rejects it too — surface
-        // it as a CLI error instead).
-        if let Some(audit) = scenario.audit {
-            if scenario.trusted_count() == 0 {
-                return Err(CliError::BadValue {
-                    key: "audit".into(),
-                    value: "requires a trusted tier (--t > 0 under a TEE protocol)".into(),
-                });
-            }
-            if scenario.attest_ttl > 0 && scenario.attest_ttl < audit.grace {
-                return Err(CliError::BadValue {
-                    key: "audit".into(),
-                    value: format!(
-                        "grace window {} exceeds --attest-ttl {} (expired-but-honest \
-                         nodes would stay suspect past certificate renewal)",
-                        audit.grace, scenario.attest_ttl
-                    ),
-                });
-            }
-        }
+        scenario.validate().map_err(CliError::Invalid)?;
         Ok(scenario)
+    }
+
+    /// Parses `--reps` (default 1), which must be positive.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::BadValue`] when unparsable or zero.
+    pub fn reps(&self) -> Result<usize, CliError> {
+        match self.get("reps", 1usize)? {
+            0 => Err(bad_value("reps", "0 (need at least one repetition)")),
+            reps => Ok(reps),
+        }
+    }
+}
+
+fn bad_value(key: &str, value: impl Into<String>) -> CliError {
+    CliError::BadValue {
+        key: key.into(),
+        value: value.into(),
     }
 }
 
@@ -763,8 +640,8 @@ NETWORK OPTIONS (all but --network require --network events):
     --retry <s>        max[:base-backoff] — extra pull attempts after a
                        missed deadline, exponential backoff base in ticks
                        [default backoff: 250]
-    --duplicate <f64>  probability a pull answer is delivered twice
-                       (nonce dedup suppresses the copy) [default: 0]
+    --duplicate <f64>  probability in [0,1] that a pull answer is delivered
+                       twice (nonce dedup suppresses the copy) [default: 0]
     --reorder <u64>    extra hash-derived delay in [0, N] ticks on
                        duplicate copies (reorders them)  [default: 0]
 
@@ -817,7 +694,7 @@ pub fn execute(args: &Args) -> Result<String, CliError> {
 
 fn cmd_run(args: &Args) -> Result<String, CliError> {
     let scenario = args.scenario()?;
-    let reps = args.get("reps", 1usize)?;
+    let reps = args.reps()?;
     let agg = runner::run_repeated(&scenario, reps);
     let mut out = String::new();
     let population = if scenario.population.is_empty() {
@@ -907,9 +784,27 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
 
 fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let template = args.scenario()?;
-    let reps = args.get("reps", 1usize)?;
+    let reps = args.reps()?;
     let fs = [0.10, 0.14, 0.18, 0.22, 0.26, 0.30];
     let ts = [0.01, 0.05, 0.10, 0.20, 0.30, 0.50];
+    // Every baseline and cell, built as `sweep_grid` builds them, must
+    // validate before any runs: a `--population` count, say, fits one
+    // `f` of the grid only.
+    for &f in &fs {
+        let baseline = Scenario {
+            byzantine_fraction: f,
+            ..template.brahms_baseline()
+        };
+        baseline.validate().map_err(CliError::Invalid)?;
+        for &t in &ts {
+            let cell = Scenario {
+                byzantine_fraction: f,
+                trusted_fraction: t,
+                ..template.clone()
+            };
+            cell.validate().map_err(CliError::Invalid)?;
+        }
+    }
     let sweep = runner::sweep_grid(&template, &fs, &ts, reps);
     let mut out = String::from("f,t,improvement_pct,resilience,baseline\n");
     for (f, t, result) in &sweep.grid {
@@ -925,32 +820,24 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
 }
 
 /// Rejects the ranked families (BASALT/LIFT/Honeybee) and mixed
-/// populations for the uniform-RAPTEE-only attack subcommands with the
-/// CLI's usual error path (rather than the library assert).
+/// populations for `inject`, which compares a clean run with an injected
+/// one even at `--injected 0`, where no scenario rule applies.
 fn require_trusted_tier(scenario: &Scenario) -> Result<(), CliError> {
     if !scenario.population.is_empty() {
-        return Err(CliError::BadValue {
-            key: "population".into(),
-            value: "mixed populations (this attack needs a uniform RAPTEE run)".into(),
-        });
+        let why = "mixed populations (this attack needs a uniform RAPTEE run)";
+        return Err(bad_value("population", why));
     }
     if scenario.protocol.is_ranked_family() {
-        return Err(CliError::BadValue {
-            key: "protocol".into(),
-            value: format!(
-                "{} (this attack needs the uniform RAPTEE protocol)",
-                scenario.protocol.label()
-            ),
-        });
+        let label = scenario.protocol.label();
+        let why = format!("{label} (this attack needs the uniform RAPTEE protocol)");
+        return Err(bad_value("protocol", why));
     }
     Ok(())
 }
 
 fn cmd_ident(args: &Args) -> Result<String, CliError> {
-    let mut scenario = args.scenario()?;
-    require_trusted_tier(&scenario)?;
-    scenario.identification_attack = true;
-    let reps = args.get("reps", 1usize)?;
+    let scenario = args.scenario()?;
+    let reps = args.reps()?;
     let agg = runner::run_repeated(&scenario, reps);
     Ok(format!(
         "identification attack (f={:.0}%, t={:.0}%, {}):\nprecision={:.3} recall={:.3} f1={:.3}\n",
@@ -966,15 +853,19 @@ fn cmd_ident(args: &Args) -> Result<String, CliError> {
 fn cmd_inject(args: &Args) -> Result<String, CliError> {
     let scenario = args.scenario()?;
     require_trusted_tier(&scenario)?;
-    let reps = args.get("reps", 1usize)?;
-    let baseline = runner::run_repeated(&scenario.brahms_baseline(), reps);
-    let clean = runner::run_repeated(
-        &Scenario {
-            injected_poisoned_fraction: 0.0,
-            ..scenario.clone()
-        },
-        reps,
-    );
+    let reps = args.reps()?;
+    // The two reference runs drop knobs the attacked run validated with
+    // (its trusted tier, its injected actors), so they validate too.
+    let baseline = scenario.brahms_baseline();
+    let clean = Scenario {
+        injected_poisoned_fraction: 0.0,
+        ..scenario.clone()
+    };
+    for s in [&baseline, &clean] {
+        s.validate().map_err(CliError::Invalid)?;
+    }
+    let baseline = runner::run_repeated(&baseline, reps);
+    let clean = runner::run_repeated(&clean, reps);
     let attacked = runner::run_repeated(&scenario, reps);
     Ok(format!(
         "injection attack (t={:.0}%, +{:.0}% poisoned):\n\
@@ -993,6 +884,98 @@ mod tests {
 
     fn args(v: &[&str]) -> Result<Args, CliError> {
         Args::parse(v.iter().map(|s| s.to_string()))
+    }
+
+    /// The flag a `BadValue` or the scenario knob an `Invalid` names.
+    fn blamed(err: &CliError) -> &str {
+        match err {
+            CliError::BadValue { key, .. } => key,
+            CliError::Invalid(e) => e.knob,
+            other => panic!("expected a value error, got {other:?}"),
+        }
+    }
+
+    /// What `args(v).scenario()` blames.
+    fn scenario_blames(v: &[&str]) -> String {
+        blamed(&args(v).unwrap().scenario().unwrap_err()).to_string()
+    }
+
+    /// Argument vectors that break a scenario rule (most of them once
+    /// panicked): each must come back as an error naming the right knob.
+    #[test]
+    fn invalid_argument_vectors_are_errors_not_panics() {
+        for (argv, knob) in [
+            (&["run", "--n", "1"][..], "n"),
+            (&["run", "--f", "1.5"], "byzantine_fraction"),
+            (&["run", "--view", "0"], "view_size"),
+            (&["run", "--rounds", "0"], "rounds"),
+            (&["run", "--f", "0.6", "--t", "0.6"], "trusted_fraction"),
+            (&["run", "--protocol", "lift", "--fade", "0"], "protocol"),
+            (&["run", "--catastrophe", "150..300@0.2"], "churn.bursts"),
+            (
+                &["run", "--network", "events", "--partition", "10..500@5"],
+                "network.partitions",
+            ),
+            (
+                &["run", "--t", "0.5", "--population", "raptee:50%,basalt:50%"],
+                "trusted_fraction",
+            ),
+            (&["run", "--reps", "0"], "reps"),
+            (&["sweep", "--reps", "0"], "reps"),
+            (&["ident", "--reps", "0"], "reps"),
+            (&["inject", "--reps", "0"], "reps"),
+            (
+                &["sweep", "--population", "raptee:50%,basalt-tee:50%"],
+                "population",
+            ),
+            (&["sweep", "--attest-ttl", "20"], "attest_ttl"),
+            (&["ident", "--protocol", "lift"], "identification_attack"),
+            (&["inject", "--audit", "4"], "audit"),
+            (
+                &[
+                    "run",
+                    "--attest-ttl",
+                    "20",
+                    "--population",
+                    "raptee:18446744073709551615,basalt-tee:5",
+                ],
+                "population",
+            ),
+        ] {
+            let err = std::panic::catch_unwind(|| execute(&args(argv).unwrap()))
+                .unwrap_or_else(|_| panic!("{argv:?} panicked"))
+                .expect_err(&format!("{argv:?} must be rejected"));
+            assert_eq!(blamed(&err), knob, "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn invalid_scenario_displays_knob_and_reason() {
+        let err = args(&["run", "--n", "1"]).unwrap().scenario().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "n: population must contain at least two nodes"
+        );
+    }
+
+    #[test]
+    fn duplicate_rate_of_one_runs() {
+        let a = args(&[
+            "run",
+            "--n",
+            "60",
+            "--rounds",
+            "10",
+            "--view",
+            "8",
+            "--network",
+            "events",
+            "--duplicate",
+            "1",
+        ])
+        .unwrap();
+        let out = execute(&a).unwrap();
+        assert!(out.contains("network=events"), "{out}");
     }
 
     #[test]
@@ -1022,8 +1005,9 @@ mod tests {
     fn rejects_bad_values() {
         let a = args(&["run", "--n", "lots"]).unwrap();
         assert!(matches!(a.get("n", 0usize), Err(CliError::BadValue { .. })));
-        let a = args(&["run", "--eviction", "1.5"]).unwrap();
+        let a = args(&["run", "--eviction", "often"]).unwrap();
         assert!(a.eviction().is_err());
+        assert_eq!(scenario_blames(&["run", "--eviction", "1.5"]), "eviction");
         let a = args(&["run", "--protocol", "bitcoin"]).unwrap();
         assert!(a.protocol(16).is_err());
     }
@@ -1057,7 +1041,6 @@ mod tests {
         assert_eq!(s.n, 120);
         assert_eq!(s.byzantine_fraction, 0.3);
         assert_eq!(s.rounds, 50);
-        s.validate();
     }
 
     #[test]
@@ -1164,7 +1147,6 @@ mod tests {
         );
         let s = a.scenario().unwrap();
         assert_eq!(s.trusted_count(), 0, "BASALT runs no trusted tier");
-        s.validate();
         let a = args(&[
             "run",
             "--protocol",
@@ -1187,15 +1169,14 @@ mod tests {
 
     #[test]
     fn attack_subcommands_reject_basalt_cleanly() {
-        for cmd in ["ident", "inject"] {
+        // `ident` turns the identification attack on, which the scenario
+        // rules confine to uniform Brahms/RAPTEE; `inject` checks itself.
+        for (cmd, knob) in [("ident", "identification_attack"), ("inject", "protocol")] {
             for protocol in ["basalt", "basalt-tee"] {
                 let a =
                     args(&[cmd, "--protocol", protocol, "--n", "80", "--rounds", "10"]).unwrap();
                 let err = execute(&a).unwrap_err();
-                assert!(
-                    matches!(err, CliError::BadValue { ref key, .. } if key == "protocol"),
-                    "{cmd}/{protocol} must fail with the CLI error path, got {err:?}"
-                );
+                assert_eq!(blamed(&err), knob, "{cmd}/{protocol}: {err:?}");
             }
             let a = args(&[
                 cmd,
@@ -1208,10 +1189,8 @@ mod tests {
             ])
             .unwrap();
             let err = execute(&a).unwrap_err();
-            assert!(
-                matches!(err, CliError::BadValue { ref key, .. } if key == "population"),
-                "{cmd} must reject mixed populations, got {err:?}"
-            );
+            let knob = if cmd == "ident" { knob } else { "population" };
+            assert_eq!(blamed(&err), knob, "{cmd} must reject mixed populations");
         }
     }
 
@@ -1244,7 +1223,6 @@ mod tests {
             }
         );
         let s = a.scenario().unwrap();
-        s.validate();
         assert_eq!(s.trusted_count(), 8, "the hybrid keeps its trusted tier");
         let out = execute(&a).unwrap();
         assert!(out.contains("resilience:"), "{out}");
@@ -1275,7 +1253,6 @@ mod tests {
         .unwrap();
         let s = a.scenario().unwrap();
         assert_eq!(s.trusted_count(), 0, "LIFT runs no trusted tier");
-        s.validate();
         let out = execute(&a).unwrap();
         assert!(out.contains("resilience:"), "{out}");
     }
@@ -1302,8 +1279,6 @@ mod tests {
             "10",
         ])
         .unwrap();
-        let s = a.scenario().unwrap();
-        s.validate();
         let out = execute(&a).unwrap();
         assert!(out.contains("resilience:"), "{out}");
     }
@@ -1371,7 +1346,6 @@ mod tests {
         ])
         .unwrap();
         let s = a.scenario().unwrap();
-        s.validate();
         assert_eq!(s.population.len(), 2);
         assert_eq!(s.population[0].count, 45);
 
@@ -1384,7 +1358,6 @@ mod tests {
         ])
         .unwrap();
         let s = a.scenario().unwrap();
-        s.validate();
         // 90 correct nodes: 45 + the remainder-absorbing last segment.
         assert_eq!(s.population[0].count + s.population[1].count, 90);
     }
@@ -1426,16 +1399,12 @@ mod tests {
             "raptee:140%",
             // Mistyped shares must error, not be silently reinterpreted.
             "raptee:30%,basalt-tee:20%",
-            // Absolute counts that miss the correct population must take
-            // the CLI error path, not a library assert.
+            // Absolute counts that miss the correct population break the
+            // scenario's rule.
             "raptee:10,basalt-tee:10",
         ] {
-            let a = args(&["run", "--population", spec]).unwrap();
-            let err = a.scenario().unwrap_err();
-            assert!(
-                matches!(err, CliError::BadValue { ref key, .. } if key == "population"),
-                "{spec:?} must be rejected, got {err:?}"
-            );
+            let blames = scenario_blames(&["run", "--population", spec]);
+            assert_eq!(blames, "population", "{spec:?} must be rejected");
         }
     }
 
@@ -1494,22 +1463,17 @@ mod tests {
             },
             "cap defaults to ten rounds of the tick budget"
         );
+        for bad in ["warp", "const:fast", "uniform:50", "lognormal:6.2"] {
+            assert_eq!(blamed(&net(&["--latency", bad]).unwrap_err()), "latency");
+        }
+        // Well-formed but out of range: the scenario rule rejects them.
         for bad in [
-            "warp",
-            "const:fast",
             "uniform:600..50",
-            "uniform:50",
-            "lognormal:6.2",
             "lognormal:6.2,-0.1",
             "lognormal:6.2,0.8,0",
         ] {
-            assert!(
-                matches!(
-                    net(&["--latency", bad]).unwrap_err(),
-                    CliError::BadValue { ref key, .. } if key == "latency"
-                ),
-                "{bad:?} must be rejected"
-            );
+            let blames = scenario_blames(&["run", "--network", "events", "--latency", bad]);
+            assert_eq!(blames, "network.latency", "{bad:?} must be rejected");
         }
     }
 
@@ -1567,22 +1531,17 @@ mod tests {
                 hole_ttl: 3
             }
         );
-        for (key, bad) in [
-            ("partition", "10..25"),
-            ("partition", "25..10@75"),
-            ("partition", "10..25@many"),
-            ("nat", "1.5"),
-            ("nat", "0.4:0"),
-            ("nat", "porous"),
+        for (key, bad, knob) in [
+            ("partition", "10..25", "partition"),
+            ("partition", "25..10@75", "network.partitions"),
+            ("partition", "10..25@many", "partition"),
+            ("nat", "1.5", "network.reachability"),
+            ("nat", "0.4:0", "network.reachability"),
+            ("nat", "porous", "nat"),
         ] {
-            let a = args(&["run", "--network", "events", &format!("--{key}"), bad]).unwrap();
-            assert!(
-                matches!(
-                    a.network().unwrap_err(),
-                    CliError::BadValue { key: ref k, .. } if k == key
-                ),
-                "--{key} {bad:?} must be rejected"
-            );
+            let flag = format!("--{key}");
+            let blames = scenario_blames(&["run", "--network", "events", &flag, bad]);
+            assert_eq!(blames, knob, "--{key} {bad:?} must be rejected");
         }
     }
 
@@ -1615,21 +1574,18 @@ mod tests {
             },
             "backoff base defaults to 250 ticks"
         );
-        for (key, bad) in [
-            ("retry", "many"),
-            ("retry", "3:slow"),
-            ("retry", "3:0"),
-            ("duplicate", "1.5"),
-            ("duplicate", "often"),
-            ("reorder", "-4"),
+        assert_eq!(cfg(&["--duplicate", "1"]).unwrap().duplicate_rate, 1.0);
+        for (key, bad, knob) in [
+            ("retry", "many", "retry"),
+            ("retry", "3:slow", "retry"),
+            ("retry", "3:0", "network.retry"),
+            ("duplicate", "1.5", "network.duplicate_rate"),
+            ("duplicate", "often", "duplicate"),
+            ("reorder", "-4", "reorder"),
         ] {
-            assert!(
-                matches!(
-                    cfg(&[&format!("--{key}"), bad]).unwrap_err(),
-                    CliError::BadValue { key: ref k, .. } if k == key
-                ),
-                "--{key} {bad:?} must be rejected"
-            );
+            let flag = format!("--{key}");
+            let blames = scenario_blames(&["run", "--network", "events", &flag, bad]);
+            assert_eq!(blames, knob, "--{key} {bad:?} must be rejected");
         }
     }
 
@@ -1647,7 +1603,6 @@ mod tests {
         assert_eq!(s.churn.crash_rate, 0.02);
         assert_eq!(s.churn.restart_rate, 0.4);
         assert_eq!(s.churn.rejoin, RejoinPolicy::Warm);
-        s.validate();
         let s = args(&["run", "--catastrophe", "20..25@0.4; 40..42@0.6"])
             .unwrap()
             .scenario()
@@ -1667,14 +1622,14 @@ mod tests {
                 },
             ]
         );
-        for (key, bad) in [
-            ("churn", "lots"),
-            ("churn", "1.5"),
-            ("churn", "0.02:2.0"),
-            ("catastrophe", "20..25"),
-            ("catastrophe", "25..20@0.4"),
-            ("catastrophe", "20..25@1.5"),
-            ("rejoin", "lukewarm"),
+        for (key, bad, knob) in [
+            ("churn", "lots", "churn"),
+            ("churn", "1.5", "churn.crash_rate"),
+            ("churn", "0.02:2.0", "churn.restart_rate"),
+            ("catastrophe", "20..25", "catastrophe"),
+            ("catastrophe", "25..20@0.4", "churn.bursts"),
+            ("catastrophe", "20..25@1.5", "churn.bursts"),
+            ("rejoin", "lukewarm", "rejoin"),
         ] {
             let mut v = vec!["run"];
             // --rejoin needs a churn process before its value is even
@@ -1686,18 +1641,14 @@ mod tests {
             }
             let flag = format!("--{key}");
             v.extend_from_slice(&[&flag, bad]);
-            let err = args(&v).unwrap().scenario().unwrap_err();
-            assert!(
-                matches!(err, CliError::BadValue { key: ref k, .. } if k == key),
-                "--{key} {bad:?} must be rejected, got {err:?}"
+            assert_eq!(
+                scenario_blames(&v),
+                knob,
+                "--{key} {bad:?} must be rejected"
             );
         }
         // --rejoin without any restart process is meaningless.
-        let err = args(&["run", "--rejoin", "warm"])
-            .unwrap()
-            .scenario()
-            .unwrap_err();
-        assert!(matches!(err, CliError::BadValue { ref key, .. } if key == "rejoin"));
+        assert_eq!(scenario_blames(&["run", "--rejoin", "warm"]), "rejoin");
     }
 
     #[test]
@@ -1707,18 +1658,13 @@ mod tests {
             .scenario()
             .unwrap();
         assert_eq!(s.attest_ttl, 40);
-        s.validate();
         for extra in [
             vec!["--attest-ttl", "40", "--t", "0"],
             vec!["--attest-ttl", "40", "--protocol", "basalt"],
         ] {
             let mut v = vec!["run"];
             v.extend_from_slice(&extra);
-            let err = args(&v).unwrap().scenario().unwrap_err();
-            assert!(
-                matches!(err, CliError::BadValue { ref key, .. } if key == "attest-ttl"),
-                "{extra:?} must be rejected, got {err:?}"
-            );
+            assert_eq!(scenario_blames(&v), "attest_ttl", "{extra:?}");
         }
     }
 
@@ -1736,7 +1682,6 @@ mod tests {
                 grace: DEFAULT_AUDIT_GRACE
             })
         );
-        s.validate();
         // budget:grace spelled out, compatible with an attestation TTL.
         let s = args(&["run", "--audit", "6:8", "--t", "0.1", "--attest-ttl", "20"])
             .unwrap()
@@ -1749,10 +1694,10 @@ mod tests {
                 grace: 8
             })
         );
-        s.validate();
         // Gating: no trusted tier, a trusted-incapable protocol, an
-        // attestation TTL shorter than the grace window, and malformed
-        // or zero-valued specs are all CLI errors, not library asserts.
+        // attestation TTL shorter than the grace window, and zero-valued
+        // specs break the scenario's `audit` rules; a malformed spec is a
+        // bad `--audit` value.
         for extra in [
             vec!["--audit", "4", "--t", "0"],
             vec!["--audit", "4", "--protocol", "basalt"],
@@ -1764,11 +1709,7 @@ mod tests {
         ] {
             let mut v = vec!["run"];
             v.extend_from_slice(&extra);
-            let err = args(&v).unwrap().scenario().unwrap_err();
-            assert!(
-                matches!(err, CliError::BadValue { ref key, .. } if key == "audit"),
-                "{extra:?} must be rejected, got {err:?}"
-            );
+            assert_eq!(scenario_blames(&v), "audit", "{extra:?}");
         }
     }
 

@@ -228,16 +228,16 @@ fn hybrid_and_basalt_tee_populations_support_audits() {
 }
 
 #[test]
-#[should_panic(expected = "trusted tier")]
 fn audit_requires_a_trusted_tier() {
     let mut s = base();
     s.protocol = Protocol::Brahms;
     s.trusted_fraction = 0.0;
-    s.validate();
+    let err = s.validate().unwrap_err();
+    assert_eq!(err.knob, "audit");
+    assert!(err.reason.contains("trusted tier"), "{err}");
 }
 
 #[test]
-#[should_panic(expected = "attest_ttl >= grace")]
 fn audit_grace_must_fit_inside_the_attestation_ttl() {
     let mut s = base();
     s.attest_ttl = 5;
@@ -245,5 +245,7 @@ fn audit_grace_must_fit_inside_the_attestation_ttl() {
         budget: 4,
         grace: 10,
     });
-    s.validate();
+    let err = s.validate().unwrap_err();
+    assert_eq!(err.knob, "audit");
+    assert!(err.reason.contains("attest_ttl >= grace"), "{err}");
 }

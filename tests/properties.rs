@@ -12,8 +12,9 @@ use raptee_crypto::SecretKey;
 use raptee_net::{NodeId, SecureChannel};
 use raptee_sim::event::{EventNet, PullGate};
 use raptee_sim::{
-    AdaptiveCoordinator, Discovery, EventNetConfig, LatencyModel, NetworkModel, RetryConfig,
-    Scenario,
+    AdaptiveCoordinator, AdversaryMode, AttackStrategy, AuditConfig, ChurnBurst, ChurnSchedule,
+    Discovery, DiscoveryMode, EventNetConfig, LatencyModel, NetworkModel, PartitionWindow,
+    Protocol, Reachability, RetryConfig, Scenario, SegmentSpec, Simulation,
 };
 
 fn config(view: usize, eviction: EvictionPolicy) -> RapteeConfig {
@@ -30,9 +31,46 @@ fn event_net(cfg: EventNetConfig, rounds: usize) -> EventNet {
         network: NetworkModel::Events(cfg),
         ..Scenario::default()
     };
-    scenario.validate();
+    scenario.validate().unwrap();
     EventNet::from_scenario(&scenario)
 }
+
+/// The wild draw when `wild`, the sane default otherwise.
+fn pick<T>(wild: bool, draw: T, sane: T) -> T {
+    if wild {
+        draw
+    } else {
+        sane
+    }
+}
+
+/// Every `Protocol` variant, with parameters as drawn (zero included).
+fn protocol(kind: u8, view_size: usize, p: usize, q: usize) -> Protocol {
+    match kind % 6 {
+        0 => Protocol::Brahms,
+        1 => Protocol::Raptee,
+        2 => Protocol::Basalt {
+            view_size,
+            rotation_interval: p,
+        },
+        3 => Protocol::BasaltTee {
+            view_size,
+            rotation_interval: p,
+            wlist_ttl: q,
+        },
+        4 => Protocol::Lift {
+            view_size,
+            fade_interval: p,
+        },
+        _ => Protocol::Honeybee {
+            view_size,
+            walk_length: q,
+        },
+    }
+}
+
+/// A wild fraction: half of the draws fall outside `[0, 1]`.
+const WILD: std::ops::Range<f64> = -0.5..1.5;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -274,6 +312,134 @@ proptest! {
             prop_assert_eq!(allocation[arm], budget,
                 "the whole budget rides the chosen arm");
             bandit.reward(arm, reward);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `Scenario::validate` is total: it returns, never panics, on wild
+    /// knob values — fractions in −0.5..1.5, sizes and rounds in 0..4,
+    /// partition and burst windows past the run, population counts off
+    /// by one, every protocol with zero parameters, each toggle on or
+    /// off. Whatever it accepts builds, runs a round and keeps the
+    /// engine's invariants. Each knob takes its wild draw when its bit
+    /// of the AND of four random words is set (one in sixteen), so about
+    /// half of the cases validate and the rest break a rule or two.
+    #[test]
+    fn validate_is_total(
+        masks in any::<[u64; 4]>(),
+        (n, n_sane, view, sample, rounds, tail, split, delta) in
+            (0usize..4, 8usize..49, 0usize..4, 0usize..4, 0usize..4, 0usize..4, 0usize..49, 0usize..3),
+        (byz, trusted, injected, gamma, loss, threshold, flood, victim) in
+            (WILD, WILD, WILD, WILD, WILD, WILD, WILD, WILD),
+        (focus, lo, hi, crash_fraction, crash_rate, restart, burst_rate, nat) in
+            (WILD, WILD, WILD, WILD, WILD, WILD, WILD, WILD),
+        (kind, kind_a, kind_b, p, q, attack, fixed_eviction, exact) in
+            (0u8..6, 0u8..6, 0u8..6, 0usize..3, 0usize..3, 0u8..3, any::<bool>(), any::<bool>()),
+        (crash_round, burst_start, burst_end, cut_start, cut_end, boundary, duplicate, sigma) in
+            (0usize..12, 0usize..12, 0usize..12, 0usize..12, 0usize..12, 0usize..60, WILD, WILD),
+        (latency, lat_a, lat_b, cap, retries, smalls) in
+            (0u8..3, 0u64..300, 0u64..300, 0u64..3, 0u32..3, any::<[u8; 8]>()),
+        toggles in any::<[bool; 4]>(),
+    ) {
+        let bits = masks.iter().fold(u64::MAX, |m, x| m & x);
+        let w = |bit: u32| (bits >> bit) & 1 == 1;
+        let small = |i: usize| usize::from(smalls[i] % 3);
+        let mut s = Scenario {
+            n: pick(w(0), n, n_sane),
+            byzantine_fraction: pick(w(1), byz, 0.1),
+            trusted_fraction: pick(w(2), trusted, 0.1),
+            injected_poisoned_fraction: pick(w(3), injected, 0.0),
+            view_size: pick(w(4), view, 6),
+            sample_size: pick(w(5), sample, 6),
+            rounds: pick(w(6), rounds, 8),
+            tail_window: pick(w(7), tail, 3),
+            gamma: pick(w(8), gamma, 0.2),
+            message_loss: pick(w(9), loss, 0.0),
+            identification_threshold: pick(w(10), threshold, 0.1),
+            flood_slack_sigmas: pick(w(11), flood, 4.0),
+            attack: match pick(w(12), attack, 0) {
+                0 => AttackStrategy::Balanced,
+                1 => AttackStrategy::ForcePush,
+                _ => AttackStrategy::Targeted { victim_fraction: victim, focus },
+            },
+            eviction: match (w(13), fixed_eviction) {
+                (false, _) => EvictionPolicy::adaptive(),
+                (true, true) => EvictionPolicy::Fixed(lo),
+                (true, false) => EvictionPolicy::Adaptive { lo, hi },
+            },
+            churn: ChurnSchedule {
+                crash_fraction: pick(w(14), crash_fraction, 0.0),
+                crash_round,
+                crash_rate: pick(w(15), crash_rate, 0.0),
+                restart_rate: pick(w(16), restart, 0.0),
+                bursts: pick(
+                    w(17),
+                    vec![ChurnBurst { start: burst_start, end: burst_end, crash_rate: burst_rate }],
+                    Vec::new(),
+                ),
+                ..ChurnSchedule::default()
+            },
+            attest_ttl: pick(w(18), small(0), 0),
+            audit: w(19).then(|| AuditConfig { budget: small(1), grace: small(2) }),
+            trusted_directory_refresh: pick(w(20), small(3), 0),
+            discovery: match (w(21), exact) {
+                (false, _) => DiscoveryMode::Auto,
+                (true, true) => DiscoveryMode::Exact,
+                (true, false) => DiscoveryMode::Sketch,
+            },
+            adversary_mode: pick(w(22), AdversaryMode::Adaptive, AdversaryMode::Static),
+            protocol: pick(w(23), protocol(kind, p, p, q), Protocol::Raptee),
+            identification_attack: toggles[0],
+            real_crypto_handshakes: toggles[1],
+            trusted_swap: toggles[2],
+            sampler_validation_period: small(4),
+            seed: masks[0],
+            ..Scenario::default()
+        };
+        if w(24) {
+            let correct = s.n.saturating_sub(s.byzantine_count());
+            let first = split.min(correct);
+            let second = (correct - first + delta).saturating_sub(1);
+            s.population = vec![
+                SegmentSpec { protocol: protocol(kind_a, 6, p, q), count: first },
+                SegmentSpec { protocol: protocol(kind_b, 6, q, p), count: second },
+            ];
+        }
+        if toggles[3] {
+            s.network = NetworkModel::Events(EventNetConfig {
+                latency: match pick(w(25), latency, 0) {
+                    0 => LatencyModel::Constant(lat_a),
+                    1 => LatencyModel::Uniform { min: lat_a, max: lat_b },
+                    _ => LatencyModel::LogNormal { mu: 5.0, sigma, cap },
+                },
+                round_ticks: pick(w(26), cap * 500, 1000),
+                jitter: pick(w(27), lat_b * 5, 0),
+                partitions: pick(
+                    w(28),
+                    vec![PartitionWindow { start: cut_start, end: cut_end, boundary }],
+                    Vec::new(),
+                ),
+                reachability: pick(
+                    w(29),
+                    Reachability::Nat { fraction: nat, hole_ttl: small(5) },
+                    Reachability::Full,
+                ),
+                retry: RetryConfig {
+                    max_retries: pick(w(30), retries, 0),
+                    base_backoff: small(6) as u64 * 100,
+                },
+                duplicate_rate: pick(w(31), duplicate, 0.0),
+                reorder_jitter: pick(w(32), small(7) as u64 * 40, 0),
+            });
+        }
+        if s.validate().is_ok() {
+            let mut sim = Simulation::new(s);
+            sim.run_round();
+            let checked = sim.check_invariants();
+            prop_assert!(checked.is_ok(), "{:?}", checked);
         }
     }
 }

@@ -99,3 +99,20 @@ fn cli_parses_through_meta_crate() {
         Err(e) => panic!("expected parse success, got {e:?}"),
     }
 }
+
+/// The built binary turns an invalid scenario into an error message and
+/// exit code 2, not a panic.
+#[test]
+fn cli_binary_rejects_an_invalid_scenario_with_exit_code_2() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_raptee-cli"))
+        .args(["run", "--n", "1"])
+        .output()
+        .expect("the raptee-cli binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: n: population must contain at least two nodes"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
