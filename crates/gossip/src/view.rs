@@ -211,32 +211,6 @@ impl View {
         true
     }
 
-    /// Inserts `entry`, evicting the oldest entry if the view is full
-    /// (unconditional admission, Newscast-style).
-    pub fn insert_replacing_oldest(&mut self, entry: ViewEntry) {
-        if entry.id == self.owner {
-            return;
-        }
-        if self.contains(entry.id) {
-            let existing = self
-                .entries
-                .iter_mut()
-                .find(|e| e.id == entry.id)
-                .expect("membership index in sync with entries");
-            if entry.age < existing.age {
-                existing.age = entry.age;
-            }
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            if let Some(oldest) = self.oldest_index() {
-                let evicted = self.entries.swap_remove(oldest);
-                self.index_remove(evicted.id);
-            }
-        }
-        self.push_entry(entry);
-    }
-
     /// Increments every entry's age by one round.
     pub fn increase_age(&mut self) {
         for e in &mut self.entries {
@@ -448,22 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_oldest_evicts_by_age() {
-        let mut v = View::new(NodeId(0), 2);
-        v.insert(ViewEntry {
-            id: NodeId(1),
-            age: 9,
-        });
-        v.insert(ViewEntry {
-            id: NodeId(2),
-            age: 1,
-        });
-        v.insert_replacing_oldest(ViewEntry::fresh(NodeId(3)));
-        assert!(!v.contains(NodeId(1)), "oldest evicted");
-        assert!(v.contains(NodeId(2)) && v.contains(NodeId(3)));
-    }
-
-    #[test]
     fn aging_and_oldest() {
         let mut v = view_with(0, 4, &[1, 2]);
         v.increase_age();
@@ -554,8 +512,6 @@ mod tests {
             });
         }
         assert!(v.invariants_hold());
-        v.insert_replacing_oldest(ViewEntry::fresh(NodeId(7)));
-        assert!(v.invariants_hold() && !v.contains(NodeId(6)));
         v.remove(NodeId(1));
         assert!(v.invariants_hold() && !v.contains(NodeId(1)));
         v.remove_head(1, 0);
@@ -742,30 +698,6 @@ mod tests {
         after.sort();
         assert_eq!(after, before);
         assert!(v.invariants_hold());
-    }
-
-    #[test]
-    fn replacing_insert_skips_the_owner_and_refreshes_duplicates() {
-        let mut v = View::new(NodeId(0), 2);
-        v.insert(ViewEntry {
-            id: NodeId(1),
-            age: 4,
-        });
-        v.insert_replacing_oldest(ViewEntry::fresh(NodeId(0)));
-        assert_eq!(v.id_vec(), vec![NodeId(1)]);
-        v.insert_replacing_oldest(ViewEntry {
-            id: NodeId(1),
-            age: 1,
-        });
-        assert_eq!(
-            v.entries(),
-            [ViewEntry {
-                id: NodeId(1),
-                age: 1
-            }]
-        );
-        v.insert_replacing_oldest(ViewEntry::fresh(NodeId(2)));
-        assert_eq!(v.len(), 2, "room left: nothing evicted");
     }
 
     #[test]

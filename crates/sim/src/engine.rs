@@ -6,13 +6,17 @@
 //! executes one run of one [`Scenario`]; the [`crate::runner`] module
 //! handles repetition and sweeps.
 //!
-//! There is one lane: the correct population is a list of contiguous
-//! per-protocol segments ([`Scenario::segments`]), and a uniform run is
+//! There is one lane: the correct population is one flat arena of
+//! nodes, one `enum` over the two families, laid out as contiguous
+//! per-protocol segments ([`Scenario::segments`]); a uniform run is
 //! simply a one-segment population. Every family therefore faces the
 //! same limiter, loss stream and adversary by construction, and shared
-//! sequential streams are consumed in segment-layout order. Delivery
-//! has one lane too: every message leaves through the run's
-//! [`EventNet`], and a lockstep run is the net at zero latency.
+//! sequential streams are consumed in population-index order. Segments
+//! survive only as index ranges: the adversary splits its budget by
+//! them, the fold reports per segment, and the phases only one family
+//! runs walk that family's segment slices. Delivery has one lane too:
+//! every message leaves through the run's [`EventNet`], and a lockstep
+//! run is the net at zero latency.
 //!
 //! Round structure (mirroring the paper's 2.5 s protocol rounds):
 //!
@@ -36,22 +40,27 @@
 //! **bit-identical at any thread count** (pinned by
 //! `tests/determinism.rs`). The round is split into phases:
 //!
-//! * **plan** (parallel, sharded by node) — `plan_round_into` draws only
-//!   from the node's own RNG stream; the same pass snapshots each
-//!   node's view into a flat arena for later deferred pull answers.
+//! * **plan** (parallel, one pass over the arena) — `plan_round_into`
+//!   draws only from the node's own RNG stream; the same pass snapshots
+//!   each Brahms-family view into a flat arena for later deferred pull
+//!   answers.
 //! * **exchange** (sequential) — everything that consumes a *shared*
 //!   ordered stream stays a thin sequential control pass: the rate
 //!   limiter, the message-loss RNG, the adversary's coordinator RNG and
-//!   the (rare) trusted view-swaps. Instead of copying answer IDs, the
-//!   pass records per-requester *pull events*: a reference into the
-//!   view-snapshot arena when the responder's view was still untouched
-//!   at pull time, a materialised copy when it had already mutated
-//!   (swap or churn removal), or the slot of an adversary-RNG snapshot
-//!   for Byzantine answers (regenerated in parallel later).
-//! * **apply** (parallel, sharded by receiving node) — each node
-//!   reconstructs its push/pull streams from the shared arenas into
-//!   per-**worker** scratch and finalises its round; per-node metric
-//!   observations land in per-node stat slots.
+//!   the (rare) trusted view-swaps. One `pull` serves both families, and
+//!   one `deliver` decides how the requester takes a materialised
+//!   answer, fresh or due from an earlier round. Instead of copying
+//!   answer IDs, a Brahms-family requester records *pull events*: a
+//!   reference into the view-snapshot arena when the responder's view
+//!   was still untouched at pull time, a materialised copy when it had
+//!   already mutated (swap or churn removal), or the slot of an
+//!   adversary-RNG snapshot for Byzantine answers (regenerated in
+//!   parallel later).
+//! * **apply** (parallel, one pass over the arena) — each Brahms-family
+//!   node reconstructs its push/pull streams from the shared arenas into
+//!   per-**worker** scratch and finalises its round, each ranked node
+//!   drains its waiting list and finalises; per-node metric observations
+//!   land in per-node stat slots.
 //! * **fold** (sequential) — stat slots are folded in node-index order,
 //!   so every floating-point accumulation happens in exactly the
 //!   historical order.
@@ -64,7 +73,8 @@
 //! A ranked-family pull ranks every answer into the responder's and
 //! requester's views *on arrival*, making answers order-dependent across
 //! nodes; that one phase stays sequential, while ranked-family planning,
-//! push application and round finalisation shard like the Brahms path.
+//! push application (a parallel pass over the ranked segments' slices)
+//! and round finalisation shard like the Brahms path.
 
 use crate::adversary::{AdaptiveCoordinator, Adversary, PushPlan};
 use crate::audit::{AuditResponse, Challenger, Verdict};
@@ -151,16 +161,59 @@ struct TrustTier {
     degraded: Vec<bool>,
 }
 
-/// One segment's node arena: the correct population is stored densely
-/// and unboxed, one contiguous per-protocol arena per segment. Byzantine
-/// actors are pure identities (the adversary coordinates them
-/// centrally), so they occupy no node state at all: actor index `i` maps
-/// to population index `i - byz_count` for `i >= byz_count`. `Ranked`
-/// carries the whole ranked family (BASALT, BASALT+TEE, LIFT, Honeybee)
-/// behind the [`RankedNode`] delegation surface.
-enum SegmentNodes {
-    Raptee(Vec<RapteeNode>),
-    Ranked(Vec<RankedNode>),
+/// One correct node. The correct population is one flat arena of these,
+/// stored densely and unboxed by population index. Byzantine actors are
+/// pure identities (the adversary coordinates them centrally), so they
+/// occupy no node state at all: actor index `i` maps to population index
+/// `i - byz_count` for `i >= byz_count`. `Ranked` carries the whole
+/// ranked family (BASALT, BASALT+TEE, LIFT, Honeybee) behind the
+/// [`RankedNode`] delegation surface; it is the smaller variant, so a
+/// `Node` costs exactly a `RapteeNode`.
+enum Node {
+    Raptee(RapteeNode),
+    Ranked(RankedNode),
+}
+
+impl Node {
+    /// The Brahms-family node, for callers that found it in a
+    /// Brahms-family segment (segments are homogeneous by construction).
+    fn raptee_mut(&mut self) -> &mut RapteeNode {
+        match self {
+            Node::Raptee(node) => node,
+            Node::Ranked(_) => unreachable!("a ranked node inside a Brahms-family segment"),
+        }
+    }
+
+    /// The ranked-family node, for callers that found it in a ranked
+    /// segment.
+    fn ranked_mut(&mut self) -> &mut RankedNode {
+        match self {
+            Node::Ranked(node) => node,
+            Node::Raptee(_) => unreachable!("a Brahms-family node inside a ranked segment"),
+        }
+    }
+
+    /// Visits the IDs pollution and discovery are read from: the dynamic
+    /// view of a Brahms-family node, the current sample of a ranked one.
+    fn for_each_view_id(&self, f: impl FnMut(NodeId)) {
+        match self {
+            Node::Raptee(node) => node.brahms().view().ids().for_each(f),
+            Node::Ranked(node) => node.for_each_sample(f),
+        }
+    }
+
+    /// This node's answer to a pull, into `out` (cleared first): the
+    /// dynamic view of a Brahms-family node, the distinct view of a
+    /// ranked one.
+    fn answer_into(&mut self, out: &mut Vec<NodeId>) {
+        match self {
+            Node::Raptee(node) => {
+                out.clear();
+                out.extend(node.brahms().view().ids());
+            }
+            Node::Ranked(node) => node.pull_answer_into(out),
+        }
+    }
 }
 
 /// Static metadata of one population segment (see
@@ -168,13 +221,13 @@ enum SegmentNodes {
 /// `[start, start + len)` of the correct-population index space (also
 /// its range of [`Simulation::victims`], the pool the adversary aims its
 /// segment-matched attack at) and the per-identity push fanout its
-/// protocol grants.
+/// protocol grants. The adversary's budget split and the per-segment
+/// fold read them; node storage does not.
 struct SegMeta {
     protocol: Protocol,
     start: usize,
     len: usize,
     fanout: usize,
-    ranked_cfg: Option<RankedCfg>,
 }
 
 /// The ranked-family configuration `protocol` runs under, or `None` for
@@ -212,60 +265,6 @@ fn ranked_cfg_of(protocol: Protocol) -> Option<RankedCfg> {
             walk_length,
         ))),
         Protocol::Brahms | Protocol::Raptee => None,
-    }
-}
-
-/// Mutable access to the `ci`-th correct node, which must live in a
-/// Raptee-family segment.
-fn raptee_at<'a>(
-    seg_nodes: &'a mut [SegmentNodes],
-    segs: &[SegMeta],
-    seg_of: &[u32],
-    ci: usize,
-) -> &'a mut RapteeNode {
-    let si = seg_of[ci] as usize;
-    match &mut seg_nodes[si] {
-        SegmentNodes::Raptee(v) => &mut v[ci - segs[si].start],
-        SegmentNodes::Ranked(_) => unreachable!("index {ci} is not in a Raptee-family segment"),
-    }
-}
-
-/// Split-borrows two distinct correct nodes of one Raptee-family
-/// segment. Every caller's pair shares a segment: trusted pairs because
-/// only the RAPTEE segment carries a Brahms-family trusted tier, real
-/// handshakes because `Scenario::validate` confines them to uniform
-/// runs.
-fn raptee_pair<'a>(
-    seg_nodes: &'a mut [SegmentNodes],
-    segs: &[SegMeta],
-    seg_of: &[u32],
-    a: usize,
-    b: usize,
-) -> (&'a mut RapteeNode, &'a mut RapteeNode) {
-    let si = seg_of[a] as usize;
-    assert_eq!(
-        si, seg_of[b] as usize,
-        "nodes {a} and {b} live in different segments"
-    );
-    let start = segs[si].start;
-    match &mut seg_nodes[si] {
-        SegmentNodes::Raptee(v) => two_nodes(v, a - start, b - start),
-        SegmentNodes::Ranked(_) => unreachable!("index {a} is not in a Raptee-family segment"),
-    }
-}
-
-/// Mutable access to the `ci`-th correct node, which must live in a
-/// ranked-family segment.
-fn ranked_at<'a>(
-    seg_nodes: &'a mut [SegmentNodes],
-    segs: &[SegMeta],
-    seg_of: &[u32],
-    ci: usize,
-) -> &'a mut RankedNode {
-    let si = seg_of[ci] as usize;
-    match &mut seg_nodes[si] {
-        SegmentNodes::Ranked(v) => &mut v[ci - segs[si].start],
-        SegmentNodes::Raptee(_) => unreachable!("index {ci} is not in a ranked-family segment"),
     }
 }
 
@@ -433,14 +432,13 @@ impl PlanArena {
         self.pull_len.resize(pop, 0);
     }
 
-    /// Disjoint row handles of population indices `start..start + len`.
-    fn rows(&mut self, start: usize, len: usize) -> impl Iterator<Item = PlanRow<'_>> {
-        let (lo, hi) = (start * self.stride, (start + len) * self.stride);
-        self.push_ids[lo..hi]
+    /// Disjoint row handles, in population-index order.
+    fn rows(&mut self) -> impl Iterator<Item = PlanRow<'_>> {
+        self.push_ids
             .chunks_mut(self.stride)
-            .zip(&mut self.push_len[start..start + len])
-            .zip(self.pull_ids[lo..hi].chunks_mut(self.stride))
-            .zip(&mut self.pull_len[start..start + len])
+            .zip(&mut self.push_len)
+            .zip(self.pull_ids.chunks_mut(self.stride))
+            .zip(&mut self.pull_len)
             .map(|(((push, push_len), pull), pull_len)| PlanRow {
                 push,
                 push_len,
@@ -579,24 +577,28 @@ impl RoundAccumulator {
     }
 }
 
-/// Per-node lanes of the parallel plan phase.
-struct PlanItem<'a, N> {
-    node: &'a mut N,
+/// One node's lanes in the parallel plan phase. The view-snapshot row
+/// and mutation flag serve Brahms-family nodes, whose untrusted answers
+/// are deferred by reference to the snapshot.
+struct PlanLane<'a> {
+    node: &'a mut Node,
     row: PlanRow<'a>,
     live: &'a mut bool,
+    mutated: &'a mut bool,
+    snap: &'a mut [NodeIdx],
+    snap_len: &'a mut u32,
 }
 
-/// Per-node lanes of the parallel apply/finish phase.
-struct FinishItem<'a, N> {
-    node: &'a mut N,
+/// One node's lanes in the parallel apply/finish phase.
+struct FinishLane<'a> {
+    node: &'a mut Node,
     stat: &'a mut RoundStat,
     disc: DiscoveryLane<'a>,
     ring: ShareRingRow<'a>,
 }
 
-/// One node's post-round view census, shared by both families' apply
-/// closures: Byzantine entries feed the pollution share, correct ones
-/// the discovery row.
+/// One node's post-round view census: Byzantine entries feed the
+/// pollution share, correct ones the discovery row.
 #[derive(Default)]
 struct ViewTally {
     len: usize,
@@ -705,9 +707,9 @@ fn note_discovered(
 /// One deterministic simulation run.
 pub struct Simulation {
     scenario: Scenario,
-    /// The correct population, one node arena per segment in layout
-    /// order (a uniform run has exactly one).
-    population: Vec<SegmentNodes>,
+    /// The correct population by population index, segment after
+    /// segment in layout order.
+    nodes: Vec<Node>,
     trusted: Vec<bool>,
     alive: Vec<bool>,
     loss_rng: Xoshiro256StarStar,
@@ -735,8 +737,6 @@ pub struct Simulation {
     victims: Vec<NodeId>,
     /// Segment metadata, in layout order.
     segs: Vec<SegMeta>,
-    /// Correct-population index → segment index.
-    seg_of: Vec<u32>,
     /// Per-segment mean Byzantine-share series.
     seg_series: Vec<Vec<f64>>,
     /// Per-segment mean discovered-fraction series — feeds the
@@ -855,39 +855,30 @@ impl Simulation {
         // each segment's trusted nodes first.
         let non_byz_total = total - byz;
         let mut trusted_flags = vec![false; total];
-        let mut seg_of = vec![0u32; non_byz_total];
         let mut segs: Vec<SegMeta> = Vec::with_capacity(specs.len());
-        let mut population: Vec<SegmentNodes> = Vec::with_capacity(specs.len());
-        let mut start = 0usize;
-        for (si, (spec, &seg_trusted)) in specs.iter().zip(&trusted_counts).enumerate() {
+        let mut nodes: Vec<Node> = Vec::with_capacity(non_byz_total);
+        // The adversary answers pulls at the largest view size in play.
+        let mut answer_size = 0;
+        for (spec, &seg_trusted) in specs.iter().zip(&trusted_counts) {
+            let start = nodes.len();
             let ranked_cfg = ranked_cfg_of(spec.protocol);
-            let nodes = if let Some(rcfg) = ranked_cfg {
-                let mut v = Vec::with_capacity(spec.count);
-                for i in 0..spec.count {
-                    let abs = byz + start + i;
-                    let id = NodeId(abs as u64);
-                    let seed = rng.next_u64();
+            for i in 0..spec.count {
+                let abs = byz + start + i;
+                let id = NodeId(abs as u64);
+                let seed = rng.next_u64();
+                let node = if let Some(rcfg) = ranked_cfg {
                     rng.sample_into(&all_ids, rcfg.view_size() + 2, &mut idx, &mut bootstrap);
-                    if i < seg_trusted {
+                    Node::Ranked(if i < seg_trusted {
                         trusted_flags[abs] = true;
                         let key = provision(0x1000 + abs as u64);
                         let RankedCfg::Basalt(bcfg) = rcfg else {
                             unreachable!("only BASALT+TEE segments provision a trusted tier")
                         };
-                        v.push(RankedNode::Basalt(BasaltNode::new_trusted(
-                            id, bcfg, &bootstrap, seed, key,
-                        )));
+                        RankedNode::Basalt(BasaltNode::new_trusted(id, bcfg, &bootstrap, seed, key))
                     } else {
-                        v.push(RankedNode::new(id, &rcfg, &bootstrap, seed));
-                    }
-                }
-                SegmentNodes::Ranked(v)
-            } else {
-                let mut v = Vec::with_capacity(spec.count);
-                for i in 0..spec.count {
-                    let abs = byz + start + i;
-                    let id = NodeId(abs as u64);
-                    let seed = rng.next_u64();
+                        RankedNode::new(id, &rcfg, &bootstrap, seed)
+                    })
+                } else {
                     let is_injected = abs >= n;
                     // Paper bootstrap: a uniform random sample of the
                     // global membership — except injected nodes, which
@@ -917,62 +908,35 @@ impl Simulation {
                     if total > EXACT_DISCOVERY_THRESHOLD {
                         node.brahms_mut().sampler_mut().limit_seen_cache(0);
                     }
-                    v.push(node);
-                }
-                SegmentNodes::Raptee(v)
-            };
-            for slot in &mut seg_of[start..start + spec.count] {
-                *slot = si as u32;
+                    Node::Raptee(node)
+                };
+                nodes.push(node);
             }
             segs.push(SegMeta {
                 protocol: spec.protocol,
                 start,
                 len: spec.count,
                 fanout: ranked_cfg.map_or(config.brahms.alpha_count(), |c| c.push_count()),
-                ranked_cfg,
             });
-            population.push(nodes);
-            start += spec.count;
+            answer_size = answer_size.max(ranked_cfg.map_or(scenario.view_size, |c| c.view_size()));
         }
 
         // Discovery state (non-Byzantine actors only) seeded with the
         // bootstrap view and the node itself.
         let mut discovery = Discovery::new(non_byz_total, total, scenario.sketch_discovery());
-        {
-            let mut seed_row = |ci: usize, ids: &mut dyn Iterator<Item = NodeId>| {
-                discovery.insert(ci, byz + ci);
-                for id in ids {
-                    if id.index() >= byz {
-                        discovery.insert(ci, id.index());
-                    }
+        for (ci, node) in nodes.iter().enumerate() {
+            discovery.insert(ci, byz + ci);
+            node.for_each_view_id(|id| {
+                if id.index() >= byz {
+                    discovery.insert(ci, id.index());
                 }
-            };
-            for (seg, nodes) in segs.iter().zip(&population) {
-                match nodes {
-                    SegmentNodes::Raptee(v) => {
-                        for (i, node) in v.iter().enumerate() {
-                            seed_row(seg.start + i, &mut node.brahms().view().ids());
-                        }
-                    }
-                    SegmentNodes::Ranked(v) => {
-                        for (i, node) in v.iter().enumerate() {
-                            seed_row(seg.start + i, &mut node.sample_ids().into_iter());
-                        }
-                    }
-                }
-            }
+            });
         }
         let discovery_target = (DISCOVERY_TARGET_SHARE * non_byz_total as f64).ceil() as usize;
 
         // The limiter grants the largest per-identity fanout any segment
-        // uses (equal across segments at matched view sizes); the
-        // adversary answers pulls at the largest view size in play.
+        // uses (equal across segments at matched view sizes).
         let limiter_fanout = segs.iter().map(|x| x.fanout).max().unwrap_or(1);
-        let answer_size = segs
-            .iter()
-            .map(|x| x.ranked_cfg.map_or(scenario.view_size, |c| c.view_size()))
-            .max()
-            .unwrap_or(scenario.view_size);
         let mut adversary = Adversary::new(byz_ids, total, answer_size, rng.next_u64());
         // Section VI-B: the adversary advertises its injected poisoned
         // trusted nodes so the system contacts them and the poison can
@@ -983,7 +947,7 @@ impl Simulation {
             adversary,
             limiter: PushRateLimiter::new(total, limiter_fanout as u32),
             limiter_fanout,
-            population,
+            nodes,
             trusted: trusted_flags,
             alive: vec![true; total],
             loss_rng: rng.split(),
@@ -995,7 +959,6 @@ impl Simulation {
             seg_series: vec![Vec::with_capacity(scenario.rounds); segs.len()],
             seg_discovered_series: vec![Vec::with_capacity(scenario.rounds); segs.len()],
             segs,
-            seg_of,
             scratch: Scratch::default(),
             workers: Vec::new(),
             net,
@@ -1157,22 +1120,18 @@ impl Simulation {
     /// Read access to a correct Brahms/RAPTEE node (None for Byzantine
     /// actors and for BASALT-family actors).
     pub fn node(&self, id: NodeId) -> Option<&RapteeNode> {
-        let ci = id.index().checked_sub(self.byz_count)?;
-        let si = *self.seg_of.get(ci)? as usize;
-        match &self.population[si] {
-            SegmentNodes::Raptee(v) => v.get(ci - self.segs[si].start),
-            SegmentNodes::Ranked(_) => None,
+        match self.nodes.get(id.index().checked_sub(self.byz_count)?)? {
+            Node::Raptee(node) => Some(node),
+            Node::Ranked(_) => None,
         }
     }
 
     /// Read access to a correct ranked-family node (None for Byzantine
     /// actors and for Brahms-family actors).
     pub fn ranked(&self, id: NodeId) -> Option<&RankedNode> {
-        let ci = id.index().checked_sub(self.byz_count)?;
-        let si = *self.seg_of.get(ci)? as usize;
-        match &self.population[si] {
-            SegmentNodes::Ranked(v) => v.get(ci - self.segs[si].start),
-            SegmentNodes::Raptee(_) => None,
+        match self.nodes.get(id.index().checked_sub(self.byz_count)?)? {
+            Node::Ranked(node) => Some(node),
+            Node::Raptee(_) => None,
         }
     }
 
@@ -1289,8 +1248,8 @@ impl Simulation {
         self.round += 1;
     }
 
-    /// Checks the protocol invariants every Raptee-family node must hold
-    /// between rounds:
+    /// Checks the protocol invariants every correct node must hold
+    /// between rounds. A Brahms-family node:
     ///
     /// * a live node's view passes `View::invariants_hold` (no
     ///   duplicate, never its owner), holds at most `view_size`
@@ -1298,9 +1257,14 @@ impl Simulation {
     /// * its sampler has `sample_size` lanes;
     /// * a node that was never provisioned has an empty trusted
     ///   directory, and every directory entry is a provisioned trusted
-    ///   actor other than the owner;
+    ///   actor other than the owner.
     ///
-    /// and then the net's message conservation
+    /// A live ranked-family node samples at most its view size of IDs,
+    /// never its own, and only actors of this run; a BASALT node's view
+    /// also passes `BasaltView::invariants_hold` (every slot's sample
+    /// matches its distance and hit count).
+    ///
+    /// Then the net's message conservation
     /// ([`EventNet::check_conservation`]).
     ///
     /// Run at the end of every [`Simulation::run_round`] in debug builds.
@@ -1312,53 +1276,81 @@ impl Simulation {
         let (byz, total, round) = (self.byz_count, self.total_actors(), self.round);
         let (view_size, sample_size) = (self.scenario.view_size, self.scenario.sample_size);
         let ids = &mut self.invariant_ids;
-        for (seg, nodes) in self.segs.iter().zip(&self.population) {
-            let SegmentNodes::Raptee(nodes) = nodes else {
-                continue;
+        for (ci, node) in self.nodes.iter().enumerate() {
+            let abs = byz + ci;
+            let fail = |what: String| Err(format!("round {round}, node {abs}: {what}"));
+            let node = match node {
+                Node::Raptee(node) => node,
+                Node::Ranked(node) => {
+                    if !self.alive[abs] {
+                        continue;
+                    }
+                    let (mut len, mut own, mut stranger) = (0, false, None);
+                    node.for_each_sample(|id| {
+                        len += 1;
+                        own |= id.index() == abs;
+                        if id.index() >= total {
+                            stranger.get_or_insert(id);
+                        }
+                    });
+                    let cap = node.view_size();
+                    if len > cap {
+                        return fail(format!("samples {len} > {cap} IDs"));
+                    }
+                    if own {
+                        return fail("samples its own ID".into());
+                    }
+                    if let Some(id) = stranger {
+                        return fail(format!("samples {id:?}, not an actor of this run"));
+                    }
+                    if node
+                        .as_basalt()
+                        .is_some_and(|b| !b.view().invariants_hold())
+                    {
+                        return fail("BASALT view breaks a slot invariant".into());
+                    }
+                    continue;
+                }
             };
-            for (i, node) in nodes.iter().enumerate() {
-                let abs = byz + seg.start + i;
-                let fail = |what: String| Err(format!("round {round}, node {abs}: {what}"));
-                let view = node.brahms().view();
-                if self.alive[abs] {
-                    if !view.invariants_hold_using(ids) {
-                        return fail(format!(
-                            "view {:?} holds a duplicate or itself",
-                            view.id_vec()
-                        ));
-                    }
-                    if view.len() > view_size {
-                        return fail(format!("view holds {} > {view_size} entries", view.len()));
-                    }
-                    if let Some(id) = view.ids().find(|id| id.index() >= total) {
-                        return fail(format!("view holds {id:?}, not an actor of this run"));
-                    }
-                }
-                let lanes = node.brahms().sampler().len();
-                if lanes != sample_size {
-                    return fail(format!("sampler has {lanes} lanes, not {sample_size}"));
-                }
-                let dir = node.directory();
-                if !self.trusted[abs] && !dir.is_empty() {
+            let view = node.brahms().view();
+            if self.alive[abs] {
+                if !view.invariants_hold_using(ids) {
                     return fail(format!(
-                        "never provisioned, yet its directory holds {:?}",
-                        dir.id_vec()
+                        "view {:?} holds a duplicate or itself",
+                        view.id_vec()
                     ));
                 }
-                if !dir.invariants_hold_using(ids) {
-                    return fail(format!(
-                        "directory {:?} holds a duplicate or itself",
-                        dir.id_vec()
-                    ));
+                if view.len() > view_size {
+                    return fail(format!("view holds {} > {view_size} entries", view.len()));
                 }
-                if let Some(id) = dir
-                    .ids()
-                    .find(|id| !self.trusted.get(id.index()).copied().unwrap_or(false))
-                {
-                    return fail(format!(
-                        "directory holds {id:?}, not a provisioned trusted actor"
-                    ));
+                if let Some(id) = view.ids().find(|id| id.index() >= total) {
+                    return fail(format!("view holds {id:?}, not an actor of this run"));
                 }
+            }
+            let lanes = node.brahms().sampler().len();
+            if lanes != sample_size {
+                return fail(format!("sampler has {lanes} lanes, not {sample_size}"));
+            }
+            let dir = node.directory();
+            if !self.trusted[abs] && !dir.is_empty() {
+                return fail(format!(
+                    "never provisioned, yet its directory holds {:?}",
+                    dir.id_vec()
+                ));
+            }
+            if !dir.invariants_hold_using(ids) {
+                return fail(format!(
+                    "directory {:?} holds a duplicate or itself",
+                    dir.id_vec()
+                ));
+            }
+            if let Some(id) = dir
+                .ids()
+                .find(|id| !self.trusted.get(id.index()).copied().unwrap_or(false))
+            {
+                return fail(format!(
+                    "directory holds {id:?}, not a provisioned trusted actor"
+                ));
             }
         }
         self.net
@@ -1404,26 +1396,23 @@ impl Simulation {
         let churn_seed = self.churn_seed;
         let alive = &self.alive;
         let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
-        let si = self.seg_of[ci] as usize;
-        let local = ci - self.segs[si].start;
-        match &mut self.population[si] {
-            SegmentNodes::Raptee(nodes) => match rejoin {
+        match &mut self.nodes[ci] {
+            Node::Raptee(node) => match rejoin {
                 RejoinPolicy::Cold => {
                     let boot = bootstrap_of(churn_seed, view_size + 2);
-                    nodes[local].rejoin_cold(&boot, cold_seed);
+                    node.rejoin_cold(&boot, cold_seed);
                 }
                 RejoinPolicy::Warm => {
-                    nodes[local].rejoin_warm(is_alive);
+                    node.rejoin_warm(is_alive);
                 }
             },
-            SegmentNodes::Ranked(nodes) => match rejoin {
+            Node::Ranked(node) => match rejoin {
                 RejoinPolicy::Cold => {
-                    let k = nodes[local].view_size() + 2;
-                    let boot = bootstrap_of(churn_seed, k);
-                    nodes[local].rejoin_cold(&boot, cold_seed);
+                    let boot = bootstrap_of(churn_seed, node.view_size() + 2);
+                    node.rejoin_cold(&boot, cold_seed);
                 }
                 RejoinPolicy::Warm => {
-                    nodes[local].rejoin_warm();
+                    node.rejoin_warm();
                 }
             },
         }
@@ -1580,11 +1569,10 @@ impl Simulation {
     /// order — the leaf order of its merkle commitment).
     fn view_ids_into(&self, abs: usize, out: &mut Vec<NodeId>) {
         out.clear();
-        let id = NodeId(abs as u64);
-        if let Some(node) = self.node(id) {
-            out.extend(node.brahms().view().ids());
-        } else if let Some(node) = self.ranked(id) {
-            node.for_each_sample(|id| out.push(id));
+        // `extend` sizes the round's reused buffer to a view at once.
+        match &self.nodes[abs - self.byz_count] {
+            Node::Raptee(node) => out.extend(node.brahms().view().ids()),
+            Node::Ranked(node) => node.for_each_sample(|id| out.push(id)),
         }
     }
 
@@ -1592,22 +1580,16 @@ impl Simulation {
     /// from every honest view, waiting list and trusted directory. The
     /// pull-path blacklist keeps re-learned entries out afterwards.
     fn purge_quarantined(&mut self, convicted: &[usize]) {
-        for nodes in self.population.iter_mut() {
-            match nodes {
-                SegmentNodes::Raptee(v) => {
-                    for node in v.iter_mut() {
-                        for &c in convicted {
-                            let id = NodeId(c as u64);
-                            node.brahms_mut().view_mut().remove(id);
-                            node.forget_trusted_peer(id);
-                        }
+        for node in &mut self.nodes {
+            for &c in convicted {
+                let id = NodeId(c as u64);
+                match node {
+                    Node::Raptee(node) => {
+                        node.brahms_mut().view_mut().remove(id);
+                        node.forget_trusted_peer(id);
                     }
-                }
-                SegmentNodes::Ranked(v) => {
-                    for node in v.iter_mut() {
-                        for &c in convicted {
-                            node.quarantine(NodeId(c as u64));
-                        }
+                    Node::Ranked(node) => {
+                        node.quarantine(id);
                     }
                 }
             }
@@ -1753,7 +1735,7 @@ impl Simulation {
             Self::plan_attack(
                 &mut self.adversary,
                 attack,
-                seg.ranked_cfg.is_some(),
+                seg.protocol.is_ranked_family(),
                 &self.victims[seg.start..seg.start + seg.len],
                 budget,
                 plan,
@@ -1864,10 +1846,10 @@ impl Simulation {
         bandit.reward(arm, observed);
     }
 
-    /// One protocol round (the paper's loop) for every segment: the
-    /// phases of the module doc, driven per segment over the shared
-    /// scratch arenas. Shared sequential streams (rate limiter, loss RNG,
-    /// adversary coordinator RNG) are consumed in segment-layout order.
+    /// One protocol round (the paper's loop) for the whole population:
+    /// the phases of the module doc, over the shared scratch arenas.
+    /// Shared sequential streams (rate limiter, loss RNG, adversary
+    /// coordinator RNG) are consumed in population-index order.
     fn protocol_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
         let total = self.total_actors();
         let byz = self.byz_count;
@@ -1878,79 +1860,58 @@ impl Simulation {
             return;
         }
 
-        // Phase 1 (parallel, per segment): plans, drawn into a per-worker
-        // plan buffer and stored in the flat plan arena. Raptee-family
-        // rows also snapshot their post-plan views (for deferred answers)
-        // and reset the per-round view-mutation flags.
+        // Phase 1 (parallel, one pass over the arena): plans, drawn into
+        // a per-worker plan buffer and stored in the flat plan arena.
+        // Brahms-family rows also snapshot their post-plan views (for
+        // deferred answers); every row resets its view-mutation flag.
         if s.snap_ids.len() != pop * stride {
             s.snap_ids.resize(pop * stride, NodeIdx(0));
         }
         {
-            let alive = &self.alive;
-            for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
-                let (start, len) = (seg.start, seg.len);
-                match nodes {
-                    SegmentNodes::Raptee(nodes) => {
-                        struct Lane<'a> {
-                            item: PlanItem<'a, RapteeNode>,
-                            mutated: &'a mut bool,
-                            snap: &'a mut [NodeIdx],
-                            snap_len: &'a mut u32,
+            let alive = &self.alive[byz..];
+            let mut lanes: Vec<PlanLane> = self
+                .nodes
+                .iter_mut()
+                .zip(s.plans.rows())
+                .zip(&mut s.live)
+                .zip(&mut s.view_mutated)
+                .zip(s.snap_ids.chunks_mut(stride))
+                .zip(&mut s.snap_len)
+                .map(
+                    |(((((node, row), live), mutated), snap), snap_len)| PlanLane {
+                        node,
+                        row,
+                        live,
+                        mutated,
+                        snap,
+                        snap_len,
+                    },
+                )
+                .collect();
+            rayon::par_for_each_scratch(&mut lanes, workers, |ws, ci, lane| {
+                *lane.mutated = false;
+                *lane.live = alive[ci];
+                if !alive[ci] {
+                    *lane.snap_len = 0;
+                    return;
+                }
+                match lane.node {
+                    Node::Raptee(node) => {
+                        node.plan_round_into(&mut ws.plan);
+                        lane.row.store(&ws.plan.push_targets, &ws.plan.pull_targets);
+                        let view = node.brahms().view();
+                        for (k, e) in view.entries().iter().enumerate() {
+                            lane.snap[k] = narrow(e.id);
                         }
-                        let mut lanes: Vec<Lane> = nodes
-                            .iter_mut()
-                            .zip(s.plans.rows(start, len))
-                            .zip(&mut s.live[start..start + len])
-                            .zip(&mut s.view_mutated[start..start + len])
-                            .zip(
-                                s.snap_ids[start * stride..(start + len) * stride]
-                                    .chunks_mut(stride),
-                            )
-                            .zip(&mut s.snap_len[start..start + len])
-                            .map(|(((((node, row), live), mutated), snap), snap_len)| Lane {
-                                item: PlanItem { node, row, live },
-                                mutated,
-                                snap,
-                                snap_len,
-                            })
-                            .collect();
-                        rayon::par_for_each_scratch(&mut lanes, workers, |ws, i, lane| {
-                            *lane.mutated = false;
-                            if !alive[byz + start + i] {
-                                *lane.item.live = false;
-                                *lane.snap_len = 0;
-                                return;
-                            }
-                            lane.item.node.plan_round_into(&mut ws.plan);
-                            lane.item
-                                .row
-                                .store(&ws.plan.push_targets, &ws.plan.pull_targets);
-                            *lane.item.live = true;
-                            let view = lane.item.node.brahms().view();
-                            for (k, e) in view.entries().iter().enumerate() {
-                                lane.snap[k] = narrow(e.id);
-                            }
-                            *lane.snap_len = view.len() as u32;
-                        });
+                        *lane.snap_len = view.len() as u32;
                     }
-                    SegmentNodes::Ranked(nodes) => {
-                        let mut lanes: Vec<PlanItem<RankedNode>> = nodes
-                            .iter_mut()
-                            .zip(s.plans.rows(start, len))
-                            .zip(&mut s.live[start..start + len])
-                            .map(|((node, row), live)| PlanItem { node, row, live })
-                            .collect();
-                        rayon::par_for_each_scratch(&mut lanes, workers, |ws, i, lane| {
-                            *lane.live = alive[byz + start + i];
-                            if *lane.live {
-                                lane.node.plan_round_into(&mut ws.ranked_plan);
-                                let plan = &ws.ranked_plan;
-                                lane.row.store(&plan.push_targets, &plan.pull_targets);
-                            }
-                        });
+                    Node::Ranked(node) => {
+                        node.plan_round_into(&mut ws.ranked_plan);
+                        let plan = &ws.ranked_plan;
+                        lane.row.store(&plan.push_targets, &plan.pull_targets);
                     }
                 }
-            }
+            });
         }
 
         // Phase 2a (sequential control): honest pushes from every
@@ -1980,19 +1941,23 @@ impl Simulation {
             } = s;
             let (sorted, counts) = (&sorted[..], &counts[..]);
             let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
-            for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
-                let SegmentNodes::Ranked(nodes) = nodes else {
-                    continue;
-                };
+            struct Lane<'a> {
+                node: &'a mut RankedNode,
+                disc: DiscoveryLane<'a>,
+            }
+            for seg in self
+                .segs
+                .iter()
+                .filter(|seg| seg.protocol.is_ranked_family())
+            {
                 let start = seg.start;
-                struct Lane<'a> {
-                    node: &'a mut RankedNode,
-                    disc: DiscoveryLane<'a>,
-                }
-                let mut lanes: Vec<Lane> = nodes
+                let mut lanes: Vec<Lane> = self.nodes[start..start + seg.len]
                     .iter_mut()
-                    .zip(self.discovery.rows_mut().skip(start).take(seg.len))
-                    .map(|(node, disc)| Lane { node, disc })
+                    .zip(self.discovery.rows_mut().skip(start))
+                    .map(|(node, disc)| Lane {
+                        node: node.ranked_mut(),
+                        disc,
+                    })
                     .collect();
                 rayon::par_for_each_mut(&mut lanes, |i, lane| {
                     let abs = byz + start + i;
@@ -2012,8 +1977,7 @@ impl Simulation {
             }
         }
 
-        // Phase 3 (sequential control): pulls in population-index order,
-        // each requester running its own family's exchange control flow.
+        // Phase 3 (sequential control): pulls in population-index order.
         // Only the shared ordered streams run here for the Brahms family
         // — loss draws, handshakes, the adversary RNG, and the (rare)
         // trusted swaps — with every untrusted answer deferred as a pull
@@ -2021,57 +1985,38 @@ impl Simulation {
         // ranked on arrival and shape later answers, so they cannot
         // shard. Answers deferred from earlier rounds deliver first
         // (they are the oldest answers the requester sees), through the
-        // requester's own family path; dead requesters consume and drop
-        // theirs.
+        // same `deliver` as a fresh answer; dead requesters consume and
+        // drop theirs.
         s.events.clear();
         s.byz_rngs.clear();
         s.arena.clear();
         let due = self.net.take_due_answers();
         let mut due_cursor = 0usize;
-        for si in 0..self.segs.len() {
-            let (start, len) = (self.segs[si].start, self.segs[si].len);
-            let is_ranked = self.segs[si].ranked_cfg.is_some();
-            for ci in start..start + len {
-                s.event_start[ci] = s.events.len() as u32;
-                while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
-                    let ans = &due[due_cursor];
-                    due_cursor += 1;
-                    if ans.ci as usize != ci {
-                        continue;
-                    }
-                    // The first delivered copy claims the exchange;
-                    // deadline retransmits and injected duplicates are
-                    // suppressed.
-                    if !self.net.accept_answer(ans) || !s.live[ci] {
-                        continue;
-                    }
-                    let ids = self.net.due_ids(ans);
-                    if is_ranked {
-                        s.reply.clear();
-                        s.reply.extend(ids.iter().map(|&idx| widen(idx)));
-                        self.rank_answer(ci, ans.from, &s.reply, false);
-                    } else {
-                        let start = s.arena.len() as u32;
-                        s.arena.extend_from_slice(ids);
-                        s.events.push(PullEvent::Arena {
-                            start,
-                            len: ids.len() as u32,
-                        });
-                    }
-                }
-                if !s.live[ci] {
+        for ci in 0..pop {
+            s.event_start[ci] = s.events.len() as u32;
+            while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
+                let ans = &due[due_cursor];
+                due_cursor += 1;
+                if ans.ci as usize != ci {
                     continue;
                 }
-                for k in 0..s.plans.pulls(ci).len() {
-                    let target = widen(s.plans.pulls(ci)[k]);
-                    let Some(gate) = self.open_pull(ci, target, s) else {
-                        continue;
-                    };
-                    if is_ranked {
-                        self.ranked_pull(ci, target, gate, s);
-                    } else {
-                        self.raptee_pull(ci, target, gate, s);
-                    }
+                // The first delivered copy claims the exchange; deadline
+                // retransmits and injected duplicates are suppressed.
+                if !self.net.accept_answer(ans) || !s.live[ci] {
+                    continue;
+                }
+                s.reply.clear();
+                s.reply
+                    .extend(self.net.due_ids(ans).iter().map(|&idx| widen(idx)));
+                self.deliver(ci, ans.from, false, PullGate::Inline, s);
+            }
+            if !s.live[ci] {
+                continue;
+            }
+            for k in 0..s.plans.pulls(ci).len() {
+                let target = widen(s.plans.pulls(ci)[k]);
+                if let Some(gate) = self.open_pull(ci, target, s) {
+                    self.pull(ci, target, gate, s);
                 }
             }
         }
@@ -2088,16 +2033,18 @@ impl Simulation {
         // their trusted exchanges are opportunistic, on the pull path,
         // or driven by phase 3c.
         if self.scenario.trusted_swap {
-            for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
-                let SegmentNodes::Raptee(nodes) = nodes else {
-                    continue;
-                };
-                for local in 0..seg.len {
-                    let abs = byz + seg.start + local;
+            for seg in self
+                .segs
+                .iter()
+                .filter(|seg| !seg.protocol.is_ranked_family())
+            {
+                for ci in seg.start..seg.start + seg.len {
+                    let abs = byz + ci;
                     if !Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), abs) {
                         continue;
                     }
-                    let Some(partner) = nodes[local].trusted_partner() else {
+                    let node = self.nodes[ci].raptee_mut();
+                    let Some(partner) = node.trusted_partner() else {
                         continue;
                     };
                     if partner.index() == abs || !self.alive[abs] {
@@ -2105,7 +2052,7 @@ impl Simulation {
                     }
                     if !self.alive[partner.index()] {
                         // Timeout: forget the dead trusted peer.
-                        nodes[local].forget_trusted_peer(partner);
+                        node.forget_trusted_peer(partner);
                         continue;
                     }
                     if !Self::effective_trusted_in(
@@ -2118,17 +2065,10 @@ impl Simulation {
                         // will re-attest and answer again.
                         continue;
                     }
-                    assert!(
-                        partner.index() >= byz,
-                        "directory entries are authenticated trusted peers"
-                    );
-                    let pc = partner.index() - byz;
-                    assert!(
-                        pc >= seg.start && pc < seg.start + seg.len,
-                        "Raptee trusted partners live in the Raptee segment"
-                    );
-                    let (a, b) = two_nodes(nodes, local, pc - seg.start);
-                    RapteeNode::trusted_swap_kind(a, b, false);
+                    // A directory only learns peers from RAPTEE trusted
+                    // swaps, so the partner is a RAPTEE node too.
+                    let (a, b) = two_nodes(&mut self.nodes, ci, partner.index() - byz);
+                    RapteeNode::trusted_swap_kind(a.raptee_mut(), b.raptee_mut(), false);
                 }
             }
         }
@@ -2150,7 +2090,7 @@ impl Simulation {
                 if !self.alive[abs] || !self.effective_trusted(abs) {
                     continue;
                 }
-                if self.segs[self.seg_of[ci] as usize].ranked_cfg.is_none() {
+                if !self.in_ranked_segment(ci) {
                     continue; // Raptee trusted nodes already ran phase 3b
                 }
                 let mut pick =
@@ -2163,27 +2103,24 @@ impl Simulation {
                 if partner_abs == abs
                     || !self.alive[partner_abs]
                     || !self.effective_trusted(partner_abs)
-                    || self.segs[self.seg_of[pc] as usize].ranked_cfg.is_none()
+                    || !self.in_ranked_segment(pc)
                 {
                     continue;
                 }
-                // Bidirectional attested swap (the `ranked_pull`
-                // both-trusted idiom): each side's distinct view ranks
-                // into the other, bypassing the waiting lists.
-                ranked_at(&mut self.population, &self.segs, &self.seg_of, pc)
-                    .pull_answer_into(&mut s.reply);
+                // Bidirectional attested swap (the ranked both-trusted
+                // idiom of `pull`): each side's distinct view ranks into
+                // the other, bypassing the waiting lists.
+                self.nodes[pc].answer_into(&mut s.reply);
                 self.rank_answer(ci, NodeId(partner_abs as u64), &s.reply, true);
-                ranked_at(&mut self.population, &self.segs, &self.seg_of, ci)
-                    .pull_answer_into(&mut s.observed);
+                self.nodes[ci].answer_into(&mut s.observed);
                 self.rank_answer(pc, NodeId(abs as u64), &s.observed, true);
             }
             self.trusted_dir = dir;
         }
 
         // Phase 4 (sequential): adversary observation pulls of the
-        // identification attack (`validate` confines it to uniform
-        // Brahms/RAPTEE runs, so every candidate is a Raptee-family
-        // node).
+        // identification attack, over the one Brahms-family segment
+        // `validate` confines it to.
         if self.scenario.identification_attack && byz > 0 {
             // β·l1 observation pulls each; α = β in the paper's config.
             let beta_count = self.limiter_fanout;
@@ -2194,7 +2131,7 @@ impl Simulation {
                 for &t in &s.observed {
                     let view = self
                         .node(t)
-                        .expect("identification candidates are Brahms-family nodes")
+                        .expect("Scenario::validate: identification_attack needs a uniform Brahms or RAPTEE run")
                         .brahms()
                         .view();
                     if view.is_empty() {
@@ -2207,12 +2144,12 @@ impl Simulation {
             }
         }
 
-        // Phase 5 (parallel apply, per segment, sharded by node): round
+        // Phase 5 (parallel apply, one pass over the arena): round
         // finalisation and per-node metric observation into the stat
-        // slots. Raptee segments reconstruct their push/pull streams
-        // from the shared arenas; ranked segments verify their waiting
-        // lists (probe contacts succeed iff the candidate is alive),
-        // then finalise.
+        // slots. Brahms-family nodes reconstruct their push/pull streams
+        // from the shared arenas; ranked nodes verify their waiting lists
+        // (probe contacts succeed iff the candidate is alive), then
+        // finalise.
         let validation_due = self.scenario.sampler_validation_period > 0
             && (self.round + 1).is_multiple_of(self.scenario.sampler_validation_period);
         {
@@ -2235,149 +2172,116 @@ impl Simulation {
             let (sorted, counts) = (&sorted[..], &counts[..]);
             let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
             let alive = &self.alive;
+            let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
             let adversary = &self.adversary;
-            for (seg, nodes) in self.segs.iter().zip(self.population.iter_mut()) {
-                let start = seg.start;
-                match nodes {
-                    SegmentNodes::Raptee(nodes) => {
-                        let mut items: Vec<FinishItem<RapteeNode>> = nodes
-                            .iter_mut()
-                            .zip(stats[start..start + seg.len].iter_mut())
-                            .zip(self.discovery.rows_mut().skip(start).take(seg.len))
-                            .zip(self.share_rings.rows_mut().skip(start).take(seg.len))
-                            .map(|(((node, stat), disc), ring)| FinishItem {
-                                node,
-                                stat,
-                                disc,
-                                ring,
-                            })
-                            .collect();
-                        rayon::par_for_each_scratch(&mut items, workers, |ws, i, it| {
-                            let ci = start + i;
-                            let abs = byz + ci;
-                            *it.stat = RoundStat::default();
-                            if !alive[abs] {
-                                return;
-                            }
-                            it.stat.participated = true;
-                            if validation_due {
-                                // Brahms sampler validation: probe sampled
-                                // nodes, re-draw the samplers whose sample
-                                // is dead.
-                                let brahms = it.node.brahms_mut();
-                                let (sampler, rng) = brahms.sampler_and_rng_mut();
-                                sampler.validate(
-                                    |id| alive.get(id.index()).copied().unwrap_or(false),
-                                    rng,
-                                );
-                            }
-                            let me = NodeId(abs as u64);
-                            // Push stream: the honest counting-sorted run,
-                            // then the adversary's run — each receiver's
-                            // historical arrival order, with the
-                            // `record_push` self-filter.
-                            ws.pushed.clear();
-                            let (h0, h1) = run_bounds(counts, abs);
-                            ws.pushed.extend(
-                                sorted[h0..h1]
-                                    .iter()
-                                    .map(|&(_, sender)| widen(sender))
-                                    .filter(|&x| x != me),
-                            );
-                            let (b0, b1) = run_bounds(byz_counts, abs);
-                            ws.pushed.extend(
-                                byz_sorted[b0..b1]
-                                    .iter()
-                                    .map(|&(_, advertised)| widen(advertised))
-                                    .filter(|&x| x != me),
-                            );
-                            // Untrusted pull stream, reconstructed in
-                            // delivery order.
-                            ws.untrusted.clear();
-                            let e0 = event_start[ci] as usize;
-                            let e1 = event_start[ci + 1] as usize;
-                            for ev in &events[e0..e1] {
-                                match ev {
-                                    PullEvent::Snapshot { responder } => {
-                                        let r = *responder as usize;
-                                        let base = r * stride;
-                                        ws.untrusted.extend(
-                                            snap_ids[base..base + snap_len[r] as usize]
-                                                .iter()
-                                                .map(|&i| widen(i)),
-                                        );
-                                    }
-                                    PullEvent::Arena { start, len } => {
-                                        let (a, b) = (*start as usize, (*start + *len) as usize);
-                                        ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
-                                    }
-                                    PullEvent::ByzReplay { slot } => {
-                                        let mut rng = byz_rngs[*slot as usize].clone();
-                                        adversary.replay_pull_answer(
-                                            &mut rng,
-                                            &mut ws.idx,
-                                            &mut ws.reply,
-                                        );
-                                        ws.untrusted.extend_from_slice(&ws.reply);
-                                    }
+            let mut lanes: Vec<FinishLane> = self
+                .nodes
+                .iter_mut()
+                .zip(stats.iter_mut())
+                .zip(self.discovery.rows_mut())
+                .zip(self.share_rings.rows_mut())
+                .map(|(((node, stat), disc), ring)| FinishLane {
+                    node,
+                    stat,
+                    disc,
+                    ring,
+                })
+                .collect();
+            rayon::par_for_each_scratch(&mut lanes, workers, |ws, ci, it| {
+                let abs = byz + ci;
+                *it.stat = RoundStat::default();
+                if !alive[abs] {
+                    return;
+                }
+                it.stat.participated = true;
+                match it.node {
+                    Node::Raptee(node) => {
+                        if validation_due {
+                            // Brahms sampler validation: probe sampled
+                            // nodes, re-draw the samplers whose sample is
+                            // dead.
+                            let (sampler, rng) = node.brahms_mut().sampler_and_rng_mut();
+                            sampler.validate(is_alive, rng);
+                        }
+                        let me = NodeId(abs as u64);
+                        // Push stream: the honest counting-sorted run,
+                        // then the adversary's run — each receiver's
+                        // historical arrival order, with the
+                        // `record_push` self-filter.
+                        ws.pushed.clear();
+                        let (h0, h1) = run_bounds(counts, abs);
+                        ws.pushed.extend(
+                            sorted[h0..h1]
+                                .iter()
+                                .map(|&(_, sender)| widen(sender))
+                                .filter(|&x| x != me),
+                        );
+                        let (b0, b1) = run_bounds(byz_counts, abs);
+                        ws.pushed.extend(
+                            byz_sorted[b0..b1]
+                                .iter()
+                                .map(|&(_, advertised)| widen(advertised))
+                                .filter(|&x| x != me),
+                        );
+                        // Untrusted pull stream, reconstructed in delivery
+                        // order.
+                        ws.untrusted.clear();
+                        let e0 = event_start[ci] as usize;
+                        let e1 = event_start[ci + 1] as usize;
+                        for ev in &events[e0..e1] {
+                            match ev {
+                                PullEvent::Snapshot { responder } => {
+                                    let r = *responder as usize;
+                                    let base = r * stride;
+                                    ws.untrusted.extend(
+                                        snap_ids[base..base + snap_len[r] as usize]
+                                            .iter()
+                                            .map(|&i| widen(i)),
+                                    );
+                                }
+                                PullEvent::Arena { start, len } => {
+                                    let (a, b) = (*start as usize, (*start + *len) as usize);
+                                    ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
+                                }
+                                PullEvent::ByzReplay { slot } => {
+                                    let mut rng = byz_rngs[*slot as usize].clone();
+                                    adversary.replay_pull_answer(
+                                        &mut rng,
+                                        &mut ws.idx,
+                                        &mut ws.reply,
+                                    );
+                                    ws.untrusted.extend_from_slice(&ws.reply);
                                 }
                             }
-                            let outcome = it.node.finish_round_streamed(
-                                &ws.pushed,
-                                &mut ws.untrusted,
-                                (e1 - e0) as u32,
-                                &mut ws.pulled,
-                                &mut ws.finish,
-                            );
-                            it.stat.evicted = outcome.evicted as u32;
-                            it.stat.flood = outcome.report.push_flood_detected;
-                            // Discovery counts an ID once it has *entered
-                            // the dynamic view* (matching the paper's
-                            // round counts; IDs merely seen in transit —
-                            // or evicted — do not count).
-                            let mut tally = ViewTally::default();
-                            for id in it.node.brahms().view().ids() {
-                                tally.see(id, byz, total, &mut it.disc);
-                            }
-                            tally.book(it.stat, &mut it.disc, &mut it.ring);
-                        });
+                        }
+                        let outcome = node.finish_round_streamed(
+                            &ws.pushed,
+                            &mut ws.untrusted,
+                            (e1 - e0) as u32,
+                            &mut ws.pulled,
+                            &mut ws.finish,
+                        );
+                        it.stat.evicted = outcome.evicted as u32;
+                        it.stat.flood = outcome.report.push_flood_detected;
                     }
-                    SegmentNodes::Ranked(nodes) => {
-                        let mut items: Vec<FinishItem<RankedNode>> = nodes
-                            .iter_mut()
-                            .zip(stats[start..start + seg.len].iter_mut())
-                            .zip(self.discovery.rows_mut().skip(start).take(seg.len))
-                            .zip(self.share_rings.rows_mut().skip(start).take(seg.len))
-                            .map(|(((node, stat), disc), ring)| FinishItem {
-                                node,
-                                stat,
-                                disc,
-                                ring,
-                            })
-                            .collect();
-                        rayon::par_for_each_mut(&mut items, |i, it| {
-                            let abs = byz + start + i;
-                            *it.stat = RoundStat::default();
-                            if !alive[abs] {
-                                return;
-                            }
-                            it.stat.participated = true;
-                            // Quarantine drain before finalisation: a
-                            // no-op while the waiting list is disabled
-                            // (plain BASALT, LIFT), live for the wlist
-                            // hybrid and for Honeybee, whose verified walk
-                            // endpoints pass the reachability probe here.
-                            it.node
-                                .drain_wlist(|id| alive.get(id.index()).copied().unwrap_or(false));
-                            it.stat.rotated = it.node.finish_round() as u32;
-                            let mut tally = ViewTally::default();
-                            it.node
-                                .for_each_sample(|id| tally.see(id, byz, total, &mut it.disc));
-                            tally.book(it.stat, &mut it.disc, &mut it.ring);
-                        });
+                    Node::Ranked(node) => {
+                        // Quarantine drain before finalisation: a no-op
+                        // while the waiting list is disabled (plain
+                        // BASALT, LIFT), live for the wlist hybrid and for
+                        // Honeybee, whose verified walk endpoints pass the
+                        // reachability probe here.
+                        node.drain_wlist(is_alive);
+                        it.stat.rotated = node.finish_round() as u32;
                     }
                 }
-            }
+                // Discovery counts an ID once it has *entered the view*
+                // (matching the paper's round counts; IDs merely seen in
+                // transit — or evicted — do not count).
+                let mut tally = ViewTally::default();
+                it.node
+                    .for_each_view_id(|id| tally.see(id, byz, total, &mut it.disc));
+                tally.book(it.stat, &mut it.disc, &mut it.ring);
+            });
         }
 
         // Fold (sequential, node-index order — float accumulation order
@@ -2462,213 +2366,148 @@ impl Simulation {
     /// identity: a dead peer's stale samples are recycled by seed
     /// rotation rather than an explicit removal.
     fn drop_link(&mut self, requester_ci: usize, target: NodeId, convicted: bool, s: &mut Scratch) {
-        let si = self.seg_of[requester_ci] as usize;
-        let local = requester_ci - self.segs[si].start;
-        match &mut self.population[si] {
-            SegmentNodes::Raptee(nodes) => {
-                let node = &mut nodes[local];
+        match &mut self.nodes[requester_ci] {
+            Node::Raptee(node) => {
                 node.brahms_mut().view_mut().remove(target);
                 node.forget_trusted_peer(target);
                 s.view_mutated[requester_ci] = true;
             }
-            SegmentNodes::Ranked(nodes) => {
+            Node::Ranked(node) => {
                 if convicted {
-                    nodes[local].quarantine(target);
+                    node.quarantine(target);
                 }
             }
         }
     }
 
-    /// One opened pull (see [`Simulation::open_pull`]) of a Raptee-family
-    /// requester: authentication, then the trusted swap or an untrusted
-    /// answer — deferred as a [`PullEvent`] instead of copying IDs.
-    /// Ranked-family responders' answers are always materialised
-    /// (their views mutate during the pull phase), and they treat the
-    /// incoming exchange as a contact.
-    fn raptee_pull(
-        &mut self,
-        requester_ci: usize,
-        target: NodeId,
-        gate: PullGate,
-        s: &mut Scratch,
-    ) {
+    /// One opened pull (see [`Simulation::open_pull`]) of requester `ci`,
+    /// whatever its family: authentication, then the answer. Three paths
+    /// copy no IDs: a Brahms-family requester replays a Byzantine answer
+    /// from an adversary-RNG snapshot and defers an untouched
+    /// Brahms-family responder's answer by reference to its plan-time
+    /// snapshot, and a RAPTEE trusted pair swaps view halves. Every
+    /// other answer is materialised into `s.reply` — at request time,
+    /// even when it lands in a later round — and handed to
+    /// [`Simulation::deliver`]. A ranked responder then books the
+    /// exchange: a trusted ranked pair's swap ranks the requester's
+    /// view back into it, and any other requester counts as a contact.
+    /// The Brahms protocol has no responder-side hook.
+    fn pull(&mut self, ci: usize, target: NodeId, gate: PullGate, s: &mut Scratch) {
         let byz = self.byz_count;
-        let requester_abs = byz + requester_ci;
+        let me = NodeId((byz + ci) as u64);
         let t = target.index();
+        let raptee_requester = !self.in_ranked_segment(ci);
+        let deferred = matches!(gate, PullGate::Deferred { .. });
         if t < byz {
             // Byzantine responders fail authentication (random keys) and
             // answer with exclusively Byzantine IDs. The coordinator RNG
             // must advance here, in event order.
-            if let PullGate::Deferred { round, held } = gate {
-                // The answer is drawn now but lands in a later round.
-                self.adversary.pull_answer_into(&mut s.reply);
-                self.net
-                    .queue_answer(round, held, requester_ci as u32, target, &s.reply);
-            } else {
+            if raptee_requester && !deferred {
                 // Only the draws happen here; the parallel apply phase
                 // regenerates the IDs from the pre-draw snapshot.
                 let slot = s.byz_rngs.len() as u32;
                 s.byz_rngs.push(self.adversary.rng_snapshot());
                 self.adversary.skip_pull_answer();
                 s.events.push(PullEvent::ByzReplay { slot });
+            } else {
+                self.adversary.pull_answer_into(&mut s.reply);
+                self.deliver(ci, target, false, gate, s);
             }
             return;
         }
         let tc = t - byz;
-        let target_ranked = self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some();
         // Effective trust: an expired attestation certificate fails the
         // freshness check even though the group keys still agree, so a
         // degraded pair's exchange falls back to the untrusted path.
-        let mut both_trusted = self.effective_trusted(requester_abs) && self.effective_trusted(t);
-        if self.scenario.real_crypto_handshakes && !target_ranked {
+        let mut trusted = self.effective_trusted(me.index()) && self.effective_trusted(t);
+        if self.scenario.real_crypto_handshakes {
             // The real four-message handshake instead of the role-based
             // shortcut; its nonces draw from both nodes' own RNGs.
-            let (a, b) = raptee_pair(
-                &mut self.population,
-                &self.segs,
-                &self.seg_of,
-                requester_ci,
-                tc,
-            );
+            let (Node::Raptee(a), Node::Raptee(b)) = two_nodes(&mut self.nodes, ci, tc) else {
+                unreachable!(
+                    "Scenario::validate: real_crypto_handshakes needs a uniform Brahms or RAPTEE run"
+                )
+            };
             let (oa, ob) = RapteeNode::run_handshake(a, b);
             debug_assert_eq!(oa, ob);
             debug_assert_eq!(
                 oa == AuthOutcome::Trusted,
-                self.trusted[requester_abs] && self.trusted[t]
+                self.trusted[me.index()] && self.trusted[t]
             );
-            both_trusted &= oa == AuthOutcome::Trusted;
+            trusted &= oa == AuthOutcome::Trusted;
         }
-        if both_trusted {
+        if trusted {
             // Trusted exchanges apply inline even when the gate deferred
             // the answer (the attested channel is synchronous); drop any
             // pending retransmit copies so they cannot double-deliver.
             self.net.drop_pending_copies();
         }
-        let seg_nodes = &mut self.population;
-        if !target_ranked {
-            if both_trusted && self.scenario.trusted_swap {
-                let (a, b) = raptee_pair(seg_nodes, &self.segs, &self.seg_of, requester_ci, tc);
-                RapteeNode::trusted_swap(a, b);
-                s.view_mutated[requester_ci] = true;
+        let target_ranked = self.in_ranked_segment(tc);
+        if raptee_requester && !target_ranked {
+            if trusted && self.scenario.trusted_swap {
+                let (a, b) = two_nodes(&mut self.nodes, ci, tc);
+                RapteeNode::trusted_swap(a.raptee_mut(), b.raptee_mut());
+                s.view_mutated[ci] = true;
                 s.view_mutated[tc] = true;
-            } else if both_trusted {
-                // The swap-disabled ablation: the pair still recognises
-                // each other, so the answer bypasses eviction, but no
-                // half-view exchange happens. Trusted answers are rare —
-                // record them immediately from the live view.
-                s.reply.clear();
-                let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                s.reply.extend(responder.brahms().view().ids());
-                raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
-                    .record_trusted_pull(&s.reply);
-            } else if let PullGate::Deferred { round, held } = gate {
-                // An untrusted answer crossing a round boundary:
-                // materialise the responder's view *now* (the answer
-                // reflects the state at request time) and deliver it in
-                // a later round.
-                s.reply.clear();
-                let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                s.reply.extend(responder.brahms().view().ids());
-                self.net
-                    .queue_answer(round, held, requester_ci as u32, target, &s.reply);
-            } else if !s.view_mutated[tc] {
+                return;
+            }
+            if !trusted && !deferred && !s.view_mutated[tc] {
                 // An untrusted answer is the responder's full view at
-                // this moment. While that is still exactly its post-plan
-                // snapshot, defer by reference; otherwise copy the live
-                // view into the answer arena.
+                // this moment, still exactly its post-plan snapshot.
                 s.events.push(PullEvent::Snapshot {
                     responder: tc as u32,
                 });
-            } else {
-                let start = s.arena.len() as u32;
-                let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                s.arena.extend(responder.brahms().view().ids().map(narrow));
-                let len = s.arena.len() as u32 - start;
-                s.events.push(PullEvent::Arena { start, len });
+                return;
             }
-        } else {
-            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).pull_answer_into(&mut s.reply);
-            if both_trusted {
-                // Cross-family mutual trust: no view-format-compatible
-                // swap exists, but the attested answer bypasses eviction.
-                raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
-                    .record_trusted_pull(&s.reply);
-            } else if let PullGate::Deferred { round, held } = gate {
-                self.net
-                    .queue_answer(round, held, requester_ci as u32, target, &s.reply);
-            } else {
-                let start = s.arena.len() as u32;
-                s.arena.extend(s.reply.iter().map(|&id| narrow(id)));
-                let len = s.arena.len() as u32 - start;
-                s.events.push(PullEvent::Arena { start, len });
-            }
-            self.note_contact(tc, NodeId(requester_abs as u64));
         }
-    }
-
-    /// One opened pull (see [`Simulation::open_pull`]) of a ranked-family
-    /// requester: the responder's distinct view flows back (through the
-    /// round's reusable reply buffer) and is ranked immediately, and a
-    /// ranked responder learns the requester (exchanges are
-    /// bidirectional contacts). The hybrid's trusted exchange is a
-    /// bidirectional full-view swap bypassing both waiting lists. A
-    /// Brahms-family responder answers with its dynamic view; the Brahms
-    /// protocol has no responder-side hook for an incoming exchange.
-    fn ranked_pull(
-        &mut self,
-        requester_ci: usize,
-        target: NodeId,
-        gate: PullGate,
-        s: &mut Scratch,
-    ) {
-        let byz = self.byz_count;
-        let requester_id = NodeId((byz + requester_ci) as u64);
-        let t = target.index();
-        let (target_ranked, both_trusted) = if t < byz {
-            // Byzantine responders answer with exclusively Byzantine IDs
-            // — rank-blind poison the ranked view absorbs.
-            self.adversary.pull_answer_into(&mut s.reply);
-            (false, false)
-        } else {
-            let tc = t - byz;
-            let target_ranked = self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some();
-            if target_ranked {
-                ranked_at(&mut self.population, &self.segs, &self.seg_of, tc)
-                    .pull_answer_into(&mut s.reply);
-            } else {
-                s.reply.clear();
-                let responder = raptee_at(&mut self.population, &self.segs, &self.seg_of, tc);
-                s.reply.extend(responder.brahms().view().ids());
-            }
-            let both_trusted =
-                self.effective_trusted(requester_id.index()) && self.effective_trusted(t);
-            (target_ranked, both_trusted)
-        };
-        if both_trusted {
-            // Trusted exchanges apply inline regardless of the gate —
-            // discard pending retransmit copies (see `raptee_pull`).
-            self.net.drop_pending_copies();
-        }
-        if let (PullGate::Deferred { round, held }, false) = (gate, both_trusted) {
-            // The answer reflects the responder's state at request time
-            // but ranks at the requester in a later round.
-            self.net
-                .queue_answer(round, held, requester_ci as u32, target, &s.reply);
-        } else {
-            self.rank_answer(requester_ci, target, &s.reply, both_trusted);
-        }
+        self.nodes[tc].answer_into(&mut s.reply);
+        self.deliver(ci, target, trusted, gate, s);
         // The request itself arrives synchronously (requests are tiny;
         // only answers carry enough state to matter across rounds), so
         // the responder's bookkeeping stays inline.
-        if target_ranked && both_trusted {
+        if target_ranked && trusted && !raptee_requester {
             // The swap's reverse half: the requester's attested distinct
             // view ranks into the responder, bypassing its waiting list.
-            ranked_at(&mut self.population, &self.segs, &self.seg_of, requester_ci)
-                .pull_answer_into(&mut s.observed);
-            self.rank_answer(t - byz, requester_id, &s.observed, true);
+            self.nodes[ci].answer_into(&mut s.observed);
+            self.rank_answer(tc, me, &s.observed, true);
         } else if target_ranked {
-            self.note_contact(t - byz, requester_id);
+            self.note_contact(tc, me);
         }
+    }
+
+    /// Hands the answer in `s.reply` from `from` to requester `ci`. An
+    /// untrusted answer the gate deferred is queued on the net for a
+    /// later round. Otherwise a ranked requester ranks it at once, a
+    /// trusted Brahms-family requester records it past eviction, and any
+    /// other answer becomes a pull event over the answer arena.
+    fn deliver(&mut self, ci: usize, from: NodeId, trusted: bool, gate: PullGate, s: &mut Scratch) {
+        if let (PullGate::Deferred { round, held }, false) = (gate, trusted) {
+            self.net
+                .queue_answer(round, held, ci as u32, from, &s.reply);
+            return;
+        }
+        if self.in_ranked_segment(ci) {
+            self.rank_answer(ci, from, &s.reply, trusted);
+        } else if trusted {
+            self.nodes[ci].raptee_mut().record_trusted_pull(&s.reply);
+        } else {
+            let start = s.arena.len() as u32;
+            s.arena.extend(s.reply.iter().map(|&id| narrow(id)));
+            s.events.push(PullEvent::Arena {
+                start,
+                len: s.reply.len() as u32,
+            });
+        }
+    }
+
+    /// Whether population index `ci` lies in a ranked-family segment,
+    /// read off the segment ranges: the exchange pass learns a family
+    /// without touching the node, which at large N is a cache miss per
+    /// pull for an answer it defers anyway.
+    fn in_ranked_segment(&self, ci: usize) -> bool {
+        self.segs.iter().any(|seg| {
+            seg.protocol.is_ranked_family() && (seg.start..seg.start + seg.len).contains(&ci)
+        })
     }
 
     /// Ranks a pull answer into ranked-family node `ci` — through the
@@ -2681,7 +2520,7 @@ impl Simulation {
     /// measure rotation pacing, not knowledge. A candidate that has been
     /// ranked against every slot has genuinely been discovered.
     fn rank_answer(&mut self, ci: usize, from: NodeId, ids: &[NodeId], trusted: bool) {
-        let node = ranked_at(&mut self.population, &self.segs, &self.seg_of, ci);
+        let node = self.nodes[ci].ranked_mut();
         if trusted {
             node.record_pull_answer_trusted(from, ids);
         } else {
@@ -2698,7 +2537,7 @@ impl Simulation {
     /// `requester` as a contact: the requester is ranked like a pushed
     /// ID and counts as discovered.
     fn note_contact(&mut self, ci: usize, requester: NodeId) {
-        ranked_at(&mut self.population, &self.segs, &self.seg_of, ci).record_push(requester);
+        self.nodes[ci].ranked_mut().record_push(requester);
         let (byz, total) = (self.byz_count, self.total_actors());
         note_discovered(&mut self.discovery, byz, total, ci, requester);
     }
@@ -3138,7 +2977,7 @@ mod tests {
             .find(|&id| sim.node(id).is_some() && sim.is_trusted(id))
             .expect("a trusted correct node");
         let ci = trusted.index() - sim.byz_count;
-        let node = raptee_at(&mut sim.population, &sim.segs, &sim.seg_of, ci);
+        let node = sim.nodes[ci].raptee_mut();
         if let Some(oldest) = node.directory().oldest() {
             node.forget_trusted_peer(oldest.id); // make room
         }
@@ -3147,6 +2986,32 @@ mod tests {
             .check_invariants()
             .expect_err("an untrusted directory entry");
         assert!(err.contains("not a provisioned trusted actor"), "{err}");
+    }
+
+    #[test]
+    fn ranked_nodes_are_checked_too() {
+        let mut sim = Simulation::new(half_mixed());
+        for _ in 0..5 {
+            sim.run_round();
+            assert_eq!(sim.check_invariants(), Ok(()));
+        }
+        // A BASALT node made to rank identities beyond the run is named.
+        let total = sim.total_actors();
+        let ci = sim.nodes.len() - 1;
+        let node = sim.nodes[ci].ranked_mut();
+        for stranger in total..total + 1_000 {
+            node.record_push(NodeId(stranger as u64));
+        }
+        let err = sim.check_invariants().expect_err("a sampled stranger");
+        assert!(err.contains("not an actor of this run"), "{err}");
+    }
+
+    #[test]
+    fn the_arena_costs_nothing_over_a_raptee_node() {
+        assert_eq!(
+            std::mem::size_of::<Node>(),
+            std::mem::size_of::<RapteeNode>()
+        );
     }
 
     #[test]

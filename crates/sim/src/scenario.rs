@@ -762,6 +762,14 @@ impl Scenario {
         ] {
             check((0.0..=1.0).contains(&v), name).or(format_args!("{name} must be in [0,1]"))?;
         }
+        // Actors are numbered by `u32` indices (`NodeIdx`) throughout the
+        // engine; a population that fits them but not in memory is an
+        // allocation failure, not a rule.
+        check(self.total_actors() <= u32::MAX as usize, "n").or(format_args!(
+            "{} actors do not fit u32 actor indices (at most {})",
+            self.total_actors(),
+            u32::MAX
+        ))?;
         check(
             self.byzantine_fraction + self.trusted_fraction <= 1.0 + 1e-9,
             "trusted_fraction",
@@ -1691,6 +1699,33 @@ mod tests {
         let err = s.validate().unwrap_err();
         assert_eq!(err.knob, "byzantine_fraction");
         assert_eq!(err.reason, "byzantine_fraction must be in [0,1]");
+    }
+
+    #[test]
+    fn actor_count_is_bounded_by_u32_indices() {
+        let at_limit = Scenario {
+            n: u32::MAX as usize,
+            ..Scenario::default()
+        };
+        at_limit.validate().unwrap();
+        for s in [
+            Scenario {
+                n: u32::MAX as usize + 1,
+                ..Scenario::default()
+            },
+            Scenario {
+                n: usize::MAX,
+                ..Scenario::default()
+            },
+            // Injected actors count too.
+            Scenario {
+                n: u32::MAX as usize,
+                injected_poisoned_fraction: 0.01,
+                ..Scenario::default()
+            },
+        ] {
+            assert_eq!(s.validate().unwrap_err().knob, "n", "n = {}", s.n);
+        }
     }
 
     #[test]

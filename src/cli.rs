@@ -3,8 +3,9 @@
 //! Dependency-free by design (no clap offline): a small hand-rolled
 //! `--key value` parser with typed accessors, unit-tested separately
 //! from I/O. The parser checks only what the library cannot know —
-//! syntax, flags that need `--network events`, `--rejoin` without a
-//! churn process, percent shares that miss 100 % — and leaves every
+//! syntax, option names [`USAGE`] does not list, flags that need
+//! `--network events`, `--rejoin` without a churn process, percent
+//! shares that miss 100 % — and leaves every
 //! range and consistency rule to [`Scenario::validate`], whose error
 //! comes back as [`CliError::Invalid`]. The binary prints any
 //! [`CliError`] as `error: …` and exits 2.
@@ -45,6 +46,8 @@ pub enum CliError {
     MissingValue(String),
     /// A positional argument appeared where an option was expected.
     UnexpectedArgument(String),
+    /// A `--key` that is not one of [`USAGE`]'s options.
+    UnknownOption(String),
     /// A value failed to parse for its option.
     BadValue {
         /// Option name.
@@ -64,6 +67,7 @@ impl std::fmt::Display for CliError {
             CliError::MissingCommand => write!(f, "missing subcommand (run|sweep|ident|inject)"),
             CliError::MissingValue(k) => write!(f, "option --{k} expects a value"),
             CliError::UnexpectedArgument(a) => write!(f, "unexpected argument {a:?}"),
+            CliError::UnknownOption(k) => write!(f, "unknown option --{k}"),
             CliError::BadValue { key, value } => {
                 write!(f, "invalid value {value:?} for --{key}")
             }
@@ -80,7 +84,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError`] when the grammar is violated.
+    /// Returns a [`CliError`] when the grammar is violated or an option
+    /// is not one [`USAGE`] lists.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, CliError> {
         let mut iter = raw.into_iter();
         let command = iter.next().ok_or(CliError::MissingCommand)?;
@@ -93,6 +98,9 @@ impl Args {
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::UnexpectedArgument(arg.clone()))?
                 .to_string();
+            if !is_usage_option(&key) {
+                return Err(CliError::UnknownOption(key));
+            }
             let value = iter
                 .next()
                 .ok_or_else(|| CliError::MissingValue(key.clone()))?;
@@ -580,6 +588,18 @@ impl Args {
     }
 }
 
+/// Whether `--name` appears as a word of [`USAGE`]: the help text is the
+/// parser's list of options, so the two cannot drift apart.
+fn is_usage_option(name: &str) -> bool {
+    let is_name_char = |c: char| c.is_ascii_alphanumeric() || c == '-';
+    !name.is_empty()
+        && USAGE.match_indices("--").any(|(at, _)| {
+            let rest = &USAGE[at + 2..];
+            rest.strip_prefix(name)
+                .is_some_and(|after| !after.starts_with(is_name_char))
+        })
+}
+
 fn bad_value(key: &str, value: impl Into<String>) -> CliError {
     CliError::BadValue {
         key: key.into(),
@@ -591,7 +611,7 @@ fn bad_value(key: &str, value: impl Into<String>) -> CliError {
 pub const USAGE: &str = "raptee-cli — drive the RAPTEE reproduction from the command line
 
 USAGE:
-    raptee-cli <run|sweep|ident|inject|help> [--key value]...
+    raptee-cli <run|sweep|ident|inject|help> [--<option> <value>]...
 
 COMMON OPTIONS:
     --n <usize>        population size            [default: 400]
@@ -886,10 +906,11 @@ mod tests {
         Args::parse(v.iter().map(|s| s.to_string()))
     }
 
-    /// The flag a `BadValue` or the scenario knob an `Invalid` names.
+    /// The flag a `BadValue` or `UnknownOption`, or the scenario knob an
+    /// `Invalid`, names.
     fn blamed(err: &CliError) -> &str {
         match err {
-            CliError::BadValue { key, .. } => key,
+            CliError::BadValue { key, .. } | CliError::UnknownOption(key) => key,
             CliError::Invalid(e) => e.knob,
             other => panic!("expected a value error, got {other:?}"),
         }
@@ -900,12 +921,20 @@ mod tests {
         blamed(&args(v).unwrap().scenario().unwrap_err()).to_string()
     }
 
-    /// Argument vectors that break a scenario rule (most of them once
-    /// panicked): each must come back as an error naming the right knob.
+    /// Argument vectors that break a scenario rule or name no option
+    /// (most of them once panicked or were silently ignored): each must
+    /// come back as an error naming the right knob or flag.
     #[test]
     fn invalid_argument_vectors_are_errors_not_panics() {
         for (argv, knob) in [
             (&["run", "--n", "1"][..], "n"),
+            (&["run", "--n", "18446744073709551615"], "n"),
+            (
+                &["run", "--n", "60", "--rounds", "10", "--veiw", "8"],
+                "veiw",
+            ),
+            (&["run", "--key", "8"], "key"),
+            (&["run", "--rot", "8"], "rot"),
             (&["run", "--f", "1.5"], "byzantine_fraction"),
             (&["run", "--view", "0"], "view_size"),
             (&["run", "--rounds", "0"], "rounds"),
@@ -942,7 +971,7 @@ mod tests {
                 "population",
             ),
         ] {
-            let err = std::panic::catch_unwind(|| execute(&args(argv).unwrap()))
+            let err = std::panic::catch_unwind(|| args(argv).and_then(|a| execute(&a)))
                 .unwrap_or_else(|_| panic!("{argv:?} panicked"))
                 .expect_err(&format!("{argv:?} must be rejected"));
             assert_eq!(blamed(&err), knob, "{argv:?}: {err}");
