@@ -106,15 +106,23 @@ impl Scale {
         }
     }
 
-    /// A scenario template at this scale.
+    /// A scenario template at this scale. The `paper` profile is
+    /// [`Scenario::paper_scale`], the published setup down to its
+    /// paper-literal flood threshold; the others start from
+    /// [`Scenario::default`].
     pub fn scenario(&self) -> Scenario {
+        let base = if self.name == "paper" {
+            Scenario::paper_scale()
+        } else {
+            Scenario::default()
+        };
         Scenario {
             n: self.n,
             view_size: self.view,
             sample_size: self.view,
             rounds: self.rounds,
             tail_window: (self.rounds / 10).max(5),
-            ..Scenario::default()
+            ..base
         }
     }
 }
@@ -246,4 +254,22 @@ pub fn describe(result: &AggregatedResult) -> String {
             .stability_round
             .map_or_else(|| "-".to_string(), |r| format!("{r:.0}")),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_paper_profile_is_the_published_setup() {
+        let paper = Scale::named("paper").expect("paper profile exists");
+        assert_eq!(paper.scenario(), Scenario::paper_scale());
+        assert_eq!(paper.scenario().flood_slack_sigmas, 0.0);
+        // The reduced profiles keep the reduced-scale flood slack.
+        let small = Scale::named("small").expect("small profile exists");
+        assert_eq!(
+            small.scenario().flood_slack_sigmas,
+            Scenario::default().flood_slack_sigmas
+        );
+    }
 }

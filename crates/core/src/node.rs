@@ -457,30 +457,41 @@ impl RapteeNode {
     /// and the trusted-swap IDs to Brahms, and runs the Brahms round
     /// finalisation.
     pub fn finish_round(&mut self) -> RapteeRoundOutcome {
-        let rate = self.round_eviction_rate(self.contacts_total);
-        self.last_eviction_rate = rate;
-
-        let before = self.pulled_untrusted.len();
-        if rate > 0.0 {
-            // In-place Bernoulli filter; expected surviving share 1-rate.
-            // `retain` visits elements in insertion order, so the RNG
-            // draw sequence matches the historical drain-and-filter.
-            let rng = self.brahms.rng_mut();
-            self.pulled_untrusted.retain(|_| !rng.chance(rate));
-        }
-        let evicted = before - self.pulled_untrusted.len();
-        let admitted = self.pulled_untrusted.len() + self.pulled_trusted.len();
-
-        self.brahms.record_pulled(&self.pulled_untrusted);
+        let mut untrusted = std::mem::take(&mut self.pulled_untrusted);
+        let outcome = self.evict(&mut untrusted, self.contacts_total);
+        self.brahms.record_pulled(&untrusted);
         self.brahms.record_pulled(&self.pulled_trusted);
-        self.pulled_untrusted.clear();
+        untrusted.clear();
+        self.pulled_untrusted = untrusted;
         self.pulled_trusted.clear();
-        let report = self.brahms.finish_round();
-        RapteeRoundOutcome {
+        outcome(self.brahms.finish_round())
+    }
+
+    /// Byzantine eviction over this round's untrusted pull stream: the
+    /// rate follows from the contact mix over `contacts_total` contacts,
+    /// and each ID survives an in-place Bernoulli draw with probability
+    /// 1 − rate. `retain` visits the IDs in delivery order, so the RNG
+    /// draw sequence is fixed. Books `last_eviction_rate` and returns the
+    /// round's outcome, waiting for Brahms' report.
+    fn evict(
+        &mut self,
+        untrusted: &mut Vec<NodeId>,
+        contacts_total: u32,
+    ) -> impl FnOnce(RoundReport) -> RapteeRoundOutcome {
+        let rate = self.round_eviction_rate(contacts_total);
+        self.last_eviction_rate = rate;
+        let before = untrusted.len();
+        if rate > 0.0 {
+            let rng = self.brahms.rng_mut();
+            untrusted.retain(|_| !rng.chance(rate));
+        }
+        let evicted = before - untrusted.len();
+        let admitted_pulled = untrusted.len() + self.pulled_trusted.len();
+        move |report| RapteeRoundOutcome {
             report,
             eviction_rate: rate,
             evicted,
-            admitted_pulled: admitted,
+            admitted_pulled,
         }
     }
 
@@ -517,19 +528,7 @@ impl RapteeNode {
             self.pulled_untrusted.is_empty(),
             "record_untrusted_pull and finish_round_streamed are mutually exclusive in a round"
         );
-        let rate = self.round_eviction_rate(self.contacts_total + untrusted_contacts);
-        self.last_eviction_rate = rate;
-
-        let before = untrusted_pulled.len();
-        if rate > 0.0 {
-            // In-place Bernoulli filter, element order = delivery order,
-            // so the draw sequence matches the buffered path.
-            let rng = self.brahms.rng_mut();
-            untrusted_pulled.retain(|_| !rng.chance(rate));
-        }
-        let evicted = before - untrusted_pulled.len();
-        let admitted = untrusted_pulled.len() + self.pulled_trusted.len();
-
+        let outcome = self.evict(untrusted_pulled, self.contacts_total + untrusted_contacts);
         // `record_pulled` semantics: untrusted survivors first, then the
         // trusted-swap IDs, both minus this node's own ID.
         let id = self.id();
@@ -537,16 +536,10 @@ impl RapteeNode {
         pulled_scratch.extend(untrusted_pulled.iter().copied().filter(|&i| i != id));
         pulled_scratch.extend(self.pulled_trusted.iter().copied().filter(|&i| i != id));
         self.pulled_trusted.clear();
-
-        let report = self
-            .brahms
-            .finish_round_with(pushed, pulled_scratch, scratch);
-        RapteeRoundOutcome {
-            report,
-            eviction_rate: rate,
-            evicted,
-            admitted_pulled: admitted,
-        }
+        outcome(
+            self.brahms
+                .finish_round_with(pushed, pulled_scratch, scratch),
+        )
     }
 }
 

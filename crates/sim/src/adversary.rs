@@ -20,6 +20,7 @@
 //!   the engine: genuine enclaves bootstrapped inside a Byzantine-only
 //!   network so their initial views are fully poisoned.
 
+use crate::scenario::AttackStrategy;
 use raptee_net::NodeId;
 use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 
@@ -97,27 +98,54 @@ impl Adversary {
         &self.byzantine_ids
     }
 
-    /// Plans this round's balanced push attack: returns
-    /// `(victim, advertised Byzantine ID)` pairs. `budget` is the
+    /// Plans one segment's share of this round's pushes into `plan`
+    /// (cleared first): the one place that picks a planner for an attack
+    /// strategy and a victim family. Against Brahms-family victims
+    /// `Balanced` and `Targeted` advertise random Byzantine IDs. Against
+    /// a ranked segment every play advertises distinct identities
+    /// round-robin, because repeating an ID buys nothing against a
+    /// min-rank view — so there `Balanced` *is* `ForcePush`: the same
+    /// plan, the same draws. `Targeted` focuses a `focus` share of the
+    /// budget on the first `victim_fraction` of `victims` (deterministic
+    /// per scenario; the adversary knows the membership).
+    pub(crate) fn plan_attack(
+        &mut self,
+        attack: AttackStrategy,
+        ranked: bool,
+        victims: &[NodeId],
+        budget: usize,
+        plan: &mut PushPlan,
+    ) {
+        match attack {
+            AttackStrategy::Balanced if !ranked => {
+                self.plan_balanced_pushes_into(victims, budget, plan);
+            }
+            AttackStrategy::Balanced | AttackStrategy::ForcePush => {
+                self.plan_force_pushes_into(victims, budget, plan);
+            }
+            AttackStrategy::Targeted {
+                victim_fraction,
+                focus,
+            } => {
+                let k = ((victims.len() as f64) * victim_fraction).round() as usize;
+                let targets = &victims[..k.min(victims.len())];
+                if ranked {
+                    self.plan_targeted_force_pushes_into(victims, targets, budget, focus, plan);
+                } else {
+                    self.plan_targeted_pushes_into(victims, targets, budget, focus, plan);
+                }
+            }
+        }
+    }
+
+    /// Plans this round's balanced push attack into `plan` (cleared
+    /// first): `(victim, advertised Byzantine ID)` pairs. `budget` is the
     /// adversary's lawful total (`B · α·l1`, enforced upstream by the
     /// rate limiter); `victims` are the correct nodes.
     ///
     /// Pushes are spread evenly: every victim receives
     /// `⌊budget / |victims|⌋`, and the remainder goes to a random subset
     /// — the "evenly balanced push messages" of the paper.
-    pub fn plan_balanced_pushes(
-        &mut self,
-        victims: &[NodeId],
-        budget: usize,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut plan = Vec::new();
-        self.plan_balanced_pushes_into(victims, budget, &mut plan);
-        plan
-    }
-
-    /// [`Adversary::plan_balanced_pushes`] into a caller-owned plan
-    /// buffer (cleared first) — the engine reuses one buffer per round.
-    /// The RNG draw sequence is identical to the allocating variant.
     pub fn plan_balanced_pushes_into(
         &mut self,
         victims: &[NodeId],
@@ -125,21 +153,30 @@ impl Adversary {
         plan: &mut PushPlan,
     ) {
         plan.clear();
-        self.balanced_pushes_append(victims, budget, plan);
+        self.spread_append(victims, budget, Self::random_byz_id, plan);
     }
 
-    /// The shared appending body of the balanced planner (also reused by
-    /// the focused share of the targeted attack).
-    fn balanced_pushes_append(&mut self, victims: &[NodeId], budget: usize, plan: &mut PushPlan) {
+    /// Appends `budget` pushes spread evenly over `victims` — each gets
+    /// `⌊budget / |victims|⌋`, a random subset one more — every push
+    /// advertising the identity `pick` chooses. The body of both spread
+    /// planners and of both shares of the targeted ones; it reserves
+    /// exactly `budget`.
+    fn spread_append(
+        &mut self,
+        victims: &[NodeId],
+        budget: usize,
+        pick: fn(&mut Self) -> NodeId,
+        plan: &mut PushPlan,
+    ) {
         if victims.is_empty() || self.byzantine_ids.is_empty() || budget == 0 {
             return;
         }
         let base = budget / victims.len();
         let remainder = budget % victims.len();
-        plan.reserve(budget.min(victims.len() * (base + 1)));
+        plan.reserve(budget);
         for &v in victims {
             for _ in 0..base {
-                plan.push((v, self.random_byz_id()));
+                plan.push((v, pick(self)));
             }
         }
         let Self {
@@ -151,23 +188,15 @@ impl Adversary {
         rng.sample_into(victims, remainder, idx_scratch, extra_scratch);
         for i in 0..self.extra_scratch.len() {
             let v = self.extra_scratch[i];
-            plan.push((v, self.random_byz_id()));
+            plan.push((v, pick(self)));
         }
     }
 
-    /// Answers a pull request: a full view of exclusively Byzantine IDs
-    /// (distinct when enough identities exist). When poisoned trusted
-    /// nodes have been injected, one answer in four carries a single
-    /// injected ID in place of a Byzantine one — enough for discovery,
-    /// negligible dilution.
-    pub fn pull_answer(&mut self) -> Vec<NodeId> {
-        let mut answer = Vec::new();
-        self.pull_answer_into(&mut answer);
-        answer
-    }
-
-    /// [`Adversary::pull_answer`] into a caller-owned buffer (cleared
-    /// first); identical RNG draw sequence.
+    /// Answers a pull request into `out` (cleared first): a full view of
+    /// exclusively Byzantine IDs (distinct when enough identities
+    /// exist). When poisoned trusted nodes have been injected, one answer
+    /// in four carries a single injected ID in place of a Byzantine one —
+    /// enough for discovery, negligible dilution.
     pub fn pull_answer_into(&mut self, out: &mut Vec<NodeId>) {
         let Self {
             rng,
@@ -284,24 +313,9 @@ impl Adversary {
     }
 
     /// Plans a *targeted* attack (the strategy Brahms' history sampling
-    /// is designed to defeat): a fraction of the budget floods a small
-    /// victim set, the rest stays balanced over everyone. Returns
-    /// `(victim, advertised ID)` pairs like
-    /// [`Adversary::plan_balanced_pushes`].
-    pub fn plan_targeted_pushes(
-        &mut self,
-        all_victims: &[NodeId],
-        targets: &[NodeId],
-        budget: usize,
-        focus: f64,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut plan = Vec::new();
-        self.plan_targeted_pushes_into(all_victims, targets, budget, focus, &mut plan);
-        plan
-    }
-
-    /// [`Adversary::plan_targeted_pushes`] into a caller-owned plan
-    /// buffer (cleared first); identical RNG draw sequence.
+    /// is designed to defeat) into `plan` (cleared first): a `focus`
+    /// share of the budget floods the small victim set `targets`, the
+    /// rest stays balanced over everyone.
     pub fn plan_targeted_pushes_into(
         &mut self,
         all_victims: &[NodeId],
@@ -315,21 +329,21 @@ impl Adversary {
             targets,
             budget,
             focus,
-            Self::balanced_pushes_append,
+            Self::random_byz_id,
             plan,
         );
     }
 
     /// Shared focus-splitting for the targeted attack variants: a `focus`
-    /// share of the budget goes to `targets` through `planner`, the rest
-    /// stays spread over everyone.
+    /// share of the budget goes to `targets`, the rest stays spread over
+    /// everyone, every push advertising the identity `pick` chooses.
     fn plan_with_focus(
         &mut self,
         all_victims: &[NodeId],
         targets: &[NodeId],
         budget: usize,
         focus: f64,
-        planner: fn(&mut Self, &[NodeId], usize, &mut PushPlan),
+        pick: fn(&mut Self) -> NodeId,
         plan: &mut PushPlan,
     ) {
         plan.clear();
@@ -338,33 +352,21 @@ impl Adversary {
         }
         let focused_budget = (budget as f64 * focus.clamp(0.0, 1.0)).round() as usize;
         if !targets.is_empty() {
-            planner(self, targets, focused_budget, plan);
+            self.spread_append(targets, focused_budget, pick, plan);
         }
         let spent = plan.len();
-        planner(self, all_victims, budget - spent, plan);
+        self.spread_append(all_victims, budget - spent, pick, plan);
     }
 
     /// Plans the *force-push* attack against BASALT's ranked hit-counter
-    /// views: the lawful budget is still spread evenly over the victims
-    /// (rate limiting makes concentration pointless), but every push
-    /// advertises the **next distinct Byzantine identity round-robin**
-    /// instead of a random draw. Against a min-rank view, repeating an ID
-    /// buys nothing — the adversary's best play is maximal *coverage*, so
-    /// that every slot where some Byzantine ID happens to rank closest is
-    /// found as quickly as possible. Returns `(victim, advertised)` pairs
-    /// like [`Adversary::plan_balanced_pushes`].
-    pub fn plan_force_pushes(
-        &mut self,
-        victims: &[NodeId],
-        budget: usize,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut plan = Vec::new();
-        self.plan_force_pushes_into(victims, budget, &mut plan);
-        plan
-    }
-
-    /// [`Adversary::plan_force_pushes`] into a caller-owned plan buffer
-    /// (cleared first); identical RNG draw sequence.
+    /// views into `plan` (cleared first): the lawful budget is still
+    /// spread evenly over the victims (rate limiting makes concentration
+    /// pointless), but every push advertises the **next distinct
+    /// Byzantine identity round-robin** instead of a random draw. Against
+    /// a min-rank view, repeating an ID buys nothing — the adversary's
+    /// best play is maximal *coverage*, so that every slot where some
+    /// Byzantine ID happens to rank closest is found as quickly as
+    /// possible.
     pub fn plan_force_pushes_into(
         &mut self,
         victims: &[NodeId],
@@ -372,33 +374,7 @@ impl Adversary {
         plan: &mut PushPlan,
     ) {
         plan.clear();
-        self.force_pushes_append(victims, budget, plan);
-    }
-
-    /// The shared appending body of the force-push planner.
-    fn force_pushes_append(&mut self, victims: &[NodeId], budget: usize, plan: &mut PushPlan) {
-        if victims.is_empty() || self.byzantine_ids.is_empty() || budget == 0 {
-            return;
-        }
-        let base = budget / victims.len();
-        let remainder = budget % victims.len();
-        plan.reserve(budget);
-        for &v in victims {
-            for _ in 0..base {
-                plan.push((v, self.next_force_id()));
-            }
-        }
-        let Self {
-            rng,
-            idx_scratch,
-            extra_scratch,
-            ..
-        } = self;
-        rng.sample_into(victims, remainder, idx_scratch, extra_scratch);
-        for i in 0..self.extra_scratch.len() {
-            let v = self.extra_scratch[i];
-            plan.push((v, self.next_force_id()));
-        }
+        self.spread_append(victims, budget, Self::next_force_id, plan);
     }
 
     fn next_force_id(&mut self) -> NodeId {
@@ -408,25 +384,10 @@ impl Adversary {
     }
 
     /// The *targeted* force-push attack: like
-    /// [`Adversary::plan_targeted_pushes`], a `focus` share of the budget
-    /// floods the victim subset, the rest stays balanced — but every push
-    /// advertises distinct Byzantine identities round-robin, the only
-    /// lever that matters against a ranked view. Returns
-    /// `(victim, advertised)` pairs.
-    pub fn plan_targeted_force_pushes(
-        &mut self,
-        all_victims: &[NodeId],
-        targets: &[NodeId],
-        budget: usize,
-        focus: f64,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut plan = Vec::new();
-        self.plan_targeted_force_pushes_into(all_victims, targets, budget, focus, &mut plan);
-        plan
-    }
-
-    /// [`Adversary::plan_targeted_force_pushes`] into a caller-owned plan
-    /// buffer (cleared first); identical RNG draw sequence.
+    /// [`Adversary::plan_targeted_pushes_into`], a `focus` share of the
+    /// budget floods the victim subset, the rest stays balanced — but
+    /// every push advertises distinct Byzantine identities round-robin,
+    /// the only lever that matters against a ranked view.
     pub fn plan_targeted_force_pushes_into(
         &mut self,
         all_victims: &[NodeId],
@@ -440,21 +401,14 @@ impl Adversary {
             targets,
             budget,
             focus,
-            Self::force_pushes_append,
+            Self::next_force_id,
             plan,
         );
     }
 
     /// Picks `k` observation targets uniformly among `candidates` (the
-    /// Byzantine nodes' own pull requests for the identification attack).
-    pub fn observation_targets(&mut self, candidates: &[NodeId], k: usize) -> Vec<NodeId> {
-        let mut targets = Vec::new();
-        self.observation_targets_into(candidates, k, &mut targets);
-        targets
-    }
-
-    /// [`Adversary::observation_targets`] into a caller-owned buffer
-    /// (cleared first); identical RNG draw sequence.
+    /// Byzantine nodes' own pull requests for the identification attack)
+    /// into `out` (cleared first).
     pub fn observation_targets_into(
         &mut self,
         candidates: &[NodeId],
@@ -499,6 +453,21 @@ impl Adversary {
     }
 }
 
+/// The candidate attacks the adaptive adversary's bandit arbitrates
+/// between, per segment: the Brahms-optimal balanced spread, the
+/// ranked-family coverage play, and a focused isolation attempt. The
+/// targeted parameters match the `ablation_gamma` study's setting.
+/// Against a ranked segment the first two are one play (see
+/// [`Adversary::plan_attack`]).
+const ADAPTIVE_STRATEGIES: [AttackStrategy; 3] = [
+    AttackStrategy::Balanced,
+    AttackStrategy::ForcePush,
+    AttackStrategy::Targeted {
+        victim_fraction: 0.1,
+        focus: 0.75,
+    },
+];
+
 /// One arm's running statistics in the [`AdaptiveCoordinator`].
 #[derive(Debug, Clone, Copy, Default)]
 struct ArmStats {
@@ -534,6 +503,20 @@ impl AdaptiveCoordinator {
             arms: vec![ArmStats::default(); arm_count],
             rounds: 0,
         }
+    }
+
+    /// The coordinator of `AdversaryMode::Adaptive` over a population of
+    /// `segments` segments: one arm per (segment, candidate strategy)
+    /// pair.
+    pub(crate) fn for_segments(segments: usize) -> Self {
+        Self::new(segments * ADAPTIVE_STRATEGIES.len())
+    }
+
+    /// The play arm `arm` of [`AdaptiveCoordinator::for_segments`] stands
+    /// for: the segment it aims the whole budget at, and the strategy.
+    pub(crate) fn play(arm: usize) -> (usize, AttackStrategy) {
+        let n = ADAPTIVE_STRATEGIES.len();
+        (arm / n, ADAPTIVE_STRATEGIES[arm % n])
     }
 
     /// Number of arms.
@@ -611,12 +594,26 @@ mod tests {
         Adversary::new((0..byz).map(NodeId).collect(), total, 10, 7)
     }
 
+    /// The plan one `_into` planner writes into a fresh buffer.
+    fn planned(plan: impl FnOnce(&mut PushPlan)) -> PushPlan {
+        let mut out = Vec::new();
+        plan(&mut out);
+        out
+    }
+
+    /// One pull answer into a fresh buffer.
+    fn answer(a: &mut Adversary) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        a.pull_answer_into(&mut out);
+        out
+    }
+
     #[test]
     fn balanced_pushes_are_even_and_within_budget() {
         let mut a = adversary(20, 100);
         let victims: Vec<NodeId> = (20..100).map(NodeId).collect();
         let budget = 20 * 4; // B·α·l1 with α·l1 = 4
-        let plan = a.plan_balanced_pushes(&victims, budget);
+        let plan = planned(|p| a.plan_balanced_pushes_into(&victims, budget, p));
         assert_eq!(plan.len(), budget);
         // Per-victim counts differ by at most one.
         let mut counts = vec![0usize; 100];
@@ -633,16 +630,16 @@ mod tests {
     #[test]
     fn push_plan_edge_cases() {
         let mut a = adversary(5, 10);
-        assert!(a.plan_balanced_pushes(&[], 10).is_empty());
-        assert!(a.plan_balanced_pushes(&[NodeId(9)], 0).is_empty());
+        assert!(planned(|p| a.plan_balanced_pushes_into(&[], 10, p)).is_empty());
+        assert!(planned(|p| a.plan_balanced_pushes_into(&[NodeId(9)], 0, p)).is_empty());
         let mut empty = Adversary::new(vec![], 10, 10, 1);
-        assert!(empty.plan_balanced_pushes(&[NodeId(9)], 10).is_empty());
+        assert!(planned(|p| empty.plan_balanced_pushes_into(&[NodeId(9)], 10, p)).is_empty());
     }
 
     #[test]
     fn pull_answers_are_fully_byzantine_and_distinct() {
         let mut a = adversary(50, 100);
-        let ans = a.pull_answer();
+        let ans = answer(&mut a);
         assert_eq!(ans.len(), 10);
         assert!(ans.iter().all(|id| id.0 < 50));
         let mut dedup = ans.clone();
@@ -654,7 +651,7 @@ mod tests {
     #[test]
     fn pull_answer_with_few_identities() {
         let mut a = adversary(3, 100);
-        let ans = a.pull_answer();
+        let ans = answer(&mut a);
         assert_eq!(ans.len(), 3, "cannot exceed the identity pool");
     }
 
@@ -696,7 +693,8 @@ mod tests {
     fn observation_targets_sampled_from_candidates() {
         let mut a = adversary(10, 100);
         let candidates: Vec<NodeId> = (10..100).map(NodeId).collect();
-        let targets = a.observation_targets(&candidates, 5);
+        let mut targets = Vec::new();
+        a.observation_targets_into(&candidates, 5, &mut targets);
         assert_eq!(targets.len(), 5);
         assert!(targets.iter().all(|t| t.0 >= 10));
     }
@@ -707,7 +705,7 @@ mod tests {
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
         let targets: Vec<NodeId> = (20..29).map(NodeId).collect();
         let budget = 80;
-        let plan = a.plan_targeted_pushes(&all, &targets, budget, 0.75);
+        let plan = planned(|p| a.plan_targeted_pushes_into(&all, &targets, budget, 0.75, p));
         assert_eq!(plan.len(), budget);
         let focused = plan.iter().filter(|(v, _)| targets.contains(v)).count();
         // 75% of the budget goes to the 9 victims (they also receive a
@@ -722,10 +720,10 @@ mod tests {
     fn targeted_plan_degenerates_to_balanced() {
         let mut a = adversary(20, 200);
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
-        let plan = a.plan_targeted_pushes(&all, &[], 40, 0.9);
+        let plan = planned(|p| a.plan_targeted_pushes_into(&all, &[], 40, 0.9, p));
         assert_eq!(plan.len(), 40, "empty target set falls back to balanced");
         let mut b = adversary(20, 200);
-        assert!(b.plan_targeted_pushes(&all, &all[..2], 0, 0.9).is_empty());
+        assert!(planned(|p| b.plan_targeted_pushes_into(&all, &all[..2], 0, 0.9, p)).is_empty());
     }
 
     #[test]
@@ -735,7 +733,7 @@ mod tests {
         let mut injected_slots = 0usize;
         let mut total_slots = 0usize;
         for _ in 0..200 {
-            let ans = a.pull_answer();
+            let ans = answer(&mut a);
             assert!(ans.iter().all(|id| id.0 < 5 || id.0 >= 90));
             injected_slots += ans.iter().filter(|id| id.0 >= 90).count();
             total_slots += ans.len();
@@ -753,7 +751,7 @@ mod tests {
         let mut a = adversary(20, 100);
         let victims: Vec<NodeId> = (20..100).map(NodeId).collect();
         let budget = 20 * 4;
-        let plan = a.plan_force_pushes(&victims, budget);
+        let plan = planned(|p| a.plan_force_pushes_into(&victims, budget, p));
         assert_eq!(plan.len(), budget);
         // Every Byzantine identity is advertised (budget ≥ identities),
         // and the per-victim spread stays balanced.
@@ -780,7 +778,7 @@ mod tests {
         let victims = [NodeId(10)];
         let mut seen: Vec<u64> = Vec::new();
         for _ in 0..4 {
-            for (_, id) in a.plan_force_pushes(&victims, 2) {
+            for (_, id) in planned(|p| a.plan_force_pushes_into(&victims, 2, p)) {
                 seen.push(id.0);
             }
         }
@@ -795,7 +793,7 @@ mod tests {
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
         let targets: Vec<NodeId> = (20..29).map(NodeId).collect();
         let budget = 80;
-        let plan = a.plan_targeted_force_pushes(&all, &targets, budget, 0.75);
+        let plan = planned(|p| a.plan_targeted_force_pushes_into(&all, &targets, budget, 0.75, p));
         assert_eq!(plan.len(), budget);
         let focused = plan.iter().filter(|(v, _)| targets.contains(v)).count();
         assert!(
@@ -812,19 +810,22 @@ mod tests {
         victim_ids.dedup();
         assert_eq!(victim_ids.len(), 20, "victims see the full identity pool");
         // Degenerate forms.
-        assert_eq!(a.plan_targeted_force_pushes(&all, &[], 40, 0.9).len(), 40);
-        assert!(a
-            .plan_targeted_force_pushes(&all, &targets, 0, 0.9)
-            .is_empty());
+        assert_eq!(
+            planned(|p| a.plan_targeted_force_pushes_into(&all, &[], 40, 0.9, p)).len(),
+            40
+        );
+        assert!(
+            planned(|p| a.plan_targeted_force_pushes_into(&all, &targets, 0, 0.9, p)).is_empty()
+        );
     }
 
     #[test]
     fn force_push_edge_cases() {
         let mut a = adversary(5, 10);
-        assert!(a.plan_force_pushes(&[], 10).is_empty());
-        assert!(a.plan_force_pushes(&[NodeId(9)], 0).is_empty());
+        assert!(planned(|p| a.plan_force_pushes_into(&[], 10, p)).is_empty());
+        assert!(planned(|p| a.plan_force_pushes_into(&[NodeId(9)], 0, p)).is_empty());
         let mut empty = Adversary::new(vec![], 10, 10, 1);
-        assert!(empty.plan_force_pushes(&[NodeId(9)], 10).is_empty());
+        assert!(planned(|p| empty.plan_force_pushes_into(&[NodeId(9)], 10, p)).is_empty());
     }
 
     #[test]
@@ -834,7 +835,7 @@ mod tests {
         let (mut idx, mut out) = (IndexScratch::default(), Vec::new());
         for _ in 0..100 {
             let mut snap = a.rng_snapshot();
-            let original = a.pull_answer();
+            let original = answer(&mut a);
             a.replay_pull_answer(&mut snap, &mut idx, &mut out);
             assert_eq!(out, original, "replay must be bit-identical");
         }
@@ -867,6 +868,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn force_push_is_the_balanced_play_against_a_ranked_segment() {
+        // Two rounds each, so the force rotor's state shows in the second
+        // plan; 83 pushes over 80 victims leave a remainder to draw.
+        let victims: Vec<NodeId> = (20..100).map(NodeId).collect();
+        let play = |attack, ranked| {
+            let mut a = adversary(20, 100);
+            let plans: Vec<PushPlan> = (0..2)
+                .map(|_| planned(|p| a.plan_attack(attack, ranked, &victims, 83, p)))
+                .collect();
+            (plans, a.rng_snapshot())
+        };
+        let (balanced, force) = (AttackStrategy::Balanced, AttackStrategy::ForcePush);
+        assert_eq!(
+            play(balanced, true),
+            play(force, true),
+            "ranked: one plan, one RNG state"
+        );
+        let (brahms_balanced, brahms_force) = (play(balanced, false), play(force, false));
+        assert_ne!(
+            brahms_balanced.0, brahms_force.0,
+            "Brahms: random vs rotor IDs"
+        );
+        assert_ne!(
+            brahms_balanced.1, brahms_force.1,
+            "Brahms: the random IDs cost draws"
+        );
     }
 
     #[test]

@@ -1,0 +1,428 @@
+//! The round's flat storage: per-simulation scratch arenas, per-worker
+//! arenas, the per-node lanes the parallel phases shard over, and the
+//! index helpers every phase shares. Nothing here decides protocol
+//! behaviour; it only holds what the phases write and read.
+
+use super::population::Node;
+use crate::adversary::PushPlan;
+use crate::bitset::DiscoveryLane;
+use raptee_basalt::BasaltPlan;
+use raptee_brahms::{FinishScratch, RoundPlan};
+use raptee_net::{NodeId, NodeIdx};
+use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
+
+/// Rounds of per-node share smoothing for the spread-stability check.
+pub(super) const SMOOTHING_WINDOW: usize = 10;
+
+/// One deferred pull answer, recorded by the sequential exchange pass
+/// and consumed by the parallel apply phase.
+pub(super) enum PullEvent {
+    /// The responder's view had not mutated yet at pull time: the answer
+    /// is the responder's row of the post-plan view-snapshot arena.
+    Snapshot {
+        /// Dense population index of the responder.
+        responder: u32,
+    },
+    /// The responder's view had already mutated (trusted swap or churn
+    /// removal): the answer was copied into the answer arena.
+    Arena {
+        /// Start offset in the answer arena.
+        start: u32,
+        /// Number of IDs.
+        len: u32,
+    },
+    /// A Byzantine answer: regenerate it from a snapshot of the
+    /// adversary's RNG (see
+    /// [`Adversary::replay_pull_answer`](crate::adversary::Adversary::replay_pull_answer)),
+    /// kept beside the events so each event stays 12 bytes.
+    ByzReplay {
+        /// Index into `Scratch::byz_rngs` of the coordinator RNG state
+        /// just before the answer was drawn.
+        slot: u32,
+    },
+}
+
+/// Per-node round outcome slot, written by the parallel apply phase and
+/// folded sequentially in node-index order.
+#[derive(Debug, Clone, Default)]
+pub(super) struct RoundStat {
+    /// Whether the node was alive and finalised this round.
+    pub(super) participated: bool,
+    /// IDs evicted by the Byzantine-eviction filter (RAPTEE).
+    pub(super) evicted: u32,
+    /// Whether the push-flood detector fired (Brahms/RAPTEE).
+    pub(super) flood: bool,
+    /// Seed rotations performed (BASALT).
+    pub(super) rotated: u32,
+    /// Whether the view was non-empty (a pollution share exists).
+    pub(super) has_share: bool,
+    /// This round's raw Byzantine view share.
+    pub(super) share: f64,
+    /// The share smoothed over [`SMOOTHING_WINDOW`] rounds.
+    pub(super) smoothed: f64,
+    /// Discovery-bitset population after this round's observation.
+    pub(super) discovered: u32,
+}
+
+/// The per-node share-smoothing windows in struct-of-arrays form: one
+/// flat ring-buffer arena (stride [`SMOOTHING_WINDOW`]) instead of
+/// 10,000 tiny `Vec<f64>`s. Ring iteration order is oldest→newest, so
+/// the smoothed mean sums in exactly the order the historical
+/// `Vec::push`/`remove(0)` window did.
+pub(super) struct ShareRings {
+    buf: Vec<f64>,
+    start: Vec<u8>,
+    len: Vec<u8>,
+}
+
+/// Exclusive access to one node's smoothing window.
+pub(super) struct ShareRingRow<'a> {
+    buf: &'a mut [f64],
+    start: &'a mut u8,
+    len: &'a mut u8,
+}
+
+impl ShareRings {
+    pub(super) fn new(rows: usize) -> Self {
+        Self {
+            buf: vec![0.0; rows * SMOOTHING_WINDOW],
+            start: vec![0; rows],
+            len: vec![0; rows],
+        }
+    }
+
+    /// Splits into disjoint per-node handles, in row order.
+    pub(super) fn rows_mut(&mut self) -> impl Iterator<Item = ShareRingRow<'_>> {
+        self.buf
+            .chunks_mut(SMOOTHING_WINDOW)
+            .zip(self.start.iter_mut())
+            .zip(self.len.iter_mut())
+            .map(|((buf, start), len)| ShareRingRow { buf, start, len })
+    }
+}
+
+impl ShareRingRow<'_> {
+    /// Appends this round's share (evicting the oldest entry once the
+    /// window is full) and returns the window mean, summed oldest-first
+    /// — bit-identical to the historical `Vec<f64>` window.
+    fn push_and_mean(&mut self, share: f64) -> f64 {
+        let w = SMOOTHING_WINDOW;
+        if usize::from(*self.len) == w {
+            self.buf[usize::from(*self.start)] = share;
+            *self.start = ((usize::from(*self.start) + 1) % w) as u8;
+        } else {
+            self.buf[(usize::from(*self.start) + usize::from(*self.len)) % w] = share;
+            *self.len += 1;
+        }
+        let len = usize::from(*self.len);
+        let mut sum = 0.0;
+        for k in 0..len {
+            sum += self.buf[(usize::from(*self.start) + k) % w];
+        }
+        sum / len as f64
+    }
+}
+
+/// Per-worker arenas for the parallel apply phase: every buffer a
+/// node-finalisation needs is owned by the worker (not the node), so
+/// peak memory scales with the thread count instead of the population.
+#[derive(Default)]
+pub(super) struct WorkerScratch {
+    /// Reconstructed push-sender stream (self-filtered).
+    pub(super) pushed: Vec<NodeId>,
+    /// Reconstructed untrusted pull-answer stream (unfiltered).
+    pub(super) untrusted: Vec<NodeId>,
+    /// `record_pulled`-equivalent combined stream.
+    pub(super) pulled: Vec<NodeId>,
+    /// Fisher–Yates index table for Byzantine answer replay.
+    pub(super) idx: IndexScratch,
+    /// Replay output buffer.
+    pub(super) reply: Vec<NodeId>,
+    /// Brahms finalisation scratch (renewal sampling buffers).
+    pub(super) finish: FinishScratch,
+    /// The plan a Brahms/RAPTEE node draws into before it is copied to
+    /// the [`PlanArena`].
+    pub(super) plan: RoundPlan,
+    /// The same for a ranked-family node.
+    pub(super) ranked_plan: BasaltPlan,
+}
+
+/// This round's push and pull targets of every correct node, both
+/// families: one `stride`-wide row of each per population index, as
+/// dense indices, plus each row's occupied length. Every family plans at
+/// most its fanout of pushes and as many pulls (α = β for the Brahms
+/// family, `push_count = pull_count` for the ranked ones), so the stride
+/// is the largest fanout in play.
+#[derive(Default)]
+pub(super) struct PlanArena {
+    stride: usize,
+    push_ids: Vec<NodeIdx>,
+    push_len: Vec<u32>,
+    pull_ids: Vec<NodeIdx>,
+    pull_len: Vec<u32>,
+}
+
+/// Exclusive access to one node's plan rows.
+pub(super) struct PlanRow<'a> {
+    push: &'a mut [NodeIdx],
+    push_len: &'a mut u32,
+    pull: &'a mut [NodeIdx],
+    pull_len: &'a mut u32,
+}
+
+impl PlanArena {
+    fn resize(&mut self, pop: usize, stride: usize) {
+        self.stride = stride;
+        self.push_ids.resize(pop * stride, NodeIdx(0));
+        self.pull_ids.resize(pop * stride, NodeIdx(0));
+        self.push_len.resize(pop, 0);
+        self.pull_len.resize(pop, 0);
+    }
+
+    /// Disjoint row handles, in population-index order.
+    pub(super) fn rows(&mut self) -> impl Iterator<Item = PlanRow<'_>> {
+        self.push_ids
+            .chunks_mut(self.stride)
+            .zip(&mut self.push_len)
+            .zip(self.pull_ids.chunks_mut(self.stride))
+            .zip(&mut self.pull_len)
+            .map(|(((push, push_len), pull), pull_len)| PlanRow {
+                push,
+                push_len,
+                pull,
+                pull_len,
+            })
+    }
+
+    /// Node `ci`'s push targets this round.
+    #[inline]
+    pub(super) fn pushes(&self, ci: usize) -> &[NodeIdx] {
+        let base = ci * self.stride;
+        &self.push_ids[base..base + self.push_len[ci] as usize]
+    }
+
+    /// Node `ci`'s pull targets this round.
+    #[inline]
+    pub(super) fn pulls(&self, ci: usize) -> &[NodeIdx] {
+        let base = ci * self.stride;
+        &self.pull_ids[base..base + self.pull_len[ci] as usize]
+    }
+}
+
+impl PlanRow<'_> {
+    /// Stores one node's planned targets.
+    #[inline]
+    pub(super) fn store(&mut self, push: &[NodeId], pull: &[NodeId]) {
+        for (slot, &id) in self.push[..push.len()].iter_mut().zip(push) {
+            *slot = narrow(id);
+        }
+        for (slot, &id) in self.pull[..pull.len()].iter_mut().zip(pull) {
+            *slot = narrow(id);
+        }
+        *self.push_len = push.len() as u32;
+        *self.pull_len = pull.len() as u32;
+    }
+}
+
+/// Per-simulation scratch arenas: every buffer the round loop needs is
+/// allocated once and reused for all rounds, so the steady-state hot
+/// path is allocation-free. Taken out of the
+/// [`Simulation`](super::Simulation) at the top of each round (so
+/// `&mut self` methods stay callable) and put back at the end.
+#[derive(Default)]
+pub(super) struct Scratch {
+    /// Both families' plans (see [`PlanArena`]).
+    pub(super) plans: PlanArena,
+    /// Whether population index `ci` produced a plan this round.
+    pub(super) live: Vec<bool>,
+    /// The adversary's push plan for the segment being attacked.
+    pub(super) byz_plan: PushPlan,
+    /// Honest pushes surviving limiter/liveness/loss, as
+    /// `(absolute target index, sender)` in sender-major order. Senders
+    /// are dense [`NodeIdx`]es, halving the pair width at paper scale+.
+    pub(super) survivors: Vec<(u32, NodeIdx)>,
+    /// `survivors` counting-sorted by target — the apply phase reads
+    /// per-receiver runs instead of per-message dispatch.
+    pub(super) sorted: Vec<(u32, NodeIdx)>,
+    /// Counting-sort offsets; after the fill pass, `counts[t]` is the
+    /// *end* of target `t`'s run (its start is `counts[t-1]`).
+    pub(super) counts: Vec<u32>,
+    /// Adversary pushes surviving limiter/liveness/loss, in plan order.
+    pub(super) byz_survivors: Vec<(u32, NodeIdx)>,
+    /// `byz_survivors` counting-sorted by victim.
+    pub(super) byz_sorted: Vec<(u32, NodeIdx)>,
+    /// Counting-sort offsets for the adversary runs.
+    pub(super) byz_counts: Vec<u32>,
+    /// Reusable sequential-phase answer buffer (ranked-family pulls,
+    /// trusted ablation answers, Byzantine answers held by the event
+    /// network).
+    pub(super) reply: Vec<NodeId>,
+    /// Reusable observation-target buffer (identification attack).
+    pub(super) observed: Vec<NodeId>,
+    /// Deferred pull answers, requester-major.
+    pub(super) events: Vec<PullEvent>,
+    /// The adversary-RNG snapshots `PullEvent::ByzReplay` events name.
+    pub(super) byz_rngs: Vec<Xoshiro256StarStar>,
+    /// Event range per population index (`events[start[ci]..start[ci+1]]`).
+    pub(super) event_start: Vec<u32>,
+    /// Materialised answers for responders whose view had already
+    /// mutated at pull time, as dense indices.
+    pub(super) arena: Vec<NodeIdx>,
+    /// Post-plan view snapshots, one `view_size`-stride row per
+    /// population index, as dense indices.
+    pub(super) snap_ids: Vec<NodeIdx>,
+    /// Occupied length of each snapshot row.
+    pub(super) snap_len: Vec<u32>,
+    /// Whether a node's view has mutated during the current exchange
+    /// phase (trusted swap or churn removal) — after the first mutation,
+    /// answers from it must be materialised instead of snapshot-deferred.
+    pub(super) view_mutated: Vec<bool>,
+    /// Per-node round outcomes, folded sequentially after the apply
+    /// phase.
+    pub(super) stats: Vec<RoundStat>,
+}
+
+impl Scratch {
+    /// Sizes the per-node lanes once (no-op afterwards).
+    pub(super) fn ensure_capacity(&mut self, pop: usize, plan_stride: usize) {
+        if self.live.len() != pop {
+            self.plans.resize(pop, plan_stride);
+            self.live.resize(pop, false);
+            self.view_mutated.resize(pop, false);
+            self.stats.resize_with(pop, RoundStat::default);
+            self.snap_len.resize(pop, 0);
+            self.event_start.resize(pop + 1, 0);
+        }
+    }
+}
+
+/// One node's lanes in the parallel plan phase. The view-snapshot row
+/// and mutation flag serve Brahms-family nodes, whose untrusted answers
+/// are deferred by reference to the snapshot.
+pub(super) struct PlanLane<'a> {
+    pub(super) node: &'a mut Node,
+    pub(super) row: PlanRow<'a>,
+    pub(super) live: &'a mut bool,
+    pub(super) mutated: &'a mut bool,
+    pub(super) snap: &'a mut [NodeIdx],
+    pub(super) snap_len: &'a mut u32,
+}
+
+/// One node's lanes in the parallel apply/finish phase.
+pub(super) struct FinishLane<'a> {
+    pub(super) node: &'a mut Node,
+    pub(super) stat: &'a mut RoundStat,
+    pub(super) disc: DiscoveryLane<'a>,
+    pub(super) ring: ShareRingRow<'a>,
+}
+
+/// One node's post-round view census: Byzantine entries feed the
+/// pollution share, correct ones the discovery row.
+#[derive(Default)]
+pub(super) struct ViewTally {
+    len: usize,
+    byz_in_view: usize,
+}
+
+impl ViewTally {
+    #[inline]
+    pub(super) fn see(
+        &mut self,
+        id: NodeId,
+        byz: usize,
+        total: usize,
+        disc: &mut DiscoveryLane<'_>,
+    ) {
+        self.len += 1;
+        if id.index() < byz {
+            self.byz_in_view += 1;
+        } else if id.index() < total {
+            disc.insert(id.index());
+        }
+    }
+
+    /// Books the census into the node's stat slot and smoothing window.
+    pub(super) fn book(
+        self,
+        stat: &mut RoundStat,
+        disc: &mut DiscoveryLane<'_>,
+        ring: &mut ShareRingRow<'_>,
+    ) {
+        stat.discovered = disc.count() as u32;
+        if self.len > 0 {
+            let share = self.byz_in_view as f64 / self.len as f64;
+            stat.share = share;
+            stat.has_share = true;
+            stat.smoothed = ring.push_and_mean(share);
+        }
+    }
+}
+
+/// Narrows a wire identity to its dense arena index: a cast, because
+/// the simulation numbers its actors `0..total_actors()` (Byzantine
+/// prefix first), so the identity *is* the index.
+#[inline]
+pub(super) fn narrow(id: NodeId) -> NodeIdx {
+    NodeIdx(id.0 as u32)
+}
+
+/// Widens a dense arena index back to the wire identity (see [`narrow`]).
+#[inline]
+pub(super) fn widen(idx: NodeIdx) -> NodeId {
+    NodeId(u64::from(idx.0))
+}
+
+/// Split-borrows two distinct population entries.
+pub(super) fn two_nodes<N>(nodes: &mut [N], a: usize, b: usize) -> (&mut N, &mut N) {
+    assert_ne!(a, b, "cannot borrow the same node twice");
+    let (x, y, swapped) = if a < b { (a, b, false) } else { (b, a, true) };
+    let (lo, hi) = nodes.split_at_mut(y);
+    if swapped {
+        (&mut hi[0], &mut lo[x])
+    } else {
+        (&mut lo[x], &mut hi[0])
+    }
+}
+
+/// Stable counting sort of `(target, payload)` pairs by target over the
+/// universe `0..total`. After the fill pass `counts[t]` is the end of
+/// `t`'s run, so run `t` is `sorted[counts[t-1]..counts[t]]` (`0` for
+/// `t = 0`). Stability preserves each receiver's arrival order, so
+/// streaming over the runs is observationally identical to per-message
+/// dispatch.
+pub(super) fn counting_sort_by_target(
+    survivors: &[(u32, NodeIdx)],
+    sorted: &mut Vec<(u32, NodeIdx)>,
+    counts: &mut Vec<u32>,
+    total: usize,
+) {
+    counts.clear();
+    counts.resize(total + 1, 0);
+    for &(t, _) in survivors {
+        counts[t as usize + 1] += 1;
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    sorted.clear();
+    sorted.resize(survivors.len(), (0, NodeIdx(0)));
+    for &(t, payload) in survivors {
+        let pos = &mut counts[t as usize];
+        sorted[*pos as usize] = (t, payload);
+        *pos += 1;
+    }
+}
+
+/// Target `t`'s run in a [`counting_sort_by_target`]-sorted buffer, as
+/// the senders' wire identities in arrival order.
+#[inline]
+pub(super) fn run_of<'a>(
+    sorted: &'a [(u32, NodeIdx)],
+    counts: &[u32],
+    t: usize,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let start = if t == 0 { 0 } else { counts[t - 1] as usize };
+    sorted[start..counts[t] as usize]
+        .iter()
+        .map(|&(_, sender)| widen(sender))
+}

@@ -1,0 +1,554 @@
+//! The round skeleton and every phase around the pull exchange
+//! (`exchange.rs`): plan, honest and adversary pushes, ranked push
+//! ranking, the two trusted-directory passes, the identification
+//! attack, and apply.
+
+use super::arena::{
+    counting_sort_by_target, narrow, run_of, two_nodes, widen, FinishLane, PlanLane, PullEvent,
+    RoundStat, Scratch, ViewTally, WorkerScratch,
+};
+use super::population::Node;
+use super::Simulation;
+use crate::adversary::AdaptiveCoordinator;
+use crate::bitset::DiscoveryLane;
+use crate::event::Lane as NetLane;
+use crate::metrics::IdentificationResult;
+use crate::ranked::RankedNode;
+use raptee::RapteeNode;
+use raptee_net::{NodeId, NodeIdx};
+use raptee_util::rng::mix64;
+
+/// Salt of the proactive trusted-directory partner draws — a dedicated
+/// hash stream (like the churn and audit-beacon streams), so enabling
+/// the directory refresh cannot shift any other stochastic stream.
+const TRUSTED_DIR_SALT: u64 = 0xD1EC_7027_7257_ED15;
+
+impl Simulation {
+    /// One protocol round (the paper's loop) for the whole population:
+    /// the phases of the module doc, in order, over the shared scratch
+    /// arenas. Shared sequential streams (rate limiter, loss RNG,
+    /// adversary coordinator RNG) are consumed in population-index order.
+    pub(super) fn protocol_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
+        // No correct nodes: nothing to simulate.
+        if self.non_byz_total == 0 {
+            return;
+        }
+        self.plan(s, workers);
+        self.collect_honest_pushes(s);
+        let bandit_arm = self.collect_byz_pushes(s);
+        self.rank_pushes(s);
+        self.exchange_pulls(s);
+        self.raptee_directory_swaps();
+        self.ranked_directory_exchanges(s);
+        self.observe_for_identification(s);
+        self.apply(s, workers);
+        self.fold_round(&s.stats);
+        self.bandit_reward(&s.stats, bandit_arm);
+        self.identify_trusted();
+    }
+
+    /// Plan (parallel, one pass over the arena): every live node draws
+    /// its targets into its worker's plan buffer, stored in the flat plan
+    /// arena. Brahms-family rows also snapshot their post-plan views (for
+    /// deferred answers); every row resets its view-mutation flag.
+    fn plan(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
+        let (pop, stride) = (self.non_byz_total, self.scenario.view_size);
+        if s.snap_ids.len() != pop * stride {
+            s.snap_ids.resize(pop * stride, NodeIdx(0));
+        }
+        let alive = &self.alive[self.byz_count..];
+        let mut lanes: Vec<PlanLane> = self
+            .nodes
+            .iter_mut()
+            .zip(s.plans.rows())
+            .zip(&mut s.live)
+            .zip(&mut s.view_mutated)
+            .zip(s.snap_ids.chunks_mut(stride))
+            .zip(&mut s.snap_len)
+            .map(
+                |(((((node, row), live), mutated), snap), snap_len)| PlanLane {
+                    node,
+                    row,
+                    live,
+                    mutated,
+                    snap,
+                    snap_len,
+                },
+            )
+            .collect();
+        rayon::par_for_each_scratch(&mut lanes, workers, |ws, ci, lane| {
+            *lane.mutated = false;
+            *lane.live = alive[ci];
+            if !alive[ci] {
+                *lane.snap_len = 0;
+                return;
+            }
+            match lane.node {
+                Node::Raptee(node) => {
+                    node.plan_round_into(&mut ws.plan);
+                    lane.row.store(&ws.plan.push_targets, &ws.plan.pull_targets);
+                    let view = node.brahms().view();
+                    for (k, e) in view.entries().iter().enumerate() {
+                        lane.snap[k] = narrow(e.id);
+                    }
+                    *lane.snap_len = view.len() as u32;
+                }
+                Node::Ranked(node) => {
+                    node.plan_round_into(&mut ws.ranked_plan);
+                    let plan = &ws.ranked_plan;
+                    lane.row.store(&plan.push_targets, &plan.pull_targets);
+                }
+            }
+        });
+    }
+
+    /// Honest pushes (sequential control): every segment's, in
+    /// population-index order (sender-major, so the loss RNG stream is
+    /// fixed), through the shared rate limiter, liveness and loss
+    /// filters, then counting-sorted by target into `s.sorted`. No per-ID
+    /// node work happens here — the parallel phases consume the runs.
+    fn collect_honest_pushes(&mut self, s: &mut Scratch) {
+        let byz = self.byz_count;
+        let message_loss = self.scenario.message_loss;
+        s.survivors.clear();
+        // Late pushes from earlier rounds arrive first: they are the
+        // oldest messages each receiver sees, and the stable counting
+        // sort preserves that ordering per target.
+        self.net.drain_due_pushes(NetLane::Honest, &mut s.survivors);
+        // Segments are contiguous in layout order, so population-index
+        // order is every segment's senders in turn.
+        for ci in (0..self.non_byz_total).filter(|&ci| s.live[ci]) {
+            let targets = s.plans.pushes(ci);
+            let sender = NodeId((byz + ci) as u64);
+            let granted = self.limiter.try_push_n(sender, targets.len());
+            for &target in &targets[..granted] {
+                let t = target.index();
+                if !self.alive[t] {
+                    continue;
+                }
+                if message_loss > 0.0 && self.loss_rng.chance(message_loss) {
+                    continue;
+                }
+                if !self
+                    .net
+                    .send_push(self.round, byz + ci, t, sender, NetLane::Honest)
+                {
+                    continue;
+                }
+                s.survivors.push((target.0, narrow(sender)));
+            }
+        }
+        let total = self.total_actors();
+        counting_sort_by_target(&s.survivors, &mut s.sorted, &mut s.counts, total);
+    }
+
+    /// Adversary pushes (sequential control): the adversary's lawful
+    /// budget B·fanout, split across segments in proportion to their
+    /// sizes, each share planned by
+    /// [`Adversary::plan_attack`](crate::adversary::Adversary::plan_attack)
+    /// for its victim family. In adaptive mode the bandit instead aims
+    /// the entire budget at its chosen (segment, strategy) arm, which is
+    /// returned so the fold can feed it its observed yield; every other
+    /// segment gets zero this round.
+    ///
+    /// Each planned push is charged to a Byzantine identity through the
+    /// rate limiter (rotating payers), passes the liveness and
+    /// message-loss filters, and the survivors are counting-sorted by
+    /// victim for the parallel phases. One pass for every segment, so
+    /// cross-family comparisons face provably identical adversary
+    /// machinery.
+    fn collect_byz_pushes(&mut self, s: &mut Scratch) -> Option<usize> {
+        let bandit_arm = self.bandit.as_ref().map(AdaptiveCoordinator::choose);
+        let Scratch {
+            byz_plan: plan,
+            byz_survivors: survivors,
+            byz_sorted: sorted,
+            byz_counts: counts,
+            ..
+        } = s;
+        survivors.clear();
+        self.net.drain_due_pushes(NetLane::Adversary, survivors);
+        let total_budget = self.byz_count * self.limiter_fanout;
+        let mut assigned = 0usize;
+        let mut charge_rotor = 0usize;
+        for (si, seg) in self.segs.iter().enumerate() {
+            let (budget, attack) = match bandit_arm.map(AdaptiveCoordinator::play) {
+                Some((aimed, attack)) => (if si == aimed { total_budget } else { 0 }, attack),
+                None if si + 1 == self.segs.len() => {
+                    (total_budget - assigned, self.scenario.attack)
+                }
+                None => (
+                    total_budget * seg.len / self.non_byz_total,
+                    self.scenario.attack,
+                ),
+            };
+            assigned += budget;
+            let ranked = seg.protocol.is_ranked_family();
+            let victims = &self.victims[seg.range()];
+            self.adversary
+                .plan_attack(attack, ranked, victims, budget, plan);
+            for &(victim, advertised) in plan.iter() {
+                let mut charged = false;
+                for _ in 0..self.byz_count {
+                    let payer = NodeId((charge_rotor % self.byz_count.max(1)) as u64);
+                    charge_rotor += 1;
+                    if self.limiter.try_push(payer) {
+                        charged = true;
+                        break;
+                    }
+                }
+                if !charged || !self.alive[victim.index()] {
+                    continue;
+                }
+                if self.scenario.message_loss > 0.0
+                    && self.loss_rng.chance(self.scenario.message_loss)
+                {
+                    continue;
+                }
+                // The adversary's pushes originate at the advertised
+                // identity's host (injected poisoned nodes send from
+                // their own addresses).
+                if !self.net.send_push(
+                    self.round,
+                    advertised.index(),
+                    victim.index(),
+                    advertised,
+                    NetLane::Adversary,
+                ) {
+                    continue;
+                }
+                survivors.push((victim.index() as u32, narrow(advertised)));
+            }
+        }
+        // Quarantine filter: adversary pushes advertising a convicted
+        // identity (including copies drained from earlier rounds) are
+        // discarded — honest nodes blacklist the quarantined ID.
+        if let Some(aud) = self.audit.as_ref() {
+            survivors.retain(|&(_, advertised)| !aud.is_quarantined(widen(advertised).index()));
+        }
+        counting_sort_by_target(survivors, sorted, counts, self.total_actors());
+        bandit_arm
+    }
+
+    /// Ranked push ranking (parallel per ranked segment, sharded by
+    /// receiver): rank the honest run, then the adversary's run, into
+    /// each receiver's view; honest senders count as discovered. The
+    /// ranked family consumes pushes before the pulls; the Brahms family
+    /// consumes its runs at apply time.
+    fn rank_pushes(&mut self, s: &Scratch) {
+        let (byz, total) = (self.byz_count, self.total_actors());
+        struct Lane<'a> {
+            node: &'a mut RankedNode,
+            disc: DiscoveryLane<'a>,
+        }
+        for seg in self
+            .segs
+            .iter()
+            .filter(|seg| seg.protocol.is_ranked_family())
+        {
+            let start = seg.start;
+            let mut lanes: Vec<Lane> = self.nodes[seg.range()]
+                .iter_mut()
+                .zip(self.discovery.rows_mut().skip(start))
+                .map(|(node, disc)| Lane {
+                    node: node.ranked_mut(),
+                    disc,
+                })
+                .collect();
+            rayon::par_for_each_mut(&mut lanes, |i, lane| {
+                let abs = byz + start + i;
+                for sender in run_of(&s.sorted, &s.counts, abs) {
+                    lane.node.record_push(sender);
+                    if sender.index() >= byz && sender.index() < total {
+                        lane.disc.insert(sender.index());
+                    }
+                }
+                for advertised in run_of(&s.byz_sorted, &s.byz_counts, abs) {
+                    lane.node.record_push(advertised);
+                }
+            });
+        }
+    }
+
+    /// RAPTEE directory swaps (sequential, when `Scenario::trusted_swap`
+    /// is on): each effective-trusted node of a Brahms-family segment
+    /// initiates one exchange with the oldest entry of its trusted
+    /// directory (framework criterion (1): round-robin probing) — the
+    /// mechanism that keeps a sparse trusted population meeting every
+    /// round once discovered. Swaps here cannot invalidate
+    /// snapshot-deferred answers: those reference the frozen snapshot
+    /// arena, not the live views. Ranked trusted nodes have no
+    /// node-level directory; theirs is the engine-level one of
+    /// [`Simulation::ranked_directory_exchanges`].
+    fn raptee_directory_swaps(&mut self) {
+        if !self.scenario.trusted_swap {
+            return;
+        }
+        let byz = self.byz_count;
+        for seg in self
+            .segs
+            .iter()
+            .filter(|seg| !seg.protocol.is_ranked_family())
+        {
+            for ci in seg.range() {
+                let abs = byz + ci;
+                if !self.effective_trusted(abs) || !self.alive[abs] {
+                    continue;
+                }
+                let Some(partner) = self.nodes[ci].raptee_mut().trusted_partner() else {
+                    continue;
+                };
+                let p = partner.index();
+                if p == abs {
+                    continue;
+                }
+                if !self.alive[p] {
+                    // Timeout: forget the dead trusted peer.
+                    self.nodes[ci].raptee_mut().forget_trusted_peer(partner);
+                    continue;
+                }
+                // A live partner whose certificate lapsed is skipped, not
+                // forgotten: it will re-attest and answer again.
+                if !self.effective_trusted(p) {
+                    continue;
+                }
+                // A directory only learns peers from RAPTEE trusted
+                // swaps, so the partner is a RAPTEE node too.
+                let (a, b) = two_nodes(&mut self.nodes, ci, p - byz);
+                RapteeNode::trusted_swap_kind(a.raptee_mut(), b.raptee_mut(), false);
+            }
+        }
+    }
+
+    /// Ranked directory exchanges (sequential): proactive ranked-family
+    /// trusted exchanges off the engine-level directory
+    /// (`Scenario::trusted_directory_refresh`) — the hybrid's counterpart
+    /// of the RAPTEE directory round-robin, so trusted swaps and audit
+    /// coverage don't depend on random encounter. Partner draws come
+    /// from a dedicated hash stream; with the refresh off the directory
+    /// is empty and this pass vanishes.
+    fn ranked_directory_exchanges(&mut self, s: &mut Scratch) {
+        if self.scenario.trusted_directory_refresh == 0 || self.trusted_dir.len() < 2 {
+            return;
+        }
+        let byz = self.byz_count;
+        let dir_seed = mix64(self.scenario.seed ^ TRUSTED_DIR_SALT);
+        let round_tag = mix64(self.round as u64);
+        let dir = std::mem::take(&mut self.trusted_dir);
+        for &abs_u in &dir {
+            let abs = abs_u as usize;
+            let ci = abs - byz;
+            // RAPTEE trusted nodes already ran their own directory swaps.
+            if !self.alive[abs] || !self.effective_trusted(abs) || !self.in_ranked_segment(ci) {
+                continue;
+            }
+            let mut pick =
+                (mix64(dir_seed ^ round_tag ^ mix64(abs as u64)) % dir.len() as u64) as usize;
+            if dir[pick] as usize == abs {
+                pick = (pick + 1) % dir.len();
+            }
+            let partner_abs = dir[pick] as usize;
+            let pc = partner_abs - byz;
+            if partner_abs == abs
+                || !self.alive[partner_abs]
+                || !self.effective_trusted(partner_abs)
+                || !self.in_ranked_segment(pc)
+            {
+                continue;
+            }
+            // Bidirectional attested swap (the ranked both-trusted
+            // idiom of `pull`): each side's distinct view ranks into
+            // the other, bypassing the waiting lists.
+            self.nodes[pc].answer_into(&mut s.reply);
+            self.rank_answer(ci, NodeId(partner_abs as u64), &s.reply, true);
+            self.nodes[ci].answer_into(&mut s.observed);
+            self.rank_answer(pc, NodeId(abs as u64), &s.observed, true);
+        }
+        self.trusted_dir = dir;
+    }
+
+    /// The identification attack's observation pulls (sequential): each
+    /// Byzantine node pulls β·l1 targets (α = β in the paper's config)
+    /// from the one Brahms-family segment `validate` confines the attack
+    /// to, and the adversary records each answer's Byzantine share.
+    fn observe_for_identification(&mut self, s: &mut Scratch) {
+        let byz = self.byz_count;
+        if !self.scenario.identification_attack || byz == 0 {
+            return;
+        }
+        let candidates = &self.victims[..self.scenario.n - byz];
+        for _ in 0..byz {
+            self.adversary.observation_targets_into(
+                candidates,
+                self.limiter_fanout,
+                &mut s.observed,
+            );
+            for &t in &s.observed {
+                let view = self
+                    .node(t)
+                    .expect("Scenario::validate: identification_attack needs a uniform Brahms or RAPTEE run")
+                    .brahms()
+                    .view();
+                if view.is_empty() {
+                    continue;
+                }
+                let byz_in_view = view.ids().filter(|id| id.index() < byz).count();
+                let share = byz_in_view as f64 / view.len() as f64;
+                self.adversary.record_share(t, share);
+            }
+        }
+    }
+
+    /// Apply (parallel, one pass over the arena): round finalisation and
+    /// per-node metric observation into the stat slots. Brahms-family
+    /// nodes reconstruct their push/pull streams from the shared arenas;
+    /// ranked nodes verify their waiting lists (probe contacts succeed
+    /// iff the candidate is alive), then finalise.
+    fn apply(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
+        let (byz, total, stride) = (self.byz_count, self.total_actors(), self.scenario.view_size);
+        let validation_due = self.scenario.sampler_validation_period > 0
+            && (self.round + 1).is_multiple_of(self.scenario.sampler_validation_period);
+        let Scratch {
+            stats,
+            events,
+            byz_rngs,
+            event_start,
+            arena,
+            snap_ids,
+            snap_len,
+            sorted,
+            counts,
+            byz_sorted,
+            byz_counts,
+            ..
+        } = s;
+        let (events, byz_rngs, event_start) = (&events[..], &byz_rngs[..], &event_start[..]);
+        let (arena, snap_ids, snap_len) = (&arena[..], &snap_ids[..], &snap_len[..]);
+        let (sorted, counts) = (&sorted[..], &counts[..]);
+        let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
+        let alive = &self.alive;
+        let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
+        let adversary = &self.adversary;
+        let mut lanes: Vec<FinishLane> = self
+            .nodes
+            .iter_mut()
+            .zip(stats.iter_mut())
+            .zip(self.discovery.rows_mut())
+            .zip(self.share_rings.rows_mut())
+            .map(|(((node, stat), disc), ring)| FinishLane {
+                node,
+                stat,
+                disc,
+                ring,
+            })
+            .collect();
+        rayon::par_for_each_scratch(&mut lanes, workers, |ws, ci, it| {
+            let abs = byz + ci;
+            *it.stat = RoundStat::default();
+            if !alive[abs] {
+                return;
+            }
+            it.stat.participated = true;
+            match it.node {
+                Node::Raptee(node) => {
+                    if validation_due {
+                        // Brahms sampler validation: probe sampled
+                        // nodes, re-draw the samplers whose sample is
+                        // dead.
+                        let (sampler, rng) = node.brahms_mut().sampler_and_rng_mut();
+                        sampler.validate(is_alive, rng);
+                    }
+                    let me = NodeId(abs as u64);
+                    // Push stream: the honest counting-sorted run, then
+                    // the adversary's run — each receiver's historical
+                    // arrival order, with the `record_push` self-filter.
+                    ws.pushed.clear();
+                    ws.pushed
+                        .extend(run_of(sorted, counts, abs).filter(|&x| x != me));
+                    ws.pushed
+                        .extend(run_of(byz_sorted, byz_counts, abs).filter(|&x| x != me));
+                    // Untrusted pull stream, reconstructed in delivery
+                    // order.
+                    ws.untrusted.clear();
+                    let e0 = event_start[ci] as usize;
+                    let e1 = event_start[ci + 1] as usize;
+                    for ev in &events[e0..e1] {
+                        match ev {
+                            PullEvent::Snapshot { responder } => {
+                                let r = *responder as usize;
+                                let base = r * stride;
+                                ws.untrusted.extend(
+                                    snap_ids[base..base + snap_len[r] as usize]
+                                        .iter()
+                                        .map(|&i| widen(i)),
+                                );
+                            }
+                            PullEvent::Arena { start, len } => {
+                                let (a, b) = (*start as usize, (*start + *len) as usize);
+                                ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
+                            }
+                            PullEvent::ByzReplay { slot } => {
+                                let mut rng = byz_rngs[*slot as usize].clone();
+                                adversary.replay_pull_answer(&mut rng, &mut ws.idx, &mut ws.reply);
+                                ws.untrusted.extend_from_slice(&ws.reply);
+                            }
+                        }
+                    }
+                    let outcome = node.finish_round_streamed(
+                        &ws.pushed,
+                        &mut ws.untrusted,
+                        (e1 - e0) as u32,
+                        &mut ws.pulled,
+                        &mut ws.finish,
+                    );
+                    it.stat.evicted = outcome.evicted as u32;
+                    it.stat.flood = outcome.report.push_flood_detected;
+                }
+                Node::Ranked(node) => {
+                    // Quarantine drain before finalisation: a no-op while
+                    // the waiting list is disabled (plain BASALT, LIFT),
+                    // live for the wlist hybrid and for Honeybee, whose
+                    // verified walk endpoints pass the reachability probe
+                    // here.
+                    node.drain_wlist(is_alive);
+                    it.stat.rotated = node.finish_round() as u32;
+                }
+            }
+            // Discovery counts an ID once it has *entered the view*
+            // (matching the paper's round counts; IDs merely seen in
+            // transit — or evicted — do not count).
+            let mut tally = ViewTally::default();
+            it.node
+                .for_each_view_id(|id| tally.see(id, byz, total, &mut it.disc));
+            tally.book(it.stat, &mut it.disc, &mut it.ring);
+        });
+    }
+
+    /// The identification attack's verdict for this round: the
+    /// adversary's classifier against the ground truth of genuine trusted
+    /// nodes (injected ones are the adversary's own and excluded),
+    /// keeping the best F1 of the run.
+    fn identify_trusted(&mut self) {
+        if !self.scenario.identification_attack {
+            return;
+        }
+        let flagged = self
+            .adversary
+            .classify_trusted(self.scenario.identification_threshold);
+        let (trusted, n) = (&self.trusted, self.scenario.n);
+        let actual = trusted[self.byz_count..n].iter().filter(|&&t| t).count();
+        let result = IdentificationResult::evaluate(
+            &flagged,
+            |id| id.index() < n && trusted[id.index()],
+            actual,
+            self.round,
+        );
+        if self
+            .best_identification
+            .as_ref()
+            .is_none_or(|best| result.f1 > best.f1)
+        {
+            self.best_identification = Some(result);
+        }
+    }
+}

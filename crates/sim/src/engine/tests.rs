@@ -1,0 +1,673 @@
+use super::arena::SMOOTHING_WINDOW;
+use super::*;
+use crate::scenario::{Protocol, RejoinPolicy};
+use raptee::EvictionPolicy;
+
+fn small(protocol: Protocol) -> Scenario {
+    Scenario {
+        n: 120,
+        byzantine_fraction: 0.1,
+        trusted_fraction: 0.05,
+        view_size: 12,
+        sample_size: 12,
+        rounds: 90,
+        tail_window: 10,
+        protocol,
+        seed: 424242,
+        ..Scenario::default()
+    }
+}
+
+#[test]
+fn brahms_run_converges_below_catastrophe() {
+    let result = Simulation::new(small(Protocol::Brahms)).run();
+    assert_eq!(result.rounds, 90);
+    assert!(result.resilience > 0.0, "some pollution is inevitable");
+    assert!(
+        result.resilience < 0.9,
+        "Brahms keeps the adversary below near-total control: {}",
+        result.resilience
+    );
+    assert_eq!(result.byz_share_series.len(), 90);
+}
+
+#[test]
+fn raptee_beats_brahms_at_equal_workload() {
+    // A healthy share of trusted nodes so the effect clears run-to-run
+    // noise at this small scale (the full sweeps in the bench harness
+    // cover the small-t regime with repetitions).
+    let mut scenario = small(Protocol::Raptee);
+    scenario.trusted_fraction = 0.2;
+    let brahms = Simulation::new(scenario.brahms_baseline()).run();
+    let raptee = Simulation::new(scenario).run();
+    assert!(
+        raptee.resilience < brahms.resilience,
+        "RAPTEE {} should improve on Brahms {}",
+        raptee.resilience,
+        brahms.resilience
+    );
+}
+
+#[test]
+fn discovery_and_stability_reached_in_calm_runs() {
+    let result = Simulation::new(small(Protocol::Brahms)).run();
+    assert!(
+        result.mean_discovery_round.is_some(),
+        "mean discovery must complete: series tail {:?}",
+        result.byz_share_series.last()
+    );
+    assert!(
+        result.stability_round.is_some(),
+        "stability must be reached"
+    );
+    if let (Some(all), Some(mean)) = (result.discovery_round, result.mean_discovery_round) {
+        assert!(
+            all as f64 >= mean.floor(),
+            "all-nodes discovery cannot precede the mean"
+        );
+    }
+}
+
+#[test]
+fn deterministic_per_seed() {
+    let a = Simulation::new(small(Protocol::Raptee)).run();
+    let b = Simulation::new(small(Protocol::Raptee)).run();
+    assert_eq!(a, b);
+    let mut other = small(Protocol::Raptee);
+    other.seed = 99;
+    let c = Simulation::new(other).run();
+    assert_ne!(a.byz_share_series, c.byz_share_series);
+}
+
+#[test]
+fn real_crypto_handshakes_match_shortcut() {
+    let mut with_crypto = small(Protocol::Raptee);
+    with_crypto.real_crypto_handshakes = true;
+    with_crypto.rounds = 12;
+    let mut shortcut = with_crypto.clone();
+    shortcut.real_crypto_handshakes = false;
+    // The handshake outcome is key equality either way; the RNG
+    // streams differ (nonce draws), so compare qualitative behaviour:
+    // both runs complete and produce sane shares.
+    let a = Simulation::new(with_crypto).run();
+    let b = Simulation::new(shortcut).run();
+    assert_eq!(a.rounds, b.rounds);
+    assert!((a.resilience - b.resilience).abs() < 0.25);
+}
+
+#[test]
+fn eviction_only_happens_under_raptee() {
+    let brahms = Simulation::new(small(Protocol::Brahms)).run();
+    assert_eq!(brahms.total_evicted, 0);
+    let mut s = small(Protocol::Raptee);
+    s.eviction = EvictionPolicy::Fixed(0.8);
+    let raptee = Simulation::new(s).run();
+    assert!(raptee.total_evicted > 0);
+}
+
+#[test]
+fn identification_attack_produces_result() {
+    let mut s = small(Protocol::Raptee);
+    s.identification_attack = true;
+    s.eviction = EvictionPolicy::Fixed(1.0); // most detectable config
+    s.trusted_fraction = 0.2;
+    let result = Simulation::new(s).run();
+    let ident = result.identification.expect("attack enabled");
+    assert!(ident.precision >= 0.0 && ident.precision <= 1.0);
+    assert!(ident.recall >= 0.0 && ident.recall <= 1.0);
+}
+
+#[test]
+fn injected_nodes_join_population() {
+    let mut s = small(Protocol::Raptee);
+    s.injected_poisoned_fraction = 0.1;
+    let sim = Simulation::new(s.clone());
+    assert_eq!(sim.total_actors(), s.total_actors());
+    // The injected trusted nodes start with fully Byzantine views.
+    let first_injected = NodeId(s.n as u64);
+    assert!(sim.is_trusted(first_injected));
+    let node = sim.node(first_injected).unwrap();
+    assert!(node
+        .brahms()
+        .view()
+        .ids()
+        .all(|id| id.index() < s.byzantine_count()));
+    let result = sim.run();
+    assert_eq!(result.rounds, s.rounds);
+}
+
+#[test]
+fn message_loss_slows_but_does_not_break() {
+    let mut s = small(Protocol::Brahms);
+    s.message_loss = 0.5;
+    s.rounds = 30;
+    let r = Simulation::new(s).run();
+    assert_eq!(r.rounds, 30);
+    assert!(r.resilience < 0.95);
+}
+
+#[test]
+fn crash_marks_nodes_dead_and_views_recover() {
+    let mut s = small(Protocol::Brahms);
+    s.churn = crate::scenario::ChurnSchedule::one_shot(0.2, 10);
+    s.rounds = 30;
+    let byz = s.byzantine_count();
+    let n = s.n;
+    let mut sim = Simulation::new(s);
+    for _ in 0..30 {
+        sim.run_round();
+    }
+    let dead = (byz..n)
+        .filter(|&i| !sim.is_alive(NodeId(i as u64)))
+        .count();
+    let expected = ((n - byz) as f64 * 0.2).round() as usize;
+    assert_eq!(dead, expected);
+    // Survivors keep full views despite the departures.
+    for i in byz..n {
+        let id = NodeId(i as u64);
+        if sim.is_alive(id) {
+            assert!(!sim.node(id).unwrap().brahms().view().is_empty());
+        }
+    }
+}
+
+#[test]
+fn targeted_attack_runs() {
+    let mut s = small(Protocol::Brahms);
+    s.attack = crate::scenario::AttackStrategy::Targeted {
+        victim_fraction: 0.1,
+        focus: 0.7,
+    };
+    s.rounds = 20;
+    let r = Simulation::new(s).run();
+    assert_eq!(r.rounds, 20);
+}
+
+#[test]
+fn role_queries() {
+    let s = small(Protocol::Raptee);
+    let byz = s.byzantine_count();
+    let sim = Simulation::new(s);
+    assert!(sim.is_byzantine(NodeId(0)));
+    assert!(!sim.is_byzantine(NodeId(byz as u64)));
+    assert!(sim.is_trusted(NodeId(byz as u64)));
+    assert!(sim.node(NodeId(0)).is_none());
+    assert!(sim.node(NodeId(byz as u64)).is_some());
+}
+
+#[test]
+fn queries_about_an_id_beyond_the_run_answer_instead_of_panicking() {
+    let mut s = small(Protocol::Raptee);
+    s.audit = Some(crate::scenario::AuditConfig::with_budget(2));
+    let sim = Simulation::new(s);
+    for id in [NodeId(sim.total_actors() as u64), NodeId(u64::MAX)] {
+        assert!(!sim.is_alive(id));
+        assert!(!sim.is_trusted(id));
+        assert!(!sim.is_quarantined(id));
+        assert_eq!(sim.discovery_count(id), None);
+        assert!(sim.node(id).is_none() && sim.ranked(id).is_none());
+    }
+}
+
+#[test]
+fn every_round_keeps_the_node_invariants() {
+    let mut s = small(Protocol::Raptee);
+    s.trusted_fraction = 0.2;
+    s.rounds = 20;
+    s.churn = crate::scenario::ChurnSchedule::steady(0.02, 0.4);
+    let mut sim = Simulation::new(s);
+    for _ in 0..20 {
+        sim.run_round();
+        assert_eq!(sim.check_invariants(), Ok(()));
+    }
+    // A directory entry that was never provisioned is named.
+    let untrusted = (0..sim.total_actors())
+        .map(|i| NodeId(i as u64))
+        .find(|&id| sim.node(id).is_some() && !sim.is_trusted(id))
+        .expect("an untrusted correct node");
+    let trusted = (0..sim.total_actors())
+        .map(|i| NodeId(i as u64))
+        .find(|&id| sim.node(id).is_some() && sim.is_trusted(id))
+        .expect("a trusted correct node");
+    let ci = trusted.index() - sim.byz_count;
+    let node = sim.nodes[ci].raptee_mut();
+    if let Some(oldest) = node.directory().oldest() {
+        node.forget_trusted_peer(oldest.id); // make room
+    }
+    node.note_trusted_peer(untrusted);
+    let err = sim
+        .check_invariants()
+        .expect_err("an untrusted directory entry");
+    assert!(err.contains("not a provisioned trusted actor"), "{err}");
+}
+
+#[test]
+fn ranked_nodes_are_checked_too() {
+    let mut sim = Simulation::new(half_mixed());
+    for _ in 0..5 {
+        sim.run_round();
+        assert_eq!(sim.check_invariants(), Ok(()));
+    }
+    // A BASALT node made to rank identities beyond the run is named.
+    let total = sim.total_actors();
+    let ci = sim.nodes.len() - 1;
+    let node = sim.nodes[ci].ranked_mut();
+    for stranger in total..total + 1_000 {
+        node.record_push(NodeId(stranger as u64));
+    }
+    let err = sim.check_invariants().expect_err("a sampled stranger");
+    assert!(err.contains("not an actor of this run"), "{err}");
+}
+
+#[test]
+fn the_arena_costs_nothing_over_a_raptee_node() {
+    assert_eq!(
+        std::mem::size_of::<Node>(),
+        std::mem::size_of::<RapteeNode>()
+    );
+}
+
+#[test]
+fn basalt_beats_brahms_under_balanced_attack() {
+    // The head-to-head the BASALT paper argues qualitatively: ranked
+    // hit-counter views bound the adversary near its population share,
+    // where Brahms' renewal admits the full push/pull pressure.
+    let s = small(Protocol::Brahms);
+    let brahms = Simulation::new(s.clone()).run();
+    let basalt = Simulation::new(s.basalt_variant(15)).run();
+    assert_eq!(basalt.rounds, 90);
+    assert!(basalt.resilience > 0.0, "some pollution is inevitable");
+    assert!(
+        basalt.resilience < brahms.resilience,
+        "BASALT {} must undercut Brahms {}",
+        basalt.resilience,
+        brahms.resilience
+    );
+    assert_eq!(
+        basalt.total_evicted, 0,
+        "no eviction without a trusted tier"
+    );
+    assert_eq!(basalt.floods_detected, 0, "no Brahms flood detector runs");
+}
+
+#[test]
+fn basalt_deterministic_per_seed() {
+    let s = small(Protocol::Brahms).basalt_variant(15);
+    let a = Simulation::new(s.clone()).run();
+    let b = Simulation::new(s.clone()).run();
+    assert_eq!(a, b);
+    let mut other = s;
+    other.seed = 99;
+    let c = Simulation::new(other).run();
+    assert_ne!(a.byz_share_series, c.byz_share_series);
+}
+
+#[test]
+fn basalt_counts_seed_rotations() {
+    let mut s = small(Protocol::Brahms).basalt_variant(10);
+    s.rounds = 40;
+    let r = Simulation::new(s.clone()).run();
+    // 4 rotation epochs × one slot × every alive correct node.
+    let expected = 4 * (s.n - s.byzantine_count()) as u64;
+    assert_eq!(r.seed_rotations, expected);
+    let never = Simulation::new(s.basalt_variant(0)).run();
+    assert_eq!(never.seed_rotations, 0);
+}
+
+#[test]
+fn basalt_discovery_and_stability_reached() {
+    let result = Simulation::new(small(Protocol::Brahms).basalt_variant(15)).run();
+    assert!(
+        result.mean_discovery_round.is_some(),
+        "mean discovery must complete: tail {:?}",
+        result.byz_share_series.last()
+    );
+    assert!(
+        result.stability_round.is_some(),
+        "stability must be reached"
+    );
+}
+
+#[test]
+fn basalt_role_queries() {
+    let s = small(Protocol::Brahms).basalt_variant(15);
+    let byz = s.byzantine_count();
+    let sim = Simulation::new(s);
+    assert!(
+        sim.basalt(NodeId(0)).is_none(),
+        "Byzantine actors expose no node"
+    );
+    assert!(sim.basalt(NodeId(byz as u64)).is_some());
+    assert!(
+        sim.node(NodeId(byz as u64)).is_none(),
+        "no RAPTEE nodes under BASALT"
+    );
+    assert!(!sim.is_trusted(NodeId(byz as u64)));
+}
+
+fn basalt_tee(view: usize) -> Protocol {
+    Protocol::BasaltTee {
+        view_size: view,
+        rotation_interval: 15,
+        wlist_ttl: 8,
+    }
+}
+
+fn half_mixed() -> Scenario {
+    let mut s = small(Protocol::Raptee);
+    s.trusted_fraction = 0.1;
+    s.half_and_half(Protocol::Raptee, basalt_tee(12))
+}
+
+#[test]
+fn basalt_tee_uniform_runs_with_trusted_tier() {
+    let mut s = small(Protocol::Brahms).basalt_tee_variant(15, 8);
+    s.trusted_fraction = 0.1;
+    let byz = s.byzantine_count();
+    let trusted = s.trusted_count();
+    assert!(trusted > 0);
+    let sim = Simulation::new(s.clone());
+    // The trusted tier sits directly after the Byzantine prefix and
+    // holds attested group keys.
+    let first_trusted = NodeId(byz as u64);
+    assert!(sim.is_trusted(first_trusted));
+    assert!(!sim.is_trusted(NodeId((byz + trusted) as u64)));
+    let node = sim.basalt(first_trusted).expect("BASALT node");
+    assert!(node.is_trusted());
+    assert!(node.group_key().is_some());
+    assert!(
+        sim.node(first_trusted).is_none(),
+        "no Brahms-family nodes under the hybrid"
+    );
+    let r = sim.run();
+    assert_eq!(r.rounds, s.rounds);
+    assert!(r.seed_rotations > 0, "rotation still runs under the hybrid");
+    assert_eq!(r.total_evicted, 0, "no Brahms eviction in BASALT views");
+    assert_eq!(r.segments.len(), 1);
+    assert_eq!(r.segments[0].protocol, s.protocol);
+    assert_eq!(r.segments[0].resilience.to_bits(), r.resilience.to_bits());
+}
+
+#[test]
+fn mixed_population_reports_segments() {
+    let s = half_mixed();
+    let correct = s.n - s.byzantine_count();
+    let r = Simulation::new(s.clone()).run();
+    assert_eq!(r.rounds, s.rounds);
+    assert_eq!(r.segments.len(), 2);
+    assert_eq!(r.segments[0].protocol, Protocol::Raptee);
+    assert_eq!(r.segments[1].protocol, basalt_tee(12));
+    assert_eq!(
+        r.segments.iter().map(|x| x.nodes).sum::<usize>(),
+        correct,
+        "segments cover the correct population"
+    );
+    for seg in &r.segments {
+        assert_eq!(seg.byz_share_series.len(), s.rounds);
+        assert!(seg.resilience > 0.0 && seg.resilience < 1.0);
+    }
+    // The combined series is the per-round mean over all correct
+    // nodes, so it lies between the segment series.
+    for round in 0..s.rounds {
+        let lo = r.segments[0].byz_share_series[round].min(r.segments[1].byz_share_series[round]);
+        let hi = r.segments[0].byz_share_series[round].max(r.segments[1].byz_share_series[round]);
+        let combined = r.byz_share_series[round];
+        assert!(
+            combined >= lo - 1e-12 && combined <= hi + 1e-12,
+            "round {round}: combined {combined} outside [{lo}, {hi}]"
+        );
+    }
+    // RAPTEE eviction ran in its segment.
+    assert!(r.total_evicted > 0);
+    // BASALT seed rotation ran in the other.
+    assert!(r.seed_rotations > 0);
+}
+
+#[test]
+fn mixed_population_deterministic_per_seed() {
+    let s = half_mixed();
+    let a = Simulation::new(s.clone()).run();
+    let b = Simulation::new(s.clone()).run();
+    assert_eq!(a, b);
+    let mut other = s;
+    other.seed = 99;
+    let c = Simulation::new(other).run();
+    assert_ne!(a.byz_share_series, c.byz_share_series);
+}
+
+#[test]
+fn mixed_population_role_and_node_accessors() {
+    let s = half_mixed();
+    let byz = s.byzantine_count();
+    let trusted_counts = s.segment_trusted_counts();
+    let segs = s.segments();
+    let sim = Simulation::new(s);
+    // First Raptee-segment node: trusted RAPTEE.
+    let raptee_first = NodeId(byz as u64);
+    assert!(sim.is_trusted(raptee_first));
+    assert!(sim.node(raptee_first).is_some());
+    assert!(sim.basalt(raptee_first).is_none());
+    // First BASALT-segment node: trusted BASALT.
+    let basalt_first = NodeId((byz + segs[0].count) as u64);
+    assert!(sim.is_trusted(basalt_first));
+    let node = sim.basalt(basalt_first).expect("BASALT node");
+    assert!(node.is_trusted());
+    assert!(sim.node(basalt_first).is_none());
+    // Untrusted tail of the BASALT segment.
+    let basalt_last = NodeId((byz + segs[0].count + segs[1].count - 1) as u64);
+    assert!(!sim.is_trusted(basalt_last));
+    assert!(trusted_counts[1] < segs[1].count);
+}
+
+#[test]
+fn mixed_population_survives_loss_and_crashes() {
+    let mut s = small(Protocol::Brahms).half_and_half(
+        Protocol::Brahms,
+        Protocol::Basalt {
+            view_size: 12,
+            rotation_interval: 15,
+        },
+    );
+    s.message_loss = 0.2;
+    s.churn = crate::scenario::ChurnSchedule::one_shot(0.15, 10);
+    s.rounds = 30;
+    let byz = s.byzantine_count();
+    let n = s.n;
+    let mut sim = Simulation::new(s);
+    for _ in 0..30 {
+        sim.run_round();
+    }
+    let dead = (byz..n)
+        .filter(|&i| !sim.is_alive(NodeId(i as u64)))
+        .count();
+    let expected = ((n - byz) as f64 * 0.15).round() as usize;
+    assert_eq!(dead, expected);
+    // Survivors of both families keep non-empty views.
+    for i in byz..n {
+        let id = NodeId(i as u64);
+        if !sim.is_alive(id) {
+            continue;
+        }
+        if let Some(node) = sim.node(id) {
+            assert!(!node.brahms().view().is_empty());
+        } else {
+            assert!(!sim.basalt(id).unwrap().view().is_empty());
+        }
+    }
+}
+
+#[test]
+fn wlist_hybrid_quarantines_hearsay_in_engine() {
+    // A BasaltTee run with a long TTL and crashes: waiting lists
+    // must actually fill and drain through the engine's finish
+    // phase.
+    let mut s = small(Protocol::Brahms).basalt_tee_variant(0, 12);
+    s.trusted_fraction = 0.05;
+    s.rounds = 5;
+    let byz = s.byzantine_count();
+    let mut sim = Simulation::new(s.clone());
+    sim.run_round();
+    let queued: usize = (byz..s.n)
+        .filter_map(|i| sim.basalt(NodeId(i as u64)))
+        .map(|n| n.wlist_len())
+        .sum();
+    assert!(queued > 0, "pull hearsay must hit the waiting lists");
+}
+
+#[test]
+fn basalt_survives_loss_and_crashes() {
+    let mut s = small(Protocol::Brahms).basalt_variant(15);
+    s.message_loss = 0.3;
+    s.churn = crate::scenario::ChurnSchedule::one_shot(0.2, 10);
+    s.rounds = 30;
+    let byz = s.byzantine_count();
+    let n = s.n;
+    let mut sim = Simulation::new(s);
+    for _ in 0..30 {
+        sim.run_round();
+    }
+    let dead = (byz..n)
+        .filter(|&i| !sim.is_alive(NodeId(i as u64)))
+        .count();
+    let expected = ((n - byz) as f64 * 0.2).round() as usize;
+    assert_eq!(dead, expected);
+    // Survivors keep ranked views despite the churn.
+    for i in byz..n {
+        let id = NodeId(i as u64);
+        if sim.is_alive(id) {
+            assert!(!sim.basalt(id).unwrap().view().is_empty());
+        }
+    }
+}
+
+#[test]
+fn legacy_one_shot_crash_reports_no_recovery_metrics() {
+    let mut s = small(Protocol::Raptee);
+    s.churn = crate::scenario::ChurnSchedule::one_shot(0.2, 10);
+    let r = Simulation::new(s).run();
+    assert!(
+        r.recovery.is_none(),
+        "one-shot crashes predate the recovery family"
+    );
+}
+
+#[test]
+fn steady_churn_with_restarts_reports_recovery_metrics() {
+    let mut s = small(Protocol::Raptee);
+    s.churn = crate::scenario::ChurnSchedule::steady(0.02, 0.4);
+    let a = Simulation::new(s.clone()).run();
+    let rec = a
+        .recovery
+        .as_ref()
+        .expect("dynamic churn yields recovery stats");
+    assert!(rec.crashes > 0, "steady rate must crash someone");
+    assert!(rec.restarts > 0, "restart process must fire");
+    assert!(rec.recovered <= rec.restarts);
+    assert!(rec.availability > 0.0 && rec.availability < 1.0);
+    if let Some(ttr) = rec.mean_time_to_recover {
+        assert!(ttr >= SMOOTHING_WINDOW as f64);
+    }
+    let b = Simulation::new(s).run();
+    assert_eq!(a, b, "churn draws are hash-deterministic");
+}
+
+#[test]
+fn catastrophe_burst_crashes_more_than_steady_alone() {
+    let mut steady = small(Protocol::Raptee);
+    steady.churn = crate::scenario::ChurnSchedule::steady(0.005, 0.5);
+    let mut burst = steady.clone();
+    burst.churn.bursts = vec![crate::scenario::ChurnBurst {
+        start: 20,
+        end: 25,
+        crash_rate: 0.5,
+    }];
+    let a = Simulation::new(steady).run();
+    let b = Simulation::new(burst).run();
+    let (ra, rb) = (a.recovery.unwrap(), b.recovery.unwrap());
+    assert!(
+        rb.crashes > ra.crashes,
+        "burst window raises crash volume: {} vs {}",
+        rb.crashes,
+        ra.crashes
+    );
+}
+
+#[test]
+fn cold_and_warm_rejoin_policies_diverge() {
+    let mut cold = small(Protocol::Raptee);
+    cold.churn = crate::scenario::ChurnSchedule::steady(0.02, 0.4);
+    let mut warm = cold.clone();
+    warm.churn.rejoin = RejoinPolicy::Warm;
+    let a = Simulation::new(cold).run();
+    let b = Simulation::new(warm).run();
+    assert!(a.recovery.is_some() && b.recovery.is_some());
+    // Crash/restart draws are state-independent hashes, so both runs
+    // see identical membership timelines — only the rebuilt node
+    // state differs, and that must show up in the trajectories.
+    assert_ne!(a.byz_share_series, b.byz_share_series);
+}
+
+#[test]
+fn basalt_family_survives_dynamic_churn_with_warm_rejoin() {
+    let mut s = small(Protocol::Brahms).basalt_variant(15);
+    s.churn = crate::scenario::ChurnSchedule::steady(0.02, 0.4);
+    s.churn.rejoin = RejoinPolicy::Warm;
+    let r = Simulation::new(s).run();
+    let rec = r.recovery.expect("recovery stats under dynamic churn");
+    assert!(rec.crashes > 0 && rec.restarts > 0);
+    assert!(rec.availability > 0.0 && rec.availability < 1.0);
+}
+
+#[test]
+fn mixed_population_routes_restarts_to_both_families() {
+    let mut s = small(Protocol::Brahms).half_and_half(
+        Protocol::Brahms,
+        Protocol::Basalt {
+            view_size: 12,
+            rotation_interval: 15,
+        },
+    );
+    s.churn = crate::scenario::ChurnSchedule::steady(0.03, 0.5);
+    let a = Simulation::new(s.clone()).run();
+    assert!(a.recovery.as_ref().unwrap().restarts > 0);
+    let b = Simulation::new(s).run();
+    assert_eq!(a, b);
+}
+
+#[test]
+fn attestation_expiry_degrades_and_heals_the_trusted_tier() {
+    let mut s = small(Protocol::Raptee);
+    s.attest_ttl = 6;
+    let a = Simulation::new(s.clone()).run();
+    let rec = a
+        .recovery
+        .as_ref()
+        .expect("attest_ttl alone activates recovery stats");
+    assert_eq!(rec.trusted_live_fraction.len(), s.rounds);
+    // No churn: availability stays perfect even while certs lapse.
+    assert!((rec.availability - 1.0).abs() < 1e-12);
+    assert_eq!(rec.crashes, 0);
+    // Initial expiries are staggered over [ttl, 2*ttl), so the tier
+    // starts whole, dips when certs lapse, and heals back up after
+    // re-attestation.
+    assert!((rec.trusted_live_fraction[0] - 1.0).abs() < 1e-12);
+    let dip = rec
+        .trusted_live_fraction
+        .iter()
+        .position(|&f| f < 1.0)
+        .expect("a six-round TTL must degrade someone");
+    assert!(
+        rec.trusted_live_fraction[dip..]
+            .iter()
+            .any(|&f| f > rec.trusted_live_fraction[dip]),
+        "re-attestation must heal the tier after the first dip"
+    );
+    // Degraded trusted nodes act untrusted, which changes the
+    // protocol trajectory relative to the eternal-cert baseline.
+    let mut eternal = s.clone();
+    eternal.attest_ttl = 0;
+    let base = Simulation::new(eternal).run();
+    assert_ne!(a.byz_share_series, base.byz_share_series);
+    let b = Simulation::new(s).run();
+    assert_eq!(a, b, "degradation schedule is hash-deterministic");
+}

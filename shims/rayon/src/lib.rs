@@ -12,14 +12,13 @@
 //! callers observe the same semantics as rayon for these pipelines
 //! (deterministic output order, one closure call per item).
 //!
-//! Scheduling is **work-stealing**: every worker owns a deque seeded
-//! with a contiguous chunk of the items; it pops work from the front of
-//! its own deque and, when empty, steals the back half of a victim's.
-//! Heterogeneous workloads (a `sweep_grid` mixing N=150 and N=10,000
-//! scenarios) therefore no longer serialize on the thread that drew the
-//! most expensive chunk, which is what the previous even-chunk scheduler
-//! did. Results are written back by item index, so the output is
-//! identical for every thread count — including 1.
+//! There is **one scheduler**, [`par_for_each_scratch`]: workers claim
+//! item indices one at a time from a shared atomic cursor, so a
+//! heterogeneous workload (a `sweep_grid` mixing N=150 and N=10,000
+//! scenarios) never serializes on the thread that drew the expensive
+//! items. `map` runs on it too, over one (item, result) cell per item;
+//! results are read back by item index, so the output is identical for
+//! every thread count — including 1.
 //!
 //! Thread count resolution, in priority order:
 //! 1. a scoped [`with_num_threads`] override (used by the determinism
@@ -28,12 +27,10 @@
 //!    real rayon);
 //! 3. `std::thread::available_parallelism()`.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub mod prelude {
     //! Drop-in for `rayon::prelude::*`.
@@ -98,7 +95,7 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
 }
 
 impl<T: Send> ParIter<T> {
-    /// Applies `f` to every item across a work-stealing thread pool,
+    /// Applies `f` to every item across the persistent thread pool,
     /// preserving order.
     pub fn map<R: Send, F: Fn(T) -> R + Sync>(self, f: F) -> ParIter<R> {
         ParIter {
@@ -113,7 +110,7 @@ impl<T: Send> ParIter<T> {
 }
 
 thread_local! {
-    /// Set while a `par_apply` worker runs on this thread. Real rayon
+    /// Set while a pool worker runs on this thread. Real rayon
     /// shares one global pool, so nested parallelism never
     /// oversubscribes; this shim gets the same property by running
     /// nested maps serially on the already-parallel worker.
@@ -162,7 +159,7 @@ fn configured_threads() -> usize {
 }
 
 mod pool {
-    //! The persistent worker pool behind [`par_apply`] and
+    //! The persistent worker pool behind
     //! [`par_for_each_scratch`](super::par_for_each_scratch).
     //!
     //! One global pool per process, mirroring real rayon: helper
@@ -335,75 +332,22 @@ mod pool {
 
 pub use pool::spawned_workers as pool_spawned_workers;
 
-/// Work-stealing fork-join map over `items`, preserving input order.
+/// Fork-join map over `items`, preserving input order: each item sits
+/// in a cell beside its result slot, and [`par_for_each_mut`]'s workers
+/// claim the cells one at a time from its atomic cursor.
 fn par_apply<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Vec<R> {
-    let n = items.len();
-    let threads = configured_threads().min(n);
-    if threads <= 1 || IN_PAR_REGION.with(|flag| flag.get()) {
-        return items.into_iter().map(f).collect();
-    }
-
-    // Seed each worker's deque with a contiguous chunk of indexed items.
-    let chunk_len = n.div_ceil(threads);
-    let mut deques: Vec<Mutex<VecDeque<(usize, T)>>> = Vec::with_capacity(threads);
-    {
-        let mut items = items.into_iter().enumerate();
-        for _ in 0..threads {
-            deques.push(Mutex::new(items.by_ref().take(chunk_len).collect()));
-        }
-    }
-    let deques = &deques;
-
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-    let slot_base = SharedMutPtr(slots.as_mut_ptr(), PhantomData);
-    let slot_base = &slot_base;
-    pool::run(
-        &move |w: usize| {
-            loop {
-                // Drain the front of the local deque.
-                let task = deques[w].lock().expect("deque poisoned").pop_front();
-                if let Some((i, item)) = task {
-                    let r = f(item);
-                    // SAFETY: index `i` lives in exactly one deque at a
-                    // time and is claimed by exactly one worker, so this
-                    // slot write is exclusive; the pool's completion
-                    // latch orders it before `slots` is read below.
-                    unsafe { *slot_base.0.add(i) = Some(r) };
-                    continue;
-                }
-                // Empty: steal the back half of the first
-                // non-empty victim (back-stealing keeps the
-                // victim's cache-warm front intact).
-                let mut loot: Option<VecDeque<(usize, T)>> = None;
-                for v in 1..threads {
-                    let victim = (w + v) % threads;
-                    let mut dq = deques[victim].lock().expect("deque poisoned");
-                    let len = dq.len();
-                    if len > 0 {
-                        loot = Some(dq.split_off(len - len.div_ceil(2)));
-                        break;
-                    }
-                }
-                match loot {
-                    Some(stolen) => {
-                        deques[w].lock().expect("deque poisoned").extend(stolen);
-                    }
-                    None => break, // every deque drained
-                }
-            }
-        },
-        threads - 1,
-    );
-    slots
+    let mut cells: Vec<(Option<T>, Option<R>)> =
+        items.into_iter().map(|item| (Some(item), None)).collect();
+    par_for_each_mut(&mut cells, |_, (item, out)| *out = item.take().map(f));
+    cells
         .into_iter()
-        .map(|r| r.expect("every item computed exactly once"))
+        .map(|(_, r)| r.expect("every item computed exactly once"))
         .collect()
 }
 
 /// A `*mut T` that may cross thread boundaries. Soundness rests on the
-/// claiming discipline of the call sites ([`par_apply`],
-/// [`par_for_each_scratch`]): every index is handed out exactly once —
-/// by an atomic cursor, a deque pop, or the pool's unique worker
+/// claiming discipline of [`par_for_each_scratch`]: every index is handed
+/// out exactly once — by the atomic cursor or the pool's unique worker
 /// ordinals — so no two workers ever hold a `&mut` to the same element.
 struct SharedMutPtr<T>(*mut T, PhantomData<T>);
 
@@ -533,10 +477,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_balances_heterogeneous_items() {
+    fn cursor_balances_heterogeneous_items() {
         // The first chunk carries nearly all the work; with even
-        // chunking the run serializes on worker 0, with stealing the
-        // other workers drain it. Correctness contract: identical,
+        // chunking the run serializes on worker 0, with one cursor the
+        // other workers claim past it. Correctness contract: identical,
         // ordered output regardless of who computed what.
         crate::with_num_threads(4, || {
             let weights: Vec<u64> = (0..64).map(|i| if i < 16 { 200_000 } else { 10 }).collect();

@@ -539,15 +539,24 @@ impl Args {
     /// Propagates option-parsing failures, and the scenario's first
     /// broken rule as [`CliError::Invalid`].
     pub fn scenario(&self) -> Result<Scenario, CliError> {
-        let scale = self.scale()?;
-        let (n_default, view_default, rounds_default) =
-            scale.map_or((400, 16, 200), |s| (s.n, s.view, s.rounds));
-        let view = self.get("view", view_default)?;
-        let rounds = self.get("rounds", rounds_default)?;
+        // A `--scale` preset supplies every default its bench profile
+        // sets (the `paper` profile's flood threshold included); explicit
+        // flags still win.
+        let base = match self.scale()? {
+            Some(scale) => scale.scenario(),
+            None => Scenario {
+                n: 400,
+                view_size: 16,
+                rounds: 200,
+                ..Scenario::default()
+            },
+        };
+        let view = self.get("view", base.view_size)?;
+        let rounds = self.get("rounds", base.rounds)?;
         // `--t` is ignored under `--protocol basalt` (no trusted tier
         // exists).
         let mut scenario = Scenario {
-            n: self.get("n", n_default)?,
+            n: self.get("n", base.n)?,
             byzantine_fraction: self.get("f", 0.10f64)?,
             trusted_fraction: self.get("t", 0.01f64)?,
             injected_poisoned_fraction: self.get("injected", 0.0f64)?,
@@ -567,7 +576,7 @@ impl Args {
             trusted_directory_refresh: self.get("trusted-refresh", 0usize)?,
             identification_attack: self.command == "ident",
             seed: self.get("seed", 0x5A97EE_u64)?,
-            ..Scenario::default()
+            ..base
         };
         let correct = scenario.n.saturating_sub(scenario.byzantine_count());
         scenario.population = self.population(view, correct)?;
@@ -1095,6 +1104,25 @@ mod tests {
             .scenario()
             .unwrap_err();
         assert!(matches!(err, CliError::BadValue { ref key, .. } if key == "scale"));
+    }
+
+    #[test]
+    fn the_paper_preset_runs_the_paper_flood_threshold() {
+        let s = args(&["run", "--scale", "paper"])
+            .unwrap()
+            .scenario()
+            .unwrap();
+        assert_eq!((s.n, s.view_size, s.rounds), (10_000, 200, 200));
+        assert_eq!(
+            s.flood_slack_sigmas, 0.0,
+            "the paper-literal α·l1 threshold"
+        );
+        // The reduced presets keep the reduced-scale slack.
+        let s = args(&["run", "--scale", "tiny"])
+            .unwrap()
+            .scenario()
+            .unwrap();
+        assert_eq!(s.flood_slack_sigmas, Scenario::default().flood_slack_sigmas);
     }
 
     #[test]

@@ -227,3 +227,38 @@ fn identification_without_trusted_nodes_finds_nothing() {
         assert_eq!(ident.precision, 0.0);
     }
 }
+
+#[test]
+fn force_push_and_balanced_are_one_play_against_ranked_families() {
+    // `Adversary::plan_attack` gives a ranked segment the round-robin
+    // distinct-identity planner under both attacks, so the two
+    // `fig_tournament` columns of BASALT, LIFT and Honeybee are the same
+    // run by construction; Brahms, whose balanced play draws random IDs,
+    // is the control.
+    let mut small = base();
+    small.n = 120;
+    small.rounds = 30;
+    let run = |s: &Scenario, attack| {
+        run_scenario(Scenario {
+            attack,
+            ..s.clone()
+        })
+    };
+    for ranked in [
+        small.basalt_variant(15),
+        small.lift_variant(8),
+        small.honeybee_variant(4),
+    ] {
+        assert_eq!(
+            run(&ranked, AttackStrategy::Balanced),
+            run(&ranked, AttackStrategy::ForcePush),
+            "{:?}",
+            ranked.protocol
+        );
+    }
+    let brahms = small.brahms_baseline();
+    assert_ne!(
+        run(&brahms, AttackStrategy::Balanced),
+        run(&brahms, AttackStrategy::ForcePush)
+    );
+}

@@ -1,7 +1,7 @@
 //! Determinism regression suite.
 //!
 //! The performance work (allocation-free round engine, sampler
-//! seen-cache, batched delivery, work-stealing sweeps) is only valid if
+//! seen-cache, batched delivery, dynamically scheduled sweeps) is only valid if
 //! it is *observationally invisible*: identical seeds must keep yielding
 //! bit-identical [`RunResult`]s. Three layers of protection:
 //!
@@ -14,7 +14,7 @@
 //! 2. **Run-to-run identity** — the same scenario twice in one process.
 //! 3. **Thread-count invariance** — repetition/sweep aggregates under 1
 //!    worker vs several (through the rayon shim's scoped override), so
-//!    the work-stealing scheduler provably cannot leak schedule
+//!    the shim's dynamic scheduler provably cannot leak schedule
 //!    dependence into results.
 
 use raptee_sim::{
