@@ -40,38 +40,39 @@ pub struct BrahmsConfig {
 
 impl BrahmsConfig {
     /// The configuration used throughout the paper's evaluation:
-    /// `α = β = 0.4`, `γ = 0.2`.
+    /// `α = β = 0.4`, `γ = 0.2`. Not validated: a zero size is rejected
+    /// by [`BrahmsConfig::validate`].
     pub fn paper_defaults(view_size: usize, sample_size: usize) -> Self {
-        let cfg = Self {
+        Self {
             view_size,
             sample_size,
             alpha: 0.4,
             beta: 0.4,
             gamma: 0.2,
             flood_threshold: None,
-        };
-        cfg.validate();
-        cfg
+        }
     }
 
-    /// Checks parameter consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics when sizes are zero, any fraction is negative, or
-    /// `α + β + γ` differs from 1 by more than 1e-9.
-    pub fn validate(&self) {
-        assert!(self.view_size > 0, "view size l1 must be positive");
-        assert!(self.sample_size > 0, "sample size l2 must be positive");
-        assert!(
-            self.alpha >= 0.0 && self.beta >= 0.0 && self.gamma >= 0.0,
-            "alpha/beta/gamma must be non-negative"
-        );
-        let sum = self.alpha + self.beta + self.gamma;
-        assert!(
-            (sum - 1.0).abs() < 1e-9,
-            "alpha + beta + gamma must equal 1 (got {sum})"
-        );
+    /// Checks parameter consistency, returning the first broken rule:
+    /// sizes must be positive, no fraction negative, and `α + β + γ`
+    /// within 1e-9 of 1.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.view_size == 0 {
+            return Err("view size l1 must be positive");
+        }
+        if self.sample_size == 0 {
+            return Err("sample size l2 must be positive");
+        }
+        // Written as what must hold, so a NaN fails each rule.
+        let non_negative = self.alpha >= 0.0 && self.beta >= 0.0 && self.gamma >= 0.0;
+        if !non_negative {
+            return Err("alpha/beta/gamma must be non-negative");
+        }
+        let sums_to_one = (self.alpha + self.beta + self.gamma - 1.0).abs() < 1e-9;
+        if !sums_to_one {
+            return Err("alpha + beta + gamma must equal 1");
+        }
+        Ok(())
     }
 
     /// `⌈α·l1⌉` — pushes sent per round and pushed IDs admitted to the
@@ -104,7 +105,7 @@ mod tests {
     #[test]
     fn paper_defaults_are_valid() {
         let cfg = BrahmsConfig::paper_defaults(200, 160);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.view_size, 200);
         assert_eq!(cfg.sample_size, 160);
         assert_eq!(
@@ -123,43 +124,43 @@ mod tests {
             gamma: 0.2,
             flood_threshold: None,
         };
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.alpha_count(), 5); // 4.5 rounds to 5
         assert_eq!(cfg.beta_count(), 4); // 3.5 rounds to 4
         assert_eq!(cfg.gamma_count(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "must equal 1")]
     fn fractions_must_sum_to_one() {
-        BrahmsConfig {
-            view_size: 10,
-            sample_size: 10,
+        let cfg = BrahmsConfig {
             alpha: 0.5,
             beta: 0.5,
             gamma: 0.5,
-            flood_threshold: None,
-        }
-        .validate();
+            ..BrahmsConfig::paper_defaults(10, 10)
+        };
+        assert_eq!(cfg.validate(), Err("alpha + beta + gamma must equal 1"));
     }
 
     #[test]
-    #[should_panic(expected = "l1 must be positive")]
-    fn zero_view_rejected() {
-        BrahmsConfig::paper_defaults(0, 10);
+    fn zero_sizes_rejected() {
+        assert_eq!(
+            BrahmsConfig::paper_defaults(0, 10).validate(),
+            Err("view size l1 must be positive")
+        );
+        assert_eq!(
+            BrahmsConfig::paper_defaults(10, 0).validate(),
+            Err("sample size l2 must be positive")
+        );
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn negative_fraction_rejected() {
-        BrahmsConfig {
-            view_size: 10,
-            sample_size: 10,
+        let cfg = BrahmsConfig {
             alpha: -0.2,
             beta: 1.0,
             gamma: 0.2,
-            flood_threshold: None,
-        }
-        .validate();
+            ..BrahmsConfig::paper_defaults(10, 10)
+        };
+        assert_eq!(cfg.validate(), Err("alpha/beta/gamma must be non-negative"));
     }
 }

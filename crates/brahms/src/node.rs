@@ -45,8 +45,8 @@ pub struct RoundReport {
 
 /// Reusable buffers for the round-finalisation pipeline (index scratch
 /// for `sample_into`, drawn picks, the current sample list and the next
-/// view). A [`BrahmsNode`] boxes one on its first standalone
-/// [`BrahmsNode::finish_round`] call; the simulation engine instead keeps
+/// view). A [`BrahmsNode`] boxes one, beside the streams it records, on
+/// its first standalone call; the simulation engine instead keeps
 /// **one per worker thread** and finalises thousands of nodes through it
 /// via [`BrahmsNode::finish_round_with`], so per-node state stays small
 /// (struct-of-arrays engine layout) and the parallel round loop still
@@ -57,6 +57,19 @@ pub struct FinishScratch {
     pick: Vec<NodeId>,
     samples: Vec<NodeId>,
     next: Vec<ViewEntry>,
+}
+
+/// The state only the standalone, buffered round path uses: the streams
+/// [`BrahmsNode::record_push`] and [`BrahmsNode::record_pulled`] buffer
+/// and the [`FinishScratch`] [`BrahmsNode::finish_round`] drains them
+/// through. The engine never records into a node (it streams through
+/// [`BrahmsNode::finish_round_with`]), so a node it drives never
+/// allocates this box.
+#[derive(Debug, Clone, Default)]
+struct Standalone {
+    pushed: Vec<NodeId>,
+    pulled: Vec<NodeId>,
+    finish: FinishScratch,
 }
 
 /// A Brahms node: dynamic view + sampling component + per-round buffers.
@@ -76,28 +89,32 @@ pub struct FinishScratch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BrahmsNode {
-    id: NodeId,
     config: BrahmsConfig,
+    /// The dynamic view; its owner is this node's identifier.
     view: View,
     sampler: SamplerArray,
     rng: Xoshiro256StarStar,
-    pushed: Vec<NodeId>,
-    pulled: Vec<NodeId>,
     rounds: u64,
     renewals: u64,
     floods_detected: u64,
-    /// Scratch for the standalone [`BrahmsNode::finish_round`] path,
-    /// created by its first call (the engine passes per-worker scratch
-    /// instead — see [`FinishScratch`]).
-    scratch: Option<Box<FinishScratch>>,
+    /// The standalone path's buffers, created by its first call (the
+    /// engine passes per-worker scratch instead — see [`Standalone`]).
+    standalone: Option<Box<Standalone>>,
 }
 
 impl BrahmsNode {
     /// Creates a node whose initial view is filled from `bootstrap`
     /// (paper: "a list containing node IDs and addresses obtained from a
     /// bootstrap node").
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule when [`BrahmsConfig::validate`]
+    /// rejects `config`; call it first to get the rule as a value.
     pub fn new(id: NodeId, config: BrahmsConfig, bootstrap: &[NodeId], seed: u64) -> Self {
-        config.validate();
+        if let Err(rule) = config.validate() {
+            panic!("{rule}");
+        }
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let mut view = View::new(id, config.view_size);
         for &b in bootstrap {
@@ -113,17 +130,14 @@ impl BrahmsNode {
         // bitset up to the largest bootstrap ID in every node first.
         sampler.observe_all_uncached(view.ids());
         Self {
-            id,
             config,
             view,
             sampler,
             rng,
-            pushed: Vec::new(),
-            pulled: Vec::new(),
             rounds: 0,
             renewals: 0,
             floods_detected: 0,
-            scratch: None,
+            standalone: None,
         }
     }
 
@@ -134,7 +148,7 @@ impl BrahmsNode {
     /// lifetime counters survive).
     pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut view = View::new(self.id, self.config.view_size);
+        let mut view = View::new(self.id(), self.config.view_size);
         for &b in bootstrap {
             if view.len() == self.config.view_size {
                 break;
@@ -147,8 +161,7 @@ impl BrahmsNode {
         self.sampler.observe_all(view.ids());
         self.view = view;
         self.rng = rng;
-        self.pushed.clear();
-        self.pulled.clear();
+        self.clear_recorded();
     }
 
     /// Warm rejoin after a crash–restart: the node resumes from its
@@ -161,14 +174,26 @@ impl BrahmsNode {
     pub fn rejoin_warm<F: FnMut(NodeId) -> bool>(&mut self, mut is_alive: F) -> (usize, usize) {
         let purged = self.view.retain(|e| is_alive(e.id));
         let reset = self.sampler.validate(&mut is_alive, &mut self.rng);
-        self.pushed.clear();
-        self.pulled.clear();
+        self.clear_recorded();
         (purged, reset)
+    }
+
+    /// Forgets the streams recorded since the last finalisation.
+    fn clear_recorded(&mut self) {
+        if let Some(st) = &mut self.standalone {
+            st.pushed.clear();
+            st.pulled.clear();
+        }
+    }
+
+    /// The standalone path's buffers, boxed on first use.
+    fn standalone_mut(&mut self) -> &mut Standalone {
+        self.standalone.get_or_insert_with(Box::default)
     }
 
     /// This node's identifier.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.view.owner()
     }
 
     /// The protocol parameters.
@@ -266,16 +291,18 @@ impl BrahmsNode {
 
     /// Records an incoming push (the sender's ID).
     pub fn record_push(&mut self, sender: NodeId) {
-        if sender != self.id {
-            self.pushed.push(sender);
+        if sender != self.id() {
+            self.standalone_mut().pushed.push(sender);
         }
     }
 
     /// Records the IDs from one pull answer (or, under RAPTEE, the IDs
     /// surviving eviction, plus the trusted-swap IDs).
     pub fn record_pulled(&mut self, ids: &[NodeId]) {
-        self.pulled
-            .extend(ids.iter().copied().filter(|&i| i != self.id));
+        let id = self.id();
+        self.standalone_mut()
+            .pulled
+            .extend(ids.iter().copied().filter(|&i| i != id));
     }
 
     /// Answers a pull request: the full current view (paper Section III-A).
@@ -285,24 +312,20 @@ impl BrahmsNode {
 
     /// Number of pushes buffered so far this round (used by wrappers).
     pub fn pushes_buffered(&self) -> usize {
-        self.pushed.len()
+        self.standalone.as_ref().map_or(0, |st| st.pushed.len())
     }
 
     /// Finalises the round: runs the attack-blocking rule, renews the
     /// view from `α·l1` pushed ∪ `β·l1` pulled ∪ `γ·l1` history-sampled
     /// IDs, and feeds the full (pushed ∪ pulled) stream to the samplers.
     pub fn finish_round(&mut self) -> RoundReport {
-        let pushed = std::mem::take(&mut self.pushed);
-        let pulled = std::mem::take(&mut self.pulled);
-        let mut scratch = self.scratch.take().unwrap_or_default();
-        let report = self.finish_round_with(&pushed, &pulled, &mut scratch);
-        self.scratch = Some(scratch);
-        // Hand the buffers back for next-round reuse, emptied (the
-        // historical drain semantics).
-        self.pushed = pushed;
-        self.pushed.clear();
-        self.pulled = pulled;
-        self.pulled.clear();
+        let mut st = self.standalone.take().unwrap_or_default();
+        let report = self.finish_round_with(&st.pushed, &st.pulled, &mut st.finish);
+        // Keep the buffers for next-round reuse, emptied (the historical
+        // drain semantics).
+        st.pushed.clear();
+        st.pulled.clear();
+        self.standalone = Some(st);
         report
     }
 

@@ -48,17 +48,11 @@ impl RapteeConfig {
         }
     }
 
-    /// Validates both halves.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the panics of the component validators, and panics
-    /// with the eviction policy's broken rule.
-    pub fn validate(&self) {
-        self.brahms.validate();
-        if let Err(rule) = self.eviction.validate() {
-            panic!("{rule}");
-        }
+    /// Validates both halves, Brahms first, returning the first broken
+    /// rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        self.brahms.validate()?;
+        self.eviction.validate()
     }
 }
 
@@ -76,6 +70,21 @@ pub struct RapteeRoundOutcome {
     /// round loop streams the survivors straight into Brahms instead of
     /// materialising them (the engine's discovery metric reads the view).
     pub admitted_pulled: usize,
+}
+
+/// The pull answers a [`RapteeNode`] records during a round, until
+/// [`RapteeNode::finish_round`] or
+/// [`RapteeNode::finish_round_streamed`] consumes them. Only a trusted
+/// exchange or the buffered standalone path records anything — the
+/// engine streams every untrusted answer past the node — so most nodes
+/// of a large run never allocate this box.
+#[derive(Debug, Clone, Default)]
+struct Pulled {
+    /// Answers from peers that did not authenticate as trusted: subject
+    /// to eviction.
+    untrusted: Vec<NodeId>,
+    /// IDs from trusted swaps and trusted answers: exempt from eviction.
+    trusted: Vec<NodeId>,
 }
 
 /// A RAPTEE node.
@@ -97,8 +106,9 @@ pub struct RapteeNode {
     /// the proactive trusted exchange probes the oldest entry
     /// (round-robin). Never revealed to untrusted parties.
     directory: View,
-    pulled_untrusted: Vec<NodeId>,
-    pulled_trusted: Vec<NodeId>,
+    /// This round's recorded pull answers, boxed on first use (see
+    /// [`Pulled`]).
+    pulled: Option<Box<Pulled>>,
     contacts_total: u32,
     contacts_trusted: u32,
     last_eviction_rate: f64,
@@ -107,6 +117,11 @@ pub struct RapteeNode {
 impl RapteeNode {
     /// Creates an *untrusted* node: it generates its own random secret
     /// key, so its handshakes never conclude `Trusted` with anyone.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule when [`RapteeConfig::validate`]
+    /// rejects `config`; call it first to get the rule as a value.
     pub fn new_untrusted(
         id: NodeId,
         config: RapteeConfig,
@@ -121,6 +136,11 @@ impl RapteeNode {
 
     /// Creates a *trusted* node holding the attested `group_key` (see
     /// [`crate::provisioning::provision_trusted_key`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule when [`RapteeConfig::validate`]
+    /// rejects `config`; call it first to get the rule as a value.
     pub fn new_trusted(
         id: NodeId,
         config: RapteeConfig,
@@ -131,6 +151,9 @@ impl RapteeNode {
         Self::with_key(id, config, bootstrap, seed, group_key, true)
     }
 
+    /// The constructor both roles share. [`BrahmsNode::new`] checks the
+    /// Brahms half of the config, and the eviction half is checked here,
+    /// so the panic names the rule [`RapteeConfig::validate`] would.
     fn with_key(
         id: NodeId,
         config: RapteeConfig,
@@ -139,15 +162,17 @@ impl RapteeNode {
         key: SecretKey,
         trusted: bool,
     ) -> Self {
-        config.validate();
+        let brahms = BrahmsNode::new(id, config.brahms, bootstrap, seed);
+        if let Err(rule) = config.eviction.validate() {
+            panic!("{rule}");
+        }
         Self {
-            brahms: BrahmsNode::new(id, config.brahms, bootstrap, seed),
+            brahms,
             directory: View::new(id, config.brahms.view_size),
             eviction: config.eviction,
             authenticator: Authenticator::new(key),
             trusted,
-            pulled_untrusted: Vec::new(),
-            pulled_trusted: Vec::new(),
+            pulled: None,
             contacts_total: 0,
             contacts_trusted: 0,
             last_eviction_rate: 0.0,
@@ -164,8 +189,7 @@ impl RapteeNode {
     pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         self.brahms.rejoin_cold(bootstrap, seed);
         self.directory = View::new(self.id(), self.brahms.config().view_size);
-        self.pulled_untrusted.clear();
-        self.pulled_trusted.clear();
+        self.clear_pulled();
         self.contacts_total = 0;
         self.contacts_trusted = 0;
         self.last_eviction_rate = 0.0;
@@ -178,9 +202,26 @@ impl RapteeNode {
     /// survivors. Returns `(view entries purged, samplers reset)`.
     pub fn rejoin_warm<F: FnMut(NodeId) -> bool>(&mut self, mut is_alive: F) -> (usize, usize) {
         self.directory.retain(|e| is_alive(e.id));
-        self.pulled_untrusted.clear();
-        self.pulled_trusted.clear();
+        self.clear_pulled();
         self.brahms.rejoin_warm(is_alive)
+    }
+
+    /// Forgets this round's recorded pull answers.
+    fn clear_pulled(&mut self) {
+        if let Some(pulled) = &mut self.pulled {
+            pulled.untrusted.clear();
+            pulled.trusted.clear();
+        }
+    }
+
+    /// The recorded pull answers, boxed on first use.
+    fn pulled_mut(&mut self) -> &mut Pulled {
+        self.pulled.get_or_insert_with(Box::default)
+    }
+
+    /// IDs recorded from trusted exchanges this round.
+    fn pulled_trusted(&self) -> &[NodeId] {
+        self.pulled.as_ref().map_or(&[], |p| &p.trusted)
     }
 
     /// This node's identifier.
@@ -284,7 +325,7 @@ impl RapteeNode {
     /// this node is trusted.
     pub fn record_untrusted_pull(&mut self, ids: &[NodeId]) {
         self.contacts_total += 1;
-        self.pulled_untrusted.extend(ids.iter().copied());
+        self.pulled_mut().untrusted.extend_from_slice(ids);
     }
 
     /// Records a pull answer received from an *authenticated trusted*
@@ -293,7 +334,7 @@ impl RapteeNode {
     pub fn record_trusted_pull(&mut self, ids: &[NodeId]) {
         self.contacts_total += 1;
         self.contacts_trusted += 1;
-        self.pulled_trusted.extend(ids.iter().copied());
+        self.pulled_mut().trusted.extend_from_slice(ids);
     }
 
     // ------------------------------------------------------------------
@@ -431,7 +472,7 @@ impl RapteeNode {
     fn note_trusted_exchange(&mut self, received: impl Iterator<Item = NodeId>) {
         self.contacts_total += 1;
         self.contacts_trusted += 1;
-        self.pulled_trusted.extend(received);
+        self.pulled_mut().trusted.extend(received);
     }
 
     // ------------------------------------------------------------------
@@ -457,13 +498,17 @@ impl RapteeNode {
     /// and the trusted-swap IDs to Brahms, and runs the Brahms round
     /// finalisation.
     pub fn finish_round(&mut self) -> RapteeRoundOutcome {
-        let mut untrusted = std::mem::take(&mut self.pulled_untrusted);
-        let outcome = self.evict(&mut untrusted, self.contacts_total);
-        self.brahms.record_pulled(&untrusted);
-        self.brahms.record_pulled(&self.pulled_trusted);
-        untrusted.clear();
-        self.pulled_untrusted = untrusted;
-        self.pulled_trusted.clear();
+        let mut pulled = self.pulled.take().unwrap_or_default();
+        let outcome = self.evict(
+            &mut pulled.untrusted,
+            pulled.trusted.len(),
+            self.contacts_total,
+        );
+        self.brahms.record_pulled(&pulled.untrusted);
+        self.brahms.record_pulled(&pulled.trusted);
+        pulled.untrusted.clear();
+        pulled.trusted.clear();
+        self.pulled = Some(pulled);
         outcome(self.brahms.finish_round())
     }
 
@@ -471,11 +516,13 @@ impl RapteeNode {
     /// rate follows from the contact mix over `contacts_total` contacts,
     /// and each ID survives an in-place Bernoulli draw with probability
     /// 1 − rate. `retain` visits the IDs in delivery order, so the RNG
-    /// draw sequence is fixed. Books `last_eviction_rate` and returns the
-    /// round's outcome, waiting for Brahms' report.
+    /// draw sequence is fixed. `trusted` IDs bypass eviction and are
+    /// only counted. Books `last_eviction_rate` and returns the round's
+    /// outcome, waiting for Brahms' report.
     fn evict(
         &mut self,
         untrusted: &mut Vec<NodeId>,
+        trusted: usize,
         contacts_total: u32,
     ) -> impl FnOnce(RoundReport) -> RapteeRoundOutcome {
         let rate = self.round_eviction_rate(contacts_total);
@@ -486,7 +533,7 @@ impl RapteeNode {
             untrusted.retain(|_| !rng.chance(rate));
         }
         let evicted = before - untrusted.len();
-        let admitted_pulled = untrusted.len() + self.pulled_trusted.len();
+        let admitted_pulled = untrusted.len() + trusted;
         move |report| RapteeRoundOutcome {
             report,
             eviction_rate: rate,
@@ -525,17 +572,18 @@ impl RapteeNode {
         // within one round: buffered IDs would be skipped now (their
         // contacts double-counted) and leak into the next round.
         debug_assert!(
-            self.pulled_untrusted.is_empty(),
+            self.pulled.as_ref().is_none_or(|p| p.untrusted.is_empty()),
             "record_untrusted_pull and finish_round_streamed are mutually exclusive in a round"
         );
-        let outcome = self.evict(untrusted_pulled, self.contacts_total + untrusted_contacts);
+        let contacts = self.contacts_total + untrusted_contacts;
+        let outcome = self.evict(untrusted_pulled, self.pulled_trusted().len(), contacts);
         // `record_pulled` semantics: untrusted survivors first, then the
         // trusted-swap IDs, both minus this node's own ID.
         let id = self.id();
         pulled_scratch.clear();
         pulled_scratch.extend(untrusted_pulled.iter().copied().filter(|&i| i != id));
-        pulled_scratch.extend(self.pulled_trusted.iter().copied().filter(|&i| i != id));
-        self.pulled_trusted.clear();
+        pulled_scratch.extend(self.pulled_trusted().iter().copied().filter(|&i| i != id));
+        self.clear_pulled();
         outcome(
             self.brahms
                 .finish_round_with(pushed, pulled_scratch, scratch),

@@ -20,8 +20,9 @@
 //! based *validation* of the original Brahms paper: sampled nodes are
 //! periodically pinged and a dead sample causes its sampler to re-draw a
 //! fresh hash function, so departed nodes eventually leave `S`. It keeps
-//! its samplers as three flat lanes hashed eight at a time where the CPU
-//! can; its tests compare it with a plain `Vec` of one-function samplers.
+//! its samplers as three flat lanes in one allocation, hashed eight at a
+//! time where the CPU can; its tests compare it with a plain `Vec` of
+//! one-function samplers.
 
 use raptee_net::NodeId;
 use raptee_util::bitset::{IdSet, DENSE_ID_LIMIT};
@@ -44,7 +45,7 @@ const LANE_BLOCK: usize = 8;
 /// hash. Branch-free selects over three slices, so LLVM vectorises it as
 /// far as the target features of the function it is inlined into allow.
 #[inline(always)]
-fn observe_lanes(seeds: &[u64], best: &mut [u64], ids: &mut [NodeId], id: NodeId, pre: u64) {
+fn observe_lanes(seeds: &[u64], best: &mut [u64], ids: &mut [u64], id: u64, pre: u64) {
     for ((&seed, best), slot) in seeds.iter().zip(best).zip(ids) {
         let h = mix64(seed ^ pre);
         let wins = h < *best;
@@ -62,14 +63,14 @@ fn observe_lanes(seeds: &[u64], best: &mut [u64], ids: &mut [NodeId], id: NodeId
 fn observe_lanes_widest(
     seeds: &[u64],
     best: &mut [u64],
-    ids: &mut [NodeId],
-    id: NodeId,
+    ids: &mut [u64],
+    id: u64,
     pre: u64,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         #[target_feature(enable = "avx512f,avx512dq")]
-        fn wide(seeds: &[u64], best: &mut [u64], ids: &mut [NodeId], id: NodeId, pre: u64) {
+        fn wide(seeds: &[u64], best: &mut [u64], ids: &mut [u64], id: u64, pre: u64) {
             observe_lanes(seeds, best, ids, id, pre)
         }
         if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
@@ -91,6 +92,7 @@ fn observe_lanes_widest(
 /// Three flat `u64` lanes — hash seeds, best hashes, sampled IDs — not an
 /// array of per-sampler structs, so the cold path (a new ID is hashed under all
 /// `l2` seeds: N × l2 hashes per node and run) is one vectorisable loop.
+/// The lanes sit end to end in one allocation, split three ways per call.
 /// A lane holds no sample exactly when its best hash is `u64::MAX`: a
 /// fresh function starts there and an update needs a strictly smaller
 /// hash. The lanes are padded to a multiple of eight with inert lanes
@@ -117,11 +119,11 @@ fn observe_lanes_widest(
 pub struct SamplerArray {
     /// `l2`; each lane is this rounded up to a multiple of [`LANE_BLOCK`].
     len: usize,
-    seeds: Vec<u64>,
-    /// Smallest hash so far; `u64::MAX` = no sample yet, 0 in the padding.
-    best: Vec<u64>,
-    /// The ID that hashed to `best` (unspecified while there is none).
-    ids: Vec<NodeId>,
+    /// The three lanes, end to end (see [`SamplerArray::lanes`]): hash
+    /// seeds; the smallest hash so far (`u64::MAX` = no sample yet, 0 in
+    /// the padding); and the raw ID that hashed to it (unspecified while
+    /// there is none).
+    lanes: Vec<u64>,
     /// Dense IDs every sampler has already observed since its last
     /// (re-)initialisation. Min-wise sampling is invariant under
     /// repetition, so a cached ID can skip the whole hash loop — after
@@ -150,9 +152,7 @@ impl SamplerArray {
         let padded = l2.next_multiple_of(LANE_BLOCK);
         let mut array = Self {
             len: l2,
-            seeds: vec![0; padded],
-            best: vec![0; padded],
-            ids: vec![NodeId(0); padded],
+            lanes: vec![0; 3 * padded],
             seen: IdSet::new(),
             seen_limit: DENSE_ID_LIMIT,
         };
@@ -165,11 +165,37 @@ impl SamplerArray {
     /// allocations and the seen-cache limit: a node restarted cold in a
     /// population that runs uncached must stay uncached.
     pub fn reinit(&mut self, rng: &mut Xoshiro256StarStar) {
-        for (seed, best) in self.seeds.iter_mut().zip(&mut self.best).take(self.len) {
+        let len = self.len;
+        let (seeds, best, _) = self.lanes_mut();
+        for (seed, best) in seeds.iter_mut().zip(best).take(len) {
             *seed = rng.next_u64();
             *best = u64::MAX;
         }
         self.seen.clear();
+    }
+
+    /// The seed, best-hash and ID lanes, each padded to a whole number of
+    /// [`LANE_BLOCK`]s.
+    fn lanes(&self) -> (&[u64], &[u64], &[u64]) {
+        let padded = self.lanes.len() / 3;
+        let (seeds, rest) = self.lanes.split_at(padded);
+        let (best, ids) = rest.split_at(padded);
+        (seeds, best, ids)
+    }
+
+    /// [`SamplerArray::lanes`], with the seeds writable too.
+    fn lanes_mut(&mut self) -> (&mut [u64], &mut [u64], &mut [u64]) {
+        let padded = self.lanes.len() / 3;
+        let (seeds, rest) = self.lanes.split_at_mut(padded);
+        let (best, ids) = rest.split_at_mut(padded);
+        (seeds, best, ids)
+    }
+
+    /// Hashes `id` under every lane's seed: the cold path.
+    #[inline]
+    fn observe_uncached(&mut self, id: NodeId) {
+        let (seeds, best, ids) = self.lanes_mut();
+        observe_lanes_widest(seeds, best, ids, id.0, premix(id));
     }
 
     /// Caps the seen-cache to IDs below `limit` and *frees* the backing
@@ -209,7 +235,7 @@ impl SamplerArray {
         if idx < self.seen_limit && !self.seen.insert(idx) {
             return;
         }
-        observe_lanes_widest(&self.seeds, &mut self.best, &mut self.ids, id, premix(id));
+        self.observe_uncached(id);
     }
 
     /// Feeds a batch of IDs.
@@ -228,7 +254,7 @@ impl SamplerArray {
     /// never allocates `max_id / 8` bytes per node just to free them.
     pub fn observe_all_uncached<I: IntoIterator<Item = NodeId>>(&mut self, ids: I) {
         for id in ids {
-            observe_lanes_widest(&self.seeds, &mut self.best, &mut self.ids, id, premix(id));
+            self.observe_uncached(id);
         }
     }
 
@@ -240,9 +266,10 @@ impl SamplerArray {
 
     /// The sampled IDs in lane order, skipping lanes that hold none.
     fn sampled(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let live = self.best[..self.len].iter().zip(&self.ids);
+        let (_, best, ids) = self.lanes();
+        let live = best[..self.len].iter().zip(ids);
         live.filter(|(&best, _)| best != u64::MAX)
-            .map(|(_, &id)| id)
+            .map(|(_, &id)| NodeId(id))
     }
 
     /// The current sample list (one entry per sampler that has observed at
@@ -279,10 +306,12 @@ impl SamplerArray {
         rng: &mut Xoshiro256StarStar,
     ) -> usize {
         let mut reset = 0;
-        for k in 0..self.len {
-            if self.best[k] != u64::MAX && !is_alive(self.ids[k]) {
-                self.seeds[k] = rng.next_u64();
-                self.best[k] = u64::MAX;
+        let len = self.len;
+        let (seeds, best, ids) = self.lanes_mut();
+        for k in 0..len {
+            if best[k] != u64::MAX && !is_alive(NodeId(ids[k])) {
+                seeds[k] = rng.next_u64();
+                best[k] = u64::MAX;
                 reset += 1;
             }
         }
@@ -504,17 +533,16 @@ mod tests {
             arr.observe_all((0..50).map(NodeId));
             assert_eq!(arr.len(), l2);
             assert_eq!(arr.samples().len(), l2, "padding is never read back");
-            for lens in [
-                (arr.seeds.len(), arr.seeds.capacity()),
-                (arr.best.len(), arr.best.capacity()),
-                (arr.ids.len(), arr.ids.capacity()),
-            ] {
-                assert_eq!(lens, (padded, padded));
-            }
-            assert!(
-                arr.best[l2..].iter().all(|&b| b == 0),
-                "padding stays inert"
+            assert_eq!(
+                (arr.lanes.len(), arr.lanes.capacity()),
+                (3 * padded, 3 * padded)
             );
+            let (seeds, best, ids) = arr.lanes();
+            assert_eq!(
+                (seeds.len(), best.len(), ids.len()),
+                (padded, padded, padded)
+            );
+            assert!(best[l2..].iter().all(|&b| b == 0), "padding stays inert");
         }
     }
 
@@ -522,7 +550,7 @@ mod tests {
     fn both_compiled_kernels_agree() {
         // 100 real lanes and 4 inert ones, as at the paper's l2.
         let mut rng = Xoshiro256StarStar::seed_from_u64(17);
-        const PAD: NodeId = NodeId(0xDEAD);
+        const PAD: u64 = 0xDEAD;
         let seeds: Vec<u64> = (0..104).map(|_| rng.next_u64()).collect();
         let mut best = vec![u64::MAX; 104];
         best[100..].fill(0);
@@ -534,12 +562,12 @@ mod tests {
         for _ in 0..10_000 {
             let id = NodeId(rng.next_u64() >> rng.next_below(64));
             let pre = premix(id);
-            observe_lanes(&seeds, &mut best, &mut ids, id, pre);
-            ran_wide &= observe_lanes_widest(&seeds, &mut best_wide, &mut ids_wide, id, pre);
+            observe_lanes(&seeds, &mut best, &mut ids, id.0, pre);
+            ran_wide &= observe_lanes_widest(&seeds, &mut best_wide, &mut ids_wide, id.0, pre);
             reference.iter_mut().for_each(|s| s.observe(id));
         }
 
-        let expect: Vec<NodeId> = reference.iter().map(|s| s.sample().unwrap()).collect();
+        let expect: Vec<u64> = reference.iter().map(|s| s.sample().unwrap().0).collect();
         assert_eq!(&ids[..100], &expect[..]);
         assert_eq!((&best[100..], &ids[100..]), (&[0; 4][..], &[PAD; 4][..]));
         if ran_wide {
@@ -557,10 +585,10 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(23);
         let mut arr = SamplerArray::new(9, &mut rng.clone());
         let mut reference = Reference::new(9, &mut rng);
-        let lane = 4;
-        let pre = unmix64(u64::MAX) ^ arr.seeds[lane];
+        let seed = arr.lanes().0[4];
+        let pre = unmix64(u64::MAX) ^ seed;
         let unlucky = NodeId(unmix64(pre).wrapping_sub(0x9E37_79B9_7F4A_7C15));
-        assert_eq!(Sampler::new(arr.seeds[lane]).hash(unlucky), u64::MAX);
+        assert_eq!(Sampler::new(seed).hash(unlucky), u64::MAX);
 
         arr.observe(unlucky);
         reference.observe(unlucky);
@@ -676,18 +704,14 @@ mod tests {
         let mut arr = SamplerArray::new(100, &mut rng);
         arr.observe_all((0..300).map(NodeId));
         arr.limit_seen_cache(0);
-        let lanes = (arr.seeds.as_ptr(), arr.best.as_ptr(), arr.ids.as_ptr());
+        let lanes = arr.lanes.as_ptr();
 
         arr.reinit(&mut Xoshiro256StarStar::seed_from_u64(42));
         assert!(arr.samples().is_empty());
         arr.observe_all((0..1000).map(NodeId));
 
         assert_eq!(arr.seen_cached(), 0, "an uncached array stays uncached");
-        assert_eq!(
-            lanes,
-            (arr.seeds.as_ptr(), arr.best.as_ptr(), arr.ids.as_ptr()),
-            "the lane allocations are reused"
-        );
+        assert_eq!(lanes, arr.lanes.as_ptr(), "the lane allocation is reused");
         let mut fresh = SamplerArray::new(100, &mut Xoshiro256StarStar::seed_from_u64(42));
         fresh.observe_all((0..1000).map(NodeId));
         assert_eq!(arr.samples(), fresh.samples());

@@ -18,6 +18,7 @@
 //! unchanged.
 
 use raptee_util::hll;
+use std::ops::Range;
 
 pub use raptee_util::bitset::{BitSet, IdSet};
 
@@ -31,8 +32,8 @@ pub const EXACT_DISCOVERY_THRESHOLD: usize = 1 << 14;
 /// holding every tracked node's discovery bitset as a fixed-stride row,
 /// plus one popcount per row. Replaces the former
 /// `Vec<Option<BitSet>>` (10,000 separately boxed bitsets at paper
-/// scale) with two allocations, and hands out disjoint per-row views so
-/// the parallel apply phase can update discovery sharded by node.
+/// scale) with two allocations, and hands out disjoint blocks of rows
+/// so the parallel phases can update discovery sharded by node.
 #[derive(Debug, Clone)]
 pub struct DiscoveryMatrix {
     words: Vec<u64>,
@@ -74,6 +75,9 @@ impl DiscoveryMatrix {
     /// Panics when `row` or `idx` is out of range.
     #[inline]
     pub fn insert(&mut self, row: usize, idx: usize) -> bool {
+        // Unreachable from the engine: `Simulation::new` seeds only
+        // bootstrap IDs, which are actors, and `note_discovered` checks
+        // `id < total_actors()`, the universe.
         assert!(idx < self.universe, "discovery index {idx} out of range");
         let word = &mut self.words[row * self.stride + idx / 64];
         let mask = 1u64 << (idx % 64);
@@ -92,38 +96,69 @@ impl DiscoveryMatrix {
         self.counts[row] as usize
     }
 
-    /// Splits the matrix into disjoint per-row handles, in row order —
-    /// the shape the engine zips against its node and stat lanes for the
-    /// parallel finish phase.
-    pub fn rows_mut(&mut self) -> DiscoveryRows<'_> {
-        DiscoveryRows {
-            words: self.words.chunks_mut(self.stride.max(1)),
-            counts: self.counts.iter_mut(),
-            universe: self.universe,
-        }
+    /// Splits the rows `rows` into disjoint handles of `block`
+    /// consecutive rows each (the last may hold fewer), in row order —
+    /// the shape a parallel phase hands its workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` reaches past the last row or `block` is zero.
+    pub fn blocks_mut(
+        &mut self,
+        rows: Range<usize>,
+        block: usize,
+    ) -> impl ExactSizeIterator<Item = ExactBlock<'_>> {
+        let (stride, universe) = (self.stride, self.universe);
+        self.words[rows.start * stride..rows.end * stride]
+            .chunks_mut(block * stride.max(1))
+            .zip(self.counts[rows].chunks_mut(block))
+            .map(move |(words, counts)| ExactBlock {
+                words,
+                counts,
+                stride,
+                universe,
+            })
+    }
+
+    /// Splits the matrix into disjoint per-row handles, in row order.
+    pub fn rows_mut(&mut self) -> impl Iterator<Item = DiscoveryRow<'_>> {
+        self.blocks_mut(0..self.rows(), 1).map(ExactBlock::into_row)
     }
 }
 
-/// Iterator over the disjoint per-row handles of a [`DiscoveryMatrix`]
-/// (concrete type so [`DiscoveryLanes`] can wrap it).
+/// Exclusive access to a run of consecutive rows of a
+/// [`DiscoveryMatrix`] (see [`DiscoveryMatrix::blocks_mut`]).
 #[derive(Debug)]
-pub struct DiscoveryRows<'a> {
-    words: std::slice::ChunksMut<'a, u64>,
-    counts: std::slice::IterMut<'a, u32>,
+pub struct ExactBlock<'a> {
+    words: &'a mut [u64],
+    counts: &'a mut [u32],
+    stride: usize,
     universe: usize,
 }
 
-impl<'a> Iterator for DiscoveryRows<'a> {
-    type Item = DiscoveryRow<'a>;
+impl<'a> ExactBlock<'a> {
+    /// Number of rows in this block.
+    pub fn rows(&self) -> usize {
+        self.counts.len()
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let words = self.words.next()?;
-        let count = self.counts.next()?;
-        Some(DiscoveryRow {
-            words,
-            count,
+    /// The block's `k`-th row.
+    #[inline]
+    pub fn row(&mut self, k: usize) -> DiscoveryRow<'_> {
+        DiscoveryRow {
+            words: &mut self.words[k * self.stride..(k + 1) * self.stride],
+            count: &mut self.counts[k],
             universe: self.universe,
-        })
+        }
+    }
+
+    /// The block's first row, for the whole block's lifetime.
+    fn into_row(self) -> DiscoveryRow<'a> {
+        DiscoveryRow {
+            words: &mut self.words[..self.stride],
+            count: &mut self.counts[0],
+            universe: self.universe,
+        }
     }
 }
 
@@ -135,6 +170,9 @@ impl DiscoveryRow<'_> {
     /// Panics when `idx` is outside the universe.
     #[inline]
     pub fn insert(&mut self, idx: usize) -> bool {
+        // Unreachable from the engine: the apply phase's `ViewTally::see`
+        // and the ranked push ranking insert only IDs below
+        // `total_actors()`, the universe.
         assert!(idx < self.universe, "discovery index {idx} out of range");
         let word = &mut self.words[idx / 64];
         let mask = 1u64 << (idx % 64);
@@ -198,6 +236,8 @@ impl SketchMatrix {
     /// Panics when `row` or `idx` is out of range.
     #[inline]
     pub fn insert(&mut self, row: usize, idx: usize) -> bool {
+        // Unreachable from the engine, by the checks named at
+        // `DiscoveryMatrix::insert`.
         assert!(idx < self.universe, "discovery index {idx} out of range");
         let start = row * hll::REGISTERS;
         hll::update(&mut self.regs[start..start + hll::REGISTERS], idx as u64)
@@ -211,31 +251,59 @@ impl SketchMatrix {
         hll::estimate(&self.regs[start..start + hll::REGISTERS]).round() as usize
     }
 
+    /// Splits the rows `rows` into disjoint handles of `block`
+    /// consecutive rows each (the last may hold fewer), in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` reaches past the last row or `block` is zero.
+    pub fn blocks_mut(
+        &mut self,
+        rows: Range<usize>,
+        block: usize,
+    ) -> impl ExactSizeIterator<Item = SketchBlock<'_>> {
+        let universe = self.universe;
+        self.regs[rows.start * hll::REGISTERS..rows.end * hll::REGISTERS]
+            .chunks_mut(block * hll::REGISTERS)
+            .map(move |regs| SketchBlock { regs, universe })
+    }
+
     /// Splits the matrix into disjoint per-row handles, in row order.
-    pub fn rows_mut(&mut self) -> SketchRows<'_> {
-        SketchRows {
-            regs: self.regs.chunks_mut(hll::REGISTERS),
-            universe: self.universe,
-        }
+    pub fn rows_mut(&mut self) -> impl Iterator<Item = SketchRow<'_>> {
+        self.blocks_mut(0..self.rows(), 1)
+            .map(SketchBlock::into_row)
     }
 }
 
-/// Iterator over the disjoint per-row handles of a [`SketchMatrix`].
+/// Exclusive access to a run of consecutive rows of a [`SketchMatrix`]
+/// (see [`SketchMatrix::blocks_mut`]).
 #[derive(Debug)]
-pub struct SketchRows<'a> {
-    regs: std::slice::ChunksMut<'a, u8>,
+pub struct SketchBlock<'a> {
+    regs: &'a mut [u8],
     universe: usize,
 }
 
-impl<'a> Iterator for SketchRows<'a> {
-    type Item = SketchRow<'a>;
+impl<'a> SketchBlock<'a> {
+    /// Number of rows in this block.
+    pub fn rows(&self) -> usize {
+        self.regs.len() / hll::REGISTERS
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let regs = self.regs.next()?;
-        Some(SketchRow {
-            regs,
+    /// The block's `k`-th row.
+    #[inline]
+    pub fn row(&mut self, k: usize) -> SketchRow<'_> {
+        SketchRow {
+            regs: &mut self.regs[k * hll::REGISTERS..(k + 1) * hll::REGISTERS],
             universe: self.universe,
-        })
+        }
+    }
+
+    /// The block's first row, for the whole block's lifetime.
+    fn into_row(self) -> SketchRow<'a> {
+        SketchRow {
+            regs: &mut self.regs[..hll::REGISTERS],
+            universe: self.universe,
+        }
     }
 }
 
@@ -248,6 +316,8 @@ impl SketchRow<'_> {
     /// Panics when `idx` is outside the universe.
     #[inline]
     pub fn insert(&mut self, idx: usize) -> bool {
+        // Unreachable from the engine, by the checks named at
+        // `DiscoveryRow::insert`.
         assert!(idx < self.universe, "discovery index {idx} out of range");
         hll::update(self.regs, idx as u64)
     }
@@ -314,31 +384,100 @@ impl Discovery {
         }
     }
 
-    /// Splits into disjoint per-row lanes, in row order.
-    pub fn rows_mut(&mut self) -> DiscoveryLanes<'_> {
+    /// Splits the rows `rows` into disjoint handles of `block`
+    /// consecutive rows each (the last may hold fewer), in row order:
+    /// the engine's parallel phases hand one handle per claim to a
+    /// worker, which walks its rows in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` reaches past the last row or `block` is zero.
+    pub fn blocks_mut(
+        &mut self,
+        rows: Range<usize>,
+        block: usize,
+    ) -> impl ExactSizeIterator<Item = DiscoveryBlock<'_>> {
         match self {
-            Discovery::Exact(m) => DiscoveryLanes::Exact(m.rows_mut()),
-            Discovery::Sketch(m) => DiscoveryLanes::Sketch(m.rows_mut()),
+            Discovery::Exact(m) => Blocks::Exact(m.blocks_mut(rows, block)),
+            Discovery::Sketch(m) => Blocks::Sketch(m.blocks_mut(rows, block)),
+        }
+    }
+
+    /// Splits into disjoint per-row lanes, in row order.
+    pub fn rows_mut(&mut self) -> impl Iterator<Item = DiscoveryLane<'_>> {
+        self.blocks_mut(0..self.rows(), 1)
+            .map(DiscoveryBlock::into_row)
+    }
+}
+
+/// [`Discovery::blocks_mut`]'s iterator over either representation.
+enum Blocks<E, S> {
+    Exact(E),
+    Sketch(S),
+}
+
+impl<'a, E, S> Iterator for Blocks<E, S>
+where
+    E: Iterator<Item = ExactBlock<'a>>,
+    S: Iterator<Item = SketchBlock<'a>>,
+{
+    type Item = DiscoveryBlock<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            Blocks::Exact(it) => it.next().map(DiscoveryBlock::Exact),
+            Blocks::Sketch(it) => it.next().map(DiscoveryBlock::Sketch),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Blocks::Exact(it) => it.size_hint(),
+            Blocks::Sketch(it) => it.size_hint(),
         }
     }
 }
 
-/// Iterator over the disjoint per-row lanes of a [`Discovery`].
-#[derive(Debug)]
-pub enum DiscoveryLanes<'a> {
-    /// Lanes of an exact matrix.
-    Exact(DiscoveryRows<'a>),
-    /// Lanes of a sketch matrix.
-    Sketch(SketchRows<'a>),
+impl<'a, E, S> ExactSizeIterator for Blocks<E, S>
+where
+    E: ExactSizeIterator<Item = ExactBlock<'a>>,
+    S: ExactSizeIterator<Item = SketchBlock<'a>>,
+{
 }
 
-impl<'a> Iterator for DiscoveryLanes<'a> {
-    type Item = DiscoveryLane<'a>;
+/// Exclusive access to a run of consecutive rows of a [`Discovery`]
+/// (see [`Discovery::blocks_mut`]).
+#[derive(Debug)]
+pub enum DiscoveryBlock<'a> {
+    /// Rows of an exact matrix.
+    Exact(ExactBlock<'a>),
+    /// Rows of a sketch matrix.
+    Sketch(SketchBlock<'a>),
+}
 
-    fn next(&mut self) -> Option<Self::Item> {
+impl<'a> DiscoveryBlock<'a> {
+    /// Number of rows in this block.
+    pub fn rows(&self) -> usize {
         match self {
-            DiscoveryLanes::Exact(rows) => rows.next().map(DiscoveryLane::Exact),
-            DiscoveryLanes::Sketch(rows) => rows.next().map(DiscoveryLane::Sketch),
+            DiscoveryBlock::Exact(b) => b.rows(),
+            DiscoveryBlock::Sketch(b) => b.rows(),
+        }
+    }
+
+    /// The block's `k`-th row.
+    #[inline]
+    pub fn row(&mut self, k: usize) -> DiscoveryLane<'_> {
+        match self {
+            DiscoveryBlock::Exact(b) => DiscoveryLane::Exact(b.row(k)),
+            DiscoveryBlock::Sketch(b) => DiscoveryLane::Sketch(b.row(k)),
+        }
+    }
+
+    /// The block's first row, for the whole block's lifetime.
+    fn into_row(self) -> DiscoveryLane<'a> {
+        match self {
+            DiscoveryBlock::Exact(b) => DiscoveryLane::Exact(b.into_row()),
+            DiscoveryBlock::Sketch(b) => DiscoveryLane::Sketch(b.into_row()),
         }
     }
 }
@@ -376,6 +515,37 @@ impl DiscoveryLane<'_> {
 #[cfg(test)]
 mod tests {
     use super::{Discovery, DiscoveryMatrix, SketchMatrix};
+
+    #[test]
+    fn block_splitters_hand_out_every_row_once_in_order() {
+        // Row counts at the edges of the engine's 64-row blocks, each
+        // split from the first row and from the middle (a segment).
+        const BLOCK: usize = 64;
+        for sketch in [false, true] {
+            for rows in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+                for start in [0, rows / 2] {
+                    let case = format!("sketch {sketch}, rows {start}..{rows}");
+                    let mut d = Discovery::new(rows, rows + 10, sketch);
+                    let mut next = start;
+                    for (bi, mut block) in d.blocks_mut(start..rows, BLOCK).enumerate() {
+                        let len = block.rows();
+                        assert_eq!(len, BLOCK.min(rows - start - bi * BLOCK), "{case}");
+                        for k in 0..len {
+                            assert_eq!(start + bi * BLOCK + k, next, "{case}: in order");
+                            assert!(block.row(k).insert(next), "{case}: row {next} twice");
+                            next += 1;
+                        }
+                    }
+                    assert_eq!(next, rows, "{case}");
+                    for row in 0..rows {
+                        let (count, mine) = (d.count(row), !d.insert(row, row));
+                        let expect = if row < start { (0, false) } else { (1, true) };
+                        assert_eq!((count, mine), expect, "{case}: row {row}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn matrix_insert_count_and_rows() {

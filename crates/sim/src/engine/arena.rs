@@ -1,11 +1,11 @@
 //! The round's flat storage: per-simulation scratch arenas, per-worker
-//! arenas, the per-node lanes the parallel phases shard over, and the
+//! arenas, the block handles the parallel phases shard over, and the
 //! index helpers every phase shares. Nothing here decides protocol
 //! behaviour; it only holds what the phases write and read.
 
 use super::population::Node;
 use crate::adversary::PushPlan;
-use crate::bitset::DiscoveryLane;
+use crate::bitset::{DiscoveryBlock, DiscoveryLane};
 use raptee_basalt::BasaltPlan;
 use raptee_brahms::{FinishScratch, RoundPlan};
 use raptee_net::{NodeId, NodeIdx};
@@ -13,6 +13,13 @@ use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 
 /// Rounds of per-node share smoothing for the spread-stability check.
 pub(super) const SMOOTHING_WINDOW: usize = 10;
+
+/// Consecutive population indices one block handle covers in the
+/// parallel phases: a worker claims a block from the cursor and walks
+/// its rows in index order. Large enough that a round builds a few
+/// thousand handles at N = 150,000 rather than one per node, small
+/// enough that two workers stay balanced at N = 4,500.
+pub(super) const BLOCK: usize = 64;
 
 /// One deferred pull answer, recorded by the sequential exchange pass
 /// and consumed by the parallel apply phase.
@@ -82,6 +89,13 @@ pub(super) struct ShareRingRow<'a> {
     len: &'a mut u8,
 }
 
+/// Exclusive access to [`BLOCK`] consecutive nodes' smoothing windows.
+pub(super) struct ShareRingBlock<'a> {
+    buf: &'a mut [f64],
+    start: &'a mut [u8],
+    len: &'a mut [u8],
+}
+
 impl ShareRings {
     pub(super) fn new(rows: usize) -> Self {
         Self {
@@ -91,13 +105,25 @@ impl ShareRings {
         }
     }
 
-    /// Splits into disjoint per-node handles, in row order.
-    pub(super) fn rows_mut(&mut self) -> impl Iterator<Item = ShareRingRow<'_>> {
+    /// Splits into disjoint [`BLOCK`]-row handles, in row order.
+    pub(super) fn blocks_mut(&mut self) -> impl ExactSizeIterator<Item = ShareRingBlock<'_>> {
         self.buf
-            .chunks_mut(SMOOTHING_WINDOW)
-            .zip(self.start.iter_mut())
-            .zip(self.len.iter_mut())
-            .map(|((buf, start), len)| ShareRingRow { buf, start, len })
+            .chunks_mut(BLOCK * SMOOTHING_WINDOW)
+            .zip(self.start.chunks_mut(BLOCK))
+            .zip(self.len.chunks_mut(BLOCK))
+            .map(|((buf, start), len)| ShareRingBlock { buf, start, len })
+    }
+}
+
+impl ShareRingBlock<'_> {
+    /// The block's `k`-th window.
+    #[inline]
+    pub(super) fn row(&mut self, k: usize) -> ShareRingRow<'_> {
+        ShareRingRow {
+            buf: &mut self.buf[k * SMOOTHING_WINDOW..(k + 1) * SMOOTHING_WINDOW],
+            start: &mut self.start[k],
+            len: &mut self.len[k],
+        }
     }
 }
 
@@ -170,6 +196,15 @@ pub(super) struct PlanRow<'a> {
     pull_len: &'a mut u32,
 }
 
+/// Exclusive access to [`BLOCK`] consecutive nodes' plan rows.
+pub(super) struct PlanRows<'a> {
+    stride: usize,
+    push: &'a mut [NodeIdx],
+    push_len: &'a mut [u32],
+    pull: &'a mut [NodeIdx],
+    pull_len: &'a mut [u32],
+}
+
 impl PlanArena {
     fn resize(&mut self, pop: usize, stride: usize) {
         self.stride = stride;
@@ -179,14 +214,16 @@ impl PlanArena {
         self.pull_len.resize(pop, 0);
     }
 
-    /// Disjoint row handles, in population-index order.
-    pub(super) fn rows(&mut self) -> impl Iterator<Item = PlanRow<'_>> {
+    /// Disjoint [`BLOCK`]-row handles, in population-index order.
+    pub(super) fn blocks_mut(&mut self) -> impl ExactSizeIterator<Item = PlanRows<'_>> {
+        let stride = self.stride;
         self.push_ids
-            .chunks_mut(self.stride)
-            .zip(&mut self.push_len)
-            .zip(self.pull_ids.chunks_mut(self.stride))
-            .zip(&mut self.pull_len)
-            .map(|(((push, push_len), pull), pull_len)| PlanRow {
+            .chunks_mut(BLOCK * stride)
+            .zip(self.push_len.chunks_mut(BLOCK))
+            .zip(self.pull_ids.chunks_mut(BLOCK * stride))
+            .zip(self.pull_len.chunks_mut(BLOCK))
+            .map(move |(((push, push_len), pull), pull_len)| PlanRows {
+                stride,
                 push,
                 push_len,
                 pull,
@@ -206,6 +243,20 @@ impl PlanArena {
     pub(super) fn pulls(&self, ci: usize) -> &[NodeIdx] {
         let base = ci * self.stride;
         &self.pull_ids[base..base + self.pull_len[ci] as usize]
+    }
+}
+
+impl PlanRows<'_> {
+    /// The block's `k`-th node's rows.
+    #[inline]
+    pub(super) fn row(&mut self, k: usize) -> PlanRow<'_> {
+        let rows = k * self.stride..(k + 1) * self.stride;
+        PlanRow {
+            push: &mut self.push[rows.clone()],
+            push_len: &mut self.push_len[k],
+            pull: &mut self.pull[rows],
+            pull_len: &mut self.pull_len[k],
+        }
     }
 }
 
@@ -241,16 +292,16 @@ pub(super) struct Scratch {
     /// `(absolute target index, sender)` in sender-major order. Senders
     /// are dense [`NodeIdx`]es, halving the pair width at paper scale+.
     pub(super) survivors: Vec<(u32, NodeIdx)>,
-    /// `survivors` counting-sorted by target — the apply phase reads
-    /// per-receiver runs instead of per-message dispatch.
-    pub(super) sorted: Vec<(u32, NodeIdx)>,
+    /// The senders of `survivors`, counting-sorted by target — the apply
+    /// phase reads per-receiver runs instead of per-message dispatch.
+    pub(super) sorted: Vec<NodeIdx>,
     /// Counting-sort offsets; after the fill pass, `counts[t]` is the
     /// *end* of target `t`'s run (its start is `counts[t-1]`).
     pub(super) counts: Vec<u32>,
     /// Adversary pushes surviving limiter/liveness/loss, in plan order.
     pub(super) byz_survivors: Vec<(u32, NodeIdx)>,
-    /// `byz_survivors` counting-sorted by victim.
-    pub(super) byz_sorted: Vec<(u32, NodeIdx)>,
+    /// The advertised IDs of `byz_survivors`, counting-sorted by victim.
+    pub(super) byz_sorted: Vec<NodeIdx>,
     /// Counting-sort offsets for the adversary runs.
     pub(super) byz_counts: Vec<u32>,
     /// Reusable sequential-phase answer buffer (ranked-family pulls,
@@ -283,7 +334,7 @@ pub(super) struct Scratch {
 }
 
 impl Scratch {
-    /// Sizes the per-node lanes once (no-op afterwards).
+    /// Sizes the per-node arrays once (no-op afterwards).
     pub(super) fn ensure_capacity(&mut self, pop: usize, plan_stride: usize) {
         if self.live.len() != pop {
             self.plans.resize(pop, plan_stride);
@@ -296,24 +347,26 @@ impl Scratch {
     }
 }
 
-/// One node's lanes in the parallel plan phase. The view-snapshot row
-/// and mutation flag serve Brahms-family nodes, whose untrusted answers
-/// are deferred by reference to the snapshot.
-pub(super) struct PlanLane<'a> {
-    pub(super) node: &'a mut Node,
-    pub(super) row: PlanRow<'a>,
-    pub(super) live: &'a mut bool,
-    pub(super) mutated: &'a mut bool,
+/// [`BLOCK`] consecutive nodes' state in the parallel plan phase: the
+/// `chunks_mut` of every per-node array the phase writes. The
+/// view-snapshot rows (stride `view_size`) and mutation flags serve
+/// Brahms-family nodes, whose untrusted answers are deferred by
+/// reference to the snapshot.
+pub(super) struct PlanBlock<'a> {
+    pub(super) nodes: &'a mut [Node],
+    pub(super) plans: PlanRows<'a>,
+    pub(super) live: &'a mut [bool],
+    pub(super) mutated: &'a mut [bool],
     pub(super) snap: &'a mut [NodeIdx],
-    pub(super) snap_len: &'a mut u32,
+    pub(super) snap_len: &'a mut [u32],
 }
 
-/// One node's lanes in the parallel apply/finish phase.
-pub(super) struct FinishLane<'a> {
-    pub(super) node: &'a mut Node,
-    pub(super) stat: &'a mut RoundStat,
-    pub(super) disc: DiscoveryLane<'a>,
-    pub(super) ring: ShareRingRow<'a>,
+/// [`BLOCK`] consecutive nodes' state in the parallel apply phase.
+pub(super) struct FinishBlock<'a> {
+    pub(super) nodes: &'a mut [Node],
+    pub(super) stats: &'a mut [RoundStat],
+    pub(super) disc: DiscoveryBlock<'a>,
+    pub(super) rings: ShareRingBlock<'a>,
 }
 
 /// One node's post-round view census: Byzantine entries feed the
@@ -385,14 +438,14 @@ pub(super) fn two_nodes<N>(nodes: &mut [N], a: usize, b: usize) -> (&mut N, &mut
 }
 
 /// Stable counting sort of `(target, payload)` pairs by target over the
-/// universe `0..total`. After the fill pass `counts[t]` is the end of
-/// `t`'s run, so run `t` is `sorted[counts[t-1]..counts[t]]` (`0` for
-/// `t = 0`). Stability preserves each receiver's arrival order, so
-/// streaming over the runs is observationally identical to per-message
-/// dispatch.
+/// universe `0..total`, keeping only the payloads: the run bounds live
+/// in `counts`. After the fill pass `counts[t]` is the end of `t`'s run,
+/// so run `t` is `sorted[counts[t-1]..counts[t]]` (`0` for `t = 0`).
+/// Stability preserves each receiver's arrival order, so streaming over
+/// the runs is observationally identical to per-message dispatch.
 pub(super) fn counting_sort_by_target(
     survivors: &[(u32, NodeIdx)],
-    sorted: &mut Vec<(u32, NodeIdx)>,
+    sorted: &mut Vec<NodeIdx>,
     counts: &mut Vec<u32>,
     total: usize,
 ) {
@@ -405,10 +458,10 @@ pub(super) fn counting_sort_by_target(
         counts[i] += counts[i - 1];
     }
     sorted.clear();
-    sorted.resize(survivors.len(), (0, NodeIdx(0)));
+    sorted.resize(survivors.len(), NodeIdx(0));
     for &(t, payload) in survivors {
         let pos = &mut counts[t as usize];
-        sorted[*pos as usize] = (t, payload);
+        sorted[*pos as usize] = payload;
         *pos += 1;
     }
 }
@@ -417,12 +470,71 @@ pub(super) fn counting_sort_by_target(
 /// the senders' wire identities in arrival order.
 #[inline]
 pub(super) fn run_of<'a>(
-    sorted: &'a [(u32, NodeIdx)],
+    sorted: &'a [NodeIdx],
     counts: &[u32],
     t: usize,
 ) -> impl Iterator<Item = NodeId> + 'a {
     let start = if t == 0 { 0 } else { counts[t - 1] as usize };
     sorted[start..counts[t] as usize]
         .iter()
-        .map(|&(_, sender)| widen(sender))
+        .map(|&sender| widen(sender))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Population sizes at the block edges: one node, either side of one
+    /// full block, and a ragged last block.
+    const EDGES: [usize; 5] = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7];
+
+    #[test]
+    fn share_ring_blocks_hand_out_every_row_once_in_order() {
+        for pop in EDGES {
+            let mut rings = ShareRings::new(pop);
+            let mut next = 0;
+            for (bi, mut block) in rings.blocks_mut().enumerate() {
+                let rows = block.start.len();
+                assert_eq!(rows, BLOCK.min(pop - bi * BLOCK), "N = {pop}");
+                for k in 0..rows {
+                    assert_eq!(bi * BLOCK + k, next, "N = {pop}: rows in order");
+                    let share = next as f64;
+                    assert_eq!(block.row(k).push_and_mean(share), share, "row {next}");
+                    next += 1;
+                }
+            }
+            assert_eq!(next, pop);
+            assert_eq!(rings.len, vec![1; pop], "N = {pop}: each row once");
+            for ci in 0..pop {
+                assert_eq!(rings.buf[ci * SMOOTHING_WINDOW], ci as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn plan_blocks_hand_out_every_row_once_in_order() {
+        for pop in EDGES {
+            let mut plans = PlanArena::default();
+            plans.resize(pop, 3);
+            let mut next = 0;
+            for (bi, mut block) in plans.blocks_mut().enumerate() {
+                let rows = block.push_len.len();
+                assert_eq!(rows, BLOCK.min(pop - bi * BLOCK), "N = {pop}");
+                for k in 0..rows {
+                    assert_eq!(bi * BLOCK + k, next, "N = {pop}: rows in order");
+                    let id = NodeId(next as u64);
+                    block.row(k).store(&[id, id], &[id]);
+                    next += 1;
+                }
+            }
+            assert_eq!(next, pop);
+            for ci in 0..pop {
+                let me = NodeIdx(ci as u32);
+                assert_eq!(
+                    (plans.pushes(ci), plans.pulls(ci)),
+                    (&[me, me][..], &[me][..])
+                );
+            }
+        }
+    }
 }

@@ -4,16 +4,15 @@
 //! attack, and apply.
 
 use super::arena::{
-    counting_sort_by_target, narrow, run_of, two_nodes, widen, FinishLane, PlanLane, PullEvent,
-    RoundStat, Scratch, ViewTally, WorkerScratch,
+    counting_sort_by_target, narrow, run_of, two_nodes, widen, FinishBlock, PlanBlock, PullEvent,
+    RoundStat, Scratch, ViewTally, WorkerScratch, BLOCK,
 };
 use super::population::Node;
 use super::Simulation;
 use crate::adversary::AdaptiveCoordinator;
-use crate::bitset::DiscoveryLane;
+use crate::bitset::DiscoveryBlock;
 use crate::event::Lane as NetLane;
 use crate::metrics::IdentificationResult;
-use crate::ranked::RankedNode;
 use raptee::RapteeNode;
 use raptee_net::{NodeId, NodeIdx};
 use raptee_util::rng::mix64;
@@ -47,28 +46,29 @@ impl Simulation {
         self.identify_trusted();
     }
 
-    /// Plan (parallel, one pass over the arena): every live node draws
-    /// its targets into its worker's plan buffer, stored in the flat plan
-    /// arena. Brahms-family rows also snapshot their post-plan views (for
-    /// deferred answers); every row resets its view-mutation flag.
+    /// Plan (parallel, one pass over the arena, [`BLOCK`] nodes per
+    /// claim): every live node draws its targets into its worker's plan
+    /// buffer, stored in the flat plan arena. Brahms-family rows also
+    /// snapshot their post-plan views (for deferred answers); every row
+    /// resets its view-mutation flag.
     fn plan(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
         let (pop, stride) = (self.non_byz_total, self.scenario.view_size);
         if s.snap_ids.len() != pop * stride {
             s.snap_ids.resize(pop * stride, NodeIdx(0));
         }
         let alive = &self.alive[self.byz_count..];
-        let mut lanes: Vec<PlanLane> = self
+        let mut blocks: Vec<PlanBlock> = self
             .nodes
-            .iter_mut()
-            .zip(s.plans.rows())
-            .zip(&mut s.live)
-            .zip(&mut s.view_mutated)
-            .zip(s.snap_ids.chunks_mut(stride))
-            .zip(&mut s.snap_len)
+            .chunks_mut(BLOCK)
+            .zip(s.plans.blocks_mut())
+            .zip(s.live.chunks_mut(BLOCK))
+            .zip(s.view_mutated.chunks_mut(BLOCK))
+            .zip(s.snap_ids.chunks_mut(BLOCK * stride))
+            .zip(s.snap_len.chunks_mut(BLOCK))
             .map(
-                |(((((node, row), live), mutated), snap), snap_len)| PlanLane {
-                    node,
-                    row,
+                |(((((nodes, plans), live), mutated), snap), snap_len)| PlanBlock {
+                    nodes,
+                    plans,
                     live,
                     mutated,
                     snap,
@@ -76,27 +76,32 @@ impl Simulation {
                 },
             )
             .collect();
-        rayon::par_for_each_scratch(&mut lanes, workers, |ws, ci, lane| {
-            *lane.mutated = false;
-            *lane.live = alive[ci];
-            if !alive[ci] {
-                *lane.snap_len = 0;
-                return;
-            }
-            match lane.node {
-                Node::Raptee(node) => {
-                    node.plan_round_into(&mut ws.plan);
-                    lane.row.store(&ws.plan.push_targets, &ws.plan.pull_targets);
-                    let view = node.brahms().view();
-                    for (k, e) in view.entries().iter().enumerate() {
-                        lane.snap[k] = narrow(e.id);
-                    }
-                    *lane.snap_len = view.len() as u32;
+        rayon::par_for_each_scratch(&mut blocks, workers, |ws, bi, block| {
+            for (k, node) in block.nodes.iter_mut().enumerate() {
+                let ci = bi * BLOCK + k;
+                block.mutated[k] = false;
+                block.live[k] = alive[ci];
+                if !alive[ci] {
+                    block.snap_len[k] = 0;
+                    continue;
                 }
-                Node::Ranked(node) => {
-                    node.plan_round_into(&mut ws.ranked_plan);
-                    let plan = &ws.ranked_plan;
-                    lane.row.store(&plan.push_targets, &plan.pull_targets);
+                let mut row = block.plans.row(k);
+                match node {
+                    Node::Raptee(node) => {
+                        node.plan_round_into(&mut ws.plan);
+                        row.store(&ws.plan.push_targets, &ws.plan.pull_targets);
+                        let view = node.brahms().view();
+                        let snap = &mut block.snap[k * stride..(k + 1) * stride];
+                        for (j, e) in view.entries().iter().enumerate() {
+                            snap[j] = narrow(e.id);
+                        }
+                        block.snap_len[k] = view.len() as u32;
+                    }
+                    Node::Ranked(node) => {
+                        node.plan_round_into(&mut ws.ranked_plan);
+                        let plan = &ws.ranked_plan;
+                        row.store(&plan.push_targets, &plan.pull_targets);
+                    }
                 }
             }
         });
@@ -231,40 +236,35 @@ impl Simulation {
     }
 
     /// Ranked push ranking (parallel per ranked segment, sharded by
-    /// receiver): rank the honest run, then the adversary's run, into
-    /// each receiver's view; honest senders count as discovered. The
-    /// ranked family consumes pushes before the pulls; the Brahms family
-    /// consumes its runs at apply time.
+    /// receiver in [`BLOCK`]s): rank the honest run, then the
+    /// adversary's run, into each receiver's view; honest senders count
+    /// as discovered. The ranked family consumes pushes before the
+    /// pulls; the Brahms family consumes its runs at apply time.
     fn rank_pushes(&mut self, s: &Scratch) {
         let (byz, total) = (self.byz_count, self.total_actors());
-        struct Lane<'a> {
-            node: &'a mut RankedNode,
-            disc: DiscoveryLane<'a>,
-        }
         for seg in self
             .segs
             .iter()
             .filter(|seg| seg.protocol.is_ranked_family())
         {
             let start = seg.start;
-            let mut lanes: Vec<Lane> = self.nodes[seg.range()]
-                .iter_mut()
-                .zip(self.discovery.rows_mut().skip(start))
-                .map(|(node, disc)| Lane {
-                    node: node.ranked_mut(),
-                    disc,
-                })
+            let mut blocks: Vec<(&mut [Node], DiscoveryBlock)> = self.nodes[seg.range()]
+                .chunks_mut(BLOCK)
+                .zip(self.discovery.blocks_mut(seg.range(), BLOCK))
                 .collect();
-            rayon::par_for_each_mut(&mut lanes, |i, lane| {
-                let abs = byz + start + i;
-                for sender in run_of(&s.sorted, &s.counts, abs) {
-                    lane.node.record_push(sender);
-                    if sender.index() >= byz && sender.index() < total {
-                        lane.disc.insert(sender.index());
+            rayon::par_for_each_mut(&mut blocks, |bi, (nodes, disc)| {
+                for (k, node) in nodes.iter_mut().enumerate() {
+                    let (node, mut disc) = (node.ranked_mut(), disc.row(k));
+                    let abs = byz + start + bi * BLOCK + k;
+                    for sender in run_of(&s.sorted, &s.counts, abs) {
+                        node.record_push(sender);
+                        if sender.index() >= byz && sender.index() < total {
+                            disc.insert(sender.index());
+                        }
                     }
-                }
-                for advertised in run_of(&s.byz_sorted, &s.byz_counts, abs) {
-                    lane.node.record_push(advertised);
+                    for advertised in run_of(&s.byz_sorted, &s.byz_counts, abs) {
+                        node.record_push(advertised);
+                    }
                 }
             });
         }
@@ -399,8 +399,9 @@ impl Simulation {
         }
     }
 
-    /// Apply (parallel, one pass over the arena): round finalisation and
-    /// per-node metric observation into the stat slots. Brahms-family
+    /// Apply (parallel, one pass over the arena, [`BLOCK`] nodes per
+    /// claim): round finalisation and per-node metric observation into
+    /// the stat slots. Brahms-family
     /// nodes reconstruct their push/pull streams from the shared arenas;
     /// ranked nodes verify their waiting lists (probe contacts succeed
     /// iff the candidate is alive), then finalise.
@@ -429,98 +430,108 @@ impl Simulation {
         let alive = &self.alive;
         let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
         let adversary = &self.adversary;
-        let mut lanes: Vec<FinishLane> = self
+        let pop = self.non_byz_total;
+        let mut blocks: Vec<FinishBlock> = self
             .nodes
-            .iter_mut()
-            .zip(stats.iter_mut())
-            .zip(self.discovery.rows_mut())
-            .zip(self.share_rings.rows_mut())
-            .map(|(((node, stat), disc), ring)| FinishLane {
-                node,
-                stat,
+            .chunks_mut(BLOCK)
+            .zip(stats.chunks_mut(BLOCK))
+            .zip(self.discovery.blocks_mut(0..pop, BLOCK))
+            .zip(self.share_rings.blocks_mut())
+            .map(|(((nodes, stats), disc), rings)| FinishBlock {
+                nodes,
+                stats,
                 disc,
-                ring,
+                rings,
             })
             .collect();
-        rayon::par_for_each_scratch(&mut lanes, workers, |ws, ci, it| {
-            let abs = byz + ci;
-            *it.stat = RoundStat::default();
-            if !alive[abs] {
-                return;
-            }
-            it.stat.participated = true;
-            match it.node {
-                Node::Raptee(node) => {
-                    if validation_due {
-                        // Brahms sampler validation: probe sampled
-                        // nodes, re-draw the samplers whose sample is
-                        // dead.
-                        let (sampler, rng) = node.brahms_mut().sampler_and_rng_mut();
-                        sampler.validate(is_alive, rng);
-                    }
-                    let me = NodeId(abs as u64);
-                    // Push stream: the honest counting-sorted run, then
-                    // the adversary's run — each receiver's historical
-                    // arrival order, with the `record_push` self-filter.
-                    ws.pushed.clear();
-                    ws.pushed
-                        .extend(run_of(sorted, counts, abs).filter(|&x| x != me));
-                    ws.pushed
-                        .extend(run_of(byz_sorted, byz_counts, abs).filter(|&x| x != me));
-                    // Untrusted pull stream, reconstructed in delivery
-                    // order.
-                    ws.untrusted.clear();
-                    let e0 = event_start[ci] as usize;
-                    let e1 = event_start[ci + 1] as usize;
-                    for ev in &events[e0..e1] {
-                        match ev {
-                            PullEvent::Snapshot { responder } => {
-                                let r = *responder as usize;
-                                let base = r * stride;
-                                ws.untrusted.extend(
-                                    snap_ids[base..base + snap_len[r] as usize]
-                                        .iter()
-                                        .map(|&i| widen(i)),
-                                );
-                            }
-                            PullEvent::Arena { start, len } => {
-                                let (a, b) = (*start as usize, (*start + *len) as usize);
-                                ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
-                            }
-                            PullEvent::ByzReplay { slot } => {
-                                let mut rng = byz_rngs[*slot as usize].clone();
-                                adversary.replay_pull_answer(&mut rng, &mut ws.idx, &mut ws.reply);
-                                ws.untrusted.extend_from_slice(&ws.reply);
+        rayon::par_for_each_scratch(&mut blocks, workers, |ws, bi, block| {
+            for (k, node) in block.nodes.iter_mut().enumerate() {
+                let ci = bi * BLOCK + k;
+                let abs = byz + ci;
+                let stat = &mut block.stats[k];
+                *stat = RoundStat::default();
+                if !alive[abs] {
+                    continue;
+                }
+                stat.participated = true;
+                match node {
+                    Node::Raptee(node) => {
+                        if validation_due {
+                            // Brahms sampler validation: probe sampled
+                            // nodes, re-draw the samplers whose sample
+                            // is dead.
+                            let (sampler, rng) = node.brahms_mut().sampler_and_rng_mut();
+                            sampler.validate(is_alive, rng);
+                        }
+                        let me = NodeId(abs as u64);
+                        // Push stream: the honest counting-sorted run,
+                        // then the adversary's run — each receiver's
+                        // historical arrival order, with the
+                        // `record_push` self-filter.
+                        ws.pushed.clear();
+                        ws.pushed
+                            .extend(run_of(sorted, counts, abs).filter(|&x| x != me));
+                        ws.pushed
+                            .extend(run_of(byz_sorted, byz_counts, abs).filter(|&x| x != me));
+                        // Untrusted pull stream, reconstructed in
+                        // delivery order.
+                        ws.untrusted.clear();
+                        let e0 = event_start[ci] as usize;
+                        let e1 = event_start[ci + 1] as usize;
+                        for ev in &events[e0..e1] {
+                            match ev {
+                                PullEvent::Snapshot { responder } => {
+                                    let r = *responder as usize;
+                                    let base = r * stride;
+                                    ws.untrusted.extend(
+                                        snap_ids[base..base + snap_len[r] as usize]
+                                            .iter()
+                                            .map(|&i| widen(i)),
+                                    );
+                                }
+                                PullEvent::Arena { start, len } => {
+                                    let (a, b) = (*start as usize, (*start + *len) as usize);
+                                    ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
+                                }
+                                PullEvent::ByzReplay { slot } => {
+                                    let mut rng = byz_rngs[*slot as usize].clone();
+                                    adversary.replay_pull_answer(
+                                        &mut rng,
+                                        &mut ws.idx,
+                                        &mut ws.reply,
+                                    );
+                                    ws.untrusted.extend_from_slice(&ws.reply);
+                                }
                             }
                         }
+                        let outcome = node.finish_round_streamed(
+                            &ws.pushed,
+                            &mut ws.untrusted,
+                            (e1 - e0) as u32,
+                            &mut ws.pulled,
+                            &mut ws.finish,
+                        );
+                        stat.evicted = outcome.evicted as u32;
+                        stat.flood = outcome.report.push_flood_detected;
                     }
-                    let outcome = node.finish_round_streamed(
-                        &ws.pushed,
-                        &mut ws.untrusted,
-                        (e1 - e0) as u32,
-                        &mut ws.pulled,
-                        &mut ws.finish,
-                    );
-                    it.stat.evicted = outcome.evicted as u32;
-                    it.stat.flood = outcome.report.push_flood_detected;
+                    Node::Ranked(node) => {
+                        // Quarantine drain before finalisation: a no-op
+                        // while the waiting list is disabled (plain
+                        // BASALT, LIFT), live for the wlist hybrid and
+                        // for Honeybee, whose verified walk endpoints
+                        // pass the reachability probe here.
+                        node.drain_wlist(is_alive);
+                        stat.rotated = node.finish_round() as u32;
+                    }
                 }
-                Node::Ranked(node) => {
-                    // Quarantine drain before finalisation: a no-op while
-                    // the waiting list is disabled (plain BASALT, LIFT),
-                    // live for the wlist hybrid and for Honeybee, whose
-                    // verified walk endpoints pass the reachability probe
-                    // here.
-                    node.drain_wlist(is_alive);
-                    it.stat.rotated = node.finish_round() as u32;
-                }
+                // Discovery counts an ID once it has *entered the view*
+                // (matching the paper's round counts; IDs merely seen in
+                // transit — or evicted — do not count).
+                let (mut disc, mut ring) = (block.disc.row(k), block.rings.row(k));
+                let mut tally = ViewTally::default();
+                node.for_each_view_id(|id| tally.see(id, byz, total, &mut disc));
+                tally.book(stat, &mut disc, &mut ring);
             }
-            // Discovery counts an ID once it has *entered the view*
-            // (matching the paper's round counts; IDs merely seen in
-            // transit — or evicted — do not count).
-            let mut tally = ViewTally::default();
-            it.node
-                .for_each_view_id(|id| tally.see(id, byz, total, &mut it.disc));
-            tally.book(it.stat, &mut it.disc, &mut it.ring);
         });
     }
 

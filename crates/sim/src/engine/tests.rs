@@ -1,6 +1,6 @@
-use super::arena::SMOOTHING_WINDOW;
+use super::arena::{BLOCK, SMOOTHING_WINDOW};
 use super::*;
-use crate::scenario::{Protocol, RejoinPolicy};
+use crate::scenario::{Protocol, RejoinPolicy, SegmentSpec};
 use raptee::EvictionPolicy;
 
 fn small(protocol: Protocol) -> Scenario {
@@ -259,12 +259,81 @@ fn ranked_nodes_are_checked_too() {
     assert!(err.contains("not an actor of this run"), "{err}");
 }
 
+/// Uniform RAPTEE with exactly `correct` correct nodes.
+fn with_correct(correct: usize) -> Scenario {
+    let base = Scenario {
+        trusted_fraction: 0.1,
+        view_size: 8,
+        sample_size: 8,
+        rounds: 6,
+        tail_window: 3,
+        protocol: Protocol::Raptee,
+        seed: 31,
+        ..Scenario::default()
+    };
+    (correct + 1..)
+        .map(|n| Scenario { n, ..base.clone() })
+        .find(|s| s.n - s.byzantine_count() == correct)
+        .expect("some n leaves `correct` correct nodes")
+}
+
+/// [`with_correct`] split over all five families, as evenly as counts
+/// allow.
+fn mixed5_with_correct(correct: usize) -> Scenario {
+    let s = with_correct(correct);
+    let view_size = s.view_size;
+    let families = [
+        Protocol::Raptee,
+        Protocol::Brahms,
+        Protocol::Basalt {
+            view_size,
+            rotation_interval: 30,
+        },
+        Protocol::Lift {
+            view_size,
+            fade_interval: 20,
+        },
+        Protocol::Honeybee {
+            view_size,
+            walk_length: 5,
+        },
+    ];
+    let segments = families
+        .into_iter()
+        .enumerate()
+        .map(|(i, protocol)| SegmentSpec {
+            protocol,
+            count: correct / 5 + usize::from(i < correct % 5),
+        })
+        .collect();
+    s.with_population(segments)
+}
+
 #[test]
-fn the_arena_costs_nothing_over_a_raptee_node() {
-    assert_eq!(
+fn block_edges_are_invisible_to_results() {
+    for correct in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+        let mut runs = vec![with_correct(correct)];
+        if correct >= 5 {
+            runs.push(mixed5_with_correct(correct));
+        }
+        for s in runs {
+            assert_eq!(s.validate(), Ok(()));
+            let one = rayon::with_num_threads(1, || Simulation::new(s.clone()).run());
+            let four = rayon::with_num_threads(4, || Simulation::new(s.clone()).run());
+            let families = s.segments().len();
+            assert_eq!(one, four, "{correct} correct nodes, {families} families");
+        }
+    }
+}
+
+#[test]
+fn the_arena_costs_nothing_over_a_ranked_node() {
+    let sizes = (
         std::mem::size_of::<Node>(),
-        std::mem::size_of::<RapteeNode>()
+        std::mem::size_of::<RankedNode>(),
+        std::mem::size_of::<RapteeNode>(),
     );
+    assert_eq!(sizes.0, sizes.1, "Node, RankedNode, RapteeNode: {sizes:?}");
 }
 
 #[test]

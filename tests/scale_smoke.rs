@@ -44,17 +44,17 @@ fn peak_rss_kib() -> Option<u64> {
 }
 
 /// The documented budget for the whole test process at N=100,000
-/// (README.md "Scale profiles"): the peak measured at PR 25 on the
-/// reference machine, 199,484 KiB (three runs within 0.1 %), plus 25 %.
-/// That is per-node protocol state (views, samplers, secure channels;
-/// ≈ 1.6 KiB per correct node) plus the discovery sketches at
-/// 256 B/node. The parent of PR 25, which held an unused trusted
-/// directory, standalone finish scratch and second config copy in every
-/// node, per-node plan vectors and an identity interner, peaked at
-/// 262,144 KiB and fails it, so a per-node regression of that size
-/// trips the gate — as would an exact-bitset fallback (≈ +1.1 GiB) or a
-/// reintroduced per-node seen-cache bitset (≈ +1.2 GiB).
-const BUDGET_KIB: u64 = 249_355;
+/// (README.md "Scale profiles"): the peak measured on the reference
+/// machine, 171,340 KiB (three runs within 0.1 %), plus 10 %. That is
+/// per-node protocol state (views, samplers, secure channels; ≈ 1.4 KiB
+/// per correct node) plus the discovery sketches at 256 B/node. The
+/// engine before the 64-node block handles, whose nodes were 136 B
+/// wider and whose rounds built one lane struct per node per phase,
+/// peaked at 198,920–199,176 KiB and fails it, so a per-node regression
+/// of that size trips the gate — as would an exact-bitset fallback
+/// (≈ +1.1 GiB) or a reintroduced per-node seen-cache bitset
+/// (≈ +1.2 GiB).
+const BUDGET_KIB: u64 = 188_474;
 
 #[test]
 #[ignore = "scale smoke (~1 min in release): run explicitly, see the CI scale-smoke job"]
@@ -91,13 +91,16 @@ fn hundred_thousand_node_sketch_run_fits_memory_budget() {
     }
 }
 
-/// The evented budget for the whole test process: the peak measured at
-/// PR 25 on the reference machine, 312,660 KiB (three runs within
-/// 0.1 %), plus 25 %. It was 361 MiB at PR 22 and 513 MiB while late
-/// messages sat in a binary heap and every copy of an answer owned its
-/// view; the round-network run of the same population peaks at
-/// ≈ 195 MiB, so about a third of this is the partition backlog.
-const EVENTED_BUDGET_KIB: u64 = 390_825;
+/// The evented budget for the whole test process: the peak measured on
+/// the reference machine, 260,544 KiB (three runs within 0.1 %), plus
+/// 10 %; the engine before the block handles peaked at
+/// 300,840–300,972 KiB and fails it. It was 361 MiB when the round
+/// calendar first replaced the binary heap, and 513 MiB while late
+/// messages sat in that heap and every copy of an answer owned its
+/// view; the round-network
+/// run of the same population peaks at ≈ 167 MiB, so about a third of
+/// this is the partition backlog.
+const EVENTED_BUDGET_KIB: u64 = 286_598;
 
 #[test]
 #[ignore = "scale smoke (~10 s in release): run explicitly, see the CI scale-smoke job"]
