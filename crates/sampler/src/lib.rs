@@ -40,6 +40,11 @@ fn premix(id: NodeId) -> u64 {
 /// to a multiple of it so the vectorised kernel has no scalar tail.
 const LANE_BLOCK: usize = 8;
 
+/// IDs one call into the hash kernel covers: the cache filter fills an
+/// on-stack batch of this many (ID, pre-mix) pairs, so the kernel's call
+/// and feature check are paid once per batch, not once per ID.
+const BATCH: usize = 64;
+
 /// The cold path, and its only body: hashes one ID (pre-mixed to `pre`)
 /// under every lane's seed and keeps it wherever it beats the lane's best
 /// hash. Branch-free selects over three slices, so LLVM vectorises it as
@@ -54,34 +59,41 @@ fn observe_lanes(seeds: &[u64], best: &mut [u64], ids: &mut [u64], id: u64, pre:
     }
 }
 
-/// [`observe_lanes`] on the widest compiled copy this CPU runs; returns
+/// [`observe_lanes`] for each `(id, pre)` of `batch` in turn.
+#[inline(always)]
+fn observe_batch(seeds: &[u64], best: &mut [u64], ids: &mut [u64], batch: &[(u64, u64)]) {
+    for &(id, pre) in batch {
+        observe_lanes(seeds, best, ids, id, pre);
+    }
+}
+
+/// [`observe_batch`] on the widest compiled copy this CPU runs; returns
 /// whether that was the AVX-512 one — a 64-bit vector multiply
 /// (`vpmullq`, AVX-512DQ), an unsigned compare into a mask and masked
 /// stores, eight samplers per instruction. Out of line so the seen-cache
-/// test in front of it stays a tight loop over a batch.
+/// filter in front of it stays a tight loop over the stream.
 #[inline(never)]
-fn observe_lanes_widest(
+fn observe_batch_widest(
     seeds: &[u64],
     best: &mut [u64],
     ids: &mut [u64],
-    id: u64,
-    pre: u64,
+    batch: &[(u64, u64)],
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         #[target_feature(enable = "avx512f,avx512dq")]
-        fn wide(seeds: &[u64], best: &mut [u64], ids: &mut [u64], id: u64, pre: u64) {
-            observe_lanes(seeds, best, ids, id, pre)
+        fn wide(seeds: &[u64], best: &mut [u64], ids: &mut [u64], batch: &[(u64, u64)]) {
+            observe_batch(seeds, best, ids, batch)
         }
         if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
             // SAFETY: `wide` is a safe function whose only requirement is
             // the two CPU features its attribute enables, and the run-time
             // detection on the line above has just confirmed both.
-            unsafe { wide(seeds, best, ids, id, pre) };
+            unsafe { wide(seeds, best, ids, batch) };
             return true;
         }
     }
-    observe_lanes(seeds, best, ids, id, pre);
+    observe_batch(seeds, best, ids, batch);
     false
 }
 
@@ -191,11 +203,33 @@ impl SamplerArray {
         (seeds, best, ids)
     }
 
-    /// Hashes `id` under every lane's seed: the cold path.
-    #[inline]
-    fn observe_uncached(&mut self, id: NodeId) {
+    /// Hashes every `(id, pre)` of `batch` under every lane's seed: the
+    /// cold path.
+    fn observe_cold(&mut self, batch: &[(u64, u64)]) {
         let (seeds, best, ids) = self.lanes_mut();
-        observe_lanes_widest(seeds, best, ids, id.0, premix(id));
+        observe_batch_widest(seeds, best, ids, batch);
+    }
+
+    /// Feeds `ids` to the cold path [`BATCH`] at a time, skipping those
+    /// the seen-cache already holds when `cached` is set.
+    fn observe_stream<I: IntoIterator<Item = NodeId>>(&mut self, ids: I, cached: bool) {
+        let mut batch = [(0, 0); BATCH];
+        let mut len = 0;
+        for id in ids {
+            let idx = id.0 as usize;
+            if cached && idx < self.seen_limit && !self.seen.insert(idx) {
+                continue;
+            }
+            batch[len] = (id.0, premix(id));
+            len += 1;
+            if len == BATCH {
+                self.observe_cold(&batch);
+                len = 0;
+            }
+        }
+        if len > 0 {
+            self.observe_cold(&batch[..len]);
+        }
     }
 
     /// Caps the seen-cache to IDs below `limit` and *frees* the backing
@@ -235,14 +269,14 @@ impl SamplerArray {
         if idx < self.seen_limit && !self.seen.insert(idx) {
             return;
         }
-        self.observe_uncached(id);
+        self.observe_cold(&[(id.0, premix(id))]);
     }
 
-    /// Feeds a batch of IDs.
+    /// Feeds a batch of IDs: the same samples as [`SamplerArray::observe`]
+    /// on each in turn, with one hash-kernel call per fixed-size batch of
+    /// uncached IDs.
     pub fn observe_all<I: IntoIterator<Item = NodeId>>(&mut self, ids: I) {
-        for id in ids {
-            self.observe(id);
-        }
+        self.observe_stream(ids, true);
     }
 
     /// Feeds a batch of IDs to every sampler without consulting or
@@ -253,9 +287,7 @@ impl SamplerArray {
     /// node's bootstrap list — so that a population that runs uncached
     /// never allocates `max_id / 8` bytes per node just to free them.
     pub fn observe_all_uncached<I: IntoIterator<Item = NodeId>>(&mut self, ids: I) {
-        for id in ids {
-            self.observe_uncached(id);
-        }
+        self.observe_stream(ids, false);
     }
 
     /// Words of backing storage the seen-cache holds (0 until it first
@@ -548,7 +580,8 @@ mod tests {
 
     #[test]
     fn both_compiled_kernels_agree() {
-        // 100 real lanes and 4 inert ones, as at the paper's l2.
+        // 100 real lanes and 4 inert ones, as at the paper's l2; batches
+        // at the edges of the filter's batch size, each ending in a repeat.
         let mut rng = Xoshiro256StarStar::seed_from_u64(17);
         const PAD: u64 = 0xDEAD;
         let seeds: Vec<u64> = (0..104).map(|_| rng.next_u64()).collect();
@@ -559,12 +592,22 @@ mod tests {
         let mut reference: Vec<Sampler> = seeds[..100].iter().map(|&s| Sampler::new(s)).collect();
 
         let mut ran_wide = true;
-        for _ in 0..10_000 {
-            let id = NodeId(rng.next_u64() >> rng.next_below(64));
-            let pre = premix(id);
-            observe_lanes(&seeds, &mut best, &mut ids, id.0, pre);
-            ran_wide &= observe_lanes_widest(&seeds, &mut best_wide, &mut ids_wide, id.0, pre);
-            reference.iter_mut().for_each(|s| s.observe(id));
+        for round in 0..200 {
+            let len = [0, 1, BATCH - 1, BATCH, BATCH + 1][round % 5];
+            let mut batch: Vec<(u64, u64)> = (0..len)
+                .map(|_| {
+                    let id = NodeId(rng.next_u64() >> rng.next_below(64));
+                    (id.0, premix(id))
+                })
+                .collect();
+            if let Some(&first) = batch.first() {
+                batch.push(first);
+            }
+            observe_batch(&seeds, &mut best, &mut ids, &batch);
+            ran_wide &= observe_batch_widest(&seeds, &mut best_wide, &mut ids_wide, &batch);
+            for &(id, _) in &batch {
+                reference.iter_mut().for_each(|s| s.observe(NodeId(id)));
+            }
         }
 
         let expect: Vec<u64> = reference.iter().map(|s| s.sample().unwrap().0).collect();
@@ -574,6 +617,34 @@ mod tests {
             assert_eq!((best_wide, ids_wide), (best, ids));
         } else {
             eprintln!("both_compiled_kernels_agree: AVX-512 copy SKIPPED (this CPU cannot run it)");
+        }
+    }
+
+    #[test]
+    fn streams_at_the_batch_edges_equal_one_observe_per_id() {
+        // Each stream repeats its first ID at its end, and, once longer
+        // than a batch, an ID from the batch before.
+        for len in [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1] {
+            let mut stream: Vec<NodeId> = (0..len as u64).map(|k| NodeId(k * 37 + 5)).collect();
+            stream.extend(stream.first().copied());
+            if len > BATCH {
+                stream.push(stream[BATCH / 2]);
+            }
+            for uncached in [false, true] {
+                let case = format!("len {len}, uncached {uncached}");
+                let mut rng = Xoshiro256StarStar::seed_from_u64(len as u64);
+                let mut one_by_one = SamplerArray::new(24, &mut rng);
+                if uncached {
+                    one_by_one.limit_seen_cache(0);
+                }
+                let (mut all, mut bypass) = (one_by_one.clone(), one_by_one.clone());
+                stream.iter().for_each(|&id| one_by_one.observe(id));
+                all.observe_all(stream.iter().copied());
+                bypass.observe_all_uncached(stream.iter().copied());
+                assert_eq!(all.samples(), one_by_one.samples(), "{case}");
+                assert_eq!(bypass.samples(), one_by_one.samples(), "{case}");
+                assert_eq!(all.seen_cached(), one_by_one.seen_cached(), "{case}");
+            }
         }
     }
 
@@ -833,19 +904,26 @@ mod prop_tests {
             prop_assert!(h2 <= h1);
         }
 
-        /// Differential oracle: the lanes (cache, padding, whichever
-        /// kernel copy this CPU runs) and a plain `Vec<Sampler>` on the
-        /// same seeds, driven by the same arbitrary interleaving of every
-        /// mutating operation, agree on every read after every step.
+        /// Differential oracle: the lanes (cache, padding, batching,
+        /// whichever kernel copy this CPU runs) and a plain
+        /// `Vec<Sampler>` on the same seeds, driven by the same arbitrary
+        /// interleaving of every mutating operation, agree on every read
+        /// after every step. Streams run to three batches and then some;
+        /// their IDs come from 160 values, so longer ones repeat IDs
+        /// within a batch.
         #[test]
         fn lanes_match_the_sampler_reference(
             l2 in prop_oneof![Just(1usize), Just(7), Just(8), Just(9), Just(16), Just(100)],
             seed in 0u64..10_000,
+            uncached in any::<bool>(),
             ops in proptest::collection::vec((0u8..16, 0u64..1 << 20, 0u64..1 << 20), 1..200),
         ) {
             let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
             let mut rng_ref = rng.clone();
             let mut arr = SamplerArray::new(l2, &mut rng);
+            if uncached {
+                arr.limit_seen_cache(0);
+            }
             let mut reference = Reference::new(l2, &mut rng_ref);
             assert_matches(&arr, &reference);
             for &(op, a, b) in &ops {
@@ -855,7 +933,8 @@ mod prop_tests {
                         reference.observe(id_of(a));
                     }
                     7..=11 => {
-                        let batch: Vec<NodeId> = (0..b % 30).map(|k| id_of(a + k * (b | 1))).collect();
+                        let len = b % (3 * BATCH as u64 + 6);
+                        let batch: Vec<NodeId> = (0..len).map(|k| id_of(a + k * (b | 1))).collect();
                         if op == 11 {
                             arr.observe_all_uncached(batch.iter().copied());
                         } else {

@@ -207,7 +207,7 @@ pub struct SketchMatrix {
 /// Exclusive access to one row of a [`SketchMatrix`].
 #[derive(Debug)]
 pub struct SketchRow<'a> {
-    regs: &'a mut [u8],
+    regs: &'a mut [u8; hll::REGISTERS],
     universe: usize,
 }
 
@@ -227,6 +227,11 @@ impl SketchMatrix {
         self.regs.len() / hll::REGISTERS
     }
 
+    /// Every row's sketch, in row order.
+    fn sketches_mut(&mut self) -> &mut [[u8; hll::REGISTERS]] {
+        self.regs.as_chunks_mut().0
+    }
+
     /// Folds `idx` into `row`'s sketch; returns `true` when the sketch
     /// changed (unlike the exact matrix, a `false` does *not* prove the
     /// index was seen before — only that it left no new evidence).
@@ -239,16 +244,14 @@ impl SketchMatrix {
         // Unreachable from the engine, by the checks named at
         // `DiscoveryMatrix::insert`.
         assert!(idx < self.universe, "discovery index {idx} out of range");
-        let start = row * hll::REGISTERS;
-        hll::update(&mut self.regs[start..start + hll::REGISTERS], idx as u64)
+        hll::update(&mut self.sketches_mut()[row], idx as u64)
     }
 
     /// Estimated number of distinct indices folded into `row`, rounded
     /// to the nearest integer.
     #[inline]
     pub fn count(&self, row: usize) -> usize {
-        let start = row * hll::REGISTERS;
-        hll::estimate(&self.regs[start..start + hll::REGISTERS]).round() as usize
+        hll::estimate(&self.regs.as_chunks().0[row]).round() as usize
     }
 
     /// Splits the rows `rows` into disjoint handles of `block`
@@ -263,8 +266,8 @@ impl SketchMatrix {
         block: usize,
     ) -> impl ExactSizeIterator<Item = SketchBlock<'_>> {
         let universe = self.universe;
-        self.regs[rows.start * hll::REGISTERS..rows.end * hll::REGISTERS]
-            .chunks_mut(block * hll::REGISTERS)
+        self.sketches_mut()[rows]
+            .chunks_mut(block)
             .map(move |regs| SketchBlock { regs, universe })
     }
 
@@ -279,21 +282,21 @@ impl SketchMatrix {
 /// (see [`SketchMatrix::blocks_mut`]).
 #[derive(Debug)]
 pub struct SketchBlock<'a> {
-    regs: &'a mut [u8],
+    regs: &'a mut [[u8; hll::REGISTERS]],
     universe: usize,
 }
 
 impl<'a> SketchBlock<'a> {
     /// Number of rows in this block.
     pub fn rows(&self) -> usize {
-        self.regs.len() / hll::REGISTERS
+        self.regs.len()
     }
 
     /// The block's `k`-th row.
     #[inline]
     pub fn row(&mut self, k: usize) -> SketchRow<'_> {
         SketchRow {
-            regs: &mut self.regs[k * hll::REGISTERS..(k + 1) * hll::REGISTERS],
+            regs: &mut self.regs[k],
             universe: self.universe,
         }
     }
@@ -301,7 +304,7 @@ impl<'a> SketchBlock<'a> {
     /// The block's first row, for the whole block's lifetime.
     fn into_row(self) -> SketchRow<'a> {
         SketchRow {
-            regs: &mut self.regs[..hll::REGISTERS],
+            regs: &mut self.regs[0],
             universe: self.universe,
         }
     }

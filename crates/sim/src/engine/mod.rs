@@ -118,7 +118,7 @@ pub struct Simulation {
     limiter_fanout: usize,
     /// Per-node discovery state of every non-Byzantine actor: exact
     /// bitset rows below [`crate::bitset::EXACT_DISCOVERY_THRESHOLD`]
-    /// actors, mergeable HLL sketches above (rows by population index,
+    /// actors, HLL sketches above (rows by population index,
     /// universe = absolute indices).
     discovery: Discovery,
     /// Per-node rings of recent per-round view pollution shares, used

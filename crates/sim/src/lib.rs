@@ -35,7 +35,7 @@
 //! * [`bitset`] — dense bitsets plus the per-node discovery state
 //!   (struct-of-arrays, disjoint row handles for the parallel apply
 //!   phase): exact O(N²/8) bitset rows below
-//!   [`bitset::EXACT_DISCOVERY_THRESHOLD`] actors, mergeable HLL
+//!   [`bitset::EXACT_DISCOVERY_THRESHOLD`] actors, HLL
 //!   cardinality sketches (256 B/node, ~6.5 % standard error) above,
 //!   selectable per scenario via [`scenario::DiscoveryMode`].
 //! * [`ranked`] — the ranked-family dispatch layer
