@@ -25,7 +25,7 @@ use raptee_net::NodeId;
 use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 
 /// A planned batch of adversary pushes: `(victim, advertised ID)` pairs.
-pub type PushPlan = Vec<(NodeId, NodeId)>;
+pub(crate) type PushPlan = Vec<(NodeId, NodeId)>;
 
 /// The adversary's classification of one node, with bookkeeping for
 /// precision/recall.
@@ -84,18 +84,8 @@ impl Adversary {
 
     /// Registers injected view-poisoned trusted nodes for sparse
     /// advertisement so the system discovers them.
-    pub fn advertise_injected(&mut self, injected: impl IntoIterator<Item = NodeId>) {
+    pub(crate) fn advertise_injected(&mut self, injected: impl IntoIterator<Item = NodeId>) {
         self.injected.extend(injected);
-    }
-
-    /// Number of Byzantine identities.
-    pub fn count(&self) -> usize {
-        self.byzantine_ids.len()
-    }
-
-    /// The Byzantine identities.
-    pub fn ids(&self) -> &[NodeId] {
-        &self.byzantine_ids
     }
 
     /// Plans one segment's share of this round's pushes into `plan`
@@ -218,7 +208,7 @@ impl Adversary {
     /// stays a single sequential stream (bit-identical results at any
     /// thread count), while the per-ID work moves to the parallel apply
     /// phase.
-    pub fn rng_snapshot(&self) -> Xoshiro256StarStar {
+    pub(crate) fn rng_snapshot(&self) -> Xoshiro256StarStar {
         self.rng.clone()
     }
 
@@ -228,7 +218,7 @@ impl Adversary {
     /// `rng`/`idx`/`out` buffers. The produced IDs are bit-identical to
     /// what `pull_answer_into` emitted at snapshot time (the identity
     /// pools never change mid-round).
-    pub fn replay_pull_answer(
+    pub(crate) fn replay_pull_answer(
         &self,
         rng: &mut Xoshiro256StarStar,
         idx: &mut IndexScratch,
@@ -279,7 +269,7 @@ impl Adversary {
     /// [`Adversary::pull_answer_into`] would and builds nothing: for a
     /// caller that keeps the [`Adversary::rng_snapshot`] taken just before
     /// and lets [`Adversary::replay_pull_answer`] produce the IDs later.
-    pub fn skip_pull_answer(&mut self) {
+    pub(crate) fn skip_pull_answer(&mut self) {
         let pool = self.byzantine_ids.len();
         let len = self.view_size.min(pool);
         self.rng.skip_sample(pool, len);
@@ -288,25 +278,9 @@ impl Adversary {
 
     /// Records the Byzantine share observed in a pull answer received
     /// from non-Byzantine node `from` (identification attack data
-    /// collection).
-    pub fn observe_pull_answer(
-        &mut self,
-        from: NodeId,
-        answer: &[NodeId],
-        is_byz: impl Fn(NodeId) -> bool,
-    ) {
-        if answer.is_empty() {
-            return;
-        }
-        let byz = answer.iter().filter(|&&id| is_byz(id)).count();
-        let share = byz as f64 / answer.len() as f64;
-        self.record_share(from, share);
-    }
-
-    /// Records an already-computed Byzantine share for node `from` (used
-    /// by the engine, which computes shares in place instead of cloning
-    /// pull answers).
-    pub fn record_share(&mut self, from: NodeId, share: f64) {
+    /// collection; the engine computes the share in place from the
+    /// responder's view).
+    pub(crate) fn record_share(&mut self, from: NodeId, share: f64) {
         if let Some(slot) = self.observations.get_mut(from.index()) {
             *slot = Some(Observation { byz_share: share });
         }
@@ -316,7 +290,7 @@ impl Adversary {
     /// is designed to defeat) into `plan` (cleared first): a `focus`
     /// share of the budget floods the small victim set `targets`, the
     /// rest stays balanced over everyone.
-    pub fn plan_targeted_pushes_into(
+    pub(crate) fn plan_targeted_pushes_into(
         &mut self,
         all_victims: &[NodeId],
         targets: &[NodeId],
@@ -367,7 +341,7 @@ impl Adversary {
     /// best play is maximal *coverage*, so that every slot where some
     /// Byzantine ID happens to rank closest is found as quickly as
     /// possible.
-    pub fn plan_force_pushes_into(
+    pub(crate) fn plan_force_pushes_into(
         &mut self,
         victims: &[NodeId],
         budget: usize,
@@ -388,7 +362,7 @@ impl Adversary {
     /// budget floods the victim subset, the rest stays balanced — but
     /// every push advertises distinct Byzantine identities round-robin,
     /// the only lever that matters against a ranked view.
-    pub fn plan_targeted_force_pushes_into(
+    pub(crate) fn plan_targeted_force_pushes_into(
         &mut self,
         all_victims: &[NodeId],
         targets: &[NodeId],
@@ -409,7 +383,7 @@ impl Adversary {
     /// Picks `k` observation targets uniformly among `candidates` (the
     /// Byzantine nodes' own pull requests for the identification attack)
     /// into `out` (cleared first).
-    pub fn observation_targets_into(
+    pub(crate) fn observation_targets_into(
         &mut self,
         candidates: &[NodeId],
         k: usize,
@@ -425,7 +399,7 @@ impl Adversary {
     /// average observed Byzantine share, then flags every observed node
     /// whose share sits more than `threshold` *below* that average.
     /// Returns the flagged node IDs.
-    pub fn classify_trusted(&self, threshold: f64) -> Vec<NodeId> {
+    pub(crate) fn classify_trusted(&self, threshold: f64) -> Vec<NodeId> {
         let observed: Vec<(usize, f64)> = self
             .observations
             .iter()
@@ -441,11 +415,6 @@ impl Adversary {
             .filter(|&(_, share)| avg - share > threshold)
             .map(|(i, _)| NodeId(i as u64))
             .collect()
-    }
-
-    /// Number of nodes observed so far.
-    pub fn observed_count(&self) -> usize {
-        self.observations.iter().filter(|o| o.is_some()).count()
     }
 
     fn random_byz_id(&mut self) -> NodeId {
@@ -517,31 +486,6 @@ impl AdaptiveCoordinator {
     pub(crate) fn play(arm: usize) -> (usize, AttackStrategy) {
         let n = ADAPTIVE_STRATEGIES.len();
         (arm / n, ADAPTIVE_STRATEGIES[arm % n])
-    }
-
-    /// Number of arms.
-    pub fn arm_count(&self) -> usize {
-        self.arms.len()
-    }
-
-    /// Rounds played so far (reward observations recorded).
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Times `arm` has been chosen.
-    pub fn pulls(&self, arm: usize) -> u64 {
-        self.arms[arm].pulls
-    }
-
-    /// Mean observed yield of `arm` (`0.0` before its first pull).
-    pub fn mean_yield(&self, arm: usize) -> f64 {
-        let a = &self.arms[arm];
-        if a.pulls == 0 {
-            0.0
-        } else {
-            a.total_yield / a.pulls as f64
-        }
     }
 
     /// The arm to play this round: each arm once in index order first
@@ -658,30 +602,23 @@ mod tests {
     #[test]
     fn identification_flags_low_share_nodes() {
         let mut a = adversary(10, 100);
-        let is_byz = |id: NodeId| id.0 < 10;
-        // Regular honest nodes: ~50 % Byzantine answers.
+        // Regular honest nodes: 50 % Byzantine answers.
         for i in 20..40u64 {
-            let answer: Vec<NodeId> = (0..10)
-                .map(|k| NodeId(if k % 2 == 0 { k } else { 50 + k }))
-                .collect();
-            a.observe_pull_answer(NodeId(i), &answer, is_byz);
+            a.record_share(NodeId(i), 0.5);
         }
         // One trusted-looking node: 0 % Byzantine.
-        let clean: Vec<NodeId> = (50..60).map(NodeId).collect();
-        a.observe_pull_answer(NodeId(40), &clean, is_byz);
+        a.record_share(NodeId(40), 0.0);
         let flagged = a.classify_trusted(0.1);
         assert_eq!(flagged, vec![NodeId(40)]);
-        assert_eq!(a.observed_count(), 21);
+        assert_eq!(a.observations.iter().flatten().count(), 21);
     }
 
     #[test]
     fn identification_silent_without_contrast() {
         // All nodes look alike → nobody exceeds the threshold.
         let mut a = adversary(10, 100);
-        let is_byz = |id: NodeId| id.0 < 10;
         for i in 20..40u64 {
-            let answer: Vec<NodeId> = (0..10).map(NodeId).collect(); // 100 % byz
-            a.observe_pull_answer(NodeId(i), &answer, is_byz);
+            a.record_share(NodeId(i), 1.0);
         }
         assert!(a.classify_trusted(0.1).is_empty());
         // And with no observations at all.
@@ -900,13 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_answer_not_recorded() {
-        let mut a = adversary(10, 100);
-        a.observe_pull_answer(NodeId(50), &[], |_| false);
-        assert_eq!(a.observed_count(), 0);
-    }
-
-    #[test]
     fn bandit_warms_up_in_index_order() {
         let mut c = AdaptiveCoordinator::new(3);
         for expect in 0..3 {
@@ -931,7 +861,8 @@ mod tests {
             played[2] > played[0] + played[1] + played[3],
             "UCB1 must concentrate on the best arm: {played:?}"
         );
-        assert!((c.mean_yield(2) - 0.3).abs() < 1e-9);
+        let best = &c.arms[2];
+        assert!((best.total_yield / best.pulls as f64 - 0.3).abs() < 1e-9);
     }
 
     #[test]

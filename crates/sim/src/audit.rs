@@ -40,21 +40,21 @@ use raptee_util::rng::mix64;
 /// Salt of the audit randomness beacon — a dedicated hash stream so the
 /// challenger's draws never perturb protocol, churn, trust-tier or
 /// network randomness.
-pub const AUDIT_BEACON_SALT: u64 = 0xA0D1_7BEA_C05A_17ED;
+pub(crate) const AUDIT_BEACON_SALT: u64 = 0xA0D1_7BEA_C05A_17ED;
 
 /// Hash-deterministic randomness beacon: a counter-mode `mix64` stream.
 /// Every consumer sees the same sequence for the same scenario seed, at
 /// any thread count, and [`Beacon::draws`] exposes how many values were
 /// ever taken (zero when audits are off).
 #[derive(Debug, Clone)]
-pub struct Beacon {
+pub(crate) struct Beacon {
     seed: u64,
     ctr: u64,
 }
 
 impl Beacon {
     /// Derives the beacon for a scenario `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             seed: mix64(seed ^ AUDIT_BEACON_SALT),
             ctr: 0,
@@ -62,19 +62,19 @@ impl Beacon {
     }
 
     /// The next beacon value.
-    pub fn next_value(&mut self) -> u64 {
+    pub(crate) fn next_value(&mut self) -> u64 {
         self.ctr += 1;
         mix64(self.seed ^ mix64(self.ctr))
     }
 
     /// The next beacon value reduced below `n` (`n > 0`).
-    pub fn next_below(&mut self, n: u64) -> u64 {
+    pub(crate) fn next_below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.next_value() % n
     }
 
     /// Total values drawn so far.
-    pub fn draws(&self) -> u64 {
+    pub(crate) fn draws(&self) -> u64 {
         self.ctr
     }
 }
@@ -167,13 +167,8 @@ impl Challenger {
         }
     }
 
-    /// The audit configuration in force.
-    pub fn config(&self) -> &AuditConfig {
-        &self.cfg
-    }
-
     /// Beacon draws consumed so far (zero iff the challenger never ran).
-    pub fn beacon_draws(&self) -> u64 {
+    pub(crate) fn beacon_draws(&self) -> u64 {
         self.beacon.draws()
     }
 
@@ -182,14 +177,9 @@ impl Challenger {
         self.quarantined[abs]
     }
 
-    /// Convicted population so far.
-    pub fn quarantine_len(&self) -> u32 {
-        self.quarantine_count
-    }
-
     /// Records that `abs` (re)joined at `round` — the reference point
     /// for its detection latency.
-    pub fn mark_active(&mut self, abs: usize, round: u32) {
+    pub(crate) fn mark_active(&mut self, abs: usize, round: u32) {
         self.first_active[abs] = round;
     }
 
@@ -214,7 +204,7 @@ impl Challenger {
     /// A cold rejoin restarts `abs`'s chain from genesis (the sealed
     /// state is gone; the next commitment uses the genesis `prev`).
     /// Warm rejoins keep the chain and simply re-commit.
-    pub fn restart_chain(&mut self, abs: usize) {
+    pub(crate) fn restart_chain(&mut self, abs: usize) {
         if self.chains[abs].take().is_some() {
             self.chain_restarts += 1;
         }
@@ -223,7 +213,7 @@ impl Challenger {
     /// Draws this round's audit targets from the beacon: `budget`
     /// draws over `[0, total)`, skipping already-quarantined nodes
     /// (their draw is still consumed, keeping the stream aligned).
-    pub fn draw_targets(&mut self, total: usize, out: &mut Vec<usize>) {
+    pub(crate) fn draw_targets(&mut self, total: usize, out: &mut Vec<usize>) {
         out.clear();
         for _ in 0..self.cfg.budget {
             let t = self.beacon.next_below(total as u64) as usize;
@@ -333,7 +323,7 @@ impl Challenger {
     /// Closes `round`: standing suspicions older than the grace window
     /// decay (the target was only unavailable, not provably faulty) and
     /// the quarantine population is appended to the per-round series.
-    pub fn end_round(&mut self, round: u32) {
+    pub(crate) fn end_round(&mut self, round: u32) {
         let grace = self.cfg.grace as u32;
         for s in self.suspected_at.iter_mut() {
             if let Some(raised) = *s {
@@ -346,7 +336,7 @@ impl Challenger {
     }
 
     /// Folds the bookkeeping into the run-level [`AuditStats`].
-    pub fn into_stats(self) -> AuditStats {
+    pub(crate) fn into_stats(self) -> AuditStats {
         AuditStats {
             audits_issued: self.audits_issued,
             audits_answered: self.audits_answered,

@@ -20,13 +20,11 @@
 use raptee_util::hll;
 use std::ops::Range;
 
-pub use raptee_util::bitset::{BitSet, IdSet};
-
 /// Actor-count bound (inclusive) under which discovery defaults to the
 /// exact bitset matrix. 16,384 keeps every committed scenario — tiny
 /// through paper scale (10,000 nodes) — on the exact path, while the
 /// 100,000-node smoke and million-node profiles default to sketches.
-pub const EXACT_DISCOVERY_THRESHOLD: usize = 1 << 14;
+pub(crate) const EXACT_DISCOVERY_THRESHOLD: usize = 1 << 14;
 
 /// The discovery matrix in struct-of-arrays form: one flat word arena
 /// holding every tracked node's discovery bitset as a fixed-stride row,
@@ -45,7 +43,7 @@ pub struct DiscoveryMatrix {
 /// Exclusive access to one row of a [`DiscoveryMatrix`] — safe to use
 /// from a worker thread while other workers hold other rows.
 #[derive(Debug)]
-pub struct DiscoveryRow<'a> {
+pub(crate) struct DiscoveryRow<'a> {
     words: &'a mut [u64],
     count: &'a mut u32,
     universe: usize,
@@ -53,7 +51,7 @@ pub struct DiscoveryRow<'a> {
 
 impl DiscoveryMatrix {
     /// Creates `rows` empty bitsets over the universe `0..universe`.
-    pub fn new(rows: usize, universe: usize) -> Self {
+    pub(crate) fn new(rows: usize, universe: usize) -> Self {
         let stride = universe.div_ceil(64);
         Self {
             words: vec![0; rows * stride],
@@ -63,18 +61,13 @@ impl DiscoveryMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Inserts `idx` into `row`; returns `true` if it was newly set.
     ///
     /// # Panics
     ///
     /// Panics when `row` or `idx` is out of range.
     #[inline]
-    pub fn insert(&mut self, row: usize, idx: usize) -> bool {
+    pub(crate) fn insert(&mut self, row: usize, idx: usize) -> bool {
         // Unreachable from the engine: `Simulation::new` seeds only
         // bootstrap IDs, which are actors, and `note_discovered` checks
         // `id < total_actors()`, the universe.
@@ -92,7 +85,7 @@ impl DiscoveryMatrix {
 
     /// Number of set bits in `row` (maintained incrementally — O(1)).
     #[inline]
-    pub fn count(&self, row: usize) -> usize {
+    pub(crate) fn count(&self, row: usize) -> usize {
         self.counts[row] as usize
     }
 
@@ -103,7 +96,7 @@ impl DiscoveryMatrix {
     /// # Panics
     ///
     /// Panics when `rows` reaches past the last row or `block` is zero.
-    pub fn blocks_mut(
+    pub(crate) fn blocks_mut(
         &mut self,
         rows: Range<usize>,
         block: usize,
@@ -119,44 +112,25 @@ impl DiscoveryMatrix {
                 universe,
             })
     }
-
-    /// Splits the matrix into disjoint per-row handles, in row order.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = DiscoveryRow<'_>> {
-        self.blocks_mut(0..self.rows(), 1).map(ExactBlock::into_row)
-    }
 }
 
 /// Exclusive access to a run of consecutive rows of a
 /// [`DiscoveryMatrix`] (see [`DiscoveryMatrix::blocks_mut`]).
 #[derive(Debug)]
-pub struct ExactBlock<'a> {
+pub(crate) struct ExactBlock<'a> {
     words: &'a mut [u64],
     counts: &'a mut [u32],
     stride: usize,
     universe: usize,
 }
 
-impl<'a> ExactBlock<'a> {
-    /// Number of rows in this block.
-    pub fn rows(&self) -> usize {
-        self.counts.len()
-    }
-
+impl ExactBlock<'_> {
     /// The block's `k`-th row.
     #[inline]
-    pub fn row(&mut self, k: usize) -> DiscoveryRow<'_> {
+    pub(crate) fn row(&mut self, k: usize) -> DiscoveryRow<'_> {
         DiscoveryRow {
             words: &mut self.words[k * self.stride..(k + 1) * self.stride],
             count: &mut self.counts[k],
-            universe: self.universe,
-        }
-    }
-
-    /// The block's first row, for the whole block's lifetime.
-    fn into_row(self) -> DiscoveryRow<'a> {
-        DiscoveryRow {
-            words: &mut self.words[..self.stride],
-            count: &mut self.counts[0],
             universe: self.universe,
         }
     }
@@ -169,7 +143,7 @@ impl DiscoveryRow<'_> {
     ///
     /// Panics when `idx` is outside the universe.
     #[inline]
-    pub fn insert(&mut self, idx: usize) -> bool {
+    pub(crate) fn insert(&mut self, idx: usize) -> bool {
         // Unreachable from the engine: the apply phase's `ViewTally::see`
         // and the ranked push ranking insert only IDs below
         // `total_actors()`, the universe.
@@ -187,7 +161,7 @@ impl DiscoveryRow<'_> {
 
     /// Number of set bits in this row (O(1)).
     #[inline]
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         *self.count as usize
     }
 }
@@ -206,7 +180,7 @@ pub struct SketchMatrix {
 
 /// Exclusive access to one row of a [`SketchMatrix`].
 #[derive(Debug)]
-pub struct SketchRow<'a> {
+pub(crate) struct SketchRow<'a> {
     regs: &'a mut [u8; hll::REGISTERS],
     universe: usize,
 }
@@ -215,16 +189,11 @@ impl SketchMatrix {
     /// Creates `rows` empty sketches over the universe `0..universe`
     /// (the universe bound is kept only for insert-range parity with the
     /// exact matrix).
-    pub fn new(rows: usize, universe: usize) -> Self {
+    pub(crate) fn new(rows: usize, universe: usize) -> Self {
         Self {
             regs: vec![0; rows * hll::REGISTERS],
             universe,
         }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.regs.len() / hll::REGISTERS
     }
 
     /// Every row's sketch, in row order.
@@ -240,7 +209,7 @@ impl SketchMatrix {
     ///
     /// Panics when `row` or `idx` is out of range.
     #[inline]
-    pub fn insert(&mut self, row: usize, idx: usize) -> bool {
+    pub(crate) fn insert(&mut self, row: usize, idx: usize) -> bool {
         // Unreachable from the engine, by the checks named at
         // `DiscoveryMatrix::insert`.
         assert!(idx < self.universe, "discovery index {idx} out of range");
@@ -250,7 +219,7 @@ impl SketchMatrix {
     /// Estimated number of distinct indices folded into `row`, rounded
     /// to the nearest integer.
     #[inline]
-    pub fn count(&self, row: usize) -> usize {
+    pub(crate) fn count(&self, row: usize) -> usize {
         hll::estimate(&self.regs.as_chunks().0[row]).round() as usize
     }
 
@@ -260,7 +229,7 @@ impl SketchMatrix {
     /// # Panics
     ///
     /// Panics when `rows` reaches past the last row or `block` is zero.
-    pub fn blocks_mut(
+    pub(crate) fn blocks_mut(
         &mut self,
         rows: Range<usize>,
         block: usize,
@@ -270,41 +239,22 @@ impl SketchMatrix {
             .chunks_mut(block)
             .map(move |regs| SketchBlock { regs, universe })
     }
-
-    /// Splits the matrix into disjoint per-row handles, in row order.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = SketchRow<'_>> {
-        self.blocks_mut(0..self.rows(), 1)
-            .map(SketchBlock::into_row)
-    }
 }
 
 /// Exclusive access to a run of consecutive rows of a [`SketchMatrix`]
 /// (see [`SketchMatrix::blocks_mut`]).
 #[derive(Debug)]
-pub struct SketchBlock<'a> {
+pub(crate) struct SketchBlock<'a> {
     regs: &'a mut [[u8; hll::REGISTERS]],
     universe: usize,
 }
 
-impl<'a> SketchBlock<'a> {
-    /// Number of rows in this block.
-    pub fn rows(&self) -> usize {
-        self.regs.len()
-    }
-
+impl SketchBlock<'_> {
     /// The block's `k`-th row.
     #[inline]
-    pub fn row(&mut self, k: usize) -> SketchRow<'_> {
+    pub(crate) fn row(&mut self, k: usize) -> SketchRow<'_> {
         SketchRow {
             regs: &mut self.regs[k],
-            universe: self.universe,
-        }
-    }
-
-    /// The block's first row, for the whole block's lifetime.
-    fn into_row(self) -> SketchRow<'a> {
-        SketchRow {
-            regs: &mut self.regs[0],
             universe: self.universe,
         }
     }
@@ -318,7 +268,7 @@ impl SketchRow<'_> {
     ///
     /// Panics when `idx` is outside the universe.
     #[inline]
-    pub fn insert(&mut self, idx: usize) -> bool {
+    pub(crate) fn insert(&mut self, idx: usize) -> bool {
         // Unreachable from the engine, by the checks named at
         // `DiscoveryRow::insert`.
         assert!(idx < self.universe, "discovery index {idx} out of range");
@@ -327,7 +277,7 @@ impl SketchRow<'_> {
 
     /// Estimated distinct count of this row, rounded.
     #[inline]
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         hll::estimate(self.regs).round() as usize
     }
 }
@@ -360,16 +310,9 @@ impl Discovery {
         matches!(self, Discovery::Sketch(_))
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        match self {
-            Discovery::Exact(m) => m.rows(),
-            Discovery::Sketch(m) => m.rows(),
-        }
-    }
-
-    /// Inserts `idx` into `row`. See [`DiscoveryMatrix::insert`] /
-    /// [`SketchMatrix::insert`] for the return-value semantics.
+    /// Inserts `idx` into `row`; returns `true` if an exact row newly
+    /// set it, or a sketch row's register grew (a sketch cannot tell
+    /// whether the index was seen before).
     #[inline]
     pub fn insert(&mut self, row: usize, idx: usize) -> bool {
         match self {
@@ -395,7 +338,7 @@ impl Discovery {
     /// # Panics
     ///
     /// Panics when `rows` reaches past the last row or `block` is zero.
-    pub fn blocks_mut(
+    pub(crate) fn blocks_mut(
         &mut self,
         rows: Range<usize>,
         block: usize,
@@ -404,12 +347,6 @@ impl Discovery {
             Discovery::Exact(m) => Blocks::Exact(m.blocks_mut(rows, block)),
             Discovery::Sketch(m) => Blocks::Sketch(m.blocks_mut(rows, block)),
         }
-    }
-
-    /// Splits into disjoint per-row lanes, in row order.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = DiscoveryLane<'_>> {
-        self.blocks_mut(0..self.rows(), 1)
-            .map(DiscoveryBlock::into_row)
     }
 }
 
@@ -451,36 +388,20 @@ where
 /// Exclusive access to a run of consecutive rows of a [`Discovery`]
 /// (see [`Discovery::blocks_mut`]).
 #[derive(Debug)]
-pub enum DiscoveryBlock<'a> {
+pub(crate) enum DiscoveryBlock<'a> {
     /// Rows of an exact matrix.
     Exact(ExactBlock<'a>),
     /// Rows of a sketch matrix.
     Sketch(SketchBlock<'a>),
 }
 
-impl<'a> DiscoveryBlock<'a> {
-    /// Number of rows in this block.
-    pub fn rows(&self) -> usize {
-        match self {
-            DiscoveryBlock::Exact(b) => b.rows(),
-            DiscoveryBlock::Sketch(b) => b.rows(),
-        }
-    }
-
+impl DiscoveryBlock<'_> {
     /// The block's `k`-th row.
     #[inline]
-    pub fn row(&mut self, k: usize) -> DiscoveryLane<'_> {
+    pub(crate) fn row(&mut self, k: usize) -> DiscoveryLane<'_> {
         match self {
             DiscoveryBlock::Exact(b) => DiscoveryLane::Exact(b.row(k)),
             DiscoveryBlock::Sketch(b) => DiscoveryLane::Sketch(b.row(k)),
-        }
-    }
-
-    /// The block's first row, for the whole block's lifetime.
-    fn into_row(self) -> DiscoveryLane<'a> {
-        match self {
-            DiscoveryBlock::Exact(b) => DiscoveryLane::Exact(b.into_row()),
-            DiscoveryBlock::Sketch(b) => DiscoveryLane::Sketch(b.into_row()),
         }
     }
 }
@@ -488,7 +409,7 @@ impl<'a> DiscoveryBlock<'a> {
 /// Exclusive access to one row of a [`Discovery`] — safe to use from a
 /// worker thread while other workers hold other rows.
 #[derive(Debug)]
-pub enum DiscoveryLane<'a> {
+pub(crate) enum DiscoveryLane<'a> {
     /// An exact bitset row.
     Exact(DiscoveryRow<'a>),
     /// A sketch row.
@@ -498,7 +419,7 @@ pub enum DiscoveryLane<'a> {
 impl DiscoveryLane<'_> {
     /// Inserts `idx` into this row.
     #[inline]
-    pub fn insert(&mut self, idx: usize) -> bool {
+    pub(crate) fn insert(&mut self, idx: usize) -> bool {
         match self {
             DiscoveryLane::Exact(row) => row.insert(idx),
             DiscoveryLane::Sketch(row) => row.insert(idx),
@@ -507,7 +428,7 @@ impl DiscoveryLane<'_> {
 
     /// Distinct count of this row — exact or estimated.
     #[inline]
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         match self {
             DiscoveryLane::Exact(row) => row.count(),
             DiscoveryLane::Sketch(row) => row.count(),
@@ -517,7 +438,7 @@ impl DiscoveryLane<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{Discovery, DiscoveryMatrix, SketchMatrix};
+    use super::{Discovery, DiscoveryBlock, DiscoveryMatrix, SketchMatrix};
 
     #[test]
     fn block_splitters_hand_out_every_row_once_in_order() {
@@ -531,7 +452,10 @@ mod tests {
                     let mut d = Discovery::new(rows, rows + 10, sketch);
                     let mut next = start;
                     for (bi, mut block) in d.blocks_mut(start..rows, BLOCK).enumerate() {
-                        let len = block.rows();
+                        let len = match &block {
+                            DiscoveryBlock::Exact(b) => b.counts.len(),
+                            DiscoveryBlock::Sketch(b) => b.regs.len(),
+                        };
                         assert_eq!(len, BLOCK.min(rows - start - bi * BLOCK), "{case}");
                         for k in 0..len {
                             assert_eq!(start + bi * BLOCK + k, next, "{case}: in order");
@@ -561,12 +485,10 @@ mod tests {
         assert_eq!(m.count(1), 0);
         assert_eq!(m.count(2), 1);
 
-        let mut rows: Vec<_> = m.rows_mut().collect();
-        assert_eq!(rows.len(), 3);
-        assert!(rows[1].insert(7));
-        assert!(!rows[0].insert(129));
-        assert_eq!(rows[0].count(), 2);
-        drop(rows);
+        let mut rows = m.blocks_mut(0..3, 3).next().expect("one block");
+        assert!(rows.row(1).insert(7));
+        assert!(!rows.row(0).insert(129));
+        assert_eq!(rows.row(0).count(), 2);
         assert_eq!(m.count(1), 1);
     }
 
@@ -579,7 +501,6 @@ mod tests {
     #[test]
     fn sketch_counts_track_distinct_inserts() {
         let mut m = SketchMatrix::new(2, 100_000);
-        assert_eq!(m.rows(), 2);
         for idx in 0..50usize {
             m.insert(0, idx);
             m.insert(0, idx); // repeats leave the sketch unchanged
@@ -593,16 +514,16 @@ mod tests {
     }
 
     #[test]
-    fn sketch_rows_mut_matches_whole_matrix_access() {
+    fn sketch_row_handles_match_whole_matrix_access() {
         let mut direct = SketchMatrix::new(3, 1000);
         let mut laned = SketchMatrix::new(3, 1000);
         for idx in 0..200usize {
             direct.insert(idx % 3, idx);
         }
-        for (row, mut lane) in laned.rows_mut().enumerate() {
+        for (row, mut block) in laned.blocks_mut(0..3, 1).enumerate() {
             for idx in 0..200usize {
                 if idx % 3 == row {
-                    lane.insert(idx);
+                    block.row(0).insert(idx);
                 }
             }
         }
@@ -622,7 +543,6 @@ mod tests {
         for sketch in [false, true] {
             let mut d = Discovery::new(2, 5000, sketch);
             assert_eq!(d.is_sketch(), sketch);
-            assert_eq!(d.rows(), 2);
             for idx in 0..100usize {
                 d.insert(0, idx);
             }
@@ -634,7 +554,8 @@ mod tests {
             }
             assert_eq!(d.count(1), 0);
             // Lane access agrees with whole-matrix access.
-            let lanes: Vec<usize> = d.rows_mut().map(|lane| lane.count()).collect();
+            let mut rows = d.blocks_mut(0..2, 2).next().expect("one block");
+            let lanes: Vec<usize> = (0..2).map(|k| rows.row(k).count()).collect();
             assert_eq!(lanes, vec![d.count(0), d.count(1)]);
         }
     }

@@ -72,7 +72,7 @@ impl Simulation {
         // `extend` sizes the round's reused buffer to a view at once.
         match &self.nodes[abs - self.byz_count] {
             Node::Raptee(node) => out.extend(node.brahms().view().ids()),
-            Node::Ranked(node) => node.for_each_sample(|id| out.push(id)),
+            node => node.for_each_view_id(|id| out.push(id)),
         }
     }
 

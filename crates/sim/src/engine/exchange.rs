@@ -7,7 +7,6 @@
 //! later answers, so they cannot shard.
 
 use super::arena::{narrow, two_nodes, widen, PullEvent, Scratch};
-use super::population::Node;
 use super::Simulation;
 use crate::event::PullGate;
 use raptee::RapteeNode;
@@ -140,12 +139,10 @@ impl Simulation {
         if self.scenario.real_crypto_handshakes {
             // The real four-message handshake instead of the role-based
             // shortcut; its nonces draw from both nodes' own RNGs.
-            let (Node::Raptee(a), Node::Raptee(b)) = two_nodes(&mut self.nodes, ci, tc) else {
-                unreachable!(
-                    "Scenario::validate: real_crypto_handshakes needs a uniform Brahms or RAPTEE run"
-                )
-            };
-            let (oa, ob) = RapteeNode::run_handshake(a, b);
+            // `Scenario::validate` admits it in uniform Brahms/RAPTEE
+            // runs only, so both ends are Brahms-family nodes.
+            let (a, b) = two_nodes(&mut self.nodes, ci, tc);
+            let (oa, ob) = RapteeNode::run_handshake(a.raptee_mut(), b.raptee_mut());
             debug_assert_eq!(oa, ob);
             debug_assert_eq!(
                 oa == AuthOutcome::Trusted,
@@ -237,12 +234,7 @@ impl Simulation {
     /// measure rotation pacing, not knowledge. A candidate that has been
     /// ranked against every slot has genuinely been discovered.
     pub(super) fn rank_answer(&mut self, ci: usize, from: NodeId, ids: &[NodeId], trusted: bool) {
-        let node = self.nodes[ci].ranked_mut();
-        if trusted {
-            node.record_pull_answer_trusted(from, ids);
-        } else {
-            node.record_pull_answer(from, ids);
-        }
+        self.nodes[ci].record_pull_answer(from, ids, trusted);
         self.note_discovered(ci, from);
         for &id in ids {
             self.note_discovered(ci, id);
@@ -253,7 +245,7 @@ impl Simulation {
     /// `requester` as a contact: the requester is ranked like a pushed
     /// ID and counts as discovered.
     fn note_contact(&mut self, ci: usize, requester: NodeId) {
-        self.nodes[ci].ranked_mut().record_push(requester);
+        self.nodes[ci].record_push(requester);
         self.note_discovered(ci, requester);
     }
 

@@ -5,7 +5,6 @@
 //! of it cannot shift another stochastic stream.
 
 use super::arena::{RoundStat, SMOOTHING_WINDOW};
-use super::population::Node;
 use super::Simulation;
 use crate::metrics::{RecoveryStats, STABILITY_SPREAD};
 use crate::scenario::{RejoinPolicy, Scenario};
@@ -261,22 +260,15 @@ impl Simulation {
                 .map(|j| NodeId(self.churn_hash(abs, round_mix ^ j) % total))
                 .collect()
         };
-        match (&self.nodes[ci], rejoin) {
-            (Node::Raptee(_), RejoinPolicy::Cold) => {
-                let boot = bootstrap(self.scenario.view_size + 2);
-                self.nodes[ci].raptee_mut().rejoin_cold(&boot, cold_seed);
+        match rejoin {
+            RejoinPolicy::Cold => {
+                let boot = bootstrap(self.nodes[ci].view_size() + 2);
+                self.nodes[ci].rejoin_cold(&boot, cold_seed);
             }
-            (Node::Ranked(node), RejoinPolicy::Cold) => {
-                let boot = bootstrap(node.view_size() + 2);
-                self.nodes[ci].ranked_mut().rejoin_cold(&boot, cold_seed);
-            }
-            (Node::Raptee(_), RejoinPolicy::Warm) => {
+            RejoinPolicy::Warm => {
                 let alive = &self.alive;
                 let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
-                self.nodes[ci].raptee_mut().rejoin_warm(is_alive);
-            }
-            (Node::Ranked(_), RejoinPolicy::Warm) => {
-                self.nodes[ci].ranked_mut().rejoin_warm();
+                self.nodes[ci].rejoin_warm(is_alive);
             }
         }
         // A trusted rejoiner re-attests on the spot (the trusted

@@ -85,7 +85,6 @@ use crate::audit::Challenger;
 use crate::bitset::Discovery;
 use crate::event::EventNet;
 use crate::metrics::{IdentificationResult, RunResult};
-use crate::ranked::RankedNode;
 use crate::scenario::{AdversaryMode, Scenario};
 use arena::{Scratch, ShareRings, WorkerScratch};
 use fold::RunTally;
@@ -260,19 +259,9 @@ impl Simulation {
         }
     }
 
-    /// The scenario driving this run.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
     /// Total actors in the run (Byzantine identities + correct nodes).
-    pub fn total_actors(&self) -> usize {
+    pub(crate) fn total_actors(&self) -> usize {
         self.byz_count + self.non_byz_total
-    }
-
-    /// Whether actor `id` is Byzantine.
-    pub fn is_byzantine(&self, id: NodeId) -> bool {
-        id.index() < self.byz_count
     }
 
     /// Whether actor `id` is alive (crashed nodes stop participating;
@@ -285,11 +274,6 @@ impl Simulation {
     /// (`false` for an ID that names no actor).
     pub fn is_trusted(&self, id: NodeId) -> bool {
         self.trusted.get(id.index()).copied().unwrap_or(false)
-    }
-
-    /// Current round index.
-    pub fn round(&self) -> usize {
-        self.round
     }
 
     /// How many values the audit beacon has produced so far (0 when
@@ -309,49 +293,28 @@ impl Simulation {
                 .is_some_and(|a| a.is_quarantined(id.index()))
     }
 
-    /// Number of non-Byzantine IDs `id` has discovered so far (None for
-    /// Byzantine actors and for an ID that names no actor).
-    pub fn discovery_count(&self, id: NodeId) -> Option<usize> {
-        if id.index() < self.byz_count || id.index() >= self.total_actors() {
-            return None;
-        }
-        Some(self.discovery.count(id.index() - self.byz_count))
+    /// The correct node of actor `id` (None for a Byzantine actor and
+    /// for an ID that names no actor).
+    fn correct(&self, id: NodeId) -> Option<&Node> {
+        self.nodes.get(id.index().checked_sub(self.byz_count)?)
     }
 
     /// Read access to a correct Brahms/RAPTEE node (None for Byzantine
-    /// actors and for BASALT-family actors).
+    /// actors and for ranked-family actors).
     pub fn node(&self, id: NodeId) -> Option<&RapteeNode> {
-        match self.nodes.get(id.index().checked_sub(self.byz_count)?)? {
+        match self.correct(id)? {
             Node::Raptee(node) => Some(node),
-            Node::Ranked(_) => None,
-        }
-    }
-
-    /// Read access to a correct ranked-family node (None for Byzantine
-    /// actors and for Brahms-family actors).
-    pub fn ranked(&self, id: NodeId) -> Option<&RankedNode> {
-        match self.nodes.get(id.index().checked_sub(self.byz_count)?)? {
-            Node::Ranked(node) => Some(node),
-            Node::Raptee(_) => None,
+            _ => None,
         }
     }
 
     /// Read access to a correct BASALT node (None for Byzantine actors
     /// and actors of any other family).
     pub fn basalt(&self, id: NodeId) -> Option<&BasaltNode> {
-        self.ranked(id).and_then(RankedNode::as_basalt)
-    }
-
-    /// Read access to a correct LIFT node (None for Byzantine actors and
-    /// actors of any other family).
-    pub fn lift(&self, id: NodeId) -> Option<&raptee_lift::LiftNode> {
-        self.ranked(id).and_then(RankedNode::as_lift)
-    }
-
-    /// Read access to a correct Honeybee node (None for Byzantine actors
-    /// and actors of any other family).
-    pub fn honeybee(&self, id: NodeId) -> Option<&raptee_honeybee::HoneybeeNode> {
-        self.ranked(id).and_then(RankedNode::as_honeybee)
+        match self.correct(id)? {
+            Node::Basalt(node) => Some(node),
+            _ => None,
+        }
     }
 
     /// The delivery substrate of this run.

@@ -97,8 +97,8 @@ impl Simulation {
                         }
                         block.snap_len[k] = view.len() as u32;
                     }
-                    Node::Ranked(node) => {
-                        node.plan_round_into(&mut ws.ranked_plan);
+                    node => {
+                        node.plan_ranked_into(&mut ws.ranked_plan);
                         let plan = &ws.ranked_plan;
                         row.store(&plan.push_targets, &plan.pull_targets);
                     }
@@ -254,7 +254,7 @@ impl Simulation {
                 .collect();
             rayon::par_for_each_mut(&mut blocks, |bi, (nodes, disc)| {
                 for (k, node) in nodes.iter_mut().enumerate() {
-                    let (node, mut disc) = (node.ranked_mut(), disc.row(k));
+                    let mut disc = disc.row(k);
                     let abs = byz + start + bi * BLOCK + k;
                     for sender in run_of(&s.sorted, &s.counts, abs) {
                         node.record_push(sender);
@@ -384,6 +384,9 @@ impl Simulation {
                 &mut s.observed,
             );
             for &t in &s.observed {
+                // `Scenario::validate` admits the attack in uniform
+                // Brahms/RAPTEE runs only, so every candidate has a
+                // Brahms-family node.
                 let view = self
                     .node(t)
                     .expect("Scenario::validate: identification_attack needs a uniform Brahms or RAPTEE run")
@@ -514,14 +517,23 @@ impl Simulation {
                         stat.evicted = outcome.evicted as u32;
                         stat.flood = outcome.report.push_flood_detected;
                     }
-                    Node::Ranked(node) => {
-                        // Quarantine drain before finalisation: a no-op
-                        // while the waiting list is disabled (plain
-                        // BASALT, LIFT), live for the wlist hybrid and
-                        // for Honeybee, whose verified walk endpoints
-                        // pass the reachability probe here.
+                    // Ranked nodes drain their waiting lists before they
+                    // finalise: a no-op while plain BASALT's is disabled,
+                    // live for the wlist hybrid. Only BASALT rotates
+                    // seeds.
+                    Node::Basalt(node) => {
                         node.drain_wlist(is_alive);
-                        stat.rotated = node.finish_round() as u32;
+                        stat.rotated = node.finish_round().rotated as u32;
+                    }
+                    // LIFT keeps no waiting list.
+                    Node::Lift(node) => {
+                        node.finish_round();
+                    }
+                    // Honeybee's verified walk endpoints pass the
+                    // reachability probe in its drain.
+                    Node::Honeybee(node) => {
+                        node.drain_wlist(is_alive);
+                        node.finish_round();
                     }
                 }
                 // Discovery counts an ID once it has *entered the view*

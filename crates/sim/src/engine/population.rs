@@ -4,14 +4,14 @@
 
 use super::Simulation;
 use crate::bitset::EXACT_DISCOVERY_THRESHOLD;
-use crate::ranked::{RankedCfg, RankedNode};
 use crate::scenario::{Protocol, Scenario};
 use raptee::provisioning;
 use raptee::{RapteeConfig, RapteeNode};
-use raptee_basalt::{BasaltConfig, BasaltNode};
+use raptee_basalt::{BasaltConfig, BasaltNode, BasaltPlan};
 use raptee_brahms::BrahmsConfig;
-use raptee_honeybee::HoneybeeConfig;
-use raptee_lift::LiftConfig;
+use raptee_crypto::SecretKey;
+use raptee_honeybee::{HoneybeeConfig, HoneybeeNode};
+use raptee_lift::{LiftConfig, LiftNode};
 use raptee_net::NodeId;
 use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 
@@ -19,40 +19,52 @@ use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 /// stored densely and unboxed by population index. Byzantine actors are
 /// pure identities (the adversary coordinates them centrally), so they
 /// occupy no node state at all: actor index `i` maps to population index
-/// `i - byz_count` for `i >= byz_count`. `Ranked` carries the whole
-/// ranked family (BASALT, BASALT+TEE, LIFT, Honeybee) behind the
-/// [`RankedNode`] delegation surface; it is the smaller variant, so a
-/// `Node` costs exactly a `RapteeNode`.
+/// `i - byz_count` for `i >= byz_count`. `Raptee` carries both
+/// Brahms-family protocols (Brahms is a RAPTEE node without a trusted
+/// tier), `Basalt` both BASALT protocols (the +TEE hybrid's trusted tier
+/// is the node's group key). `BasaltNode` is the largest variant and
+/// lends `Node` its niche, so a `Node` costs exactly a `BasaltNode`.
+///
+/// [`Population::build`] fills each segment with the one family its
+/// protocol runs, so a caller that found a node in a segment knows its
+/// variant; the `unreachable!` arms below rest on that rule.
 pub(super) enum Node {
     Raptee(RapteeNode),
-    Ranked(RankedNode),
+    Basalt(BasaltNode),
+    Lift(LiftNode),
+    Honeybee(HoneybeeNode),
 }
 
 impl Node {
     /// The Brahms-family node, for callers that found it in a
-    /// Brahms-family segment (segments are homogeneous by construction).
+    /// Brahms-family segment.
     pub(super) fn raptee_mut(&mut self) -> &mut RapteeNode {
         match self {
             Node::Raptee(node) => node,
-            Node::Ranked(_) => unreachable!("a ranked node inside a Brahms-family segment"),
+            // `Population::build` fills a segment with one family.
+            _ => unreachable!("a ranked node inside a Brahms-family segment"),
         }
     }
 
-    /// The ranked-family node, for callers that found it in a ranked
-    /// segment.
-    pub(super) fn ranked_mut(&mut self) -> &mut RankedNode {
+    /// The node's configured view size.
+    pub(super) fn view_size(&self) -> usize {
         match self {
-            Node::Ranked(node) => node,
-            Node::Raptee(_) => unreachable!("a Brahms-family node inside a ranked segment"),
+            Node::Raptee(node) => node.brahms().config().view_size,
+            Node::Basalt(node) => node.config().view_size,
+            Node::Lift(node) => node.config().view_size,
+            Node::Honeybee(node) => node.config().view_size,
         }
     }
 
     /// Visits the IDs pollution and discovery are read from: the dynamic
-    /// view of a Brahms-family node, the current sample of a ranked one.
+    /// view of a Brahms-family node, the current sample of a ranked one
+    /// (BASALT slots may still be empty early on).
     pub(super) fn for_each_view_id(&self, f: impl FnMut(NodeId)) {
         match self {
             Node::Raptee(node) => node.brahms().view().ids().for_each(f),
-            Node::Ranked(node) => node.for_each_sample(f),
+            Node::Basalt(node) => node.view().sample_iter().for_each(f),
+            Node::Lift(node) => node.view().iter().copied().for_each(f),
+            Node::Honeybee(node) => node.view().iter().copied().for_each(f),
         }
     }
 
@@ -65,7 +77,80 @@ impl Node {
                 out.clear();
                 out.extend(node.brahms().view().ids());
             }
-            Node::Ranked(node) => node.pull_answer_into(out),
+            Node::Basalt(node) => node.pull_answer_into(out),
+            Node::Lift(node) => node.pull_answer_into(out),
+            Node::Honeybee(node) => node.pull_answer_into(out),
+        }
+    }
+
+    /// Plans a ranked node's pushes and pulls into `plan` (cleared
+    /// first). Brahms-family nodes plan through their own richer plan.
+    pub(super) fn plan_ranked_into(&mut self, plan: &mut BasaltPlan) {
+        let (pushes, pulls) = (&mut plan.push_targets, &mut plan.pull_targets);
+        match self {
+            Node::Basalt(node) => node.plan_round_into(plan),
+            Node::Lift(node) => node.plan_round_into(pushes, pulls),
+            Node::Honeybee(node) => node.plan_round_into(pushes, pulls),
+            // `Population::build` fills a segment with one family.
+            Node::Raptee(_) => unreachable!("a Brahms-family node inside a ranked segment"),
+        }
+    }
+
+    /// A ranked node ranks one received push advertising `advertised`.
+    /// Brahms-family nodes take their pushes as a stream at apply time.
+    pub(super) fn record_push(&mut self, advertised: NodeId) {
+        match self {
+            Node::Basalt(node) => node.record_push(advertised),
+            Node::Lift(node) => node.record_push(advertised),
+            Node::Honeybee(node) => node.record_push(advertised),
+            // `Population::build` fills a segment with one family.
+            Node::Raptee(_) => unreachable!("a Brahms-family node inside a ranked segment"),
+        }
+    }
+
+    /// A ranked node ranks the answer `ids` from `responder`. A trusted
+    /// answer bypasses BASALT's waiting list; LIFT and Honeybee have no
+    /// attested channel, so it is their ordinary answer.
+    pub(super) fn record_pull_answer(&mut self, responder: NodeId, ids: &[NodeId], trusted: bool) {
+        match self {
+            Node::Basalt(node) if trusted => node.record_pull_answer_trusted(responder, ids),
+            Node::Basalt(node) => node.record_pull_answer(responder, ids),
+            Node::Lift(node) => node.record_pull_answer(responder, ids),
+            Node::Honeybee(node) => node.record_pull_answer(responder, ids),
+            // `Population::build` fills a segment with one family.
+            Node::Raptee(_) => unreachable!("a Brahms-family node inside a ranked segment"),
+        }
+    }
+
+    /// Cold crash–restart rejoin: full protocol-state reset over a fresh
+    /// bootstrap set and RNG seed.
+    pub(super) fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
+        match self {
+            Node::Raptee(node) => node.rejoin_cold(bootstrap, seed),
+            Node::Basalt(node) => node.rejoin_cold(bootstrap, seed),
+            Node::Lift(node) => node.rejoin_cold(bootstrap, seed),
+            Node::Honeybee(node) => node.rejoin_cold(bootstrap, seed),
+        }
+    }
+
+    /// Warm rejoin after a short outage: the view survives and stale
+    /// soft state is shed. Only a Brahms-family node probes its view
+    /// through `is_alive`; a ranked node's stale samples are recycled
+    /// by its own rotation.
+    pub(super) fn rejoin_warm(&mut self, is_alive: impl FnMut(NodeId) -> bool) {
+        match self {
+            Node::Raptee(node) => {
+                node.rejoin_warm(is_alive);
+            }
+            Node::Basalt(node) => {
+                node.rejoin_warm();
+            }
+            Node::Lift(node) => {
+                node.rejoin_warm();
+            }
+            Node::Honeybee(node) => {
+                node.rejoin_warm();
+            }
         }
     }
 
@@ -80,15 +165,20 @@ impl Node {
             Node::Raptee(node) => {
                 node.brahms_mut().view_mut().remove(peer);
                 node.forget_trusted_peer(peer);
-                true
+                return true;
             }
-            Node::Ranked(node) => {
-                if convicted {
-                    node.quarantine(peer);
-                }
-                false
+            Node::Basalt(node) if convicted => {
+                node.quarantine(peer);
             }
+            Node::Lift(node) if convicted => {
+                node.quarantine(peer);
+            }
+            Node::Honeybee(node) if convicted => {
+                node.quarantine(peer);
+            }
+            _ => {}
         }
+        false
     }
 }
 
@@ -111,44 +201,6 @@ impl SegMeta {
     #[inline]
     pub(super) fn range(&self) -> std::ops::Range<usize> {
         self.start..self.start + self.len
-    }
-}
-
-/// The ranked-family configuration `protocol` runs under, or `None` for
-/// the Brahms family.
-fn ranked_cfg_of(protocol: Protocol) -> Option<RankedCfg> {
-    match protocol {
-        Protocol::Basalt {
-            view_size,
-            rotation_interval,
-        } => Some(RankedCfg::Basalt(BasaltConfig::for_view(
-            view_size,
-            rotation_interval,
-        ))),
-        Protocol::BasaltTee {
-            view_size,
-            rotation_interval,
-            wlist_ttl,
-        } => Some(RankedCfg::Basalt(if wlist_ttl > 0 {
-            BasaltConfig::with_wlist(view_size, rotation_interval, wlist_ttl)
-        } else {
-            BasaltConfig::for_view(view_size, rotation_interval)
-        })),
-        Protocol::Lift {
-            view_size,
-            fade_interval,
-        } => Some(RankedCfg::Lift(LiftConfig::for_view(
-            view_size,
-            fade_interval,
-        ))),
-        Protocol::Honeybee {
-            view_size,
-            walk_length,
-        } => Some(RankedCfg::Honeybee(HoneybeeConfig::for_view(
-            view_size,
-            walk_length,
-        ))),
-        Protocol::Brahms | Protocol::Raptee => None,
     }
 }
 
@@ -228,66 +280,116 @@ impl Population {
         let mut segs: Vec<SegMeta> = Vec::with_capacity(specs.len());
         let mut nodes: Vec<Node> = Vec::with_capacity(total - byz);
         let mut answer_size = 0;
+        let raptee = |id, boot: &[NodeId], seed, key: Option<SecretKey>| {
+            let mut node = match key {
+                Some(key) => RapteeNode::new_trusted(id, config.clone(), boot, seed, key),
+                None => RapteeNode::new_untrusted(id, config.clone(), boot, seed),
+            };
+            // The sampler seen-cache is pure memoization (identical
+            // samples either way) whose backing bitset grows toward one
+            // bit per live identity *per node* — an O(N²)-bit structure
+            // in aggregate (≈ 125 KiB/node at N = 1,000,000, dwarfing
+            // the protocol state). Past the same population threshold
+            // that retires exact discovery bitsets, run uncached.
+            if total > EXACT_DISCOVERY_THRESHOLD {
+                node.brahms_mut().sampler_mut().limit_seen_cache(0);
+            }
+            Node::Raptee(node)
+        };
+        let basalt = |cfg| {
+            move |id, boot: &[NodeId], seed, key: Option<SecretKey>| {
+                Node::Basalt(match key {
+                    Some(key) => BasaltNode::new_trusted(id, cfg, boot, seed, key),
+                    None => BasaltNode::new(id, cfg, boot, seed),
+                })
+            }
+        };
         for (spec, &seg_trusted) in specs.iter().zip(&trusted_counts) {
             let start = nodes.len();
-            let ranked_cfg = ranked_cfg_of(spec.protocol);
+            // The segment's family, configured once: the view size its
+            // bootstraps draw and its answers hold, its per-identity push
+            // fanout, and its node constructor, which takes the group
+            // key of a trusted-tier node. Only RAPTEE and BASALT+TEE
+            // segments have a trusted tier
+            // (`Scenario::segment_trusted_counts`).
+            let (view_size, fanout, make): (usize, usize, &dyn Fn(_, &_, _, _) -> Node) =
+                match spec.protocol {
+                    Protocol::Brahms | Protocol::Raptee => {
+                        (scenario.view_size, config.brahms.alpha_count(), &raptee)
+                    }
+                    Protocol::Basalt {
+                        view_size,
+                        rotation_interval,
+                    }
+                    | Protocol::BasaltTee {
+                        view_size,
+                        rotation_interval,
+                        wlist_ttl: 0,
+                    } => {
+                        let cfg = BasaltConfig::for_view(view_size, rotation_interval);
+                        (view_size, cfg.push_count, &basalt(cfg))
+                    }
+                    Protocol::BasaltTee {
+                        view_size,
+                        rotation_interval,
+                        wlist_ttl,
+                    } => {
+                        let cfg = BasaltConfig::with_wlist(view_size, rotation_interval, wlist_ttl);
+                        (view_size, cfg.push_count, &basalt(cfg))
+                    }
+                    Protocol::Lift {
+                        view_size,
+                        fade_interval,
+                    } => {
+                        let cfg = LiftConfig::for_view(view_size, fade_interval);
+                        (
+                            view_size,
+                            cfg.push_count,
+                            &move |id, boot: &[NodeId], seed, _| {
+                                Node::Lift(LiftNode::new(id, cfg, boot, seed))
+                            },
+                        )
+                    }
+                    Protocol::Honeybee {
+                        view_size,
+                        walk_length,
+                    } => {
+                        let cfg = HoneybeeConfig::for_view(view_size, walk_length);
+                        (
+                            view_size,
+                            cfg.push_count,
+                            &move |id, boot: &[NodeId], seed, _| {
+                                Node::Honeybee(HoneybeeNode::new(id, cfg, boot, seed))
+                            },
+                        )
+                    }
+                };
             for i in 0..spec.count {
                 let abs = byz + start + i;
-                let id = NodeId(abs as u64);
+                let is_injected = abs >= n;
                 let seed = rng.next_u64();
-                let node = if let Some(rcfg) = ranked_cfg {
-                    rng.sample_into(&all_ids, rcfg.view_size() + 2, &mut idx, &mut bootstrap);
-                    Node::Ranked(if i < seg_trusted {
-                        trusted[abs] = true;
-                        let key = provision(0x1000 + abs as u64);
-                        let RankedCfg::Basalt(bcfg) = rcfg else {
-                            unreachable!("only BASALT+TEE segments provision a trusted tier")
-                        };
-                        RankedNode::Basalt(BasaltNode::new_trusted(id, bcfg, &bootstrap, seed, key))
-                    } else {
-                        RankedNode::new(id, &rcfg, &bootstrap, seed)
-                    })
+                // Paper bootstrap: a uniform random sample of the global
+                // membership — except injected nodes, which the adversary
+                // bootstrapped inside a Byzantine-only network.
+                let (pool, k) = if is_injected {
+                    (byz_ids, view_size)
                 } else {
-                    let is_injected = abs >= n;
-                    // Paper bootstrap: a uniform random sample of the
-                    // global membership — except injected nodes, which
-                    // the adversary bootstrapped inside a Byzantine-only
-                    // network.
-                    let (pool, k) = if is_injected {
-                        (byz_ids, scenario.view_size)
-                    } else {
-                        (&all_ids[..], scenario.view_size + 2)
-                    };
-                    rng.sample_into(pool, k, &mut idx, &mut bootstrap);
-                    let mut node = if i < seg_trusted || is_injected {
-                        trusted[abs] = true;
-                        let key = provision(0x1000 + abs as u64);
-                        RapteeNode::new_trusted(id, config.clone(), &bootstrap, seed, key)
-                    } else {
-                        RapteeNode::new_untrusted(id, config.clone(), &bootstrap, seed)
-                    };
-                    // The sampler seen-cache is pure memoization
-                    // (identical samples either way) whose backing
-                    // bitset grows toward one bit per live identity *per
-                    // node* — an O(N²)-bit structure in aggregate
-                    // (≈ 125 KiB/node at N = 1,000,000, dwarfing the
-                    // protocol state). Past the same population
-                    // threshold that retires exact discovery bitsets,
-                    // run uncached.
-                    if total > EXACT_DISCOVERY_THRESHOLD {
-                        node.brahms_mut().sampler_mut().limit_seen_cache(0);
-                    }
-                    Node::Raptee(node)
+                    (&all_ids[..], view_size + 2)
                 };
-                nodes.push(node);
+                rng.sample_into(pool, k, &mut idx, &mut bootstrap);
+                let key = (i < seg_trusted || is_injected).then(|| {
+                    trusted[abs] = true;
+                    provision(0x1000 + abs as u64)
+                });
+                nodes.push(make(NodeId(abs as u64), &bootstrap, seed, key));
             }
             segs.push(SegMeta {
                 protocol: spec.protocol,
                 start,
                 len: spec.count,
-                fanout: ranked_cfg.map_or(config.brahms.alpha_count(), |c| c.push_count()),
+                fanout,
             });
-            answer_size = answer_size.max(ranked_cfg.map_or(scenario.view_size, |c| c.view_size()));
+            answer_size = answer_size.max(view_size);
         }
         Self {
             nodes,
@@ -316,7 +418,7 @@ impl Simulation {
     /// matches its distance and hit count).
     ///
     /// Then the net's message conservation
-    /// ([`EventNet::check_conservation`](crate::event::EventNet::check_conservation)).
+    /// (`EventNet::check_conservation`).
     ///
     /// Run at the end of every [`Simulation::run_round`] in debug builds.
     /// It allocates nothing after its first call (views above 64 slots
@@ -332,19 +434,19 @@ impl Simulation {
             let fail = |what: String| Err(format!("round {round}, node {abs}: {what}"));
             let node = match node {
                 Node::Raptee(node) => node,
-                Node::Ranked(node) => {
+                ranked => {
                     if !self.alive[abs] {
                         continue;
                     }
                     let (mut len, mut own, mut stranger) = (0, false, None);
-                    node.for_each_sample(|id| {
+                    ranked.for_each_view_id(|id| {
                         len += 1;
                         own |= id.index() == abs;
                         if id.index() >= total {
                             stranger.get_or_insert(id);
                         }
                     });
-                    let cap = node.view_size();
+                    let cap = ranked.view_size();
                     if len > cap {
                         return fail(format!("samples {len} > {cap} IDs"));
                     }
@@ -354,10 +456,7 @@ impl Simulation {
                     if let Some(id) = stranger {
                         return fail(format!("samples {id:?}, not an actor of this run"));
                     }
-                    if node
-                        .as_basalt()
-                        .is_some_and(|b| !b.view().invariants_hold())
-                    {
+                    if matches!(ranked, Node::Basalt(b) if !b.view().invariants_hold()) {
                         return fail("BASALT view breaks a slot invariant".into());
                     }
                     continue;
@@ -407,5 +506,124 @@ impl Simulation {
         self.net
             .check_conservation()
             .map_err(|violation| format!("round {round}, net: {violation}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(range: std::ops::Range<u64>) -> Vec<NodeId> {
+        range.map(NodeId).collect()
+    }
+
+    fn sample(node: &Node) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        node.for_each_view_id(|id| out.push(id));
+        out
+    }
+
+    /// One untrusted node of every family at view 8 over the same
+    /// bootstrap, the Brahms-family one first.
+    fn each_family() -> [Node; 4] {
+        let boot = ids(1..9);
+        [
+            Node::Raptee(RapteeNode::new_untrusted(
+                NodeId(0),
+                RapteeConfig::paper_defaults(8),
+                &boot,
+                42,
+            )),
+            Node::Basalt(BasaltNode::new(
+                NodeId(0),
+                BasaltConfig::for_view(8, 0),
+                &boot,
+                42,
+            )),
+            Node::Lift(LiftNode::new(
+                NodeId(0),
+                LiftConfig::for_view(8, 10),
+                &boot,
+                42,
+            )),
+            Node::Honeybee(HoneybeeNode::new(
+                NodeId(0),
+                HoneybeeConfig::for_view(8, 3),
+                &boot,
+                42,
+            )),
+        ]
+    }
+
+    fn ranked_families() -> impl Iterator<Item = Node> {
+        each_family().into_iter().skip(1)
+    }
+
+    #[test]
+    fn every_family_reports_its_view_size() {
+        for node in each_family() {
+            assert_eq!(node.view_size(), 8);
+            assert!(sample(&node).len() <= 8);
+        }
+    }
+
+    #[test]
+    fn every_ranked_family_plans_within_its_budget() {
+        for mut node in ranked_families() {
+            let mut plan = BasaltPlan::default();
+            node.plan_ranked_into(&mut plan);
+            assert!(plan.push_targets.len() <= 3, "round(0.4·8) push budget");
+            assert!(!plan.push_targets.is_empty(), "every family gossips");
+            assert!(!plan.pull_targets.is_empty(), "every family pulls");
+        }
+    }
+
+    #[test]
+    fn every_ranked_family_takes_pushes_and_both_answers() {
+        for mut node in ranked_families() {
+            node.record_push(NodeId(30));
+            let mut reply = Vec::new();
+            node.answer_into(&mut reply);
+            assert!(!reply.is_empty());
+            assert!(!reply.contains(&NodeId(0)), "never answers itself");
+            node.record_pull_answer(NodeId(3), &ids(20..24), false);
+            node.record_pull_answer(NodeId(4), &ids(24..28), true);
+            assert!(sample(&node).iter().all(|id| id.0 < 40));
+        }
+        // A Brahms-family answer is its whole dynamic view.
+        let mut raptee = each_family().into_iter().next().unwrap();
+        let mut reply = Vec::new();
+        raptee.answer_into(&mut reply);
+        assert_eq!(reply, sample(&raptee));
+    }
+
+    #[test]
+    fn every_family_rejoins_warm_and_cold() {
+        for mut node in each_family() {
+            node.rejoin_warm(|_| true);
+            assert!(!sample(&node).is_empty(), "a warm rejoin keeps the view");
+            node.rejoin_cold(&ids(40..48), 77);
+            let view = sample(&node);
+            assert!(!view.is_empty());
+            assert!(
+                view.iter().all(|id| (40..48).contains(&id.0)),
+                "a cold rejoin starts over from its bootstrap: {view:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_a_conviction_evicts_from_a_ranked_view() {
+        for mut node in each_family() {
+            let peer = sample(&node)[0];
+            let brahms = matches!(node, Node::Raptee(_));
+            // A timeout: the Brahms family drops the link, a ranked node
+            // keeps the sample for its rotation to recycle.
+            assert_eq!(node.drop_peer(peer, false), brahms);
+            assert_eq!(sample(&node).contains(&peer), !brahms);
+            // A conviction evicts everywhere.
+            node.drop_peer(peer, true);
+            assert!(!sample(&node).contains(&peer));
+        }
     }
 }

@@ -188,8 +188,6 @@ fn role_queries() {
     let s = small(Protocol::Raptee);
     let byz = s.byzantine_count();
     let sim = Simulation::new(s);
-    assert!(sim.is_byzantine(NodeId(0)));
-    assert!(!sim.is_byzantine(NodeId(byz as u64)));
     assert!(sim.is_trusted(NodeId(byz as u64)));
     assert!(sim.node(NodeId(0)).is_none());
     assert!(sim.node(NodeId(byz as u64)).is_some());
@@ -204,8 +202,7 @@ fn queries_about_an_id_beyond_the_run_answer_instead_of_panicking() {
         assert!(!sim.is_alive(id));
         assert!(!sim.is_trusted(id));
         assert!(!sim.is_quarantined(id));
-        assert_eq!(sim.discovery_count(id), None);
-        assert!(sim.node(id).is_none() && sim.ranked(id).is_none());
+        assert!(sim.node(id).is_none() && sim.basalt(id).is_none());
     }
 }
 
@@ -251,7 +248,11 @@ fn ranked_nodes_are_checked_too() {
     // A BASALT node made to rank identities beyond the run is named.
     let total = sim.total_actors();
     let ci = sim.nodes.len() - 1;
-    let node = sim.nodes[ci].ranked_mut();
+    let node = &mut sim.nodes[ci];
+    assert!(
+        matches!(node, Node::Basalt(_)),
+        "the last segment is BASALT"
+    );
     for stranger in total..total + 1_000 {
         node.record_push(NodeId(stranger as u64));
     }
@@ -330,10 +331,11 @@ fn block_edges_are_invisible_to_results() {
 fn the_arena_costs_nothing_over_a_ranked_node() {
     let sizes = (
         std::mem::size_of::<Node>(),
-        std::mem::size_of::<RankedNode>(),
+        std::mem::size_of::<BasaltNode>(),
         std::mem::size_of::<RapteeNode>(),
     );
-    assert_eq!(sizes.0, sizes.1, "Node, RankedNode, RapteeNode: {sizes:?}");
+    assert_eq!(sizes.0, sizes.1, "Node, BasaltNode, RapteeNode: {sizes:?}");
+    assert_eq!(sizes.0, 432, "Node, BasaltNode, RapteeNode: {sizes:?}");
 }
 
 #[test]

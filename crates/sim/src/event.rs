@@ -157,31 +157,6 @@ impl<T> EventQueue<T> {
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         self.heap.pop().map(|e| (e.time, e.seq, e.payload))
     }
-
-    /// Pops the earliest event only if it is scheduled strictly before
-    /// `horizon`.
-    pub fn pop_before(&mut self, horizon: u64) -> Option<(u64, u64, T)> {
-        if self.heap.peek().is_some_and(|e| e.time < horizon) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// The earliest scheduled time, if any.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// Which delivery bucket a queued push belongs to: the honest
@@ -214,16 +189,16 @@ struct PushRecord {
 /// One copy of a pull answer: in flight it is a record in the bucket of
 /// its arrival round; once [`EventNet::begin_round`] hands it over it is
 /// the handle the engine reads the answered view through
-/// ([`EventNet::due_ids`]) and claims the exchange with
+/// (`EventNet::due_ids`) and claims the exchange with
 /// ([`EventNet::accept_answer`]). Valid for the round it is due in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DueAnswer {
     /// Arrival tick — the delivery order per requester.
     arrival: u64,
     /// The responder's wire identity.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Correct-population index of the requester.
-    pub ci: u32,
+    pub(crate) ci: u32,
     /// Payload group holding the answered view.
     group: u32,
     /// The exchange's slot in that group. Every copy of one answer
@@ -394,7 +369,7 @@ impl EventNet {
 
     /// Ticks per round (for an event run's
     /// [`RunResult::virtual_ticks`](crate::metrics::RunResult::virtual_ticks)).
-    pub fn round_ticks(&self) -> u64 {
+    pub(crate) fn round_ticks(&self) -> u64 {
         self.cfg.round_ticks
     }
 
@@ -708,7 +683,7 @@ impl EventNet {
     }
 
     /// The answered view of a due answer.
-    pub fn due_ids(&self, answer: &DueAnswer) -> &[NodeIdx] {
+    pub(crate) fn due_ids(&self, answer: &DueAnswer) -> &[NodeIdx] {
         let group = &self.groups[answer.group as usize];
         let slot = group.slots[answer.slot as usize];
         &group.ids[slot.start as usize..][..slot.len as usize]
@@ -767,7 +742,7 @@ impl EventNet {
     ///   exists, in a group that outlives the copy.
     ///
     /// Returns the first violation found.
-    pub fn check_conservation(&self) -> Result<(), String> {
+    pub(crate) fn check_conservation(&self) -> Result<(), String> {
         let s = &self.stats;
         let drained = self.drained_pushes + self.drained_answers;
         let accounted = drained + self.bucketed() + self.past_horizon;
@@ -849,7 +824,7 @@ impl EventNet {
     /// `round` — a pure schedule lookup (no stream draws), used by the
     /// pull gate and by the audit challenger to recognise targets it
     /// cannot reach.
-    pub fn separated(&self, round: usize, a: usize, b: usize) -> bool {
+    pub(crate) fn separated(&self, round: usize, a: usize, b: usize) -> bool {
         self.cfg
             .partitions
             .iter()
@@ -969,9 +944,8 @@ mod tests {
         q.push(20, 'b');
         assert_eq!(q.pop_before(20).map(|(t, _, p)| (t, p)), Some((10, 'a')));
         assert_eq!(q.pop_before(20), None, "horizon is exclusive");
-        assert_eq!(q.peek_time(), Some(20));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.pop().map(|(t, _, p)| (t, p)), Some((20, 'b')));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

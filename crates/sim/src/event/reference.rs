@@ -26,11 +26,23 @@ use raptee_util::rng::mix64;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
+impl<T> EventQueue<T> {
+    /// Pops the earliest event only if it is scheduled strictly before
+    /// `horizon` (the delivery loop of [`HeapNet`]).
+    pub(super) fn pop_before(&mut self, horizon: u64) -> Option<(u64, u64, T)> {
+        if self.heap.peek().is_some_and(|e| e.time < horizon) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+}
+
 /// A timed protocol event in flight. The payload is the wire-level
 /// [`Message`]; routing metadata (receiver, lane, partition-hold flag)
 /// rides alongside it.
 #[derive(Debug, Clone)]
-pub enum Envelope {
+pub(super) enum Envelope {
     /// A round-timer tick: the boundary event that opens round `round`.
     /// One is scheduled per round at construction;
     /// [`HeapNet::begin_round`] consumes it.
@@ -70,7 +82,7 @@ pub enum Envelope {
 /// [`HeapNet::begin_round`] and injected at the head of the requester's
 /// pull phase.
 #[derive(Debug, Clone)]
-pub struct DueAnswer {
+pub(super) struct DueAnswer {
     /// Correct-population index of the requester.
     pub ci: u32,
     /// The responder's wire identity.
@@ -84,7 +96,7 @@ pub struct DueAnswer {
 
 /// The heap-backed delivery substrate.
 #[derive(Debug, Clone)]
-pub struct HeapNet {
+pub(super) struct HeapNet {
     cfg: EventNetConfig,
     /// Hash seed (scenario seed XOR a domain salt — derived, never drawn
     /// from the master RNG, so construction leaves the golden draw
@@ -137,7 +149,7 @@ pub struct HeapNet {
 impl HeapNet {
     /// Builds the substrate for `scenario`, or `None` under the round
     /// model. Pure derivation from the scenario — consumes no RNG.
-    pub fn from_scenario(scenario: &Scenario) -> Option<Self> {
+    pub(super) fn from_scenario(scenario: &Scenario) -> Option<Self> {
         match &scenario.network {
             NetworkModel::Rounds => None,
             NetworkModel::Events(cfg) => Some(Self::new(scenario, cfg.clone())),
@@ -185,7 +197,7 @@ impl HeapNet {
     /// drains every envelope scheduled inside the round window into the
     /// due buckets (pushes per lane; answers stably sorted by
     /// requester).
-    pub fn begin_round(&mut self, round: usize) {
+    pub(super) fn begin_round(&mut self, round: usize) {
         self.due_honest.clear();
         self.due_byz.clear();
         self.due_answers.clear();
@@ -258,7 +270,7 @@ impl HeapNet {
     /// Moves this round's due pushes of `lane` to the head of
     /// `survivors` (they are the *oldest* messages each receiver sees —
     /// the subsequent stable counting sort preserves that).
-    pub fn drain_due_pushes(&mut self, lane: Lane, survivors: &mut Vec<(u32, NodeIdx)>) {
+    pub(super) fn drain_due_pushes(&mut self, lane: Lane, survivors: &mut Vec<(u32, NodeIdx)>) {
         let bucket = match lane {
             Lane::Honest => &mut self.due_honest,
             Lane::Adversary => &mut self.due_byz,
@@ -270,7 +282,7 @@ impl HeapNet {
     /// `advertised`. Returns `true` when the message lands inside the
     /// sending round (deliver through the unchanged inline path), `false`
     /// when it was queued for a later round or blocked by the NAT.
-    pub fn send_push(
+    pub(super) fn send_push(
         &mut self,
         round: usize,
         src: usize,
@@ -324,7 +336,7 @@ impl HeapNet {
     /// the *same* nonce — exercising the dedup in the engine's answer
     /// path. The first attempt consumes draws exactly like the
     /// retry-free gate, so the all-off config stays byte-identical.
-    pub fn gate_pull(&mut self, round: usize, req: usize, tgt: usize) -> PullGate {
+    pub(super) fn gate_pull(&mut self, round: usize, req: usize, tgt: usize) -> PullGate {
         debug_assert!(self.dup_pending.is_empty(), "pending copies were drained");
         let ticks = self.cfg.round_ticks;
         let retry = self.cfg.retry;
@@ -408,7 +420,7 @@ impl HeapNet {
     /// returned by [`PullGate::Deferred`]), plus every pending
     /// deadline-retransmit copy and any injected duplicate — all under
     /// one fresh nonce, so the engine applies exactly one copy.
-    pub fn queue_answer(
+    pub(super) fn queue_answer(
         &mut self,
         round: usize,
         held: bool,
@@ -457,7 +469,7 @@ impl HeapNet {
     /// for gated pulls that never materialise an answer (crashed or
     /// lossy responder), where the in-flight copies have no payload to
     /// carry.
-    pub fn drop_pending_copies(&mut self) {
+    pub(super) fn drop_pending_copies(&mut self) {
         self.dup_pending.clear();
     }
 
@@ -466,7 +478,7 @@ impl HeapNet {
     /// every later duplicate (deadline retransmit, injected copy)
     /// returns `false` and is counted as suppressed — the idempotence
     /// guarantee of the wire path.
-    pub fn accept_answer(&mut self, nonce: u64) -> bool {
+    pub(super) fn accept_answer(&mut self, nonce: u64) -> bool {
         if self.seen_nonces.insert(nonce) {
             true
         } else {
@@ -476,13 +488,13 @@ impl HeapNet {
     }
 
     /// Takes this round's due answers (sorted by requester).
-    pub fn take_due_answers(&mut self) -> Vec<DueAnswer> {
+    pub(super) fn take_due_answers(&mut self) -> Vec<DueAnswer> {
         std::mem::take(&mut self.due_answers)
     }
 
     /// Finalises the run: anything still queued past the last round is
     /// in flight forever.
-    pub fn finish(mut self) -> NetRunStats {
+    pub(super) fn finish(mut self) -> NetRunStats {
         while let Some((_, _, env)) = self.queue.pop() {
             if !matches!(env, Envelope::SelfNotif { .. }) {
                 self.stats.in_flight_at_end += 1;
@@ -492,7 +504,7 @@ impl HeapNet {
     }
 
     /// Read access to the running statistics (tests).
-    pub fn stats(&self) -> &NetRunStats {
+    pub(super) fn stats(&self) -> &NetRunStats {
         &self.stats
     }
 

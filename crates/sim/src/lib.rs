@@ -7,7 +7,10 @@
 //! runs, and the paper's three performance metrics plus its two attack
 //! analyses.
 //!
-//! * [`scenario`] — experiment configuration ([`scenario::Scenario`]):
+//! `adversary`, `event` and `runner` are public modules; the rest of the
+//! crate's surface is re-exported at its root.
+//!
+//! * [`Scenario`] (`scenario`) — experiment configuration:
 //!   population, fractions, eviction policy, protocol selection (Brahms,
 //!   RAPTEE, or BASALT hit-counter sampling), attack toggles, seeds.
 //! * [`adversary`] — the adversarial strategy of Section III-B: evenly
@@ -15,7 +18,8 @@
 //!   answers containing exclusively Byzantine IDs, the trusted-node
 //!   identification classifier of Section VI-A, and the view-poisoned
 //!   trusted-node injection of Section VI-B.
-//! * [`engine`] — the round loop gluing nodes, network defences and
+//! * [`Simulation`] (`engine`) — the round loop gluing nodes, network
+//!   defences and
 //!   adversary together: one loop for every protocol family, a uniform
 //!   run being a one-segment population and a lockstep run a
 //!   zero-latency one; phase-parallel within a single
@@ -27,45 +31,41 @@
 //!   sending order)` — under per-link latency models, partition/healing
 //!   schedules and NAT-like asymmetric reachability. Its all-zero
 //!   configuration is the paper's lockstep round.
-//! * [`metrics`] — resilience, system-discovery time, view-stability
-//!   time, identification precision/recall/F1.
+//! * [`RunResult`] (`metrics`) — resilience, system-discovery time,
+//!   view-stability time, identification precision/recall/F1.
 //! * [`runner`] — repetition and (rayon-parallel) parameter sweeps, plus
 //!   the derived quantities the figures plot (resilience improvement %,
 //!   round-overhead %).
-//! * [`bitset`] — dense bitsets plus the per-node discovery state
+//! * [`Discovery`] (`bitset`) — the per-node discovery state
 //!   (struct-of-arrays, disjoint row handles for the parallel apply
 //!   phase): exact O(N²/8) bitset rows below
-//!   [`bitset::EXACT_DISCOVERY_THRESHOLD`] actors, HLL
+//!   16,384 actors, HLL
 //!   cardinality sketches (256 B/node, ~6.5 % standard error) above,
-//!   selectable per scenario via [`scenario::DiscoveryMode`].
-//! * [`ranked`] — the ranked-family dispatch layer
-//!   ([`ranked::RankedNode`] / [`ranked::RankedCfg`]): a thin delegation
-//!   enum over the BASALT / LIFT / Honeybee nodes so one engine path
-//!   drives all three families.
-//! * [`audit`] — the verifiable audit layer: merkle-committed views,
+//!   selectable per scenario via [`DiscoveryMode`].
+//! * [`Challenger`] (`audit`) — the verifiable audit layer:
+//!   merkle-committed views,
 //!   beacon-sampled challenges, replay verification, conviction and
 //!   quarantine.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod adversary;
-pub mod audit;
-pub mod bitset;
-pub mod engine;
+mod audit;
+mod bitset;
+mod engine;
 pub mod event;
-pub mod metrics;
-pub mod ranked;
+mod metrics;
 pub mod runner;
-pub mod scenario;
+mod scenario;
 
 pub use adversary::AdaptiveCoordinator;
-pub use audit::{AuditResponse, Beacon, Challenger, Verdict};
-pub use bitset::{Discovery, EXACT_DISCOVERY_THRESHOLD};
+pub use audit::{AuditResponse, Challenger, Verdict};
+pub use bitset::Discovery;
 pub use engine::Simulation;
 pub use event::EventQueue;
 pub use metrics::{AuditStats, RecoveryStats};
 pub use metrics::{IdentificationResult, NetRunStats, RunResult, SegmentResult};
-pub use ranked::{RankedCfg, RankedNode};
 pub use runner::{run_repeated, run_scenario, AggregatedResult, SegmentAggregate};
 pub use scenario::{
     AdversaryMode, AttackStrategy, AuditConfig, ChurnBurst, ChurnSchedule, DiscoveryMode,

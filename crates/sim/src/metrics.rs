@@ -17,10 +17,10 @@ use raptee_net::NodeId;
 
 /// The share of non-Byzantine IDs every node must know for the discovery
 /// metric (paper: 75 %).
-pub const DISCOVERY_TARGET_SHARE: f64 = 0.75;
+pub(crate) const DISCOVERY_TARGET_SHARE: f64 = 0.75;
 
 /// The view-composition spread that defines stability (paper: 10 %).
-pub const STABILITY_SPREAD: f64 = 0.10;
+pub(crate) const STABILITY_SPREAD: f64 = 0.10;
 
 /// Outcome of the trusted-node identification attack.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +38,7 @@ pub struct IdentificationResult {
 impl IdentificationResult {
     /// Computes precision/recall/F1 for a set of flagged IDs against the
     /// ground-truth predicate, given the number of actual positives.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         flagged: &[NodeId],
         is_trusted: impl Fn(NodeId) -> bool,
         actual_positives: usize,
@@ -80,7 +80,7 @@ impl IdentificationResult {
 /// percentage point absolute) of its converged value for the rest of the
 /// run — the same "pollution has stabilised" knee, measured on the
 /// population average.
-pub fn series_stability_round(series: &[f64], converged: f64) -> Option<usize> {
+pub(crate) fn series_stability_round(series: &[f64], converged: f64) -> Option<usize> {
     // Smooth single-round noise first: with one repetition at reduced
     // scale the raw mean share jitters by ±1 point round-to-round, which
     // would randomise the knee.
@@ -90,7 +90,7 @@ pub fn series_stability_round(series: &[f64], converged: f64) -> Option<usize> {
 
 /// Rolling mean with a trailing window (first elements average what is
 /// available).
-pub fn rolling_mean(series: &[f64], window: usize) -> Vec<f64> {
+pub(crate) fn rolling_mean(series: &[f64], window: usize) -> Vec<f64> {
     let w = window.max(1);
     let mut out = Vec::with_capacity(series.len());
     let mut sum = 0.0;
@@ -109,7 +109,11 @@ pub fn rolling_mean(series: &[f64], window: usize) -> Vec<f64> {
 /// floored at 1.5 points absolute — converged protocols keep drifting by
 /// fractions of a point for hundreds of rounds, which must not count as
 /// instability) for the next `hold` rounds (or to the end of the run).
-pub fn series_stability_round_with(series: &[f64], converged: f64, hold: usize) -> Option<usize> {
+pub(crate) fn series_stability_round_with(
+    series: &[f64],
+    converged: f64,
+    hold: usize,
+) -> Option<usize> {
     if series.is_empty() {
         return None;
     }
@@ -134,7 +138,7 @@ pub fn series_stability_round_with(series: &[f64], converged: f64, hold: usize) 
 /// `target`, linearly interpolating between the straddling rounds —
 /// giving round metrics sub-round resolution so overhead ratios do not
 /// quantise at reduced scale.
-pub fn fractional_crossing(series: &[f64], target: f64) -> Option<f64> {
+pub(crate) fn fractional_crossing(series: &[f64], target: f64) -> Option<f64> {
     let first = *series.first()?;
     if first >= target {
         return Some(0.0);
@@ -195,7 +199,7 @@ pub struct RecoveryStats {
     /// Restart events over the run.
     pub restarts: u64,
     /// Restarted nodes that returned in-band — their smoothed Byzantine
-    /// share back within [`STABILITY_SPREAD`] of the population mean at
+    /// share back within the stability spread (10 %) of the population mean at
     /// least [`crate::engine::Simulation`]'s smoothing window after the
     /// restart.
     pub recovered: u64,
@@ -287,11 +291,11 @@ pub struct RunResult {
     /// EXPERIMENTS.md).
     pub mean_discovery_round: Option<f64>,
     /// First round from which the mean Byzantine share stayed within
-    /// tolerance of its converged value (see [`series_stability_round`]);
-    /// `None` if the series never settled.
+    /// 10 % (relative, floored at one percentage point) of its converged
+    /// value; `None` if the series never settled.
     pub stability_round: Option<usize>,
     /// The paper-literal criterion: first round at which *every*
-    /// non-Byzantine view was within [`STABILITY_SPREAD`] of the average.
+    /// non-Byzantine view was within 10 % of the average.
     /// Meaningful at full view sizes; usually `None` at reduced scale.
     pub spread_stability_round: Option<usize>,
     /// Mean Byzantine share per round (the convergence curve).

@@ -110,7 +110,7 @@ pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult
 /// # Panics
 ///
 /// Panics on an empty slice.
-pub fn aggregate(results: &[RunResult]) -> AggregatedResult {
+pub(crate) fn aggregate(results: &[RunResult]) -> AggregatedResult {
     assert!(!results.is_empty(), "cannot aggregate zero results");
     let n = results.len() as f64;
     let resilience = results.iter().map(|r| r.resilience).sum::<f64>() / n;

@@ -8,15 +8,15 @@ use std::fmt;
 /// [`crate::bitset::Discovery`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiscoveryMode {
-    /// Exact bitsets up to [`EXACT_DISCOVERY_THRESHOLD`] total actors,
+    /// Exact bitsets up to 16,384 total actors,
     /// HLL sketches above — the default, and what every committed golden
     /// scenario resolves to (they all sit below the threshold, on the
     /// byte-identical exact path).
     #[default]
     Auto,
     /// Force exact bitsets regardless of scale. Rejected by
-    /// [`Scenario::validate`] above [`EXACT_FORCE_LIMIT`] actors, where
-    /// the O(N²) matrix would exceed ~2 GiB.
+    /// [`Scenario::validate`] above 2^17 actors, where the O(N²) matrix
+    /// would exceed ~2 GiB.
     Exact,
     /// Force HLL sketches regardless of scale (estimated discovery
     /// counts, ~6.5 % relative standard error; O(N) memory).
@@ -26,7 +26,7 @@ pub enum DiscoveryMode {
 /// Hard cap for [`DiscoveryMode::Exact`]: above this many total actors
 /// the exact matrix costs more than ~2 GiB (`(2^17)² / 8` bytes) and
 /// validation rejects the forced-exact request.
-pub const EXACT_FORCE_LIMIT: usize = 1 << 17;
+pub(crate) const EXACT_FORCE_LIMIT: usize = 1 << 17;
 
 /// The adversary's push strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,16 +142,10 @@ impl Protocol {
         }
     }
 
-    /// Whether this protocol runs BASALT-family ranked views (vs the
-    /// Brahms/RAPTEE renewal family).
-    pub fn is_basalt_family(&self) -> bool {
-        matches!(self, Protocol::Basalt { .. } | Protocol::BasaltTee { .. })
-    }
-
     /// Whether this protocol runs as a ranked-family engine segment
-    /// (caller-owned plan/exchange/finish delegation through
-    /// [`crate::RankedNode`]): BASALT, BASALT+TEE, LIFT or Honeybee, as
-    /// opposed to the Brahms/RAPTEE view-renewal family.
+    /// (caller-owned plans, answers ranked on arrival, no Brahms sampler
+    /// or node-level trusted directory): BASALT, BASALT+TEE, LIFT or
+    /// Honeybee, as opposed to the Brahms/RAPTEE view-renewal family.
     pub fn is_ranked_family(&self) -> bool {
         matches!(
             self,
@@ -163,7 +157,7 @@ impl Protocol {
     }
 
     /// Whether a trusted tier exists under this protocol.
-    pub fn supports_trusted(&self) -> bool {
+    pub(crate) fn supports_trusted(&self) -> bool {
         matches!(self, Protocol::Raptee | Protocol::BasaltTee { .. })
     }
 }
@@ -421,14 +415,6 @@ impl ChurnSchedule {
         }
     }
 
-    /// Whether any crash/restart process is configured at all.
-    pub fn active(&self) -> bool {
-        self.crash_fraction > 0.0
-            || self.crash_rate > 0.0
-            || self.restart_rate > 0.0
-            || !self.bursts.is_empty()
-    }
-
     /// Whether membership evolves beyond the legacy one-shot batch
     /// (steady rates, bursts, or restarts).
     pub fn dynamic(&self) -> bool {
@@ -437,7 +423,7 @@ impl ChurnSchedule {
 
     /// The per-round crash probability at `round`: the maximum of the
     /// steady rate and every active burst window.
-    pub fn crash_rate_at(&self, round: usize) -> f64 {
+    pub(crate) fn crash_rate_at(&self, round: usize) -> f64 {
         self.bursts
             .iter()
             .filter(|b| (b.start..b.end).contains(&round))
@@ -1089,13 +1075,8 @@ impl Scenario {
 
     /// Number of injected view-poisoned trusted nodes (extra, on top of
     /// `n`).
-    pub fn injected_count(&self) -> usize {
+    pub(crate) fn injected_count(&self) -> usize {
         (self.injected_poisoned_fraction * self.n as f64).round() as usize
-    }
-
-    /// Number of honest (non-Byzantine, untrusted) nodes.
-    pub fn honest_count(&self) -> usize {
-        self.n - self.byzantine_count() - self.trusted_count()
     }
 
     /// Total actors in the run, including injected nodes.
@@ -1104,7 +1085,7 @@ impl Scenario {
     }
 
     /// Whether this run tracks discovery with HLL sketches (resolving
-    /// [`DiscoveryMode::Auto`] against [`EXACT_DISCOVERY_THRESHOLD`]).
+    /// [`DiscoveryMode::Auto`] against 16,384 actors).
     pub fn sketch_discovery(&self) -> bool {
         match self.discovery {
             DiscoveryMode::Exact => false,
@@ -1261,11 +1242,6 @@ mod tests {
         };
         assert_eq!(s.byzantine_count(), 140);
         assert_eq!(s.trusted_count(), 50);
-        assert_eq!(s.honest_count(), 810);
-        assert_eq!(
-            s.byzantine_count() + s.trusted_count() + s.honest_count(),
-            s.n
-        );
     }
 
     #[test]
@@ -1542,7 +1518,6 @@ mod tests {
         );
         assert_eq!(b.trusted_count(), 200, "the trusted tier survives");
         assert!(b.protocol.supports_trusted());
-        assert!(b.protocol.is_basalt_family());
         assert_eq!(b.protocol.label(), "basalt-tee");
     }
 
@@ -1759,7 +1734,6 @@ mod tests {
         let c = ChurnSchedule::one_shot(0.2, 30);
         assert_eq!(c.crash_fraction, 0.2);
         assert_eq!(c.crash_round, 30);
-        assert!(c.active());
         assert!(!c.dynamic(), "a one-shot batch is not continuous churn");
         Scenario {
             churn: c,
@@ -1781,7 +1755,7 @@ mod tests {
             }],
             ..ChurnSchedule::default()
         };
-        assert!(c.active() && c.dynamic());
+        assert!(c.dynamic());
         assert_eq!(c.crash_rate_at(9), 0.01);
         assert_eq!(c.crash_rate_at(10), 0.3);
         assert_eq!(c.crash_rate_at(19), 0.3);

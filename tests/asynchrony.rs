@@ -24,7 +24,7 @@ use raptee_sim::event::{EventNet, Lane, PullGate};
 use raptee_sim::{
     AdversaryMode, AttackStrategy, AuditConfig, ChurnSchedule, DiscoveryMode, EventNetConfig,
     EventQueue, LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol, Reachability,
-    RetryConfig, Scenario, Simulation,
+    RejoinPolicy, RetryConfig, Scenario, SegmentSpec, Simulation,
 };
 
 // ---------------------------------------------------------------------
@@ -142,6 +142,53 @@ fn audited_scenario() -> Scenario {
         budget: 4,
         grace: 8,
     });
+    s
+}
+
+/// Every family under steady churn, loss, audits and the proactive
+/// trusted directory (mirrors `six_families_churn_scenario` in
+/// tests/determinism.rs).
+fn six_families_churn_scenario(rejoin: RejoinPolicy) -> Scenario {
+    let base = base(Protocol::Raptee);
+    let families = [
+        Protocol::Raptee,
+        Protocol::Brahms,
+        Protocol::Basalt {
+            view_size: 12,
+            rotation_interval: 15,
+        },
+        Protocol::BasaltTee {
+            view_size: 12,
+            rotation_interval: 15,
+            wlist_ttl: 8,
+        },
+        Protocol::Lift {
+            view_size: 12,
+            fade_interval: 15,
+        },
+        Protocol::Honeybee {
+            view_size: 12,
+            walk_length: 4,
+        },
+    ];
+    let correct = base.n - base.byzantine_count();
+    let segments = families
+        .into_iter()
+        .enumerate()
+        .map(|(i, protocol)| SegmentSpec {
+            protocol,
+            count: correct / 6 + usize::from(i < correct % 6),
+        })
+        .collect();
+    let mut s = base.with_population(segments);
+    s.churn = ChurnSchedule::steady(0.02, 0.4);
+    s.churn.rejoin = rejoin;
+    s.audit = Some(AuditConfig {
+        budget: 4,
+        grace: 8,
+    });
+    s.trusted_directory_refresh = 5;
+    s.message_loss = 0.05;
     s
 }
 
@@ -268,6 +315,16 @@ fn zero_latency_matches_rounds_trusted_expiry() {
 #[test]
 fn zero_latency_matches_rounds_audited() {
     assert_equivalent("raptee-audited", audited_scenario());
+}
+
+#[test]
+fn zero_latency_matches_rounds_six_families_churn() {
+    for rejoin in [RejoinPolicy::Cold, RejoinPolicy::Warm] {
+        assert_equivalent(
+            &format!("six-families-churn-{rejoin:?}"),
+            six_families_churn_scenario(rejoin),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

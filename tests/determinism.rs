@@ -275,6 +275,55 @@ fn audit_eclipse_scenario() -> Scenario {
     s
 }
 
+/// Every family at once: Raptee, Brahms, BASALT, BASALT+TEE, LIFT and
+/// Honeybee segments under steady churn, loss, audits and the proactive
+/// trusted directory, with `rejoin` as every restart's path — so each
+/// ranked family's rejoin, waiting-list and quarantine code runs in one
+/// pinned population.
+fn six_families_churn_scenario(rejoin: RejoinPolicy) -> Scenario {
+    let base = base(Protocol::Raptee);
+    let families = [
+        Protocol::Raptee,
+        Protocol::Brahms,
+        Protocol::Basalt {
+            view_size: 12,
+            rotation_interval: 15,
+        },
+        Protocol::BasaltTee {
+            view_size: 12,
+            rotation_interval: 15,
+            wlist_ttl: 8,
+        },
+        Protocol::Lift {
+            view_size: 12,
+            fade_interval: 15,
+        },
+        Protocol::Honeybee {
+            view_size: 12,
+            walk_length: 4,
+        },
+    ];
+    let correct = base.n - base.byzantine_count();
+    let segments = families
+        .into_iter()
+        .enumerate()
+        .map(|(i, protocol)| SegmentSpec {
+            protocol,
+            count: correct / 6 + usize::from(i < correct % 6),
+        })
+        .collect();
+    let mut s = base.with_population(segments);
+    s.churn = ChurnSchedule::steady(0.02, 0.4);
+    s.churn.rejoin = rejoin;
+    s.audit = Some(AuditConfig {
+        budget: 4,
+        grace: 8,
+    });
+    s.trusted_directory_refresh = 5;
+    s.message_loss = 0.05;
+    s
+}
+
 /// Asserts `scenario` still produces the exact metric bits the
 /// pre-optimization engine produced, and that a second run agrees.
 fn assert_golden(name: &str, scenario: Scenario, golden: Fingerprint) {
@@ -1034,5 +1083,97 @@ fn golden_audit_eclipse() {
             0xd162244893257efb,
         ),
         "audit-eclipse: AuditStats diverged from the introduction commit"
+    );
+}
+
+// Golden constants for the six-family churn population, captured at its
+// introduction commit: the fingerprint, every segment's resilience, the
+// churn counts and the audit convictions.
+
+/// Asserts one six-family churn golden: the fingerprint, then each
+/// segment's resilience bits in layout order, the `(crashes, restarts,
+/// recovered)` churn counts and the `(convictions, false accusations,
+/// chain restarts)` audit outcome.
+fn assert_six_families_golden(
+    rejoin: RejoinPolicy,
+    golden: Fingerprint,
+    segments: [u64; 6],
+    churn: (u64, u64, u64),
+    audit: (u64, u64, u64),
+) {
+    let name = format!("six-families-churn-{rejoin:?}");
+    assert_golden(&name, six_families_churn_scenario(rejoin), golden);
+    let r = Simulation::new(six_families_churn_scenario(rejoin)).run();
+    let seg_bits: Vec<u64> = r.segments.iter().map(|s| s.resilience.to_bits()).collect();
+    assert_eq!(seg_bits, segments, "{name}: per-segment resilience");
+    let rec = r.recovery.expect("steady churn reports recovery stats");
+    assert_eq!(
+        (rec.crashes, rec.restarts, rec.recovered),
+        churn,
+        "{name}: churn counts"
+    );
+    let a = r.audit.expect("the audit layer is on, stats must report");
+    assert_eq!(
+        (a.convictions, a.false_accusations, a.chain_restarts),
+        audit,
+        "{name}: convictions"
+    );
+}
+
+#[test]
+fn golden_six_families_churn_cold() {
+    assert_six_families_golden(
+        RejoinPolicy::Cold,
+        Fingerprint {
+            resilience_bits: 4586778195339764201,
+            series_hash: 9889300995747811089,
+            discovery: Some(42),
+            mean_discovery_bits: Some(4621839514326414325),
+            stability: Some(48),
+            spread_stability: None,
+            floods: 1,
+            evicted: 11689,
+            rotations: 143,
+        },
+        [
+            0x3fb1653cc6d05c3b,
+            0x3fae4bdb53613972,
+            0x3f9695e12be29410,
+            0x3fa207d73e00fb42,
+            0x3fa588a9622a588a,
+            0x3fa842ed085a7192,
+        ],
+        (163, 154, 96),
+        // A cold rejoiner lost its sealed commitment state: its chain
+        // restarts from genesis.
+        (11, 0, 16),
+    );
+}
+
+#[test]
+fn golden_six_families_churn_warm() {
+    assert_six_families_golden(
+        RejoinPolicy::Warm,
+        Fingerprint {
+            resilience_bits: 4588264276040956256,
+            series_hash: 3250079675568611396,
+            discovery: Some(49),
+            mean_discovery_bits: Some(4622020811581683364),
+            stability: Some(50),
+            spread_stability: None,
+            floods: 3,
+            evicted: 11679,
+            rotations: 143,
+        },
+        [
+            0x3facaa35f98d940e,
+            0x3fb719a4f02feb24,
+            0x3fa6213353c3b472,
+            0x3fa22735cdc247b0,
+            0x3fa63c15fe32d8c8,
+            0x3fb1362d30af9a5e,
+        ],
+        (163, 154, 99),
+        (11, 0, 0),
     );
 }
