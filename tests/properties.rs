@@ -14,7 +14,7 @@ use raptee_sim::event::{EventNet, PullGate};
 use raptee_sim::{
     AdaptiveCoordinator, AdversaryMode, AttackStrategy, AuditConfig, ChurnBurst, ChurnSchedule,
     Discovery, DiscoveryMode, EventNetConfig, LatencyModel, NetworkModel, PartitionWindow,
-    Protocol, Reachability, RetryConfig, Scenario, SegmentSpec, Simulation,
+    Protocol, Reachability, RetryConfig, RunResult, Scenario, SegmentSpec, Simulation,
 };
 
 fn config(view: usize, eviction: EvictionPolicy) -> RapteeConfig {
@@ -324,7 +324,8 @@ proptest! {
     /// partition and burst windows past the run, population counts off
     /// by one, every protocol with zero parameters, each toggle on or
     /// off. Whatever it accepts builds, runs a round and keeps the
-    /// engine's invariants. Each knob takes its wild draw when its bit
+    /// engine's invariants, and runs to completion bit-identically at 1
+    /// and 2 threads. Each knob takes its wild draw when its bit
     /// of the AND of four random words is set (one in sixteen), so about
     /// half of the cases validate and the rest break a rule or two.
     #[test]
@@ -436,10 +437,46 @@ proptest! {
             });
         }
         if s.validate().is_ok() {
-            let mut sim = Simulation::new(s);
+            let mut sim = Simulation::new(s.clone());
             sim.run_round();
             let checked = sim.check_invariants();
             prop_assert!(checked.is_ok(), "{:?}", checked);
+            let serial = rayon::with_num_threads(1, || Simulation::new(s.clone()).run());
+            let parallel = rayon::with_num_threads(2, || Simulation::new(s).run());
+            prop_assert_eq!(split_floats(serial), split_floats(parallel));
         }
     }
+}
+
+/// `r` with every computed `f64` moved out into a list of bit patterns
+/// (and zeroed in place), so two runs compare bit for bit and a NaN
+/// equals itself.
+fn split_floats(mut r: RunResult) -> (RunResult, Vec<u64>) {
+    let mut bits = Vec::new();
+    let mut take = |x: &mut f64| {
+        bits.push(x.to_bits());
+        *x = 0.0;
+    };
+    take(&mut r.resilience);
+    r.mean_discovery_round.iter_mut().for_each(&mut take);
+    r.byz_share_series.iter_mut().for_each(&mut take);
+    if let Some(id) = &mut r.identification {
+        take(&mut id.precision);
+        take(&mut id.recall);
+        take(&mut id.f1);
+    }
+    for seg in &mut r.segments {
+        take(&mut seg.resilience);
+        seg.mean_discovery_round.iter_mut().for_each(&mut take);
+        seg.byz_share_series.iter_mut().for_each(&mut take);
+    }
+    if let Some(rec) = &mut r.recovery {
+        take(&mut rec.availability);
+        rec.mean_time_to_recover.iter_mut().for_each(&mut take);
+        rec.trusted_live_fraction.iter_mut().for_each(&mut take);
+    }
+    if let Some(audit) = &mut r.audit {
+        audit.mean_detection_latency.iter_mut().for_each(&mut take);
+    }
+    (r, bits)
 }
