@@ -74,20 +74,22 @@ fn main() {
     let (a_sees_u, u_sees_a) = RapteeNode::run_handshake(&mut node_a, &mut node_u);
     println!("trusted  ↔ untrusted: {a_sees_u:?} / {u_sees_a:?}");
 
-    // 5: encrypted pull answer over the pairwise channel.
-    let base = node_a.brahms().id(); // channel context uses node IDs
-    let _ = base;
+    // 5: encrypted pull answer over the pairwise channel. Node 2 pulls
+    // node 1, so node 2 is the channel's initiator and node 1's answer
+    // travels responder → initiator (§III-B).
     let group = enclave_b.group_key().unwrap();
-    let mut tx = SecureChannel::new(group, NodeId(1), NodeId(2));
-    let mut rx = SecureChannel::new(group, NodeId(1), NodeId(2));
+    let mut responder = SecureChannel::new(group, NodeId(2), NodeId(1));
+    let mut initiator = SecureChannel::new(group, NodeId(2), NodeId(1));
+    let request = initiator.seal_from_initiator(b"pull");
+    assert_eq!(responder.open_from_initiator(&request), b"pull");
     let answer = node_a.pull_answer();
     let wire: Vec<u8> = answer.iter().flat_map(|id| id.to_bytes()).collect();
-    let ciphertext = tx.seal_from_initiator(&wire);
+    let ciphertext = responder.seal_from_responder(&wire);
     println!(
         "pull answer: {} IDs → {} encrypted bytes (length-preserving)",
         answer.len(),
         ciphertext.len()
     );
-    let clear = rx.open_from_initiator(&ciphertext);
-    println!("responder decrypts correctly: {}", clear == wire);
+    let clear = initiator.open_from_responder(&ciphertext);
+    println!("initiator decrypts correctly: {}", clear == wire);
 }

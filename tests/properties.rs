@@ -276,22 +276,28 @@ proptest! {
         );
     }
 
-    /// Wire messages survive an encrypted round trip through the secure
-    /// channel for arbitrary views and nonces.
+    /// A pull exchange survives an encrypted round trip through the
+    /// secure channel for arbitrary views and nonces, each message in
+    /// the direction §III-B sends it: the request initiator → responder,
+    /// the answer responder → initiator.
     #[test]
     fn encrypted_wire_roundtrip(
         ids in proptest::collection::vec(any::<u64>(), 0..100),
         base_seed in any::<u64>(),
-        from in 0u64..100,
-        to in 100u64..200,
+        initiator in 0u64..100,
+        responder in 100u64..200,
     ) {
-        let msg = Message::PullAnswer { ids: ids.into_iter().map(NodeId).collect() };
         let base = SecretKey::from_seed(base_seed);
-        let mut tx = SecureChannel::new(&base, NodeId(from), NodeId(to));
-        let mut rx = SecureChannel::new(&base, NodeId(from), NodeId(to));
-        let ct = tx.seal_from_initiator(&msg.encode());
-        let decoded = Message::decode(&rx.open_from_initiator(&ct)).unwrap();
-        prop_assert_eq!(decoded, msg);
+        let mut at_initiator = SecureChannel::new(&base, NodeId(initiator), NodeId(responder));
+        let mut at_responder = SecureChannel::new(&base, NodeId(initiator), NodeId(responder));
+        let request = Message::PullRequest;
+        let ct = at_initiator.seal_from_initiator(&request.encode());
+        let decoded = Message::decode(&at_responder.open_from_initiator(&ct)).unwrap();
+        prop_assert_eq!(decoded, request);
+        let answer = Message::PullAnswer { ids: ids.into_iter().map(NodeId).collect() };
+        let ct = at_responder.seal_from_responder(&answer.encode());
+        let decoded = Message::decode(&at_initiator.open_from_responder(&ct)).unwrap();
+        prop_assert_eq!(decoded, answer);
     }
 
     /// The adaptive adversary never mints budget: whatever reward
