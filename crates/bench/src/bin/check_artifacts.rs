@@ -192,7 +192,7 @@ mod tests {
 |---|---|---|---|
 | `fig3_brahms_baseline` | claim | cell | `fig3a.csv`, `fig3b.csv` |
 | `fig_panels` | claim | | `fig_panels_*.csv` |
-| `crypto_primitives` | claim | | — (wall-clock, printed) |
+| `table1_sgx_overhead` | claim | | — (printed) |
 | `fig_basalt_comparison` | claim | cell | `fig_basalt_comparisona.csv` — panel (b) differs |
 ";
 
