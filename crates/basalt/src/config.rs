@@ -15,35 +15,33 @@
 /// let cfg = BasaltConfig::for_view(20, 30);
 /// assert_eq!(cfg.view_size, 20);
 /// assert_eq!(cfg.push_count, 8);
-/// assert_eq!(cfg.rotation_count, 2);
-/// cfg.validate();
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BasaltConfig {
     /// Number of view slots `v` (each with its own ranking seed).
     pub view_size: usize,
     /// Rounds between seed rotations; `0` disables rotation.
-    pub rotation_interval: usize,
+    pub(crate) rotation_interval: usize,
     /// Slots rotated per rotation (round-robin over the view).
-    pub rotation_count: usize,
+    pub(crate) rotation_count: usize,
     /// Push messages sent per round (own ID advertised to view peers).
     pub push_count: usize,
     /// Pull (exchange) requests sent per round, aimed at the
     /// least-confirmed samples.
-    pub pull_count: usize,
+    pub(crate) pull_count: usize,
     /// Rounds a *hearsay* candidate (an ID learned from someone else's
     /// pull answer rather than by direct contact) survives on the
     /// waiting list before being dropped unverified — BASALT's
     /// connect-before-integrate anti-poisoning refinement. `0` disables
     /// the waiting list entirely: hearsay ranks immediately (the legacy
     /// behaviour, kept bit-identical for existing scenarios).
-    pub wlist_ttl: usize,
+    pub(crate) wlist_ttl: usize,
     /// Waiting-list candidates verified (contacted) and admitted to the
     /// ranking per round when the list is enabled. Defaults to
     /// `push_count`, so hearsay admission is rate-limited to exactly the
     /// direct-push budget — the adversary's free all-Byzantine pull
     /// answers stop outrunning its rate-limited pushes.
-    pub wlist_probe: usize,
+    pub(crate) wlist_probe: usize,
 }
 
 impl BasaltConfig {
@@ -88,7 +86,7 @@ impl BasaltConfig {
     /// # Panics
     ///
     /// Panics when any size is zero or `rotation_count` exceeds the view.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.view_size > 0, "BASALT view size must be positive");
         assert!(
             self.rotation_count > 0 && self.rotation_count <= self.view_size,
@@ -121,6 +119,7 @@ mod tests {
         let cfg = BasaltConfig::for_view(1, 0);
         assert_eq!(cfg.push_count, 1);
         assert_eq!(cfg.rotation_count, 1);
+        assert_eq!(BasaltConfig::for_view(20, 30).rotation_count, 2);
     }
 
     #[test]

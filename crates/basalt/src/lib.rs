@@ -40,12 +40,13 @@
 //!   between mutually authenticated trusted peers bypass the waiting
 //!   list ([`BasaltNode::record_pull_answer_trusted`]).
 
-pub mod config;
-pub mod node;
-pub mod view;
+#![warn(unreachable_pub)]
+
+mod config;
+mod node;
+mod view;
 pub mod wlist;
 
 pub use config::BasaltConfig;
-pub use node::{BasaltNode, BasaltPlan, BasaltRoundReport};
-pub use view::{BasaltView, Slot};
-pub use wlist::{WaitingList, WlistReport};
+pub use node::{BasaltNode, BasaltPlan};
+pub use view::BasaltView;

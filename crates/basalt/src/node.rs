@@ -5,10 +5,10 @@
 //! into the same engine:
 //!
 //! ```text
-//! plan = node.plan_round()            // push targets + pull targets
+//! node.plan_round_into(&mut plan)     // push targets + pull targets
 //! ... deliver pushes (rate-limited) → receiver.record_push(sender)
-//! ... answer pulls: responder.pull_answer()
-//!                 → requester.record_pull_answer(responder, ids)
+//! ... answer pulls: responder.pull_answer_into(&mut ids)
+//!                 → requester.record_pull_answer(responder, &ids)
 //! report = node.finish_round()        // hit-counter upkeep + seed rotation
 //! ```
 //!
@@ -40,8 +40,6 @@ pub struct BasaltPlan {
 pub struct BasaltRoundReport {
     /// Slots whose ranking seed was rotated this round.
     pub rotated: usize,
-    /// Rounds finalised so far (including this one).
-    pub round: u64,
 }
 
 /// A BASALT node: ranked hit-counter view + deterministic RNG.
@@ -49,13 +47,14 @@ pub struct BasaltRoundReport {
 /// # Examples
 ///
 /// ```
-/// use raptee_basalt::{BasaltConfig, BasaltNode};
+/// use raptee_basalt::{BasaltConfig, BasaltNode, BasaltPlan};
 /// use raptee_net::NodeId;
 ///
 /// let cfg = BasaltConfig::for_view(10, 30);
 /// let bootstrap: Vec<NodeId> = (1..=10).map(NodeId).collect();
 /// let mut node = BasaltNode::new(NodeId(0), cfg, &bootstrap, 42);
-/// let plan = node.plan_round();
+/// let mut plan = BasaltPlan::default();
+/// node.plan_round_into(&mut plan);
 /// assert_eq!(plan.push_targets.len(), cfg.push_count);
 /// assert!(!plan.pull_targets.is_empty());
 /// ```
@@ -187,11 +186,6 @@ impl BasaltNode {
         &self.view
     }
 
-    /// Rounds finalised so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
     /// Whether this node runs inside an (attested, simulated) enclave.
     pub fn is_trusted(&self) -> bool {
         self.trusted
@@ -214,17 +208,10 @@ impl BasaltNode {
 
     /// Chooses this round's targets: `push_count` uniform draws from the
     /// distinct view (with replacement, like Brahms' `rand(V)`), and the
-    /// `pull_count` least-confirmed samples as exchange partners.
-    pub fn plan_round(&mut self) -> BasaltPlan {
-        let mut plan = BasaltPlan::default();
-        self.plan_round_into(&mut plan);
-        plan
-    }
-
-    /// [`BasaltNode::plan_round`] into a caller-owned plan whose target
-    /// vectors are cleared and refilled — the engine keeps one plan per
-    /// actor alive across rounds, so planning allocates nothing. The RNG
-    /// draw sequence is identical to `plan_round`.
+    /// `pull_count` least-confirmed samples as exchange partners, into a
+    /// caller-owned plan whose target vectors are cleared and refilled —
+    /// the engine keeps one plan per actor alive across rounds, so
+    /// planning allocates nothing.
     pub fn plan_round_into(&mut self, plan: &mut BasaltPlan) {
         plan.push_targets.clear();
         plan.pull_targets.clear();
@@ -249,14 +236,9 @@ impl BasaltNode {
         self.view.observe(advertised);
     }
 
-    /// Answers a pull request: the distinct current view.
-    pub fn pull_answer(&self) -> Vec<NodeId> {
-        self.view.distinct_ids()
-    }
-
-    /// [`BasaltNode::pull_answer`] into a caller-owned buffer (cleared
-    /// first) — the engine's pull loop reuses one reply buffer for the
-    /// whole round.
+    /// Answers a pull request: the distinct current view, into a
+    /// caller-owned buffer (cleared first) — the engine's pull loop
+    /// reuses one reply buffer for the whole round.
     pub fn pull_answer_into(&mut self, out: &mut Vec<NodeId>) {
         self.view.distinct_into(out, &mut self.scratch_seen);
     }
@@ -288,7 +270,7 @@ impl BasaltNode {
     }
 
     /// Quarantines `id`: evicts it from the ranked view (fresh slot
-    /// seeds, see [`BasaltView::evict`]) and purges any pending hearsay
+    /// seeds, as a seed rotation would) and purges any pending hearsay
     /// entry from the waiting list, so a convicted peer neither occupies
     /// slots nor re-enters via queued hearsay. Returns the number of
     /// view slots reset.
@@ -329,10 +311,7 @@ impl BasaltNode {
             self.rotations += rotated as u64;
             self.view.observe_into(&indices, &self.scratch_distinct);
         }
-        BasaltRoundReport {
-            rotated,
-            round: self.rounds,
-        }
+        BasaltRoundReport { rotated }
     }
 }
 
@@ -342,6 +321,12 @@ mod tests {
 
     fn ids(range: std::ops::Range<u64>) -> Vec<NodeId> {
         range.map(NodeId).collect()
+    }
+
+    fn plan(n: &mut BasaltNode) -> BasaltPlan {
+        let mut plan = BasaltPlan::default();
+        n.plan_round_into(&mut plan);
+        plan
     }
 
     fn node(view: usize, rotation: usize) -> BasaltNode {
@@ -363,7 +348,7 @@ mod tests {
     #[test]
     fn empty_bootstrap_plans_nothing() {
         let mut n = BasaltNode::new(NodeId(0), BasaltConfig::for_view(10, 0), &[], 7);
-        let plan = n.plan_round();
+        let plan = plan(&mut n);
         assert!(plan.push_targets.is_empty());
         assert!(plan.pull_targets.is_empty());
     }
@@ -371,7 +356,7 @@ mod tests {
     #[test]
     fn plan_counts_match_config() {
         let mut n = node(10, 0);
-        let plan = n.plan_round();
+        let plan = plan(&mut n);
         assert_eq!(plan.push_targets.len(), 4); // ⌈0.4·10⌉
         assert!(plan.pull_targets.len() <= 4);
         assert!(!plan.pull_targets.is_empty());
@@ -387,7 +372,7 @@ mod tests {
         assert_eq!(n.finish_round().rotated, 0); // round 2
         let report = n.finish_round(); // round 3
         assert_eq!(report.rotated, 1);
-        assert_eq!(report.round, 3);
+        assert_eq!(n.rounds, 3);
         assert_eq!(n.rotations(), 1);
         // Rotated slots are refilled from the surviving view.
         assert_eq!(n.view().filled(), 10);
@@ -404,8 +389,9 @@ mod tests {
 
     #[test]
     fn pull_answer_is_distinct_view() {
-        let n = node(10, 0);
-        let mut answer = n.pull_answer();
+        let mut n = node(10, 0);
+        let mut answer = Vec::new();
+        n.pull_answer_into(&mut answer);
         answer.sort_unstable();
         let mut dedup = answer.clone();
         dedup.dedup();
@@ -417,7 +403,7 @@ mod tests {
     fn exchange_feeds_both_directions() {
         let mut a = BasaltNode::new(NodeId(1), BasaltConfig::for_view(8, 0), &ids(10..20), 1);
         let b = BasaltNode::new(NodeId(2), BasaltConfig::for_view(8, 0), &ids(30..40), 2);
-        a.record_pull_answer(b.id(), &b.pull_answer());
+        a.record_pull_answer(b.id(), &b.view().distinct_ids());
         // The responder and at least one of its IDs entered a's ranking.
         let seen = a.view().sample_ids();
         assert!(seen.iter().any(|id| id.0 == 2 || (30..40).contains(&id.0)));
@@ -433,7 +419,7 @@ mod tests {
             for _ in 0..10 {
                 n.finish_round();
             }
-            (n.plan_round(), n.view().sample_ids())
+            (plan(&mut n), n.view().sample_ids())
         };
         assert_eq!(mk(), mk());
     }
@@ -503,9 +489,6 @@ mod tests {
         let r = n.drain_wlist(|_| true);
         assert_eq!(r.admitted, probe, "admission is probe-rate-limited");
         assert_eq!(n.wlist_len(), 20 - probe);
-        for id in ids(600..(600 + probe as u64)) {
-            assert!(n.view().contains(id) || !n.view().contains(id));
-        }
         // Two finish_rounds later the TTL has lapsed: the rest expire
         // without consuming probes.
         n.finish_round();
@@ -568,7 +551,7 @@ mod tests {
         assert_eq!(n.view().sample_ids(), fresh.view().sample_ids());
         assert_eq!(n.wlist_len(), 0, "stale quarantine discarded");
         // The reseeded RNG plans identically to the fresh node's.
-        assert_eq!(n.plan_round(), fresh.plan_round());
+        assert_eq!(plan(&mut n), plan(&mut fresh));
     }
 
     #[test]

@@ -26,11 +26,10 @@ use raptee_crypto::SecretKey;
 use raptee_net::NodeId;
 use raptee_util::bitset::{IdSet, DENSE_ID_LIMIT};
 use raptee_util::rng::mix64;
-use std::cell::RefCell;
 
 /// One view slot: a ranking seed plus the closest candidate seen so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot {
+pub(crate) struct Slot {
     seed: u64,
     generation: u32,
     sample: Option<NodeId>,
@@ -53,7 +52,7 @@ impl Slot {
     /// closer): the same SplitMix64-finalizer family the Brahms sampler
     /// uses for its min-wise permutations.
     #[inline]
-    pub fn distance_to(&self, id: NodeId) -> u64 {
+    pub(crate) fn distance_to(&self, id: NodeId) -> u64 {
         mix64(self.seed ^ mix64(id.0.wrapping_add(0x9E37_79B9_7F4A_7C15)))
     }
 
@@ -76,18 +75,8 @@ impl Slot {
     }
 
     /// The current sample, if any candidate was observed.
-    pub fn sample(&self) -> Option<NodeId> {
+    pub(crate) fn sample(&self) -> Option<NodeId> {
         self.sample
-    }
-
-    /// How often the current sample has been (re-)observed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// How many times this slot's seed has been rotated.
-    pub fn generation(&self) -> u32 {
-        self.generation
     }
 }
 
@@ -101,7 +90,9 @@ impl Slot {
 /// use raptee_net::NodeId;
 ///
 /// let mut v = BasaltView::new(NodeId(0), 8, SecretKey::from_seed(7));
-/// v.observe_all((1..100).map(NodeId));
+/// for id in 1..100 {
+///     v.observe(NodeId(id));
+/// }
 /// assert_eq!(v.sample_ids().len(), 8);
 /// // Flooding one ID cannot displace anything.
 /// let before = v.sample_ids();
@@ -110,54 +101,20 @@ impl Slot {
 /// }
 /// assert_eq!(v.sample_ids(), before);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasaltView {
     owner: NodeId,
     ranking_key: SecretKey,
     slots: Vec<Slot>,
     rotation_cursor: usize,
-    /// Lazily rebuilt O(1) membership index over the sampled IDs.
-    /// Mutators that can change a slot's sample mark it stale; the next
-    /// [`BasaltView::contains`] rebuilds it in one O(v) pass and every
-    /// further query is O(1). After convergence (replacements become
-    /// rare) membership bursts amortise to constant time.
-    members: RefCell<MemberCache>,
 }
 
-/// Views with at most this many slots skip both the membership cache
-/// and the dense dedup scratch: a scan over ≤ 64 slots is faster than
-/// maintaining an [`IdSet`] whose backing words grow with the largest
-/// sampled ID — per-node memory that forbids very large populations.
-/// Matches the gossip view's linear-scan gate.
-pub const LINEAR_SCAN_SLOTS: usize = 64;
-
-#[derive(Debug, Clone)]
-struct MemberCache {
-    set: IdSet,
-    stale: bool,
-}
-
-impl Default for MemberCache {
-    fn default() -> Self {
-        Self {
-            set: IdSet::new(),
-            stale: true,
-        }
-    }
-}
-
-/// Equality is defined by owner, key, slots and rotation cursor; the
-/// membership cache is derived state.
-impl PartialEq for BasaltView {
-    fn eq(&self, other: &Self) -> bool {
-        self.owner == other.owner
-            && self.ranking_key == other.ranking_key
-            && self.slots == other.slots
-            && self.rotation_cursor == other.rotation_cursor
-    }
-}
-
-impl Eq for BasaltView {}
+/// Views with at most this many slots skip the dense dedup scratch: a
+/// scan over ≤ 64 slots is faster than maintaining an [`IdSet`] whose
+/// backing words grow with the largest sampled ID — per-node memory
+/// that forbids very large populations. Matches the gossip view's
+/// linear-scan gate.
+pub(crate) const LINEAR_SCAN_SLOTS: usize = 64;
 
 impl BasaltView {
     /// Creates an empty view of `slots` ranking slots whose seeds are
@@ -175,7 +132,6 @@ impl BasaltView {
             ranking_key,
             slots: Vec::with_capacity(slots),
             rotation_cursor: 0,
-            members: RefCell::new(MemberCache::default()),
         };
         for i in 0..slots {
             let seed = view.derive_seed(i, 0);
@@ -195,18 +151,13 @@ impl BasaltView {
         u64::from_le_bytes(derived.as_bytes()[..8].try_into().expect("8 bytes"))
     }
 
-    /// The view owner (whose own ID is never sampled).
-    pub fn owner(&self) -> NodeId {
-        self.owner
-    }
-
     /// Number of slots `v`.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Number of slots currently holding a sample.
-    pub fn filled(&self) -> usize {
+    pub(crate) fn filled(&self) -> usize {
         self.slots.iter().filter(|s| s.sample.is_some()).count()
     }
 
@@ -215,30 +166,20 @@ impl BasaltView {
         self.filled() == 0
     }
 
-    /// Read access to the slots (ranking seeds stay private).
-    pub fn slots(&self) -> &[Slot] {
-        &self.slots
-    }
-
     /// Feeds one candidate to every slot. Returns how many slots
     /// replaced their sample.
     pub fn observe(&mut self, id: NodeId) -> usize {
         if id == self.owner {
             return 0;
         }
-        let replaced: usize = self
-            .slots
+        self.slots
             .iter_mut()
             .map(|s| usize::from(s.consider(id)))
-            .sum();
-        if replaced > 0 {
-            self.members.get_mut().stale = true;
-        }
-        replaced
+            .sum()
     }
 
     /// Feeds a batch of candidates.
-    pub fn observe_all<I: IntoIterator<Item = NodeId>>(&mut self, ids: I) {
+    pub(crate) fn observe_all<I: IntoIterator<Item = NodeId>>(&mut self, ids: I) {
         for id in ids {
             self.observe(id);
         }
@@ -247,7 +188,7 @@ impl BasaltView {
     /// Feeds candidates to the given slots only — used to refill freshly
     /// rotated slots from the surviving view without touching the hit
     /// counters of the others.
-    pub fn observe_into(&mut self, slots: &[usize], ids: &[NodeId]) {
+    pub(crate) fn observe_into(&mut self, slots: &[usize], ids: &[NodeId]) {
         for &i in slots {
             if let Some(slot) = self.slots.get_mut(i) {
                 for &id in ids {
@@ -257,7 +198,6 @@ impl BasaltView {
                 }
             }
         }
-        self.members.get_mut().stale = true;
     }
 
     /// The per-slot samples in slot order (a multiset: distinct slots can
@@ -284,7 +224,7 @@ impl BasaltView {
     /// cleared and refilled in first-slot order, `seen` is the dedup
     /// scratch. O(v) instead of the O(v²) scan — the planning, answer
     /// and rotation paths of a node reuse one scratch pair.
-    pub fn distinct_into(&self, out: &mut Vec<NodeId>, seen: &mut IdSet) {
+    pub(crate) fn distinct_into(&self, out: &mut Vec<NodeId>, seen: &mut IdSet) {
         out.clear();
         seen.clear();
         // Small views dedup by scanning `out` (≤ v entries) so `seen`
@@ -305,31 +245,6 @@ impl BasaltView {
         }
     }
 
-    /// Whether any slot currently samples `id` — amortised O(1) through
-    /// the lazily rebuilt membership cache for large views (small views
-    /// and IDs beyond the dense range fall back to a slot scan; see
-    /// [`LINEAR_SCAN_SLOTS`]).
-    pub fn contains(&self, id: NodeId) -> bool {
-        let idx = id.0 as usize;
-        if idx >= DENSE_ID_LIMIT || self.slots.len() <= LINEAR_SCAN_SLOTS {
-            return self.slots.iter().any(|s| s.sample == Some(id));
-        }
-        let mut cache = self.members.borrow_mut();
-        if cache.stale {
-            cache.set.clear();
-            for s in &self.slots {
-                if let Some(sampled) = s.sample {
-                    let i = sampled.0 as usize;
-                    if i < DENSE_ID_LIMIT {
-                        cache.set.insert(i);
-                    }
-                }
-            }
-            cache.stale = false;
-        }
-        cache.set.contains(idx)
-    }
-
     /// Fraction of filled slots whose sample satisfies `pred` (the
     /// Byzantine in-view share of the experiment metrics).
     pub fn fraction_matching<F: Fn(NodeId) -> bool>(&self, pred: F) -> f64 {
@@ -341,20 +256,17 @@ impl BasaltView {
     }
 
     /// Up to `k` distinct sampled IDs ordered by ascending hit counter
-    /// (ties by slot index): the least-confirmed samples, probed first by
-    /// the exchange loop so stale or fabricated entries are validated or
-    /// refreshed soonest.
-    pub fn least_confirmed(&self, k: usize) -> Vec<NodeId> {
-        let mut order = Vec::new();
-        let mut out = Vec::with_capacity(k);
-        self.least_confirmed_into(k, &mut order, &mut out);
-        out
-    }
-
-    /// [`BasaltView::least_confirmed`] into caller-owned buffers
-    /// (`order` is index scratch, `out` is cleared and refilled) so the
-    /// per-round exchange planning allocates nothing.
-    pub fn least_confirmed_into(&self, k: usize, order: &mut Vec<u32>, out: &mut Vec<NodeId>) {
+    /// (ties by slot index) into caller-owned buffers (`order` is index
+    /// scratch, `out` is cleared and refilled): the least-confirmed
+    /// samples, probed first by the exchange loop so stale or fabricated
+    /// entries are validated or refreshed soonest. The per-round
+    /// exchange planning allocates nothing.
+    pub(crate) fn least_confirmed_into(
+        &self,
+        k: usize,
+        order: &mut Vec<u32>,
+        out: &mut Vec<NodeId>,
+    ) {
         order.clear();
         order.extend(
             (0..self.slots.len() as u32).filter(|&i| self.slots[i as usize].sample.is_some()),
@@ -378,7 +290,7 @@ impl BasaltView {
     /// a freshly derived seed, an empty sample and a zeroed hit counter.
     /// Every other slot is left bit-identical. Returns the rotated slot
     /// indices.
-    pub fn rotate(&mut self, k: usize) -> Vec<usize> {
+    pub(crate) fn rotate(&mut self, k: usize) -> Vec<usize> {
         let v = self.slots.len();
         let k = k.min(v);
         let mut rotated = Vec::with_capacity(k);
@@ -390,9 +302,6 @@ impl BasaltView {
             self.slots[i] = Slot::new(seed, generation);
             rotated.push(i);
         }
-        if k > 0 {
-            self.members.get_mut().stale = true;
-        }
         rotated
     }
 
@@ -402,7 +311,7 @@ impl BasaltView {
     /// those slots — so the evicted ID only wins a slot back if it is
     /// re-observed *and* ranks closest under the fresh seed. All other
     /// slots stay bit-identical. Returns the number of slots reset.
-    pub fn evict(&mut self, id: NodeId) -> usize {
+    pub(crate) fn evict(&mut self, id: NodeId) -> usize {
         let mut reset = 0;
         for i in 0..self.slots.len() {
             if self.slots[i].sample == Some(id) {
@@ -411,9 +320,6 @@ impl BasaltView {
                 self.slots[i] = Slot::new(seed, generation);
                 reset += 1;
             }
-        }
-        if reset > 0 {
-            self.members.get_mut().stale = true;
         }
         reset
     }
@@ -425,6 +331,28 @@ impl BasaltView {
             None => s.distance == u64::MAX && s.hits == 0,
             Some(id) => id != self.owner && s.distance_to(id) == s.distance && s.hits >= 1,
         })
+    }
+}
+
+#[cfg(test)]
+impl Slot {
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    pub(crate) fn generation(&self) -> u32 {
+        self.generation
+    }
+}
+
+#[cfg(test)]
+impl BasaltView {
+    pub(crate) fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
+        self.sample_iter().any(|s| s == id)
     }
 }
 
@@ -510,13 +438,15 @@ mod tests {
         for _ in 0..10 {
             v.observe(samples[0]);
         }
-        let probes = v.least_confirmed(3);
+        let (mut order, mut probes) = (Vec::new(), Vec::new());
+        v.least_confirmed_into(3, &mut order, &mut probes);
         assert_eq!(
             probes.last(),
             Some(&samples[0]),
             "the most-confirmed sample is probed last"
         );
-        assert!(v.least_confirmed(1).len() == 1);
+        v.least_confirmed_into(1, &mut order, &mut probes);
+        assert!(probes.len() == 1);
     }
 
     #[test]
@@ -581,48 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_cache_tracks_mutations() {
-        let mut v = view(0, 4);
-        assert!(!v.contains(NodeId(1)));
-        v.observe_all((1..100).map(NodeId));
-        let samples = v.sample_ids();
-        for &id in &samples {
-            assert!(v.contains(id));
-        }
-        assert!(!v.contains(NodeId(5000)));
-        // Rotation blanks slots: membership must follow.
-        v.rotate(4);
-        for &id in &samples {
-            assert!(!v.contains(id), "rotated view no longer samples {id:?}");
-        }
-        // Refill and check again through the observe_into path.
-        v.observe_into(&[0, 1, 2, 3], &(1..50).map(NodeId).collect::<Vec<_>>());
-        for s in v.slots() {
-            let id = s.sample().expect("refilled");
-            assert!(v.contains(id));
-        }
-    }
-
-    #[test]
-    fn large_views_use_the_membership_cache() {
-        // Above the linear-scan gate the lazily rebuilt cache answers
-        // membership; behaviour must match a slot scan exactly.
-        let mut v = view(0, LINEAR_SCAN_SLOTS + 8);
-        v.observe_all((1..500).map(NodeId));
-        for id in (0..600u64).map(NodeId) {
-            let scanned = v.slots().iter().any(|s| s.sample() == Some(id));
-            assert_eq!(v.contains(id), scanned, "id {id}");
-        }
-        assert!(!v.members.borrow().set.is_empty(), "cache was built");
-        // Small views never populate the cache.
-        let mut small = view(0, LINEAR_SCAN_SLOTS);
-        small.observe_all((1..500).map(NodeId));
-        let sample = small.sample_ids()[0];
-        assert!(small.contains(sample));
-        assert!(small.members.borrow().set.is_empty());
-    }
-
-    #[test]
     fn scratch_variants_match_allocating_ones() {
         let mut v = view(3, 16);
         v.observe_all((1..40).map(NodeId));
@@ -630,11 +518,5 @@ mod tests {
         let mut seen = IdSet::new();
         v.distinct_into(&mut out, &mut seen);
         assert_eq!(out, v.distinct_ids());
-        let mut order = Vec::new();
-        let mut probes = Vec::new();
-        for k in [1usize, 3, 16] {
-            v.least_confirmed_into(k, &mut order, &mut probes);
-            assert_eq!(probes, v.least_confirmed(k), "k={k}");
-        }
     }
 }

@@ -21,10 +21,10 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WlistReport {
     /// Hearsay candidates verified and admitted to the ranking.
-    pub admitted: usize,
+    pub(crate) admitted: usize,
     /// Candidates dropped: TTL expired before verification, or the
     /// verification contact failed (the candidate was unreachable).
-    pub dropped: usize,
+    pub(crate) dropped: usize,
 }
 
 /// One waiting-list entry: a hearsay candidate and the round at which
@@ -174,7 +174,7 @@ mod tests {
         let mut w = WaitingList::new(0, 4);
         assert!(!w.is_enabled());
         assert!(!w.enqueue(NodeId(0), NodeId(1), 0));
-        assert_eq!(w.len(), 0);
+        assert!(w.is_empty());
         assert_eq!(w.drain(0, |_| true, |_| panic!()), WlistReport::default());
     }
 

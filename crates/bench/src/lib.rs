@@ -25,10 +25,11 @@
 //! | `paper` | 10000 | 200 | 200 | 10 | the published setup |
 //! | `million` | 1000000 | 16 | 12 | 1 | memory-scaling run (sketched discovery) |
 //!
-//! The `million` profile only drives `perf_paper_scale` (the figure
-//! sweeps would take days at that population); discovery metrics run on
-//! the HLL sketches — see the "Scale profiles" section of README.md for
-//! the accuracy caveat and memory budget.
+//! The `million` profile drives `perf_paper_scale` and
+//! `raptee-cli run --scale million`, never a figure sweep (those would
+//! take days at that population); discovery metrics run on the HLL
+//! sketches — see the "Scale profiles" section of README.md for the
+//! accuracy caveat and memory budget.
 
 use raptee_sim::{runner, AggregatedResult, Scenario};
 use raptee_util::series::SeriesTable;

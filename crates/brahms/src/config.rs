@@ -13,7 +13,6 @@
 /// let cfg = BrahmsConfig::paper_defaults(200, 200);
 /// assert_eq!(cfg.alpha_count(), 80);
 /// assert_eq!(cfg.beta_count(), 80);
-/// assert_eq!(cfg.gamma_count(), 40);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrahmsConfig {
@@ -82,7 +81,7 @@ impl BrahmsConfig {
     }
 
     /// The effective push-flood threshold (defence (ii)).
-    pub fn effective_flood_threshold(&self) -> usize {
+    pub(crate) fn effective_flood_threshold(&self) -> usize {
         self.flood_threshold.unwrap_or_else(|| self.alpha_count())
     }
 
@@ -93,7 +92,7 @@ impl BrahmsConfig {
     }
 
     /// `⌈γ·l1⌉` — history-sample entries admitted to the renewed view.
-    pub fn gamma_count(&self) -> usize {
+    pub(crate) fn gamma_count(&self) -> usize {
         (self.gamma * self.view_size as f64).round() as usize
     }
 }

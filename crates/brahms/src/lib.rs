@@ -34,8 +34,10 @@
 //! this node to add mutual authentication, trusted communications and
 //! Byzantine eviction.
 
-pub mod config;
-pub mod node;
+#![warn(unreachable_pub)]
+
+mod config;
+mod node;
 
 pub use config::BrahmsConfig;
 pub use node::{BrahmsNode, FinishScratch, RoundPlan, RoundReport};

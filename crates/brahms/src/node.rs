@@ -3,7 +3,7 @@
 //! One protocol round, as driven by the caller:
 //!
 //! ```text
-//! plan = node.plan_round()          // α·l1 push targets, β·l1 pull targets
+//! node.plan_round_into(&mut plan)   // α·l1 push targets, β·l1 pull targets
 //! ... deliver pushes (rate-limited) → receiver.record_push(sender)
 //! ... answer pulls: responder.pull_answer() → requester.record_pulled(ids)
 //! report = node.finish_round()      // defences + view renewal + sampling
@@ -35,10 +35,6 @@ pub struct RoundPlan {
 pub struct RoundReport {
     /// Whether the dynamic view was renewed this round.
     pub view_renewed: bool,
-    /// Number of push messages received.
-    pub pushes_received: usize,
-    /// Number of pulled IDs received (after any caller-side filtering).
-    pub pulled_ids_received: usize,
     /// `true` when renewal was blocked by the push-flood detector.
     pub push_flood_detected: bool,
 }
@@ -77,13 +73,14 @@ struct Standalone {
 /// # Examples
 ///
 /// ```
-/// use raptee_brahms::{BrahmsConfig, BrahmsNode};
+/// use raptee_brahms::{BrahmsConfig, BrahmsNode, RoundPlan};
 /// use raptee_net::NodeId;
 ///
 /// let cfg = BrahmsConfig::paper_defaults(10, 10);
 /// let bootstrap: Vec<NodeId> = (1..=10).map(NodeId).collect();
 /// let mut node = BrahmsNode::new(NodeId(0), cfg, &bootstrap, 42);
-/// let plan = node.plan_round();
+/// let mut plan = RoundPlan::default();
+/// node.plan_round_into(&mut plan);
 /// assert_eq!(plan.push_targets.len(), cfg.alpha_count());
 /// assert_eq!(plan.pull_targets.len(), cfg.beta_count());
 /// ```
@@ -94,9 +91,6 @@ pub struct BrahmsNode {
     view: View,
     sampler: SamplerArray,
     rng: Xoshiro256StarStar,
-    rounds: u64,
-    renewals: u64,
-    floods_detected: u64,
     /// The standalone path's buffers, created by its first call (the
     /// engine passes per-worker scratch instead — see [`Standalone`]).
     standalone: Option<Box<Standalone>>,
@@ -134,9 +128,6 @@ impl BrahmsNode {
             view,
             sampler,
             rng,
-            rounds: 0,
-            renewals: 0,
-            floods_detected: 0,
             standalone: None,
         }
     }
@@ -144,8 +135,8 @@ impl BrahmsNode {
     /// Cold rejoin after a crash–restart: the node comes back with a
     /// fresh bootstrap view and fully reinitialised samplers, as if
     /// provisioned from scratch — the pre-crash view, sample list and
-    /// RNG stream are all discarded (only identity and the cumulative
-    /// lifetime counters survive).
+    /// RNG stream are all discarded (only identity and configuration
+    /// survive).
     pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let mut view = View::new(self.id(), self.config.view_size);
@@ -242,35 +233,12 @@ impl BrahmsNode {
         (&mut self.sampler, &mut self.rng)
     }
 
-    /// Rounds finalised so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Rounds in which the view was actually renewed.
-    pub fn renewals(&self) -> u64 {
-        self.renewals
-    }
-
-    /// Rounds in which the push-flood detector fired.
-    pub fn floods_detected(&self) -> u64 {
-        self.floods_detected
-    }
-
     /// Chooses this round's push and pull targets: `α·l1` and `β·l1`
     /// uniformly random draws from the view (with replacement, as in the
-    /// original protocol's `rand(V)`).
-    pub fn plan_round(&mut self) -> RoundPlan {
-        let mut plan = RoundPlan::default();
-        self.plan_round_into(&mut plan);
-        plan
-    }
-
-    /// [`BrahmsNode::plan_round`] into a caller-owned plan whose target
-    /// vectors are cleared and refilled — the engine plans every node
-    /// through one plan per worker thread, so planning allocates nothing
-    /// once those have grown. The RNG draw sequence is identical to
-    /// `plan_round`.
+    /// original protocol's `rand(V)`), into a caller-owned plan whose
+    /// target vectors are cleared and refilled — the engine plans every
+    /// node through one plan per worker thread, so planning allocates
+    /// nothing once those have grown.
     pub fn plan_round_into(&mut self, plan: &mut RoundPlan) {
         plan.push_targets.clear();
         plan.pull_targets.clear();
@@ -308,11 +276,6 @@ impl BrahmsNode {
     /// Answers a pull request: the full current view (paper Section III-A).
     pub fn pull_answer(&self) -> Vec<NodeId> {
         self.view.id_vec()
-    }
-
-    /// Number of pushes buffered so far this round (used by wrappers).
-    pub fn pushes_buffered(&self) -> usize {
-        self.standalone.as_ref().map_or(0, |st| st.pushed.len())
     }
 
     /// Finalises the round: runs the attack-blocking rule, renews the
@@ -391,10 +354,6 @@ impl BrahmsNode {
                 }
             }
             self.view.replace_with(scratch.next.drain(..));
-            self.renewals += 1;
-        }
-        if push_flood_detected {
-            self.floods_detected += 1;
         }
 
         // The sampling component consumes the *unfiltered* stream in
@@ -406,11 +365,8 @@ impl BrahmsNode {
         self.sampler.observe_all(pushed.iter().copied());
         self.sampler.observe_all(pulled.iter().copied());
 
-        self.rounds += 1;
         RoundReport {
             view_renewed,
-            pushes_received,
-            pulled_ids_received,
             push_flood_detected,
         }
     }
@@ -430,6 +386,12 @@ mod tests {
 
     fn node(l1: usize) -> BrahmsNode {
         BrahmsNode::new(NodeId(0), cfg(l1), &ids(1..(l1 as u64 + 1)), 7)
+    }
+
+    fn plan(n: &mut BrahmsNode) -> RoundPlan {
+        let mut plan = RoundPlan::default();
+        n.plan_round_into(&mut plan);
+        plan
     }
 
     #[test]
@@ -515,7 +477,7 @@ mod tests {
     #[test]
     fn plan_counts_match_config() {
         let mut n = node(10);
-        let plan = n.plan_round();
+        let plan = plan(&mut n);
         assert_eq!(plan.push_targets.len(), 4); // α=0.4 × 10
         assert_eq!(plan.pull_targets.len(), 4); // β=0.4 × 10
         for t in plan.push_targets.iter().chain(&plan.pull_targets) {
@@ -526,7 +488,7 @@ mod tests {
     #[test]
     fn empty_view_plans_nothing() {
         let mut n = BrahmsNode::new(NodeId(0), cfg(10), &[], 7);
-        let plan = n.plan_round();
+        let plan = plan(&mut n);
         assert!(plan.push_targets.is_empty());
         assert!(plan.pull_targets.is_empty());
     }
@@ -536,9 +498,9 @@ mod tests {
         let mut n = node(10);
         n.record_push(NodeId(0));
         n.record_pulled(&[NodeId(0), NodeId(3)]);
-        assert_eq!(n.pushes_buffered(), 0);
-        let report = n.finish_round();
-        assert_eq!(report.pulled_ids_received, 1);
+        let st = n.standalone.as_ref().unwrap();
+        assert!(st.pushed.is_empty());
+        assert_eq!(st.pulled, [NodeId(3)]);
     }
 
     #[test]
@@ -571,7 +533,6 @@ mod tests {
         assert!(report.push_flood_detected);
         assert!(!report.view_renewed);
         assert_eq!(n.view().id_vec(), before, "view untouched under flood");
-        assert_eq!(n.floods_detected(), 1);
     }
 
     #[test]
@@ -635,14 +596,11 @@ mod tests {
             n.record_push(NodeId(s));
         }
         n.record_pulled(&ids(30..40));
-        n.finish_round();
-        // Next round with no traffic: starved, no renewal, counters zero.
-        let report = n.finish_round();
-        assert_eq!(report.pushes_received, 0);
-        assert_eq!(report.pulled_ids_received, 0);
-        assert!(!report.view_renewed);
-        assert_eq!(n.rounds(), 2);
-        assert_eq!(n.renewals(), 1);
+        assert!(n.finish_round().view_renewed);
+        let st = n.standalone.as_ref().unwrap();
+        assert!(st.pushed.is_empty() && st.pulled.is_empty());
+        // Next round with no traffic: starved, no renewal.
+        assert!(!n.finish_round().view_renewed);
     }
 
     #[test]

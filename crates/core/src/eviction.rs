@@ -64,7 +64,7 @@ impl EvictionPolicy {
     /// For the adaptive policy the paper's rule is linear between the two
     /// bounds: 80 % when the trusted share is at or below 20 %, 20 % when
     /// it is at or above 80 %.
-    pub fn rate(&self, trusted_share: f64) -> f64 {
+    pub(crate) fn rate(&self, trusted_share: f64) -> f64 {
         match *self {
             EvictionPolicy::Fixed(r) => r,
             EvictionPolicy::Adaptive { lo, hi } => (1.0 - trusted_share).clamp(lo, hi),

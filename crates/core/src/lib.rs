@@ -46,8 +46,10 @@
 //! assert!(!plan.pull_targets.is_empty());
 //! ```
 
-pub mod eviction;
-pub mod node;
+#![warn(unreachable_pub)]
+
+mod eviction;
+mod node;
 pub mod provisioning;
 pub mod wire;
 

@@ -47,13 +47,6 @@ impl RapteeConfig {
             eviction: EvictionPolicy::adaptive(),
         }
     }
-
-    /// Validates both halves, Brahms first, returning the first broken
-    /// rule.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        self.brahms.validate()?;
-        self.eviction.validate()
-    }
 }
 
 /// Result of finalising a RAPTEE round.
@@ -111,7 +104,6 @@ pub struct RapteeNode {
     pulled: Option<Box<Pulled>>,
     contacts_total: u32,
     contacts_trusted: u32,
-    last_eviction_rate: f64,
 }
 
 impl RapteeNode {
@@ -120,8 +112,9 @@ impl RapteeNode {
     ///
     /// # Panics
     ///
-    /// Panics with the broken rule when [`RapteeConfig::validate`]
-    /// rejects `config`; call it first to get the rule as a value.
+    /// Panics with the broken rule when [`BrahmsConfig::validate`] or
+    /// [`EvictionPolicy::validate`] rejects `config`; call them first to
+    /// get the rule as a value.
     pub fn new_untrusted(
         id: NodeId,
         config: RapteeConfig,
@@ -139,8 +132,9 @@ impl RapteeNode {
     ///
     /// # Panics
     ///
-    /// Panics with the broken rule when [`RapteeConfig::validate`]
-    /// rejects `config`; call it first to get the rule as a value.
+    /// Panics with the broken rule when [`BrahmsConfig::validate`] or
+    /// [`EvictionPolicy::validate`] rejects `config`; call them first to
+    /// get the rule as a value.
     pub fn new_trusted(
         id: NodeId,
         config: RapteeConfig,
@@ -153,7 +147,7 @@ impl RapteeNode {
 
     /// The constructor both roles share. [`BrahmsNode::new`] checks the
     /// Brahms half of the config, and the eviction half is checked here,
-    /// so the panic names the rule [`RapteeConfig::validate`] would.
+    /// so the panic names the first broken rule, Brahms first.
     fn with_key(
         id: NodeId,
         config: RapteeConfig,
@@ -175,7 +169,6 @@ impl RapteeNode {
             pulled: None,
             contacts_total: 0,
             contacts_trusted: 0,
-            last_eviction_rate: 0.0,
         }
     }
 
@@ -192,7 +185,6 @@ impl RapteeNode {
         self.clear_pulled();
         self.contacts_total = 0;
         self.contacts_trusted = 0;
-        self.last_eviction_rate = 0.0;
     }
 
     /// Warm rejoin after a crash–restart: Brahms probe-revalidates the
@@ -245,18 +237,13 @@ impl RapteeNode {
         &mut self.brahms
     }
 
-    /// The eviction rate applied in the most recent round.
-    pub fn last_eviction_rate(&self) -> f64 {
-        self.last_eviction_rate
-    }
-
     /// How long a directory entry survives without being refreshed by an
     /// *opportunistic* (Brahms-pull-driven) authentication. Ties the
     /// trusted overlay's persistence to the presence of trusted IDs in
     /// dynamic views: under a 100 % eviction rate trusted IDs spread
     /// poorly, opportunistic meetings dry up, and the directory drains —
     /// the slowdown Fig. 8 of the paper attributes to that policy.
-    pub const DIRECTORY_TTL: u32 = 30;
+    pub(crate) const DIRECTORY_TTL: u32 = 30;
 
     /// Starts a round: resets the per-round contact accounting, ages the
     /// trusted directory (expiring stale entries), and plans the Brahms
@@ -517,8 +504,8 @@ impl RapteeNode {
     /// and each ID survives an in-place Bernoulli draw with probability
     /// 1 − rate. `retain` visits the IDs in delivery order, so the RNG
     /// draw sequence is fixed. `trusted` IDs bypass eviction and are
-    /// only counted. Books `last_eviction_rate` and returns the round's
-    /// outcome, waiting for Brahms' report.
+    /// only counted. Returns the round's outcome, waiting for Brahms'
+    /// report.
     fn evict(
         &mut self,
         untrusted: &mut Vec<NodeId>,
@@ -526,7 +513,6 @@ impl RapteeNode {
         contacts_total: u32,
     ) -> impl FnOnce(RoundReport) -> RapteeRoundOutcome {
         let rate = self.round_eviction_rate(contacts_total);
-        self.last_eviction_rate = rate;
         let before = untrusted.len();
         if rate > 0.0 {
             let rng = self.brahms.rng_mut();

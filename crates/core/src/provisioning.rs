@@ -21,7 +21,7 @@ use raptee_tee::{AttestationError, AttestationService, Certificate};
 pub const TRUSTED_CODE: &[u8] = b"raptee-trusted-node-enclave-v1.0";
 
 /// The expected measurement of [`TRUSTED_CODE`].
-pub fn expected_measurement() -> Measurement {
+pub(crate) fn expected_measurement() -> Measurement {
     Measurement::of_code(TRUSTED_CODE)
 }
 
@@ -100,16 +100,6 @@ pub fn renew_attestation(
     let quote = AttestationService::quote(platform_id, &enclave, nonce);
     let (_, cert) = service.attest_certified(&quote, now, ttl)?;
     Ok(cert)
-}
-
-/// Whether a chained view commitment taken at `commit_round` is
-/// *admissible* under `cert`: commitments ride the attested exchange
-/// path and expire with the attestation certificate, so an opening
-/// demanded for a round outside the certificate window proves nothing —
-/// the audit layer must downgrade such a node to `Suspected` at worst,
-/// never convict it.
-pub fn commitment_admissible(cert: &Certificate, commit_round: u64) -> bool {
-    cert.valid_at(commit_round)
 }
 
 #[cfg(test)]
@@ -214,16 +204,6 @@ mod tests {
             renew_attestation(&mut service, 4, 50, 20).unwrap_err(),
             AttestationError::RevokedPlatform
         );
-    }
-
-    #[test]
-    fn commitment_admissibility_tracks_certificate_window() {
-        let mut service = new_attestation_service(99);
-        service.certify_platform(5);
-        let cert = renew_attestation(&mut service, 5, 10, 20).unwrap();
-        assert!(commitment_admissible(&cert, 10));
-        assert!(commitment_admissible(&cert, 29));
-        assert!(!commitment_admissible(&cert, 30));
     }
 
     #[test]

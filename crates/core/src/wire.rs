@@ -53,12 +53,12 @@ pub enum Message {
 
 /// Message tags (first byte on the wire).
 mod tag {
-    pub const PUSH: u8 = 1;
-    pub const PULL_REQUEST: u8 = 2;
-    pub const PULL_ANSWER: u8 = 3;
-    pub const AUTH_CHALLENGE: u8 = 4;
-    pub const AUTH_RESPONSE: u8 = 5;
-    pub const AUTH_CONFIRM: u8 = 6;
+    pub(crate) const PUSH: u8 = 1;
+    pub(crate) const PULL_REQUEST: u8 = 2;
+    pub(crate) const PULL_ANSWER: u8 = 3;
+    pub(crate) const AUTH_CHALLENGE: u8 = 4;
+    pub(crate) const AUTH_RESPONSE: u8 = 5;
+    pub(crate) const AUTH_CONFIRM: u8 = 6;
 }
 
 /// Decoding errors.
@@ -161,7 +161,7 @@ impl Message {
     /// # Errors
     ///
     /// See [`WireError`].
-    pub fn decode_prefix(buf: &[u8]) -> Result<(Message, usize), WireError> {
+    pub(crate) fn decode_prefix(buf: &[u8]) -> Result<(Message, usize), WireError> {
         let (&t, rest) = buf.split_first().ok_or(WireError::Truncated)?;
         match t {
             tag::PUSH => {

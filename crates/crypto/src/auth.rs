@@ -66,13 +66,6 @@ pub enum AuthOutcome {
     Untrusted,
 }
 
-impl AuthOutcome {
-    /// Convenience predicate.
-    pub fn is_trusted(self) -> bool {
-        matches!(self, AuthOutcome::Trusted)
-    }
-}
-
 /// Pending state held by the initiator between challenge and response.
 #[derive(Debug, Clone, Copy)]
 pub struct InitiatorPending {
@@ -95,7 +88,8 @@ pub struct ResponderPending {
 /// # Examples
 ///
 /// ```
-/// use raptee_crypto::{Authenticator, SecretKey, AuthOutcome};
+/// use raptee_crypto::auth::{AuthOutcome, Authenticator};
+/// use raptee_crypto::SecretKey;
 ///
 /// let group = SecretKey::from_seed(42);
 /// let alice = Authenticator::new(group.clone());
@@ -202,8 +196,8 @@ mod tests {
     fn same_key_mutually_trusted() {
         let k = SecretKey::from_seed(7);
         let (a, b) = run_handshake(k.clone(), k);
-        assert!(a.is_trusted());
-        assert!(b.is_trusted());
+        assert_eq!(a, AuthOutcome::Trusted);
+        assert_eq!(b, AuthOutcome::Trusted);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! or the protocol state machine.
 
 /// Key length in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Nonce length in bytes.
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     state[a] = state[a].wrapping_add(state[b]);
@@ -23,7 +23,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 }
 
 /// Computes one 64-byte ChaCha20 block for (`key`, `counter`, `nonce`).
-pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
+pub(crate) fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
     let mut state = [0u32; 16];
     state[0] = 0x6170_7865;
     state[1] = 0x3320_646e;
@@ -66,7 +66,7 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
 /// Encrypts or decrypts `data` in place (XOR keystream; the operation is an
 /// involution). `initial_counter` is normally `1` per RFC 8439 when a
 /// separate block 0 is reserved for a MAC key, or `0` otherwise.
-pub fn xor_in_place(
+pub(crate) fn xor_in_place(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     initial_counter: u32,
@@ -81,18 +81,7 @@ pub fn xor_in_place(
 }
 
 /// Convenience wrapper returning a new ciphertext vector.
-///
-/// # Examples
-///
-/// ```
-/// use raptee_crypto::chacha20::{encrypt, KEY_LEN, NONCE_LEN};
-/// let key = [7u8; KEY_LEN];
-/// let nonce = [1u8; NONCE_LEN];
-/// let ct = encrypt(&key, &nonce, b"attack at dawn");
-/// let pt = encrypt(&key, &nonce, &ct); // XOR cipher: same op decrypts
-/// assert_eq!(pt, b"attack at dawn");
-/// ```
-pub fn encrypt(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], data: &[u8]) -> Vec<u8> {
+pub(crate) fn encrypt(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], data: &[u8]) -> Vec<u8> {
     let mut out = data.to_vec();
     xor_in_place(key, nonce, 1, &mut out);
     out

@@ -40,7 +40,7 @@ impl SecretKey {
     }
 
     /// Constant-time equality check.
-    pub fn ct_eq(&self, other: &SecretKey) -> bool {
+    pub(crate) fn ct_eq(&self, other: &SecretKey) -> bool {
         constant_time_eq(&self.bytes, &other.bytes)
     }
 

@@ -9,7 +9,7 @@
 //!   authentication protocol).
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256, used for keyed "encryption" of the
 //!   authentication digests and as the PRF for session-key derivation.
-//! * [`chacha20`] — RFC 8439 ChaCha20, standing in for AES-CTR as the
+//! * `chacha20` — RFC 8439 ChaCha20, standing in for AES-CTR as the
 //!   symmetric stream cipher protecting node-to-node channels (both are
 //!   stream ciphers; message layouts are identical).
 //! * [`key`] — secret-key newtypes with constant-time comparison.
@@ -22,12 +22,13 @@
 //! so the simulated adversary genuinely cannot forge authentications
 //! without the group key.
 
+#![warn(unreachable_pub)]
+
 pub mod auth;
-pub mod chacha20;
+mod chacha20;
 pub mod hmac;
 pub mod key;
 pub mod sha256;
 
-pub use auth::{AuthChallenge, AuthConfirm, AuthOutcome, AuthResponse, Authenticator};
 pub use key::SecretKey;
 pub use sha256::Sha256;

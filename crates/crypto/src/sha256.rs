@@ -6,8 +6,8 @@
 //! transcripts all stand on it.
 //!
 //! The compression function is the only part with more than one body (see
-//! [`Sha256`] and [`backend`]); ARCHITECTURE.md § SHA-256 has the design
-//! and the argument for the module's `unsafe`.
+//! [`Sha256`]); ARCHITECTURE.md § SHA-256 has the design and the argument
+//! for the module's `unsafe`.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -33,8 +33,8 @@ const H0: [u32; 8] = [
 /// Incremental SHA-256 hasher.
 ///
 /// The compression function has two bodies behind one private dispatch
-/// point: on `x86_64` CPUs that report the SHA extensions (see
-/// [`backend`]) blocks go through `sha256rnds2`/`sha256msg1`/`sha256msg2`;
+/// point: on `x86_64` CPUs that report the SHA extensions blocks go
+/// through `sha256rnds2`/`sha256msg1`/`sha256msg2`;
 /// on every other CPU and architecture through the portable loop written
 /// from the specification, which is also what the hardware body is tested
 /// against. SHA-256 is a function, so digests are the same either way.
@@ -148,17 +148,6 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
         return;
     }
     compress_blocks_portable(state, blocks)
-}
-
-/// Which body [`Sha256`] runs on this machine: `"sha-ni"` where the CPU
-/// has the x86 SHA extensions, `"portable"` everywhere else. Nothing
-/// selects it; it is reported so that a timing can name its kernel.
-pub fn backend() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if sha_ni_detected() {
-        return "sha-ni";
-    }
-    "portable"
 }
 
 /// Every feature [`compress_blocks_sha_ni`] is compiled with.
@@ -325,7 +314,8 @@ pub(crate) mod testing {
     /// says so once on stderr.
     pub(crate) fn hardware() -> Option<Body> {
         static SKIPPED: std::sync::Once = std::sync::Once::new();
-        if backend() == "sha-ni" {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni_detected() {
             return Some(compress_blocks);
         }
         SKIPPED.call_once(|| {

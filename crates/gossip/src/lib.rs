@@ -21,6 +21,8 @@
 //! and the trusted-directory gossip; `raptee-brahms` reuses [`View`] for
 //! its dynamic view.
 
+#![warn(unreachable_pub)]
+
 pub mod exchange;
 pub mod view;
 

@@ -63,7 +63,7 @@ pub struct View {
 /// membership instead of the dense ID index. Chosen so the scan stays
 /// within a few cache lines while large paper-scale views (e.g. 200
 /// slots at N=10,000) keep their O(1) index.
-pub const LINEAR_SCAN_CAPACITY: usize = 64;
+pub(crate) const LINEAR_SCAN_CAPACITY: usize = 64;
 
 /// Equality is defined by owner, capacity and entry sequence; the
 /// membership index is derived state (its grown size depends on insert
@@ -140,7 +140,7 @@ impl View {
     }
 
     /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -189,19 +189,12 @@ impl View {
 
     /// Inserts an entry under the same rules as [`View::insert_fresh`]; a
     /// duplicate ID keeps the *younger* age of the two.
-    pub fn insert(&mut self, entry: ViewEntry) -> bool {
+    pub(crate) fn insert(&mut self, entry: ViewEntry) -> bool {
         if entry.id == self.owner {
             return false;
         }
         if self.contains(entry.id) {
-            let existing = self
-                .entries
-                .iter_mut()
-                .find(|e| e.id == entry.id)
-                .expect("membership index in sync with entries");
-            if entry.age < existing.age {
-                existing.age = entry.age;
-            }
+            self.keep_younger(entry);
             return false;
         }
         if self.entries.len() >= self.capacity {
@@ -209,6 +202,16 @@ impl View {
         }
         self.push_entry(entry);
         true
+    }
+
+    /// Gives the present entry for `entry.id` the younger of the two ages.
+    fn keep_younger(&mut self, entry: ViewEntry) {
+        let existing = self
+            .entries
+            .iter_mut()
+            .find(|e| e.id == entry.id)
+            .expect("membership index in sync with entries");
+        existing.age = existing.age.min(entry.age);
     }
 
     /// Increments every entry's age by one round.
@@ -244,18 +247,18 @@ impl View {
     }
 
     /// Uniformly permutes the entry order.
-    pub fn permute(&mut self, rng: &mut Xoshiro256StarStar) {
+    pub(crate) fn permute(&mut self, rng: &mut Xoshiro256StarStar) {
         rng.shuffle(&mut self.entries);
     }
 
     /// The first `n` entries in current order (the "head" the exchange
     /// sends to the partner).
-    pub fn head_slice(&self, n: usize) -> &[ViewEntry] {
+    pub(crate) fn head_slice(&self, n: usize) -> &[ViewEntry] {
         &self.entries[..n.min(self.entries.len())]
     }
 
     /// Appends entries without enforcing capacity (used mid-exchange; the
-    /// follow-up [`View::shrink_to_capacity`] pipeline restores it).
+    /// follow-up `shrink_to_capacity` pipeline restores it).
     /// Duplicates keep the youngest age; the owner ID is still excluded.
     pub fn append_dedup(&mut self, incoming: &[ViewEntry]) {
         for &e in incoming {
@@ -263,14 +266,7 @@ impl View {
                 continue;
             }
             if self.contains(e.id) {
-                let existing = self
-                    .entries
-                    .iter_mut()
-                    .find(|x| x.id == e.id)
-                    .expect("membership index in sync with entries");
-                if e.age < existing.age {
-                    existing.age = e.age;
-                }
+                self.keep_younger(e);
             } else {
                 self.push_entry(e);
             }
@@ -279,7 +275,7 @@ impl View {
 
     /// Removes up to `n` entries from the head, but never below `floor`.
     /// Returns how many were removed.
-    pub fn remove_head(&mut self, n: usize, floor: usize) -> usize {
+    pub(crate) fn remove_head(&mut self, n: usize, floor: usize) -> usize {
         let removable = self.entries.len().saturating_sub(floor).min(n);
         for i in 0..removable {
             let id = self.entries[i].id;
@@ -290,7 +286,7 @@ impl View {
     }
 
     /// Removes random entries until `len() <= capacity`.
-    pub fn shrink_to_capacity(&mut self, rng: &mut Xoshiro256StarStar) {
+    pub(crate) fn shrink_to_capacity(&mut self, rng: &mut Xoshiro256StarStar) {
         while self.entries.len() > self.capacity {
             let i = rng.index(self.entries.len());
             let removed = self.entries.swap_remove(i);

@@ -16,9 +16,7 @@
 /// use raptee_honeybee::HoneybeeConfig;
 /// let cfg = HoneybeeConfig::for_view(20, 5);
 /// assert_eq!(cfg.view_size, 20);
-/// assert_eq!(cfg.walk_length, 5);
 /// assert_eq!(cfg.push_count, 8);
-/// cfg.validate();
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HoneybeeConfig {
@@ -26,21 +24,21 @@ pub struct HoneybeeConfig {
     pub view_size: usize,
     /// Hops per random walk. Longer walks mix better (endpoints closer
     /// to the stationary distribution) but take more rounds to finish.
-    pub walk_length: usize,
+    pub(crate) walk_length: usize,
     /// Push messages sent per round (own ID advertised to view peers).
     pub push_count: usize,
     /// Pull requests sent per round; each carries one walk step, so this
     /// also caps the concurrently active walks.
-    pub pull_count: usize,
+    pub(crate) pull_count: usize,
     /// Rounds a walk may stall (its frontier never answering) before it
     /// is abandoned.
-    pub walk_timeout: usize,
+    pub(crate) walk_timeout: usize,
     /// Rounds a verified walk endpoint survives on the admission
     /// waiting list before being dropped unverified; `0` disables the
     /// quarantine and admits verified endpoints immediately.
-    pub wlist_ttl: usize,
+    pub(crate) wlist_ttl: usize,
     /// Waiting-list candidates probed (contacted) per round.
-    pub wlist_probe: usize,
+    pub(crate) wlist_probe: usize,
 }
 
 impl HoneybeeConfig {
@@ -68,7 +66,7 @@ impl HoneybeeConfig {
     ///
     /// Panics when any size is zero or an enabled waiting list has no
     /// probe budget.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.view_size > 0, "Honeybee view size must be positive");
         assert!(self.walk_length > 0, "walk length must be positive");
         assert!(self.push_count > 0, "push count must be positive");

@@ -30,10 +30,12 @@
 //! timeouts — which is what lets the simulator run `Protocol::Honeybee`
 //! as a drop-in fifth protocol family.
 
-pub mod config;
-pub mod node;
-pub mod walk;
+#![warn(unreachable_pub)]
+
+mod config;
+mod node;
+mod walk;
 
 pub use config::HoneybeeConfig;
-pub use node::{HoneybeeNode, HoneybeeRoundReport};
-pub use walk::{WalkStep, WalkTranscript};
+pub use node::HoneybeeNode;
+pub use walk::WalkTranscript;

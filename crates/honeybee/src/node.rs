@@ -32,13 +32,11 @@ use raptee_util::rng::Xoshiro256StarStar;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HoneybeeRoundReport {
     /// Walks that reached full length and verified this round.
-    pub completed: usize,
+    pub(crate) completed: usize,
     /// Walks rejected this round (transcript verification failed).
-    pub rejected: usize,
+    pub(crate) rejected: usize,
     /// Walks abandoned this round (frontier never answered in time).
-    pub expired: usize,
-    /// Rounds finalised so far (including this one).
-    pub round: u64,
+    pub(crate) expired: usize,
 }
 
 /// One in-flight walk: its committed transcript, the hop currently
@@ -88,8 +86,6 @@ pub struct HoneybeeNode {
     admitted_pending: Vec<NodeId>,
     completed_this_round: usize,
     rejected_this_round: usize,
-    walks_completed: u64,
-    walks_rejected: u64,
 }
 
 impl HoneybeeNode {
@@ -108,8 +104,6 @@ impl HoneybeeNode {
             admitted_pending: Vec::new(),
             completed_this_round: 0,
             rejected_this_round: 0,
-            walks_completed: 0,
-            walks_rejected: 0,
         };
         for &b in bootstrap {
             node.admit(b);
@@ -117,49 +111,14 @@ impl HoneybeeNode {
         node
     }
 
-    /// This node's identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// The protocol parameters.
     pub fn config(&self) -> &HoneybeeConfig {
         &self.config
     }
 
-    /// Rounds finalised so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
     /// The current view.
     pub fn view(&self) -> &[NodeId] {
         &self.view
-    }
-
-    /// Whether `id` currently occupies a view slot.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.view.contains(&id)
-    }
-
-    /// In-flight walks.
-    pub fn active_walks(&self) -> usize {
-        self.walks.len()
-    }
-
-    /// Walks completed (verified) over the node's lifetime.
-    pub fn walks_completed(&self) -> u64 {
-        self.walks_completed
-    }
-
-    /// Walks rejected (verification failed) over the node's lifetime.
-    pub fn walks_rejected(&self) -> u64 {
-        self.walks_rejected
-    }
-
-    /// Hearsay/endpoint candidates currently quarantined.
-    pub fn wlist_len(&self) -> usize {
-        self.wlist.len()
     }
 
     /// Records an incoming push. A push is unverified hearsay — it goes
@@ -172,14 +131,9 @@ impl HoneybeeNode {
         }
     }
 
-    /// Answers a pull request: the current view.
-    pub fn pull_answer(&self) -> Vec<NodeId> {
-        self.view.clone()
-    }
-
-    /// [`HoneybeeNode::pull_answer`] into a caller-owned buffer (cleared
-    /// first) — the engine's pull loop reuses one reply buffer for the
-    /// whole round.
+    /// Answers a pull request: the current view, into a caller-owned
+    /// buffer (cleared first) — the engine's pull loop reuses one reply
+    /// buffer for the whole round.
     pub fn pull_answer_into(&mut self, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend_from_slice(&self.view);
@@ -215,7 +169,6 @@ impl HoneybeeNode {
         let walk = self.walks.remove(pos);
         if walk.transcript.verify() {
             self.completed_this_round += 1;
-            self.walks_completed += 1;
             let endpoint = walk
                 .transcript
                 .endpoint()
@@ -227,7 +180,6 @@ impl HoneybeeNode {
             }
         } else {
             self.rejected_this_round += 1;
-            self.walks_rejected += 1;
             self.quarantine(responder);
         }
     }
@@ -304,7 +256,6 @@ impl HoneybeeNode {
             completed: self.completed_this_round,
             rejected: self.rejected_this_round,
             expired,
-            round: self.rounds,
         };
         self.completed_this_round = 0;
         self.rejected_this_round = 0;
@@ -313,7 +264,7 @@ impl HoneybeeNode {
 
     /// Cold rejoin after a crash–restart: fresh RNG, view, walks and
     /// quarantine, re-bootstrapped from `bootstrap` — only identity and
-    /// the lifetime counters survive.
+    /// the round counter survive.
     pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         self.rng = Xoshiro256StarStar::seed_from_u64(seed);
         self.view.clear();
@@ -394,9 +345,9 @@ mod tests {
         n.plan_round_into(&mut pushes, &mut pulls);
         assert_eq!(pushes.len(), 4); // round(0.4·10)
         assert_eq!(pulls.len(), 4);
-        assert_eq!(n.active_walks(), 4, "each pull slot carries a walk");
+        assert_eq!(n.walks.len(), 4, "each pull slot carries a walk");
         for t in &pulls {
-            assert!(n.contains(*t), "fresh walks start at view members");
+            assert!(n.view.contains(t), "fresh walks start at view members");
         }
     }
 
@@ -416,13 +367,14 @@ mod tests {
     fn walks_complete_and_endpoints_are_admitted() {
         let mut n = node(10, 3);
         let answer = ids(100..110);
-        let mut completed = 0;
+        let (mut completed, mut rejected) = (0, 0);
         for _ in 0..20 {
-            completed += run_round(&mut n, &answer).completed;
+            let report = run_round(&mut n, &answer);
+            completed += report.completed;
+            rejected += report.rejected;
         }
         assert!(completed > 0, "3-hop walks finish within 20 rounds");
-        assert_eq!(n.walks_completed(), completed as u64);
-        assert_eq!(n.walks_rejected(), 0, "honest answers always verify");
+        assert_eq!(rejected, 0, "honest answers always verify");
         // Verified, probed endpoints (members of the answer set) made it
         // into the view.
         assert!(
@@ -454,11 +406,11 @@ mod tests {
     fn pushes_are_quarantined_hearsay() {
         let mut n = node(10, 3);
         n.record_push(NodeId(500));
-        assert!(!n.contains(NodeId(500)));
-        assert_eq!(n.wlist_len(), 1);
+        assert!(!n.view.contains(&NodeId(500)));
+        assert_eq!(n.wlist.len(), 1);
         n.drain_wlist(|_| true);
         n.finish_round();
-        assert!(n.contains(NodeId(500)), "probed hearsay is admitted");
+        assert!(n.view.contains(&NodeId(500)), "probed hearsay is admitted");
     }
 
     #[test]
@@ -466,9 +418,9 @@ mod tests {
         let mut n = node(10, 3);
         let (mut pushes, mut pulls) = (Vec::new(), Vec::new());
         n.plan_round_into(&mut pushes, &mut pulls);
-        let walks = n.active_walks();
+        let walks = n.walks.len();
         n.record_pull_answer(pulls[0], &[]);
-        assert_eq!(n.active_walks(), walks - 1);
+        assert_eq!(n.walks.len(), walks - 1);
     }
 
     #[test]
@@ -476,7 +428,7 @@ mod tests {
         let mut n = node(10, 3);
         let (mut pushes, mut pulls) = (Vec::new(), Vec::new());
         n.plan_round_into(&mut pushes, &mut pulls);
-        assert!(n.active_walks() > 0);
+        assert!(!n.walks.is_empty());
         let timeout = n.config().walk_timeout;
         let mut expired = 0;
         for _ in 0..=timeout {
@@ -484,7 +436,7 @@ mod tests {
             expired += n.finish_round().expired;
         }
         assert!(expired > 0);
-        assert_eq!(n.active_walks(), 0);
+        assert_eq!(n.walks.len(), 0);
     }
 
     #[test]
@@ -495,7 +447,7 @@ mod tests {
         n.plan_round_into(&mut pushes, &mut pulls);
         let visited = pulls[0];
         n.record_pull_answer(visited, &answer);
-        assert!(n.active_walks() > 0);
+        assert!(!n.walks.is_empty());
         n.quarantine(visited);
         assert!(
             !n.walks
@@ -503,7 +455,7 @@ mod tests {
                 .any(|w| w.transcript.steps.iter().any(|s| s.responder == visited)),
             "walks through a convicted peer are discarded"
         );
-        assert!(!n.contains(visited));
+        assert!(!n.view.contains(&visited));
     }
 
     #[test]
@@ -514,8 +466,8 @@ mod tests {
         n.rejoin_cold(&boot, 31337);
         let mut fresh = HoneybeeNode::new(NodeId(0), *n.config(), &boot, 31337);
         assert_eq!(n.view(), fresh.view());
-        assert_eq!(n.wlist_len(), 0);
-        assert_eq!(n.active_walks(), 0);
+        assert_eq!(n.wlist.len(), 0);
+        assert_eq!(n.walks.len(), 0);
         let (mut p1, mut q1, mut p2, mut q2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         n.plan_round_into(&mut p1, &mut q1);
         fresh.plan_round_into(&mut p2, &mut q2);
@@ -530,7 +482,7 @@ mod tests {
         let view_before = n.view().to_vec();
         let dropped = n.rejoin_warm();
         assert!(dropped > 0, "in-flight walks are stale evidence");
-        assert_eq!(n.active_walks(), 0);
+        assert_eq!(n.walks.len(), 0);
         assert_eq!(n.view(), view_before.as_slice());
     }
 
@@ -624,7 +576,7 @@ mod prop_tests {
             let mut dedup = sorted.clone();
             dedup.dedup();
             prop_assert_eq!(sorted, dedup);
-            prop_assert!(!n.contains(NodeId(0)));
+            prop_assert!(!n.view.contains(&NodeId(0)));
         }
     }
 }

@@ -17,14 +17,14 @@ use raptee_net::NodeId;
 /// One recorded walk step: `responder` answered with `answers`, folding
 /// the exchange into the running commitment `commit`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalkStep {
+pub(crate) struct WalkStep {
     /// The peer that answered this step's pull (the hop being visited).
-    pub responder: NodeId,
+    pub(crate) responder: NodeId,
     /// The IDs the responder offered (its view at answer time).
-    pub answers: Vec<NodeId>,
+    pub(crate) answers: Vec<NodeId>,
     /// Running commitment after folding this step in:
     /// `H(prev_commit ‖ responder ‖ answers)`.
-    pub commit: Digest,
+    pub(crate) commit: Digest,
 }
 
 /// A verifiable walk transcript: origin, nonce and the committed steps.
@@ -43,12 +43,12 @@ pub struct WalkStep {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalkTranscript {
     /// The walking node.
-    pub origin: NodeId,
+    pub(crate) origin: NodeId,
     /// Per-walk nonce: distinct walks from one origin commit differently
     /// even over identical answers.
-    pub nonce: u64,
+    pub(crate) nonce: u64,
     /// The committed steps, oldest first.
-    pub steps: Vec<WalkStep>,
+    pub(crate) steps: Vec<WalkStep>,
 }
 
 /// `H("honeybee-walk" ‖ origin ‖ nonce)` — the chain's genesis digest.
@@ -91,17 +91,12 @@ impl WalkTranscript {
     }
 
     /// Hops recorded so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.steps.len()
     }
 
-    /// Whether no hop has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// The current head of the commitment chain.
-    pub fn head_commit(&self) -> Digest {
+    pub(crate) fn head_commit(&self) -> Digest {
         self.steps
             .last()
             .map(|s| s.commit)
@@ -127,7 +122,7 @@ impl WalkTranscript {
     }
 
     /// The walk's sample: the hop committed by the final step.
-    pub fn endpoint(&self) -> Option<NodeId> {
+    pub(crate) fn endpoint(&self) -> Option<NodeId> {
         self.next_hop()
     }
 

@@ -15,7 +15,6 @@
 /// let cfg = LiftConfig::for_view(20, 30);
 /// assert_eq!(cfg.view_size, 20);
 /// assert_eq!(cfg.push_count, 8);
-/// cfg.validate();
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiftConfig {
@@ -23,17 +22,17 @@ pub struct LiftConfig {
     pub view_size: usize,
     /// Rounds between hub-score fades (each fade halves every counter);
     /// `0` disables fading, making scores monotone forever.
-    pub fade_interval: usize,
+    pub(crate) fade_interval: usize,
     /// Push messages sent per round (own ID advertised to view peers).
     pub push_count: usize,
     /// Pull (exchange) requests sent per round, aimed at the
     /// lowest-score — least hub-like — view members.
-    pub pull_count: usize,
+    pub(crate) pull_count: usize,
     /// Maximum tracked hub-score counters, view members included.
     /// Estimation state stays bounded regardless of how many IDs gossip
     /// mentions: once full, the coldest off-view counter is evicted, so
     /// the table must have room for at least one beyond the view.
-    pub score_capacity: usize,
+    pub(crate) score_capacity: usize,
 }
 
 impl LiftConfig {
@@ -58,7 +57,7 @@ impl LiftConfig {
     ///
     /// Panics when any size is zero or the score table cannot hold the
     /// view plus one off-view counter.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.view_size > 0, "LIFT view size must be positive");
         assert!(self.push_count > 0, "push count must be positive");
         assert!(self.pull_count > 0, "pull count must be positive");

@@ -37,11 +37,13 @@
 //! kept under `#[cfg(test)]` as the oracle a property test compares it
 //! with step by step.
 
-pub mod config;
-pub mod node;
+#![warn(unreachable_pub)]
+
+mod config;
+mod node;
 #[cfg(test)]
 mod reference;
 mod table;
 
 pub use config::LiftConfig;
-pub use node::{LiftNode, LiftRoundReport};
+pub use node::LiftNode;

@@ -31,9 +31,7 @@ use raptee_util::rng::Xoshiro256StarStar;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiftRoundReport {
     /// Hub-score counters halved by a fade this round.
-    pub faded: usize,
-    /// Rounds finalised so far (including this one).
-    pub round: u64,
+    pub(crate) faded: usize,
 }
 
 /// A LIFT node: hub-score table + hub-avoiding view + deterministic RNG.
@@ -93,41 +91,14 @@ impl LiftNode {
         node
     }
 
-    /// This node's identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// The protocol parameters.
     pub fn config(&self) -> &LiftConfig {
         &self.config
     }
 
-    /// Rounds finalised so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
     /// The current view.
     pub fn view(&self) -> &[NodeId] {
         self.table.view()
-    }
-
-    /// Whether `id` currently occupies a view slot (a scan of the view).
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.view().contains(&id)
-    }
-
-    /// The current hub-score estimate for `id` (0 when untracked): a
-    /// scan of the view, then a binary search of the off-view counters.
-    /// Counters are 32 bits wide and saturate.
-    pub fn hub_score(&self, id: NodeId) -> u64 {
-        u64::from(self.table.score(id))
-    }
-
-    /// Hub-score counters currently tracked, view members included.
-    pub fn tracked_scores(&self) -> usize {
-        self.table.len()
     }
 
     /// Records one gossip mention of `id`: bumps its hub score, then
@@ -167,14 +138,9 @@ impl LiftNode {
         self.observe(advertised);
     }
 
-    /// Answers a pull request: the current view.
-    pub fn pull_answer(&self) -> Vec<NodeId> {
-        self.view().to_vec()
-    }
-
-    /// [`LiftNode::pull_answer`] into a caller-owned buffer (cleared
-    /// first) — the engine's pull loop reuses one reply buffer for the
-    /// whole round.
+    /// Answers a pull request: the current view, into a caller-owned
+    /// buffer (cleared first) — the engine's pull loop reuses one reply
+    /// buffer for the whole round.
     pub fn pull_answer_into(&mut self, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend_from_slice(self.view());
@@ -235,10 +201,7 @@ impl LiftNode {
         {
             faded = self.table.fade();
         }
-        LiftRoundReport {
-            faded,
-            round: self.rounds,
-        }
+        LiftRoundReport { faded }
     }
 
     /// Cold rejoin after a crash–restart: fresh RNG, view and scores,
@@ -257,6 +220,27 @@ impl LiftNode {
     /// outage is stale evidence. Returns the counters halved.
     pub fn rejoin_warm(&mut self) -> usize {
         self.table.fade()
+    }
+}
+
+/// Observers the tests read the node through.
+#[cfg(test)]
+impl LiftNode {
+    /// Whether `id` currently occupies a view slot (a scan of the view).
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
+        self.view().contains(&id)
+    }
+
+    /// The current hub-score estimate for `id` (0 when untracked): a
+    /// scan of the view, then a binary search of the off-view counters.
+    /// Counters are 32 bits wide and saturate.
+    pub(crate) fn hub_score(&self, id: NodeId) -> u64 {
+        u64::from(self.table.score(id))
+    }
+
+    /// Hub-score counters currently tracked, view members included.
+    pub(crate) fn tracked_scores(&self) -> usize {
+        self.table.len()
     }
 }
 
@@ -348,7 +332,7 @@ mod tests {
         assert_eq!(n.finish_round().faded, 0); // round 2
         let report = n.finish_round(); // round 3 — fade fires
         assert!(report.faded > 0);
-        assert_eq!(report.round, 3);
+        assert_eq!(n.rounds, 3);
         assert_eq!(n.hub_score(probe), before / 2);
     }
 

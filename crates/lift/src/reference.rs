@@ -14,7 +14,7 @@ use raptee_util::rng::Xoshiro256StarStar;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
-pub struct ReferenceNode {
+pub(crate) struct ReferenceNode {
     id: NodeId,
     config: LiftConfig,
     rng: Xoshiro256StarStar,
@@ -34,7 +34,7 @@ pub struct ReferenceNode {
 impl ReferenceNode {
     /// Creates a node bootstrapped from `bootstrap` (observed in order,
     /// as if gossip had mentioned each once).
-    pub fn new(id: NodeId, config: LiftConfig, bootstrap: &[NodeId], seed: u64) -> Self {
+    pub(crate) fn new(id: NodeId, config: LiftConfig, bootstrap: &[NodeId], seed: u64) -> Self {
         config.validate();
         let mut node = Self {
             id,
@@ -52,17 +52,17 @@ impl ReferenceNode {
     }
 
     /// The current view.
-    pub fn view(&self) -> &[NodeId] {
+    pub(crate) fn view(&self) -> &[NodeId] {
         &self.view
     }
 
     /// The current hub-score estimate for `id` (0 when untracked).
-    pub fn hub_score(&self, id: NodeId) -> u64 {
+    pub(crate) fn hub_score(&self, id: NodeId) -> u64 {
         self.scores.get(&id).copied().unwrap_or(0)
     }
 
     /// Hub-score counters currently tracked.
-    pub fn tracked_scores(&self) -> usize {
+    pub(crate) fn tracked_scores(&self) -> usize {
         self.scores.len()
     }
 
@@ -72,7 +72,7 @@ impl ReferenceNode {
     /// `(s_m − s_c) / (s_m + 1)` — never when the candidate scores at
     /// least as high. Frequently-mentioned IDs (hubs, and any ID an
     /// adversary floods) are thus progressively locked out.
-    pub fn observe(&mut self, id: NodeId) {
+    pub(crate) fn observe(&mut self, id: NodeId) {
         if id == self.id {
             return;
         }
@@ -102,7 +102,7 @@ impl ReferenceNode {
 
     /// Records a pull answer: the responder and every returned ID count
     /// as one gossip mention each.
-    pub fn record_pull_answer(&mut self, responder: NodeId, ids: &[NodeId]) {
+    pub(crate) fn record_pull_answer(&mut self, responder: NodeId, ids: &[NodeId]) {
         self.observe(responder);
         for &id in ids {
             self.observe(id);
@@ -113,7 +113,7 @@ impl ReferenceNode {
     /// and refilled): `push_count` uniform draws from the view (with
     /// replacement, like Brahms' `rand(V)`), and the `pull_count`
     /// lowest-score — least hub-like — members as exchange partners.
-    pub fn plan_round_into(&mut self, pushes: &mut Vec<NodeId>, pulls: &mut Vec<NodeId>) {
+    pub(crate) fn plan_round_into(&mut self, pushes: &mut Vec<NodeId>, pulls: &mut Vec<NodeId>) {
         pushes.clear();
         pulls.clear();
         if self.view.is_empty() {
@@ -141,7 +141,7 @@ impl ReferenceNode {
     /// Quarantines `id`: evicts it from the view and forgets its score
     /// (a convicted peer's hub estimate is meaningless). Returns the
     /// number of view slots vacated.
-    pub fn quarantine(&mut self, id: NodeId) -> usize {
+    pub(crate) fn quarantine(&mut self, id: NodeId) -> usize {
         self.scores.remove(&id);
         let before = self.view.len();
         self.view.retain(|&v| v != id);
@@ -151,7 +151,7 @@ impl ReferenceNode {
     /// Finalises the round: when a fade is due, halves every hub-score
     /// counter (so estimates track the *recent* degree, not all of
     /// history) and prunes zeroed off-view counters.
-    pub fn finish_round(&mut self) -> LiftRoundReport {
+    pub(crate) fn finish_round(&mut self) -> LiftRoundReport {
         self.rounds += 1;
         let mut faded = 0;
         if self.config.fade_interval > 0
@@ -159,16 +159,13 @@ impl ReferenceNode {
         {
             faded = self.fade();
         }
-        LiftRoundReport {
-            faded,
-            round: self.rounds,
-        }
+        LiftRoundReport { faded }
     }
 
     /// Cold rejoin after a crash–restart: fresh RNG, view and scores,
     /// re-bootstrapped from `bootstrap` — only identity and the round
     /// counter survive.
-    pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
+    pub(crate) fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         self.rng = Xoshiro256StarStar::seed_from_u64(seed);
         self.view.clear();
         self.scores.clear();
@@ -180,7 +177,7 @@ impl ReferenceNode {
     /// Warm rejoin after a crash–restart: the view survives but every
     /// hub estimate pays one forced fade — degree observed before the
     /// outage is stale evidence. Returns the counters halved.
-    pub fn rejoin_warm(&mut self) -> usize {
+    pub(crate) fn rejoin_warm(&mut self) -> usize {
         self.fade()
     }
 

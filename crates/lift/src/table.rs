@@ -88,6 +88,7 @@ impl ScoreTable {
     }
 
     /// The score of `id` (0 when untracked).
+    #[cfg(test)]
     pub(crate) fn score(&self, id: NodeId) -> u32 {
         match self.slot_of(id) {
             Some(slot) => self.view_scores[slot],

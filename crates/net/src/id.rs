@@ -70,7 +70,6 @@ impl std::fmt::Display for NodeId {
 /// use raptee_net::{IdInterner, NodeId, NodeIdx};
 /// let mut interner = IdInterner::new();
 /// let idx = interner.intern(NodeId(7));
-/// assert_eq!(interner.resolve(idx), NodeId(7));
 /// assert_eq!(idx, interner.intern(NodeId(7))); // stable
 /// assert_eq!(NodeIdx(0), interner.intern(NodeId(7)));
 /// ```
@@ -102,7 +101,6 @@ impl std::fmt::Display for NodeIdx {
 #[derive(Debug, Clone, Default)]
 pub struct IdInterner {
     forward: std::collections::HashMap<NodeId, NodeIdx>,
-    reverse: Vec<NodeId>,
 }
 
 impl IdInterner {
@@ -115,7 +113,6 @@ impl IdInterner {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             forward: std::collections::HashMap::with_capacity(n),
-            reverse: Vec::with_capacity(n),
         }
     }
 
@@ -130,46 +127,11 @@ impl IdInterner {
             return idx;
         }
         let idx = NodeIdx(
-            u32::try_from(self.reverse.len())
+            u32::try_from(self.forward.len())
                 .expect("arena overflow: more than u32::MAX distinct node ids"),
         );
         self.forward.insert(id, idx);
-        self.reverse.push(id);
         idx
-    }
-
-    /// The arena index for `id`, if already interned.
-    pub fn lookup(&self, id: NodeId) -> Option<NodeIdx> {
-        self.forward.get(&id).copied()
-    }
-
-    /// The wire identity stored in arena slot `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` was never assigned.
-    pub fn resolve(&self, idx: NodeIdx) -> NodeId {
-        self.reverse[idx.index()]
-    }
-
-    /// Number of distinct ids interned.
-    pub fn len(&self) -> usize {
-        self.reverse.len()
-    }
-
-    /// Whether the interner is empty.
-    pub fn is_empty(&self) -> bool {
-        self.reverse.is_empty()
-    }
-
-    /// Whether the interned population maps every `NodeId(i)` to
-    /// `NodeIdx(i)` — the dense-identity case in which cast-based
-    /// conversion is exact.
-    pub fn is_identity(&self) -> bool {
-        self.reverse
-            .iter()
-            .enumerate()
-            .all(|(i, id)| id.0 == i as u64)
     }
 }
 
@@ -200,35 +162,20 @@ mod tests {
     #[test]
     fn interner_assigns_dense_slots_in_first_seen_order() {
         let mut interner = IdInterner::new();
-        assert!(interner.is_empty());
         let a = interner.intern(NodeId(100));
         let b = interner.intern(NodeId(7));
         assert_eq!(a, NodeIdx(0));
         assert_eq!(b, NodeIdx(1));
         assert_eq!(interner.intern(NodeId(100)), a);
-        assert_eq!(interner.len(), 2);
-        assert_eq!(interner.resolve(a), NodeId(100));
-        assert_eq!(interner.resolve(b), NodeId(7));
-        assert_eq!(interner.lookup(NodeId(7)), Some(b));
-        assert_eq!(interner.lookup(NodeId(8)), None);
+        assert_eq!(interner.forward.len(), 2);
     }
 
     #[test]
     fn dense_population_interns_to_the_identity() {
         let mut interner = IdInterner::with_capacity(10);
-        for i in 0..10u64 {
-            interner.intern(NodeId(i));
+        for i in 0..10u32 {
+            assert_eq!(interner.intern(NodeId(u64::from(i))), NodeIdx(i));
         }
-        assert!(interner.is_identity());
-        // A sparse population does not.
-        let mut sparse = IdInterner::new();
-        sparse.intern(NodeId(5));
-        assert!(!sparse.is_identity());
-    }
-
-    #[test]
-    fn empty_interner_is_trivially_identity() {
-        assert!(IdInterner::new().is_identity());
     }
 
     #[test]
@@ -255,25 +202,14 @@ mod tests {
     #[test]
     fn dense_ids_interned_out_of_order_are_not_the_identity() {
         let mut interner = IdInterner::new();
-        interner.intern(NodeId(1));
-        interner.intern(NodeId(0));
-        assert_eq!(interner.lookup(NodeId(1)), Some(NodeIdx(0)));
-        assert!(!interner.is_identity());
+        assert_eq!(interner.intern(NodeId(1)), NodeIdx(0));
+        assert_eq!(interner.intern(NodeId(0)), NodeIdx(1));
     }
 
     #[test]
     fn with_capacity_starts_empty() {
-        let interner = IdInterner::with_capacity(64);
-        assert!(interner.is_empty());
-        assert_eq!(interner.len(), 0);
-        assert_eq!(interner.lookup(NodeId(0)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn resolving_an_unassigned_slot_panics() {
-        let mut interner = IdInterner::new();
-        interner.intern(NodeId(3));
-        interner.resolve(NodeIdx(1));
+        let mut interner = IdInterner::with_capacity(64);
+        assert!(interner.forward.is_empty());
+        assert_eq!(interner.intern(NodeId(5)), NodeIdx(0));
     }
 }

@@ -6,15 +6,14 @@
 //! messages itself (`raptee-sim`'s event network); this crate holds the
 //! protocol-agnostic pieces every layer above it shares:
 //!
-//! * [`id`] — [`id::NodeId`], the transport address of a simulated node,
-//!   its dense arena slot [`id::NodeIdx`], and [`id::IdInterner`], the
-//!   mapping between the two that a population with sparse wire IDs
-//!   would need.
-//! * [`rate`] — [`rate::PushRateLimiter`], the "limited pushes" defence
+//! * [`NodeId`], the transport address of a simulated node, its dense
+//!   arena slot [`NodeIdx`], and [`IdInterner`], the mapping between the
+//!   two that a population with sparse wire IDs would need.
+//! * [`PushRateLimiter`], the "limited pushes" defence
 //!   Brahms assumes (computational puzzles / virtual currency): it caps
 //!   how many pushes any identity can emit per round, which bounds the
 //!   adversary's total push volume.
-//! * [`channel`] — [`channel::SecureChannel`], symmetric encryption of
+//! * [`SecureChannel`], symmetric encryption of
 //!   node-to-node traffic (paper Section III-B: "communications between
 //!   any two nodes, including trusted ones, are cyphered with symmetric
 //!   encryption").
@@ -23,10 +22,11 @@
 //! `raptee::wire`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod channel;
-pub mod id;
-pub mod rate;
+mod channel;
+mod id;
+mod rate;
 
 pub use channel::SecureChannel;
 pub use id::{IdInterner, NodeId, NodeIdx};

@@ -28,7 +28,6 @@ use crate::id::NodeId;
 pub struct PushRateLimiter {
     budget_per_round: u32,
     used: Vec<u32>,
-    rejected_total: u64,
 }
 
 impl PushRateLimiter {
@@ -38,13 +37,7 @@ impl PushRateLimiter {
         Self {
             budget_per_round,
             used: vec![0; n],
-            rejected_total: 0,
         }
-    }
-
-    /// The per-identity budget.
-    pub fn budget(&self) -> u32 {
-        self.budget_per_round
     }
 
     /// Attempts to charge one push to `sender`; returns `false` when the
@@ -59,14 +52,13 @@ impl PushRateLimiter {
             *slot += 1;
             true
         } else {
-            self.rejected_total += 1;
             false
         }
     }
 
     /// Attempts to charge `n` pushes to `sender` at once; returns how
     /// many were granted (the first `granted` of the batch — the rest
-    /// are rejected and counted, exactly as `n` sequential
+    /// are rejected, exactly as `n` sequential
     /// [`PushRateLimiter::try_push`] calls would).
     ///
     /// # Panics
@@ -77,30 +69,23 @@ impl PushRateLimiter {
         let remaining = self.budget_per_round - *slot;
         let granted = remaining.min(u32::try_from(n).unwrap_or(u32::MAX));
         *slot += granted;
-        self.rejected_total += n as u64 - u64::from(granted);
         granted as usize
-    }
-
-    /// Remaining budget for `sender` this round.
-    pub fn remaining(&self, sender: NodeId) -> u32 {
-        self.budget_per_round - self.used[sender.index()]
     }
 
     /// Resets all budgets for the next round.
     pub fn next_round(&mut self) {
         self.used.iter_mut().for_each(|u| *u = 0);
     }
-
-    /// Total pushes rejected since construction (a cheap proxy for "how
-    /// hard the adversary tried to flood").
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Remaining budget for `sender` this round.
+    fn remaining(rl: &PushRateLimiter, sender: NodeId) -> u32 {
+        rl.budget_per_round - rl.used[sender.index()]
+    }
 
     #[test]
     fn budget_enforced_per_identity() {
@@ -109,7 +94,7 @@ mod tests {
         assert!(!rl.try_push(NodeId(0)));
         // Other identities unaffected.
         assert!(rl.try_push(NodeId(1)));
-        assert_eq!(rl.remaining(NodeId(2)), 1);
+        assert_eq!(remaining(&rl, NodeId(2)), 1);
     }
 
     #[test]
@@ -117,17 +102,9 @@ mod tests {
         let mut rl = PushRateLimiter::new(1, 2);
         assert!(rl.try_push(NodeId(0)));
         assert!(rl.try_push(NodeId(0)));
-        assert_eq!(rl.remaining(NodeId(0)), 0);
+        assert_eq!(remaining(&rl, NodeId(0)), 0);
         rl.next_round();
-        assert_eq!(rl.remaining(NodeId(0)), 2);
-    }
-
-    #[test]
-    fn rejection_counter() {
-        let mut rl = PushRateLimiter::new(1, 0);
-        assert!(!rl.try_push(NodeId(0)));
-        assert!(!rl.try_push(NodeId(0)));
-        assert_eq!(rl.rejected_total(), 2);
+        assert_eq!(remaining(&rl, NodeId(0)), 2);
     }
 
     #[test]
@@ -138,8 +115,7 @@ mod tests {
         let granted = a.try_push_n(NodeId(0), 5);
         let seq = (0..5).filter(|_| b.try_push(NodeId(0))).count();
         assert_eq!(granted, seq);
-        assert_eq!(a.remaining(NodeId(0)), b.remaining(NodeId(0)));
-        assert_eq!(a.rejected_total(), b.rejected_total());
+        assert_eq!(remaining(&a, NodeId(0)), remaining(&b, NodeId(0)));
         // Empty batch and post-exhaustion batch.
         assert_eq!(a.try_push_n(NodeId(0), 0), 0);
         assert_eq!(a.try_push_n(NodeId(0), 4), 0);
@@ -169,23 +145,13 @@ mod tests {
     #[test]
     fn remaining_counts_down_with_each_charge() {
         let mut rl = PushRateLimiter::new(2, 4);
-        assert_eq!(rl.budget(), 4);
-        assert_eq!(rl.remaining(NodeId(1)), 4);
+        assert_eq!(rl.budget_per_round, 4);
+        assert_eq!(remaining(&rl, NodeId(1)), 4);
         rl.try_push(NodeId(1));
-        assert_eq!(rl.remaining(NodeId(1)), 3);
+        assert_eq!(remaining(&rl, NodeId(1)), 3);
         rl.try_push_n(NodeId(1), 2);
-        assert_eq!(rl.remaining(NodeId(1)), 1);
-        assert_eq!(rl.remaining(NodeId(0)), 4);
-    }
-
-    #[test]
-    fn rejections_outlive_the_round() {
-        let mut rl = PushRateLimiter::new(1, 1);
-        rl.try_push_n(NodeId(0), 3);
-        assert_eq!(rl.rejected_total(), 2);
-        rl.next_round();
-        assert_eq!(rl.rejected_total(), 2, "the reset only refills budgets");
-        assert!(rl.try_push(NodeId(0)));
+        assert_eq!(remaining(&rl, NodeId(1)), 1);
+        assert_eq!(remaining(&rl, NodeId(0)), 4);
     }
 
     #[test]
@@ -193,8 +159,7 @@ mod tests {
         let mut rl = PushRateLimiter::new(1, 5);
         let n = 1usize << 40;
         assert_eq!(rl.try_push_n(NodeId(0), n), 5);
-        assert_eq!(rl.rejected_total(), n as u64 - 5);
-        assert_eq!(rl.remaining(NodeId(0)), 0);
+        assert_eq!(remaining(&rl, NodeId(0)), 0);
     }
 
     #[test]

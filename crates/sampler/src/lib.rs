@@ -24,6 +24,8 @@
 //! time where the CPU can; its tests compare it with a plain `Vec` of
 //! one-function samplers.
 
+#![warn(unreachable_pub)]
+
 use raptee_net::NodeId;
 use raptee_util::bitset::{IdSet, DENSE_ID_LIMIT};
 use raptee_util::rng::{mix64, Xoshiro256StarStar};
@@ -318,17 +320,6 @@ impl SamplerArray {
         out.extend(self.sampled());
     }
 
-    /// Draws `k` entries uniformly from the sample list — the "history
-    /// sample" feeding `γ·l1` entries of the view renewal.
-    pub fn history_sample(&self, k: usize, rng: &mut Xoshiro256StarStar) -> Vec<NodeId> {
-        let live = self.sampled().count();
-        if live == 0 {
-            return Vec::new();
-        }
-        let nth = |i| self.sampled().nth(i).expect("drawn below the live count");
-        (0..k).map(|_| nth(rng.index(live))).collect()
-    }
-
     /// Brahms validation: probes each current sample with `is_alive` and
     /// re-initialises the samplers whose sampled node is dead. Returns how
     /// many samplers were reset.
@@ -454,7 +445,7 @@ mod tests {
     }
 
     /// Every read accessor of `arr` against the formula over the
-    /// reference's sample list, history-sample RNG draws included.
+    /// reference's sample list.
     pub(super) fn assert_matches(arr: &SamplerArray, reference: &Reference) {
         let expect = reference.samples();
         assert_eq!(arr.len(), reference.0.len());
@@ -469,15 +460,6 @@ mod tests {
             n => expect.iter().filter(|&&id| low_bit(id)).count() as f64 / n as f64,
         };
         assert_eq!(arr.fraction_matching(low_bit), fraction);
-
-        let mut rng = Xoshiro256StarStar::seed_from_u64(expect.len() as u64);
-        let mut rng_ref = rng.clone();
-        let history: Vec<NodeId> = match expect.len() {
-            0 => Vec::new(),
-            n => (0..5).map(|_| expect[rng_ref.index(n)]).collect(),
-        };
-        assert_eq!(arr.history_sample(5, &mut rng), history);
-        assert_eq!(rng.next_u64(), rng_ref.next_u64(), "same RNG draws");
     }
 
     /// `mix64` backwards (it is a bijection: two odd multiplies and three
@@ -669,20 +651,6 @@ mod tests {
         reference.observe(NodeId(1));
         assert_eq!(arr.samples().len(), 9);
         assert_matches(&arr, &reference);
-    }
-
-    #[test]
-    fn history_sample_draws_from_samples() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
-        let mut arr = SamplerArray::new(8, &mut rng);
-        arr.observe_all((0..20).map(NodeId));
-        let hs = arr.history_sample(5, &mut rng);
-        assert_eq!(hs.len(), 5);
-        let samples = arr.samples();
-        assert!(hs.iter().all(|id| samples.contains(id)));
-        // Empty array case.
-        let empty = SamplerArray::new(4, &mut rng);
-        assert!(empty.history_sample(5, &mut rng).is_empty());
     }
 
     #[test]

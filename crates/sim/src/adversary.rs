@@ -467,6 +467,8 @@ pub struct AdaptiveCoordinator {
 impl AdaptiveCoordinator {
     /// A coordinator over `arm_count` arms (must be positive).
     pub fn new(arm_count: usize) -> Self {
+        // The engine builds it through `for_segments`: every population
+        // has at least one segment, and each segment several strategies.
         assert!(arm_count > 0, "the bandit needs at least one arm");
         Self {
             arms: vec![ArmStats::default(); arm_count],

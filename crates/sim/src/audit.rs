@@ -69,6 +69,9 @@ impl Beacon {
 
     /// The next beacon value reduced below `n` (`n > 0`).
     pub(crate) fn next_below(&mut self, n: u64) -> u64 {
+        // Its callers pass the population size (`Scenario::validate`
+        // demands n ≥ 2), `tree.len().max(1)` and a four-leaf tree's
+        // length.
         debug_assert!(n > 0);
         self.next_value() % n
     }
@@ -285,6 +288,10 @@ impl Challenger {
                     // committing — itself a protocol violation.
                     None => false,
                 };
+                // `recorded` holds four 64-bit hashes of (target, round),
+                // never IDs of a population bounded by `u32::MAX`, so no
+                // committed view has its root short of a SHA-256
+                // collision.
                 debug_assert!(!verified, "an equivocating opening must fail replay");
                 if verified {
                     self.clear(target)

@@ -143,6 +143,10 @@ impl Simulation {
             // runs only, so both ends are Brahms-family nodes.
             let (a, b) = two_nodes(&mut self.nodes, ci, tc);
             let (oa, ob) = RapteeNode::run_handshake(a.raptee_mut(), b.raptee_mut());
+            // Unreachable failures: each end concludes `Trusted` iff the
+            // two keys agree (`raptee_crypto::auth`), and a node holds
+            // the group key iff it was built trusted (untrusted keys are
+            // derived per node), so both ends and the roles agree.
             debug_assert_eq!(oa, ob);
             debug_assert_eq!(
                 oa == AuthOutcome::Trusted,

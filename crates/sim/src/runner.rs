@@ -93,6 +93,8 @@ pub fn run_scenario(scenario: Scenario) -> RunResult {
 ///
 /// Panics if `repetitions` is zero.
 pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult {
+    // The documented contract: `raptee-cli` rejects `--reps 0` and every
+    // `raptee_bench::Scale` profile runs at least one repetition.
     assert!(repetitions > 0, "need at least one repetition");
     let results: Vec<RunResult> = (0..repetitions)
         .into_par_iter()
@@ -111,6 +113,7 @@ pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult
 ///
 /// Panics on an empty slice.
 pub(crate) fn aggregate(results: &[RunResult]) -> AggregatedResult {
+    // Its one caller, `run_repeated`, asserts at least one repetition.
     assert!(!results.is_empty(), "cannot aggregate zero results");
     let n = results.len() as f64;
     let resilience = results.iter().map(|r| r.resilience).sum::<f64>() / n;

@@ -28,14 +28,14 @@ use raptee_crypto::key::{constant_time_eq, SecretKey};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
     /// Identity of the quoting platform (certified by "Intel").
-    pub platform_id: u64,
+    pub(crate) platform_id: u64,
     /// Measurement of the enclave being attested.
-    pub measurement: Measurement,
+    pub(crate) measurement: Measurement,
     /// Freshness nonce chosen by the verifier.
-    pub nonce: [u8; 16],
+    pub(crate) nonce: [u8; 16],
     /// Platform signature over (platform_id, measurement, nonce) —
     /// modelled as an HMAC under the platform's certified key.
-    pub signature: [u8; 32],
+    pub(crate) signature: [u8; 32],
 }
 
 /// Errors returned by the attestation service.
@@ -78,9 +78,9 @@ impl std::error::Error for AttestationError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Certificate {
     /// The attested platform.
-    pub platform_id: u64,
+    pub(crate) platform_id: u64,
     /// Round the attestation completed.
-    pub issued_round: u64,
+    pub(crate) issued_round: u64,
     /// First round the certificate is no longer valid.
     pub expires_round: u64,
 }
@@ -98,7 +98,8 @@ impl Certificate {
 /// # Examples
 ///
 /// ```
-/// use raptee_tee::{AttestationService, Enclave};
+/// use raptee_tee::enclave::Enclave;
+/// use raptee_tee::AttestationService;
 /// use raptee_crypto::SecretKey;
 ///
 /// let code = b"raptee trusted code";
@@ -157,7 +158,7 @@ impl AttestationService {
     }
 
     /// Whether a platform's certification has been revoked.
-    pub fn is_revoked(&self, platform_id: u64) -> bool {
+    pub(crate) fn is_revoked(&self, platform_id: u64) -> bool {
         self.revoked_platforms.contains(&platform_id)
     }
 

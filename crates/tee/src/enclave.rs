@@ -95,7 +95,8 @@ impl Enclave {
     }
 
     /// Stores the group key after a successful attestation round-trip.
-    /// Called by the provisioning path in [`crate::attestation`].
+    /// Called by the provisioning path after [`crate::AttestationService`]
+    /// attests the enclave.
     pub fn provision_group_key(&mut self, key: SecretKey) {
         self.group_key = Some(key);
     }
@@ -128,20 +129,6 @@ impl Enclave {
         self.sealed_store.insert(name.to_string(), blob);
     }
 
-    /// Unseals a previously sealed blob.
-    ///
-    /// # Errors
-    ///
-    /// [`EnclaveError::SealMismatch`] if the blob is absent, truncated, or
-    /// its MAC does not verify under this enclave's sealing key.
-    pub fn unseal(&self, name: &str) -> Result<Vec<u8>, EnclaveError> {
-        let blob = self
-            .sealed_store
-            .get(name)
-            .ok_or(EnclaveError::SealMismatch)?;
-        self.unseal_blob(blob)
-    }
-
     /// Unseals a raw blob (e.g. migrated from another enclave instance).
     ///
     /// # Errors
@@ -168,12 +155,6 @@ impl Enclave {
     /// on the untrusted host).
     pub fn export_sealed(&self, name: &str) -> Option<&[u8]> {
         self.sealed_store.get(name).map(Vec::as_slice)
-    }
-
-    /// Monotonic counter, incremented on each read — the SGX anti-rollback
-    /// primitive (used by the sealing nonce schedule).
-    pub fn counter(&self) -> u64 {
-        self.monotonic_counter
     }
 
     fn sealing_key(&self) -> SecretKey {
@@ -233,13 +214,14 @@ mod tests {
     fn seal_unseal_roundtrip() {
         let mut e = Enclave::load(CODE, 1);
         e.seal("view", b"some view state");
-        assert_eq!(e.unseal("view").unwrap(), b"some view state");
+        let blob = e.export_sealed("view").unwrap();
+        assert_eq!(e.unseal_blob(blob).unwrap(), b"some view state");
     }
 
     #[test]
     fn seal_missing_name_errors() {
         let e = Enclave::load(CODE, 1);
-        assert_eq!(e.unseal("nope").unwrap_err(), EnclaveError::SealMismatch);
+        assert!(e.export_sealed("nope").is_none());
     }
 
     #[test]
@@ -295,9 +277,9 @@ mod tests {
     #[test]
     fn counter_increases_with_seals() {
         let mut e = Enclave::load(CODE, 1);
-        let before = e.counter();
+        let before = e.monotonic_counter;
         e.seal("a", b"1");
         e.seal("b", b"2");
-        assert_eq!(e.counter(), before + 2);
+        assert_eq!(e.monotonic_counter, before + 2);
     }
 }

@@ -8,14 +8,13 @@
 //! * [`enclave`] — an enclave runtime with code *measurements*, sealed
 //!   state, and a monotonic counter; malicious parties can instantiate
 //!   enclaves but cannot alter the code without changing the measurement.
-//! * [`attestation`] — a simulated remote-attestation service (the role
-//!   Intel's attestation service plays): it verifies platform-signed
-//!   quotes and provisions the *group key* only to enclaves whose
-//!   measurement matches the expected RAPTEE binary.
-//! * [`overhead`] — the Table I cycle-cost model: per-function standard
-//!   vs SGX cycle counts with the measured mean/standard deviation, used
-//!   to calibrate the emulated enclaves in the large-scale experiments
-//!   and regenerated by the `table1_sgx_overhead` bench.
+//! * [`AttestationService`] — a simulated remote-attestation service
+//!   (the role Intel's attestation service plays): it verifies
+//!   platform-signed quotes and provisions the *group key* only to
+//!   enclaves whose measurement matches the expected RAPTEE binary.
+//! * [`SgxOverheadModel`] — the Table I cycle-cost model: per-function
+//!   standard vs SGX cycle counts with the measured mean/standard
+//!   deviation, which prices a trusted node's round.
 //!
 //! What this preserves from real SGX, as required by the paper's trust
 //! model (Section III-B): (a) the group key is only obtainable by running
@@ -24,14 +23,15 @@
 //! *purchase* SGX devices and run genuine enclaves with poisoned inputs —
 //! the view-poisoned-injection attack of Section VI-B — but still cannot
 //! deviate from the protocol; and (c) trusted functions cost measurably
-//! more cycles, which the overhead model injects.
+//! more cycles, which the overhead model prices.
 
-pub mod attestation;
+#![warn(unreachable_pub)]
+
+mod attestation;
 pub mod enclave;
 pub mod merkle;
-pub mod overhead;
+mod overhead;
 
-pub use attestation::{AttestationError, AttestationService, Certificate, Quote};
-pub use enclave::{Enclave, EnclaveError, Measurement};
-pub use merkle::{IncrementalMerkle, MerkleProof, MerkleTree, ViewCommitment};
-pub use overhead::{ExecutionProfile, PeerSamplingFunction, SgxOverheadModel};
+pub use attestation::{AttestationError, AttestationService, Certificate};
+pub use merkle::MerkleTree;
+pub use overhead::SgxOverheadModel;

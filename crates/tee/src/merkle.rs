@@ -33,7 +33,7 @@ use std::sync::OnceLock;
 
 /// The all-zero digest used as the genesis `prev` link of a commitment
 /// chain.
-pub const GENESIS: Digest = [0u8; DIGEST_LEN];
+pub(crate) const GENESIS: Digest = [0u8; DIGEST_LEN];
 
 /// Hashes one leaf payload (domain tag `0x00`).
 pub fn leaf_hash(data: &[u8]) -> Digest {
@@ -72,9 +72,9 @@ fn empty_at(level: usize) -> Digest {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleProof {
     /// Index of the opened leaf in the committed sequence.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Sibling digest per level, leaf level first.
-    pub siblings: Vec<Digest>,
+    pub(crate) siblings: Vec<Digest>,
 }
 
 /// Verifies that `leaf` (already leaf-hashed) sits at `proof.index`
@@ -175,7 +175,7 @@ impl IncrementalMerkle {
     }
 
     /// Appends one already-hashed leaf.
-    pub fn push(&mut self, leaf: Digest) {
+    pub(crate) fn push(&mut self, leaf: Digest) {
         let mut carry = leaf;
         let mut level = 0;
         loop {
@@ -199,16 +199,6 @@ impl IncrementalMerkle {
     /// Appends one raw payload ([`leaf_hash`] applied).
     pub fn push_payload(&mut self, payload: &[u8]) {
         self.push(leaf_hash(payload));
-    }
-
-    /// Leaves appended so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no leaves were appended.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The fixed-shape root: pads the partial subtrees with the
@@ -239,16 +229,16 @@ impl IncrementalMerkle {
 
 /// One round's chained view commitment: the merkle `root` of the view,
 /// the `round` it was taken in, and the digest of the previous
-/// commitment (or [`GENESIS`] at the chain start).
+/// commitment (or all zeroes at the chain start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViewCommitment {
     /// Round the view was committed in.
-    pub round: u64,
+    pub(crate) round: u64,
     /// Merkle root over the view's leaf digests.
     pub root: Digest,
     /// Digest of the previous commitment in the chain ([`GENESIS`] for
     /// the first link after boot or a cold rejoin).
-    pub prev: Digest,
+    pub(crate) prev: Digest,
 }
 
 impl ViewCommitment {
@@ -271,19 +261,13 @@ impl ViewCommitment {
     }
 
     /// The commitment's own digest (what the next link's `prev` binds).
-    pub fn digest(&self) -> Digest {
+    pub(crate) fn digest(&self) -> Digest {
         let mut h = Sha256::new();
         h.update(&[0x03]);
         h.update(&self.round.to_le_bytes());
         h.update(&self.root);
         h.update(&self.prev);
         h.finalize()
-    }
-
-    /// Whether `next` is a valid successor of `self` (later round,
-    /// `prev` binds this commitment).
-    pub fn links_to(&self, next: &ViewCommitment) -> bool {
-        next.round > self.round && next.prev == self.digest()
     }
 }
 
@@ -387,7 +371,7 @@ mod tests {
                 inc.push_payload(p);
             }
             assert_eq!(inc.root(), fixed.root(), "n={n}");
-            assert_eq!(inc.len(), n);
+            assert_eq!(inc.len, n);
         }
     }
 
@@ -413,7 +397,8 @@ mod tests {
         let a = MerkleTree::from_leaves(&[]);
         let b = IncrementalMerkle::new();
         assert_eq!(a.root(), b.root());
-        assert!(a.is_empty() && b.is_empty());
+        assert!(a.is_empty());
+        assert_eq!(b.len, 0);
     }
 
     #[test]
@@ -423,13 +408,10 @@ mod tests {
         let c0 = ViewCommitment::genesis(0, t0.root());
         let c1 = ViewCommitment::chained(&c0, 1, t1.root());
         assert_eq!(c0.prev, GENESIS);
-        assert!(c0.links_to(&c1));
+        assert_eq!(c1.prev, c0.digest());
         // Rewriting the earlier root breaks the link.
         let mut forged = c0;
         forged.root = t1.root();
-        assert!(!forged.links_to(&c1));
-        // A same-round successor is rejected.
-        let same = ViewCommitment::chained(&c0, 0, t1.root());
-        assert!(!c0.links_to(&same));
+        assert_ne!(c1.prev, forged.digest());
     }
 }

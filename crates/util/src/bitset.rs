@@ -1,15 +1,9 @@
-//! Dense bitsets for O(1) membership over node-ID spaces.
+//! A dense bitset for O(1) membership over node-ID spaces.
 //!
-//! Two flavours serve two access patterns:
-//!
-//! * [`BitSet`] — a fixed-universe set with an incrementally maintained
-//!   popcount, used for the simulation's per-node discovery tracking
-//!   (10,000 × 10,000 bits ≈ 12 MB total — cheap as bitsets, prohibitive
-//!   as hash sets). Out-of-range inserts panic: the universe is known.
-//! * [`IdSet`] — a *growable* set used as an O(1) membership index by the
-//!   view structures and the sampler's seen-cache, where IDs are dense
-//!   small integers but no universe bound is known up front. Inserting
-//!   grows the word vector; querying beyond it is simply `false`.
+//! [`IdSet`] is a *growable* set used as an O(1) membership index by the
+//! view structures and the sampler's seen-cache, where IDs are dense
+//! small integers but no universe bound is known up front. Inserting
+//! grows the word vector; querying beyond it is simply `false`.
 //!
 //! Callers that may encounter adversarially large IDs should gate on
 //! [`DENSE_ID_LIMIT`] and fall back to a linear scan beyond it, so a
@@ -21,86 +15,9 @@
 /// simulation numbers nodes contiguously from zero).
 pub const DENSE_ID_LIMIT: usize = 1 << 21;
 
-/// A fixed-capacity bitset over `0..len`.
-///
-/// # Examples
-///
-/// ```
-/// use raptee_util::bitset::BitSet;
-/// let mut b = BitSet::new(100);
-/// assert!(b.insert(42));
-/// assert!(!b.insert(42), "second insert is a no-op");
-/// assert!(b.contains(42));
-/// assert_eq!(b.count(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSet {
-    words: Vec<u64>,
-    len: usize,
-    count: usize,
-}
-
-impl BitSet {
-    /// Creates an empty set over the universe `0..len`.
-    pub fn new(len: usize) -> Self {
-        Self {
-            words: vec![0; len.div_ceil(64)],
-            len,
-            count: 0,
-        }
-    }
-
-    /// Universe size.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Inserts `idx`; returns `true` if it was newly set.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx` is outside the universe.
-    #[inline]
-    pub fn insert(&mut self, idx: usize) -> bool {
-        assert!(
-            idx < self.len,
-            "bitset index {idx} out of range {}",
-            self.len
-        );
-        let (w, b) = (idx / 64, idx % 64);
-        let mask = 1u64 << b;
-        if self.words[w] & mask == 0 {
-            self.words[w] |= mask;
-            self.count += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, idx: usize) -> bool {
-        if idx >= self.len {
-            return false;
-        }
-        self.words[idx / 64] & (1u64 << (idx % 64)) != 0
-    }
-
-    /// Number of set bits (maintained incrementally — O(1)).
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
 /// A growable bitset keyed by dense ID index.
 ///
-/// Unlike [`BitSet`] there is no fixed universe: [`IdSet::insert`] grows
+/// There is no fixed universe: [`IdSet::insert`] grows
 /// the backing words on demand and [`IdSet::contains`] answers `false`
 /// beyond the grown range instead of panicking. Used as the O(1)
 /// membership index of the gossip/BASALT views and the sampler's
@@ -198,46 +115,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_and_query() {
-        let mut b = BitSet::new(130);
-        assert!(b.is_empty());
-        assert!(b.insert(0));
-        assert!(b.insert(129));
-        assert!(b.insert(64));
-        assert!(!b.insert(64));
-        assert_eq!(b.count(), 3);
-        assert!(b.contains(0) && b.contains(64) && b.contains(129));
-        assert!(!b.contains(1));
-        assert!(
-            !b.contains(500),
-            "out-of-range contains is false, not panic"
-        );
-    }
-
-    #[test]
-    fn count_matches_popcount() {
-        let mut b = BitSet::new(1000);
-        for i in (0..1000).step_by(7) {
-            b.insert(i);
-        }
-        let pop: u32 = b.words.iter().map(|w| w.count_ones()).sum();
-        assert_eq!(b.count(), pop as usize);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn insert_out_of_range_panics() {
-        BitSet::new(10).insert(10);
-    }
-
-    #[test]
-    fn zero_capacity() {
-        let b = BitSet::new(0);
-        assert_eq!(b.len(), 0);
-        assert!(!b.contains(0));
-    }
-
-    #[test]
     fn idset_grows_on_demand() {
         let mut s = IdSet::new();
         assert!(!s.contains(0));
@@ -278,25 +155,6 @@ mod tests {
             assert!(s.remove(idx));
         }
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn bitset_word_boundaries() {
-        let mut b = BitSet::new(129);
-        for idx in [63usize, 64, 128] {
-            assert!(b.insert(idx));
-        }
-        assert_eq!(b.words.len(), 3);
-        assert!(!b.contains(62) && !b.contains(65) && !b.contains(127));
-        assert!(!b.contains(129), "one past the universe");
-    }
-
-    #[test]
-    fn bitset_len_is_the_universe_not_the_count() {
-        let mut b = BitSet::new(70);
-        assert_eq!((b.len(), b.count(), b.is_empty()), (70, 0, true));
-        b.insert(69);
-        assert_eq!((b.len(), b.count(), b.is_empty()), (70, 1, false));
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub struct ChiSquare {
     /// The chi-square statistic.
     pub statistic: f64,
     /// Degrees of freedom (`bins - 1`).
-    pub dof: usize,
+    pub(crate) dof: usize,
     /// Upper critical value at the 1 % significance level (approximated by
     /// the Wilson–Hilferty transform).
     pub critical_1pct: f64,
@@ -56,7 +56,7 @@ pub fn chi_square_uniform(counts: &[u64]) -> ChiSquare {
 /// normal quantile is `z` (e.g. `z = 2.326` for 1 %), using the
 /// Wilson–Hilferty cube approximation. Accurate to a few percent for
 /// `dof >= 3`, which is ample for a sanity test.
-pub fn chi_square_critical(dof: usize, z: f64) -> f64 {
+pub(crate) fn chi_square_critical(dof: usize, z: f64) -> f64 {
     let k = dof as f64;
     let a = 2.0 / (9.0 * k);
     k * (1.0 - a + z * a.sqrt()).powi(3)

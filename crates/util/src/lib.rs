@@ -3,15 +3,13 @@
 //! This crate holds the deterministic building blocks used by every other
 //! crate in the workspace:
 //!
-//! * [`rng`] — small, fast, seedable pseudo-random generators
-//!   ([`rng::SplitMix64`], [`rng::Xoshiro256StarStar`]) plus the 64-bit
-//!   mixing functions used to build the min-wise-independent hash families
-//!   of the Brahms sampling component.
-//! * [`stats`] — online mean/variance accumulators, percentiles and
-//!   confidence half-widths used by the experiment harness.
-//! * [`bitset`] — dense fixed-universe and growable bitsets used for
-//!   O(1) membership over node-ID spaces (view indices, seen-caches,
-//!   discovery tracking).
+//! * [`rng`] — a small, fast, seedable pseudo-random generator
+//!   ([`rng::Xoshiro256StarStar`]) plus the 64-bit mixing function used
+//!   to build the min-wise-independent hash families of the Brahms
+//!   sampling component.
+//! * [`stats`] — an online mean/variance accumulator.
+//! * [`bitset`] — a growable bitset used for O(1) membership over
+//!   node-ID spaces (view indices).
 //! * [`hll`] — fixed-size HyperLogLog cardinality sketches backing the
 //!   sketch-mode discovery metric at million-node scale.
 //! * [`chi`] — a chi-square uniformity test used by the sampler property
@@ -35,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod bitset;
 pub mod chi;
@@ -43,6 +42,4 @@ pub mod rng;
 pub mod series;
 pub mod stats;
 
-pub use bitset::{BitSet, IdSet, DENSE_ID_LIMIT};
-pub use rng::{mix64, SplitMix64, Xoshiro256StarStar};
-pub use stats::OnlineStats;
+pub use rng::{mix64, Xoshiro256StarStar};

@@ -4,7 +4,7 @@
 //! seed, across platforms and across parallel sweep execution. We therefore
 //! avoid process-global entropy and implement two tiny, well-known PRNGs:
 //!
-//! * [`SplitMix64`] — used to expand a single `u64` seed into independent
+//! * `SplitMix64` — used to expand a single `u64` seed into independent
 //!   seed streams (one per node, one per sampler, ...). Its output is a
 //!   bijective mix of a Weyl sequence, so distinct seeds can never collide.
 //! * [`Xoshiro256StarStar`] — the general-purpose generator carried by every
@@ -19,36 +19,22 @@
 /// Primarily used for seeding: it turns one `u64` into a stream of
 /// decorrelated `u64`s. It is also the recommended seeder for xoshiro
 /// generators.
-///
-/// # Examples
-///
-/// ```
-/// use raptee_util::rng::SplitMix64;
-/// let mut sm = SplitMix64::new(7);
-/// assert_ne!(sm.next_u64(), sm.next_u64());
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SplitMix64 {
+struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a generator from a raw seed. Any value, including zero, is a
     /// valid seed.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Returns the next value in the sequence.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         mix64(self.state)
-    }
-}
-
-impl Default for SplitMix64 {
-    fn default() -> Self {
-        Self::new(0)
     }
 }
 
@@ -70,7 +56,7 @@ pub fn mix64(mut z: u64) -> u64 {
 /// xoshiro256** 1.0 (Blackman & Vigna, 2018).
 ///
 /// The workhorse generator of the simulation: every node owns one, seeded
-/// from the scenario seed through [`SplitMix64`], which keeps node behaviour
+/// from the scenario seed through `SplitMix64`, which keeps node behaviour
 /// independent of iteration order.
 ///
 /// # Examples
@@ -87,20 +73,6 @@ pub struct Xoshiro256StarStar {
 }
 
 impl Xoshiro256StarStar {
-    /// Creates a generator from a full 256-bit state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zeroes, which is the single invalid
-    /// xoshiro state (the generator would be stuck at zero forever).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "xoshiro256** state must be non-zero"
-        );
-        Self { s }
-    }
-
     /// Seeds the 256-bit state from a single `u64` through SplitMix64, as
     /// recommended by the xoshiro authors.
     pub fn seed_from_u64(seed: u64) -> Self {
@@ -237,15 +209,6 @@ impl Xoshiro256StarStar {
         }
     }
 
-    /// Picks one element uniformly, or `None` when the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.index(slice.len())])
-        }
-    }
-
     /// Splits off an independent child generator; used to derive per-node
     /// generators from the scenario generator without sharing state.
     pub fn split(&mut self) -> Self {
@@ -359,17 +322,11 @@ mod tests {
     fn xoshiro_reference_vector() {
         // First outputs for the all-ones state, cross-checked against the
         // public-domain xoshiro256starstar.c reference implementation.
-        let mut x = Xoshiro256StarStar::from_state([1, 1, 1, 1]);
+        let mut x = Xoshiro256StarStar { s: [1, 1, 1, 1] };
         assert_eq!(x.next_u64(), 5760);
         assert_eq!(x.next_u64(), 5760);
         assert_eq!(x.next_u64(), 754974720);
         assert_eq!(x.next_u64(), 754980480);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_state_rejected() {
-        let _ = Xoshiro256StarStar::from_state([0; 4]);
     }
 
     #[test]
@@ -516,13 +473,6 @@ mod tests {
             (1..50).contains(&panics),
             "both outcomes exercised: {panics}"
         );
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        assert!(rng.choose::<u8>(&[]).is_none());
-        assert!(rng.choose(&[42]).is_some());
     }
 
     #[test]

@@ -71,12 +71,12 @@ impl SeriesTable {
     }
 
     /// Names of the series, in stable (lexicographic) order.
-    pub fn series_names(&self) -> Vec<&str> {
+    pub(crate) fn series_names(&self) -> Vec<&str> {
         self.series.keys().map(String::as_str).collect()
     }
 
     /// All distinct x values across every series, ascending.
-    pub fn xs(&self) -> Vec<f64> {
+    pub(crate) fn xs(&self) -> Vec<f64> {
         let mut xs: Vec<OrderedF64> = self
             .series
             .values()
@@ -88,7 +88,7 @@ impl SeriesTable {
     }
 
     /// Looks up a y value.
-    pub fn get(&self, series: &str, x: f64) -> Option<f64> {
+    pub(crate) fn get(&self, series: &str, x: f64) -> Option<f64> {
         self.series.get(series)?.get(&OrderedF64(x)).copied()
     }
 
@@ -117,7 +117,7 @@ impl SeriesTable {
     }
 
     /// Renders the table as aligned, human-readable text.
-    pub fn to_aligned(&self) -> String {
+    pub(crate) fn to_aligned(&self) -> String {
         let names = self.series_names();
         let mut widths: Vec<usize> = names.iter().map(|n| n.len().max(9)).collect();
         let xw = self.x_label.len().max(8);

@@ -1,10 +1,8 @@
 //! Online statistics for experiment aggregation.
 //!
-//! The experiment harness repeats every scenario several times and reports
-//! mean ± standard deviation, exactly as the paper's Table I does for the
-//! SGX overhead measurements. [`OnlineStats`] implements Welford's
-//! numerically stable single-pass algorithm; [`percentile`] and
-//! [`Summary`] cover the distributional reporting used by the figures.
+//! [`OnlineStats`] implements Welford's numerically stable single-pass
+//! mean/variance algorithm; the SGX overhead model's calibration tests
+//! use it to compare sampled overheads with the paper's Table I.
 
 /// Single-pass mean/variance accumulator (Welford's algorithm).
 ///
@@ -12,90 +10,35 @@
 ///
 /// ```
 /// use raptee_util::stats::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(v);
-/// }
+/// let s: OnlineStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.sample_std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
+    fn push(&mut self, value: f64) {
         self.count += 1;
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
         let delta2 = value - self.mean;
         self.m2 += delta * delta2;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Arithmetic mean; `0.0` when empty.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Smallest observation; `NaN` when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation; `NaN` when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Population variance (divides by `n`); `0.0` for fewer than one
-    /// observation.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
+        self.mean
     }
 
     /// Sample variance (divides by `n - 1`); `0.0` for fewer than two
     /// observations.
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -103,158 +46,19 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Sample standard deviation.
     pub fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sample_std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
-    /// Half-width of an approximate 95 % confidence interval for the mean
-    /// (normal approximation, `1.96 * SE`). Adequate for the ≥10
-    /// repetitions used by the experiment harness.
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_error()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge),
-    /// allowing sweep workers to aggregate independently.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
 impl FromIterator<f64> for OnlineStats {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = OnlineStats::new();
+        let mut s = OnlineStats::default();
         for v in iter {
             s.push(v);
         }
         s
-    }
-}
-
-impl Extend<f64> for OnlineStats {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
-/// Returns the `q`-th percentile (`0.0 ..= 100.0`) of `values` using linear
-/// interpolation between closest ranks. The input slice is copied and
-/// sorted; use [`percentile_of_sorted`] when the data is already ordered.
-///
-/// # Panics
-///
-/// Panics if `values` is empty or `q` is outside `[0, 100]`.
-pub fn percentile(values: &[f64], q: f64) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| {
-        a.partial_cmp(b)
-            .expect("percentile input must not contain NaN")
-    });
-    percentile_of_sorted(&sorted, q)
-}
-
-/// Percentile of an already-sorted slice; see [`percentile`].
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty or `q` is outside `[0, 100]`.
-pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    assert!(
-        (0.0..=100.0).contains(&q),
-        "percentile rank must be within [0, 100]"
-    );
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = q / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
-
-/// A five-number-plus-mean summary of a sample, used in experiment logs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median (50th percentile).
-    pub median: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarises a non-empty sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    pub fn of(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "summary of empty sample");
-        let stats: OnlineStats = values.iter().copied().collect();
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| {
-            a.partial_cmp(b)
-                .expect("summary input must not contain NaN")
-        });
-        Self {
-            count: values.len(),
-            mean: stats.mean(),
-            std_dev: stats.sample_std_dev(),
-            min: sorted[0],
-            median: percentile_of_sorted(&sorted, 50.0),
-            max: sorted[sorted.len() - 1],
-        }
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} med={:.3} max={:.3}",
-            self.count, self.mean, self.std_dev, self.min, self.median, self.max
-        )
     }
 }
 
@@ -264,22 +68,16 @@ mod tests {
 
     #[test]
     fn empty_stats_are_neutral() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
+        let s = OnlineStats::default();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
-        assert!(s.min().is_nan());
-        assert!(s.max().is_nan());
+        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]
     fn single_value() {
-        let mut s = OnlineStats::new();
-        s.push(42.0);
+        let s: OnlineStats = [42.0].into_iter().collect();
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.min(), 42.0);
-        assert_eq!(s.max(), 42.0);
     }
 
     #[test]
@@ -290,74 +88,5 @@ mod tests {
         let var = data.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (data.len() - 1) as f64;
         assert!((s.mean() - mean).abs() < 1e-10);
         assert!((s.sample_variance() - var).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..50).map(|i| i as f64 * 1.3).collect();
-        let all: OnlineStats = data.iter().copied().collect();
-        let mut left: OnlineStats = data[..20].iter().copied().collect();
-        let right: OnlineStats = data[20..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-10);
-        assert!((left.sample_variance() - all.sample_variance()).abs() < 1e-9);
-        assert_eq!(left.min(), all.min());
-        assert_eq!(left.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: OnlineStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = s;
-        s.merge(&OnlineStats::new());
-        assert_eq!(s, before);
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 100.0), 4.0);
-        assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentile_single_element() {
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn percentile_empty_panics() {
-        percentile(&[], 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "within")]
-    fn percentile_out_of_range_panics() {
-        percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[1.0, 3.0, 5.0]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.std_dev, 2.0);
-        assert!(format!("{s}").contains("n=3"));
-    }
-
-    #[test]
-    fn ci_shrinks_with_more_data() {
-        let few: OnlineStats = (0..10).map(|i| i as f64).collect();
-        let many: OnlineStats = (0..1000).map(|i| (i % 10) as f64).collect();
-        assert!(many.ci95_half_width() < few.ci95_half_width());
     }
 }

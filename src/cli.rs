@@ -837,6 +837,8 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let sweep = runner::sweep_grid(&template, &fs, &ts, reps);
     let mut out = String::from("f,t,improvement_pct,resilience,baseline\n");
     for (f, t, result) in &sweep.grid {
+        // `sweep_grid` runs one baseline for every f in `fs`, and each
+        // grid cell's f comes from `fs`.
         let base = sweep.baseline(*f).expect("baseline per f");
         out.push_str(&format!(
             "{f:.2},{t:.2},{:.2},{:.4},{:.4}\n",
