@@ -87,15 +87,6 @@ impl ScoreTable {
         self.view.len() + self.by_id.len()
     }
 
-    /// The score of `id` (0 when untracked).
-    #[cfg(test)]
-    pub(crate) fn score(&self, id: NodeId) -> u32 {
-        match self.slot_of(id) {
-            Some(slot) => self.view_scores[slot],
-            None => self.find(id).map_or(0, |i| self.by_id[i].score),
-        }
-    }
-
     /// Counts one mention of `id`. A view member's score is bumped in
     /// its slot and `None` returned. Any other ID is bumped (or starts
     /// at 1) off-view and its new score returned; a start that finds
@@ -267,6 +258,17 @@ impl ScoreTable {
         for (slot, &member) in self.view.iter().enumerate() {
             assert_eq!(self.slot_of(member), Some(slot), "duplicate member");
             assert!(self.find(member).is_err(), "member also off-view");
+        }
+    }
+}
+
+#[cfg(test)]
+impl ScoreTable {
+    /// The score of `id` (0 when untracked).
+    pub(crate) fn score(&self, id: NodeId) -> u32 {
+        match self.slot_of(id) {
+            Some(slot) => self.view_scores[slot],
+            None => self.find(id).map_or(0, |i| self.by_id[i].score),
         }
     }
 }

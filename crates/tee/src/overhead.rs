@@ -10,9 +10,6 @@
 //! unit tests hold the table to the paper's figures and the Gaussian
 //! calibration draw to the measured means and deviations.
 
-#[cfg(test)]
-use raptee_util::rng::Xoshiro256StarStar;
-
 /// The five instrumented peer-sampling functions of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum PeerSamplingFunction {
@@ -26,29 +23,6 @@ pub(crate) enum PeerSamplingFunction {
     SampleListComputation,
     /// Renewing the dynamic view from pushes/pulls/history.
     DynamicViewComputation,
-}
-
-#[cfg(test)]
-impl PeerSamplingFunction {
-    /// All five functions in Table I row order.
-    pub(crate) const ALL: [PeerSamplingFunction; 5] = [
-        PeerSamplingFunction::PullRequest,
-        PeerSamplingFunction::PushMessage,
-        PeerSamplingFunction::TrustedCommunications,
-        PeerSamplingFunction::SampleListComputation,
-        PeerSamplingFunction::DynamicViewComputation,
-    ];
-
-    /// The row label used in Table I.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            PeerSamplingFunction::PullRequest => "Pull request",
-            PeerSamplingFunction::PushMessage => "Push message",
-            PeerSamplingFunction::TrustedCommunications => "Trusted communications",
-            PeerSamplingFunction::SampleListComputation => "Sample list comput.",
-            PeerSamplingFunction::DynamicViewComputation => "Dynamic view comput.",
-        }
-    }
 }
 
 /// One row of Table I, in CPU cycles.
@@ -107,22 +81,6 @@ impl SgxOverheadModel {
         self.rows[Self::index(func)]
     }
 
-    #[cfg(test)]
-    /// Samples the calibrated overhead for one invocation of `func`:
-    /// a Gaussian with the measured mean and relative standard deviation,
-    /// truncated at zero (cycle counts cannot be negative).
-    pub(crate) fn sample_overhead(
-        &self,
-        func: PeerSamplingFunction,
-        rng: &mut Xoshiro256StarStar,
-    ) -> u64 {
-        let row = self.row(func);
-        let mean = row.mean_overhead as f64;
-        let sd = mean * row.rel_std_dev;
-        let draw = mean + sd * gaussian(rng);
-        draw.max(0.0).round() as u64
-    }
-
     /// Expected enclave cycle overhead of one protocol round for a
     /// trusted node issuing `pulls` pull exchanges, `pushes` push
     /// messages and `swaps` trusted communications (mean overheads, no
@@ -150,19 +108,54 @@ impl SgxOverheadModel {
     }
 }
 
-/// Standard normal draw via the Box–Muller transform.
-#[cfg(test)]
-fn gaussian(rng: &mut Xoshiro256StarStar) -> f64 {
-    // Avoid u1 == 0 exactly (log of zero).
-    let u1 = (rng.next_f64()).max(f64::MIN_POSITIVE);
-    let u2 = rng.next_f64();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raptee_util::rng::Xoshiro256StarStar;
     use raptee_util::stats::OnlineStats;
+
+    /// All five functions in Table I row order.
+    const ALL: [PeerSamplingFunction; 5] = [
+        PeerSamplingFunction::PullRequest,
+        PeerSamplingFunction::PushMessage,
+        PeerSamplingFunction::TrustedCommunications,
+        PeerSamplingFunction::SampleListComputation,
+        PeerSamplingFunction::DynamicViewComputation,
+    ];
+
+    /// The row label used in Table I.
+    fn label(func: PeerSamplingFunction) -> &'static str {
+        match func {
+            PeerSamplingFunction::PullRequest => "Pull request",
+            PeerSamplingFunction::PushMessage => "Push message",
+            PeerSamplingFunction::TrustedCommunications => "Trusted communications",
+            PeerSamplingFunction::SampleListComputation => "Sample list comput.",
+            PeerSamplingFunction::DynamicViewComputation => "Dynamic view comput.",
+        }
+    }
+
+    /// The paper's calibration draw for one invocation of `func`: a
+    /// Gaussian with the measured mean and relative standard deviation,
+    /// truncated at zero (cycle counts cannot be negative).
+    fn sample_overhead(
+        m: &SgxOverheadModel,
+        func: PeerSamplingFunction,
+        rng: &mut Xoshiro256StarStar,
+    ) -> u64 {
+        let row = m.row(func);
+        let mean = row.mean_overhead as f64;
+        let sd = mean * row.rel_std_dev;
+        let draw = mean + sd * gaussian(rng);
+        draw.max(0.0).round() as u64
+    }
+
+    /// Standard normal draw via the Box–Muller transform.
+    fn gaussian(rng: &mut Xoshiro256StarStar) -> f64 {
+        // Avoid u1 == 0 exactly (log of zero).
+        let u1 = (rng.next_f64()).max(f64::MIN_POSITIVE);
+        let u2 = rng.next_f64();
+        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    }
 
     #[test]
     fn table1_rows_match_paper() {
@@ -174,9 +167,9 @@ mod tests {
             (13_024, 15_364, 2_340, 0.04),
             (12_457, 15_076, 2_619, 0.02),
         ];
-        for (func, (std_c, sgx, mean, rel)) in PeerSamplingFunction::ALL.into_iter().zip(expect) {
+        for (func, (std_c, sgx, mean, rel)) in ALL.into_iter().zip(expect) {
             let r = m.row(func);
-            assert_eq!(r.standard_cycles, std_c, "{}", func.label());
+            assert_eq!(r.standard_cycles, std_c, "{}", label(func));
             assert_eq!(r.sgx_cycles, sgx);
             assert_eq!(r.mean_overhead, mean);
             assert!((r.rel_std_dev - rel).abs() < 1e-12);
@@ -187,16 +180,16 @@ mod tests {
     fn sampled_overheads_match_calibration() {
         let m = SgxOverheadModel::paper_table1();
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-        for func in PeerSamplingFunction::ALL {
+        for func in ALL {
             let row = m.row(func);
             let stats: OnlineStats = (0..20_000)
-                .map(|_| m.sample_overhead(func, &mut rng) as f64)
+                .map(|_| sample_overhead(&m, func, &mut rng) as f64)
                 .collect();
             let mean = row.mean_overhead as f64;
             assert!(
                 (stats.mean() - mean).abs() / mean < 0.01,
                 "{}: sampled mean {} vs calibrated {}",
-                func.label(),
+                label(func),
                 stats.mean(),
                 mean
             );
@@ -204,7 +197,7 @@ mod tests {
             assert!(
                 (stats.sample_std_dev() - sd).abs() / sd < 0.05,
                 "{}: sampled sd {} vs calibrated {}",
-                func.label(),
+                label(func),
                 stats.sample_std_dev(),
                 sd
             );
@@ -216,13 +209,13 @@ mod tests {
         // Table I's "mean overhead" column should be close to sgx-standard
         // (the published table rounds independently; allow small slack).
         let m = SgxOverheadModel::paper_table1();
-        for func in PeerSamplingFunction::ALL {
+        for func in ALL {
             let r = m.row(func);
             let diff = r.sgx_cycles - r.standard_cycles;
             assert!(
                 (diff as i64 - r.mean_overhead as i64).abs() <= 10,
                 "{}: {} vs {}",
-                func.label(),
+                label(func),
                 diff,
                 r.mean_overhead
             );
