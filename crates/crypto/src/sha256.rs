@@ -33,7 +33,7 @@ const H0: [u32; 8] = [
 /// Incremental SHA-256 hasher.
 ///
 /// The compression function has two bodies behind one private dispatch
-/// point: on `x86_64` CPUs that report the SHA extensions blocks go
+/// point: on `x86_64` CPUs that report the SHA extensions, blocks go
 /// through `sha256rnds2`/`sha256msg1`/`sha256msg2`;
 /// on every other CPU and architecture through the portable loop written
 /// from the specification, which is also what the hardware body is tested
