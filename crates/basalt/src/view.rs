@@ -519,4 +519,78 @@ mod tests {
         v.distinct_into(&mut out, &mut seen);
         assert_eq!(out, v.distinct_ids());
     }
+
+    /// The distinct samples by the quadratic scan, in first-slot order.
+    fn distinct_by_scan(v: &BasaltView) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for id in v.sample_iter() {
+            if !out.contains(&id) {
+                out.push(id);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn distinct_ids_keep_first_slot_order() {
+        let mut v = view(0, 16);
+        v.observe_all((1..6).map(NodeId));
+        assert_eq!(v.distinct_ids(), distinct_by_scan(&v));
+    }
+
+    #[test]
+    fn only_large_views_dedup_through_the_id_set() {
+        let mut seen = IdSet::new();
+        let mut out = Vec::new();
+        let mut small = view(0, LINEAR_SCAN_SLOTS);
+        small.observe_all((1..300).map(NodeId));
+        small.distinct_into(&mut out, &mut seen);
+        assert_eq!(out, distinct_by_scan(&small));
+        assert_eq!(seen.words(), 0, "a small view never grows the scratch");
+
+        let mut large = view(0, LINEAR_SCAN_SLOTS + 1);
+        large.observe_all((1..300).map(NodeId));
+        large.observe(NodeId(u64::MAX));
+        large.distinct_into(&mut out, &mut seen);
+        assert_eq!(out, distinct_by_scan(&large));
+        assert!(seen.words() > 0);
+        assert!(
+            !seen.contains(DENSE_ID_LIMIT),
+            "huge IDs are scanned, not set"
+        );
+    }
+
+    #[test]
+    fn evict_resets_exactly_the_slots_sampling_the_id() {
+        let mut v = view(0, 16);
+        v.observe_all((1..4).map(NodeId));
+        let target = v.sample_ids()[0];
+        let before = v.slots().to_vec();
+        let holding = before.iter().filter(|s| s.sample() == Some(target)).count();
+        assert_eq!(v.evict(target), holding);
+        assert!(!v.contains(target));
+        for (slot, old) in v.slots().iter().zip(&before) {
+            if old.sample() == Some(target) {
+                assert_eq!(slot.sample(), None);
+                assert_eq!(slot.generation(), old.generation() + 1);
+            } else {
+                assert_eq!(slot, old, "other slots stay bit-identical");
+            }
+        }
+        assert_eq!(v.evict(target), 0, "nothing left to evict");
+        assert!(v.invariants_hold());
+    }
+
+    #[test]
+    fn the_ranking_key_decides_the_samples() {
+        let ids = (1..500).map(NodeId);
+        let mut a = view(0, 16);
+        a.observe_all(ids.clone());
+        let mut same = view(0, 16);
+        same.observe_all(ids.clone());
+        let mut other = BasaltView::new(NodeId(0), 16, SecretKey::from_seed(43));
+        other.observe_all(ids);
+        assert_eq!(a, same);
+        assert_ne!(a.sample_ids(), other.sample_ids());
+    }
 }

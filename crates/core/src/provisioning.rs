@@ -207,6 +207,43 @@ mod tests {
     }
 
     #[test]
+    fn revoked_platform_cannot_provision() {
+        let mut service = new_attestation_service(99);
+        service.certify_platform(6);
+        assert!(provision_trusted_key(&mut service, 6).is_ok());
+        service.revoke_platform(6);
+        assert_eq!(
+            provision_trusted_key(&mut service, 6).unwrap_err(),
+            AttestationError::RevokedPlatform
+        );
+    }
+
+    #[test]
+    fn each_renewal_opens_its_own_window() {
+        let mut service = new_attestation_service(99);
+        service.certify_platform(4);
+        for now in [0, 20, 40] {
+            let cert = renew_attestation(&mut service, 4, now, 20).unwrap();
+            assert_eq!(cert.expires_round, now + 20);
+        }
+    }
+
+    #[test]
+    fn sealed_key_does_not_move_to_another_platform() {
+        let mut service = new_attestation_service(99);
+        service.certify_platform(3);
+        let mut enclave = provision_trusted_enclave(&mut service, 3).unwrap();
+        let key = enclave.group_key().unwrap().clone();
+        enclave.seal("group-key", key.as_bytes());
+        let blob = enclave.export_sealed("group-key").unwrap().to_vec();
+        let elsewhere = Enclave::load(TRUSTED_CODE, 4);
+        assert_eq!(
+            elsewhere.unseal_blob(&blob).unwrap_err(),
+            raptee_tee::enclave::EnclaveError::SealMismatch
+        );
+    }
+
+    #[test]
     fn sealed_key_survives_restart_on_same_platform() {
         // Trusted nodes can persist the group key across restarts via
         // sealing — the anti-churn story for trusted nodes.

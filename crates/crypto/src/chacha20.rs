@@ -157,4 +157,62 @@ mod tests {
         let b = encrypt(&[2u8; KEY_LEN], &nonce, b"same message");
         assert_ne!(a, b);
     }
+
+    /// RFC 8439 §2.1.1 quarter-round test vector.
+    #[test]
+    fn rfc8439_quarter_round_vector() {
+        let mut state = [0u32; 16];
+        state[..4].copy_from_slice(&[0x1111_1111, 0x0102_0304, 0x9b8d_6f43, 0x0123_4567]);
+        quarter_round(&mut state, 0, 1, 2, 3);
+        assert_eq!(
+            state[..4],
+            [0xea2a_92f4, 0xcb1c_f8ce, 0x4581_472e, 0x5881_c4bb]
+        );
+        assert!(state[4..].iter().all(|&w| w == 0), "other words untouched");
+    }
+
+    /// RFC 8439 Appendix A.1, test vectors #1 and #2: the all-zero key
+    /// and nonce at block counters 0 and 1.
+    #[test]
+    fn rfc8439_zero_key_keystream() {
+        let (key, nonce) = ([0u8; KEY_LEN], [0u8; NONCE_LEN]);
+        assert_eq!(
+            block(&key, 0, &nonce)[..16],
+            [
+                0x76, 0xb8, 0xe0, 0xad, 0xa0, 0xf1, 0x3d, 0x90, 0x40, 0x5d, 0x6a, 0xe5, 0x53, 0x86,
+                0xbd, 0x28
+            ]
+        );
+        assert_eq!(
+            block(&key, 1, &nonce)[..16],
+            [
+                0x9f, 0x07, 0xe7, 0xbe, 0x55, 0x51, 0x38, 0x7a, 0x98, 0xba, 0x97, 0x7c, 0x73, 0x2d,
+                0x08, 0x0d
+            ]
+        );
+    }
+
+    #[test]
+    fn the_block_counter_steps_once_per_64_bytes_and_wraps() {
+        let key = [9u8; KEY_LEN];
+        let nonce = [3u8; NONCE_LEN];
+        let mut keystream = vec![0u8; 130];
+        xor_in_place(&key, &nonce, u32::MAX - 1, &mut keystream);
+        assert_eq!(keystream[..64], block(&key, u32::MAX - 1, &nonce));
+        assert_eq!(keystream[64..128], block(&key, u32::MAX, &nonce));
+        assert_eq!(keystream[128..], block(&key, 0, &nonce)[..2]);
+    }
+
+    #[test]
+    fn encrypt_starts_the_keystream_at_block_one() {
+        let key = [5u8; KEY_LEN];
+        let nonce = [6u8; NONCE_LEN];
+        let data: Vec<u8> = (0..100).collect();
+        let mut in_place = data.clone();
+        xor_in_place(&key, &nonce, 1, &mut in_place);
+        assert_eq!(encrypt(&key, &nonce, &data), in_place);
+        let mut from_zero = data.clone();
+        xor_in_place(&key, &nonce, 0, &mut from_zero);
+        assert_ne!(encrypt(&key, &nonce, &data), from_zero);
+    }
 }

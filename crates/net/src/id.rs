@@ -212,4 +212,17 @@ mod tests {
         assert!(interner.forward.is_empty());
         assert_eq!(interner.intern(NodeId(5)), NodeIdx(0));
     }
+
+    #[test]
+    fn a_sparse_population_packs_into_dense_slots() {
+        let ids = [u64::MAX, 1 << 40, 5, 0, 1 << 40, u64::MAX];
+        let mut interner = IdInterner::new();
+        let slots: Vec<NodeIdx> = ids.iter().map(|&i| interner.intern(NodeId(i))).collect();
+        assert_eq!(
+            slots,
+            [0, 1, 2, 3, 1, 0].map(NodeIdx),
+            "each distinct id gets the next slot, repeats keep theirs"
+        );
+        assert_eq!(interner.forward.len(), 4);
+    }
 }

@@ -167,4 +167,33 @@ mod tests {
     fn an_unknown_sender_panics() {
         PushRateLimiter::new(2, 1).try_push(NodeId(2));
     }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn an_unknown_sender_of_a_batch_panics() {
+        PushRateLimiter::new(2, 1).try_push_n(NodeId(2), 1);
+    }
+
+    #[test]
+    fn a_zero_budget_rejects_every_push() {
+        let mut rl = PushRateLimiter::new(2, 0);
+        assert!(!rl.try_push(NodeId(0)));
+        assert_eq!(rl.try_push_n(NodeId(1), 10), 0);
+        rl.next_round();
+        assert!(!rl.try_push(NodeId(0)), "a new round grants nothing either");
+    }
+
+    #[test]
+    fn a_rejected_push_is_rejected_until_the_round_ends() {
+        let mut rl = PushRateLimiter::new(3, 2);
+        for id in 0..3 {
+            assert_eq!(rl.try_push_n(NodeId(id), 5), 2);
+        }
+        for _ in 0..3 {
+            assert!((0..3).all(|id| !rl.try_push(NodeId(id))));
+        }
+        rl.next_round();
+        assert!((0..3).all(|id| remaining(&rl, NodeId(id)) == 2));
+        assert!((0..3).all(|id| rl.try_push(NodeId(id))));
+    }
 }

@@ -717,6 +717,52 @@ mod tests {
     }
 
     #[test]
+    fn validating_live_samples_resets_nothing() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(9);
+        let mut arr = SamplerArray::new(8, &mut rng);
+        arr.observe_all((0..50).map(NodeId));
+        let (samples, cached) = (arr.samples(), arr.seen_cached());
+        let before = rng.clone();
+        assert_eq!(arr.validate(|_| true, &mut rng), 0);
+        assert_eq!(arr.samples(), samples);
+        assert_eq!(arr.seen_cached(), cached, "the cache survives");
+        assert_eq!(rng, before, "no fresh seed was drawn");
+    }
+
+    #[test]
+    fn validation_skips_samplers_that_hold_nothing() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(10);
+        let mut arr = SamplerArray::new(8, &mut rng);
+        let before = rng.clone();
+        let mut probes = 0;
+        let reset = arr.validate(
+            |_| {
+                probes += 1;
+                false
+            },
+            &mut rng,
+        );
+        assert_eq!((reset, probes), (0, 0));
+        assert_eq!(rng, before);
+    }
+
+    #[test]
+    fn the_cache_limit_bounds_what_is_cached() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(12);
+        let mut arr = SamplerArray::new(4, &mut rng);
+        arr.observe(NodeId(200));
+        assert_eq!((arr.seen_cached(), arr.seen_cache_words()), (1, 4));
+        arr.limit_seen_cache(100);
+        assert_eq!(
+            (arr.seen_cached(), arr.seen_cache_words()),
+            (0, 0),
+            "a new limit drops the cache"
+        );
+        arr.observe_all([NodeId(200), NodeId(99)]);
+        assert_eq!((arr.seen_cached(), arr.seen_cache_words()), (1, 2));
+    }
+
+    #[test]
     fn disabled_seen_cache_is_observationally_invisible() {
         // With the cache limited to 0 every observe takes the full hash
         // loop; samples must match the cached array exactly, and the

@@ -356,6 +356,41 @@ mod tests {
     }
 
     #[test]
+    fn a_nonce_the_service_never_issued_is_stale() {
+        let mut s = service();
+        s.challenge();
+        let enclave = Enclave::load(CODE, 1);
+        let quote = AttestationService::quote(1, &enclave, [0xAB; 16]);
+        assert_eq!(s.attest(&quote).unwrap_err(), AttestationError::StaleNonce);
+    }
+
+    #[test]
+    fn outstanding_challenges_are_distinct_and_redeemable_in_any_order() {
+        let mut s = service();
+        let enclave = Enclave::load(CODE, 1);
+        let (first, second) = (s.challenge(), s.challenge());
+        assert_ne!(first, second);
+        let quotes = [second, first].map(|n| AttestationService::quote(1, &enclave, n));
+        for quote in &quotes {
+            assert!(s.attest(quote).is_ok());
+        }
+        for quote in &quotes {
+            assert_eq!(s.attest(quote).unwrap_err(), AttestationError::StaleNonce);
+        }
+    }
+
+    #[test]
+    fn a_certificate_window_saturates_at_the_last_round() {
+        let mut s = service();
+        let enclave = Enclave::load(CODE, 1);
+        let nonce = s.challenge();
+        let quote = AttestationService::quote(1, &enclave, nonce);
+        let (_, cert) = s.attest_certified(&quote, u64::MAX - 3, 10).unwrap();
+        assert_eq!(cert.expires_round, u64::MAX);
+        assert!(cert.valid_at(u64::MAX - 1));
+    }
+
+    #[test]
     fn revoked_platform_cannot_reattest() {
         let mut s = service();
         let enclave = Enclave::load(CODE, 1);

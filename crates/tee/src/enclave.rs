@@ -275,6 +275,25 @@ mod tests {
     }
 
     #[test]
+    fn resealing_a_name_replaces_its_blob() {
+        let mut e = Enclave::load(CODE, 1);
+        e.seal("view", b"round 1");
+        e.seal("view", b"round 2");
+        let blob = e.export_sealed("view").unwrap();
+        assert_eq!(e.unseal_blob(blob).unwrap(), b"round 2");
+    }
+
+    #[test]
+    fn sealing_the_same_data_twice_gives_distinct_blobs() {
+        let mut e = Enclave::load(CODE, 1);
+        e.seal("a", b"same state");
+        e.seal("b", b"same state");
+        let (a, b) = (e.export_sealed("a").unwrap(), e.export_sealed("b").unwrap());
+        assert_ne!(a, b, "each seal draws a fresh nonce");
+        assert_eq!(e.unseal_blob(a).unwrap(), e.unseal_blob(b).unwrap());
+    }
+
+    #[test]
     fn counter_increases_with_seals() {
         let mut e = Enclave::load(CODE, 1);
         let before = e.monotonic_counter;

@@ -233,6 +233,48 @@ mod tests {
     }
 
     #[test]
+    fn each_message_kind_is_priced_by_its_own_row() {
+        // The marginal cost of one more pull, push or swap is that row's
+        // mean overhead: a model that mixed up the pull and push rows
+        // would still price (4, 4, 1) right.
+        let m = SgxOverheadModel::paper_table1();
+        let base = m.expected_round_overhead(0, 0, 0);
+        assert_eq!(m.expected_round_overhead(1, 0, 0) - base, 2_970);
+        assert_eq!(m.expected_round_overhead(0, 1, 0) - base, 1_661);
+        assert_eq!(m.expected_round_overhead(0, 0, 1) - base, 1_671);
+    }
+
+    #[test]
+    fn round_overhead_is_linear_in_each_count() {
+        let m = SgxOverheadModel::paper_table1();
+        let base = m.expected_round_overhead(0, 0, 0);
+        for (pulls, pushes, swaps) in [(3, 0, 0), (0, 7, 0), (0, 0, 2), (5, 2, 9)] {
+            let cost = m.expected_round_overhead(pulls, pushes, swaps) - base;
+            let parts = [(pulls, 0, 0), (0, pushes, 0), (0, 0, swaps)]
+                .map(|(p, q, s)| m.expected_round_overhead(p, q, s) - base);
+            assert_eq!(
+                cost,
+                parts.iter().sum::<u64>(),
+                "({pulls}, {pushes}, {swaps})"
+            );
+        }
+    }
+
+    #[test]
+    fn sgx_costs_more_than_standard_in_every_row() {
+        let m = SgxOverheadModel::paper_table1();
+        for func in ALL {
+            let r = m.row(func);
+            assert!(r.sgx_cycles > r.standard_cycles, "{}", label(func));
+            assert!(
+                r.mean_overhead > 0 && r.rel_std_dev > 0.0,
+                "{}",
+                label(func)
+            );
+        }
+    }
+
+    #[test]
     fn gaussian_moments() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(3);
         let stats: OnlineStats = (0..100_000).map(|_| gaussian(&mut rng)).collect();

@@ -177,4 +177,34 @@ mod tests {
         assert!(!s.remove(DENSE_ID_LIMIT));
         assert_eq!(s.words(), 1);
     }
+
+    #[test]
+    fn idset_matches_a_hash_set_model() {
+        let mut rng = crate::rng::Xoshiro256StarStar::seed_from_u64(17);
+        let mut s = IdSet::new();
+        let mut model = std::collections::HashSet::new();
+        for step in 0..5_000 {
+            let idx = rng.index(700);
+            if rng.chance(0.6) {
+                assert_eq!(s.insert(idx), model.insert(idx), "step {step}");
+            } else {
+                assert_eq!(s.remove(idx), model.remove(&idx), "step {step}");
+            }
+            assert_eq!(s.count(), model.len());
+        }
+        for idx in 0..800 {
+            assert_eq!(s.contains(idx), model.contains(&idx), "index {idx}");
+        }
+    }
+
+    #[test]
+    fn idset_neighbouring_bits_are_independent() {
+        let mut s = IdSet::new();
+        s.insert(64);
+        assert!(!s.contains(63) && !s.contains(65) && !s.contains(0));
+        s.insert(63);
+        s.remove(64);
+        assert!(s.contains(63) && !s.contains(64));
+        assert_eq!(s.count(), 1);
+    }
 }

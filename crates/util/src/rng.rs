@@ -500,6 +500,66 @@ mod tests {
         outs.dedup();
         assert_eq!(outs.len(), 10_000);
     }
+
+    #[test]
+    fn seed_zero_is_a_valid_seed() {
+        // The all-zero state is xoshiro's one fixed point; seeding through
+        // SplitMix64 never reaches it, zero seed included.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0);
+        assert_eq!(
+            rng.s[0], 0xE220_A839_7B1D_CDAF,
+            "SplitMix64(0)'s first output"
+        );
+        assert!(rng.s.iter().all(|&w| w != 0));
+        let outs: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert!(outs.windows(2).all(|w| w[0] != w[1]), "{outs:?}");
+    }
+
+    #[test]
+    fn index_of_one_is_always_zero() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(8);
+        assert!((0..100).all(|_| rng.index(1) == 0));
+    }
+
+    #[test]
+    fn a_power_of_two_bound_takes_the_top_bits() {
+        // Lemire's threshold is 2⁶⁴ mod 2ᵏ = 0, so nothing is rejected and
+        // the draw is the high k bits of one output — the mapping every
+        // golden result was recorded with.
+        for k in [1u32, 5, 32, 63] {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(u64::from(k));
+            let mut raw = rng.clone();
+            for _ in 0..50 {
+                assert_eq!(rng.next_below(1 << k), raw.next_u64() >> (64 - k));
+            }
+        }
+    }
+
+    #[test]
+    fn next_f64_keeps_the_top_53_bits() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(12);
+        let mut raw = rng.clone();
+        for _ in 0..100 {
+            let f = rng.next_f64();
+            let scaled = f * (1u64 << 53) as f64;
+            assert_eq!(scaled, scaled.trunc(), "a multiple of 2^-53");
+            assert_eq!(scaled as u64, raw.next_u64() >> 11);
+        }
+    }
+
+    #[test]
+    fn drawing_nothing_leaves_the_generator_untouched() {
+        let fresh = Xoshiro256StarStar::seed_from_u64(4);
+        let mut rng = fresh.clone();
+        let v: Vec<u32> = (0..10).collect();
+        let mut out = vec![1];
+        rng.sample_into(&v, 0, &mut IndexScratch::default(), &mut out);
+        assert!(out.is_empty());
+        rng.skip_sample(10, 0);
+        rng.shuffle(&mut [7u8]);
+        rng.skip_sample(1, 5);
+        assert_eq!(rng, fresh);
+    }
 }
 
 #[cfg(test)]

@@ -89,4 +89,47 @@ mod tests {
         assert!((s.mean() - mean).abs() < 1e-10);
         assert!((s.sample_variance() - var).abs() < 1e-10);
     }
+
+    #[test]
+    fn two_observations_divide_by_one() {
+        // Sample variance of {1, 3}: ((1-2)² + (3-2)²) / (2 - 1) = 2.
+        let s: OnlineStats = [1.0, 3.0].into_iter().collect();
+        assert_eq!(s.mean(), 2.0);
+        assert_eq!(s.sample_variance(), 2.0);
+        assert_eq!(s.sample_std_dev(), 2.0f64.sqrt());
+    }
+
+    #[test]
+    fn collecting_nothing_is_the_default() {
+        let s: OnlineStats = std::iter::empty().collect();
+        assert_eq!(s, OnlineStats::default());
+        assert_eq!(s.sample_std_dev(), 0.0);
+    }
+
+    #[test]
+    fn a_large_offset_does_not_cost_precision() {
+        // The point of Welford over the textbook E[x²] − E[x]²: cycle
+        // counts sit far from zero, their spread does not.
+        let base: Vec<f64> = (0..1000).map(|i| f64::from(i % 7)).collect();
+        let plain: OnlineStats = base.iter().copied().collect();
+        let shifted: OnlineStats = base.iter().map(|v| v + 1e9).collect();
+        assert!((shifted.mean() - 1e9 - plain.mean()).abs() < 1e-6);
+        assert!(
+            (shifted.sample_variance() - plain.sample_variance()).abs() < 1e-6,
+            "{} vs {}",
+            shifted.sample_variance(),
+            plain.sample_variance()
+        );
+    }
+
+    #[test]
+    fn observation_order_does_not_move_the_moments() {
+        let data: Vec<f64> = (0..200)
+            .map(|i| (f64::from(i) * 1.3).cos() * 50.0)
+            .collect();
+        let forward: OnlineStats = data.iter().copied().collect();
+        let backward: OnlineStats = data.iter().rev().copied().collect();
+        assert!((forward.mean() - backward.mean()).abs() < 1e-12);
+        assert!((forward.sample_std_dev() - backward.sample_std_dev()).abs() < 1e-12);
+    }
 }
