@@ -989,6 +989,19 @@ mod tests {
         }
     }
 
+    /// The usage line's `--<option>` placeholder names no option.
+    #[test]
+    fn the_usage_placeholder_is_not_an_option() {
+        for flag in ["<option>", "<option"] {
+            let argv = ["run", &format!("--{flag}"), "5"];
+            assert_eq!(
+                args(&argv).unwrap_err(),
+                CliError::UnknownOption(flag.into()),
+                "{argv:?}"
+            );
+        }
+    }
+
     #[test]
     fn invalid_scenario_displays_knob_and_reason() {
         let err = args(&["run", "--n", "1"]).unwrap().scenario().unwrap_err();
