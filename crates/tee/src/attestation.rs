@@ -89,7 +89,7 @@ impl Certificate {
     /// Whether the certificate still vouches for the platform at
     /// `round`.
     pub fn valid_at(&self, round: u64) -> bool {
-        round < self.expires_round
+        self.issued_round <= round && round < self.expires_round
     }
 }
 
@@ -346,6 +346,7 @@ mod tests {
         let (_, cert) = s.attest_certified(&quote, 10, 5).unwrap();
         assert_eq!(cert.platform_id, 1);
         assert!(cert.valid_at(10) && cert.valid_at(14));
+        assert!(!cert.valid_at(9), "the window starts at the issue round");
         assert!(!cert.valid_at(15), "expiry round is exclusive");
         // Renewal is a fresh attestation: new nonce, new window.
         let nonce = s.challenge();
