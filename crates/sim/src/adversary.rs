@@ -395,11 +395,16 @@ impl Adversary {
         rng.sample_into(candidates, k, idx_scratch, out);
     }
 
+    /// How far below the average observed Byzantine share a node must
+    /// sit for [`Adversary::classify_trusted`] to flag it (paper §VI-A:
+    /// 0.1 maximises the adversary's outcome).
+    const IDENTIFICATION_THRESHOLD: f64 = 0.1;
+
     /// Runs the identification classifier (Section VI-A): computes the
     /// average observed Byzantine share, then flags every observed node
-    /// whose share sits more than `threshold` *below* that average.
-    /// Returns the flagged node IDs.
-    pub(crate) fn classify_trusted(&self, threshold: f64) -> Vec<NodeId> {
+    /// whose share sits more than [`Self::IDENTIFICATION_THRESHOLD`]
+    /// *below* that average. Returns the flagged node IDs.
+    pub(crate) fn classify_trusted(&self) -> Vec<NodeId> {
         let observed: Vec<(usize, f64)> = self
             .observations
             .iter()
@@ -412,7 +417,7 @@ impl Adversary {
         let avg = observed.iter().map(|&(_, s)| s).sum::<f64>() / observed.len() as f64;
         observed
             .into_iter()
-            .filter(|&(_, share)| avg - share > threshold)
+            .filter(|&(_, share)| avg - share > Self::IDENTIFICATION_THRESHOLD)
             .map(|(i, _)| NodeId(i as u64))
             .collect()
     }
@@ -610,7 +615,7 @@ mod tests {
         }
         // One trusted-looking node: 0 % Byzantine.
         a.record_share(NodeId(40), 0.0);
-        let flagged = a.classify_trusted(0.1);
+        let flagged = a.classify_trusted();
         assert_eq!(flagged, vec![NodeId(40)]);
         assert_eq!(a.observations.iter().flatten().count(), 21);
     }
@@ -622,10 +627,10 @@ mod tests {
         for i in 20..40u64 {
             a.record_share(NodeId(i), 1.0);
         }
-        assert!(a.classify_trusted(0.1).is_empty());
+        assert!(a.classify_trusted().is_empty());
         // And with no observations at all.
         let a2 = adversary(10, 100);
-        assert!(a2.classify_trusted(0.1).is_empty());
+        assert!(a2.classify_trusted().is_empty());
     }
 
     #[test]

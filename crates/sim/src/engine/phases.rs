@@ -555,9 +555,7 @@ impl Simulation {
         if !self.scenario.identification_attack {
             return;
         }
-        let flagged = self
-            .adversary
-            .classify_trusted(self.scenario.identification_threshold);
+        let flagged = self.adversary.classify_trusted();
         let (trusted, n) = (&self.trusted, self.scenario.n);
         let actual = trusted[self.byz_count..n].iter().filter(|&&t| t).count();
         let result = IdentificationResult::evaluate(

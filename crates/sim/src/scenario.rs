@@ -527,16 +527,14 @@ pub struct Scenario {
     pub population: Vec<SegmentSpec>,
     /// Run the real four-message HMAC handshake for every pull
     /// (`true`), or the role-based shortcut whose equivalence is
-    /// asserted by `tests/crypto_shortcut.rs` (`false`, default for
-    /// large sweeps).
+    /// asserted by `real_crypto_handshakes_match_shortcut` in
+    /// `crates/sim/src/engine/tests.rs` (`false`, default for large
+    /// sweeps).
     pub real_crypto_handshakes: bool,
     /// Enable the trusted-node identification attack bookkeeping
     /// (Section VI-A); costs one extra observation pull per Byzantine
     /// node per round.
     pub identification_attack: bool,
-    /// Identification threshold (paper: 0.1 maximises the adversary's
-    /// outcome).
-    pub identification_threshold: f64,
     /// Uniform message-loss probability applied to pushes and pull
     /// answers (failure injection; the paper's testbed is lossless).
     pub message_loss: f64,
@@ -610,7 +608,6 @@ impl Default for Scenario {
             population: Vec::new(),
             real_crypto_handshakes: false,
             identification_attack: false,
-            identification_threshold: 0.1,
             message_loss: 0.0,
             churn: ChurnSchedule::default(),
             attest_ttl: 0,
@@ -795,11 +792,6 @@ impl Scenario {
             knob: "eviction",
             reason: reason.to_string(),
         })?;
-        check(
-            (0.0..=1.0).contains(&self.identification_threshold),
-            "identification_threshold",
-        )
-        .or("identification threshold must be in [0,1]")?;
         check(
             self.discovery != DiscoveryMode::Exact || self.total_actors() <= EXACT_FORCE_LIMIT,
             "discovery",

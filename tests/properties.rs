@@ -339,7 +339,7 @@ proptest! {
         masks in any::<[u64; 4]>(),
         (n, n_sane, view, sample, rounds, tail, split, delta) in
             (0usize..4, 8usize..49, 0usize..4, 0usize..4, 0usize..4, 0usize..4, 0usize..49, 0usize..3),
-        (byz, trusted, injected, gamma, loss, threshold, flood, victim) in
+        (byz, trusted, injected, gamma, loss, _threshold, flood, victim) in
             (WILD, WILD, WILD, WILD, WILD, WILD, WILD, WILD),
         (focus, lo, hi, crash_fraction, crash_rate, restart, burst_rate, nat) in
             (WILD, WILD, WILD, WILD, WILD, WILD, WILD, WILD),
@@ -365,7 +365,6 @@ proptest! {
             tail_window: pick(w(7), tail, 3),
             gamma: pick(w(8), gamma, 0.2),
             message_loss: pick(w(9), loss, 0.0),
-            identification_threshold: pick(w(10), threshold, 0.1),
             flood_slack_sigmas: pick(w(11), flood, 4.0),
             attack: match pick(w(12), attack, 0) {
                 0 => AttackStrategy::Balanced,
