@@ -122,10 +122,16 @@ impl Scale {
             view_size: self.view,
             sample_size: self.view,
             rounds: self.rounds,
-            tail_window: (self.rounds / 10).max(5),
+            tail_window: tail_window(self.rounds),
             ..base
         }
     }
+}
+
+/// The resilience tail a run of `rounds` averages: the last tenth of
+/// the run, at least five rounds.
+pub fn tail_window(rounds: usize) -> usize {
+    (rounds / 10).max(5)
 }
 
 /// The Byzantine proportions of the figures' x axes (paper: 10 %–30 %,

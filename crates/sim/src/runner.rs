@@ -261,41 +261,62 @@ pub fn sweep_grid(
     trusted_fractions: &[f64],
     repetitions: usize,
 ) -> SweepResults {
-    let baselines: Vec<(f64, AggregatedResult)> = byzantine_fractions
-        .par_iter()
+    let cells = sweep_cells(template, byzantine_fractions, trusted_fractions);
+    let baselines = cells
+        .baselines
+        .into_par_iter()
+        .map(|(f, s)| (f, run_repeated(&s, repetitions)))
+        .collect();
+    let grid = cells
+        .grid
+        .into_par_iter()
+        .map(|(f, t, s)| (f, t, run_repeated(&s, repetitions)))
+        .collect();
+    SweepResults { baselines, grid }
+}
+
+/// The scenarios [`sweep_grid`] runs: a Brahms baseline per Byzantine
+/// fraction `f`, then the RAPTEE `(f, t)` grid row by row.
+pub fn sweep_cells(
+    template: &Scenario,
+    byzantine_fractions: &[f64],
+    trusted_fractions: &[f64],
+) -> SweepResults<Scenario> {
+    let baselines = byzantine_fractions
+        .iter()
         .map(|&f| {
             let mut s = template.brahms_baseline();
             s.byzantine_fraction = f;
-            (f, run_repeated(&s, repetitions))
+            (f, s)
         })
         .collect();
-    let grid: Vec<(f64, f64, AggregatedResult)> = byzantine_fractions
+    let grid = byzantine_fractions
         .iter()
-        .flat_map(|&f| trusted_fractions.iter().map(move |&t| (f, t)))
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|(f, t)| {
-            let mut s = template.clone();
-            s.byzantine_fraction = f;
-            s.trusted_fraction = t;
-            (f, t, run_repeated(&s, repetitions))
+        .flat_map(|&f| {
+            trusted_fractions.iter().map(move |&t| {
+                let mut s = template.clone();
+                s.byzantine_fraction = f;
+                s.trusted_fraction = t;
+                (f, t, s)
+            })
         })
         .collect();
     SweepResults { baselines, grid }
 }
 
-/// Output of [`sweep_grid`].
+/// Output of [`sweep_grid`]; with `T = Scenario`, its input
+/// ([`sweep_cells`]).
 #[derive(Debug, Clone)]
-pub struct SweepResults {
+pub struct SweepResults<T = AggregatedResult> {
     /// Brahms baseline per Byzantine fraction.
-    pub baselines: Vec<(f64, AggregatedResult)>,
-    /// RAPTEE result per (f, t) grid point.
-    pub grid: Vec<(f64, f64, AggregatedResult)>,
+    pub baselines: Vec<(f64, T)>,
+    /// RAPTEE cell per (f, t) grid point.
+    pub grid: Vec<(f64, f64, T)>,
 }
 
-impl SweepResults {
+impl<T> SweepResults<T> {
     /// The baseline for Byzantine fraction `f`.
-    pub fn baseline(&self, f: f64) -> Option<&AggregatedResult> {
+    pub fn baseline(&self, f: f64) -> Option<&T> {
         self.baselines
             .iter()
             .find(|(bf, _)| (bf - f).abs() < 1e-12)
