@@ -1,32 +1,217 @@
 //! Argument parsing and command execution for the `raptee-cli` binary.
 //!
-//! Dependency-free by design (no clap offline): a small hand-rolled
-//! `--key value` parser with typed accessors, unit-tested separately
-//! from I/O. The parser checks only what the library cannot know —
-//! syntax, option names [`USAGE`] does not list, flags that need
-//! `--network events`, `--rejoin` without a churn process, percent
-//! shares that miss 100 % — and leaves every
-//! range and consistency rule to [`Scenario::validate`], whose error
-//! comes back as [`CliError::Invalid`]. The binary prints any
-//! [`CliError`] as `error: …` and exits 2.
-//!
-//! ```text
-//! raptee-cli run    [--n 400] [--f 0.2] [--t 0.1] [--eviction adaptive]
-//!                   [--view 16] [--rounds 200] [--seed 7] [--protocol raptee]
-//!                   [--scale million] [--discovery sketch] [--reps 1] [--series]
-//! raptee-cli sweep  [--eviction adaptive] [--reps 2] ...
-//! raptee-cli ident  [--f 0.1] [--eviction 0.6] ...
-//! raptee-cli inject [--t 0.01] [--injected 0.05] ...
-//! ```
+//! Dependency-free by design (no clap offline). Each option is declared
+//! once, as a row of the option table (flag, value placeholder, help
+//! section, default, help text): [`usage`], the known-option check of
+//! [`Args::parse`], every absent-flag default and the events-only rule
+//! all read it. The parser checks only what the library cannot know —
+//! syntax, unknown options, network options without `--network events`,
+//! `--rejoin` without a churn process, percent shares that miss 100 % —
+//! and leaves every range and consistency rule to [`Scenario::validate`],
+//! whose error comes back as [`CliError::Invalid`]. The binary prints
+//! any [`CliError`] as `error: …` and exits 2.
 
 use raptee::EvictionPolicy;
-use raptee_bench::Scale;
+use raptee_bench::{byzantine_fractions, tail_window, trusted_fractions, Scale};
 use raptee_sim::{
     runner, AdversaryMode, AttackStrategy, AuditConfig, ChurnBurst, ChurnSchedule, DiscoveryMode,
     EventNetConfig, LatencyModel, NetworkModel, PartitionWindow, Protocol, Reachability,
-    RejoinPolicy, RetryConfig, Scenario, ScenarioError, SegmentSpec, DEFAULT_AUDIT_GRACE,
+    RejoinPolicy, RetryConfig, Scenario, ScenarioError, SegmentSpec,
 };
 use std::collections::BTreeMap;
+use Section::{Audit, Commands, Common, Fault, Network};
+use Value::{OneOf, Pair, Text};
+
+/// One option, `--flag <value>`. `default` is what an absent flag reads,
+/// as a user would type it, or `None` for an option off unless given.
+struct Opt {
+    flag: &'static str,
+    value: Value,
+    section: Section,
+    default: Option<&'static str>,
+    help: &'static str,
+}
+
+const fn opt(
+    flag: &'static str,
+    value: Value,
+    section: Section,
+    default: Option<&'static str>,
+    help: &'static str,
+) -> Opt {
+    Opt {
+        flag,
+        value,
+        section,
+        default,
+        help,
+    }
+}
+
+/// An option's value, as [`usage`] shows it.
+#[derive(Clone, Copy)]
+enum Value {
+    /// Text the option's own grammar reads, e.g. `usize` or `windows`.
+    Text(&'static str),
+    /// One of these names.
+    OneOf(&'static [&'static str]),
+    /// `first[:second]`; an omitted second part reads the third field.
+    Pair(&'static str, &'static str, &'static str),
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Text(text) => f.write_str(text),
+            OneOf(names) => f.write_str(&names.join("|")),
+            Pair(first, second, _) => write!(f, "{first}[:{second}]"),
+        }
+    }
+}
+
+/// A help section; every [`Network`] option but `--network` itself
+/// needs `--network events`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Section {
+    Common,
+    Network,
+    Fault,
+    Audit,
+    Commands,
+}
+
+/// The sections in [`usage`] order, with their headings.
+const SECTIONS: [(Section, &str); 5] = [
+    (Common, "COMMON OPTIONS"),
+    (
+        Network,
+        "NETWORK OPTIONS (all but --network require --network events)",
+    ),
+    (Fault, "FAULT OPTIONS (round and event network alike)"),
+    (Audit, "AUDIT OPTIONS (require a trusted tier)"),
+    (Commands, "SUBCOMMAND OPTIONS"),
+];
+
+/// Every option `raptee-cli` accepts, in [`usage`] order.
+#[rustfmt::skip]
+const OPTIONS: [Opt; 35] = [
+    opt("n", Text("usize"), Common, Some("400"), "population size"),
+    opt("f", Text("f64"), Common, Some("0.1"), "Byzantine fraction"),
+    opt("t", Text("f64"), Common, Some("0.01"), "trusted fraction"),
+    opt("view", Text("usize"), Common, Some("16"), "view/sample size"),
+    opt("rounds", Text("usize"), Common, Some("200"), "rounds per run"),
+    opt("scale", Text("name"), Common, None, "tiny | small | medium | paper | million: preset \
+        n/view/rounds (explicit flags still win) and sweep axes (small's when absent)"),
+    opt("discovery", OneOf(&["auto", "exact", "sketch"]), Common, Some("auto"), "auto = exact \
+        bitsets up to 16384 actors, HLL cardinality sketches (~6.5% std error) above"),
+    opt("seed", Text("u64"), Common, Some("5937134"), "master seed"),
+    opt("reps", Text("usize"), Common, Some("1"), "repetitions"),
+    opt("eviction", Text("policy"), Common, Some("adaptive"), "none | adaptive | 0.0..1.0"),
+    opt("protocol", Text("name"), Common, Some("raptee"),
+        "raptee | brahms | basalt | basalt-tee | lift | honeybee"),
+    opt("rotation", Text("usize"), Common, Some("30"), "BASALT seed-rotation interval in rounds"),
+    opt("wlist-ttl", Text("usize"), Common, Some("10"), "basalt-tee quarantine TTL in rounds"),
+    opt("fade", Text("usize"), Common, Some("20"), "LIFT hub-score fade interval in rounds"),
+    opt("walk-length", Text("usize"), Common, Some("5"), "Honeybee verified-walk hop budget"),
+    opt("attack", Text("strategy"), Common, Some("balanced"), "balanced | force-push | \
+        targeted:fraction,focus: the adversary's static push strategy"),
+    opt("adversary", OneOf(&["static", "adaptive"]), Common, Some("static"), "adaptive re-aims \
+        the lawful budget each round with a UCB bandit over (segment, strategy) arms"),
+    opt("population", Text("spec"), Common, None, "mixed population: comma-separated \
+        protocol:count or protocol:share% entries over the correct nodes, e.g. \
+        raptee:50%,basalt-tee:50% (overrides --protocol; each segment is reported)"),
+    opt("network", OneOf(&["rounds", "events"]), Network, Some("rounds"), "events = \
+        discrete-event delivery: per-link latency, partitions and NAT, not lockstep rounds"),
+    opt("latency", Text("model"), Network, Some("const:0"), "const:T | uniform:LO..HI | \
+        lognormal:MU,SIGMA[,CAP] in ticks (CAP defaults to ten rounds)"),
+    opt("round-ticks", Text("u64"), Network, Some("1000"), "virtual ticks per round"),
+    opt("jitter", Text("u64"), Network, Some("0"), "max per-node round-timer offset in ticks"),
+    opt("partition", Text("windows"), Network, None, "cut windows start..end@boundary[;...], \
+        e.g. 10..25@75: rounds start..end cut before actor index boundary; held messages \
+        release at the heal"),
+    opt("nat", Pair("fraction", "ttl", "3"), Network, None, "share of correct nodes behind \
+        NAT-like reachability; inbound traffic needs a hole punched within ttl rounds"),
+    opt("retry", Pair("max", "backoff", "250"), Network, None, "extra pull attempts after a \
+        missed deadline, exponential backoff base in ticks"),
+    opt("duplicate", Text("f64"), Network, Some("0"), "probability that a pull answer is \
+        delivered twice (nonce dedup suppresses the copy)"),
+    opt("reorder", Text("u64"), Network, Some("0"), "extra hash-derived delay in [0, N] ticks \
+        on duplicate copies (reorders them)"),
+    opt("churn", Pair("rate", "restart-rate", "0"), Fault, None, "steady per-round crash \
+        probability of live correct nodes and restart probability of crashed ones"),
+    opt("catastrophe", Text("windows"), Fault, None, "burst windows start..end@rate[;...], \
+        e.g. 20..25@0.4: a raised crash rate inside the window (correlated failures)"),
+    opt("rejoin", OneOf(&["cold", "warm"]), Fault, Some("cold"), "restarted nodes rebootstrap \
+        (cold) or keep their view with a staleness penalty (warm); needs --churn or \
+        --catastrophe"),
+    opt("attest-ttl", Text("usize"), Fault, Some("0"), "attestation-certificate lifetime in \
+        rounds; expired trusted nodes act untrusted until re-attested (0 = never expire)"),
+    opt("audit", Pair("budget", "grace", "10"), Audit, None, "verifiable audit layer: budget \
+        merkle-opening challenges per round; unanswered audits decay after grace rounds; an \
+        inconsistent proof convicts and quarantines the node"),
+    opt("trusted-refresh", Text("usize"), Audit, Some("0"), "rounds between proactive \
+        trusted-directory exchanges on the trusted tier (0 = off)"),
+    opt("series", Text("bool"), Commands, Some("false"), "run: print the pollution curve as CSV"),
+    opt("injected", Text("f64"), Commands, Some("0"), "inject: poisoned trusted nodes, share of n"),
+];
+
+/// The row declaring `--flag`.
+fn row(flag: &str) -> Option<&'static Opt> {
+    OPTIONS.iter().find(|o| o.flag == flag)
+}
+
+/// A subcommand's runner.
+type Command = fn(&Args) -> Result<String, CliError>;
+
+/// The subcommands: name, runner and help line.
+#[rustfmt::skip]
+const COMMANDS: [(&str, Command, &str); 5] = [
+    ("run", cmd_run, "one scenario"),
+    ("sweep", cmd_sweep, "f × t grid vs the Brahms baseline (fig 5-9 shape)"),
+    ("ident", cmd_ident, "trusted-node identification attack (fig 10-12 shape)"),
+    ("inject", cmd_inject, "view-poisoned trusted node injection (fig 13 shape)"),
+    ("help", |_| Ok(usage()), "print this text"),
+];
+
+/// The help text printed on error or `help`, rendered from the option
+/// and subcommand tables.
+pub fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+    let mut out = format!(
+        "raptee-cli — drive the RAPTEE reproduction from the command line\n\n\
+         USAGE:\n    raptee-cli <{}> [--<option> <value>]...\n",
+        names.join("|")
+    );
+    for (section, heading) in SECTIONS {
+        out.push_str(&format!("\n{heading}:\n"));
+        for o in OPTIONS.iter().filter(|o| o.section == section) {
+            let pair = match o.value {
+                Pair(_, second, default) => Some(format!("[default {second}: {default}]")),
+                _ => None,
+            };
+            let default = o.default.map(|d| format!("[default: {d}]"));
+            let help = o.help.split(' ').map(String::from);
+            // Help wraps into a column from 30 to 80 characters.
+            let mut line = format!("    --{} <{}>", o.flag, o.value);
+            for word in help.chain(pair).chain(default) {
+                let used = line.chars().count();
+                if used >= 30 && used + 1 + word.chars().count() > 80 {
+                    out.push_str(&format!("{line}\n"));
+                    line = " ".repeat(30);
+                } else {
+                    line.push_str(&" ".repeat(30usize.saturating_sub(used).max(1)));
+                }
+                line.push_str(&word);
+            }
+            out.push_str(&format!("{line}\n"));
+        }
+    }
+    out.push_str("\nSUBCOMMANDS:\n");
+    for (name, _, help) in COMMANDS {
+        out.push_str(&format!("    {name:<8} {help}\n"));
+    }
+    out
+}
 
 /// A parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -46,7 +231,7 @@ pub enum CliError {
     MissingValue(String),
     /// A positional argument appeared where an option was expected.
     UnexpectedArgument(String),
-    /// A `--key` that is not one of [`USAGE`]'s options.
+    /// A `--key` that is not one of [`usage`]'s options.
     UnknownOption(String),
     /// A value failed to parse for its option.
     BadValue {
@@ -85,7 +270,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns a [`CliError`] when the grammar is violated or an option
-    /// is not one [`USAGE`] lists.
+    /// is not one [`usage`] lists.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, CliError> {
         let mut iter = raw.into_iter();
         let command = iter.next().ok_or(CliError::MissingCommand)?;
@@ -98,7 +283,7 @@ impl Args {
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::UnexpectedArgument(arg.clone()))?
                 .to_string();
-            if !is_usage_option(&key) {
+            if row(&key).is_none() {
                 return Err(CliError::UnknownOption(key));
             }
             let value = iter
@@ -109,73 +294,59 @@ impl Args {
         Ok(Args { command, options })
     }
 
-    /// Typed option accessor with a default.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::BadValue`] when present but unparsable.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+    /// `--key`'s value as given, else its row's default; `None` for an
+    /// absent option that is off unless given.
+    fn value(&self, key: &str) -> Option<&str> {
         match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| bad_value(key, v)),
+            Some(v) => Some(v),
+            None => row(key).and_then(|o| o.default),
         }
     }
 
-    /// Looks `--key`'s value up among `names`; the first entry is the
-    /// default when the flag is absent.
-    fn choice<T: Copy>(&self, key: &str, names: &[(&str, T)]) -> Result<T, CliError> {
-        let Some(v) = self.options.get(key) else {
-            return Ok(names[0].1);
+    /// `--key`'s value or default, parsed; an absent option without a
+    /// default reads as empty text.
+    fn get<T: std::str::FromStr>(&self, key: &str) -> Result<T, CliError> {
+        let v = self.value(key).unwrap_or_default();
+        v.parse().map_err(|_| bad_value(key, v))
+    }
+
+    /// The entry of `values` at the position of `--key`'s value in the
+    /// option's list of names.
+    fn choice<T: Copy, const N: usize>(&self, key: &str, values: [T; N]) -> Result<T, CliError> {
+        let v = self.value(key).unwrap_or_default();
+        let names = match row(key).map(|o| o.value) {
+            Some(OneOf(names)) => names,
+            _ => &[],
         };
         names
             .iter()
-            .find(|(name, _)| name == v)
-            .map(|&(_, t)| t)
+            .position(|&name| name == v)
+            .and_then(|i| values.get(i).copied())
             .ok_or_else(|| bad_value(key, v))
     }
 
     /// Whether a boolean flag (`--series true` / presence with any value
     /// other than "false") is set.
-    pub fn flag(&self, key: &str) -> bool {
-        match self.options.get(key) {
-            None => false,
-            Some(v) => v != "false" && v != "0",
-        }
+    fn flag(&self, key: &str) -> bool {
+        self.value(key).is_some_and(|v| v != "false" && v != "0")
     }
 
-    /// Parses the `--eviction` option: `none`, `adaptive`, or a fixed
-    /// rate like `0.6`.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::BadValue`] on anything else.
-    pub fn eviction(&self) -> Result<EvictionPolicy, CliError> {
-        match self.options.get("eviction").map(String::as_str) {
-            None | Some("adaptive") => Ok(EvictionPolicy::adaptive()),
+    /// Parses `--eviction`: `none`, `adaptive`, or a fixed rate like
+    /// `0.6`.
+    fn eviction(&self) -> Result<EvictionPolicy, CliError> {
+        match self.value("eviction") {
+            Some("adaptive") => Ok(EvictionPolicy::adaptive()),
             Some("none") => Ok(EvictionPolicy::none()),
-            Some(_) => self.get("eviction", 0.0).map(EvictionPolicy::Fixed),
+            _ => self.get("eviction").map(EvictionPolicy::Fixed),
         }
     }
 
-    /// Parses the `--protocol` option (`raptee` default, `brahms`,
-    /// `basalt`, `basalt-tee`, `lift`, or `honeybee`). The BASALT family
-    /// reads `--rotation` for its seed-rotation interval and runs
-    /// `view_size` ranked slots; the BASALT+TEE hybrid additionally
-    /// reads `--wlist-ttl` (rounds of hearsay quarantine, default 10)
-    /// and takes its trusted tier from `--t`. LIFT reads `--fade`
-    /// (hub-score fade interval, default 20) and Honeybee reads
-    /// `--walk-length` (random-walk hop budget, default 5).
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::BadValue`] on anything else.
-    pub fn protocol(&self, view_size: usize) -> Result<Protocol, CliError> {
-        self.named_protocol(
-            self.options
-                .get("protocol")
-                .map_or("raptee", String::as_str),
-            view_size,
-        )
+    /// Parses `--protocol`. The BASALT family reads `--rotation` and runs
+    /// `view_size` ranked slots; the BASALT+TEE hybrid also reads
+    /// `--wlist-ttl` and takes its trusted tier from `--t`. LIFT reads
+    /// `--fade` and Honeybee reads `--walk-length`.
+    fn protocol(&self, view_size: usize) -> Result<Protocol, CliError> {
+        self.named_protocol(self.value("protocol").unwrap_or_default(), view_size)
     }
 
     /// Resolves one protocol name (shared by `--protocol` and the
@@ -186,41 +357,31 @@ impl Args {
             "brahms" => Ok(Protocol::Brahms),
             "basalt" => Ok(Protocol::Basalt {
                 view_size,
-                rotation_interval: self.get("rotation", 30usize)?,
+                rotation_interval: self.get("rotation")?,
             }),
             "basalt-tee" => Ok(Protocol::BasaltTee {
                 view_size,
-                rotation_interval: self.get("rotation", 30usize)?,
-                wlist_ttl: self.get("wlist-ttl", 10usize)?,
+                rotation_interval: self.get("rotation")?,
+                wlist_ttl: self.get("wlist-ttl")?,
             }),
             "lift" => Ok(Protocol::Lift {
                 view_size,
-                fade_interval: self.get("fade", 20usize)?,
+                fade_interval: self.get("fade")?,
             }),
             "honeybee" => Ok(Protocol::Honeybee {
                 view_size,
-                walk_length: self.get("walk-length", 5usize)?,
+                walk_length: self.get("walk-length")?,
             }),
             v => Err(bad_value("protocol", v)),
         }
     }
 
-    /// Parses the `--population` option: a comma-separated list of
-    /// `protocol:count` (absolute correct-node counts) or
-    /// `protocol:share%` (percent of the correct population; the
-    /// remainder after all percent segments lands in the last one)
-    /// entries, e.g. `raptee:50%,basalt-tee:50%`.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::BadValue`] when an entry fails to parse or percent
-    /// shares miss 100 %.
-    pub fn population(
-        &self,
-        view_size: usize,
-        correct: usize,
-    ) -> Result<Vec<SegmentSpec>, CliError> {
-        let Some(spec) = self.options.get("population") else {
+    /// Parses `--population`: a comma-separated list of `protocol:count`
+    /// (absolute correct-node counts) or `protocol:share%` (percent of
+    /// the correct population; the remainder after all percent segments
+    /// lands in the last one) entries, e.g. `raptee:50%,basalt-tee:50%`.
+    fn population(&self, view_size: usize, correct: usize) -> Result<Vec<SegmentSpec>, CliError> {
+        let Some(spec) = self.value("population") else {
             return Ok(Vec::new());
         };
         let bad = |value: &str| bad_value("population", value);
@@ -263,87 +424,50 @@ impl Args {
         Ok(segments)
     }
 
-    /// Parses the `--scale` option: a named profile from the bench
-    /// harness (`tiny|small|medium|paper|million`) whose N/view/rounds
-    /// become the scenario defaults; explicit `--n`/`--view`/`--rounds`
-    /// still win.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::BadValue`] on an unknown profile name.
-    pub fn scale(&self) -> Result<Option<Scale>, CliError> {
-        match self.options.get("scale") {
-            None => Ok(None),
-            Some(name) => Scale::named(name)
-                .map(Some)
-                .ok_or_else(|| bad_value("scale", name)),
-        }
+    /// Parses `--scale`: a named profile of the bench harness, whose
+    /// N/view/rounds become the scenario defaults.
+    fn scale(&self) -> Result<Option<Scale>, CliError> {
+        let scale = |name| Scale::named(name).ok_or_else(|| bad_value("scale", name));
+        self.value("scale").map(scale).transpose()
     }
 
-    /// Parses the `--discovery` option (`auto` default, `exact`,
-    /// `sketch`): how the system-discovery metric is tracked. `auto`
-    /// picks exact bitsets up to the crossover population and HLL
-    /// sketches above it.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::BadValue`] on anything else.
-    pub fn discovery(&self) -> Result<DiscoveryMode, CliError> {
-        self.choice(
-            "discovery",
-            &[
-                ("auto", DiscoveryMode::Auto),
-                ("exact", DiscoveryMode::Exact),
-                ("sketch", DiscoveryMode::Sketch),
-            ],
-        )
+    /// Parses `--discovery`: how the system-discovery metric is tracked.
+    fn discovery(&self) -> Result<DiscoveryMode, CliError> {
+        use DiscoveryMode::{Auto, Exact, Sketch};
+        self.choice("discovery", [Auto, Exact, Sketch])
     }
 
     /// Parses the network-model options. `--network events` selects the
-    /// discrete-event delivery substrate; the shaping flags
-    /// (`--latency`, `--round-ticks`, `--jitter`, `--partition`,
-    /// `--nat`) configure it. Under the default round model a shaping
-    /// flag is rejected rather than silently ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::BadValue`] on malformed specs or shaping flags
-    /// without `--network events`.
-    pub fn network(&self) -> Result<NetworkModel, CliError> {
-        const SHAPING: [&str; 8] = [
-            "latency",
-            "round-ticks",
-            "jitter",
-            "partition",
-            "nat",
-            "retry",
-            "duplicate",
-            "reorder",
-        ];
-        if !self.choice("network", &[("rounds", false), ("events", true)])? {
-            if let Some(k) = SHAPING.iter().find(|k| self.options.contains_key(**k)) {
-                return Err(bad_value(k, "requires --network events"));
-            }
-            return Ok(NetworkModel::Rounds);
+    /// discrete-event delivery substrate, which the other network options
+    /// configure; without it they are rejected, not silently ignored.
+    fn network(&self) -> Result<NetworkModel, CliError> {
+        if !self.choice("network", [false, true])? {
+            // Every network option but `--network` needs the event network.
+            let given = |o: &&Opt| {
+                o.section == Network && o.flag != "network" && self.options.contains_key(o.flag)
+            };
+            return match OPTIONS.iter().find(given) {
+                Some(o) => Err(bad_value(o.flag, "requires --network events")),
+                None => Ok(NetworkModel::Rounds),
+            };
         }
-        let round_ticks = self.get("round-ticks", 1_000u64)?;
+        let round_ticks = self.get("round-ticks")?;
         Ok(NetworkModel::Events(EventNetConfig {
             latency: self.latency(round_ticks)?,
             round_ticks,
-            jitter: self.get("jitter", 0u64)?,
+            jitter: self.get("jitter")?,
             partitions: self.partitions()?,
             reachability: self.reachability()?,
             retry: self.retry()?,
-            duplicate_rate: self.get("duplicate", 0.0f64)?,
-            reorder_jitter: self.get("reorder", 0u64)?,
+            duplicate_rate: self.get("duplicate")?,
+            reorder_jitter: self.get("reorder")?,
         }))
     }
 
-    /// Parses `--retry max[:base-backoff]`: extra pull attempts after a
-    /// missed deadline and the exponential-backoff base in ticks
-    /// (default 250).
+    /// Parses `--retry max[:backoff]`: extra pull attempts after a
+    /// missed deadline and the exponential-backoff base in ticks.
     fn retry(&self) -> Result<RetryConfig, CliError> {
-        Ok(match self.pair("retry", 250)? {
+        Ok(match self.pair("retry")? {
             None => RetryConfig::default(),
             Some((max_retries, base_backoff)) => RetryConfig {
                 max_retries,
@@ -354,48 +478,39 @@ impl Args {
 
     /// Parses `--audit budget[:grace]`: challenges issued per round by
     /// the verifiable-audit challenger and the suspicion grace window in
-    /// rounds (default 10).
+    /// rounds.
     fn audit(&self) -> Result<Option<AuditConfig>, CliError> {
         Ok(self
-            .pair("audit", DEFAULT_AUDIT_GRACE)?
+            .pair("audit")?
             .map(|(budget, grace)| AuditConfig { budget, grace }))
     }
 
-    /// Parses an optional `--key first[:second]` spec; `second` falls
-    /// back to `default` when the colon part is omitted.
+    /// Parses an optional `--key first[:second]` spec; an omitted
+    /// `second` reads the option's [`Value::Pair`] default.
     fn pair<A: std::str::FromStr, B: std::str::FromStr>(
         &self,
         key: &str,
-        default: B,
     ) -> Result<Option<(A, B)>, CliError> {
-        let Some(spec) = self.options.get(key) else {
+        let Some(spec) = self.value(key) else {
             return Ok(None);
         };
+        let second = match row(key).map(|o| o.value) {
+            Some(Pair(_, _, default)) => default,
+            _ => "",
+        };
+        let (first, second) = spec.split_once(':').unwrap_or((spec, second));
         let bad = || bad_value(key, spec);
-        let (first, second) = match spec.split_once(':') {
-            Some((a, b)) => (a, Some(b)),
-            None => (spec.as_str(), None),
-        };
-        let first = first.parse().map_err(|_| bad())?;
-        let second = match second {
-            Some(b) => b.parse().map_err(|_| bad())?,
-            None => default,
-        };
-        Ok(Some((first, second)))
+        Ok(Some((
+            first.parse().map_err(|_| bad())?,
+            second.parse().map_err(|_| bad())?,
+        )))
     }
 
-    /// Parses the churn options: `--churn rate[:restart-rate]` (steady
-    /// per-round crash/restart probabilities), `--catastrophe
-    /// start..end@frac[;...]` (burst windows with a raised crash rate)
-    /// and `--rejoin cold|warm` (how restarted nodes rebuild state).
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::BadValue`] on malformed specs or `--rejoin` without
-    /// any restart process.
+    /// Parses the churn options: `--churn`, `--catastrophe` and
+    /// `--rejoin`, which needs a restart process.
     fn churn(&self) -> Result<ChurnSchedule, CliError> {
         let mut churn = ChurnSchedule::default();
-        if let Some((crash_rate, restart_rate)) = self.pair("churn", 0.0)? {
+        if let Some((crash_rate, restart_rate)) = self.pair("churn")? {
             churn.crash_rate = crash_rate;
             churn.restart_rate = restart_rate;
         }
@@ -408,19 +523,14 @@ impl Args {
             let why = format!("{v} (requires --churn or --catastrophe)");
             return Err(bad_value("rejoin", why));
         }
-        churn.rejoin = self.choice(
-            "rejoin",
-            &[("cold", RejoinPolicy::Cold), ("warm", RejoinPolicy::Warm)],
-        )?;
+        churn.rejoin = self.choice("rejoin", [RejoinPolicy::Cold, RejoinPolicy::Warm])?;
         Ok(churn)
     }
 
     /// Parses `--latency const:T | uniform:LO..HI |
     /// lognormal:MU,SIGMA[,CAP]` (ticks; CAP defaults to ten rounds).
     fn latency(&self, round_ticks: u64) -> Result<LatencyModel, CliError> {
-        let Some(spec) = self.options.get("latency") else {
-            return Ok(LatencyModel::Constant(0));
-        };
+        let spec = self.value("latency").unwrap_or_default();
         let bad = || bad_value("latency", spec);
         let (kind, params) = spec.split_once(':').ok_or_else(bad)?;
         match kind {
@@ -487,15 +597,13 @@ impl Args {
             .collect()
     }
 
-    /// Parses `--attack` (`balanced` default, `force-push`, or
+    /// Parses `--attack` (`balanced`, `force-push`, or
     /// `targeted:fraction,focus` — e.g. `targeted:0.1,0.75`): the
     /// adversary's static push strategy.
     fn attack(&self) -> Result<AttackStrategy, CliError> {
-        let Some(spec) = self.options.get("attack") else {
-            return Ok(AttackStrategy::Balanced);
-        };
+        let spec = self.value("attack").unwrap_or_default();
         let bad = || bad_value("attack", spec);
-        match spec.as_str() {
+        match spec {
             "balanced" => Ok(AttackStrategy::Balanced),
             "force-push" => Ok(AttackStrategy::ForcePush),
             s => {
@@ -509,23 +617,20 @@ impl Args {
         }
     }
 
-    /// Parses `--adversary` (`static` default or `adaptive`): whether
-    /// the adversary plays `--attack` every round or lets the UCB bandit
-    /// coordinator re-aim the budget by observed pollution yield.
+    /// Parses `--adversary`: whether the adversary plays `--attack`
+    /// every round (`static`) or lets the UCB bandit coordinator re-aim
+    /// the budget by observed pollution yield (`adaptive`).
     fn adversary_mode(&self) -> Result<AdversaryMode, CliError> {
         self.choice(
             "adversary",
-            &[
-                ("static", AdversaryMode::Static),
-                ("adaptive", AdversaryMode::Adaptive),
-            ],
+            [AdversaryMode::Static, AdversaryMode::Adaptive],
         )
     }
 
     /// Parses `--nat fraction[:ttl]`: the NAT-ted share of the correct
-    /// population and the punched-hole TTL in rounds (default 3).
+    /// population and the punched-hole TTL in rounds.
     fn reachability(&self) -> Result<Reachability, CliError> {
-        Ok(match self.pair("nat", 3)? {
+        Ok(match self.pair("nat")? {
             None => Reachability::Full,
             Some((fraction, hole_ttl)) => Reachability::Nat { fraction, hole_ttl },
         })
@@ -542,40 +647,37 @@ impl Args {
         // A `--scale` preset supplies every default its bench profile
         // sets (the `paper` profile's flood threshold included); explicit
         // flags still win.
-        let base = match self.scale()? {
-            Some(scale) => scale.scenario(),
-            None => Scenario {
-                n: 400,
-                view_size: 16,
-                rounds: 200,
-                ..Scenario::default()
-            },
+        let scale = self.scale()?;
+        let base = scale.map_or_else(Scenario::default, |s| s.scenario());
+        let sized = |key: &str, preset: usize| match scale {
+            Some(_) if !self.options.contains_key(key) => Ok(preset),
+            _ => self.get(key),
         };
-        let view = self.get("view", base.view_size)?;
-        let rounds = self.get("rounds", base.rounds)?;
+        let view = sized("view", base.view_size)?;
+        let rounds = sized("rounds", base.rounds)?;
         // `--t` is ignored under `--protocol basalt` (no trusted tier
         // exists).
         let mut scenario = Scenario {
-            n: self.get("n", base.n)?,
-            byzantine_fraction: self.get("f", 0.10f64)?,
-            trusted_fraction: self.get("t", 0.01f64)?,
-            injected_poisoned_fraction: self.get("injected", 0.0f64)?,
+            n: sized("n", base.n)?,
+            byzantine_fraction: self.get("f")?,
+            trusted_fraction: self.get("t")?,
+            injected_poisoned_fraction: self.get("injected")?,
             eviction: self.eviction()?,
             view_size: view,
             sample_size: view,
             rounds,
-            tail_window: (rounds / 10).max(5),
+            tail_window: tail_window(rounds),
             protocol: self.protocol(view)?,
             attack: self.attack()?,
             adversary_mode: self.adversary_mode()?,
             discovery: self.discovery()?,
             network: self.network()?,
             churn: self.churn()?,
-            attest_ttl: self.get("attest-ttl", 0usize)?,
+            attest_ttl: self.get("attest-ttl")?,
             audit: self.audit()?,
-            trusted_directory_refresh: self.get("trusted-refresh", 0usize)?,
+            trusted_directory_refresh: self.get("trusted-refresh")?,
             identification_attack: self.command == "ident",
-            seed: self.get("seed", 0x5A97EE_u64)?,
+            seed: self.get("seed")?,
             ..base
         };
         let correct = scenario.n.saturating_sub(scenario.byzantine_count());
@@ -584,29 +686,17 @@ impl Args {
         Ok(scenario)
     }
 
-    /// Parses `--reps` (default 1), which must be positive.
+    /// Parses `--reps`, which must be positive.
     ///
     /// # Errors
     ///
     /// [`CliError::BadValue`] when unparsable or zero.
     pub fn reps(&self) -> Result<usize, CliError> {
-        match self.get("reps", 1usize)? {
+        match self.get("reps")? {
             0 => Err(bad_value("reps", "0 (need at least one repetition)")),
             reps => Ok(reps),
         }
     }
-}
-
-/// Whether `--name` appears as a word of [`USAGE`]: the help text is the
-/// parser's list of options, so the two cannot drift apart.
-fn is_usage_option(name: &str) -> bool {
-    let is_name_char = |c: char| c.is_ascii_alphanumeric() || c == '-';
-    !name.is_empty()
-        && USAGE.match_indices("--").any(|(at, _)| {
-            let rest = &USAGE[at + 2..];
-            rest.strip_prefix(name)
-                .is_some_and(|after| !after.starts_with(is_name_char))
-        })
 }
 
 fn bad_value(key: &str, value: impl Into<String>) -> CliError {
@@ -616,109 +706,17 @@ fn bad_value(key: &str, value: impl Into<String>) -> CliError {
     }
 }
 
-/// The usage string printed on error or `help`.
-pub const USAGE: &str = "raptee-cli — drive the RAPTEE reproduction from the command line
-
-USAGE:
-    raptee-cli <run|sweep|ident|inject|help> [--<option> <value>]...
-
-COMMON OPTIONS:
-    --n <usize>        population size            [default: 400]
-    --f <f64>          Byzantine fraction         [default: 0.10]
-    --t <f64>          trusted fraction           [default: 0.01]
-    --view <usize>     view/sample size           [default: 16]
-    --rounds <usize>   rounds per run             [default: 200]
-    --scale <name>     tiny | small | medium | paper | million — preset
-                       n/view/rounds defaults (explicit flags still win)
-    --discovery <m>    auto | exact | sketch      [default: auto]
-                       auto = exact bitsets up to 16384 actors, HLL
-                       cardinality sketches (~6.5% std error) above
-    --seed <u64>       master seed
-    --reps <usize>     repetitions                [default: 1]
-    --eviction <p>     none | adaptive | 0.0..1.0 [default: adaptive]
-    --protocol <p>     raptee | brahms | basalt | basalt-tee | lift |
-                       honeybee                   [default: raptee]
-    --rotation <usize> BASALT seed-rotation interval in rounds [default: 30]
-    --wlist-ttl <usize> basalt-tee hearsay-quarantine TTL in rounds [default: 10]
-    --fade <usize>     LIFT hub-score fade interval in rounds [default: 20]
-    --walk-length <usize> Honeybee verified-walk hop budget [default: 5]
-    --attack <s>       balanced | force-push | targeted:fraction,focus —
-                       the adversary's static push strategy [default: balanced]
-    --adversary <m>    static | adaptive — adaptive re-aims the lawful
-                       budget each round with a UCB bandit over
-                       (segment, strategy) arms    [default: static]
-    --population <s>   mixed population: comma-separated protocol:count or
-                       protocol:share% entries over the correct nodes,
-                       e.g. raptee:50%,basalt-tee:50% (overrides --protocol;
-                       per-segment pollution is reported alongside the total)
-
-NETWORK OPTIONS (all but --network require --network events):
-    --network <m>      rounds | events            [default: rounds]
-                       events = discrete-event delivery: per-link latency,
-                       partitions and NAT instead of lockstep rounds
-    --latency <l>      const:T | uniform:LO..HI | lognormal:MU,SIGMA[,CAP]
-                       in ticks                   [default: const:0]
-    --round-ticks <u64> virtual ticks per round   [default: 1000]
-    --jitter <u64>     max per-node round-timer offset in ticks [default: 0]
-    --partition <s>    semicolon-separated cut windows start..end@boundary,
-                       e.g. 10..25@75 (rounds start..end, cut before actor
-                       index boundary; held messages release at the heal)
-    --nat <s>          fraction[:ttl] — share of correct nodes behind
-                       NAT-like asymmetric reachability; inbound traffic
-                       needs a hole punched within ttl rounds [default ttl: 3]
-    --retry <s>        max[:base-backoff] — extra pull attempts after a
-                       missed deadline, exponential backoff base in ticks
-                       [default backoff: 250]
-    --duplicate <f64>  probability in [0,1] that a pull answer is delivered
-                       twice (nonce dedup suppresses the copy) [default: 0]
-    --reorder <u64>    extra hash-derived delay in [0, N] ticks on
-                       duplicate copies (reorders them)  [default: 0]
-
-FAULT OPTIONS (round and event network alike):
-    --churn <s>        rate[:restart-rate] — steady per-round crash
-                       probability for live correct nodes and restart
-                       probability for crashed ones   [default: 0 / 0]
-    --catastrophe <s>  semicolon-separated burst windows start..end@rate,
-                       e.g. 20..25@0.4 — the crash rate is raised inside
-                       the window (correlated failures)
-    --rejoin <p>       cold | warm — restarted nodes rebootstrap from
-                       scratch (cold) or keep their view with a staleness
-                       penalty (warm); needs --churn or --catastrophe
-                       [default: cold]
-    --attest-ttl <u>   attestation-certificate lifetime in rounds; expired
-                       trusted nodes act untrusted until re-attestation
-                       heals them (0 = certificates never expire)
-
-AUDIT OPTIONS (require a trusted tier):
-    --audit <s>        budget[:grace] — enable the verifiable audit layer:
-                       the challenger issues budget merkle-opening
-                       challenges per round; unanswered audits decay
-                       after grace rounds [default grace: 10]; proof
-                       inconsistency convicts and quarantines the node
-    --trusted-refresh <u> rounds between proactive trusted-directory
-                       exchanges on the trusted tier (0 = off)
-
-SUBCOMMANDS:
-    run      one scenario; add --series true to dump the pollution curve as CSV
-    sweep    f × t grid vs the Brahms baseline (fig 5-9 shape)
-    ident    trusted-node identification attack (fig 10-12 shape)
-    inject   view-poisoned trusted node injection (fig 13 shape); --injected <f64>
-";
-
 /// Executes a parsed command; returns the text to print.
 ///
 /// # Errors
 ///
 /// Returns usage/validation errors as [`CliError`].
 pub fn execute(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "help" => Ok(USAGE.to_string()),
-        "run" => cmd_run(args),
-        "sweep" => cmd_sweep(args),
-        "ident" => cmd_ident(args),
-        "inject" => cmd_inject(args),
-        other => Err(CliError::UnknownCommand(other.to_string())),
-    }
+    let (_, run, _) = COMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == args.command)
+        .ok_or_else(|| CliError::UnknownCommand(args.command.clone()))?;
+    run(args)
 }
 
 fn cmd_run(args: &Args) -> Result<String, CliError> {
@@ -814,25 +812,17 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
 fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let template = args.scenario()?;
     let reps = args.reps()?;
-    let fs = [0.10, 0.14, 0.18, 0.22, 0.26, 0.30];
-    let ts = [0.01, 0.05, 0.10, 0.20, 0.30, 0.50];
-    // Every baseline and cell, built as `sweep_grid` builds them, must
-    // validate before any runs: a `--population` count, say, fits one
-    // `f` of the grid only.
-    for &f in &fs {
-        let baseline = Scenario {
-            byzantine_fraction: f,
-            ..template.brahms_baseline()
-        };
-        baseline.validate().map_err(CliError::Invalid)?;
-        for &t in &ts {
-            let cell = Scenario {
-                byzantine_fraction: f,
-                trusted_fraction: t,
-                ..template.clone()
-            };
-            cell.validate().map_err(CliError::Invalid)?;
-        }
+    let scale = match args.scale()? {
+        Some(scale) => scale,
+        None => Scale::named("small").expect("the small profile exists"),
+    };
+    let (fs, ts) = (byzantine_fractions(&scale), trusted_fractions());
+    // Every cell must validate before any runs: a `--population` count,
+    // say, fits one `f` of the grid only.
+    let cells = runner::sweep_cells(&template, &fs, &ts);
+    let baselines = cells.baselines.iter().map(|(_, s)| s);
+    for cell in baselines.chain(cells.grid.iter().map(|(_, _, s)| s)) {
+        cell.validate().map_err(CliError::Invalid)?;
     }
     let sweep = runner::sweep_grid(&template, &fs, &ts, reps);
     let mut out = String::from("f,t,improvement_pct,resilience,baseline\n");
@@ -912,6 +902,8 @@ fn cmd_inject(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use raptee_sim::DEFAULT_AUDIT_GRACE;
 
     fn args(v: &[&str]) -> Result<Args, CliError> {
         Args::parse(v.iter().map(|s| s.to_string()))
@@ -933,59 +925,174 @@ mod tests {
     }
 
     /// Argument vectors that break a scenario rule or name no option
-    /// (most of them once panicked or were silently ignored): each must
-    /// come back as an error naming the right knob or flag.
+    /// (most of them once panicked or were silently ignored), with the
+    /// knob or flag each must be rejected for.
+    const INVALID: &[(&[&str], &str)] = &[
+        (&["run", "--n", "1"], "n"),
+        (&["run", "--n", "18446744073709551615"], "n"),
+        (
+            &["run", "--n", "60", "--rounds", "10", "--veiw", "8"],
+            "veiw",
+        ),
+        (&["run", "--key", "8"], "key"),
+        (&["run", "--rot", "8"], "rot"),
+        (&["run", "--f", "1.5"], "byzantine_fraction"),
+        (&["run", "--view", "0"], "view_size"),
+        (&["run", "--rounds", "0"], "rounds"),
+        (&["run", "--f", "0.6", "--t", "0.6"], "trusted_fraction"),
+        (&["run", "--protocol", "lift", "--fade", "0"], "protocol"),
+        (&["run", "--catastrophe", "150..300@0.2"], "churn.bursts"),
+        (
+            &["run", "--network", "events", "--partition", "10..500@5"],
+            "network.partitions",
+        ),
+        (
+            &["run", "--t", "0.5", "--population", "raptee:50%,basalt:50%"],
+            "trusted_fraction",
+        ),
+        (&["run", "--reps", "0"], "reps"),
+        (&["sweep", "--reps", "0"], "reps"),
+        (&["ident", "--reps", "0"], "reps"),
+        (&["inject", "--reps", "0"], "reps"),
+        (
+            &["sweep", "--population", "raptee:50%,basalt-tee:50%"],
+            "population",
+        ),
+        (&["sweep", "--attest-ttl", "20"], "attest_ttl"),
+        (&["ident", "--protocol", "lift"], "identification_attack"),
+        (&["inject", "--audit", "4"], "audit"),
+        (
+            &[
+                "run",
+                "--attest-ttl",
+                "20",
+                "--population",
+                "raptee:18446744073709551615,basalt-tee:5",
+            ],
+            "population",
+        ),
+    ];
+
+    /// Each [`INVALID`] vector comes back as an error naming the right
+    /// knob or flag, and survives the fuzz's checks.
     #[test]
     fn invalid_argument_vectors_are_errors_not_panics() {
-        for (argv, knob) in [
-            (&["run", "--n", "1"][..], "n"),
-            (&["run", "--n", "18446744073709551615"], "n"),
-            (
-                &["run", "--n", "60", "--rounds", "10", "--veiw", "8"],
-                "veiw",
-            ),
-            (&["run", "--key", "8"], "key"),
-            (&["run", "--rot", "8"], "rot"),
-            (&["run", "--f", "1.5"], "byzantine_fraction"),
-            (&["run", "--view", "0"], "view_size"),
-            (&["run", "--rounds", "0"], "rounds"),
-            (&["run", "--f", "0.6", "--t", "0.6"], "trusted_fraction"),
-            (&["run", "--protocol", "lift", "--fade", "0"], "protocol"),
-            (&["run", "--catastrophe", "150..300@0.2"], "churn.bursts"),
-            (
-                &["run", "--network", "events", "--partition", "10..500@5"],
-                "network.partitions",
-            ),
-            (
-                &["run", "--t", "0.5", "--population", "raptee:50%,basalt:50%"],
-                "trusted_fraction",
-            ),
-            (&["run", "--reps", "0"], "reps"),
-            (&["sweep", "--reps", "0"], "reps"),
-            (&["ident", "--reps", "0"], "reps"),
-            (&["inject", "--reps", "0"], "reps"),
-            (
-                &["sweep", "--population", "raptee:50%,basalt-tee:50%"],
-                "population",
-            ),
-            (&["sweep", "--attest-ttl", "20"], "attest_ttl"),
-            (&["ident", "--protocol", "lift"], "identification_attack"),
-            (&["inject", "--audit", "4"], "audit"),
-            (
-                &[
-                    "run",
-                    "--attest-ttl",
-                    "20",
-                    "--population",
-                    "raptee:18446744073709551615,basalt-tee:5",
-                ],
-                "population",
-            ),
-        ] {
+        for &(argv, knob) in INVALID {
             let err = std::panic::catch_unwind(|| args(argv).and_then(|a| execute(&a)))
                 .unwrap_or_else(|_| panic!("{argv:?} panicked"))
                 .expect_err(&format!("{argv:?} must be rejected"));
             assert_eq!(blamed(&err), knob, "{argv:?}: {err}");
+            survives(argv);
+        }
+    }
+
+    /// Parses `argv`, then builds its scenario and repetition count,
+    /// under `catch_unwind`: none may panic, and an accepted scenario
+    /// must validate.
+    fn survives(argv: &[&str]) {
+        let built = std::panic::catch_unwind(|| args(argv).map(|a| (a.scenario(), a.reps())))
+            .unwrap_or_else(|_| panic!("{argv:?} panicked"));
+        if let Ok((Ok(s), _)) = built {
+            assert_eq!(s.validate(), Ok(()), "{argv:?}");
+        }
+    }
+
+    /// The values the fuzz draws for one option: its default, a
+    /// boundary value, malformed text, empty text and `u64::MAX`.
+    fn samples(o: &Opt) -> [&'static str; 5] {
+        let boundary = match o.value {
+            OneOf(names) => names[names.len() - 1],
+            Pair(..) => "1:1",
+            Text(_) => match o.flag {
+                "f" | "t" | "eviction" | "duplicate" | "injected" => "1",
+                "scale" => "tiny",
+                "protocol" => "honeybee",
+                "attack" => "targeted:1,0",
+                "population" => "raptee:100%",
+                "latency" => "uniform:0..0",
+                "partition" | "catastrophe" => "0..1@0",
+                "series" => "true",
+                _ => "0",
+            },
+        };
+        let default = o.default.unwrap_or(boundary);
+        [default, boundary, "1x:", "", "18446744073709551615"]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// CLI fuzz: a subcommand and one to four options of the table,
+        /// each with one of its [`samples`].
+        #[test]
+        fn any_argument_vector_survives(
+            command in 0..COMMANDS.len(),
+            picks in proptest::collection::vec((0..OPTIONS.len(), 0usize..5), 1..5),
+        ) {
+            let mut argv = vec![COMMANDS[command].0.to_string()];
+            for (i, sample) in picks {
+                argv.push(format!("--{}", OPTIONS[i].flag));
+                argv.push(samples(&OPTIONS[i])[sample].to_string());
+            }
+            survives(&argv.iter().map(String::as_str).collect::<Vec<_>>());
+        }
+    }
+
+    /// Help and parser read one table. Under every subcommand, for every
+    /// option: [`usage`] lists its flag, placeholder and default;
+    /// passing the default builds what omitting the flag builds; every
+    /// listed name is accepted; and an option of the network section
+    /// other than `--network` is rejected without `--network events`.
+    #[test]
+    fn usage_and_parser_read_one_table() {
+        let help = usage();
+        for o in &OPTIONS {
+            let head = format!("    --{} <{}>", o.flag, o.value);
+            let (_, rest) = help
+                .split_once(&head)
+                .unwrap_or_else(|| panic!("usage lacks {head:?}"));
+            let block = rest.split("\n    --").next().unwrap_or(rest);
+            let pair = match o.value {
+                Pair(_, second, d) => Some(format!("[default {second}: {d}]")),
+                _ => None,
+            };
+            let default = o.default.map(|d| format!("[default: {d}]"));
+            for listed in pair.iter().chain(&default) {
+                assert!(block.contains(listed.as_str()), "--{}: {listed}", o.flag);
+            }
+        }
+        for (command, ..) in &COMMANDS[..4] {
+            for o in &OPTIONS {
+                let events = o.section == Network && o.flag != "network";
+                let context: &[&str] = match o.flag {
+                    _ if events => &["--network", "events"],
+                    "rejoin" => &["--churn", "0.02:0.4"],
+                    _ => &[],
+                };
+                let flag = format!("--{}", o.flag);
+                let build = |value: Option<&str>| {
+                    let mut argv = vec![*command];
+                    argv.extend_from_slice(context);
+                    argv.extend(value.map(|v| [flag.as_str(), v]).into_iter().flatten());
+                    let a = args(&argv).unwrap();
+                    (a.scenario(), a.reps())
+                };
+                if let Some(d) = o.default {
+                    assert_eq!(build(Some(d)), build(None), "{command} {flag} {d}");
+                }
+                if let OneOf(names) = o.value {
+                    for name in names {
+                        assert!(build(Some(name)).0.is_ok(), "{command} {flag} {name}");
+                    }
+                }
+                if events {
+                    let a = args(&[command, &flag, o.default.unwrap_or("1")]).unwrap();
+                    assert_eq!(
+                        a.scenario().unwrap_err(),
+                        bad_value(o.flag, "requires --network events"),
+                        "{command} {flag}"
+                    );
+                }
+            }
         }
     }
 
@@ -1035,9 +1142,9 @@ mod tests {
     fn parses_command_and_options() {
         let a = args(&["run", "--n", "100", "--f", "0.2"]).unwrap();
         assert_eq!(a.command, "run");
-        assert_eq!(a.get("n", 0usize).unwrap(), 100);
-        assert_eq!(a.get("f", 0.0f64).unwrap(), 0.2);
-        assert_eq!(a.get("rounds", 200usize).unwrap(), 200, "default applies");
+        assert_eq!(a.get::<usize>("n").unwrap(), 100);
+        assert_eq!(a.get::<f64>("f").unwrap(), 0.2);
+        assert_eq!(a.get::<usize>("rounds").unwrap(), 200, "default applies");
     }
 
     #[test]
@@ -1057,7 +1164,10 @@ mod tests {
     #[test]
     fn rejects_bad_values() {
         let a = args(&["run", "--n", "lots"]).unwrap();
-        assert!(matches!(a.get("n", 0usize), Err(CliError::BadValue { .. })));
+        assert!(matches!(
+            a.get::<usize>("n"),
+            Err(CliError::BadValue { .. })
+        ));
         let a = args(&["run", "--eviction", "often"]).unwrap();
         assert!(a.eviction().is_err());
         assert_eq!(scenario_blames(&["run", "--eviction", "1.5"]), "eviction");

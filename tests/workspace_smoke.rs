@@ -26,7 +26,7 @@ fn all_reexports_resolve() {
     let _sampler = raptee_repro::raptee_sampler::SamplerArray::new(8, &mut rng);
     let _gossip_view = raptee_repro::raptee_gossip::View::new(NodeId(0), 8);
     let _overhead = raptee_repro::raptee_tee::SgxOverheadModel::paper_table1();
-    let _usage = raptee_repro::cli::USAGE;
+    let _usage = raptee_repro::cli::usage();
 }
 
 /// Quickstart part 1: provision a trusted node through attestation and
