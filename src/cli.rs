@@ -442,7 +442,6 @@ impl Args {
     /// configure; without it they are rejected, not silently ignored.
     fn network(&self) -> Result<NetworkModel, CliError> {
         if !self.choice("network", [false, true])? {
-            // Every network option but `--network` needs the event network.
             let given = |o: &&Opt| {
                 o.section == Network && o.flag != "network" && self.options.contains_key(o.flag)
             };
