@@ -5,7 +5,7 @@
 
 use super::population::Node;
 use crate::adversary::PushPlan;
-use crate::bitset::{DiscoveryBlock, DiscoveryLane};
+use crate::bitset::DiscoveryRows;
 use raptee_basalt::BasaltPlan;
 use raptee_brahms::{FinishScratch, RoundPlan};
 use raptee_net::{NodeId, NodeIdx};
@@ -82,13 +82,6 @@ pub(super) struct ShareRings {
     len: Vec<u8>,
 }
 
-/// Exclusive access to one node's smoothing window.
-pub(super) struct ShareRingRow<'a> {
-    buf: &'a mut [f64],
-    start: &'a mut u8,
-    len: &'a mut u8,
-}
-
 /// Exclusive access to [`BLOCK`] consecutive nodes' smoothing windows.
 pub(super) struct ShareRingBlock<'a> {
     buf: &'a mut [f64],
@@ -116,34 +109,25 @@ impl ShareRings {
 }
 
 impl ShareRingBlock<'_> {
-    /// The block's `k`-th window.
-    #[inline]
-    pub(super) fn row(&mut self, k: usize) -> ShareRingRow<'_> {
-        ShareRingRow {
-            buf: &mut self.buf[k * SMOOTHING_WINDOW..(k + 1) * SMOOTHING_WINDOW],
-            start: &mut self.start[k],
-            len: &mut self.len[k],
-        }
-    }
-}
-
-impl ShareRingRow<'_> {
-    /// Appends this round's share (evicting the oldest entry once the
-    /// window is full) and returns the window mean, summed oldest-first
-    /// — bit-identical to the historical `Vec<f64>` window.
-    fn push_and_mean(&mut self, share: f64) -> f64 {
+    /// Appends this round's share to the block's `k`-th window (evicting
+    /// the oldest entry once the window is full) and returns the window
+    /// mean, summed oldest-first — bit-identical to the historical
+    /// `Vec<f64>` window.
+    pub(super) fn push_and_mean(&mut self, k: usize, share: f64) -> f64 {
         let w = SMOOTHING_WINDOW;
-        if usize::from(*self.len) == w {
-            self.buf[usize::from(*self.start)] = share;
-            *self.start = ((usize::from(*self.start) + 1) % w) as u8;
+        let buf = &mut self.buf[k * w..(k + 1) * w];
+        let (start, len) = (&mut self.start[k], &mut self.len[k]);
+        if usize::from(*len) == w {
+            buf[usize::from(*start)] = share;
+            *start = ((usize::from(*start) + 1) % w) as u8;
         } else {
-            self.buf[(usize::from(*self.start) + usize::from(*self.len)) % w] = share;
-            *self.len += 1;
+            buf[(usize::from(*start) + usize::from(*len)) % w] = share;
+            *len += 1;
         }
-        let len = usize::from(*self.len);
+        let len = usize::from(*len);
         let mut sum = 0.0;
-        for k in 0..len {
-            sum += self.buf[(usize::from(*self.start) + k) % w];
+        for j in 0..len {
+            sum += buf[(usize::from(*start) + j) % w];
         }
         sum / len as f64
     }
@@ -167,111 +151,69 @@ pub(super) struct WorkerScratch {
     /// Brahms finalisation scratch (renewal sampling buffers).
     pub(super) finish: FinishScratch,
     /// The plan a Brahms/RAPTEE node draws into before it is copied to
-    /// the [`PlanArena`].
+    /// the plan rows.
     pub(super) plan: RoundPlan,
     /// The same for a ranked-family node.
     pub(super) ranked_plan: BasaltPlan,
 }
 
-/// This round's push and pull targets of every correct node, both
-/// families: one `stride`-wide row of each per population index, as
-/// dense indices, plus each row's occupied length. Every family plans at
-/// most its fanout of pushes and as many pulls (α = β for the Brahms
-/// family, `push_count = pull_count` for the ranked ones), so the stride
-/// is the largest fanout in play.
+/// One fixed-stride row of dense IDs per population index plus each
+/// row's occupied length: a round's push targets and pull targets
+/// (stride: the largest fanout in play — every family plans at most its
+/// fanout of pushes and as many pulls, α = β for the Brahms family,
+/// `push_count = pull_count` for the ranked ones) and its post-plan view
+/// snapshots (stride: `view_size`).
 #[derive(Default)]
-pub(super) struct PlanArena {
+pub(super) struct IdRows {
     stride: usize,
-    push_ids: Vec<NodeIdx>,
-    push_len: Vec<u32>,
-    pull_ids: Vec<NodeIdx>,
-    pull_len: Vec<u32>,
+    ids: Vec<NodeIdx>,
+    len: Vec<u32>,
 }
 
-/// Exclusive access to one node's plan rows.
-pub(super) struct PlanRow<'a> {
-    push: &'a mut [NodeIdx],
-    push_len: &'a mut u32,
-    pull: &'a mut [NodeIdx],
-    pull_len: &'a mut u32,
-}
-
-/// Exclusive access to [`BLOCK`] consecutive nodes' plan rows.
-pub(super) struct PlanRows<'a> {
+/// Exclusive access to [`BLOCK`] consecutive rows of an [`IdRows`].
+pub(super) struct IdBlock<'a> {
     stride: usize,
-    push: &'a mut [NodeIdx],
-    push_len: &'a mut [u32],
-    pull: &'a mut [NodeIdx],
-    pull_len: &'a mut [u32],
+    ids: &'a mut [NodeIdx],
+    len: &'a mut [u32],
 }
 
-impl PlanArena {
-    fn resize(&mut self, pop: usize, stride: usize) {
+impl IdRows {
+    fn resize(&mut self, rows: usize, stride: usize) {
         self.stride = stride;
-        self.push_ids.resize(pop * stride, NodeIdx(0));
-        self.pull_ids.resize(pop * stride, NodeIdx(0));
-        self.push_len.resize(pop, 0);
-        self.pull_len.resize(pop, 0);
+        self.ids.resize(rows * stride, NodeIdx(0));
+        self.len.resize(rows, 0);
+    }
+
+    /// Row `ci`'s IDs.
+    #[inline]
+    pub(super) fn row(&self, ci: usize) -> &[NodeIdx] {
+        &self.ids[ci * self.stride..][..self.len[ci] as usize]
     }
 
     /// Disjoint [`BLOCK`]-row handles, in population-index order.
-    pub(super) fn blocks_mut(&mut self) -> impl ExactSizeIterator<Item = PlanRows<'_>> {
+    pub(super) fn blocks_mut(&mut self) -> impl ExactSizeIterator<Item = IdBlock<'_>> {
         let stride = self.stride;
-        self.push_ids
+        self.ids
             .chunks_mut(BLOCK * stride)
-            .zip(self.push_len.chunks_mut(BLOCK))
-            .zip(self.pull_ids.chunks_mut(BLOCK * stride))
-            .zip(self.pull_len.chunks_mut(BLOCK))
-            .map(move |(((push, push_len), pull), pull_len)| PlanRows {
-                stride,
-                push,
-                push_len,
-                pull,
-                pull_len,
-            })
-    }
-
-    /// Node `ci`'s push targets this round.
-    #[inline]
-    pub(super) fn pushes(&self, ci: usize) -> &[NodeIdx] {
-        let base = ci * self.stride;
-        &self.push_ids[base..base + self.push_len[ci] as usize]
-    }
-
-    /// Node `ci`'s pull targets this round.
-    #[inline]
-    pub(super) fn pulls(&self, ci: usize) -> &[NodeIdx] {
-        let base = ci * self.stride;
-        &self.pull_ids[base..base + self.pull_len[ci] as usize]
+            .zip(self.len.chunks_mut(BLOCK))
+            .map(move |(ids, len)| IdBlock { stride, ids, len })
     }
 }
 
-impl PlanRows<'_> {
-    /// The block's `k`-th node's rows.
+impl IdBlock<'_> {
+    /// Stores `ids` as the block's `k`-th row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ids` is longer than the stride.
     #[inline]
-    pub(super) fn row(&mut self, k: usize) -> PlanRow<'_> {
-        let rows = k * self.stride..(k + 1) * self.stride;
-        PlanRow {
-            push: &mut self.push[rows.clone()],
-            push_len: &mut self.push_len[k],
-            pull: &mut self.pull[rows],
-            pull_len: &mut self.pull_len[k],
-        }
-    }
-}
-
-impl PlanRow<'_> {
-    /// Stores one node's planned targets.
-    #[inline]
-    pub(super) fn store(&mut self, push: &[NodeId], pull: &[NodeId]) {
-        for (slot, &id) in self.push[..push.len()].iter_mut().zip(push) {
+    pub(super) fn store(&mut self, k: usize, ids: impl ExactSizeIterator<Item = NodeId>) {
+        let len = ids.len();
+        let row = &mut self.ids[k * self.stride..(k + 1) * self.stride];
+        for (slot, id) in row[..len].iter_mut().zip(ids) {
             *slot = narrow(id);
         }
-        for (slot, &id) in self.pull[..pull.len()].iter_mut().zip(pull) {
-            *slot = narrow(id);
-        }
-        *self.push_len = push.len() as u32;
-        *self.pull_len = pull.len() as u32;
+        self.len[k] = len as u32;
     }
 }
 
@@ -282,8 +224,13 @@ impl PlanRow<'_> {
 /// `&mut self` methods stay callable) and put back at the end.
 #[derive(Default)]
 pub(super) struct Scratch {
-    /// Both families' plans (see [`PlanArena`]).
-    pub(super) plans: PlanArena,
+    /// Both families' push targets (see [`IdRows`]).
+    pub(super) pushes: IdRows,
+    /// Both families' pull targets.
+    pub(super) pulls: IdRows,
+    /// Post-plan view snapshots of the Brahms-family nodes, one
+    /// `view_size`-stride row per population index.
+    pub(super) snaps: IdRows,
     /// Whether population index `ci` produced a plan this round.
     pub(super) live: Vec<bool>,
     /// The adversary's push plan for the segment being attacked.
@@ -319,11 +266,6 @@ pub(super) struct Scratch {
     /// Materialised answers for responders whose view had already
     /// mutated at pull time, as dense indices.
     pub(super) arena: Vec<NodeIdx>,
-    /// Post-plan view snapshots, one `view_size`-stride row per
-    /// population index, as dense indices.
-    pub(super) snap_ids: Vec<NodeIdx>,
-    /// Occupied length of each snapshot row.
-    pub(super) snap_len: Vec<u32>,
     /// Whether a node's view has mutated during the current exchange
     /// phase (trusted swap or churn removal) — after the first mutation,
     /// answers from it must be materialised instead of snapshot-deferred.
@@ -335,13 +277,14 @@ pub(super) struct Scratch {
 
 impl Scratch {
     /// Sizes the per-node arrays once (no-op afterwards).
-    pub(super) fn ensure_capacity(&mut self, pop: usize, plan_stride: usize) {
+    pub(super) fn ensure_capacity(&mut self, pop: usize, plan_stride: usize, view_size: usize) {
         if self.live.len() != pop {
-            self.plans.resize(pop, plan_stride);
+            self.pushes.resize(pop, plan_stride);
+            self.pulls.resize(pop, plan_stride);
+            self.snaps.resize(pop, view_size);
             self.live.resize(pop, false);
             self.view_mutated.resize(pop, false);
             self.stats.resize_with(pop, RoundStat::default);
-            self.snap_len.resize(pop, 0);
             self.event_start.resize(pop + 1, 0);
         }
     }
@@ -349,66 +292,23 @@ impl Scratch {
 
 /// [`BLOCK`] consecutive nodes' state in the parallel plan phase: the
 /// `chunks_mut` of every per-node array the phase writes. The
-/// view-snapshot rows (stride `view_size`) and mutation flags serve
-/// Brahms-family nodes, whose untrusted answers are deferred by
-/// reference to the snapshot.
+/// view-snapshot rows and mutation flags serve Brahms-family nodes,
+/// whose untrusted answers are deferred by reference to the snapshot.
 pub(super) struct PlanBlock<'a> {
     pub(super) nodes: &'a mut [Node],
-    pub(super) plans: PlanRows<'a>,
+    pub(super) pushes: IdBlock<'a>,
+    pub(super) pulls: IdBlock<'a>,
+    pub(super) snaps: IdBlock<'a>,
     pub(super) live: &'a mut [bool],
     pub(super) mutated: &'a mut [bool],
-    pub(super) snap: &'a mut [NodeIdx],
-    pub(super) snap_len: &'a mut [u32],
 }
 
 /// [`BLOCK`] consecutive nodes' state in the parallel apply phase.
 pub(super) struct FinishBlock<'a> {
     pub(super) nodes: &'a mut [Node],
     pub(super) stats: &'a mut [RoundStat],
-    pub(super) disc: DiscoveryBlock<'a>,
+    pub(super) disc: DiscoveryRows<'a>,
     pub(super) rings: ShareRingBlock<'a>,
-}
-
-/// One node's post-round view census: Byzantine entries feed the
-/// pollution share, correct ones the discovery row.
-#[derive(Default)]
-pub(super) struct ViewTally {
-    len: usize,
-    byz_in_view: usize,
-}
-
-impl ViewTally {
-    #[inline]
-    pub(super) fn see(
-        &mut self,
-        id: NodeId,
-        byz: usize,
-        total: usize,
-        disc: &mut DiscoveryLane<'_>,
-    ) {
-        self.len += 1;
-        if id.index() < byz {
-            self.byz_in_view += 1;
-        } else if id.index() < total {
-            disc.insert(id.index());
-        }
-    }
-
-    /// Books the census into the node's stat slot and smoothing window.
-    pub(super) fn book(
-        self,
-        stat: &mut RoundStat,
-        disc: &mut DiscoveryLane<'_>,
-        ring: &mut ShareRingRow<'_>,
-    ) {
-        stat.discovered = disc.count() as u32;
-        if self.len > 0 {
-            let share = self.byz_in_view as f64 / self.len as f64;
-            stat.share = share;
-            stat.has_share = true;
-            stat.smoothed = ring.push_and_mean(share);
-        }
-    }
 }
 
 /// Narrows a wire identity to its dense arena index: a cast, because
@@ -483,6 +383,7 @@ pub(super) fn run_of<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::Discovery;
 
     /// Population sizes at the block edges: one node, either side of one
     /// full block, and a ragged last block.
@@ -499,7 +400,7 @@ mod tests {
                 for k in 0..rows {
                     assert_eq!(bi * BLOCK + k, next, "N = {pop}: rows in order");
                     let share = next as f64;
-                    assert_eq!(block.row(k).push_and_mean(share), share, "row {next}");
+                    assert_eq!(block.push_and_mean(k, share), share, "row {next}");
                     next += 1;
                 }
             }
@@ -513,27 +414,54 @@ mod tests {
 
     #[test]
     fn plan_blocks_hand_out_every_row_once_in_order() {
-        for pop in EDGES {
-            let mut plans = PlanArena::default();
-            plans.resize(pop, 3);
-            let mut next = 0;
-            for (bi, mut block) in plans.blocks_mut().enumerate() {
-                let rows = block.push_len.len();
-                assert_eq!(rows, BLOCK.min(pop - bi * BLOCK), "N = {pop}");
-                for k in 0..rows {
-                    assert_eq!(bi * BLOCK + k, next, "N = {pop}: rows in order");
-                    let id = NodeId(next as u64);
-                    block.row(k).store(&[id, id], &[id]);
-                    next += 1;
+        // A plan stride and a snapshot stride; row `ci` holds
+        // `ci % (stride + 1)` IDs, so rows run from empty to full.
+        for stride in [3, 16] {
+            for pop in EDGES {
+                let mut rows = IdRows::default();
+                rows.resize(pop, stride);
+                let ids = |ci: usize| (0..ci % (stride + 1)).map(move |j| NodeId((ci + j) as u64));
+                let mut next = 0;
+                for (bi, mut block) in rows.blocks_mut().enumerate() {
+                    let len = block.len.len();
+                    assert_eq!(len, BLOCK.min(pop - bi * BLOCK), "N = {pop}");
+                    for k in 0..len {
+                        assert_eq!(bi * BLOCK + k, next, "N = {pop}: rows in order");
+                        block.store(k, ids(next));
+                        next += 1;
+                    }
+                }
+                assert_eq!(next, pop);
+                for ci in 0..pop {
+                    let want: Vec<NodeIdx> = ids(ci).map(narrow).collect();
+                    assert_eq!(rows.row(ci), &want[..], "stride {stride}, row {ci}");
+                }
+                if pop > stride {
+                    assert!(rows.row(0).is_empty() && rows.row(stride).len() == stride);
                 }
             }
-            assert_eq!(next, pop);
-            for ci in 0..pop {
-                let me = NodeIdx(ci as u32);
-                assert_eq!(
-                    (plans.pushes(ci), plans.pulls(ci)),
-                    (&[me, me][..], &[me][..])
-                );
+        }
+    }
+
+    #[test]
+    fn every_block_splitter_knows_its_block_count_up_front() {
+        // `collect`ing a phase's handles allocates exactly once only if
+        // the splitter reports its length before it is consumed.
+        for pop in [0].into_iter().chain(EDGES) {
+            let blocks = pop.div_ceil(BLOCK);
+            let mut ids = IdRows::default();
+            ids.resize(pop, 3);
+            assert_eq!(ids.blocks_mut().len(), blocks, "IdRows, N = {pop}");
+            let mut rings = ShareRings::new(pop);
+            assert_eq!(rings.blocks_mut().len(), blocks, "ShareRings, N = {pop}");
+            for sketch in [false, true] {
+                let mut d = Discovery::new(pop, pop + 1, sketch);
+                for start in [0, pop / 2] {
+                    let it = d.blocks_mut(start..pop, BLOCK);
+                    let want = (pop - start).div_ceil(BLOCK);
+                    assert_eq!(it.len(), want, "sketch {sketch}, rows {start}..{pop}");
+                    assert_eq!(it.count(), want, "sketch {sketch}, rows {start}..{pop}");
+                }
             }
         }
     }

@@ -46,8 +46,8 @@ impl Simulation {
             if !s.live[ci] {
                 continue;
             }
-            for k in 0..s.plans.pulls(ci).len() {
-                let target = widen(s.plans.pulls(ci)[k]);
+            for k in 0..s.pulls.row(ci).len() {
+                let target = widen(s.pulls.row(ci)[k]);
                 if let Some(gate) = self.open_pull(ci, target, s) {
                     self.pull(ci, target, gate, s);
                 }

@@ -6,19 +6,13 @@
 
 use super::arena::{RoundStat, SMOOTHING_WINDOW};
 use super::Simulation;
+use crate::event::unit;
 use crate::metrics::{RecoveryStats, STABILITY_SPREAD};
 use crate::scenario::{RejoinPolicy, Scenario};
 use raptee::provisioning;
 use raptee_net::NodeId;
 use raptee_tee::AttestationService;
 use raptee_util::rng::mix64;
-
-/// Maps a hash draw to a uniform in the open interval `(0, 1)` — the
-/// same mapping the event substrate uses, so churn draws share its
-/// statistical properties without sharing (or perturbing) its streams.
-fn hash_unit(x: u64) -> f64 {
-    ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64
-}
 
 /// Trusted-tier degradation state (attestation certificates with a TTL):
 /// expired trusted nodes fall back to untrusted behaviour until they
@@ -220,13 +214,11 @@ impl Simulation {
         let round_tag = (self.round as u64) << 1;
         for abs in self.byz_count..total {
             if self.alive[abs] {
-                if crash_rate > 0.0
-                    && hash_unit(self.churn_hash(abs, mix64(round_tag))) < crash_rate
-                {
+                if crash_rate > 0.0 && unit(self.churn_hash(abs, mix64(round_tag))) < crash_rate {
                     self.crash_node(abs);
                 }
             } else if restart_rate > 0.0
-                && hash_unit(self.churn_hash(abs, mix64(round_tag | 1))) < restart_rate
+                && unit(self.churn_hash(abs, mix64(round_tag | 1))) < restart_rate
             {
                 self.restart_node(abs);
             }

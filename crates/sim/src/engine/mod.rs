@@ -343,7 +343,11 @@ impl Simulation {
         // `&mut self` stays available to the control passes.
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut workers = std::mem::take(&mut self.workers);
-        scratch.ensure_capacity(self.non_byz_total, self.limiter_fanout.max(1));
+        scratch.ensure_capacity(
+            self.non_byz_total,
+            self.limiter_fanout.max(1),
+            self.scenario.view_size,
+        );
         self.protocol_round(&mut scratch, &mut workers);
         self.scratch = scratch;
         self.workers = workers;

@@ -5,16 +5,16 @@
 
 use super::arena::{
     counting_sort_by_target, narrow, run_of, two_nodes, widen, FinishBlock, PlanBlock, PullEvent,
-    RoundStat, Scratch, ViewTally, WorkerScratch, BLOCK,
+    RoundStat, Scratch, WorkerScratch, BLOCK,
 };
 use super::population::Node;
 use super::Simulation;
 use crate::adversary::AdaptiveCoordinator;
-use crate::bitset::DiscoveryBlock;
+use crate::bitset::DiscoveryRows;
 use crate::event::Lane as NetLane;
 use crate::metrics::IdentificationResult;
 use raptee::RapteeNode;
-use raptee_net::{NodeId, NodeIdx};
+use raptee_net::NodeId;
 use raptee_util::rng::mix64;
 
 /// Salt of the proactive trusted-directory partner draws — a dedicated
@@ -48,31 +48,27 @@ impl Simulation {
 
     /// Plan (parallel, one pass over the arena, [`BLOCK`] nodes per
     /// claim): every live node draws its targets into its worker's plan
-    /// buffer, stored in the flat plan arena. Brahms-family rows also
-    /// snapshot their post-plan views (for deferred answers); every row
-    /// resets its view-mutation flag.
+    /// buffer, stored in the flat push and pull rows. Brahms-family rows
+    /// also snapshot their post-plan views (for deferred answers); every
+    /// row resets its view-mutation flag.
     fn plan(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
-        let (pop, stride) = (self.non_byz_total, self.scenario.view_size);
-        if s.snap_ids.len() != pop * stride {
-            s.snap_ids.resize(pop * stride, NodeIdx(0));
-        }
         let alive = &self.alive[self.byz_count..];
         let mut blocks: Vec<PlanBlock> = self
             .nodes
             .chunks_mut(BLOCK)
-            .zip(s.plans.blocks_mut())
+            .zip(s.pushes.blocks_mut())
+            .zip(s.pulls.blocks_mut())
+            .zip(s.snaps.blocks_mut())
             .zip(s.live.chunks_mut(BLOCK))
             .zip(s.view_mutated.chunks_mut(BLOCK))
-            .zip(s.snap_ids.chunks_mut(BLOCK * stride))
-            .zip(s.snap_len.chunks_mut(BLOCK))
             .map(
-                |(((((nodes, plans), live), mutated), snap), snap_len)| PlanBlock {
+                |(((((nodes, pushes), pulls), snaps), live), mutated)| PlanBlock {
                     nodes,
-                    plans,
+                    pushes,
+                    pulls,
+                    snaps,
                     live,
                     mutated,
-                    snap,
-                    snap_len,
                 },
             )
             .collect();
@@ -82,27 +78,23 @@ impl Simulation {
                 block.mutated[k] = false;
                 block.live[k] = alive[ci];
                 if !alive[ci] {
-                    block.snap_len[k] = 0;
+                    block.snaps.store(k, std::iter::empty());
                     continue;
                 }
-                let mut row = block.plans.row(k);
-                match node {
+                let (pushes, pulls) = match node {
                     Node::Raptee(node) => {
                         node.plan_round_into(&mut ws.plan);
-                        row.store(&ws.plan.push_targets, &ws.plan.pull_targets);
-                        let view = node.brahms().view();
-                        let snap = &mut block.snap[k * stride..(k + 1) * stride];
-                        for (j, e) in view.entries().iter().enumerate() {
-                            snap[j] = narrow(e.id);
-                        }
-                        block.snap_len[k] = view.len() as u32;
+                        let view = node.brahms().view().entries();
+                        block.snaps.store(k, view.iter().map(|e| e.id));
+                        (&ws.plan.push_targets, &ws.plan.pull_targets)
                     }
                     node => {
                         node.plan_ranked_into(&mut ws.ranked_plan);
-                        let plan = &ws.ranked_plan;
-                        row.store(&plan.push_targets, &plan.pull_targets);
+                        (&ws.ranked_plan.push_targets, &ws.ranked_plan.pull_targets)
                     }
-                }
+                };
+                block.pushes.store(k, pushes.iter().copied());
+                block.pulls.store(k, pulls.iter().copied());
             }
         });
     }
@@ -123,7 +115,7 @@ impl Simulation {
         // Segments are contiguous in layout order, so population-index
         // order is every segment's senders in turn.
         for ci in (0..self.non_byz_total).filter(|&ci| s.live[ci]) {
-            let targets = s.plans.pushes(ci);
+            let targets = s.pushes.row(ci);
             let sender = NodeId((byz + ci) as u64);
             let granted = self.limiter.try_push_n(sender, targets.len());
             for &target in &targets[..granted] {
@@ -248,18 +240,17 @@ impl Simulation {
             .filter(|seg| seg.protocol.is_ranked_family())
         {
             let start = seg.start;
-            let mut blocks: Vec<(&mut [Node], DiscoveryBlock)> = self.nodes[seg.range()]
+            let mut blocks: Vec<(&mut [Node], DiscoveryRows)> = self.nodes[seg.range()]
                 .chunks_mut(BLOCK)
                 .zip(self.discovery.blocks_mut(seg.range(), BLOCK))
                 .collect();
             rayon::par_for_each_mut(&mut blocks, |bi, (nodes, disc)| {
                 for (k, node) in nodes.iter_mut().enumerate() {
-                    let mut disc = disc.row(k);
                     let abs = byz + start + bi * BLOCK + k;
                     for sender in run_of(&s.sorted, &s.counts, abs) {
                         node.record_push(sender);
                         if sender.index() >= byz && sender.index() < total {
-                            disc.insert(sender.index());
+                            disc.insert(k, sender.index());
                         }
                     }
                     for advertised in run_of(&s.byz_sorted, &s.byz_counts, abs) {
@@ -409,7 +400,7 @@ impl Simulation {
     /// ranked nodes verify their waiting lists (probe contacts succeed
     /// iff the candidate is alive), then finalise.
     fn apply(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
-        let (byz, total, stride) = (self.byz_count, self.total_actors(), self.scenario.view_size);
+        let (byz, total) = (self.byz_count, self.total_actors());
         let validation_due = self.scenario.sampler_validation_period > 0
             && (self.round + 1).is_multiple_of(self.scenario.sampler_validation_period);
         let Scratch {
@@ -418,8 +409,7 @@ impl Simulation {
             byz_rngs,
             event_start,
             arena,
-            snap_ids,
-            snap_len,
+            snaps,
             sorted,
             counts,
             byz_sorted,
@@ -427,7 +417,7 @@ impl Simulation {
             ..
         } = s;
         let (events, byz_rngs, event_start) = (&events[..], &byz_rngs[..], &event_start[..]);
-        let (arena, snap_ids, snap_len) = (&arena[..], &snap_ids[..], &snap_len[..]);
+        let (arena, snaps) = (&arena[..], &*snaps);
         let (sorted, counts) = (&sorted[..], &counts[..]);
         let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
         let alive = &self.alive;
@@ -484,13 +474,8 @@ impl Simulation {
                         for ev in &events[e0..e1] {
                             match ev {
                                 PullEvent::Snapshot { responder } => {
-                                    let r = *responder as usize;
-                                    let base = r * stride;
-                                    ws.untrusted.extend(
-                                        snap_ids[base..base + snap_len[r] as usize]
-                                            .iter()
-                                            .map(|&i| widen(i)),
-                                    );
+                                    let snap = snaps.row(*responder as usize);
+                                    ws.untrusted.extend(snap.iter().map(|&i| widen(i)));
                                 }
                                 PullEvent::Arena { start, len } => {
                                     let (a, b) = (*start as usize, (*start + *len) as usize);
@@ -536,13 +521,27 @@ impl Simulation {
                         node.finish_round();
                     }
                 }
-                // Discovery counts an ID once it has *entered the view*
-                // (matching the paper's round counts; IDs merely seen in
-                // transit — or evicted — do not count).
-                let (mut disc, mut ring) = (block.disc.row(k), block.rings.row(k));
-                let mut tally = ViewTally::default();
-                node.for_each_view_id(|id| tally.see(id, byz, total, &mut disc));
-                tally.book(stat, &mut disc, &mut ring);
+                // The post-round view census: Byzantine entries feed the
+                // pollution share, correct ones the discovery row, which
+                // counts an ID once it has *entered the view* (matching
+                // the paper's round counts; IDs merely seen in transit —
+                // or evicted — do not count).
+                let (mut len, mut byz_in_view) = (0usize, 0usize);
+                node.for_each_view_id(|id| {
+                    len += 1;
+                    if id.index() < byz {
+                        byz_in_view += 1;
+                    } else if id.index() < total {
+                        block.disc.insert(k, id.index());
+                    }
+                });
+                stat.discovered = block.disc.count(k) as u32;
+                if len > 0 {
+                    let share = byz_in_view as f64 / len as f64;
+                    stat.share = share;
+                    stat.has_share = true;
+                    stat.smoothed = block.rings.push_and_mean(k, share);
+                }
             }
         });
     }

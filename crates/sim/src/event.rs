@@ -916,8 +916,10 @@ fn pair_key(a: usize, b: usize) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
-/// Maps a hash draw to a uniform in the open interval `(0, 1)`.
-fn unit(x: u64) -> f64 {
+/// Maps a hash draw to a uniform in the open interval `(0, 1)`: the
+/// latency and fault draws here and the churn draws of the membership
+/// pass, each from its own hash stream.
+pub(crate) fn unit(x: u64) -> f64 {
     ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64
 }
 

@@ -36,12 +36,11 @@
 //! * [`runner`] — repetition and (rayon-parallel) parameter sweeps, plus
 //!   the derived quantities the figures plot (resilience improvement %,
 //!   round-overhead %).
-//! * [`Discovery`] (`bitset`) — the per-node discovery state
-//!   (struct-of-arrays, disjoint row handles for the parallel apply
-//!   phase): exact O(N²/8) bitset rows below
-//!   16,384 actors, HLL
-//!   cardinality sketches (256 B/node, ~6.5 % standard error) above,
-//!   selectable per scenario via [`DiscoveryMode`].
+//! * [`Discovery`] (`bitset`) — the per-node discovery state: one
+//!   flat arena of exact O(N²/8) bitset rows below 16,384 actors, or of
+//!   HLL cardinality sketches (256 B/node, ~6.5 % standard error)
+//!   above, selectable per scenario via [`DiscoveryMode`]; the parallel
+//!   phases update it through disjoint block handles of 64 rows.
 //! * [`Challenger`] (`audit`) — the verifiable audit layer:
 //!   merkle-committed views,
 //!   beacon-sampled challenges, replay verification, conviction and

@@ -532,8 +532,8 @@ pub struct Scenario {
     /// sweeps).
     pub real_crypto_handshakes: bool,
     /// Enable the trusted-node identification attack bookkeeping
-    /// (Section VI-A); costs one extra observation pull per Byzantine
-    /// node per round.
+    /// (Section VI-A); costs β·l1 extra observation pulls per Byzantine
+    /// node per round, the lawful pull fanout.
     pub identification_attack: bool,
     /// Uniform message-loss probability applied to pushes and pull
     /// answers (failure injection; the paper's testbed is lossless).
