@@ -109,6 +109,24 @@ fn basalt_targeted_scenario() -> Scenario {
     s
 }
 
+/// The random-identity targeted plan: a Brahms-family segment, so the
+/// focused share advertises random Byzantine IDs.
+fn raptee_targeted_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.attack = AttackStrategy::Targeted {
+        victim_fraction: 0.2,
+        focus: 0.6,
+    };
+    s
+}
+
+/// The round-robin identity plan against Brahms-family victims.
+fn brahms_force_push_scenario() -> Scenario {
+    let mut s = base(Protocol::Brahms).brahms_baseline();
+    s.attack = AttackStrategy::ForcePush;
+    s
+}
+
 /// Mixed population #1: Brahms + plain BASALT halves under message
 /// loss — the two un-hardened protocols sharing one adversary.
 fn mixed_brahms_basalt_scenario() -> Scenario {
@@ -505,6 +523,48 @@ fn golden_basalt_under_targeted_attack_and_loss() {
     );
 }
 
+// Golden constants for the two Brahms-family plans no uniform golden
+// above runs (random-ID targeted, round-robin force push), captured
+// before the adversary's planners became one.
+
+#[test]
+fn golden_raptee_under_targeted_attack() {
+    assert_golden(
+        "raptee-targeted",
+        raptee_targeted_scenario(),
+        Fingerprint {
+            resilience_bits: 0x3fd860cc99cd93e2,
+            series_hash: 0x152932889742e748,
+            discovery: None,
+            mean_discovery_bits: Some(4633466610765878613),
+            stability: Some(12),
+            spread_stability: None,
+            floods: 5,
+            evicted: 23905,
+            rotations: 0,
+        },
+    );
+}
+
+#[test]
+fn golden_brahms_under_force_push() {
+    assert_golden(
+        "brahms-force-push",
+        brahms_force_push_scenario(),
+        Fingerprint {
+            resilience_bits: 0x3fda9b272e1f2b75,
+            series_hash: 0xf38f64f19ab4f1a4,
+            discovery: None,
+            mean_discovery_bits: None,
+            stability: Some(11),
+            spread_stability: None,
+            floods: 3,
+            evicted: 0,
+            rotations: 0,
+        },
+    );
+}
+
 // Golden constants for multi-segment populations, captured at the PR 5
 // introduction commit. They run the same lane as the uniform goldens
 // above: a uniform scenario is a one-segment population.
@@ -730,7 +790,7 @@ fn single_run_identical_across_intra_run_thread_counts() {
     // override) must produce bit-identical RunResults for all three
     // protocols and each attack type, including churn/loss/validation
     // and the deferred Byzantine pull-answer replay.
-    let scenarios: [(&str, Scenario); 19] = [
+    let scenarios: [(&str, Scenario); 21] = [
         ("brahms", base(Protocol::Brahms).brahms_baseline()),
         ("raptee", base(Protocol::Raptee)),
         ("basalt", base(Protocol::Brahms).basalt_variant(15)),
@@ -740,6 +800,8 @@ fn single_run_identical_across_intra_run_thread_counts() {
         ("raptee-injected", injected_scenario()),
         ("raptee-real-handshakes", real_handshakes_scenario()),
         ("basalt-targeted", basalt_targeted_scenario()),
+        ("raptee-targeted", raptee_targeted_scenario()),
+        ("brahms-force-push", brahms_force_push_scenario()),
         ("adaptive-mixed", adaptive_mixed_scenario()),
         ("mixed-brahms-basalt", mixed_brahms_basalt_scenario()),
         (
