@@ -89,15 +89,20 @@ impl Adversary {
     }
 
     /// Plans one segment's share of this round's pushes into `plan`
-    /// (cleared first): the one place that picks a planner for an attack
-    /// strategy and a victim family. Against Brahms-family victims
-    /// `Balanced` and `Targeted` advertise random Byzantine IDs. Against
-    /// a ranked segment every play advertises distinct identities
-    /// round-robin, because repeating an ID buys nothing against a
-    /// min-rank view — so there `Balanced` *is* `ForcePush`: the same
-    /// plan, the same draws. `Targeted` focuses a `focus` share of the
-    /// budget on the first `victim_fraction` of `victims` (deterministic
-    /// per scenario; the adversary knows the membership).
+    /// (cleared first): the one planner, for every attack strategy and
+    /// victim family. `Targeted` sends a `focus` share of the budget,
+    /// spread evenly, to the first `victim_fraction` of `victims`
+    /// (deterministic per scenario; the adversary knows the membership);
+    /// the rest of the budget, every other strategy's whole budget, is
+    /// spread evenly over all of `victims`.
+    ///
+    /// Against a ranked segment, and under `ForcePush`, every push
+    /// advertises the next distinct Byzantine identity round-robin:
+    /// repeating an ID buys nothing against a min-rank view, so maximal
+    /// coverage finds every slot where some Byzantine ID ranks closest as
+    /// fast as possible, and there `Balanced` *is* `ForcePush` — the same
+    /// plan, the same draws. Otherwise each push advertises a random
+    /// Byzantine ID.
     pub(crate) fn plan_attack(
         &mut self,
         attack: AttackStrategy,
@@ -106,32 +111,34 @@ impl Adversary {
         budget: usize,
         plan: &mut PushPlan,
     ) {
-        match attack {
-            AttackStrategy::Balanced if !ranked => {
-                self.plan_balanced_pushes_into(victims, budget, plan);
-            }
-            AttackStrategy::Balanced | AttackStrategy::ForcePush => {
-                self.plan_force_pushes_into(victims, budget, plan);
-            }
+        let round_robin = ranked || matches!(attack, AttackStrategy::ForcePush);
+        let pick: fn(&mut Self) -> NodeId = if round_robin {
+            Self::next_force_id
+        } else {
+            Self::random_byz_id
+        };
+        let (targets, focus) = match attack {
             AttackStrategy::Targeted {
                 victim_fraction,
                 focus,
             } => {
                 let k = ((victims.len() as f64) * victim_fraction).round() as usize;
-                let targets = &victims[..k.min(victims.len())];
-                if ranked {
-                    self.plan_targeted_force_pushes_into(victims, targets, budget, focus, plan);
-                } else {
-                    self.plan_targeted_pushes_into(victims, targets, budget, focus, plan);
-                }
+                (&victims[..k.min(victims.len())], focus)
             }
-        }
+            AttackStrategy::Balanced | AttackStrategy::ForcePush => (&[][..], 0.0),
+        };
+        plan.clear();
+        let focused_budget = (budget as f64 * focus.clamp(0.0, 1.0)).round() as usize;
+        self.spread_append(targets, focused_budget, pick, plan);
+        let spent = plan.len();
+        self.spread_append(victims, budget - spent, pick, plan);
     }
 
-    /// Plans this round's balanced push attack into `plan` (cleared
-    /// first): `(victim, advertised Byzantine ID)` pairs. `budget` is the
-    /// adversary's lawful total (`B · α·l1`, enforced upstream by the
-    /// rate limiter); `victims` are the correct nodes.
+    /// Plans this round's balanced push attack against Brahms-family
+    /// victims into `plan` (cleared first): `(victim, advertised
+    /// Byzantine ID)` pairs. `budget` is the adversary's lawful total
+    /// (`B · α·l1`, enforced upstream by the rate limiter); `victims` are
+    /// the correct nodes.
     ///
     /// Pushes are spread evenly: every victim receives
     /// `⌊budget / |victims|⌋`, and the remainder goes to a random subset
@@ -142,15 +149,13 @@ impl Adversary {
         budget: usize,
         plan: &mut PushPlan,
     ) {
-        plan.clear();
-        self.spread_append(victims, budget, Self::random_byz_id, plan);
+        self.plan_attack(AttackStrategy::Balanced, false, victims, budget, plan);
     }
 
     /// Appends `budget` pushes spread evenly over `victims` — each gets
     /// `⌊budget / |victims|⌋`, a random subset one more — every push
-    /// advertising the identity `pick` chooses. The body of both spread
-    /// planners and of both shares of the targeted ones; it reserves
-    /// exactly `budget`.
+    /// advertising the identity `pick` chooses. Both shares of every
+    /// plan; it reserves exactly `budget`.
     fn spread_append(
         &mut self,
         victims: &[NodeId],
@@ -286,98 +291,10 @@ impl Adversary {
         }
     }
 
-    /// Plans a *targeted* attack (the strategy Brahms' history sampling
-    /// is designed to defeat) into `plan` (cleared first): a `focus`
-    /// share of the budget floods the small victim set `targets`, the
-    /// rest stays balanced over everyone.
-    pub(crate) fn plan_targeted_pushes_into(
-        &mut self,
-        all_victims: &[NodeId],
-        targets: &[NodeId],
-        budget: usize,
-        focus: f64,
-        plan: &mut PushPlan,
-    ) {
-        self.plan_with_focus(
-            all_victims,
-            targets,
-            budget,
-            focus,
-            Self::random_byz_id,
-            plan,
-        );
-    }
-
-    /// Shared focus-splitting for the targeted attack variants: a `focus`
-    /// share of the budget goes to `targets`, the rest stays spread over
-    /// everyone, every push advertising the identity `pick` chooses.
-    fn plan_with_focus(
-        &mut self,
-        all_victims: &[NodeId],
-        targets: &[NodeId],
-        budget: usize,
-        focus: f64,
-        pick: fn(&mut Self) -> NodeId,
-        plan: &mut PushPlan,
-    ) {
-        plan.clear();
-        if all_victims.is_empty() || self.byzantine_ids.is_empty() || budget == 0 {
-            return;
-        }
-        let focused_budget = (budget as f64 * focus.clamp(0.0, 1.0)).round() as usize;
-        if !targets.is_empty() {
-            self.spread_append(targets, focused_budget, pick, plan);
-        }
-        let spent = plan.len();
-        self.spread_append(all_victims, budget - spent, pick, plan);
-    }
-
-    /// Plans the *force-push* attack against BASALT's ranked hit-counter
-    /// views into `plan` (cleared first): the lawful budget is still
-    /// spread evenly over the victims (rate limiting makes concentration
-    /// pointless), but every push advertises the **next distinct
-    /// Byzantine identity round-robin** instead of a random draw. Against
-    /// a min-rank view, repeating an ID buys nothing — the adversary's
-    /// best play is maximal *coverage*, so that every slot where some
-    /// Byzantine ID happens to rank closest is found as quickly as
-    /// possible.
-    pub(crate) fn plan_force_pushes_into(
-        &mut self,
-        victims: &[NodeId],
-        budget: usize,
-        plan: &mut PushPlan,
-    ) {
-        plan.clear();
-        self.spread_append(victims, budget, Self::next_force_id, plan);
-    }
-
     fn next_force_id(&mut self) -> NodeId {
         let id = self.byzantine_ids[self.force_rotor % self.byzantine_ids.len()];
         self.force_rotor = self.force_rotor.wrapping_add(1);
         id
-    }
-
-    /// The *targeted* force-push attack: like
-    /// [`Adversary::plan_targeted_pushes_into`], a `focus` share of the
-    /// budget floods the victim subset, the rest stays balanced — but
-    /// every push advertises distinct Byzantine identities round-robin,
-    /// the only lever that matters against a ranked view.
-    pub(crate) fn plan_targeted_force_pushes_into(
-        &mut self,
-        all_victims: &[NodeId],
-        targets: &[NodeId],
-        budget: usize,
-        focus: f64,
-        plan: &mut PushPlan,
-    ) {
-        self.plan_with_focus(
-            all_victims,
-            targets,
-            budget,
-            focus,
-            Self::next_force_id,
-            plan,
-        );
     }
 
     /// Picks `k` observation targets uniformly among `candidates` (the
@@ -552,6 +469,14 @@ mod tests {
         out
     }
 
+    /// The targeted attack on the first `victim_fraction` of the victims.
+    fn targeted(victim_fraction: f64, focus: f64) -> AttackStrategy {
+        AttackStrategy::Targeted {
+            victim_fraction,
+            focus,
+        }
+    }
+
     /// One pull answer into a fresh buffer.
     fn answer(a: &mut Adversary) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -647,9 +572,10 @@ mod tests {
     fn targeted_plan_focuses_budget() {
         let mut a = adversary(20, 200);
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
+        // 5 % of the 180 victims.
         let targets: Vec<NodeId> = (20..29).map(NodeId).collect();
         let budget = 80;
-        let plan = planned(|p| a.plan_targeted_pushes_into(&all, &targets, budget, 0.75, p));
+        let plan = planned(|p| a.plan_attack(targeted(0.05, 0.75), false, &all, budget, p));
         assert_eq!(plan.len(), budget);
         let focused = plan.iter().filter(|(v, _)| targets.contains(v)).count();
         // 75% of the budget goes to the 9 victims (they also receive a
@@ -664,10 +590,11 @@ mod tests {
     fn targeted_plan_degenerates_to_balanced() {
         let mut a = adversary(20, 200);
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
-        let plan = planned(|p| a.plan_targeted_pushes_into(&all, &[], 40, 0.9, p));
+        let plan = planned(|p| a.plan_attack(targeted(0.0, 0.9), false, &all, 40, p));
         assert_eq!(plan.len(), 40, "empty target set falls back to balanced");
         let mut b = adversary(20, 200);
-        assert!(planned(|p| b.plan_targeted_pushes_into(&all, &all[..2], 0, 0.9, p)).is_empty());
+        let two = 2.0 / all.len() as f64;
+        assert!(planned(|p| b.plan_attack(targeted(two, 0.9), false, &all, 0, p)).is_empty());
     }
 
     #[test]
@@ -695,7 +622,8 @@ mod tests {
         let mut a = adversary(20, 100);
         let victims: Vec<NodeId> = (20..100).map(NodeId).collect();
         let budget = 20 * 4;
-        let plan = planned(|p| a.plan_force_pushes_into(&victims, budget, p));
+        let plan =
+            planned(|p| a.plan_attack(AttackStrategy::ForcePush, false, &victims, budget, p));
         assert_eq!(plan.len(), budget);
         // Every Byzantine identity is advertised (budget ≥ identities),
         // and the per-victim spread stays balanced.
@@ -722,7 +650,9 @@ mod tests {
         let victims = [NodeId(10)];
         let mut seen: Vec<u64> = Vec::new();
         for _ in 0..4 {
-            for (_, id) in planned(|p| a.plan_force_pushes_into(&victims, 2, p)) {
+            for (_, id) in
+                planned(|p| a.plan_attack(AttackStrategy::ForcePush, false, &victims, 2, p))
+            {
                 seen.push(id.0);
             }
         }
@@ -737,7 +667,7 @@ mod tests {
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
         let targets: Vec<NodeId> = (20..29).map(NodeId).collect();
         let budget = 80;
-        let plan = planned(|p| a.plan_targeted_force_pushes_into(&all, &targets, budget, 0.75, p));
+        let plan = planned(|p| a.plan_attack(targeted(0.05, 0.75), true, &all, budget, p));
         assert_eq!(plan.len(), budget);
         let focused = plan.iter().filter(|(v, _)| targets.contains(v)).count();
         assert!(
@@ -755,21 +685,20 @@ mod tests {
         assert_eq!(victim_ids.len(), 20, "victims see the full identity pool");
         // Degenerate forms.
         assert_eq!(
-            planned(|p| a.plan_targeted_force_pushes_into(&all, &[], 40, 0.9, p)).len(),
+            planned(|p| a.plan_attack(targeted(0.0, 0.9), true, &all, 40, p)).len(),
             40
         );
-        assert!(
-            planned(|p| a.plan_targeted_force_pushes_into(&all, &targets, 0, 0.9, p)).is_empty()
-        );
+        assert!(planned(|p| a.plan_attack(targeted(0.05, 0.9), true, &all, 0, p)).is_empty());
     }
 
     #[test]
     fn force_push_edge_cases() {
+        let force = AttackStrategy::ForcePush;
         let mut a = adversary(5, 10);
-        assert!(planned(|p| a.plan_force_pushes_into(&[], 10, p)).is_empty());
-        assert!(planned(|p| a.plan_force_pushes_into(&[NodeId(9)], 0, p)).is_empty());
+        assert!(planned(|p| a.plan_attack(force, false, &[], 10, p)).is_empty());
+        assert!(planned(|p| a.plan_attack(force, false, &[NodeId(9)], 0, p)).is_empty());
         let mut empty = Adversary::new(vec![], 10, 10, 1);
-        assert!(planned(|p| empty.plan_force_pushes_into(&[NodeId(9)], 10, p)).is_empty());
+        assert!(planned(|p| empty.plan_attack(force, false, &[NodeId(9)], 10, p)).is_empty());
     }
 
     #[test]

@@ -217,6 +217,60 @@ impl IdBlock<'_> {
     }
 }
 
+/// One lane of a round's pushes — the honest ones or the adversary's:
+/// the survivors of the limiter, liveness, loss and the net as
+/// `(receiver, advertised)` pairs (dense [`NodeIdx`]es, halving the pair
+/// width at paper scale+), then counting-sorted by receiver so the
+/// phases read per-receiver runs instead of per-message dispatch.
+#[derive(Default)]
+pub(super) struct PushLane {
+    /// This round's survivors in arrival order: due late pushes first,
+    /// then the lane's own.
+    pub(super) survivors: Vec<(u32, NodeIdx)>,
+    /// The advertised IDs of `survivors`, in receiver order.
+    sorted: Vec<NodeIdx>,
+    /// After [`PushLane::sort`], `counts[t]` is the *end* of receiver
+    /// `t`'s run in `sorted` (its start is `counts[t-1]`, `0` for `t = 0`).
+    counts: Vec<u32>,
+}
+
+impl PushLane {
+    /// Stable counting sort of the survivors by receiver over the
+    /// universe `0..total`, keeping only the advertised IDs. Stability
+    /// preserves each receiver's arrival order, so streaming over the
+    /// runs is observationally identical to per-message dispatch.
+    pub(super) fn sort(&mut self, total: usize) {
+        let counts = &mut self.counts;
+        counts.clear();
+        counts.resize(total + 1, 0);
+        for &(t, _) in &self.survivors {
+            counts[t as usize + 1] += 1;
+        }
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        self.sorted.clear();
+        self.sorted.resize(self.survivors.len(), NodeIdx(0));
+        for &(t, advertised) in &self.survivors {
+            let pos = &mut counts[t as usize];
+            self.sorted[*pos as usize] = advertised;
+            *pos += 1;
+        }
+    }
+
+    /// Receiver `t`'s run after [`PushLane::sort`], as the advertised
+    /// wire identities in arrival order.
+    #[inline]
+    pub(super) fn run(&self, t: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let start = t
+            .checked_sub(1)
+            .map_or(0, |prev| self.counts[prev] as usize);
+        self.sorted[start..self.counts[t] as usize]
+            .iter()
+            .map(|&advertised| widen(advertised))
+    }
+}
+
 /// Per-simulation scratch arenas: every buffer the round loop needs is
 /// allocated once and reused for all rounds, so the steady-state hot
 /// path is allocation-free. Taken out of the
@@ -235,22 +289,11 @@ pub(super) struct Scratch {
     pub(super) live: Vec<bool>,
     /// The adversary's push plan for the segment being attacked.
     pub(super) byz_plan: PushPlan,
-    /// Honest pushes surviving limiter/liveness/loss, as
-    /// `(absolute target index, sender)` in sender-major order. Senders
-    /// are dense [`NodeIdx`]es, halving the pair width at paper scale+.
-    pub(super) survivors: Vec<(u32, NodeIdx)>,
-    /// The senders of `survivors`, counting-sorted by target — the apply
-    /// phase reads per-receiver runs instead of per-message dispatch.
-    pub(super) sorted: Vec<NodeIdx>,
-    /// Counting-sort offsets; after the fill pass, `counts[t]` is the
-    /// *end* of target `t`'s run (its start is `counts[t-1]`).
-    pub(super) counts: Vec<u32>,
-    /// Adversary pushes surviving limiter/liveness/loss, in plan order.
-    pub(super) byz_survivors: Vec<(u32, NodeIdx)>,
-    /// The advertised IDs of `byz_survivors`, counting-sorted by victim.
-    pub(super) byz_sorted: Vec<NodeIdx>,
-    /// Counting-sort offsets for the adversary runs.
-    pub(super) byz_counts: Vec<u32>,
+    /// Honest pushes surviving limiter, liveness, loss and the net, in
+    /// sender-major order.
+    pub(super) honest: PushLane,
+    /// Adversary pushes surviving the same filters, in plan order.
+    pub(super) byz: PushLane,
     /// Reusable sequential-phase answer buffer (ranked-family pulls,
     /// trusted ablation answers, Byzantine answers held by the event
     /// network).
@@ -337,49 +380,6 @@ pub(super) fn two_nodes<N>(nodes: &mut [N], a: usize, b: usize) -> (&mut N, &mut
     }
 }
 
-/// Stable counting sort of `(target, payload)` pairs by target over the
-/// universe `0..total`, keeping only the payloads: the run bounds live
-/// in `counts`. After the fill pass `counts[t]` is the end of `t`'s run,
-/// so run `t` is `sorted[counts[t-1]..counts[t]]` (`0` for `t = 0`).
-/// Stability preserves each receiver's arrival order, so streaming over
-/// the runs is observationally identical to per-message dispatch.
-pub(super) fn counting_sort_by_target(
-    survivors: &[(u32, NodeIdx)],
-    sorted: &mut Vec<NodeIdx>,
-    counts: &mut Vec<u32>,
-    total: usize,
-) {
-    counts.clear();
-    counts.resize(total + 1, 0);
-    for &(t, _) in survivors {
-        counts[t as usize + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    sorted.clear();
-    sorted.resize(survivors.len(), NodeIdx(0));
-    for &(t, payload) in survivors {
-        let pos = &mut counts[t as usize];
-        sorted[*pos as usize] = payload;
-        *pos += 1;
-    }
-}
-
-/// Target `t`'s run in a [`counting_sort_by_target`]-sorted buffer, as
-/// the senders' wire identities in arrival order.
-#[inline]
-pub(super) fn run_of<'a>(
-    sorted: &'a [NodeIdx],
-    counts: &[u32],
-    t: usize,
-) -> impl Iterator<Item = NodeId> + 'a {
-    let start = if t == 0 { 0 } else { counts[t - 1] as usize };
-    sorted[start..counts[t] as usize]
-        .iter()
-        .map(|&sender| widen(sender))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,6 +441,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn push_lane_runs_keep_each_receivers_arrival_order() {
+        let total = 6;
+        let runs = |lane: &PushLane| -> Vec<Vec<u64>> {
+            (0..total)
+                .map(|t| lane.run(t).map(|id| id.0).collect())
+                .collect()
+        };
+        let mut lane = PushLane::default();
+        lane.sort(total);
+        assert_eq!(runs(&lane), vec![Vec::<u64>::new(); total], "empty lane");
+        // Receivers 0 and `total - 1` at the universe's edges, receiver 3
+        // fed in descending ID order, and 1, 2 and 4 fed nothing.
+        lane.survivors = vec![
+            (5, NodeIdx(40)),
+            (0, NodeIdx(10)),
+            (3, NodeIdx(31)),
+            (0, NodeIdx(11)),
+            (5, NodeIdx(41)),
+            (3, NodeIdx(30)),
+            (0, NodeIdx(12)),
+        ];
+        lane.sort(total);
+        let want: Vec<Vec<u64>> = vec![
+            vec![10, 11, 12],
+            vec![],
+            vec![],
+            vec![31, 30],
+            vec![],
+            vec![40, 41],
+        ];
+        assert_eq!(runs(&lane), want, "stable: arrival order per receiver");
+        // The next round's sort replaces every run.
+        lane.survivors = vec![(2, NodeIdx(7))];
+        lane.sort(total);
+        let want: Vec<Vec<u64>> = vec![vec![], vec![], vec![7], vec![], vec![], vec![]];
+        assert_eq!(runs(&lane), want);
     }
 
     #[test]

@@ -14,6 +14,20 @@ use raptee_net::NodeId;
 use raptee_tee::AttestationService;
 use raptee_util::rng::mix64;
 
+/// The attestation service that certifies the run's trusted platforms,
+/// derived from the scenario seed: the constructor provisions through it
+/// and [`TrustTier::new`] rebuilds the same one (same measurement, same
+/// group key), so renewals verify.
+pub(super) fn attestation_service(scenario: &Scenario) -> AttestationService {
+    provisioning::new_attestation_service(scenario.seed ^ 0x6E0C)
+}
+
+/// The attested platform of trusted actor `abs`: the one the constructor
+/// provisions and the trust tier re-certifies and renews.
+pub(super) fn platform(abs: usize) -> u64 {
+    0x1000 + abs as u64
+}
+
 /// Trusted-tier degradation state (attestation certificates with a TTL):
 /// expired trusted nodes fall back to untrusted behaviour until they
 /// re-attest through the same service that provisioned them. Engine
@@ -41,14 +55,14 @@ impl TrustTier {
             return None;
         }
         let ttl = scenario.attest_ttl as u64;
-        let mut service = provisioning::new_attestation_service(scenario.seed ^ 0x6E0C);
+        let mut service = attestation_service(scenario);
         let seed = mix64(scenario.seed ^ 0x7255_7ED0_0DDA_7E5A);
         let mut expires = vec![0u64; trusted.len()];
         for (abs, expiry) in expires.iter_mut().enumerate() {
             if !trusted[abs] {
                 continue;
             }
-            service.certify_platform(0x1000 + abs as u64);
+            service.certify_platform(platform(abs));
             // Staggered initial expiry in [ttl, 2·ttl): certificates
             // issued at different pre-run moments, so the tier never
             // expires as one synchronized cliff.
@@ -69,7 +83,7 @@ impl TrustTier {
     /// changes nothing.
     fn renew(&mut self, abs: usize, round: u64) {
         if let Ok(cert) =
-            provisioning::renew_attestation(&mut self.service, 0x1000 + abs as u64, round, self.ttl)
+            provisioning::renew_attestation(&mut self.service, platform(abs), round, self.ttl)
         {
             self.degraded[abs] = false;
             self.expires[abs] = cert.expires_round;

@@ -33,10 +33,12 @@
 //!    pull answers.
 //! 2. **pushes** (sequential control) — honest pushes, then the
 //!    adversary's segment-matched faulty pushes (it saturates exactly
-//!    its lawful budget; `Adversary::plan_attack` picks each segment's
-//!    planner), through the per-identity rate limiter and the loss
-//!    stream, counting-sorted by receiver; ranked receivers rank their
-//!    runs in a parallel pass over the ranked segments' slices.
+//!    its lawful budget; `Adversary::plan_attack`, the one planner,
+//!    plans each segment's share), through the per-identity rate
+//!    limiter and one routing step (`route_push`: liveness, loss, net),
+//!    into two `PushLane`s counting-sorted by receiver; ranked receivers
+//!    rank their runs in a parallel pass over the ranked segments'
+//!    slices.
 //! 3. **exchange** (sequential control, `exchange.rs`) — everything that
 //!    consumes a *shared* ordered stream: the loss RNG, the adversary's
 //!    coordinator RNG and the (rare) trusted view-swaps. One `pull`

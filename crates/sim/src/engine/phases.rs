@@ -4,8 +4,8 @@
 //! attack, and apply.
 
 use super::arena::{
-    counting_sort_by_target, narrow, run_of, two_nodes, widen, FinishBlock, PlanBlock, PullEvent,
-    RoundStat, Scratch, WorkerScratch, BLOCK,
+    narrow, two_nodes, widen, FinishBlock, PlanBlock, PullEvent, PushLane, RoundStat, Scratch,
+    WorkerScratch, BLOCK,
 };
 use super::population::Node;
 use super::Simulation;
@@ -101,17 +101,18 @@ impl Simulation {
 
     /// Honest pushes (sequential control): every segment's, in
     /// population-index order (sender-major, so the loss RNG stream is
-    /// fixed), through the shared rate limiter, liveness and loss
-    /// filters, then counting-sorted by target into `s.sorted`. No per-ID
-    /// node work happens here — the parallel phases consume the runs.
+    /// fixed), through the shared rate limiter and [`Self::route_push`],
+    /// then counting-sorted by receiver into `s.honest`. No per-ID node
+    /// work happens here — the parallel phases consume the runs.
     fn collect_honest_pushes(&mut self, s: &mut Scratch) {
         let byz = self.byz_count;
-        let message_loss = self.scenario.message_loss;
-        s.survivors.clear();
+        let lane = &mut s.honest;
+        lane.survivors.clear();
         // Late pushes from earlier rounds arrive first: they are the
         // oldest messages each receiver sees, and the stable counting
         // sort preserves that ordering per target.
-        self.net.drain_due_pushes(NetLane::Honest, &mut s.survivors);
+        self.net
+            .drain_due_pushes(NetLane::Honest, &mut lane.survivors);
         // Segments are contiguous in layout order, so population-index
         // order is every segment's senders in turn.
         for ci in (0..self.non_byz_total).filter(|&ci| s.live[ci]) {
@@ -119,24 +120,10 @@ impl Simulation {
             let sender = NodeId((byz + ci) as u64);
             let granted = self.limiter.try_push_n(sender, targets.len());
             for &target in &targets[..granted] {
-                let t = target.index();
-                if !self.alive[t] {
-                    continue;
-                }
-                if message_loss > 0.0 && self.loss_rng.chance(message_loss) {
-                    continue;
-                }
-                if !self
-                    .net
-                    .send_push(self.round, byz + ci, t, sender, NetLane::Honest)
-                {
-                    continue;
-                }
-                s.survivors.push((target.0, narrow(sender)));
+                self.route_push(sender, target.index(), NetLane::Honest, lane);
             }
         }
-        let total = self.total_actors();
-        counting_sort_by_target(&s.survivors, &mut s.sorted, &mut s.counts, total);
+        lane.sort(self.total_actors());
     }
 
     /// Adversary pushes (sequential control): the adversary's lawful
@@ -149,26 +136,26 @@ impl Simulation {
     /// segment gets zero this round.
     ///
     /// Each planned push is charged to a Byzantine identity through the
-    /// rate limiter (rotating payers), passes the liveness and
-    /// message-loss filters, and the survivors are counting-sorted by
-    /// victim for the parallel phases. One pass for every segment, so
-    /// cross-family comparisons face provably identical adversary
-    /// machinery.
+    /// rate limiter (rotating payers), goes through
+    /// [`Self::route_push`], and the survivors are counting-sorted by
+    /// victim into `s.byz` for the parallel phases. One pass for every
+    /// segment, so cross-family comparisons face provably identical
+    /// adversary machinery.
     fn collect_byz_pushes(&mut self, s: &mut Scratch) -> Option<usize> {
         let bandit_arm = self.bandit.as_ref().map(AdaptiveCoordinator::choose);
         let Scratch {
             byz_plan: plan,
-            byz_survivors: survivors,
-            byz_sorted: sorted,
-            byz_counts: counts,
+            byz: lane,
             ..
         } = s;
-        survivors.clear();
-        self.net.drain_due_pushes(NetLane::Adversary, survivors);
+        lane.survivors.clear();
+        self.net
+            .drain_due_pushes(NetLane::Adversary, &mut lane.survivors);
         let total_budget = self.byz_count * self.limiter_fanout;
         let mut assigned = 0usize;
         let mut charge_rotor = 0usize;
-        for (si, seg) in self.segs.iter().enumerate() {
+        for si in 0..self.segs.len() {
+            let seg = &self.segs[si];
             let (budget, attack) = match bandit_arm.map(AdaptiveCoordinator::play) {
                 Some((aimed, attack)) => (if si == aimed { total_budget } else { 0 }, attack),
                 None if si + 1 == self.segs.len() => {
@@ -185,46 +172,45 @@ impl Simulation {
             self.adversary
                 .plan_attack(attack, ranked, victims, budget, plan);
             for &(victim, advertised) in plan.iter() {
-                let mut charged = false;
-                for _ in 0..self.byz_count {
-                    let payer = NodeId((charge_rotor % self.byz_count.max(1)) as u64);
+                let charged = (0..self.byz_count).any(|_| {
+                    let payer = NodeId((charge_rotor % self.byz_count) as u64);
                     charge_rotor += 1;
-                    if self.limiter.try_push(payer) {
-                        charged = true;
-                        break;
-                    }
+                    self.limiter.try_push(payer)
+                });
+                if charged {
+                    self.route_push(advertised, victim.index(), NetLane::Adversary, lane);
                 }
-                if !charged || !self.alive[victim.index()] {
-                    continue;
-                }
-                if self.scenario.message_loss > 0.0
-                    && self.loss_rng.chance(self.scenario.message_loss)
-                {
-                    continue;
-                }
-                // The adversary's pushes originate at the advertised
-                // identity's host (injected poisoned nodes send from
-                // their own addresses).
-                if !self.net.send_push(
-                    self.round,
-                    advertised.index(),
-                    victim.index(),
-                    advertised,
-                    NetLane::Adversary,
-                ) {
-                    continue;
-                }
-                survivors.push((victim.index() as u32, narrow(advertised)));
             }
         }
         // Quarantine filter: adversary pushes advertising a convicted
         // identity (including copies drained from earlier rounds) are
         // discarded — honest nodes blacklist the quarantined ID.
         if let Some(aud) = self.audit.as_ref() {
-            survivors.retain(|&(_, advertised)| !aud.is_quarantined(widen(advertised).index()));
+            lane.survivors
+                .retain(|&(_, advertised)| !aud.is_quarantined(widen(advertised).index()));
         }
-        counting_sort_by_target(survivors, sorted, counts, self.total_actors());
+        lane.sort(self.total_actors());
         bandit_arm
+    }
+
+    /// Routes one push its lane's limiter rule let through, advertising
+    /// `advertised` to actor `dst`. It leaves the advertised identity's
+    /// host: an honest sender advertises itself, and the adversary's
+    /// pushes originate at the identity they advertise (injected
+    /// poisoned nodes send from their own addresses). A dead receiver
+    /// drops it, then the loss draw, then the net: a push landing this
+    /// round joins `into`, a late one is filed on the net and drained
+    /// into its lane in its arrival round.
+    fn route_push(&mut self, advertised: NodeId, dst: usize, lane: NetLane, into: &mut PushLane) {
+        let loss = self.scenario.message_loss;
+        if self.alive[dst]
+            && !(loss > 0.0 && self.loss_rng.chance(loss))
+            && self
+                .net
+                .send_push(self.round, advertised.index(), dst, advertised, lane)
+        {
+            into.survivors.push((dst as u32, narrow(advertised)));
+        }
     }
 
     /// Ranked push ranking (parallel per ranked segment, sharded by
@@ -247,13 +233,13 @@ impl Simulation {
             rayon::par_for_each_mut(&mut blocks, |bi, (nodes, disc)| {
                 for (k, node) in nodes.iter_mut().enumerate() {
                     let abs = byz + start + bi * BLOCK + k;
-                    for sender in run_of(&s.sorted, &s.counts, abs) {
+                    for sender in s.honest.run(abs) {
                         node.record_push(sender);
                         if sender.index() >= byz && sender.index() < total {
                             disc.insert(k, sender.index());
                         }
                     }
-                    for advertised in run_of(&s.byz_sorted, &s.byz_counts, abs) {
+                    for advertised in s.byz.run(abs) {
                         node.record_push(advertised);
                     }
                 }
@@ -410,16 +396,12 @@ impl Simulation {
             event_start,
             arena,
             snaps,
-            sorted,
-            counts,
-            byz_sorted,
-            byz_counts,
+            honest,
+            byz: byz_lane,
             ..
         } = s;
         let (events, byz_rngs, event_start) = (&events[..], &byz_rngs[..], &event_start[..]);
-        let (arena, snaps) = (&arena[..], &*snaps);
-        let (sorted, counts) = (&sorted[..], &counts[..]);
-        let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
+        let (arena, snaps, honest, byz_lane) = (&arena[..], &*snaps, &*honest, &*byz_lane);
         let alive = &self.alive;
         let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
         let adversary = &self.adversary;
@@ -457,15 +439,13 @@ impl Simulation {
                             sampler.validate(is_alive, rng);
                         }
                         let me = NodeId(abs as u64);
-                        // Push stream: the honest counting-sorted run,
-                        // then the adversary's run — each receiver's
-                        // historical arrival order, with the
-                        // `record_push` self-filter.
+                        // Push stream: the honest run, then the
+                        // adversary's — each receiver's historical
+                        // arrival order, with the `record_push`
+                        // self-filter.
                         ws.pushed.clear();
-                        ws.pushed
-                            .extend(run_of(sorted, counts, abs).filter(|&x| x != me));
-                        ws.pushed
-                            .extend(run_of(byz_sorted, byz_counts, abs).filter(|&x| x != me));
+                        ws.pushed.extend(honest.run(abs).filter(|&x| x != me));
+                        ws.pushed.extend(byz_lane.run(abs).filter(|&x| x != me));
                         // Untrusted pull stream, reconstructed in
                         // delivery order.
                         ws.untrusted.clear();

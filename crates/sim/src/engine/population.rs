@@ -2,7 +2,7 @@
 //! contiguous per-protocol segments, how it is built, and the invariants
 //! every node holds between rounds.
 
-use super::Simulation;
+use super::{membership, Simulation};
 use crate::bitset::EXACT_DISCOVERY_THRESHOLD;
 use crate::scenario::{Protocol, Scenario};
 use raptee::provisioning;
@@ -22,8 +22,9 @@ use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 /// `i - byz_count` for `i >= byz_count`. `Raptee` carries both
 /// Brahms-family protocols (Brahms is a RAPTEE node without a trusted
 /// tier), `Basalt` both BASALT protocols (the +TEE hybrid's trusted tier
-/// is the node's group key). `BasaltNode` is the largest variant and
-/// lends `Node` its niche, so a `Node` costs exactly a `BasaltNode`.
+/// is the node's group key). `RapteeNode` is the largest variant and
+/// lends `Node` its niche, so a `Node` costs exactly a `RapteeNode`
+/// (`the_arena_costs_nothing_over_its_largest_node` pins 392 B).
 ///
 /// [`Population::build`] fills each segment with the one family its
 /// protocol runs, so a caller that found a node in a segment knows its
@@ -263,7 +264,7 @@ impl Population {
 
         // Group-key provisioning through the full simulated attestation
         // flow: one certified platform per trusted node.
-        let mut attestation = provisioning::new_attestation_service(scenario.seed ^ 0x6E0C);
+        let mut attestation = membership::attestation_service(scenario);
         let mut provision =
             |platform: u64| provisioning::certify_and_provision(&mut attestation, platform);
 
@@ -379,7 +380,7 @@ impl Population {
                 rng.sample_into(pool, k, &mut idx, &mut bootstrap);
                 let key = (i < seg_trusted || is_injected).then(|| {
                     trusted[abs] = true;
-                    provision(0x1000 + abs as u64)
+                    provision(membership::platform(abs))
                 });
                 nodes.push(make(NodeId(abs as u64), &bootstrap, seed, key));
             }

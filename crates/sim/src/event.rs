@@ -163,7 +163,7 @@ impl<T> EventQueue<T> {
 /// counting-sorted run or the adversary's run. The split cannot be
 /// derived from the advertised identity (injected poisoned nodes
 /// advertise honest-range IDs through the adversary's lane), so the lane
-/// travels with the record.
+/// travels with the record. Its discriminant indexes the due-push table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// Honest pushes — delivered before the adversary's.
@@ -300,11 +300,9 @@ pub struct EventNet {
     opened: usize,
     /// Payload groups below this index have been released.
     freed: usize,
-    /// This round's due pushes, honest lane: `(receiver, advertised)`
-    /// pairs ready to head the survivor list.
-    due_honest: Vec<(u32, NodeIdx)>,
-    /// This round's due pushes, adversary lane.
-    due_byz: Vec<(u32, NodeIdx)>,
+    /// This round's due pushes, indexed by [`Lane`]: `(receiver,
+    /// advertised)` pairs ready to head that lane's survivor list.
+    due_pushes: [Vec<(u32, NodeIdx)>; 2],
     /// This round's due pull answers, by requester, then arrival.
     due_answers: Vec<DueAnswer>,
     /// Late messages that would arrive after the last round: counted,
@@ -354,8 +352,7 @@ impl EventNet {
             groups: vec![PayloadGroup::default(); rounds + 1],
             opened: 0,
             freed: 0,
-            due_honest: Vec::new(),
-            due_byz: Vec::new(),
+            due_pushes: Default::default(),
             due_answers: Vec::new(),
             past_horizon: 0,
             drained_pushes: 0,
@@ -382,8 +379,9 @@ impl EventNet {
     pub fn begin_round(&mut self, round: usize) {
         assert!(self.opened <= round, "rounds open in ascending order");
         let open_to = (round + 1).min(self.rounds);
-        self.due_honest.clear();
-        self.due_byz.clear();
+        for due in &mut self.due_pushes {
+            due.clear();
+        }
         self.due_answers.clear();
         // A hole that has expired by now is closed to every later
         // lookup, so dropping it is invisible.
@@ -417,11 +415,7 @@ impl EventNet {
             self.drained_pushes += pushes.len() as u64;
             for p in pushes {
                 self.stats.partition_released += u64::from(p.held);
-                let due = match p.lane {
-                    Lane::Honest => &mut self.due_honest,
-                    Lane::Adversary => &mut self.due_byz,
-                };
-                due.push((p.dst, p.sender));
+                self.due_pushes[p.lane as usize].push((p.dst, p.sender));
             }
             let replies = std::mem::take(&mut self.replies[bucket]);
             // Unless rounds were skipped there is one bucket, taken whole.
@@ -441,11 +435,7 @@ impl EventNet {
     /// `survivors` (they are the *oldest* messages each receiver sees —
     /// the subsequent stable counting sort preserves that).
     pub fn drain_due_pushes(&mut self, lane: Lane, survivors: &mut Vec<(u32, NodeIdx)>) {
-        let bucket = match lane {
-            Lane::Honest => &mut self.due_honest,
-            Lane::Adversary => &mut self.due_byz,
-        };
-        survivors.append(bucket);
+        survivors.append(&mut self.due_pushes[lane as usize]);
     }
 
     /// Routes one push from actor `src` to actor `dst` advertising

@@ -12,7 +12,8 @@
 //!
 //! * [`Scenario`] (`scenario`) — experiment configuration:
 //!   population, fractions, eviction policy, protocol selection (Brahms,
-//!   RAPTEE, or BASALT hit-counter sampling), attack toggles, seeds.
+//!   RAPTEE, BASALT hit-counter sampling, BASALT+TEE, LIFT or Honeybee,
+//!   alone or as a mixed population), attack toggles, seeds.
 //! * [`adversary`] — the adversarial strategy of Section III-B: evenly
 //!   balanced faulty pushes (rate-limited like everyone else), pull
 //!   answers containing exclusively Byzantine IDs, the trusted-node

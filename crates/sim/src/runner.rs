@@ -86,21 +86,35 @@ pub fn run_scenario(scenario: Scenario) -> RunResult {
     Simulation::new(scenario).run()
 }
 
+/// The stride between the seeds of consecutive repetitions.
+const REP_SEED_STRIDE: u64 = 0x9E37_79B9;
+
+/// The most repetitions [`run_repeated`] derives distinct seeds for:
+/// beyond it `REP_SEED_STRIDE · (rep + 1)` overflows a `u64`.
+pub const MAX_REPETITIONS: usize = (u64::MAX / REP_SEED_STRIDE) as usize;
+
 /// Runs `repetitions` independent repetitions (seeds derived from the
 /// scenario seed) in parallel and aggregates.
 ///
 /// # Panics
 ///
-/// Panics if `repetitions` is zero.
+/// Panics if `repetitions` is zero or above [`MAX_REPETITIONS`].
 pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult {
-    // The documented contract: `raptee-cli` rejects `--reps 0` and every
-    // `raptee_bench::Scale` profile runs at least one repetition.
+    // The documented contract: `raptee-cli` rejects `--reps 0` and
+    // `--reps` above the bound, and every `raptee_bench::Scale` profile
+    // runs at least one repetition.
     assert!(repetitions > 0, "need at least one repetition");
+    assert!(
+        repetitions <= MAX_REPETITIONS,
+        "{repetitions} repetitions: seeds stay distinct up to {MAX_REPETITIONS}"
+    );
     let results: Vec<RunResult> = (0..repetitions)
         .into_par_iter()
         .map(|rep| {
             let mut s = scenario.clone();
-            s.seed = scenario.seed.wrapping_add(0x9E37_79B9 * (rep as u64 + 1));
+            s.seed = scenario
+                .seed
+                .wrapping_add(REP_SEED_STRIDE * (rep as u64 + 1));
             run_scenario(s)
         })
         .collect();

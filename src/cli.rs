@@ -685,14 +685,19 @@ impl Args {
         Ok(scenario)
     }
 
-    /// Parses `--reps`, which must be positive.
+    /// Parses `--reps`, which must be positive and at most
+    /// [`runner::MAX_REPETITIONS`].
     ///
     /// # Errors
     ///
-    /// [`CliError::BadValue`] when unparsable or zero.
+    /// [`CliError::BadValue`] when unparsable, zero or above the bound.
     pub fn reps(&self) -> Result<usize, CliError> {
         match self.get("reps")? {
             0 => Err(bad_value("reps", "0 (need at least one repetition)")),
+            reps if reps > runner::MAX_REPETITIONS => Err(bad_value(
+                "reps",
+                format!("{reps} (at most {})", runner::MAX_REPETITIONS),
+            )),
             reps => Ok(reps),
         }
     }
@@ -953,6 +958,7 @@ mod tests {
         (&["sweep", "--reps", "0"], "reps"),
         (&["ident", "--reps", "0"], "reps"),
         (&["inject", "--reps", "0"], "reps"),
+        (&["run", "--reps", "18446744073709551615"], "reps"),
         (
             &["sweep", "--population", "raptee:50%,basalt-tee:50%"],
             "population",

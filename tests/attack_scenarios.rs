@@ -230,8 +230,8 @@ fn identification_without_trusted_nodes_finds_nothing() {
 
 #[test]
 fn force_push_and_balanced_are_one_play_against_ranked_families() {
-    // `Adversary::plan_attack` gives a ranked segment the round-robin
-    // distinct-identity planner under both attacks, so the two
+    // `Adversary::plan_attack` advertises round-robin distinct
+    // identities to a ranked segment under both attacks, so the two
     // `fig_tournament` columns of BASALT, LIFT and Honeybee are the same
     // run by construction; Brahms, whose balanced play draws random IDs,
     // is the control.
