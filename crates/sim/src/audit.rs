@@ -33,8 +33,9 @@
 
 use crate::metrics::AuditStats;
 use crate::scenario::AuditConfig;
+use raptee_crypto::sha256::Digest;
 use raptee_net::NodeId;
-use raptee_tee::merkle::{leaf_hash, verify, IncrementalMerkle, MerkleTree, ViewCommitment};
+use raptee_tee::merkle::{leaf_hash, verify, MerkleTree, ViewCommitment};
 use raptee_util::rng::mix64;
 
 /// Salt of the audit randomness beacon — a dedicated hash stream so the
@@ -105,7 +106,7 @@ pub enum AuditResponse<'a> {
     },
     /// No answer: the target is dead, churned out, partitioned away or
     /// its attestation certificate expired (the commitment would be
-    /// inadmissible — see `raptee::provisioning::commitment_admissible`).
+    /// inadmissible — see `raptee_tee::Certificate::valid_at`).
     Unavailable,
     /// A Byzantine node answers, but its opening cannot be consistent
     /// with the recorded traffic *and* the chained commitment at once —
@@ -113,8 +114,8 @@ pub enum AuditResponse<'a> {
     Equivocation,
 }
 
-/// Per-node audit bookkeeping plus the run-level counters that become
-/// [`AuditStats`].
+/// Per-node audit bookkeeping plus the run-level [`AuditStats`] it
+/// counts into.
 #[derive(Debug, Clone)]
 pub struct Challenger {
     cfg: AuditConfig,
@@ -125,21 +126,14 @@ pub struct Challenger {
     /// Round a standing suspicion was raised in, per actor.
     suspected_at: Vec<Option<u32>>,
     quarantined: Vec<bool>,
-    quarantine_count: u32,
     /// Round each actor first became active (for detection latency).
     first_active: Vec<u32>,
     byz_count: usize,
-    audits_issued: u64,
-    audits_answered: u64,
-    cleared: u64,
-    suspected: u64,
-    convictions: u64,
-    false_accusations: u64,
-    detected_byzantine: u64,
+    /// The run's counters; [`Challenger::into_stats`] only fills in the
+    /// mean detection latency.
+    stats: AuditStats,
+    /// Sum of detection latencies over the detected Byzantine nodes.
     latency_sum: u64,
-    quarantine_series: Vec<u32>,
-    commitments_recorded: u64,
-    chain_restarts: u64,
 }
 
 impl Challenger {
@@ -153,20 +147,10 @@ impl Challenger {
             chains: vec![None; total],
             suspected_at: vec![None; total],
             quarantined: vec![false; total],
-            quarantine_count: 0,
             first_active: vec![0; total],
             byz_count,
-            audits_issued: 0,
-            audits_answered: 0,
-            cleared: 0,
-            suspected: 0,
-            convictions: 0,
-            false_accusations: 0,
-            detected_byzantine: 0,
+            stats: AuditStats::default(),
             latency_sum: 0,
-            quarantine_series: Vec::new(),
-            commitments_recorded: 0,
-            chain_restarts: 0,
         }
     }
 
@@ -191,17 +175,13 @@ impl Challenger {
     /// chains onto the previous one (genesis after boot or a cold
     /// rejoin).
     pub fn commit_view(&mut self, round: u32, abs: usize, view: &[NodeId]) {
-        let mut fold = IncrementalMerkle::new();
-        for id in view {
-            fold.push_payload(&id.0.to_le_bytes());
-        }
-        let root = fold.root();
+        let root = view_tree(view).root();
         let commitment = match &self.chains[abs] {
             None => ViewCommitment::genesis(round as u64, root),
             Some(prev) => ViewCommitment::chained(prev, round as u64, root),
         };
         self.chains[abs] = Some(commitment);
-        self.commitments_recorded += 1;
+        self.stats.commitments_recorded += 1;
     }
 
     /// A cold rejoin restarts `abs`'s chain from genesis (the sealed
@@ -209,7 +189,7 @@ impl Challenger {
     /// Warm rejoins keep the chain and simply re-commit.
     pub(crate) fn restart_chain(&mut self, abs: usize) {
         if self.chains[abs].take().is_some() {
-            self.chain_restarts += 1;
+            self.stats.chain_restarts += 1;
         }
     }
 
@@ -230,17 +210,16 @@ impl Challenger {
     /// verdict. Convictions happen *only* on proof inconsistency —
     /// unavailability suspects at worst.
     pub fn audit(&mut self, round: u32, target: usize, response: AuditResponse<'_>) -> Verdict {
-        self.audits_issued += 1;
-        match response {
+        self.stats.audits_issued += 1;
+        let consistent = match response {
             AuditResponse::Unavailable => {
                 if self.suspected_at[target].is_none() {
                     self.suspected_at[target] = Some(round);
-                    self.suspected += 1;
+                    self.stats.suspected += 1;
                 }
-                Verdict::Suspected
+                return Verdict::Suspected;
             }
             AuditResponse::Opening { view } => {
-                self.audits_answered += 1;
                 let tree = view_tree(view);
                 let slot = self.beacon.next_below(tree.len().max(1) as u64) as usize;
                 let proof = tree.open(slot);
@@ -249,9 +228,9 @@ impl Challenger {
                 let opened = if view.is_empty() {
                     tree.root()
                 } else {
-                    leaf_hash(&view[slot].0.to_le_bytes())
+                    leaf(view[slot])
                 };
-                let consistent = match &self.chains[target] {
+                match &self.chains[target] {
                     // The opening must verify against the *committed*
                     // root of the chain head.
                     Some(head) => head.root == tree.root() && verify(&head.root, &opened, &proof),
@@ -259,15 +238,9 @@ impl Challenger {
                     // restarted this very round): verify the opening
                     // self-consistently.
                     None => verify(&tree.root(), &opened, &proof),
-                };
-                if consistent {
-                    self.clear(target)
-                } else {
-                    self.convict(round, target)
                 }
             }
             AuditResponse::Equivocation => {
-                self.audits_answered += 1;
                 // Replay: the node's recorded traffic (what it actually
                 // advertised on the wire) differs from anything it
                 // committed, so whichever opening it supplies fails the
@@ -279,7 +252,7 @@ impl Challenger {
                     .collect();
                 let tree = view_tree(&recorded);
                 let slot = self.beacon.next_below(tree.len() as u64) as usize;
-                let opened = leaf_hash(&recorded[slot].0.to_le_bytes());
+                let opened = leaf(recorded[slot]);
                 let verified = match &self.chains[target] {
                     Some(head) => {
                         head.root == tree.root() && verify(&head.root, &opened, &tree.open(slot))
@@ -293,19 +266,18 @@ impl Challenger {
                 // committed view has its root short of a SHA-256
                 // collision.
                 debug_assert!(!verified, "an equivocating opening must fail replay");
-                if verified {
-                    self.clear(target)
-                } else {
-                    self.convict(round, target)
-                }
+                verified
             }
-        }
-    }
-
-    fn clear(&mut self, target: usize) -> Verdict {
-        self.cleared += 1;
+        };
+        self.stats.audits_answered += 1;
+        // An answer lifts any standing suspicion, whatever it proves.
         self.suspected_at[target] = None;
-        Verdict::Cleared
+        if consistent {
+            self.stats.cleared += 1;
+            Verdict::Cleared
+        } else {
+            self.convict(round, target)
+        }
     }
 
     fn convict(&mut self, round: u32, target: usize) -> Verdict {
@@ -314,22 +286,22 @@ impl Challenger {
         // conviction counts (quarantine is idempotent).
         if !self.quarantined[target] {
             self.quarantined[target] = true;
-            self.quarantine_count += 1;
-            self.convictions += 1;
+            self.stats.convictions += 1;
             if target < self.byz_count {
-                self.detected_byzantine += 1;
+                self.stats.detected_byzantine += 1;
                 self.latency_sum += u64::from(round + 1 - self.first_active[target]);
             } else {
-                self.false_accusations += 1;
+                self.stats.false_accusations += 1;
             }
         }
-        self.suspected_at[target] = None;
         Verdict::Convicted
     }
 
     /// Closes `round`: standing suspicions older than the grace window
     /// decay (the target was only unavailable, not provably faulty) and
-    /// the quarantine population is appended to the per-round series.
+    /// the quarantine population — the convictions so far, as each one
+    /// quarantines a node not yet quarantined — is appended to the
+    /// per-round series.
     pub(crate) fn end_round(&mut self, round: u32) {
         let grace = self.cfg.grace as u32;
         for s in self.suspected_at.iter_mut() {
@@ -339,39 +311,33 @@ impl Challenger {
                 }
             }
         }
-        self.quarantine_series.push(self.quarantine_count);
+        let quarantined = u32::try_from(self.stats.convictions)
+            .expect("at most one conviction per actor, and actors are u32-indexed");
+        self.stats.quarantine_series.push(quarantined);
     }
 
-    /// Folds the bookkeeping into the run-level [`AuditStats`].
+    /// The run-level [`AuditStats`], with the mean detection latency
+    /// filled in.
     pub(crate) fn into_stats(self) -> AuditStats {
+        let detected = self.stats.detected_byzantine;
         AuditStats {
-            audits_issued: self.audits_issued,
-            audits_answered: self.audits_answered,
-            cleared: self.cleared,
-            suspected: self.suspected,
-            convictions: self.convictions,
-            false_accusations: self.false_accusations,
-            detected_byzantine: self.detected_byzantine,
-            mean_detection_latency: if self.detected_byzantine > 0 {
-                Some(self.latency_sum as f64 / self.detected_byzantine as f64)
-            } else {
-                None
-            },
-            quarantine_series: self.quarantine_series,
-            commitments_recorded: self.commitments_recorded,
-            chain_restarts: self.chain_restarts,
+            mean_detection_latency: (detected > 0)
+                .then(|| self.latency_sum as f64 / detected as f64),
+            ..self.stats
         }
     }
 }
 
-/// The merkle tree over a view: one leaf per slot, hashing the ID's
-/// little-endian bytes in slot order. For the audits, which open a leaf;
-/// [`Challenger::commit_view`] folds the same root without the levels.
+/// The leaf of view slot `id`: the ID's little-endian bytes, leaf-hashed.
+fn leaf(id: NodeId) -> Digest {
+    leaf_hash(&id.0.to_le_bytes())
+}
+
+/// The merkle tree over a view: one [`leaf`] per slot, in slot order.
+/// Its root is what [`Challenger::commit_view`] chains, and the audits
+/// open its leaves.
 fn view_tree(view: &[NodeId]) -> MerkleTree {
-    let leaves: Vec<_> = view
-        .iter()
-        .map(|id| leaf_hash(&id.0.to_le_bytes()))
-        .collect();
+    let leaves: Vec<Digest> = view.iter().map(|&id| leaf(id)).collect();
     MerkleTree::from_leaves(&leaves)
 }
 

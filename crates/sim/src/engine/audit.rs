@@ -48,7 +48,7 @@ impl Simulation {
             {
                 // Dead, churned-out or partitioned targets cannot
                 // answer; an expired certificate makes the commitment
-                // inadmissible (`provisioning::commitment_admissible`).
+                // inadmissible (`raptee_tee::Certificate::valid_at`).
                 AuditResponse::Unavailable
             } else {
                 self.view_ids_into(t, &mut view_buf);

@@ -27,12 +27,10 @@ impl Simulation {
         let mut due_cursor = 0usize;
         for ci in 0..pop {
             s.event_start[ci] = s.events.len() as u32;
-            while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
+            // The due answers come sorted by requester.
+            while due_cursor < due.len() && due[due_cursor].ci as usize == ci {
                 let ans = &due[due_cursor];
                 due_cursor += 1;
-                if ans.ci as usize != ci {
-                    continue;
-                }
                 // The first delivered copy claims the exchange; deadline
                 // retransmits and injected duplicates are suppressed.
                 if !self.net.accept_answer(ans) || !s.live[ci] {
@@ -53,6 +51,7 @@ impl Simulation {
                 }
             }
         }
+        debug_assert_eq!(due_cursor, due.len(), "every due answer has a requester");
         s.event_start[pop] = s.events.len() as u32;
     }
 
@@ -83,14 +82,13 @@ impl Simulation {
             return None;
         }
         // A crashed responder times out: the requester learns nothing,
-        // and any in-flight retransmit copies die with the exchange.
+        // and any in-flight retransmit copies die with the exchange (the
+        // next gate drops them).
         if !self.alive[t] {
             s.view_mutated[ci] |= self.nodes[ci].drop_peer(target, false);
-            self.net.drop_pending_copies();
             return None;
         }
         if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
-            self.net.drop_pending_copies();
             return None; // request or answer lost in transit
         }
         Some(gate)
@@ -153,12 +151,6 @@ impl Simulation {
                 self.trusted[me.index()] && self.trusted[t]
             );
             trusted &= oa == AuthOutcome::Trusted;
-        }
-        if trusted {
-            // Trusted exchanges apply inline even when the gate deferred
-            // the answer (the attested channel is synchronous); drop any
-            // pending retransmit copies so they cannot double-deliver.
-            self.net.drop_pending_copies();
         }
         let target_ranked = self.in_ranked_segment(tc);
         if raptee_requester && !target_ranked {

@@ -96,14 +96,14 @@ impl TrustTier {
 /// zero extra state and [`crate::RunResult::recovery`] stays `None`).
 #[derive(Default)]
 pub(super) struct RecoveryState {
-    crashes: u64,
-    restarts: u64,
-    recovered: u64,
+    /// The run's counters and trusted-live series;
+    /// [`RecoveryState::into_stats`] only fills in the availability and
+    /// the mean time to recover.
+    stats: RecoveryStats,
     /// Sum of (recovery round − restart round) over recovered rejoins.
     ttr_sum: u64,
     live_node_rounds: u64,
     node_rounds: u64,
-    trusted_live_fraction: Vec<f64>,
     /// Per-correct-node restart round while the rejoiner's smoothed
     /// pollution has not yet re-entered the population band.
     pending: Vec<Option<u32>>,
@@ -122,13 +122,13 @@ impl RecoveryState {
     /// Books a crash: a node still converging after an earlier rejoin
     /// died before recovering.
     fn crash(&mut self, ci: usize) {
-        self.crashes += 1;
+        self.stats.crashes += 1;
         self.pending[ci] = None;
     }
 
     /// Books a restart at `round`, the rejoiner's recovery reference.
     fn restart(&mut self, ci: usize, round: usize) {
-        self.restarts += 1;
+        self.stats.restarts += 1;
         self.pending[ci] = Some(round as u32);
     }
 
@@ -148,7 +148,7 @@ impl RecoveryState {
     ) {
         self.node_rounds += pop as u64;
         self.live_node_rounds += live as u64;
-        self.trusted_live_fraction.extend(trusted_live);
+        self.stats.trusted_live_fraction.extend(trusted_live);
         for (pending, st) in self.pending.iter_mut().zip(stats) {
             let Some(restart) = *pending else {
                 continue;
@@ -159,7 +159,7 @@ impl RecoveryState {
                 && since >= SMOOTHING_WINDOW
                 && (st.smoothed - smoothed_mean).abs() <= STABILITY_SPREAD
             {
-                self.recovered += 1;
+                self.stats.recovered += 1;
                 self.ttr_sum += since as u64;
                 *pending = None;
             }
@@ -167,18 +167,15 @@ impl RecoveryState {
     }
 
     pub(super) fn into_stats(self) -> RecoveryStats {
+        let recovered = self.stats.recovered;
         RecoveryStats {
             availability: if self.node_rounds == 0 {
                 1.0
             } else {
                 self.live_node_rounds as f64 / self.node_rounds as f64
             },
-            crashes: self.crashes,
-            restarts: self.restarts,
-            recovered: self.recovered,
-            mean_time_to_recover: (self.recovered > 0)
-                .then(|| self.ttr_sum as f64 / self.recovered as f64),
-            trusted_live_fraction: self.trusted_live_fraction,
+            mean_time_to_recover: (recovered > 0).then(|| self.ttr_sum as f64 / recovered as f64),
+            ..self.stats
         }
     }
 }

@@ -286,7 +286,7 @@ pub struct EventNet {
     /// Deadline-expired answer copies of the pull currently being
     /// gated: `(arrival tick, held)` recorded by the retry loop, filed
     /// (under the shared payload slot) when the engine materialises the
-    /// answer.
+    /// answer, and dropped by the next gate when it never does.
     dup_pending: Vec<(u64, bool)>,
     /// Late pushes by arrival round (`rounds` buckets).
     pushes: Vec<Vec<PushRecord>>,
@@ -501,7 +501,9 @@ impl EventNet {
     /// answer path. The first attempt consumes draws exactly like the
     /// retry-free gate, so the all-off config stays byte-identical.
     pub fn gate_pull(&mut self, round: usize, req: usize, tgt: usize) -> PullGate {
-        debug_assert!(self.dup_pending.is_empty(), "pending copies were drained");
+        // Copies the previous exchange left unqueued (refused, or its
+        // answer never materialised) die with it.
+        self.dup_pending.clear();
         let ticks = self.cfg.round_ticks;
         let retry = self.cfg.retry;
         // The first attempt departs in `round` itself: the clock offset
@@ -515,7 +517,6 @@ impl EventNet {
                 depart_round = (depart / ticks) as usize;
                 if depart_round >= self.rounds {
                     // The run ends before this retry fires.
-                    self.dup_pending.clear();
                     return PullGate::Refused;
                 }
             }
@@ -535,7 +536,6 @@ impl EventNet {
             };
             if refused {
                 if last {
-                    self.dup_pending.clear();
                     return PullGate::Refused;
                 }
                 continue;
@@ -662,14 +662,6 @@ impl EventNet {
                 held,
             });
         }
-    }
-
-    /// Discards the deadline-retransmit copies of the current exchange —
-    /// for gated pulls that never materialise an answer (crashed or
-    /// lossy responder), where the in-flight copies have no payload to
-    /// carry.
-    pub fn drop_pending_copies(&mut self) {
-        self.dup_pending.clear();
     }
 
     /// The answered view of a due answer.
@@ -1224,12 +1216,17 @@ mod tests {
             ..EventNetConfig::default()
         });
         net.begin_round(0);
-        let _ = net.gate_pull(0, 1, 2);
-        // The responder never materialises an answer (crash/loss): the
-        // engine discards the in-flight copies instead of queueing them.
-        net.drop_pending_copies();
-        let _ = net.gate_pull(0, 3, 4); // debug_assert: buffer is clean
-        net.drop_pending_copies();
+        // The first exchange's answer never materialises (crashed or
+        // lossy responder, or a trusted pair applying inline): its
+        // deadline copy is never queued.
+        assert!(matches!(net.gate_pull(0, 1, 2), PullGate::Deferred { .. }));
+        // The next gate drops it: the next queued answer files only its
+        // own primary and deadline copy.
+        let PullGate::Deferred { round, held } = net.gate_pull(0, 3, 4) else {
+            panic!("a 5000-tick round trip defers")
+        };
+        net.queue_answer(round, held, 3, NodeId(4), &[NodeId(7)]);
+        assert_eq!(net.stats().late_deliveries, 2);
     }
 
     #[test]
@@ -1425,8 +1422,6 @@ mod tests {
                 return;
             };
             if !answered {
-                self.cal.drop_pending_copies();
-                self.heap.drop_pending_copies();
                 return;
             }
             let ids: Vec<NodeId> = (0..view_len)

@@ -133,7 +133,8 @@ pub(super) struct HeapNet {
     nonce_retire: BinaryHeap<Reverse<(usize, u64)>>,
     /// Deadline-expired answer copies of the pull currently being
     /// gated: `(arrival tick, held)` recorded by the retry loop, queued
-    /// (with the shared nonce) when the engine materialises the answer.
+    /// (with the shared nonce) when the engine materialises the answer,
+    /// and dropped by the next gate when it never does.
     dup_pending: Vec<(u64, bool)>,
     queue: EventQueue<Envelope>,
     /// This round's due pushes, honest lane: `(receiver, advertised)`
@@ -337,7 +338,9 @@ impl HeapNet {
     /// path. The first attempt consumes draws exactly like the
     /// retry-free gate, so the all-off config stays byte-identical.
     pub(super) fn gate_pull(&mut self, round: usize, req: usize, tgt: usize) -> PullGate {
-        debug_assert!(self.dup_pending.is_empty(), "pending copies were drained");
+        // Copies the previous exchange left unqueued (refused, or its
+        // answer never materialised) die with it.
+        self.dup_pending.clear();
         let ticks = self.cfg.round_ticks;
         let retry = self.cfg.retry;
         let mut depart = round as u64 * ticks + self.offset(req);
@@ -346,7 +349,6 @@ impl HeapNet {
             let depart_round = (depart / ticks) as usize;
             if depart_round >= self.rounds {
                 // The run ends before this attempt fires.
-                self.dup_pending.clear();
                 return PullGate::Refused;
             }
             // Each attempt is an outbound contact: it re-punches the
@@ -365,7 +367,6 @@ impl HeapNet {
             };
             if refused {
                 if last {
-                    self.dup_pending.clear();
                     return PullGate::Refused;
                 }
                 depart += self.backoff(attempt, req, tgt);
@@ -463,14 +464,6 @@ impl HeapNet {
                 },
             );
         }
-    }
-
-    /// Discards the deadline-retransmit copies of the current exchange —
-    /// for gated pulls that never materialise an answer (crashed or
-    /// lossy responder), where the in-flight copies have no payload to
-    /// carry.
-    pub(super) fn drop_pending_copies(&mut self) {
-        self.dup_pending.clear();
     }
 
     /// Whether this answer nonce is fresh. The engine consults this

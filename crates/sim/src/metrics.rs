@@ -189,7 +189,7 @@ pub struct NetRunStats {
 /// Dynamic-membership outcome of one run — present only when the
 /// scenario configures churn or attestation expiry, so static-scenario
 /// results (and their golden fingerprints) are untouched.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryStats {
     /// Mean fraction of correct nodes alive per round (node-rounds
     /// alive / node-rounds total) — 1.0 in a churn-free run.
@@ -216,7 +216,7 @@ pub struct RecoveryStats {
 /// Audit-layer outcome of one run — present only when the scenario
 /// enables the challenger (`Scenario::audit`), so audit-off results
 /// (and every pre-existing golden fingerprint) are untouched.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditStats {
     /// Audit challenges issued by the challenger over the run.
     pub audits_issued: u64,

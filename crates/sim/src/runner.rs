@@ -90,7 +90,7 @@ pub fn run_scenario(scenario: Scenario) -> RunResult {
 const REP_SEED_STRIDE: u64 = 0x9E37_79B9;
 
 /// The most repetitions [`run_repeated`] derives distinct seeds for:
-/// beyond it `REP_SEED_STRIDE · (rep + 1)` overflows a `u64`.
+/// beyond it `REP_SEED_STRIDE · (k + 1)` overflows a `u64`.
 pub const MAX_REPETITIONS: usize = (u64::MAX / REP_SEED_STRIDE) as usize;
 
 /// Runs `repetitions` independent repetitions (seeds derived from the
@@ -110,15 +110,17 @@ pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult
     );
     let results: Vec<RunResult> = (0..repetitions)
         .into_par_iter()
-        .map(|rep| {
-            let mut s = scenario.clone();
-            s.seed = scenario
-                .seed
-                .wrapping_add(REP_SEED_STRIDE * (rep as u64 + 1));
-            run_scenario(s)
-        })
+        .map(|k| run_scenario(repetition(scenario, k)))
         .collect();
     aggregate(&results)
+}
+
+/// Repetition `k` of `scenario`: the scenario at the seed
+/// [`run_repeated`] derives for its `k`-th run, `seed + stride · (k + 1)`.
+pub fn repetition(scenario: &Scenario, k: usize) -> Scenario {
+    let mut s = scenario.clone();
+    s.seed = scenario.seed.wrapping_add(REP_SEED_STRIDE * (k as u64 + 1));
+    s
 }
 
 /// Aggregates a set of run results into means.

@@ -1,21 +1,20 @@
 //! Merkle commitments over per-round view digests.
 //!
-//! The audit layer (PR 9) needs every trusted-tier node to *commit* to
-//! its view each round so a challenger can later demand an opening of
-//! any view slot and check it against the committed root. Two builders
-//! share one root definition:
+//! The audit layer needs every trusted-tier node to *commit* to its view
+//! each round so a challenger can later demand an opening of any view
+//! slot and check it against the committed root.
 //!
-//! * [`MerkleTree`] — the fixed-shape tree: leaves are padded to the
-//!   next power of two with a domain-separated empty digest, so the
-//!   shape (and therefore the root) of a view of `k` entries is a pure
-//!   function of the leaf sequence. Supports openings
-//!   ([`MerkleTree::open`]) and verification ([`verify`]).
-//! * [`IncrementalMerkle`] — a streaming builder keeping only the
-//!   `O(log n)` perfect-subtree peaks; [`IncrementalMerkle::root`]
-//!   pads with the same empty-subtree ladder and folds, so it equals
-//!   the fixed-shape root over the same leaves without ever holding
-//!   the full tree. Used where only the root is wanted (the audit
-//!   layer's per-round view commitments).
+//! [`MerkleTree`] is the one builder. Its root is defined over the leaves
+//! padded to the next power of two with a domain-separated empty digest,
+//! so the shape (and therefore the root) of a view of `k` entries is a
+//! pure function of the leaf sequence. The padding is implied, never
+//! stored or hashed: each level keeps only the nodes that cover a real
+//! leaf (half the level below, rounded up), and a node whose right child
+//! falls in the padding pairs with the empty subtree of that level, read
+//! off a ladder hashed once. A 40-leaf view costs 41 node hashes, not the
+//! 63 of its 64-wide padded tree. [`MerkleTree::open`] draws a missing
+//! sibling from the same ladder, so roots and proofs are those of the
+//! padded tree; [`verify`] checks an opening.
 //!
 //! Hashing is domain-separated ([`leaf_hash`] prefixes `0x00`, interior
 //! nodes `0x01`, the empty pad `0x02`) so a leaf can never be
@@ -93,35 +92,31 @@ pub fn verify(root: &Digest, leaf: &Digest, proof: &MerkleProof) -> bool {
     idx == 0 && acc == *root
 }
 
-/// Fixed-shape merkle tree over a leaf-digest sequence, padded to the
-/// next power of two with the empty-leaf digest.
+/// Merkle tree over a leaf-digest sequence, with the root and proofs of
+/// the tree padded to the next power of two by the empty-leaf digest;
+/// the padding itself is implied (see the module docs).
 #[derive(Debug, Clone)]
 pub struct MerkleTree {
-    /// `levels[0]` = padded leaves, last level = `[root]`.
+    /// `levels[0]` = the real leaves; each level above is half the one
+    /// below, rounded up; the last level is `[root]` (or empty when no
+    /// leaf is committed).
     levels: Vec<Vec<Digest>>,
-    /// Number of real (unpadded) leaves.
-    len: usize,
 }
 
 impl MerkleTree {
     /// Builds the tree from already-hashed leaves. An empty sequence
     /// commits to the empty-leaf digest.
     pub fn from_leaves(leaves: &[Digest]) -> Self {
-        let len = leaves.len();
-        let width = len.next_power_of_two().max(1);
-        let mut level: Vec<Digest> = Vec::with_capacity(width);
-        level.extend_from_slice(leaves);
-        level.resize(width, empty_at(0));
-        let mut levels = vec![level];
-        while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap();
-            let next: Vec<Digest> = prev
-                .chunks_exact(2)
-                .map(|pair| node_hash(&pair[0], &pair[1]))
+        let mut levels = vec![leaves.to_vec()];
+        while let Some(below) = levels.last().filter(|level| level.len() > 1) {
+            let pad = empty_at(levels.len() - 1);
+            let next = below
+                .chunks(2)
+                .map(|pair| node_hash(&pair[0], pair.get(1).unwrap_or(&pad)))
                 .collect();
             levels.push(next);
         }
-        Self { levels, len }
+        Self { levels }
     }
 
     /// Builds the tree from raw leaf payloads ([`leaf_hash`] applied).
@@ -132,98 +127,34 @@ impl MerkleTree {
 
     /// Number of real leaves committed.
     pub fn len(&self) -> usize {
-        self.len
+        self.levels[0].len()
     }
 
     /// Whether the tree commits to zero leaves.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The root digest.
     pub fn root(&self) -> Digest {
-        self.levels.last().unwrap()[0]
+        let top = &self.levels[self.levels.len() - 1];
+        top.first().copied().unwrap_or_else(|| empty_at(0))
     }
 
-    /// Opens the leaf at `index` (must be `< len`).
+    /// Opens the leaf at `index` (must be `< len`; an empty tree opens
+    /// index 0 with no siblings).
     pub fn open(&self, index: usize) -> MerkleProof {
-        assert!(index < self.len.max(1), "opening past the committed leaves");
-        let mut siblings = Vec::with_capacity(self.levels.len() - 1);
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len() - 1] {
-            siblings.push(level[idx ^ 1]);
-            idx >>= 1;
-        }
+        assert!(index < self.len().max(1), "opening an uncommitted leaf");
+        let below_root = &self.levels[..self.levels.len() - 1];
+        let siblings = below_root
+            .iter()
+            .enumerate()
+            .map(|(level, nodes)| {
+                let sibling = nodes.get((index >> level) ^ 1);
+                sibling.copied().unwrap_or_else(|| empty_at(level))
+            })
+            .collect();
         MerkleProof { index, siblings }
-    }
-}
-
-/// Streaming merkle builder: keeps one digest per perfect-subtree peak
-/// (binary carry chain), merging eagerly, so memory is `O(log n)`.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalMerkle {
-    /// `peaks[i]` = root of a perfect subtree of `2^i` leaves, `None`
-    /// when that bit of `len` is clear.
-    peaks: Vec<Option<Digest>>,
-    len: usize,
-}
-
-impl IncrementalMerkle {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one already-hashed leaf.
-    pub(crate) fn push(&mut self, leaf: Digest) {
-        let mut carry = leaf;
-        let mut level = 0;
-        loop {
-            if level == self.peaks.len() {
-                self.peaks.push(None);
-            }
-            match self.peaks[level].take() {
-                None => {
-                    self.peaks[level] = Some(carry);
-                    break;
-                }
-                Some(existing) => {
-                    carry = node_hash(&existing, &carry);
-                    level += 1;
-                }
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Appends one raw payload ([`leaf_hash`] applied).
-    pub fn push_payload(&mut self, payload: &[u8]) {
-        self.push(leaf_hash(payload));
-    }
-
-    /// The fixed-shape root: pads the partial subtrees with the
-    /// empty-subtree ladder and folds the peaks, matching
-    /// [`MerkleTree::from_leaves`] over the same sequence.
-    pub fn root(&self) -> Digest {
-        // Fold peaks lowest-first. A lower peak covers *later* leaves
-        // than a higher one, so when pairing it sits on the right; the
-        // accumulator is right-padded with empty subtrees until it
-        // reaches the next peak's level.
-        let mut acc: Option<(Digest, usize)> = None;
-        for (level, peak) in self.peaks.iter().enumerate() {
-            let Some(p) = peak else { continue };
-            acc = Some(match acc {
-                None => (*p, level),
-                Some((mut a, mut a_level)) => {
-                    while a_level < level {
-                        a = node_hash(&a, &empty_at(a_level));
-                        a_level += 1;
-                    }
-                    (node_hash(p, &a), level + 1)
-                }
-            });
-        }
-        acc.map(|(d, _)| d).unwrap_or_else(|| empty_at(0))
     }
 }
 
@@ -360,18 +291,47 @@ mod tests {
         assert!(!verify(&tree.root(), &leaf, &proof));
     }
 
+    /// The padded tree the implied padding stands for: leaves padded to
+    /// the next power of two with the empty-leaf digest, every level
+    /// stored in full.
+    fn padded_reference(leaves: &[Digest]) -> (Digest, Vec<MerkleProof>) {
+        let width = leaves.len().next_power_of_two().max(1);
+        let mut level = leaves.to_vec();
+        level.resize(width, empty_at(0));
+        let mut levels = vec![level];
+        while levels.last().unwrap().len() > 1 {
+            let next = levels
+                .last()
+                .unwrap()
+                .chunks_exact(2)
+                .map(|pair| node_hash(&pair[0], &pair[1]))
+                .collect();
+            levels.push(next);
+        }
+        let proofs = (0..leaves.len().max(1))
+            .map(|index| MerkleProof {
+                index,
+                siblings: (0..levels.len() - 1)
+                    .map(|l| levels[l][(index >> l) ^ 1])
+                    .collect(),
+            })
+            .collect();
+        (levels.last().unwrap()[0], proofs)
+    }
+
     #[test]
-    fn incremental_matches_fixed_shape() {
+    fn implied_padding_matches_the_padded_tree() {
         // Spans the 40-, 100- and 128-leaf shapes the workloads commit.
         for n in 0..=130 {
             let ps = payloads(n);
-            let fixed = MerkleTree::from_payloads(&ps);
-            let mut inc = IncrementalMerkle::new();
-            for p in &ps {
-                inc.push_payload(p);
+            let leaves: Vec<Digest> = ps.iter().map(|p| leaf_hash(p)).collect();
+            let tree = MerkleTree::from_leaves(&leaves);
+            let (root, proofs) = padded_reference(&leaves);
+            assert_eq!(tree.root(), root, "n={n}");
+            assert_eq!(tree.len(), n);
+            for (i, proof) in proofs.iter().enumerate() {
+                assert_eq!(&tree.open(i), proof, "n={n} i={i}");
             }
-            assert_eq!(inc.root(), fixed.root(), "n={n}");
-            assert_eq!(inc.len, n);
         }
     }
 
@@ -395,10 +355,8 @@ mod tests {
     #[test]
     fn empty_tree_has_stable_root() {
         let a = MerkleTree::from_leaves(&[]);
-        let b = IncrementalMerkle::new();
-        assert_eq!(a.root(), b.root());
+        assert_eq!(a.root(), empty_at(0));
         assert!(a.is_empty());
-        assert_eq!(b.len, 0);
     }
 
     #[test]

@@ -151,7 +151,8 @@ const OPTIONS: [Opt; 35] = [
         inconsistent proof convicts and quarantines the node"),
     opt("trusted-refresh", Text("usize"), Audit, Some("0"), "rounds between proactive \
         trusted-directory exchanges on the trusted tier (0 = off)"),
-    opt("series", Text("bool"), Commands, Some("false"), "run: print the pollution curve as CSV"),
+    opt("series", Text("bool"), Commands, Some("false"), "run: print repetition 0's \
+        pollution curve as CSV"),
     opt("injected", Text("f64"), Commands, Some("0"), "inject: poisoned trusted nodes, share of n"),
 ];
 
@@ -804,7 +805,8 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         ));
     }
     if args.flag("series") {
-        let run = runner::run_scenario(scenario);
+        // The first run the aggregate above contains.
+        let run = runner::run_scenario(runner::repetition(&scenario, 0));
         out.push_str("round,byzantine_share\n");
         for (i, v) in run.byz_share_series.iter().enumerate() {
             out.push_str(&format!("{i},{v:.4}\n"));
@@ -1993,5 +1995,34 @@ mod tests {
         let out = execute(&a).unwrap();
         assert!(out.contains("round,byzantine_share"));
         assert!(out.lines().count() > 10);
+    }
+
+    #[test]
+    fn series_is_a_run_the_aggregate_contains() {
+        let a = args(&[
+            "run", "--n", "80", "--view", "8", "--rounds", "40", "--reps", "1", "--series", "true",
+        ])
+        .unwrap();
+        let out = execute(&a).unwrap();
+        let printed: f64 = out
+            .lines()
+            .find_map(|l| l.strip_prefix("resilience: "))
+            .and_then(|rest| rest.split('%').next())
+            .unwrap()
+            .parse()
+            .unwrap();
+        let curve: Vec<f64> = out
+            .lines()
+            .skip_while(|l| *l != "round,byzantine_share")
+            .skip(1)
+            .map(|l| l.split(',').nth(1).unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(curve.len(), 40);
+        let tail = &curve[curve.len() - tail_window(40)..];
+        let tail_mean = tail.iter().sum::<f64>() / tail.len() as f64 * 100.0;
+        assert!(
+            (tail_mean - printed).abs() <= 0.02,
+            "curve tail {tail_mean:.4}% vs printed resilience {printed:.2}%"
+        );
     }
 }
