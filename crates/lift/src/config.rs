@@ -1,5 +1,7 @@
 //! LIFT protocol parameters.
 
+use crate::table;
+
 /// Parameters of a LIFT node.
 ///
 /// The defaults mirror the message budget of the Brahms/RAPTEE and
@@ -36,6 +38,11 @@ pub struct LiftConfig {
 }
 
 impl LiftConfig {
+    /// The largest view [`for_view`](Self::for_view) accepts: its score
+    /// table's index (two slots per tracked ID, a power of two in all)
+    /// must stay addressable by 15-bit entries.
+    pub const MAX_VIEW_SIZE: usize = 2047;
+
     /// Brahms-budget-parity configuration for a view of `view_size`
     /// slots, fading hub scores every `fade_interval` rounds.
     pub fn for_view(view_size: usize, fade_interval: usize) -> Self {
@@ -55,8 +62,9 @@ impl LiftConfig {
     ///
     /// # Panics
     ///
-    /// Panics when any size is zero or the score table cannot hold the
-    /// view plus one off-view counter.
+    /// Panics when any size is zero, the score table cannot hold the
+    /// view plus one off-view counter, or its index would outgrow
+    /// [`table::MAX_INDEX_SLOTS`](crate::table::MAX_INDEX_SLOTS).
     pub(crate) fn validate(&self) {
         assert!(self.view_size > 0, "LIFT view size must be positive");
         assert!(self.push_count > 0, "push count must be positive");
@@ -64,6 +72,11 @@ impl LiftConfig {
         assert!(
             self.score_capacity > self.view_size,
             "score capacity must exceed the view: a full view needs an off-view counter to evict"
+        );
+        assert!(
+            table::index_slots(self.score_capacity) <= table::MAX_INDEX_SLOTS,
+            "score capacity {} outgrows the table's index",
+            self.score_capacity
         );
     }
 }
@@ -86,6 +99,21 @@ mod tests {
         let cfg = LiftConfig::for_view(1, 0);
         assert_eq!(cfg.push_count, 1);
         assert_eq!(cfg.pull_count, 1);
+    }
+
+    #[test]
+    fn the_largest_view_fits_the_index() {
+        let cfg = LiftConfig::for_view(LiftConfig::MAX_VIEW_SIZE, 0);
+        assert_eq!(
+            table::index_slots(cfg.score_capacity),
+            table::MAX_INDEX_SLOTS
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outgrows the table's index")]
+    fn views_past_the_largest_rejected() {
+        LiftConfig::for_view(LiftConfig::MAX_VIEW_SIZE + 1, 0);
     }
 
     #[test]

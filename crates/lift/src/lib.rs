@@ -32,10 +32,12 @@
 //!
 //! Gossip mentions some 300 IDs to a node every round, so the view and
 //! the counters live in one indexed table (`table::ScoreTable`: scores
-//! beside the view slots, off-view counters in flat arrays sorted by
-//! ID and by `(score, id)`); the plain `BTreeMap` node it replaced is
-//! kept under `#[cfg(test)]` as the oracle a property test compares it
-//! with step by step.
+//! beside the view slots, off-view counters in a binary min-heap on
+//! `(score, id)`, one open-addressed index over every tracked ID and a
+//! cached hubbiest slot), which answers a mention in expected `O(1)`
+//! probes plus `O(log c)` heap steps; the plain `BTreeMap` node it
+//! replaced is kept under `#[cfg(test)]` as the oracle a property test
+//! compares it with step by step.
 
 #![warn(unreachable_pub)]
 

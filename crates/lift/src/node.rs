@@ -37,9 +37,10 @@ pub struct LiftRoundReport {
 /// A LIFT node: hub-score table + hub-avoiding view + deterministic RNG.
 ///
 /// The view and the counters live in one indexed table (view scores
-/// beside their slots, off-view counters in flat arrays sorted by ID
-/// and by `(score, id)`), so no operation walks the table except the
-/// periodic fade.
+/// beside their slots, off-view counters in a min-heap on
+/// `(score, id)`, one hashed index over both), so no operation walks
+/// the table except the periodic fade and a quarantine that vacates a
+/// view slot.
 ///
 /// # Examples
 ///
@@ -108,10 +109,11 @@ impl LiftNode {
     /// least as high. Frequently-mentioned IDs (hubs, and any ID an
     /// adversary floods) are thus progressively locked out.
     ///
-    /// This runs some 300 times per node-round. It costs two scans of
-    /// the view (membership, hubbiest), `O(log score_capacity)`
-    /// comparisons and a short `memmove` within the flat counter arrays
-    /// — never a walk of the table, full or not.
+    /// This runs some 300 times per node-round. It costs one probe of
+    /// the table's hashed index (member, off-view or new), at most
+    /// `O(log score_capacity)` steps of the off-view heap, and a read of
+    /// the cached hubbiest member — never a scan of the view, except
+    /// the hub rescan after a replacement, nor a walk of the table.
     pub fn observe(&mut self, id: NodeId) {
         if id == self.id {
             return;
@@ -231,9 +233,9 @@ impl LiftNode {
         self.view().contains(&id)
     }
 
-    /// The current hub-score estimate for `id` (0 when untracked): a
-    /// scan of the view, then a binary search of the off-view counters.
-    /// Counters are 32 bits wide and saturate.
+    /// The current hub-score estimate for `id` (0 when untracked): one
+    /// probe of the table's index. Counters are 32 bits wide and
+    /// saturate.
     pub(crate) fn hub_score(&self, id: NodeId) -> u64 {
         u64::from(self.table.score(id))
     }
@@ -538,7 +540,7 @@ mod prop_tests {
             fade_interval in 0usize..4,
             tight in 0usize..3,
             seed in 0u64..10_000,
-            ops in proptest::collection::vec((0u8..64, 0u64..ID_RANGE, 0u64..1_000), 1..600),
+            ops in proptest::collection::vec((0u8..68, 0u64..ID_RANGE, 0u64..1_000), 1..600),
         ) {
             let mut cfg = LiftConfig::for_view(view_size, fade_interval);
             if tight > 0 {
@@ -578,6 +580,14 @@ mod prop_tests {
                         prop_assert_eq!(fast.quarantine(id), slow.quarantine(id));
                     }
                     62 => prop_assert_eq!(fast.rejoin_warm(), slow.rejoin_warm()),
+                    64..=67 => {
+                        // An ID above `u32::MAX`: both halves of the
+                        // `Counter` split and the hash's high bits.
+                        let wide = NodeId(a << 33 | a);
+                        fast.observe(wide);
+                        slow.observe(wide);
+                        prop_assert_eq!(fast.hub_score(wide), slow.hub_score(wide));
+                    }
                     _ => {
                         let bootstrap = ids(a, b | 1, b % (2 * view_size as u64));
                         fast.rejoin_cold(&bootstrap, b);

@@ -337,8 +337,7 @@ fn leaf(id: NodeId) -> Digest {
 /// Its root is what [`Challenger::commit_view`] chains, and the audits
 /// open its leaves.
 fn view_tree(view: &[NodeId]) -> MerkleTree {
-    let leaves: Vec<Digest> = view.iter().map(|&id| leaf(id)).collect();
-    MerkleTree::from_leaves(&leaves)
+    view.iter().map(|&id| leaf(id)).collect()
 }
 
 #[cfg(test)]

@@ -94,12 +94,24 @@ const REP_SEED_STRIDE: u64 = 0x9E37_79B9;
 pub const MAX_REPETITIONS: usize = (u64::MAX / REP_SEED_STRIDE) as usize;
 
 /// Runs `repetitions` independent repetitions (seeds derived from the
-/// scenario seed) in parallel and aggregates.
+/// scenario seed) in parallel and aggregates: [`aggregate`] of
+/// [`run_repetitions`].
 ///
 /// # Panics
 ///
 /// Panics if `repetitions` is zero or above [`MAX_REPETITIONS`].
 pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult {
+    aggregate(&run_repetitions(scenario, repetitions))
+}
+
+/// Runs repetitions `0..repetitions` of `scenario` in parallel, the
+/// `k`-th at the seed `seed + stride · (k + 1)`; the results are in
+/// repetition order.
+///
+/// # Panics
+///
+/// Panics if `repetitions` is zero or above [`MAX_REPETITIONS`].
+pub fn run_repetitions(scenario: &Scenario, repetitions: usize) -> Vec<RunResult> {
     // The documented contract: `raptee-cli` rejects `--reps 0` and
     // `--reps` above the bound, and every `raptee_bench::Scale` profile
     // runs at least one repetition.
@@ -108,16 +120,15 @@ pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult
         repetitions <= MAX_REPETITIONS,
         "{repetitions} repetitions: seeds stay distinct up to {MAX_REPETITIONS}"
     );
-    let results: Vec<RunResult> = (0..repetitions)
+    (0..repetitions)
         .into_par_iter()
         .map(|k| run_scenario(repetition(scenario, k)))
-        .collect();
-    aggregate(&results)
+        .collect()
 }
 
 /// Repetition `k` of `scenario`: the scenario at the seed
-/// [`run_repeated`] derives for its `k`-th run, `seed + stride · (k + 1)`.
-pub fn repetition(scenario: &Scenario, k: usize) -> Scenario {
+/// [`run_repetitions`] derives for its `k`-th run.
+fn repetition(scenario: &Scenario, k: usize) -> Scenario {
     let mut s = scenario.clone();
     s.seed = scenario.seed.wrapping_add(REP_SEED_STRIDE * (k as u64 + 1));
     s
@@ -128,8 +139,7 @@ pub fn repetition(scenario: &Scenario, k: usize) -> Scenario {
 /// # Panics
 ///
 /// Panics on an empty slice.
-pub(crate) fn aggregate(results: &[RunResult]) -> AggregatedResult {
-    // Its one caller, `run_repeated`, asserts at least one repetition.
+pub fn aggregate(results: &[RunResult]) -> AggregatedResult {
     assert!(!results.is_empty(), "cannot aggregate zero results");
     let n = results.len() as f64;
     let resilience = results.iter().map(|r| r.resilience).sum::<f64>() / n;
@@ -492,6 +502,14 @@ mod tests {
         let agg = run_repeated(&s, 2);
         let availability = agg.availability.expect("churn runs track availability");
         assert!(availability > 0.0 && availability < 1.0);
+    }
+
+    #[test]
+    fn repeated_is_the_aggregate_of_the_repetitions() {
+        let runs = run_repetitions(&tiny(), 3);
+        assert_eq!(runs.len(), 3);
+        assert_eq!(runs[0], run_scenario(repetition(&tiny(), 0)));
+        assert_eq!(aggregate(&runs), run_repeated(&tiny(), 3));
     }
 
     #[test]

@@ -683,6 +683,10 @@ fn validate_protocol(protocol: Protocol, knob: &'static str) -> Result<(), Scena
             fade_interval,
         } => {
             check(view_size > 0, knob).or("LIFT view size must be positive")?;
+            let max = raptee_lift::LiftConfig::MAX_VIEW_SIZE;
+            check(view_size <= max, knob).or(format_args!(
+                "LIFT view size {view_size} exceeds {max}, the largest its score table indexes"
+            ))?;
             check(fade_interval > 0, knob)
                 .or("LIFT needs a positive fade interval (scores must decay)")
         }
@@ -1334,6 +1338,28 @@ mod tests {
         let err = s.validate().unwrap_err();
         assert_eq!(err.knob, "protocol");
         assert_eq!(err.reason, "BASALT view size must be positive");
+    }
+
+    /// A view past the largest LIFT's table indexes is an error, not a
+    /// panic in the node constructor.
+    #[test]
+    fn lift_view_past_its_table_rejected() {
+        let lift = |view_size| Scenario {
+            protocol: Protocol::Lift {
+                view_size,
+                fade_interval: 10,
+            },
+            ..Scenario::default()
+        };
+        let max = raptee_lift::LiftConfig::MAX_VIEW_SIZE;
+        assert_eq!(lift(max).validate(), Ok(()));
+        let err = lift(max + 1).validate().unwrap_err();
+        assert_eq!(err.knob, "protocol");
+        assert!(
+            err.reason.contains("largest its score table indexes"),
+            "{err}"
+        );
+        assert_eq!(lift(usize::MAX).validate().unwrap_err().knob, "protocol");
     }
 
     #[test]

@@ -107,7 +107,18 @@ impl MerkleTree {
     /// Builds the tree from already-hashed leaves. An empty sequence
     /// commits to the empty-leaf digest.
     pub fn from_leaves(leaves: &[Digest]) -> Self {
-        let mut levels = vec![leaves.to_vec()];
+        Self::build(leaves.to_vec())
+    }
+
+    /// Builds the tree from raw leaf payloads ([`leaf_hash`] applied).
+    pub fn from_payloads<T: AsRef<[u8]>>(payloads: &[T]) -> Self {
+        payloads.iter().map(|p| leaf_hash(p.as_ref())).collect()
+    }
+
+    /// Builds the levels above `leaves`, which become `levels[0]` as
+    /// they are.
+    fn build(leaves: Vec<Digest>) -> Self {
+        let mut levels = vec![leaves];
         while let Some(below) = levels.last().filter(|level| level.len() > 1) {
             let pad = empty_at(levels.len() - 1);
             let next = below
@@ -117,12 +128,6 @@ impl MerkleTree {
             levels.push(next);
         }
         Self { levels }
-    }
-
-    /// Builds the tree from raw leaf payloads ([`leaf_hash`] applied).
-    pub fn from_payloads<T: AsRef<[u8]>>(payloads: &[T]) -> Self {
-        let leaves: Vec<Digest> = payloads.iter().map(|p| leaf_hash(p.as_ref())).collect();
-        Self::from_leaves(&leaves)
     }
 
     /// Number of real leaves committed.
@@ -155,6 +160,14 @@ impl MerkleTree {
             })
             .collect();
         MerkleProof { index, siblings }
+    }
+}
+
+/// Builds the tree from already-hashed leaves, taking the collected
+/// sequence as its leaf level without a copy.
+impl FromIterator<Digest> for MerkleTree {
+    fn from_iter<I: IntoIterator<Item = Digest>>(leaves: I) -> Self {
+        Self::build(leaves.into_iter().collect())
     }
 }
 
@@ -331,6 +344,20 @@ mod tests {
             assert_eq!(tree.len(), n);
             for (i, proof) in proofs.iter().enumerate() {
                 assert_eq!(&tree.open(i), proof, "n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn collected_tree_matches_from_leaves() {
+        for n in 0..=130 {
+            let leaves: Vec<Digest> = payloads(n).iter().map(|p| leaf_hash(p)).collect();
+            let sliced = MerkleTree::from_leaves(&leaves);
+            let collected: MerkleTree = leaves.iter().copied().collect();
+            assert_eq!(collected.root(), sliced.root(), "n={n}");
+            assert_eq!(collected.len(), n);
+            for i in 0..n.max(1) {
+                assert_eq!(collected.open(i), sliced.open(i), "n={n} i={i}");
             }
         }
     }

@@ -727,7 +727,8 @@ pub fn execute(args: &Args) -> Result<String, CliError> {
 fn cmd_run(args: &Args) -> Result<String, CliError> {
     let scenario = args.scenario()?;
     let reps = args.reps()?;
-    let agg = runner::run_repeated(&scenario, reps);
+    let runs = runner::run_repetitions(&scenario, reps);
+    let agg = runner::aggregate(&runs);
     let mut out = String::new();
     let population = if scenario.population.is_empty() {
         format!("protocol={}", scenario.protocol.label())
@@ -806,9 +807,8 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     }
     if args.flag("series") {
         // The first run the aggregate above contains.
-        let run = runner::run_scenario(runner::repetition(&scenario, 0));
         out.push_str("round,byzantine_share\n");
-        for (i, v) in run.byz_share_series.iter().enumerate() {
+        for (i, v) in runs[0].byz_share_series.iter().enumerate() {
             out.push_str(&format!("{i},{v:.4}\n"));
         }
     }
