@@ -38,6 +38,8 @@
 
 mod config;
 mod node;
+mod stream;
 
 pub use config::BrahmsConfig;
 pub use node::{BrahmsNode, FinishScratch, RoundPlan, RoundReport};
+pub use stream::{AnswerSource, NoAnswers, Rope, Segment, SliceRope};

@@ -15,6 +15,7 @@
 //! modifying this crate.
 
 use crate::config::BrahmsConfig;
+use crate::stream::{AnswerSource, Rope, RopeScratch, Segment, SliceRope};
 use raptee_gossip::view::{View, ViewEntry};
 use raptee_net::NodeId;
 use raptee_sampler::SamplerArray;
@@ -40,19 +41,22 @@ pub struct RoundReport {
 }
 
 /// Reusable buffers for the round-finalisation pipeline (index scratch
-/// for `sample_into`, drawn picks, the current sample list and the next
-/// view). A [`BrahmsNode`] boxes one, beside the streams it records, on
-/// its first standalone call; the simulation engine instead keeps
-/// **one per worker thread** and finalises thousands of nodes through it
-/// via [`BrahmsNode::finish_round_with`], so per-node state stays small
-/// (struct-of-arrays engine layout) and the parallel round loop still
-/// allocates nothing in steady state.
+/// for the renewal draws, drawn positions and picks, the sample list
+/// the history sample reads, the next view, and the buffers a [`Rope`]
+/// reads its stream with). A [`BrahmsNode`] boxes one, beside the
+/// streams it records, on its first standalone call; the simulation
+/// engine instead keeps **one per worker thread** and finalises
+/// thousands of nodes through it via [`BrahmsNode::finish_round_with`],
+/// so per-node state stays small (struct-of-arrays engine layout) and
+/// the parallel round loop still allocates nothing in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct FinishScratch {
     idx: IndexScratch,
+    positions: Vec<usize>,
     pick: Vec<NodeId>,
     samples: Vec<NodeId>,
     next: Vec<ViewEntry>,
+    pub(crate) rope: RopeScratch,
 }
 
 /// The state only the standalone, buffered round path uses: the streams
@@ -283,7 +287,8 @@ impl BrahmsNode {
     /// IDs, and feeds the full (pushed ∪ pulled) stream to the samplers.
     pub fn finish_round(&mut self) -> RoundReport {
         let mut st = self.standalone.take().unwrap_or_default();
-        let report = self.finish_round_with(&st.pushed, &st.pulled, &mut st.finish);
+        let report =
+            self.finish_round_with(&st.pushed, SliceRope::slice(&st.pulled), &mut st.finish);
         // Keep the buffers for next-round reuse, emptied (the historical
         // drain semantics).
         st.pushed.clear();
@@ -292,22 +297,29 @@ impl BrahmsNode {
         report
     }
 
-    /// [`BrahmsNode::finish_round`] over caller-owned event streams and
-    /// scratch, bypassing the internal `record_push`/`record_pulled`
-    /// buffers entirely. The simulation engine reconstructs each node's
-    /// `pushed`/`pulled` streams from its shared per-round arenas (push
-    /// runs, pull-answer snapshots) and finalises many nodes in parallel
-    /// through per-worker [`FinishScratch`] arenas. The RNG draw
-    /// sequence is identical to `finish_round` on identically recorded
-    /// streams — callers must pre-apply the `record_*` self-ID filters.
-    pub fn finish_round_with(
+    /// [`BrahmsNode::finish_round`] over a caller-owned push stream, a
+    /// pulled stream read where it lies, and caller-owned scratch,
+    /// bypassing the internal `record_push`/`record_pulled` buffers: the
+    /// buffered path is this over its one recorded slice. The
+    /// simulation engine reads each node's pull answers in its shared
+    /// per-round arenas (see [`Rope`]) and finalises many nodes in
+    /// parallel through per-worker [`FinishScratch`] arenas. `pushed`
+    /// must already be without this node's ID (`record_push`
+    /// semantics); `pulled` may hold it, and the round skips it as
+    /// `record_pulled` would. The RNG draw sequence is that of
+    /// `finish_round` on identically recorded streams.
+    pub fn finish_round_with<'a, 's, A, I>(
         &mut self,
         pushed: &[NodeId],
-        pulled: &[NodeId],
+        pulled: Rope<'a, A, I>,
         scratch: &mut FinishScratch,
-    ) -> RoundReport {
+    ) -> RoundReport
+    where
+        A: AnswerSource,
+        's: 'a,
+        I: Iterator<Item = Segment<'s>> + Clone,
+    {
         let pushes_received = pushed.len();
-        let pulled_ids_received = pulled.len();
 
         // Defence (ii): a node receiving more pushes than it expects to
         // admit is under a targeted flood; block the view update so the
@@ -315,7 +327,27 @@ impl BrahmsNode {
         // channels to have produced something, otherwise a starved round
         // would wipe the view.
         let push_flood_detected = pushes_received > self.config.effective_flood_threshold();
-        let view_renewed = !push_flood_detected && pushes_received > 0 && pulled_ids_received > 0;
+        let may_renew = !push_flood_detected && pushes_received > 0;
+
+        // The history sample reads the samples from before this round's
+        // stream, which reaches the samplers next.
+        if may_renew {
+            self.sampler.samples_into(&mut scratch.samples);
+        }
+
+        // The sampling component consumes the *unfiltered* stream in
+        // Brahms; RAPTEE's eviction happens before the stream gets here,
+        // so from this node's perspective the stream is what arrived.
+        // Min-wise sampling is invariant under repetition and order, and
+        // the seen-cache makes repeats O(1), so the stream is fed raw, in
+        // the same pass that counts it (no sort/dedup pass, no copy).
+        let me = self.id();
+        let pulled_ids_received = {
+            let mut feed = self.sampler.feed();
+            pushed.iter().for_each(|&id| feed.push(id));
+            pulled.observe(me, &mut feed, &mut scratch.rope)
+        };
+        let view_renewed = may_renew && pulled_ids_received > 0;
 
         if view_renewed {
             // Defence (iii): balanced α/β contribution — `rand(α·l1,
@@ -334,19 +366,19 @@ impl BrahmsNode {
             scratch
                 .next
                 .extend(scratch.pick.iter().copied().map(ViewEntry::fresh));
-            self.rng.sample_into(
-                pulled,
+            self.rng.sample_indices_into(
+                pulled_ids_received,
                 self.config.beta_count(),
                 &mut scratch.idx,
-                &mut scratch.pick,
+                &mut scratch.positions,
             );
+            pulled.pick_into(&scratch.positions, &mut scratch.rope, &mut scratch.pick);
             scratch
                 .next
                 .extend(scratch.pick.iter().copied().map(ViewEntry::fresh));
             // Defence (iv): history sample for self-healing — `γ·l1`
             // draws with replacement from the current sample list (the
             // same draws `SamplerArray::history_sample` would make).
-            self.sampler.samples_into(&mut scratch.samples);
             if !scratch.samples.is_empty() {
                 for _ in 0..self.config.gamma_count() {
                     let i = self.rng.index(scratch.samples.len());
@@ -355,15 +387,6 @@ impl BrahmsNode {
             }
             self.view.replace_with(scratch.next.drain(..));
         }
-
-        // The sampling component consumes the *unfiltered* stream in
-        // Brahms; RAPTEE's eviction happens before record_pulled, so from
-        // this node's perspective the stream is whatever was recorded.
-        // Min-wise sampling is invariant under repetition — the sampler's
-        // seen-cache makes repeats O(1), so the stream is fed raw (no
-        // sort/dedup pass, no intermediate allocation).
-        self.sampler.observe_all(pushed.iter().copied());
-        self.sampler.observe_all(pulled.iter().copied());
 
         RoundReport {
             view_renewed,

@@ -20,7 +20,10 @@
 //!    finalisation (attack blocking, view renewal, sampling).
 
 use crate::eviction::EvictionPolicy;
-use raptee_brahms::{BrahmsConfig, BrahmsNode, RoundPlan, RoundReport};
+use raptee_brahms::{
+    AnswerSource, BrahmsConfig, BrahmsNode, FinishScratch, Rope, RoundPlan, RoundReport, Segment,
+    SliceRope,
+};
 use raptee_crypto::auth::{
     AuthChallenge, AuthConfirm, AuthOutcome, AuthResponse, Authenticator, InitiatorPending,
     ResponderPending, NONCE_LEN,
@@ -209,11 +212,6 @@ impl RapteeNode {
     /// The recorded pull answers, boxed on first use.
     fn pulled_mut(&mut self) -> &mut Pulled {
         self.pulled.get_or_insert_with(Box::default)
-    }
-
-    /// IDs recorded from trusted exchanges this round.
-    fn pulled_trusted(&self) -> &[NodeId] {
-        self.pulled.as_ref().map_or(&[], |p| &p.trusted)
     }
 
     /// This node's identifier.
@@ -486,74 +484,72 @@ impl RapteeNode {
     /// finalisation.
     pub fn finish_round(&mut self) -> RapteeRoundOutcome {
         let mut pulled = self.pulled.take().unwrap_or_default();
-        let outcome = self.evict(
-            &mut pulled.untrusted,
-            pulled.trusted.len(),
-            self.contacts_total,
-        );
+        let eviction_rate = self.round_eviction_rate(self.contacts_total);
+        let evicted = self.evict(&mut pulled.untrusted, eviction_rate);
+        let admitted_pulled = pulled.untrusted.len() + pulled.trusted.len();
         self.brahms.record_pulled(&pulled.untrusted);
         self.brahms.record_pulled(&pulled.trusted);
         pulled.untrusted.clear();
         pulled.trusted.clear();
         self.pulled = Some(pulled);
-        outcome(self.brahms.finish_round())
-    }
-
-    /// Byzantine eviction over this round's untrusted pull stream: the
-    /// rate follows from the contact mix over `contacts_total` contacts,
-    /// and each ID survives an in-place Bernoulli draw with probability
-    /// 1 − rate. `retain` visits the IDs in delivery order, so the RNG
-    /// draw sequence is fixed. `trusted` IDs bypass eviction and are
-    /// only counted. Returns the round's outcome, waiting for Brahms'
-    /// report.
-    fn evict(
-        &mut self,
-        untrusted: &mut Vec<NodeId>,
-        trusted: usize,
-        contacts_total: u32,
-    ) -> impl FnOnce(RoundReport) -> RapteeRoundOutcome {
-        let rate = self.round_eviction_rate(contacts_total);
-        let before = untrusted.len();
-        if rate > 0.0 {
-            let rng = self.brahms.rng_mut();
-            untrusted.retain(|_| !rng.chance(rate));
-        }
-        let evicted = before - untrusted.len();
-        let admitted_pulled = untrusted.len() + trusted;
-        move |report| RapteeRoundOutcome {
-            report,
-            eviction_rate: rate,
+        RapteeRoundOutcome {
+            report: self.brahms.finish_round(),
+            eviction_rate,
             evicted,
             admitted_pulled,
         }
     }
 
+    /// Byzantine eviction at `rate` over this round's untrusted pull
+    /// stream: each ID survives an in-place Bernoulli draw with
+    /// probability 1 − rate. `retain` visits the IDs in delivery order,
+    /// so the RNG draw sequence is fixed; a rate of 0 draws nothing.
+    /// Returns how many IDs were evicted.
+    fn evict(&mut self, untrusted: &mut Vec<NodeId>, rate: f64) -> usize {
+        let before = untrusted.len();
+        if rate > 0.0 {
+            let rng = self.brahms.rng_mut();
+            untrusted.retain(|_| !rng.chance(rate));
+        }
+        before - untrusted.len()
+    }
+
     /// [`RapteeNode::finish_round`] over caller-owned streams — the
     /// parallel engine path. The engine defers untrusted pull answers
-    /// (instead of copying them into per-node buffers) and reconstructs
-    /// them at finalisation time into per-**worker** arenas:
+    /// instead of copying them into per-node buffers, and the node reads
+    /// them where they lie:
     ///
     /// * `pushed` — the round's delivered push senders, already filtered
     ///   of this node's own ID (`record_push` semantics);
-    /// * `untrusted_pulled` — the reconstructed untrusted pull-answer
-    ///   stream, in delivery order, *unfiltered* (eviction draws happen
-    ///   per element before the self-ID filter, exactly like the
-    ///   buffered path);
+    /// * `untrusted` — the untrusted pull answers, in delivery order,
+    ///   *unfiltered* (eviction draws happen per element before the
+    ///   self-ID filter, exactly like the buffered path);
     /// * `untrusted_contacts` — how many untrusted pull answers the
     ///   stream represents (the deferred `record_untrusted_pull` contact
     ///   count; trusted contacts were recorded on the node directly);
-    /// * `pulled_scratch` / `scratch` — worker-owned reusable buffers.
+    /// * `flat` / `scratch` — worker-owned reusable buffers.
     ///
+    /// A node that evicts nothing this round (every untrusted node) and
+    /// whose seen-cache already holds every ID a drawn answer can carry
+    /// hands Brahms the rope itself, followed by its trusted-swap IDs.
+    /// Any other node flattens the untrusted answers into `flat`,
+    /// drawing each answer once, and one whose eviction rate is above 0
+    /// runs the per-ID eviction draw over that buffer first.
     /// The RNG draw sequence is bit-identical to the buffered path on
     /// identical streams.
-    pub fn finish_round_streamed(
+    pub fn finish_round_streamed<'a, 's, A, I>(
         &mut self,
         pushed: &[NodeId],
-        untrusted_pulled: &mut Vec<NodeId>,
+        untrusted: Rope<'a, A, I>,
         untrusted_contacts: u32,
-        pulled_scratch: &mut Vec<NodeId>,
-        scratch: &mut raptee_brahms::FinishScratch,
-    ) -> RapteeRoundOutcome {
+        flat: &mut Vec<NodeId>,
+        scratch: &mut FinishScratch,
+    ) -> RapteeRoundOutcome
+    where
+        A: AnswerSource,
+        's: 'a,
+        I: Iterator<Item = Segment<'s>> + Clone,
+    {
         // Streamed and buffered untrusted-pull delivery cannot be mixed
         // within one round: buffered IDs would be skipped now (their
         // contacts double-counted) and leak into the next round.
@@ -561,19 +557,40 @@ impl RapteeNode {
             self.pulled.as_ref().is_none_or(|p| p.untrusted.is_empty()),
             "record_untrusted_pull and finish_round_streamed are mutually exclusive in a round"
         );
-        let contacts = self.contacts_total + untrusted_contacts;
-        let outcome = self.evict(untrusted_pulled, self.pulled_trusted().len(), contacts);
-        // `record_pulled` semantics: untrusted survivors first, then the
-        // trusted-swap IDs, both minus this node's own ID.
-        let id = self.id();
-        pulled_scratch.clear();
-        pulled_scratch.extend(untrusted_pulled.iter().copied().filter(|&i| i != id));
-        pulled_scratch.extend(self.pulled_trusted().iter().copied().filter(|&i| i != id));
+        let eviction_rate = self.round_eviction_rate(self.contacts_total + untrusted_contacts);
+        // The trusted IDs are read in place too: their box leaves the
+        // node for the call and comes back emptied.
+        let pulled = self.pulled.take();
+        let trusted = pulled.as_deref().map_or(&[][..], |p| &p.trusted[..]);
+        // Reading the answers in place pays where the samplers can skip
+        // the drawn ones; a node that cannot would draw each twice, once
+        // whole for the samplers and again as far as its picks reach.
+        let flatten =
+            eviction_rate > 0.0 || !untrusted.skips_answers(self.brahms.sampler(), self.id());
+        let (report, evicted, admitted_untrusted) = if flatten {
+            untrusted.flatten_into(scratch, flat);
+            let evicted = self.evict(flat, eviction_rate);
+            let stream = SliceRope::slice(flat).with_tail(trusted);
+            let report = self.brahms.finish_round_with(pushed, stream, scratch);
+            (report, evicted, flat.len())
+        } else {
+            let admitted = untrusted.len();
+            let stream = untrusted.with_tail(trusted);
+            (
+                self.brahms.finish_round_with(pushed, stream, scratch),
+                0,
+                admitted,
+            )
+        };
+        let admitted_pulled = admitted_untrusted + trusted.len();
+        self.pulled = pulled;
         self.clear_pulled();
-        outcome(
-            self.brahms
-                .finish_round_with(pushed, pulled_scratch, scratch),
-        )
+        RapteeRoundOutcome {
+            report,
+            eviction_rate,
+            evicted,
+            admitted_pulled,
+        }
     }
 }
 

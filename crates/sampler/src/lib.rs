@@ -212,26 +212,35 @@ impl SamplerArray {
         observe_batch_widest(seeds, best, ids, batch);
     }
 
-    /// Feeds `ids` to the cold path [`BATCH`] at a time, skipping those
-    /// the seen-cache already holds when `cached` is set.
+    /// Feeds `ids` through a [`Feed`], consulting and filling the
+    /// seen-cache when `cached` is set.
     fn observe_stream<I: IntoIterator<Item = NodeId>>(&mut self, ids: I, cached: bool) {
-        let mut batch = [(0, 0); BATCH];
-        let mut len = 0;
+        let mut feed = self.feed();
+        if !cached {
+            feed.cache_below = 0;
+        }
         for id in ids {
-            let idx = id.0 as usize;
-            if cached && idx < self.seen_limit && !self.seen.insert(idx) {
-                continue;
-            }
-            batch[len] = (id.0, premix(id));
-            len += 1;
-            if len == BATCH {
-                self.observe_cold(&batch);
-                len = 0;
-            }
+            feed.push(id);
         }
-        if len > 0 {
-            self.observe_cold(&batch[..len]);
+    }
+
+    /// A [`Feed`] into this array: [`SamplerArray::observe_all`] one ID
+    /// at a time, for a caller that walks its stream in pieces.
+    pub fn feed(&mut self) -> Feed<'_> {
+        Feed {
+            cache_below: self.seen_limit,
+            array: self,
+            batch: [(0, 0); BATCH],
+            len: 0,
         }
+    }
+
+    /// Whether the seen-cache holds every ID of `ids` — so that observing
+    /// any of them changes nothing — checked a word at a time. `false`
+    /// when part of the range lies at or above the cache limit, `true`
+    /// for an empty range.
+    pub fn has_seen_all(&self, ids: std::ops::Range<usize>) -> bool {
+        ids.is_empty() || (ids.end <= self.seen_limit && self.seen.contains_range(ids))
     }
 
     /// Caps the seen-cache to IDs below `limit` and *frees* the backing
@@ -354,6 +363,51 @@ impl SamplerArray {
         match self.sampled().count() {
             0 => 0.0,
             live => self.sampled().filter(|&id| pred(id)).count() as f64 / live as f64,
+        }
+    }
+}
+
+/// A stream on its way into a [`SamplerArray`]: each [`Feed::push`]
+/// is [`SamplerArray::observe`], except that the IDs the seen-cache lets
+/// through wait in an on-stack batch of 64 for one hash-kernel
+/// call. The batch is flushed when full and when the feed drops. The
+/// seen-cache is updated at `push` time, so [`SamplerArray::has_seen_all`]
+/// through [`Feed::array`] already counts the IDs still waiting.
+pub struct Feed<'a> {
+    array: &'a mut SamplerArray,
+    /// IDs below this bound go through the seen-cache: the array's
+    /// limit, or 0 for a feed that bypasses the cache.
+    cache_below: usize,
+    batch: [(u64, u64); BATCH],
+    len: usize,
+}
+
+impl Feed<'_> {
+    /// Feeds one ID to every sampler.
+    #[inline]
+    pub fn push(&mut self, id: NodeId) {
+        let idx = id.0 as usize;
+        if idx < self.cache_below && !self.array.seen.insert(idx) {
+            return;
+        }
+        self.batch[self.len] = (id.0, premix(id));
+        self.len += 1;
+        if self.len == BATCH {
+            self.array.observe_cold(&self.batch);
+            self.len = 0;
+        }
+    }
+
+    /// The array being fed (its samples lag by the waiting batch).
+    pub fn array(&self) -> &SamplerArray {
+        self.array
+    }
+}
+
+impl Drop for Feed<'_> {
+    fn drop(&mut self) {
+        if self.len > 0 {
+            self.array.observe_cold(&self.batch[..self.len]);
         }
     }
 }
@@ -628,6 +682,43 @@ mod tests {
                 assert_eq!(all.seen_cached(), one_by_one.seen_cached(), "{case}");
             }
         }
+    }
+
+    #[test]
+    fn a_feed_pushed_in_pieces_is_one_observe_all() {
+        let stream: Vec<NodeId> = (0..3 * BATCH as u64 + 7).map(|k| NodeId(k % 150)).collect();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(6);
+        let mut all = SamplerArray::new(24, &mut rng);
+        let mut pieces = all.clone();
+        all.observe_all(stream.iter().copied());
+        let mut feed = pieces.feed();
+        for piece in stream.chunks(10) {
+            piece.iter().for_each(|&id| feed.push(id));
+            // The cache already holds what waits in the batch.
+            let cached = |id: &NodeId| feed.array().has_seen_all(id.index()..id.index() + 1);
+            assert!(piece.iter().all(cached));
+        }
+        drop(feed);
+        assert_eq!(pieces.samples(), all.samples());
+        assert_eq!(pieces.seen_cached(), all.seen_cached());
+    }
+
+    #[test]
+    fn has_seen_all_is_true_only_for_cached_ranges_below_the_limit() {
+        let mut arr = SamplerArray::new(8, &mut Xoshiro256StarStar::seed_from_u64(2));
+        arr.observe_all((10..200).map(NodeId));
+        assert!(arr.has_seen_all(10..200) && arr.has_seen_all(64..128));
+        assert!(arr.has_seen_all(5..5), "an empty range");
+        assert!(!arr.has_seen_all(9..20) && !arr.has_seen_all(150..201));
+        arr.limit_seen_cache(100);
+        arr.observe_all((10..200).map(NodeId));
+        assert!(arr.has_seen_all(10..100));
+        assert!(
+            !arr.has_seen_all(10..101),
+            "IDs at the limit are never cached"
+        );
+        arr.limit_seen_cache(0);
+        assert!(!arr.has_seen_all(10..11));
     }
 
     #[test]

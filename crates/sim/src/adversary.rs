@@ -21,8 +21,10 @@
 //!   network so their initial views are fully poisoned.
 
 use crate::scenario::AttackStrategy;
+use raptee_brahms::AnswerSource;
 use raptee_net::NodeId;
 use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
+use std::ops::Range;
 
 /// A planned batch of adversary pushes: `(victim, advertised ID)` pairs.
 pub(crate) type PushPlan = Vec<(NodeId, NodeId)>;
@@ -45,6 +47,10 @@ pub struct Adversary {
     /// and contact them; flooding them into every answer would dilute
     /// the Byzantine poisoning pressure and work against the adversary.
     injected: Vec<NodeId>,
+    /// The Byzantine and injected IDs as maximal runs of consecutive
+    /// indices — what an answer can hold, in the shape a seen-cache is
+    /// asked about a word at a time.
+    answer_runs: Vec<Range<usize>>,
     view_size: usize,
     rng: Xoshiro256StarStar,
     /// Latest observation per (non-Byzantine) node index; `None` = never
@@ -72,6 +78,7 @@ impl Adversary {
     ) -> Self {
         Self {
             injected: Vec::new(),
+            answer_runs: runs(&byzantine_ids),
             byzantine_ids,
             view_size,
             rng: Xoshiro256StarStar::seed_from_u64(seed),
@@ -86,6 +93,8 @@ impl Adversary {
     /// advertisement so the system discovers them.
     pub(crate) fn advertise_injected(&mut self, injected: impl IntoIterator<Item = NodeId>) {
         self.injected.extend(injected);
+        self.answer_runs = runs(&self.byzantine_ids);
+        self.answer_runs.extend(runs(&self.injected));
     }
 
     /// Plans one segment's share of this round's pushes into `plan`
@@ -217,26 +226,64 @@ impl Adversary {
         self.rng.clone()
     }
 
-    /// Regenerates a pull answer from an [`Adversary::rng_snapshot`]
-    /// taken when the answer was originally drawn. `&self` only — safe
-    /// to call from many worker threads at once with worker-owned
+    /// Regenerates at least the first `depth` IDs of a pull answer from
+    /// an [`Adversary::rng_snapshot`] taken when the answer was
+    /// originally drawn, into `out` (cleared first); a `depth` of
+    /// [`Adversary::answer_len`] regenerates all of it. `&self` only —
+    /// safe to call from many worker threads at once with worker-owned
     /// `rng`/`idx`/`out` buffers. The produced IDs are bit-identical to
     /// what `pull_answer_into` emitted at snapshot time (the identity
     /// pools never change mid-round).
+    ///
+    /// A partial Fisher–Yates fixes output `i` after `i + 1` draws, so a
+    /// prefix costs its own draws only — unless injected IDs are
+    /// advertised: then the other draws are skipped to reach the
+    /// injected-slot draw, which may land inside the prefix.
     pub(crate) fn replay_pull_answer(
         &self,
         rng: &mut Xoshiro256StarStar,
+        depth: usize,
         idx: &mut IndexScratch,
         out: &mut Vec<NodeId>,
     ) {
-        Self::answer_with(
-            rng,
-            &self.byzantine_ids,
-            &self.injected,
-            self.view_size,
-            idx,
-            out,
-        );
+        let (pool, len) = (self.byzantine_ids.len(), self.answer_len());
+        if depth >= len || len >= pool {
+            Self::answer_with(
+                rng,
+                &self.byzantine_ids,
+                &self.injected,
+                self.view_size,
+                idx,
+                out,
+            );
+            return;
+        }
+        rng.sample_into(&self.byzantine_ids, depth, idx, out);
+        if !self.injected.is_empty() {
+            rng.skip_sample_from(pool, depth, len);
+            match Self::injected_slot(rng, &self.injected, len) {
+                Some((slot, id)) if slot < depth => out[slot] = id,
+                _ => {}
+            }
+        }
+    }
+
+    /// IDs in every pull answer.
+    pub(crate) fn answer_len(&self) -> usize {
+        self.view_size.min(self.byzantine_ids.len())
+    }
+
+    /// Where the answer drawn from the snapshot `rng` holds `me`, if it
+    /// does: only in its injected slot, so only when `me` is injected.
+    fn offset_in_answer(&self, rng: &Xoshiro256StarStar, me: NodeId) -> Option<usize> {
+        if !self.injected.contains(&me) {
+            return None;
+        }
+        let mut rng = rng.clone();
+        let len = self.answer_len();
+        rng.skip_sample(self.byzantine_ids.len(), len);
+        Self::injected_slot(&mut rng, &self.injected, len)
+            .and_then(|(slot, id)| (id == me).then_some(slot))
     }
 
     /// The shared answer body: a full view of exclusively Byzantine IDs,
@@ -451,6 +498,48 @@ impl AdaptiveCoordinator {
         a.pulls += 1;
         a.total_yield += observed_yield.clamp(0.0, 1.0);
         self.rounds += 1;
+    }
+}
+
+/// The maximal runs of consecutive indices in `ids`, in order.
+fn runs(ids: &[NodeId]) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for id in ids {
+        match runs.last_mut() {
+            Some(run) if run.end == id.index() => run.end += 1,
+            _ => runs.push(id.index()..id.index() + 1),
+        }
+    }
+    runs
+}
+
+/// One round's Byzantine pull answers, each regenerated from the
+/// adversary-RNG snapshot taken when it was drawn: the
+/// [`AnswerSource`] behind the [`Segment::Drawn`](raptee_brahms::Segment)
+/// slots of the engine's pulled streams.
+pub(crate) struct Replays<'a> {
+    pub(crate) adversary: &'a Adversary,
+    /// The snapshots, by slot.
+    pub(crate) rngs: &'a [Xoshiro256StarStar],
+}
+
+impl AnswerSource for Replays<'_> {
+    fn answer_len(&self) -> usize {
+        self.adversary.answer_len()
+    }
+
+    fn id_runs(&self) -> &[Range<usize>] {
+        &self.adversary.answer_runs
+    }
+
+    fn offset_of(&self, slot: u32, me: NodeId) -> Option<usize> {
+        self.adversary
+            .offset_in_answer(&self.rngs[slot as usize], me)
+    }
+
+    fn draw(&self, slot: u32, depth: usize, idx: &mut IndexScratch, out: &mut Vec<NodeId>) {
+        let mut rng = self.rngs[slot as usize].clone();
+        self.adversary.replay_pull_answer(&mut rng, depth, idx, out);
     }
 }
 
@@ -709,7 +798,7 @@ mod tests {
         for _ in 0..100 {
             let mut snap = a.rng_snapshot();
             let original = answer(&mut a);
-            a.replay_pull_answer(&mut snap, &mut idx, &mut out);
+            a.replay_pull_answer(&mut snap, usize::MAX, &mut idx, &mut out);
             assert_eq!(out, original, "replay must be bit-identical");
         }
     }
@@ -736,7 +825,7 @@ mod tests {
                         generating.rng_snapshot(),
                         "byz={byz} inject={inject}"
                     );
-                    skipping.replay_pull_answer(&mut snap, &mut idx, &mut replayed);
+                    skipping.replay_pull_answer(&mut snap, usize::MAX, &mut idx, &mut replayed);
                     assert_eq!(replayed, answer, "byz={byz} inject={inject}");
                 }
             }

@@ -9,7 +9,7 @@ use crate::bitset::DiscoveryRows;
 use raptee_basalt::BasaltPlan;
 use raptee_brahms::{FinishScratch, RoundPlan};
 use raptee_net::{NodeId, NodeIdx};
-use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
+use raptee_util::rng::Xoshiro256StarStar;
 
 /// Rounds of per-node share smoothing for the spread-stability check.
 pub(super) const SMOOTHING_WINDOW: usize = 10;
@@ -22,7 +22,9 @@ pub(super) const SMOOTHING_WINDOW: usize = 10;
 pub(super) const BLOCK: usize = 64;
 
 /// One deferred pull answer, recorded by the sequential exchange pass
-/// and consumed by the parallel apply phase.
+/// and read in place by the parallel apply phase: each event is one
+/// [`Segment`](raptee_brahms::Segment) of its requester's pulled
+/// stream.
 pub(super) enum PullEvent {
     /// The responder's view had not mutated yet at pull time: the answer
     /// is the responder's row of the post-plan view-snapshot arena.
@@ -38,10 +40,12 @@ pub(super) enum PullEvent {
         /// Number of IDs.
         len: u32,
     },
-    /// A Byzantine answer: regenerate it from a snapshot of the
+    /// A Byzantine answer: regenerated from a snapshot of the
     /// adversary's RNG (see
     /// [`Adversary::replay_pull_answer`](crate::adversary::Adversary::replay_pull_answer)),
-    /// kept beside the events so each event stays 12 bytes.
+    /// kept beside the events so each event stays 12 bytes — and only
+    /// as far as a renewal pick reads into it, or whole while the
+    /// requester's seen-cache may lack one of its IDs.
     ByzReplay {
         /// Index into `Scratch::byz_rngs` of the coordinator RNG state
         /// just before the answer was drawn.
@@ -136,19 +140,17 @@ impl ShareRingBlock<'_> {
 /// Per-worker arenas for the parallel apply phase: every buffer a
 /// node-finalisation needs is owned by the worker (not the node), so
 /// peak memory scales with the thread count instead of the population.
+/// A node's untrusted pull stream is not among them: it is read where
+/// the exchange pass left it (see [`PullEvent`]).
 #[derive(Default)]
 pub(super) struct WorkerScratch {
     /// Reconstructed push-sender stream (self-filtered).
     pub(super) pushed: Vec<NodeId>,
-    /// Reconstructed untrusted pull-answer stream (unfiltered).
-    pub(super) untrusted: Vec<NodeId>,
-    /// `record_pulled`-equivalent combined stream.
-    pub(super) pulled: Vec<NodeId>,
-    /// Fisher–Yates index table for Byzantine answer replay.
-    pub(super) idx: IndexScratch,
-    /// Replay output buffer.
-    pub(super) reply: Vec<NodeId>,
-    /// Brahms finalisation scratch (renewal sampling buffers).
+    /// The untrusted pull stream of a node that does not read it in
+    /// place (see `RapteeNode::finish_round_streamed`), flattened.
+    pub(super) flat: Vec<NodeId>,
+    /// Brahms finalisation scratch (renewal draws, and the buffers the
+    /// pulled stream is read and Byzantine answers are drawn with).
     pub(super) finish: FinishScratch,
     /// The plan a Brahms/RAPTEE node draws into before it is copied to
     /// the plan rows.

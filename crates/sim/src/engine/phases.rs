@@ -9,11 +9,12 @@ use super::arena::{
 };
 use super::population::Node;
 use super::Simulation;
-use crate::adversary::AdaptiveCoordinator;
+use crate::adversary::{AdaptiveCoordinator, Replays};
 use crate::bitset::DiscoveryRows;
 use crate::event::Lane as NetLane;
 use crate::metrics::IdentificationResult;
 use raptee::RapteeNode;
+use raptee_brahms::{Rope, Segment};
 use raptee_net::NodeId;
 use raptee_util::rng::mix64;
 
@@ -400,11 +401,14 @@ impl Simulation {
             byz: byz_lane,
             ..
         } = s;
-        let (events, byz_rngs, event_start) = (&events[..], &byz_rngs[..], &event_start[..]);
+        let (events, event_start) = (&events[..], &event_start[..]);
         let (arena, snaps, honest, byz_lane) = (&arena[..], &*snaps, &*honest, &*byz_lane);
         let alive = &self.alive;
         let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
-        let adversary = &self.adversary;
+        let replays = Replays {
+            adversary: &self.adversary,
+            rngs: byz_rngs,
+        };
         let pop = self.non_byz_total;
         let mut blocks: Vec<FinishBlock> = self
             .nodes
@@ -446,37 +450,24 @@ impl Simulation {
                         ws.pushed.clear();
                         ws.pushed.extend(honest.run(abs).filter(|&x| x != me));
                         ws.pushed.extend(byz_lane.run(abs).filter(|&x| x != me));
-                        // Untrusted pull stream, reconstructed in
-                        // delivery order.
-                        ws.untrusted.clear();
+                        // Untrusted pull stream, read where the
+                        // exchange pass left it, in delivery order.
                         let e0 = event_start[ci] as usize;
                         let e1 = event_start[ci + 1] as usize;
-                        for ev in &events[e0..e1] {
-                            match ev {
-                                PullEvent::Snapshot { responder } => {
-                                    let snap = snaps.row(*responder as usize);
-                                    ws.untrusted.extend(snap.iter().map(|&i| widen(i)));
-                                }
-                                PullEvent::Arena { start, len } => {
-                                    let (a, b) = (*start as usize, (*start + *len) as usize);
-                                    ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
-                                }
-                                PullEvent::ByzReplay { slot } => {
-                                    let mut rng = byz_rngs[*slot as usize].clone();
-                                    adversary.replay_pull_answer(
-                                        &mut rng,
-                                        &mut ws.idx,
-                                        &mut ws.reply,
-                                    );
-                                    ws.untrusted.extend_from_slice(&ws.reply);
-                                }
+                        let segments = events[e0..e1].iter().map(|ev| match *ev {
+                            PullEvent::Snapshot { responder } => {
+                                Segment::Dense(snaps.row(responder as usize))
                             }
-                        }
+                            PullEvent::Arena { start, len } => {
+                                Segment::Dense(&arena[start as usize..(start + len) as usize])
+                            }
+                            PullEvent::ByzReplay { slot } => Segment::Drawn(slot),
+                        });
                         let outcome = node.finish_round_streamed(
                             &ws.pushed,
-                            &mut ws.untrusted,
+                            Rope::new(&replays, segments),
                             (e1 - e0) as u32,
-                            &mut ws.pulled,
+                            &mut ws.flat,
                             &mut ws.finish,
                         );
                         stat.evicted = outcome.evicted as u32;

@@ -742,3 +742,282 @@ fn attestation_expiry_degrades_and_heals_the_trusted_tier() {
     let b = Simulation::new(s).run();
     assert_eq!(a, b, "degradation schedule is hash-deterministic");
 }
+
+/// The apply phase's pulled-stream read against the buffered path: one
+/// RAPTEE round finished over a rope of snapshot-like rows, arena-like
+/// rows and replayed Byzantine answers, and the same round recorded
+/// answer by answer into `record_untrusted_pull` and finished by
+/// `RapteeNode::finish_round`. Everything the round leaves behind must
+/// agree bit for bit: the outcome, the view, the samples, the
+/// seen-cache and the node's RNG.
+mod rope_finish {
+    use crate::adversary::{Adversary, Replays};
+    use proptest::prelude::*;
+    use raptee::{EvictionPolicy, RapteeConfig, RapteeNode};
+    use raptee_brahms::{FinishScratch, Rope, Segment};
+    use raptee_crypto::SecretKey;
+    use raptee_net::{NodeId, NodeIdx};
+    use raptee_util::rng::Xoshiro256StarStar;
+
+    const VIEW: usize = 20;
+
+    /// One answer of the mix: `0` a view-snapshot row, `1` an arena row
+    /// (both dense, both may hold the requester), `2` a Byzantine answer.
+    type Kind = u8;
+
+    #[derive(Debug, Clone)]
+    struct Case {
+        seed: u64,
+        pool: u64,
+        honest: u64,
+        injected: u64,
+        injected_requester: bool,
+        trusted: bool,
+        eviction: u8,
+        answers: Vec<(Kind, u64)>,
+        pushes: usize,
+        cache: u8,
+        trusted_swaps: usize,
+    }
+
+    fn cases() -> impl Strategy<Value = Case> {
+        (
+            (
+                0u64..1_000,
+                prop_oneof![Just(8u64), Just(20), Just(60)],
+                30u64..80,
+            ),
+            (
+                prop_oneof![Just(0u64), Just(3)],
+                any::<bool>(),
+                any::<bool>(),
+                0u8..3,
+            ),
+            proptest::collection::vec((0u8..3, any::<u64>()), 0..24),
+            (0usize..14, 0u8..4, 0usize..3),
+        )
+            .prop_map(
+                |(
+                    (seed, pool, honest),
+                    (injected, injected_requester, trusted, eviction),
+                    answers,
+                    (pushes, cache, trusted_swaps),
+                )| Case {
+                    seed,
+                    pool,
+                    honest,
+                    injected,
+                    injected_requester: injected_requester && injected > 0,
+                    trusted,
+                    eviction,
+                    answers,
+                    pushes,
+                    cache,
+                    trusted_swaps,
+                },
+            )
+    }
+
+    /// Runs `case` both ways and compares what they leave.
+    fn check(case: &Case) {
+        let (pool, n) = (case.pool, case.pool + case.honest);
+        let total = n + case.injected;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(case.seed);
+        let me = if case.injected_requester {
+            NodeId(n + rng.next_below(case.injected))
+        } else {
+            NodeId(pool + rng.next_below(case.honest))
+        };
+        let eviction = [
+            EvictionPolicy::none(),
+            EvictionPolicy::adaptive(),
+            EvictionPolicy::Fixed(1.0),
+        ][usize::from(case.eviction)];
+        let config = RapteeConfig {
+            eviction,
+            ..RapteeConfig::paper_defaults(VIEW)
+        };
+        let boot: Vec<NodeId> = (pool..n)
+            .filter(|&i| i != me.0)
+            .take(VIEW)
+            .map(NodeId)
+            .collect();
+        let key = SecretKey::from_seed(7);
+        let mut buffered = if case.trusted {
+            RapteeNode::new_trusted(me, config, &boot, case.seed, key)
+        } else {
+            RapteeNode::new_untrusted(me, config, &boot, case.seed)
+        };
+        // The seen-cache states a round can start in: as built, warmed
+        // with everything an answer can hold, warmed and then cleared by
+        // a validation reset, or capped to nothing.
+        let every: Vec<NodeId> = (0..total).map(NodeId).filter(|&i| i != me).collect();
+        {
+            let (sampler, rng) = buffered.brahms_mut().sampler_and_rng_mut();
+            match case.cache {
+                1 => sampler.observe_all(every.iter().copied()),
+                2 => {
+                    sampler.observe_all(every.iter().copied());
+                    sampler.validate(|id| id.0 % 3 != 0, rng);
+                    prop_assert_eq!(sampler.seen_cached(), 0, "validate cleared it");
+                }
+                3 => sampler.limit_seen_cache(0),
+                _ => {}
+            }
+        }
+        buffered.plan_round();
+        let mut streamed = buffered.clone();
+
+        let mut adversary = Adversary::new(
+            (0..pool).map(NodeId).collect(),
+            total as usize,
+            VIEW,
+            case.seed ^ 1,
+        );
+        adversary.advertise_injected((n..total).map(NodeId));
+        // Each answer as the apply phase sees it, and as IDs.
+        let mut rows: Vec<Vec<NodeIdx>> = Vec::new();
+        let mut rngs = Vec::new();
+        let mut kinds = Vec::new();
+        for &(kind, bits) in &case.answers {
+            let mut draw = Xoshiro256StarStar::seed_from_u64(bits);
+            match kind {
+                0 | 1 => {
+                    // A snapshot row is a view: honest IDs, sometimes the
+                    // requester's. An arena row may hold anything.
+                    let len = 1 + draw.index(VIEW);
+                    let universe = if kind == 0 { pool..n } else { 0..total };
+                    let mut row: Vec<NodeIdx> = (0..len)
+                        .map(|_| {
+                            NodeIdx(
+                                (universe.start + draw.next_below(universe.end - universe.start))
+                                    as u32,
+                            )
+                        })
+                        .collect();
+                    if draw.chance(0.4) {
+                        row[draw.index(len)] = NodeIdx(me.0 as u32);
+                    }
+                    kinds.push(rows.len() as u32);
+                    rows.push(row);
+                }
+                _ => {
+                    kinds.push(u32::MAX - rngs.len() as u32);
+                    rngs.push(adversary.rng_snapshot());
+                    adversary.skip_pull_answer();
+                }
+            }
+        }
+        let replays = Replays {
+            adversary: &adversary,
+            rngs: &rngs,
+        };
+        let segment = |&tag: &u32| {
+            if tag > u32::MAX / 2 {
+                Segment::Drawn(u32::MAX - tag)
+            } else {
+                Segment::Dense(&rows[tag as usize][..])
+            }
+        };
+
+        // Trusted-swap IDs, recorded on both nodes directly.
+        for s in 0..case.trusted_swaps {
+            let ids: Vec<NodeId> = (0..5)
+                .map(|j| NodeId((pool + 7 * s as u64 + j) % total))
+                .collect();
+            buffered.record_trusted_pull(&ids);
+            streamed.record_trusted_pull(&ids);
+        }
+        // Pushes, the requester's own among them now and then; more than
+        // α·l1 of them block the renewal.
+        let pushes: Vec<NodeId> = (0..case.pushes)
+            .map(|p| NodeId((case.seed + 11 * p as u64) % total))
+            .collect();
+        for &p in &pushes {
+            buffered.record_push(p);
+        }
+        let pushed: Vec<NodeId> = pushes.iter().copied().filter(|&p| p != me).collect();
+
+        let mut answer = Vec::new();
+        let mut idx = Default::default();
+        for seg in kinds.iter().map(segment) {
+            match seg {
+                Segment::Dense(row) => {
+                    answer.clear();
+                    answer.extend(row.iter().map(|i| NodeId(u64::from(i.0))));
+                }
+                Segment::Drawn(slot) => {
+                    let mut snap = rngs[slot as usize].clone();
+                    adversary.replay_pull_answer(&mut snap, usize::MAX, &mut idx, &mut answer);
+                }
+                Segment::Ids(_) => unreachable!(),
+            }
+            buffered.record_untrusted_pull(&answer);
+        }
+        let want = buffered.finish_round();
+        let got = streamed.finish_round_streamed(
+            &pushed,
+            Rope::new(&replays, kinds.iter().map(segment)),
+            kinds.len() as u32,
+            &mut Vec::new(),
+            &mut FinishScratch::default(),
+        );
+        prop_assert_eq!(&got, &want);
+        let (a, b) = (buffered.brahms_mut(), streamed.brahms_mut());
+        prop_assert_eq!(a.view().id_vec(), b.view().id_vec());
+        prop_assert_eq!(a.sampler().samples(), b.sampler().samples());
+        prop_assert_eq!(a.sampler().seen_cached(), b.sampler().seen_cached());
+        prop_assert_eq!(a.rng_mut().clone(), b.rng_mut().clone());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn rope_finish_matches_the_buffered_finish(case in cases()) {
+            check(&case);
+        }
+    }
+
+    #[test]
+    fn rope_finish_covers_its_corner_cases() {
+        // Drawn answers skipped by a warm cache, a requester among the
+        // injected whose own ID an injected slot carries, every eviction
+        // rate, a stream shorter than β·l1 and a flood-blocked round.
+        let base = Case {
+            seed: 5,
+            pool: 20,
+            honest: 40,
+            injected: 3,
+            injected_requester: true,
+            trusted: true,
+            eviction: 0,
+            answers: (0..60).map(|k| (2, k)).collect(),
+            pushes: 6,
+            cache: 1,
+            trusted_swaps: 1,
+        };
+        for seed in 0..40 {
+            for eviction in 0..3 {
+                for cache in 0..4 {
+                    let case = Case {
+                        seed,
+                        eviction,
+                        cache,
+                        ..base.clone()
+                    };
+                    check(&case);
+                    let short = Case {
+                        answers: vec![(0, seed), (2, seed)],
+                        pool: 60,
+                        injected: 0,
+                        injected_requester: false,
+                        ..case.clone()
+                    };
+                    check(&short);
+                    check(&Case { pushes: 13, ..case });
+                }
+            }
+        }
+    }
+}

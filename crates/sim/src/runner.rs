@@ -95,13 +95,50 @@ pub const MAX_REPETITIONS: usize = (u64::MAX / REP_SEED_STRIDE) as usize;
 
 /// Runs `repetitions` independent repetitions (seeds derived from the
 /// scenario seed) in parallel and aggregates: [`aggregate`] of
-/// [`run_repetitions`].
+/// [`run_repetitions`], without holding more than a few results per
+/// worker at a time (see [`run_repeated_with`]).
 ///
 /// # Panics
 ///
 /// Panics if `repetitions` is zero or above [`MAX_REPETITIONS`].
 pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult {
-    aggregate(&run_repetitions(scenario, repetitions))
+    run_repeated_with(scenario, repetitions, |_, _| {})
+}
+
+/// Repetitions one worker runs per chunk of [`run_repeated_with`]: enough
+/// that a chunk keeps every worker busy while its slowest repetition
+/// finishes, few enough that a chunk's results stay small.
+const REPETITIONS_PER_WORKER: usize = 4;
+
+/// [`run_repeated`], handing each repetition's result to `visit` with its
+/// repetition number before folding it in. The repetitions run in
+/// parallel in chunks of `REPETITIONS_PER_WORKER` per worker and fold
+/// in repetition order, so the aggregate is [`aggregate`] of
+/// [`run_repetitions`] bit for bit, and memory does not grow with
+/// `repetitions`.
+///
+/// # Panics
+///
+/// Panics if `repetitions` is zero or above [`MAX_REPETITIONS`].
+pub fn run_repeated_with(
+    scenario: &Scenario,
+    repetitions: usize,
+    mut visit: impl FnMut(usize, &RunResult),
+) -> AggregatedResult {
+    check_repetitions(repetitions);
+    let chunk = REPETITIONS_PER_WORKER * rayon::current_num_threads().max(1);
+    let mut tally: Option<Tally> = None;
+    for first in (0..repetitions).step_by(chunk) {
+        let runs: Vec<RunResult> = (first..repetitions.min(first + chunk))
+            .into_par_iter()
+            .map(|k| run_scenario(repetition(scenario, k)))
+            .collect();
+        for (k, run) in (first..).zip(&runs) {
+            visit(k, run);
+            tally.get_or_insert_with(|| Tally::new(run)).add(run);
+        }
+    }
+    tally.expect("at least one repetition ran").finish()
 }
 
 /// Runs repetitions `0..repetitions` of `scenario` in parallel, the
@@ -112,18 +149,22 @@ pub fn run_repeated(scenario: &Scenario, repetitions: usize) -> AggregatedResult
 ///
 /// Panics if `repetitions` is zero or above [`MAX_REPETITIONS`].
 pub fn run_repetitions(scenario: &Scenario, repetitions: usize) -> Vec<RunResult> {
-    // The documented contract: `raptee-cli` rejects `--reps 0` and
-    // `--reps` above the bound, and every `raptee_bench::Scale` profile
-    // runs at least one repetition.
+    check_repetitions(repetitions);
+    (0..repetitions)
+        .into_par_iter()
+        .map(|k| run_scenario(repetition(scenario, k)))
+        .collect()
+}
+
+/// The documented contract: `raptee-cli` rejects `--reps 0` and `--reps`
+/// above the bound, and every `raptee_bench::Scale` profile runs at
+/// least one repetition.
+fn check_repetitions(repetitions: usize) {
     assert!(repetitions > 0, "need at least one repetition");
     assert!(
         repetitions <= MAX_REPETITIONS,
         "{repetitions} repetitions: seeds stay distinct up to {MAX_REPETITIONS}"
     );
-    (0..repetitions)
-        .into_par_iter()
-        .map(|k| run_scenario(repetition(scenario, k)))
-        .collect()
 }
 
 /// Repetition `k` of `scenario`: the scenario at the seed
@@ -141,120 +182,158 @@ fn repetition(scenario: &Scenario, k: usize) -> Scenario {
 /// Panics on an empty slice.
 pub fn aggregate(results: &[RunResult]) -> AggregatedResult {
     assert!(!results.is_empty(), "cannot aggregate zero results");
-    let n = results.len() as f64;
-    let resilience = results.iter().map(|r| r.resilience).sum::<f64>() / n;
-    // Per-segment means: every repetition runs the same population spec,
-    // so segment k lines up across results.
-    let mean_of = |vals: Vec<f64>| {
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
+    let mut tally = Tally::new(&results[0]);
+    results.iter().for_each(|r| tally.add(r));
+    tally.finish()
+}
+
+/// A running sum and count: the mean of what was added, `None` for
+/// nothing.
+#[derive(Default)]
+struct Mean {
+    sum: f64,
+    count: usize,
+}
+
+impl Mean {
+    fn add(&mut self, x: Option<f64>) {
+        if let Some(x) = x {
+            self.sum += x;
+            self.count += 1;
         }
-    };
-    let segments: Vec<SegmentAggregate> = results[0]
-        .segments
-        .iter()
-        .enumerate()
-        .map(|(k, seg)| SegmentAggregate {
-            protocol: seg.protocol,
-            nodes: seg.nodes,
-            resilience: results
+    }
+
+    fn mean(&self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum / self.count as f64)
+    }
+}
+
+/// One segment's running sums across repetitions.
+struct SegmentTally {
+    protocol: crate::scenario::Protocol,
+    nodes: usize,
+    resilience: f64,
+    discovery_round: Mean,
+    stability_round: Mean,
+}
+
+/// [`aggregate`]'s running sums, folded one result at a time in
+/// repetition order — the order the sums of the slice version ran in,
+/// so both give the same bits.
+struct Tally {
+    runs: usize,
+    resilience: f64,
+    /// Laid out by the first result: every repetition runs the same
+    /// population spec, so segment `k` lines up across results.
+    segments: Vec<SegmentTally>,
+    /// The paper-literal all-nodes round when reached, else the
+    /// scale-robust mean-based round.
+    discovery: Mean,
+    stability: Mean,
+    /// Best-identification precision, recall and F1.
+    identification: [Mean; 3],
+    availability: Mean,
+    time_to_recover: Mean,
+    audit_detection_latency: Mean,
+    audit_convictions: Mean,
+    audit_false_accusations: Mean,
+}
+
+impl Tally {
+    fn new(first: &RunResult) -> Self {
+        Self {
+            runs: 0,
+            resilience: 0.0,
+            segments: first
+                .segments
                 .iter()
-                .filter_map(|r| r.segments.get(k).map(|s| s.resilience))
-                .sum::<f64>()
-                / n,
-            discovery_round: mean_of(
-                results
-                    .iter()
-                    .filter_map(|r| r.segments.get(k).and_then(|s| s.mean_discovery_round))
-                    .collect(),
-            ),
-            stability_round: mean_of(
-                results
-                    .iter()
-                    .filter_map(|r| {
-                        r.segments
-                            .get(k)
-                            .and_then(|s| s.stability_round.map(|x| x as f64))
-                    })
-                    .collect(),
-            ),
-        })
-        .collect();
-    // Prefer the paper-literal all-nodes round when reached; otherwise
-    // fall back to the scale-robust mean-based round.
-    let discovery: Vec<f64> = results
-        .iter()
-        .filter_map(|r| {
-            r.discovery_round
-                .map(|x| x as f64)
-                .or(r.mean_discovery_round)
-        })
-        .collect();
-    let stability: Vec<f64> = results
-        .iter()
-        .filter_map(|r| r.stability_round.map(|x| x as f64))
-        .collect();
-    let discovery_success = discovery.len() as f64 / n;
-    let stability_success = stability.len() as f64 / n;
-    let idents: Vec<_> = results.iter().filter_map(|r| r.identification).collect();
-    let (ip, ir, if1) = if idents.is_empty() {
-        (0.0, 0.0, 0.0)
-    } else {
-        let m = idents.len() as f64;
-        (
-            idents.iter().map(|i| i.precision).sum::<f64>() / m,
-            idents.iter().map(|i| i.recall).sum::<f64>() / m,
-            idents.iter().map(|i| i.f1).sum::<f64>() / m,
-        )
-    };
-    let availability = mean_of(
-        results
-            .iter()
-            .filter_map(|r| r.recovery.as_ref().map(|rec| rec.availability))
-            .collect(),
-    );
-    let time_to_recover = mean_of(
-        results
-            .iter()
-            .filter_map(|r| r.recovery.as_ref().and_then(|rec| rec.mean_time_to_recover))
-            .collect(),
-    );
-    let audit_detection_latency = mean_of(
-        results
-            .iter()
-            .filter_map(|r| r.audit.as_ref().and_then(|a| a.mean_detection_latency))
-            .collect(),
-    );
-    let audit_convictions = mean_of(
-        results
-            .iter()
-            .filter_map(|r| r.audit.as_ref().map(|a| a.convictions as f64))
-            .collect(),
-    );
-    let audit_false_accusations = mean_of(
-        results
-            .iter()
-            .filter_map(|r| r.audit.as_ref().map(|a| a.false_accusations as f64))
-            .collect(),
-    );
-    AggregatedResult {
-        resilience,
-        segments,
-        discovery_round: mean_of(discovery),
-        stability_round: mean_of(stability),
-        ident_precision: ip,
-        ident_recall: ir,
-        ident_f1: if1,
-        repetitions: results.len(),
-        discovery_success,
-        stability_success,
-        availability,
-        time_to_recover,
-        audit_detection_latency,
-        audit_convictions,
-        audit_false_accusations,
+                .map(|seg| SegmentTally {
+                    protocol: seg.protocol,
+                    nodes: seg.nodes,
+                    resilience: 0.0,
+                    discovery_round: Mean::default(),
+                    stability_round: Mean::default(),
+                })
+                .collect(),
+            discovery: Mean::default(),
+            stability: Mean::default(),
+            identification: Default::default(),
+            availability: Mean::default(),
+            time_to_recover: Mean::default(),
+            audit_detection_latency: Mean::default(),
+            audit_convictions: Mean::default(),
+            audit_false_accusations: Mean::default(),
+        }
+    }
+
+    fn add(&mut self, r: &RunResult) {
+        self.runs += 1;
+        self.resilience += r.resilience;
+        for (tally, seg) in self.segments.iter_mut().zip(&r.segments) {
+            tally.resilience += seg.resilience;
+            tally.discovery_round.add(seg.mean_discovery_round);
+            tally
+                .stability_round
+                .add(seg.stability_round.map(|x| x as f64));
+        }
+        let discovery = r
+            .discovery_round
+            .map(|x| x as f64)
+            .or(r.mean_discovery_round);
+        self.discovery.add(discovery);
+        self.stability.add(r.stability_round.map(|x| x as f64));
+        if let Some(i) = r.identification {
+            for (mean, x) in self
+                .identification
+                .iter_mut()
+                .zip([i.precision, i.recall, i.f1])
+            {
+                mean.add(Some(x));
+            }
+        }
+        let recovery = r.recovery.as_ref();
+        self.availability.add(recovery.map(|rec| rec.availability));
+        self.time_to_recover
+            .add(recovery.and_then(|rec| rec.mean_time_to_recover));
+        let audit = r.audit.as_ref();
+        self.audit_detection_latency
+            .add(audit.and_then(|a| a.mean_detection_latency));
+        self.audit_convictions
+            .add(audit.map(|a| a.convictions as f64));
+        self.audit_false_accusations
+            .add(audit.map(|a| a.false_accusations as f64));
+    }
+
+    fn finish(self) -> AggregatedResult {
+        let n = self.runs as f64;
+        let [precision, recall, f1] = self.identification.map(|m| m.mean().unwrap_or(0.0));
+        AggregatedResult {
+            resilience: self.resilience / n,
+            segments: self
+                .segments
+                .into_iter()
+                .map(|seg| SegmentAggregate {
+                    protocol: seg.protocol,
+                    nodes: seg.nodes,
+                    resilience: seg.resilience / n,
+                    discovery_round: seg.discovery_round.mean(),
+                    stability_round: seg.stability_round.mean(),
+                })
+                .collect(),
+            discovery_round: self.discovery.mean(),
+            stability_round: self.stability.mean(),
+            ident_precision: precision,
+            ident_recall: recall,
+            ident_f1: f1,
+            repetitions: self.runs,
+            discovery_success: self.discovery.count as f64 / n,
+            stability_success: self.stability.count as f64 / n,
+            availability: self.availability.mean(),
+            time_to_recover: self.time_to_recover.mean(),
+            audit_detection_latency: self.audit_detection_latency.mean(),
+            audit_convictions: self.audit_convictions.mean(),
+            audit_false_accusations: self.audit_false_accusations.mean(),
+        }
     }
 }
 

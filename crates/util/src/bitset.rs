@@ -55,6 +55,24 @@ impl IdSet {
         }
     }
 
+    /// Whether every index of `range` is in the set (`true` for an
+    /// empty range) — a word at a time.
+    pub fn contains_range(&self, range: std::ops::Range<usize>) -> bool {
+        if range.is_empty() {
+            return true;
+        }
+        let (first, last) = (range.start / 64, (range.end - 1) / 64);
+        if last >= self.words.len() {
+            return false;
+        }
+        (first..=last).all(|w| {
+            let lo = if w == first { range.start % 64 } else { 0 };
+            let hi = if w == last { (range.end - 1) % 64 } else { 63 };
+            let mask = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+            self.words[w] & mask == mask
+        })
+    }
+
     /// Inserts `idx`, growing the backing storage if needed; returns
     /// `true` if it was newly set.
     #[inline]
@@ -176,6 +194,30 @@ mod tests {
         assert!(!s.contains(DENSE_ID_LIMIT));
         assert!(!s.remove(DENSE_ID_LIMIT));
         assert_eq!(s.words(), 1);
+    }
+
+    #[test]
+    fn idset_range_queries_match_one_query_per_index() {
+        let mut s = IdSet::new();
+        for idx in (0..300).filter(|i| i % 97 != 5) {
+            s.insert(idx);
+        }
+        for start in [0, 1, 5, 6, 63, 64, 65, 101, 102, 127, 128, 199, 200] {
+            for end in [
+                start,
+                start + 1,
+                start + 63,
+                start + 64,
+                start + 65,
+                299,
+                300,
+                301,
+                400,
+            ] {
+                let want = (start..end).all(|i| s.contains(i));
+                assert_eq!(s.contains_range(start..end), want, "{start}..{end}");
+            }
+        }
     }
 
     #[test]

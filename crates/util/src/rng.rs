@@ -161,15 +161,9 @@ impl Xoshiro256StarStar {
 
     /// Exactly [`Xoshiro256StarStar::sample`], but over a caller-owned
     /// [`IndexScratch`] and output buffer (cleared first): O(`k`) once the
-    /// scratch has seen a slice this long, and no allocation.
-    ///
-    /// For `k < n = slice.len()` the draws are `j = i + index(n − i)` for
-    /// `i` in `0..k`, each followed by swapping table entries `i` and `j`;
-    /// pick `i` is the entry left at `i`. That sequence is pinned by every
-    /// golden result of the simulation, so the *algorithm* is fixed — what
-    /// the scratch removes is only the O(n) refill of the table: it is the
-    /// identity between calls, and a call puts back the at most `2k`
-    /// entries it moved, also when a `Clone` panics half-way.
+    /// scratch has seen a slice this long, and no allocation. The picks
+    /// are those of [`Xoshiro256StarStar::sample_indices_into`] over
+    /// `slice.len()`, mapped through `slice`.
     pub fn sample_into<T: Clone>(
         &mut self,
         slice: &[T],
@@ -177,10 +171,41 @@ impl Xoshiro256StarStar {
         scratch: &mut IndexScratch,
         out: &mut Vec<T>,
     ) {
+        let mut picked = std::mem::take(&mut scratch.picked);
+        self.sample_indices_into(slice.len(), k, scratch, &mut picked);
         out.clear();
-        let n = slice.len();
+        out.extend(picked.iter().map(|&i| slice[i].clone()));
+        scratch.picked = picked;
+    }
+
+    /// The indices into `0..n` that [`Xoshiro256StarStar::sample_into`]
+    /// picks from a slice of `n` elements, in pick order, into `out`
+    /// (cleared first), with exactly its draws.
+    ///
+    /// For `k < n` the draws are `j = i + index(n − i)` for `i` in `0..k`,
+    /// each followed by swapping table entries `i` and `j`; pick `i` is
+    /// the entry left at `i`. That sequence is pinned by every golden
+    /// result of the simulation, so the *algorithm* is fixed — what the
+    /// scratch removes is only the O(n) refill of the table: it is the
+    /// identity between calls, and a call puts back the at most `2k`
+    /// entries it moved. Pick `i` is fixed by the first `i + 1` draws,
+    /// and each draw's bound depends on `i` alone, so a `k′ < k` call
+    /// from the same state returns the first `k′` picks, and
+    /// [`Xoshiro256StarStar::skip_sample_from`] then takes the generator
+    /// to where the `k` call leaves it.
+    ///
+    /// For `k >= n` the result is a shuffle of `0..n` (the draws of
+    /// [`Xoshiro256StarStar::shuffle`]), which fixes no prefix early.
+    pub fn sample_indices_into(
+        &mut self,
+        n: usize,
+        k: usize,
+        scratch: &mut IndexScratch,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
         if k >= n {
-            out.extend_from_slice(slice);
+            out.extend(0..n);
             self.shuffle(out);
             return;
         }
@@ -189,7 +214,7 @@ impl Xoshiro256StarStar {
             let j = i + self.index(n - i);
             moved.table.swap(i, j);
             moved.prefix = i + 1;
-            out.push(slice[moved.table[i] as usize].clone());
+            out.push(moved.table[i] as usize);
         }
     }
 
@@ -203,9 +228,18 @@ impl Xoshiro256StarStar {
                 self.index(i + 1);
             }
         } else {
-            for i in 0..k {
-                self.index(n - i);
-            }
+            self.skip_sample_from(n, 0, k);
+        }
+    }
+
+    /// Advances the generator past draws `done..k` of a `k`-of-`n`
+    /// sample (`k < n`) whose first `done` draws were made — by a
+    /// `done`-of-`n` [`Xoshiro256StarStar::sample_indices_into`] from the
+    /// same state — leaving it where the whole `k`-of-`n` sample does.
+    pub fn skip_sample_from(&mut self, n: usize, done: usize, k: usize) {
+        debug_assert!(k < n || done >= k, "only a partial draw has a prefix");
+        for i in done..k {
+            self.index(n - i);
         }
     }
 
@@ -216,8 +250,8 @@ impl Xoshiro256StarStar {
     }
 }
 
-/// The index table [`Xoshiro256StarStar::sample_into`] runs its partial
-/// Fisher–Yates over, kept between calls so that drawing `k` of `n` costs
+/// The index table [`Xoshiro256StarStar::sample_indices_into`] runs its
+/// partial Fisher–Yates over, kept between calls so that drawing `k` of `n` costs
 /// `k`, not `n`.
 ///
 /// Invariant: `table[i] == i` whenever no call is in progress. The table
@@ -240,6 +274,9 @@ impl Xoshiro256StarStar {
 #[derive(Debug, Clone, Default)]
 pub struct IndexScratch {
     table: Vec<u32>,
+    /// The picked indices [`Xoshiro256StarStar::sample_into`] maps
+    /// through its slice, kept for reuse.
+    picked: Vec<usize>,
 }
 
 impl IndexScratch {
@@ -604,6 +641,53 @@ mod prop_tests {
                 rng_skip.skip_sample(n, k);
                 prop_assert_eq!(&rng, &rng_skip);
             }
+        }
+
+        /// The picked indices, mapped through the slice, are what
+        /// `sample_into` picks from it, with the same draws.
+        #[test]
+        fn sample_indices_map_to_sample_into(
+            seed in 0u64..10_000,
+            n in 0usize..300,
+            k in 0usize..320,
+        ) {
+            let slice: Vec<u64> = (0..n as u64).map(|i| i * 7 + 3).collect();
+            let mut by_value = Xoshiro256StarStar::seed_from_u64(seed);
+            let mut by_index = by_value.clone();
+            let (mut scratch, mut values, mut picked) =
+                (IndexScratch::default(), Vec::new(), vec![9]);
+            by_value.sample_into(&slice, k, &mut scratch, &mut values);
+            by_index.sample_indices_into(n, k, &mut scratch, &mut picked);
+            scratch.check();
+            let mapped: Vec<u64> = picked.iter().map(|&i| slice[i]).collect();
+            prop_assert_eq!(mapped, values);
+            prop_assert_eq!(by_index, by_value);
+        }
+
+        /// A partial draw fixes its picks in order: `k′ ≤ k` draws from
+        /// the same state give the first `k′` picks, and skipping the
+        /// other `k − k′` draws leaves the generator where all `k` leave
+        /// it.
+        #[test]
+        fn a_sample_prefix_replays_and_skips_to_the_full_draw(
+            seed in 0u64..10_000,
+            n in 1usize..600,
+            k_frac in 0.0f64..1.0,
+            prefix_frac in 0.0f64..=1.0,
+        ) {
+            let k = ((n as f64) * k_frac) as usize;
+            let prefix = ((k as f64) * prefix_frac) as usize;
+            prop_assert!(k < n && prefix <= k);
+            let mut full = Xoshiro256StarStar::seed_from_u64(seed);
+            let mut part = full.clone();
+            let mut scratch = IndexScratch::default();
+            let (mut all, mut head) = (Vec::new(), Vec::new());
+            full.sample_indices_into(n, k, &mut scratch, &mut all);
+            part.sample_indices_into(n, prefix, &mut scratch, &mut head);
+            scratch.check();
+            prop_assert_eq!(&head[..], &all[..prefix]);
+            part.skip_sample_from(n, prefix, k);
+            prop_assert_eq!(part, full);
         }
     }
 }

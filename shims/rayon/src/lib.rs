@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod prelude {
     //! Drop-in for `rayon::prelude::*`.
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter};
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter, RangeParIter};
 }
 
 /// An eager "parallel iterator": the items are materialised up front and
@@ -43,12 +43,22 @@ pub struct ParIter<T> {
     items: Vec<T>,
 }
 
-/// Types convertible into a [`ParIter`] by value (`into_par_iter`).
+/// A parallel iterator over a range, held as its bounds: `map` computes
+/// each item from the start and its offset, so the range itself is
+/// never collected.
+pub struct RangeParIter<T> {
+    range: Range<T>,
+}
+
+/// Types convertible into a parallel iterator by value
+/// (`into_par_iter`).
 pub trait IntoParallelIterator {
     /// The element type.
     type Item: Send;
+    /// The parallel iterator.
+    type Iter;
     /// Converts `self` into a parallel iterator over its items.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
+    fn into_par_iter(self) -> Self::Iter;
 }
 
 /// Types whose references yield a [`ParIter`] of `&T` (`par_iter`).
@@ -61,6 +71,7 @@ pub trait IntoParallelRefIterator<'a> {
 
 impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
+    type Iter = ParIter<T>;
     fn into_par_iter(self) -> ParIter<T> {
         ParIter { items: self }
     }
@@ -70,8 +81,22 @@ macro_rules! range_par_iter {
     ($($t:ty),*) => {$(
         impl IntoParallelIterator for Range<$t> {
             type Item = $t;
-            fn into_par_iter(self) -> ParIter<$t> {
-                ParIter { items: self.collect() }
+            type Iter = RangeParIter<$t>;
+            fn into_par_iter(self) -> RangeParIter<$t> {
+                RangeParIter { range: self }
+            }
+        }
+
+        impl RangeParIter<$t> {
+            /// Applies `f` to every item of the range across the
+            /// persistent thread pool, preserving order; item `i` is
+            /// `start + i`, computed where it is used.
+            pub fn map<R: Send, F: Fn($t) -> R + Sync>(self, f: F) -> ParIter<R> {
+                let Range { start, end } = self.range;
+                let len = if end > start { end.abs_diff(start) as usize } else { 0 };
+                ParIter {
+                    items: par_map_indices(len, |i| f(start.wrapping_add(i as $t))),
+                }
             }
         }
     )*};
@@ -345,6 +370,17 @@ fn par_apply<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Ve
         .collect()
 }
 
+/// [`par_apply`] over the indices `0..len`, which need no cells of
+/// their own: the result slots are the only storage.
+fn par_map_indices<R: Send, F: Fn(usize) -> R + Sync>(len: usize, f: F) -> Vec<R> {
+    let mut cells: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    par_for_each_mut(&mut cells, |i, out| *out = Some(f(i)));
+    cells
+        .into_iter()
+        .map(|r| r.expect("every item computed exactly once"))
+        .collect()
+}
+
 /// A `*mut T` that may cross thread boundaries. Soundness rests on the
 /// claiming discipline of [`par_for_each_scratch`]: every index is handed
 /// out exactly once — by the atomic cursor or the pool's unique worker
@@ -442,6 +478,25 @@ mod tests {
     fn map_preserves_order() {
         let out: Vec<usize> = (0..1000usize).into_par_iter().map(|x| x * 2).collect();
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn range_maps_compute_each_item_from_the_bounds() {
+        let signed: Vec<i64> = (-3i64..3).into_par_iter().map(|x| x * 10).collect();
+        assert_eq!(signed, vec![-30, -20, -10, 0, 10, 20]);
+        let top: Vec<u64> = (u64::MAX - 2..u64::MAX)
+            .into_par_iter()
+            .map(|x| x)
+            .collect();
+        assert_eq!(top, vec![u64::MAX - 2, u64::MAX - 1]);
+        let wide: Vec<i32> = (i32::MIN..i32::MIN + 2)
+            .into_par_iter()
+            .map(|x| x)
+            .collect();
+        assert_eq!(wide, vec![i32::MIN, i32::MIN + 1]);
+        #[allow(clippy::reversed_empty_ranges)]
+        let empty: Vec<u32> = (5u32..2).into_par_iter().map(|x| x).collect();
+        assert!(empty.is_empty());
     }
 
     #[test]

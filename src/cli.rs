@@ -727,8 +727,14 @@ pub fn execute(args: &Args) -> Result<String, CliError> {
 fn cmd_run(args: &Args) -> Result<String, CliError> {
     let scenario = args.scenario()?;
     let reps = args.reps()?;
-    let runs = runner::run_repetitions(&scenario, reps);
-    let agg = runner::aggregate(&runs);
+    // The first run the aggregate contains is the one `--series` prints;
+    // the others are folded in and dropped as they finish.
+    let mut series = Vec::new();
+    let agg = runner::run_repeated_with(&scenario, reps, |k, run| {
+        if k == 0 {
+            series.clone_from(&run.byz_share_series);
+        }
+    });
     let mut out = String::new();
     let population = if scenario.population.is_empty() {
         format!("protocol={}", scenario.protocol.label())
@@ -808,7 +814,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     if args.flag("series") {
         // The first run the aggregate above contains.
         out.push_str("round,byzantine_share\n");
-        for (i, v) in runs[0].byz_share_series.iter().enumerate() {
+        for (i, v) in series.iter().enumerate() {
             out.push_str(&format!("{i},{v:.4}\n"));
         }
     }
