@@ -48,5 +48,7 @@ mod view;
 pub mod wlist;
 
 pub use config::BasaltConfig;
-pub use node::{BasaltNode, BasaltPlan};
+pub use node::BasaltNode;
+/// BASALT plans the same push and pull lists as Brahms.
+pub use raptee_net::RoundPlan as BasaltPlan;
 pub use view::BasaltView;

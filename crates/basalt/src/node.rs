@@ -21,19 +21,9 @@ use crate::config::BasaltConfig;
 use crate::view::BasaltView;
 use crate::wlist::{WaitingList, WlistReport};
 use raptee_crypto::SecretKey;
-use raptee_net::NodeId;
+use raptee_net::{NodeId, RoundPlan};
 use raptee_util::bitset::IdSet;
 use raptee_util::rng::Xoshiro256StarStar;
-
-/// The send targets a node chose for the current round.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BasaltPlan {
-    /// Destinations of push messages (the node's own ID is the payload).
-    pub push_targets: Vec<NodeId>,
-    /// Destinations of pull (exchange) requests — the least-confirmed
-    /// samples, probed first.
-    pub pull_targets: Vec<NodeId>,
-}
 
 /// What happened when a round was finalised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,11 +198,11 @@ impl BasaltNode {
 
     /// Chooses this round's targets: `push_count` uniform draws from the
     /// distinct view (with replacement, like Brahms' `rand(V)`), and the
-    /// `pull_count` least-confirmed samples as exchange partners, into a
-    /// caller-owned plan whose target vectors are cleared and refilled —
-    /// the engine keeps one plan per actor alive across rounds, so
-    /// planning allocates nothing.
-    pub fn plan_round_into(&mut self, plan: &mut BasaltPlan) {
+    /// `pull_count` least-confirmed samples as exchange partners, probed
+    /// first, into a caller-owned plan whose target vectors are cleared
+    /// and refilled — the engine keeps one plan per worker thread alive
+    /// across rounds, so planning allocates nothing.
+    pub fn plan_round_into(&mut self, plan: &mut RoundPlan) {
         plan.push_targets.clear();
         plan.pull_targets.clear();
         self.view
@@ -323,8 +313,8 @@ mod tests {
         range.map(NodeId).collect()
     }
 
-    fn plan(n: &mut BasaltNode) -> BasaltPlan {
-        let mut plan = BasaltPlan::default();
+    fn plan(n: &mut BasaltNode) -> RoundPlan {
+        let mut plan = RoundPlan::default();
         n.plan_round_into(&mut plan);
         plan
     }

@@ -5,6 +5,8 @@
 /// The paper's experiments use `α = β = 0.4`, `γ = 0.2` (the values
 /// recommended by the original Brahms paper) and a view size `l1 = 200`
 /// at `N = 10,000`; `l2` is set equal to `l1` unless stated otherwise.
+/// Only `γ` is a parameter: the rest of the view splits evenly between
+/// pushed and pulled IDs, `α = β = (1 − γ)/2`.
 ///
 /// # Examples
 ///
@@ -20,11 +22,7 @@ pub struct BrahmsConfig {
     pub view_size: usize,
     /// Sample list size `l2`.
     pub sample_size: usize,
-    /// Fraction of the view renewed from pushed IDs.
-    pub alpha: f64,
-    /// Fraction of the view renewed from pulled IDs.
-    pub beta: f64,
-    /// Fraction of the view renewed from the history sample.
+    /// Fraction `γ` of the view renewed from the history sample.
     pub gamma: f64,
     /// Push-flood detection threshold. `None` uses the paper-literal
     /// `α·l1`. At the paper's scale that threshold sits ≈ 4σ above the
@@ -39,22 +37,19 @@ pub struct BrahmsConfig {
 
 impl BrahmsConfig {
     /// The configuration used throughout the paper's evaluation:
-    /// `α = β = 0.4`, `γ = 0.2`. Not validated: a zero size is rejected
-    /// by [`BrahmsConfig::validate`].
+    /// `γ = 0.2`, hence `α = β = 0.4`. Not validated: a zero size is
+    /// rejected by [`BrahmsConfig::validate`].
     pub fn paper_defaults(view_size: usize, sample_size: usize) -> Self {
         Self {
             view_size,
             sample_size,
-            alpha: 0.4,
-            beta: 0.4,
             gamma: 0.2,
             flood_threshold: None,
         }
     }
 
     /// Checks parameter consistency, returning the first broken rule:
-    /// sizes must be positive, no fraction negative, and `α + β + γ`
-    /// within 1e-9 of 1.
+    /// sizes must be positive and `γ` within `[0, 1]`.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.view_size == 0 {
             return Err("view size l1 must be positive");
@@ -62,22 +57,23 @@ impl BrahmsConfig {
         if self.sample_size == 0 {
             return Err("sample size l2 must be positive");
         }
-        // Written as what must hold, so a NaN fails each rule.
-        let non_negative = self.alpha >= 0.0 && self.beta >= 0.0 && self.gamma >= 0.0;
-        if !non_negative {
-            return Err("alpha/beta/gamma must be non-negative");
-        }
-        let sums_to_one = (self.alpha + self.beta + self.gamma - 1.0).abs() < 1e-9;
-        if !sums_to_one {
-            return Err("alpha + beta + gamma must equal 1");
+        // Written as what must hold, so a NaN fails it.
+        if !(0.0..=1.0).contains(&self.gamma) {
+            return Err("gamma must be in [0,1]");
         }
         Ok(())
     }
 
-    /// `⌈α·l1⌉` — pushes sent per round and pushed IDs admitted to the
+    /// `α = β = (1 − γ)/2`: the share of the view renewed from pushed
+    /// IDs, and the same share from pulled IDs.
+    fn alpha(&self) -> f64 {
+        (1.0 - self.gamma) / 2.0
+    }
+
+    /// `α·l1`, rounded — pushes sent per round and pushed IDs admitted to the
     /// renewed view.
     pub fn alpha_count(&self) -> usize {
-        (self.alpha * self.view_size as f64).round() as usize
+        (self.alpha() * self.view_size as f64).round() as usize
     }
 
     /// The effective push-flood threshold (defence (ii)).
@@ -85,13 +81,14 @@ impl BrahmsConfig {
         self.flood_threshold.unwrap_or_else(|| self.alpha_count())
     }
 
-    /// `⌈β·l1⌉` — pull requests sent per round and pulled IDs admitted to
-    /// the renewed view.
+    /// `β·l1`, rounded — pull requests sent per round and pulled IDs admitted to
+    /// the renewed view; equal to [`BrahmsConfig::alpha_count`], since
+    /// `β = α`.
     pub fn beta_count(&self) -> usize {
-        (self.beta * self.view_size as f64).round() as usize
+        self.alpha_count()
     }
 
-    /// `⌈γ·l1⌉` — history-sample entries admitted to the renewed view.
+    /// `γ·l1`, rounded — history-sample entries admitted to the renewed view.
     pub(crate) fn gamma_count(&self) -> usize {
         (self.gamma * self.view_size as f64).round() as usize
     }
@@ -114,30 +111,25 @@ mod tests {
     }
 
     #[test]
-    fn counts_round_correctly() {
-        let cfg = BrahmsConfig {
-            view_size: 10,
-            sample_size: 10,
-            alpha: 0.45,
-            beta: 0.35,
-            gamma: 0.2,
-            flood_threshold: None,
-        };
-        assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!(cfg.alpha_count(), 5); // 4.5 rounds to 5
-        assert_eq!(cfg.beta_count(), 4); // 3.5 rounds to 4
-        assert_eq!(cfg.gamma_count(), 2);
+    fn the_paper_split_is_alpha_and_beta_of_four_tenths() {
+        // The counts the literal α = β = 0.4 gave, bit for bit.
+        for l1 in 1..=1000 {
+            let cfg = BrahmsConfig::paper_defaults(l1, l1);
+            let literal = (0.4 * l1 as f64).round() as usize;
+            assert_eq!((cfg.alpha_count(), cfg.beta_count()), (literal, literal));
+        }
     }
 
     #[test]
-    fn fractions_must_sum_to_one() {
+    fn counts_round_correctly() {
         let cfg = BrahmsConfig {
-            alpha: 0.5,
-            beta: 0.5,
-            gamma: 0.5,
+            gamma: 0.1,
             ..BrahmsConfig::paper_defaults(10, 10)
         };
-        assert_eq!(cfg.validate(), Err("alpha + beta + gamma must equal 1"));
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(cfg.alpha_count(), 5); // 4.5 rounds to 5
+        assert_eq!(cfg.beta_count(), 5);
+        assert_eq!(cfg.gamma_count(), 1);
     }
 
     #[test]
@@ -153,13 +145,20 @@ mod tests {
     }
 
     #[test]
-    fn negative_fraction_rejected() {
-        let cfg = BrahmsConfig {
-            alpha: -0.2,
-            beta: 1.0,
-            gamma: 0.2,
-            ..BrahmsConfig::paper_defaults(10, 10)
-        };
-        assert_eq!(cfg.validate(), Err("alpha/beta/gamma must be non-negative"));
+    fn gamma_outside_the_unit_interval_rejected() {
+        for gamma in [-0.2, 1.5, f64::NAN] {
+            let cfg = BrahmsConfig {
+                gamma,
+                ..BrahmsConfig::paper_defaults(10, 10)
+            };
+            assert_eq!(cfg.validate(), Err("gamma must be in [0,1]"), "{gamma}");
+        }
+        for gamma in [0.0, 1.0] {
+            let cfg = BrahmsConfig {
+                gamma,
+                ..BrahmsConfig::paper_defaults(10, 10)
+            };
+            assert_eq!(cfg.validate(), Ok(()), "{gamma}");
+        }
     }
 }

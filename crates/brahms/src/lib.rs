@@ -41,5 +41,6 @@ mod node;
 mod stream;
 
 pub use config::BrahmsConfig;
-pub use node::{BrahmsNode, FinishScratch, RoundPlan, RoundReport};
+pub use node::{BrahmsNode, FinishScratch, RoundReport};
+pub use raptee_net::RoundPlan;
 pub use stream::{AnswerSource, NoAnswers, Rope, Segment, SliceRope};

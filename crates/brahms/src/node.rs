@@ -17,18 +17,9 @@
 use crate::config::BrahmsConfig;
 use crate::stream::{AnswerSource, Rope, RopeScratch, Segment, SliceRope};
 use raptee_gossip::view::{View, ViewEntry};
-use raptee_net::NodeId;
+use raptee_net::{NodeId, RoundPlan};
 use raptee_sampler::SamplerArray;
 use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
-
-/// The send targets a node chose for the current round.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RoundPlan {
-    /// Destinations of push messages (the node's own ID is the payload).
-    pub push_targets: Vec<NodeId>,
-    /// Destinations of pull requests.
-    pub pull_targets: Vec<NodeId>,
-}
 
 /// What happened when a round was finalised — exposed for metrics and for
 /// the attack-detection tests.
@@ -114,18 +105,12 @@ impl BrahmsNode {
             panic!("{rule}");
         }
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut view = View::new(id, config.view_size);
-        for &b in bootstrap {
-            if view.len() == config.view_size {
-                break;
-            }
-            view.insert_fresh(b);
-        }
+        let view = bootstrap_view(id, config.view_size, bootstrap);
         let mut sampler = SamplerArray::new(config.sample_size, &mut rng);
         // The bootstrap list is the first observed stream. It bypasses the
-        // seen-cache: whoever builds a large population caps the cache
-        // after this returns (`limit_seen_cache`), and must not pay for a
-        // bitset up to the largest bootstrap ID in every node first.
+        // seen-cache: whoever builds a large population disables the cache
+        // after this returns (`disable_seen_cache`), and must not pay for
+        // a bitset up to the largest bootstrap ID in every node first.
         sampler.observe_all_uncached(view.ids());
         Self {
             config,
@@ -143,15 +128,9 @@ impl BrahmsNode {
     /// survive).
     pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut view = View::new(self.id(), self.config.view_size);
-        for &b in bootstrap {
-            if view.len() == self.config.view_size {
-                break;
-            }
-            view.insert_fresh(b);
-        }
-        // Re-seeded in place so that a seen-cache the engine capped stays
-        // capped.
+        let view = bootstrap_view(self.id(), self.config.view_size, bootstrap);
+        // Re-seeded in place so that a seen-cache the engine disabled
+        // stays disabled.
         self.sampler.reinit(&mut rng);
         self.sampler.observe_all(view.ids());
         self.view = view;
@@ -395,6 +374,19 @@ impl BrahmsNode {
     }
 }
 
+/// `owner`'s first view: the first `view_size` distinct IDs of
+/// `bootstrap` other than `owner`, all fresh.
+fn bootstrap_view(owner: NodeId, view_size: usize, bootstrap: &[NodeId]) -> View {
+    let mut view = View::new(owner, view_size);
+    for &b in bootstrap {
+        if view.len() == view_size {
+            break;
+        }
+        view.insert_fresh(b);
+    }
+    view
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,7 +435,7 @@ mod tests {
         // What the engine does to every node of a population too large
         // for per-node caches; a restart must not quietly undo it.
         let mut n = node(10);
-        n.sampler_mut().limit_seen_cache(0);
+        n.sampler_mut().disable_seen_cache();
         let boot = ids(100..110);
         n.rejoin_cold(&boot, 99);
         n.record_push(NodeId(55));
@@ -465,7 +457,7 @@ mod tests {
         let boot = ids(999_000..999_010);
         let mut n = BrahmsNode::new(NodeId(0), cfg(10), &boot, 7);
         assert_eq!(n.sampler().seen_cache_words(), 0, "nothing grown by `new`");
-        n.sampler_mut().limit_seen_cache(0);
+        n.sampler_mut().disable_seen_cache();
         n.record_push(NodeId(999_500));
         n.record_pulled(&ids(998_000..998_100));
         n.finish_round();

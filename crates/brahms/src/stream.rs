@@ -122,12 +122,6 @@ pub(crate) struct RopeScratch {
     drawn: Vec<NodeId>,
 }
 
-/// The identity a dense arena index stands for.
-#[inline]
-fn widen(idx: NodeIdx) -> NodeId {
-    NodeId(u64::from(idx.0))
-}
-
 impl<'a, 's: 'a, A: AnswerSource, I: Iterator<Item = Segment<'s>> + Clone> Rope<'a, A, I> {
     /// The stream of `segments`, in order; `answers` draws their
     /// [`Segment::Drawn`] answers.
@@ -194,7 +188,7 @@ impl<'a, 's: 'a, A: AnswerSource, I: Iterator<Item = Segment<'s>> + Clone> Rope<
         for segment in self.pieces() {
             match segment {
                 Segment::Ids(ids) => out.extend_from_slice(ids),
-                Segment::Dense(ids) => out.extend(ids.iter().map(|&i| widen(i))),
+                Segment::Dense(ids) => out.extend(ids.iter().map(|&i| i.id())),
                 Segment::Drawn(slot) => {
                     let len = self.answers.answer_len();
                     self.answers.draw(slot, len, &mut st.idx, &mut st.drawn);
@@ -219,7 +213,7 @@ impl<'a, 's: 'a, A: AnswerSource, I: Iterator<Item = Segment<'s>> + Clone> Rope<
             match segment {
                 Segment::Ids(ids) => visit(me, at, ids.iter().copied(), feed, &mut st.own),
                 Segment::Dense(ids) => {
-                    visit(me, at, ids.iter().map(|&i| widen(i)), feed, &mut st.own)
+                    visit(me, at, ids.iter().map(|&i| i.id()), feed, &mut st.own)
                 }
                 Segment::Drawn(slot) => {
                     let answers = self.answers;
@@ -290,7 +284,7 @@ impl<'a, 's: 'a, A: AnswerSource, I: Iterator<Item = Segment<'s>> + Clone> Rope<
                     }
                     Segment::Dense(ids) => {
                         for (at, k) in inside.iter().map(|&p| unpack(p)) {
-                            out[k] = widen(ids[at - start]);
+                            out[k] = ids[at - start].id();
                         }
                     }
                     Segment::Drawn(slot) => {

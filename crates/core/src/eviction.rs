@@ -19,19 +19,18 @@
 pub enum EvictionPolicy {
     /// A constant eviction rate in `[0, 1]` for the whole run.
     Fixed(f64),
-    /// The paper's adaptive rule: `rate = clamp(1 − trusted_share, lo, hi)`.
-    Adaptive {
-        /// Lower bound on the rate (paper: 0.2).
-        lo: f64,
-        /// Upper bound on the rate (paper: 0.8).
-        hi: f64,
-    },
+    /// The paper's adaptive rule: `rate = clamp(1 − trusted_share, 0.2,
+    /// 0.8)`. Build it with [`EvictionPolicy::adaptive`].
+    Adaptive,
 }
 
 impl EvictionPolicy {
+    /// The adaptive rate's published bounds (paper Fig. 9: 20 % and 80 %).
+    const ADAPTIVE_BOUNDS: (f64, f64) = (0.2, 0.8);
+
     /// The paper's adaptive policy with its published 20 %/80 % bounds.
     pub fn adaptive() -> Self {
-        EvictionPolicy::Adaptive { lo: 0.2, hi: 0.8 }
+        EvictionPolicy::Adaptive
     }
 
     /// No eviction (0 % rate) — also what plain-Brahms behaviour uses.
@@ -43,16 +42,11 @@ impl EvictionPolicy {
     ///
     /// # Errors
     ///
-    /// The broken rule when a rate or bound leaves `[0, 1]` or `lo > hi`.
+    /// The broken rule when a fixed rate leaves `[0, 1]`.
     pub fn validate(&self) -> Result<(), &'static str> {
-        let unit = |x: f64| (0.0..=1.0).contains(&x);
         match *self {
-            EvictionPolicy::Fixed(r) if !unit(r) => Err("eviction rate must be in [0,1]"),
-            EvictionPolicy::Adaptive { lo, hi } if !(unit(lo) && unit(hi)) => {
-                Err("bounds must be in [0,1]")
-            }
-            EvictionPolicy::Adaptive { lo, hi } if lo > hi => {
-                Err("adaptive lower bound must not exceed upper bound")
+            EvictionPolicy::Fixed(r) if !(0.0..=1.0).contains(&r) => {
+                Err("eviction rate must be in [0,1]")
             }
             _ => Ok(()),
         }
@@ -67,7 +61,10 @@ impl EvictionPolicy {
     pub(crate) fn rate(&self, trusted_share: f64) -> f64 {
         match *self {
             EvictionPolicy::Fixed(r) => r,
-            EvictionPolicy::Adaptive { lo, hi } => (1.0 - trusted_share).clamp(lo, hi),
+            EvictionPolicy::Adaptive => {
+                let (lo, hi) = Self::ADAPTIVE_BOUNDS;
+                (1.0 - trusted_share).clamp(lo, hi)
+            }
         }
     }
 
@@ -75,7 +72,7 @@ impl EvictionPolicy {
     pub fn label(&self) -> String {
         match *self {
             EvictionPolicy::Fixed(r) => format!("ER-{:.0}%", r * 100.0),
-            EvictionPolicy::Adaptive { .. } => "adaptive".to_string(),
+            EvictionPolicy::Adaptive => "adaptive".to_string(),
         }
     }
 }
@@ -144,49 +141,20 @@ mod tests {
     }
 
     #[test]
-    fn custom_adaptive_bounds_clamp_the_rate() {
-        let p = EvictionPolicy::Adaptive { lo: 0.3, hi: 0.6 };
-        assert_eq!(p.validate(), Ok(()));
-        assert_eq!(p.rate(0.0), 0.6);
-        assert_eq!(p.rate(0.9), 0.3);
-        assert!((p.rate(0.55) - 0.45).abs() < 1e-12);
-        assert_eq!(p.label(), "adaptive");
-    }
-
-    #[test]
     fn closed_interval_endpoints_validate() {
-        for p in [
-            EvictionPolicy::Fixed(0.0),
-            EvictionPolicy::Fixed(1.0),
-            EvictionPolicy::Adaptive { lo: 0.0, hi: 1.0 },
-            EvictionPolicy::Adaptive { lo: 0.5, hi: 0.5 },
-        ] {
+        for p in [EvictionPolicy::Fixed(0.0), EvictionPolicy::Fixed(1.0)] {
             assert_eq!(p.validate(), Ok(()));
         }
         assert_eq!(EvictionPolicy::Fixed(1.0).label(), "ER-100%");
     }
 
     #[test]
-    fn out_of_range_adaptive_bound_rejected() {
-        assert_eq!(
-            EvictionPolicy::Adaptive { lo: -0.1, hi: 0.5 }.validate(),
-            Err("bounds must be in [0,1]")
-        );
-    }
-
-    #[test]
     fn out_of_range_fixed_rejected() {
-        assert_eq!(
-            EvictionPolicy::Fixed(1.2).validate(),
-            Err("eviction rate must be in [0,1]")
-        );
-    }
-
-    #[test]
-    fn inverted_bounds_rejected() {
-        assert_eq!(
-            EvictionPolicy::Adaptive { lo: 0.9, hi: 0.1 }.validate(),
-            Err("adaptive lower bound must not exceed upper bound")
-        );
+        for r in [-0.1, 1.2, f64::NAN] {
+            assert_eq!(
+                EvictionPolicy::Fixed(r).validate(),
+                Err("eviction rate must be in [0,1]")
+            );
+        }
     }
 }

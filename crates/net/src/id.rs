@@ -59,7 +59,8 @@ impl std::fmt::Display for NodeId {
 /// the node); `NodeIdx` is the simulation-internal arena slot. A sparse
 /// population would assign slots through an [`IdInterner`]; the
 /// simulation numbers its actors densely from 0, so there the slot is
-/// the identity cast to `u32` and nothing is interned. Arena-sized
+/// the identity cast to `u32` ([`NodeIdx::of`], back with
+/// [`NodeIdx::id`]) and nothing is interned. Arena-sized
 /// buffers (push runs, plan rows, counting-sort scratch, snapshot arenas)
 /// store `NodeIdx` and halve their footprint, which is what keeps
 /// million-node scratch state in cache-friendly territory.
@@ -72,11 +73,27 @@ impl std::fmt::Display for NodeId {
 /// let idx = interner.intern(NodeId(7));
 /// assert_eq!(idx, interner.intern(NodeId(7))); // stable
 /// assert_eq!(NodeIdx(0), interner.intern(NodeId(7)));
+/// assert_eq!(NodeIdx::of(NodeId(7)).id(), NodeId(7)); // the dense cast
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeIdx(pub u32);
 
 impl NodeIdx {
+    /// The slot of `id` in a population numbered densely from 0, where
+    /// the identity *is* the index: a cast, which truncates an ID at or
+    /// above 2³².
+    #[inline]
+    pub fn of(id: NodeId) -> Self {
+        NodeIdx(id.0 as u32)
+    }
+
+    /// The identity this slot stands for in a dense population (the
+    /// inverse of [`NodeIdx::of`]).
+    #[inline]
+    pub fn id(self) -> NodeId {
+        NodeId(u64::from(self.0))
+    }
+
     /// The arena slot as a `usize` (for indexing role tables and SoA
     /// arenas).
     pub fn index(self) -> usize {
@@ -197,6 +214,14 @@ mod tests {
         assert_eq!(NodeIdx(9).index(), 9);
         assert_eq!(NodeIdx(u32::MAX).index(), u32::MAX as usize);
         assert!(NodeIdx(1) < NodeIdx(2));
+    }
+
+    #[test]
+    fn the_dense_cast_round_trips_below_two_to_the_32() {
+        for raw in [0, 1, 7, u64::from(u32::MAX)] {
+            assert_eq!(NodeIdx::of(NodeId(raw)).id(), NodeId(raw));
+            assert_eq!(NodeIdx::of(NodeId(raw)).index() as u64, raw);
+        }
     }
 
     #[test]

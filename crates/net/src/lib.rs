@@ -9,6 +9,7 @@
 //! * [`NodeId`], the transport address of a simulated node, its dense
 //!   arena slot [`NodeIdx`], and [`IdInterner`], the mapping between the
 //!   two that a population with sparse wire IDs would need.
+//! * [`RoundPlan`], the push and pull targets a node draws each round.
 //! * [`PushRateLimiter`], the "limited pushes" defence
 //!   Brahms assumes (computational puzzles / virtual currency): it caps
 //!   how many pushes any identity can emit per round, which bounds the
@@ -26,8 +27,10 @@
 
 mod channel;
 mod id;
+mod plan;
 mod rate;
 
 pub use channel::SecureChannel;
 pub use id::{IdInterner, NodeId, NodeIdx};
+pub use plan::RoundPlan;
 pub use rate::PushRateLimiter;

@@ -148,10 +148,10 @@ pub struct SamplerArray {
     seen: IdSet,
     /// IDs at or above this bound bypass the seen-cache (they take the
     /// full hash loop, which is always correct — just slower on
-    /// repeats). Defaults to [`DENSE_ID_LIMIT`]; million-node
-    /// populations lower it to 0 via
-    /// [`SamplerArray::limit_seen_cache`], because a per-node cache of
-    /// `max_id/64` words is an O(N²/64) memory bill at that scale.
+    /// repeats): [`DENSE_ID_LIMIT`], or 0 once
+    /// [`SamplerArray::disable_seen_cache`] ran, which large populations
+    /// call because a per-node cache of `max_id/64` words is an
+    /// O(N²/64) memory bill at that scale.
     seen_limit: usize,
 }
 
@@ -176,8 +176,8 @@ impl SamplerArray {
 
     /// Re-draws every hash function from `rng` — the draws of
     /// [`SamplerArray::new`] — and forgets every sample, keeping the lane
-    /// allocations and the seen-cache limit: a node restarted cold in a
-    /// population that runs uncached must stay uncached.
+    /// allocations and whether the seen-cache is on: a node restarted
+    /// cold in a population that runs uncached must stay uncached.
     pub fn reinit(&mut self, rng: &mut Xoshiro256StarStar) {
         let len = self.len;
         let (seeds, best, _) = self.lanes_mut();
@@ -243,20 +243,19 @@ impl SamplerArray {
         ids.is_empty() || (ids.end <= self.seen_limit && self.seen.contains_range(ids))
     }
 
-    /// Caps the seen-cache to IDs below `limit` and *frees* the backing
-    /// storage (the bitset words already span `max_id_seen / 8` bytes by
-    /// the time a caller can cap a freshly-bootstrapped node — `clear`
-    /// alone would keep that allocation alive). The cache is a pure
-    /// optimisation — min-wise sampling is idempotent under repetition —
-    /// so any limit, including 0 (cache disabled), leaves every sample
-    /// unchanged. Large populations disable it to keep per-node memory
-    /// O(l2) instead of O(max_id).
-    pub fn limit_seen_cache(&mut self, limit: usize) {
-        self.seen_limit = limit.min(DENSE_ID_LIMIT);
+    /// Turns the seen-cache off for good and *frees* its backing storage
+    /// (the bitset words may already span `max_id_seen / 8` bytes by the
+    /// time a caller can disable a freshly-bootstrapped node's cache —
+    /// `clear` alone would keep that allocation alive). The cache is a
+    /// pure optimisation — min-wise sampling is idempotent under
+    /// repetition — so every sample stays unchanged. Large populations
+    /// disable it to keep per-node memory O(l2) instead of O(max_id).
+    pub fn disable_seen_cache(&mut self) {
+        self.seen_limit = 0;
         self.seen = IdSet::new();
     }
 
-    /// Number of IDs the seen-cache holds (0 while it is limited to 0).
+    /// Number of IDs the seen-cache holds (0 while it is disabled).
     pub fn seen_cached(&self) -> usize {
         self.seen.count()
     }
@@ -294,7 +293,7 @@ impl SamplerArray {
     /// filling the seen-cache. Same samples as
     /// [`SamplerArray::observe_all`] (the cache only ever skips work); a
     /// later repeat of one of these IDs is hashed once more. For a stream
-    /// observed before the owner of the array could cap the cache — a
+    /// observed before the owner of the array could disable the cache — a
     /// node's bootstrap list — so that a population that runs uncached
     /// never allocates `max_id / 8` bytes per node just to free them.
     pub fn observe_all_uncached<I: IntoIterator<Item = NodeId>>(&mut self, ids: I) {
@@ -302,7 +301,7 @@ impl SamplerArray {
     }
 
     /// Words of backing storage the seen-cache holds (0 until it first
-    /// caches an ID, and again after [`SamplerArray::limit_seen_cache`]).
+    /// caches an ID, and again after [`SamplerArray::disable_seen_cache`]).
     pub fn seen_cache_words(&self) -> usize {
         self.seen.words()
     }
@@ -671,7 +670,7 @@ mod tests {
                 let mut rng = Xoshiro256StarStar::seed_from_u64(len as u64);
                 let mut one_by_one = SamplerArray::new(24, &mut rng);
                 if uncached {
-                    one_by_one.limit_seen_cache(0);
+                    one_by_one.disable_seen_cache();
                 }
                 let (mut all, mut bypass) = (one_by_one.clone(), one_by_one.clone());
                 stream.iter().for_each(|&id| one_by_one.observe(id));
@@ -710,15 +709,17 @@ mod tests {
         assert!(arr.has_seen_all(10..200) && arr.has_seen_all(64..128));
         assert!(arr.has_seen_all(5..5), "an empty range");
         assert!(!arr.has_seen_all(9..20) && !arr.has_seen_all(150..201));
-        arr.limit_seen_cache(100);
-        arr.observe_all((10..200).map(NodeId));
-        assert!(arr.has_seen_all(10..100));
+        let top = DENSE_ID_LIMIT as u64;
+        arr.observe_all((top - 2..top + 2).map(NodeId));
+        assert!(arr.has_seen_all(DENSE_ID_LIMIT - 2..DENSE_ID_LIMIT));
         assert!(
-            !arr.has_seen_all(10..101),
+            !arr.has_seen_all(DENSE_ID_LIMIT - 2..DENSE_ID_LIMIT + 1),
             "IDs at the limit are never cached"
         );
-        arr.limit_seen_cache(0);
+        arr.disable_seen_cache();
+        arr.observe_all((10..200).map(NodeId));
         assert!(!arr.has_seen_all(10..11));
+        assert!(arr.has_seen_all(5..5), "an empty range, still");
     }
 
     #[test]
@@ -838,30 +839,31 @@ mod tests {
     }
 
     #[test]
-    fn the_cache_limit_bounds_what_is_cached() {
+    fn disabling_the_cache_frees_it_and_caches_nothing_after() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(12);
         let mut arr = SamplerArray::new(4, &mut rng);
         arr.observe(NodeId(200));
         assert_eq!((arr.seen_cached(), arr.seen_cache_words()), (1, 4));
-        arr.limit_seen_cache(100);
+        arr.disable_seen_cache();
         assert_eq!(
             (arr.seen_cached(), arr.seen_cache_words()),
             (0, 0),
-            "a new limit drops the cache"
+            "disabling drops the cache"
         );
         arr.observe_all([NodeId(200), NodeId(99)]);
-        assert_eq!((arr.seen_cached(), arr.seen_cache_words()), (1, 2));
+        arr.observe(NodeId(5));
+        assert_eq!((arr.seen_cached(), arr.seen_cache_words()), (0, 0));
     }
 
     #[test]
     fn disabled_seen_cache_is_observationally_invisible() {
-        // With the cache limited to 0 every observe takes the full hash
+        // With the cache disabled every observe takes the full hash
         // loop; samples must match the cached array exactly, and the
         // cache must never allocate.
         let mut rng = Xoshiro256StarStar::seed_from_u64(33);
         let mut cached = SamplerArray::new(16, &mut rng);
         let mut uncached = cached.clone();
-        uncached.limit_seen_cache(0);
+        uncached.disable_seen_cache();
         for rep in 0..3 {
             for id in 0..300u64 {
                 let id = NodeId(id * (rep + 1) % 257);
@@ -879,7 +881,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(41);
         let mut arr = SamplerArray::new(100, &mut rng);
         arr.observe_all((0..300).map(NodeId));
-        arr.limit_seen_cache(0);
+        arr.disable_seen_cache();
         let lanes = arr.lanes.as_ptr();
 
         arr.reinit(&mut Xoshiro256StarStar::seed_from_u64(42));
@@ -1027,7 +1029,7 @@ mod prop_tests {
             let mut rng_ref = rng.clone();
             let mut arr = SamplerArray::new(l2, &mut rng);
             if uncached {
-                arr.limit_seen_cache(0);
+                arr.disable_seen_cache();
             }
             let mut reference = Reference::new(l2, &mut rng_ref);
             assert_matches(&arr, &reference);
@@ -1059,7 +1061,7 @@ mod prop_tests {
                             reference.validate(is_alive, &mut rng_ref)
                         );
                     }
-                    _ => arr.limit_seen_cache([0, 20, DENSE_ID_LIMIT, usize::MAX][a as usize % 4]),
+                    _ => arr.disable_seen_cache(),
                 }
                 assert_matches(&arr, &reference);
             }

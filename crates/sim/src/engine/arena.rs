@@ -6,9 +6,8 @@
 use super::population::Node;
 use crate::adversary::PushPlan;
 use crate::bitset::DiscoveryRows;
-use raptee_basalt::BasaltPlan;
-use raptee_brahms::{FinishScratch, RoundPlan};
-use raptee_net::{NodeId, NodeIdx};
+use raptee_brahms::FinishScratch;
+use raptee_net::{NodeId, NodeIdx, RoundPlan};
 use raptee_util::rng::Xoshiro256StarStar;
 
 /// Rounds of per-node share smoothing for the spread-stability check.
@@ -152,11 +151,8 @@ pub(super) struct WorkerScratch {
     /// Brahms finalisation scratch (renewal draws, and the buffers the
     /// pulled stream is read and Byzantine answers are drawn with).
     pub(super) finish: FinishScratch,
-    /// The plan a Brahms/RAPTEE node draws into before it is copied to
-    /// the plan rows.
+    /// The plan a node draws into before it is copied to the plan rows.
     pub(super) plan: RoundPlan,
-    /// The same for a ranked-family node.
-    pub(super) ranked_plan: BasaltPlan,
 }
 
 /// One fixed-stride row of dense IDs per population index plus each
@@ -213,7 +209,7 @@ impl IdBlock<'_> {
         let len = ids.len();
         let row = &mut self.ids[k * self.stride..(k + 1) * self.stride];
         for (slot, id) in row[..len].iter_mut().zip(ids) {
-            *slot = narrow(id);
+            *slot = NodeIdx::of(id);
         }
         self.len[k] = len as u32;
     }
@@ -269,7 +265,7 @@ impl PushLane {
             .map_or(0, |prev| self.counts[prev] as usize);
         self.sorted[start..self.counts[t] as usize]
             .iter()
-            .map(|&advertised| widen(advertised))
+            .map(|&advertised| advertised.id())
     }
 }
 
@@ -356,20 +352,6 @@ pub(super) struct FinishBlock<'a> {
     pub(super) rings: ShareRingBlock<'a>,
 }
 
-/// Narrows a wire identity to its dense arena index: a cast, because
-/// the simulation numbers its actors `0..total_actors()` (Byzantine
-/// prefix first), so the identity *is* the index.
-#[inline]
-pub(super) fn narrow(id: NodeId) -> NodeIdx {
-    NodeIdx(id.0 as u32)
-}
-
-/// Widens a dense arena index back to the wire identity (see [`narrow`]).
-#[inline]
-pub(super) fn widen(idx: NodeIdx) -> NodeId {
-    NodeId(u64::from(idx.0))
-}
-
 /// Split-borrows two distinct population entries.
 pub(super) fn two_nodes<N>(nodes: &mut [N], a: usize, b: usize) -> (&mut N, &mut N) {
     assert_ne!(a, b, "cannot borrow the same node twice");
@@ -435,7 +417,7 @@ mod tests {
                 }
                 assert_eq!(next, pop);
                 for ci in 0..pop {
-                    let want: Vec<NodeIdx> = ids(ci).map(narrow).collect();
+                    let want: Vec<NodeIdx> = ids(ci).map(NodeIdx::of).collect();
                     assert_eq!(rows.row(ci), &want[..], "stride {stride}, row {ci}");
                 }
                 if pop > stride {

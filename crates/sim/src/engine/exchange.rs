@@ -6,12 +6,12 @@
 //! apply phase. Ranked-family answers are ranked on arrival and shape
 //! later answers, so they cannot shard.
 
-use super::arena::{narrow, two_nodes, widen, PullEvent, Scratch};
+use super::arena::{two_nodes, PullEvent, Scratch};
 use super::Simulation;
 use crate::event::PullGate;
 use raptee::RapteeNode;
 use raptee_crypto::auth::AuthOutcome;
-use raptee_net::NodeId;
+use raptee_net::{NodeId, NodeIdx};
 
 impl Simulation {
     /// Runs the round's pulls. Answers deferred from earlier rounds
@@ -38,14 +38,14 @@ impl Simulation {
                 }
                 s.reply.clear();
                 s.reply
-                    .extend(self.net.due_ids(ans).iter().map(|&idx| widen(idx)));
+                    .extend(self.net.due_ids(ans).iter().map(|&idx| idx.id()));
                 self.deliver(ci, ans.from, false, PullGate::Inline, s);
             }
             if !s.live[ci] {
                 continue;
             }
             for k in 0..s.pulls.row(ci).len() {
-                let target = widen(s.pulls.row(ci)[k]);
+                let target = s.pulls.row(ci)[k].id();
                 if let Some(gate) = self.open_pull(ci, target, s) {
                     self.pull(ci, target, gate, s);
                 }
@@ -202,7 +202,7 @@ impl Simulation {
             self.nodes[ci].raptee_mut().record_trusted_pull(&s.reply);
         } else {
             let start = s.arena.len() as u32;
-            s.arena.extend(s.reply.iter().map(|&id| narrow(id)));
+            s.arena.extend(s.reply.iter().map(|&id| NodeIdx::of(id)));
             s.events.push(PullEvent::Arena {
                 start,
                 len: s.reply.len() as u32,

@@ -4,8 +4,8 @@
 //! attack, and apply.
 
 use super::arena::{
-    narrow, two_nodes, widen, FinishBlock, PlanBlock, PullEvent, PushLane, RoundStat, Scratch,
-    WorkerScratch, BLOCK,
+    two_nodes, FinishBlock, PlanBlock, PullEvent, PushLane, RoundStat, Scratch, WorkerScratch,
+    BLOCK,
 };
 use super::population::Node;
 use super::Simulation;
@@ -15,7 +15,7 @@ use crate::event::Lane as NetLane;
 use crate::metrics::IdentificationResult;
 use raptee::RapteeNode;
 use raptee_brahms::{Rope, Segment};
-use raptee_net::NodeId;
+use raptee_net::{NodeId, NodeIdx};
 use raptee_util::rng::mix64;
 
 /// Salt of the proactive trusted-directory partner draws — a dedicated
@@ -82,20 +82,13 @@ impl Simulation {
                     block.snaps.store(k, std::iter::empty());
                     continue;
                 }
-                let (pushes, pulls) = match node {
-                    Node::Raptee(node) => {
-                        node.plan_round_into(&mut ws.plan);
-                        let view = node.brahms().view().entries();
-                        block.snaps.store(k, view.iter().map(|e| e.id));
-                        (&ws.plan.push_targets, &ws.plan.pull_targets)
-                    }
-                    node => {
-                        node.plan_ranked_into(&mut ws.ranked_plan);
-                        (&ws.ranked_plan.push_targets, &ws.ranked_plan.pull_targets)
-                    }
-                };
-                block.pushes.store(k, pushes.iter().copied());
-                block.pulls.store(k, pulls.iter().copied());
+                node.plan_into(&mut ws.plan);
+                if let Node::Raptee(node) = node {
+                    let view = node.brahms().view().entries();
+                    block.snaps.store(k, view.iter().map(|e| e.id));
+                }
+                block.pushes.store(k, ws.plan.push_targets.iter().copied());
+                block.pulls.store(k, ws.plan.pull_targets.iter().copied());
             }
         });
     }
@@ -188,7 +181,7 @@ impl Simulation {
         // discarded — honest nodes blacklist the quarantined ID.
         if let Some(aud) = self.audit.as_ref() {
             lane.survivors
-                .retain(|&(_, advertised)| !aud.is_quarantined(widen(advertised).index()));
+                .retain(|&(_, advertised)| !aud.is_quarantined(advertised.index()));
         }
         lane.sort(self.total_actors());
         bandit_arm
@@ -210,7 +203,7 @@ impl Simulation {
                 .net
                 .send_push(self.round, advertised.index(), dst, advertised, lane)
         {
-            into.survivors.push((dst as u32, narrow(advertised)));
+            into.survivors.push((dst as u32, NodeIdx::of(advertised)));
         }
     }
 

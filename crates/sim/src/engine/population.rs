@@ -7,12 +7,12 @@ use crate::bitset::EXACT_DISCOVERY_THRESHOLD;
 use crate::scenario::{Protocol, Scenario};
 use raptee::provisioning;
 use raptee::{RapteeConfig, RapteeNode};
-use raptee_basalt::{BasaltConfig, BasaltNode, BasaltPlan};
+use raptee_basalt::{BasaltConfig, BasaltNode};
 use raptee_brahms::BrahmsConfig;
 use raptee_crypto::SecretKey;
 use raptee_honeybee::{HoneybeeConfig, HoneybeeNode};
 use raptee_lift::{LiftConfig, LiftNode};
-use raptee_net::NodeId;
+use raptee_net::{NodeId, RoundPlan};
 use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 
 /// One correct node. The correct population is one flat arena of these,
@@ -22,9 +22,10 @@ use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 /// `i - byz_count` for `i >= byz_count`. `Raptee` carries both
 /// Brahms-family protocols (Brahms is a RAPTEE node without a trusted
 /// tier), `Basalt` both BASALT protocols (the +TEE hybrid's trusted tier
-/// is the node's group key). `RapteeNode` is the largest variant and
-/// lends `Node` its niche, so a `Node` costs exactly a `RapteeNode`
-/// (`the_arena_costs_nothing_over_its_largest_node` pins 392 B).
+/// is the node's group key). `BasaltNode` is the largest variant and
+/// lends `Node` its niche, so a `Node` costs exactly a `BasaltNode`
+/// (`the_arena_costs_nothing_over_its_largest_node` pins 384 B, and
+/// `RapteeNode` at 368 B).
 ///
 /// [`Population::build`] fills each segment with the one family its
 /// protocol runs, so a caller that found a node in a segment knows its
@@ -84,16 +85,14 @@ impl Node {
         }
     }
 
-    /// Plans a ranked node's pushes and pulls into `plan` (cleared
-    /// first). Brahms-family nodes plan through their own richer plan.
-    pub(super) fn plan_ranked_into(&mut self, plan: &mut BasaltPlan) {
+    /// Plans this round's pushes and pulls into `plan` (cleared first).
+    pub(super) fn plan_into(&mut self, plan: &mut RoundPlan) {
         let (pushes, pulls) = (&mut plan.push_targets, &mut plan.pull_targets);
         match self {
+            Node::Raptee(node) => node.plan_round_into(plan),
             Node::Basalt(node) => node.plan_round_into(plan),
             Node::Lift(node) => node.plan_round_into(pushes, pulls),
             Node::Honeybee(node) => node.plan_round_into(pushes, pulls),
-            // `Population::build` fills a segment with one family.
-            Node::Raptee(_) => unreachable!("a Brahms-family node inside a ranked segment"),
         }
     }
 
@@ -242,23 +241,19 @@ impl Population {
             specs[0].count += total - n;
         }
 
-        let gamma = scenario.gamma;
-        let ab = (1.0 - gamma) / 2.0;
-        let alpha_count = (ab * scenario.view_size as f64).round();
-        let flood_threshold = if scenario.flood_slack_sigmas > 0.0 {
-            Some((alpha_count + scenario.flood_slack_sigmas * alpha_count.sqrt()).round() as usize)
-        } else {
-            None
+        let mut brahms = BrahmsConfig {
+            view_size: scenario.view_size,
+            sample_size: scenario.sample_size,
+            gamma: scenario.gamma,
+            flood_threshold: None,
         };
+        if scenario.flood_slack_sigmas > 0.0 {
+            let alpha_count = brahms.alpha_count() as f64;
+            let slack = scenario.flood_slack_sigmas * alpha_count.sqrt();
+            brahms.flood_threshold = Some((alpha_count + slack).round() as usize);
+        }
         let config = RapteeConfig {
-            brahms: BrahmsConfig {
-                view_size: scenario.view_size,
-                sample_size: scenario.sample_size,
-                alpha: ab,
-                beta: ab,
-                gamma,
-                flood_threshold,
-            },
+            brahms,
             eviction: scenario.eviction,
         };
 
@@ -293,7 +288,7 @@ impl Population {
             // the protocol state). Past the same population threshold
             // that retires exact discovery bitsets, run uncached.
             if total > EXACT_DISCOVERY_THRESHOLD {
-                node.brahms_mut().sampler_mut().limit_seen_cache(0);
+                node.brahms_mut().sampler_mut().disable_seen_cache();
             }
             Node::Raptee(node)
         };
@@ -569,10 +564,10 @@ mod tests {
     }
 
     #[test]
-    fn every_ranked_family_plans_within_its_budget() {
-        for mut node in ranked_families() {
-            let mut plan = BasaltPlan::default();
-            node.plan_ranked_into(&mut plan);
+    fn every_family_plans_within_its_budget() {
+        for mut node in each_family() {
+            let mut plan = RoundPlan::default();
+            node.plan_into(&mut plan);
             assert!(plan.push_targets.len() <= 3, "round(0.4·8) push budget");
             assert!(!plan.push_targets.is_empty(), "every family gossips");
             assert!(!plan.pull_targets.is_empty(), "every family pulls");

@@ -479,7 +479,7 @@ impl EventNet {
             self.pushes[arrival_round].push(PushRecord {
                 arrival,
                 dst: dst as u32,
-                sender: NodeIdx(advertised.0 as u32),
+                sender: NodeIdx::of(advertised),
                 lane,
                 held,
             });
@@ -643,9 +643,7 @@ impl EventNet {
             len: offset(ids.len()),
             applied: false,
         });
-        payload
-            .ids
-            .extend(ids.iter().map(|id| NodeIdx(id.0 as u32)));
+        payload.ids.extend(ids.iter().map(|&id| NodeIdx::of(id)));
         for (arrival, held) in self.dup_pending.drain(..) {
             let bucket = arrival_round(arrival);
             if bucket >= rounds {
@@ -1447,7 +1445,7 @@ mod tests {
             let heap = self.heap.take_due_answers();
             assert_eq!(cal.len(), heap.len(), "answers due in round {round}");
             for (c, h) in cal.iter().zip(&heap) {
-                let narrowed: Vec<NodeIdx> = h.ids.iter().map(|id| NodeIdx(id.0 as u32)).collect();
+                let narrowed: Vec<NodeIdx> = h.ids.iter().map(|&id| NodeIdx::of(id)).collect();
                 assert_eq!(
                     (c.ci, c.from, self.cal.due_ids(c)),
                     (h.ci, h.from, &narrowed[..]),

@@ -234,7 +234,7 @@ impl HeapNet {
                     if held {
                         self.stats.partition_released += 1;
                     }
-                    let pair = (dst, NodeIdx(sender.0 as u32));
+                    let pair = (dst, NodeIdx::of(sender));
                     match lane {
                         Lane::Honest => self.due_honest.push(pair),
                         Lane::Adversary => self.due_byz.push(pair),

@@ -111,8 +111,13 @@ pub enum Protocol {
         /// Number of view slots `v` (kept equal to
         /// [`Scenario::view_size`] for budget-parity comparisons).
         view_size: usize,
-        /// Rounds between score fades (halving); `0` is rejected — an
-        /// unfading score table grows without bound.
+        /// Rounds between score fades (halving); `0` is rejected. The
+        /// table stays bounded either way (its score capacity evicts
+        /// the coldest off-view counter), but an unfading score only
+        /// grows: a peer once mentioned often stays a hub for the rest
+        /// of the run, so LIFT would rank peers by lifetime counts
+        /// instead of recent gossip. `LiftConfig` accepts 0 (no
+        /// fading), which its own tests use.
         fade_interval: usize,
     },
     /// Honeybee (see PAPERS.md): verifiable random walks with

@@ -104,12 +104,6 @@ pub struct MerkleTree {
 }
 
 impl MerkleTree {
-    /// Builds the tree from already-hashed leaves. An empty sequence
-    /// commits to the empty-leaf digest.
-    pub fn from_leaves(leaves: &[Digest]) -> Self {
-        Self::build(leaves.to_vec())
-    }
-
     /// Builds the tree from raw leaf payloads ([`leaf_hash`] applied).
     pub fn from_payloads<T: AsRef<[u8]>>(payloads: &[T]) -> Self {
         payloads.iter().map(|p| leaf_hash(p.as_ref())).collect()
@@ -164,7 +158,8 @@ impl MerkleTree {
 }
 
 /// Builds the tree from already-hashed leaves, taking the collected
-/// sequence as its leaf level without a copy.
+/// sequence as its leaf level without a copy. An empty sequence commits
+/// to the empty-leaf digest.
 impl FromIterator<Digest> for MerkleTree {
     fn from_iter<I: IntoIterator<Item = Digest>>(leaves: I) -> Self {
         Self::build(leaves.into_iter().collect())
@@ -338,7 +333,7 @@ mod tests {
         for n in 0..=130 {
             let ps = payloads(n);
             let leaves: Vec<Digest> = ps.iter().map(|p| leaf_hash(p)).collect();
-            let tree = MerkleTree::from_leaves(&leaves);
+            let tree: MerkleTree = leaves.iter().copied().collect();
             let (root, proofs) = padded_reference(&leaves);
             assert_eq!(tree.root(), root, "n={n}");
             assert_eq!(tree.len(), n);
@@ -349,15 +344,16 @@ mod tests {
     }
 
     #[test]
-    fn collected_tree_matches_from_leaves() {
+    fn every_proof_of_a_collected_tree_verifies() {
         for n in 0..=130 {
             let leaves: Vec<Digest> = payloads(n).iter().map(|p| leaf_hash(p)).collect();
-            let sliced = MerkleTree::from_leaves(&leaves);
-            let collected: MerkleTree = leaves.iter().copied().collect();
-            assert_eq!(collected.root(), sliced.root(), "n={n}");
-            assert_eq!(collected.len(), n);
-            for i in 0..n.max(1) {
-                assert_eq!(collected.open(i), sliced.open(i), "n={n} i={i}");
+            let tree: MerkleTree = leaves.iter().copied().collect();
+            assert_eq!(tree.len(), n);
+            for (i, leaf) in leaves.iter().enumerate() {
+                assert!(verify(&tree.root(), leaf, &tree.open(i)), "n={n} i={i}");
+            }
+            if n == 0 {
+                assert!(verify(&tree.root(), &empty_at(0), &tree.open(0)));
             }
         }
     }
@@ -381,7 +377,7 @@ mod tests {
 
     #[test]
     fn empty_tree_has_stable_root() {
-        let a = MerkleTree::from_leaves(&[]);
+        let a: MerkleTree = std::iter::empty().collect();
         assert_eq!(a.root(), empty_at(0));
         assert!(a.is_empty());
     }

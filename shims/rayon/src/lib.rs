@@ -2,8 +2,8 @@
 //!
 //! The build environment for this reproduction has no registry access,
 //! so the workspace vendors the *exact* API surface it uses —
-//! `into_par_iter()` / `par_iter()` followed by `map(...).collect()` —
-//! backed by a **persistent worker pool** (like real rayon's global
+//! `into_par_iter()` on a `Vec` or a `usize` range, followed by
+//! `map(...).collect()` — backed by a **persistent worker pool** (like real rayon's global
 //! pool). Helper threads are spawned lazily up to the largest worker
 //! count ever requested and then parked on a condvar between jobs, so
 //! the engine's per-phase parallel calls (several per simulated round)
@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod prelude {
     //! Drop-in for `rayon::prelude::*`.
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter, RangeParIter};
+    pub use crate::{IntoParallelIterator, ParIter, RangeParIter};
 }
 
 /// An eager "parallel iterator": the items are materialised up front and
@@ -43,11 +43,11 @@ pub struct ParIter<T> {
     items: Vec<T>,
 }
 
-/// A parallel iterator over a range, held as its bounds: `map` computes
-/// each item from the start and its offset, so the range itself is
-/// never collected.
-pub struct RangeParIter<T> {
-    range: Range<T>,
+/// A parallel iterator over a `usize` range, held as its bounds: `map`
+/// computes each item from the start and its offset, so the range
+/// itself is never collected.
+pub struct RangeParIter {
+    range: Range<usize>,
 }
 
 /// Types convertible into a parallel iterator by value
@@ -61,14 +61,6 @@ pub trait IntoParallelIterator {
     fn into_par_iter(self) -> Self::Iter;
 }
 
-/// Types whose references yield a [`ParIter`] of `&T` (`par_iter`).
-pub trait IntoParallelRefIterator<'a> {
-    /// The borrowed element type.
-    type Item: Send;
-    /// Borrows `self` as a parallel iterator over `&T`.
-    fn par_iter(&'a self) -> ParIter<Self::Item>;
-}
-
 impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
     type Iter = ParIter<T>;
@@ -77,45 +69,23 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     }
 }
 
-macro_rules! range_par_iter {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for Range<$t> {
-            type Item = $t;
-            type Iter = RangeParIter<$t>;
-            fn into_par_iter(self) -> RangeParIter<$t> {
-                RangeParIter { range: self }
-            }
-        }
-
-        impl RangeParIter<$t> {
-            /// Applies `f` to every item of the range across the
-            /// persistent thread pool, preserving order; item `i` is
-            /// `start + i`, computed where it is used.
-            pub fn map<R: Send, F: Fn($t) -> R + Sync>(self, f: F) -> ParIter<R> {
-                let Range { start, end } = self.range;
-                let len = if end > start { end.abs_diff(start) as usize } else { 0 };
-                ParIter {
-                    items: par_map_indices(len, |i| f(start.wrapping_add(i as $t))),
-                }
-            }
-        }
-    )*};
-}
-range_par_iter!(usize, u32, u64, i32, i64);
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
+impl IntoParallelIterator for Range<usize> {
+    type Item = usize;
+    type Iter = RangeParIter;
+    fn into_par_iter(self) -> RangeParIter {
+        RangeParIter { range: self }
     }
 }
 
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        self.as_slice().par_iter()
+impl RangeParIter {
+    /// Applies `f` to every item of the range across the persistent
+    /// thread pool, preserving order; item `i` is `start + i`, computed
+    /// where it is used.
+    pub fn map<R: Send, F: Fn(usize) -> R + Sync>(self, f: F) -> ParIter<R> {
+        let Range { start, end } = self.range;
+        ParIter {
+            items: par_map_indices(end.saturating_sub(start), |i| f(start + i)),
+        }
     }
 }
 
@@ -408,7 +378,7 @@ unsafe impl<T: Send> Sync for SharedMutPtr<T> {}
 /// * Indices are claimed from an atomic cursor (dynamic load balancing —
 ///   heterogeneous per-node costs cannot serialize on one worker).
 /// * Inside an already-parallel region (nested call, or a call made from
-///   a `par_iter` worker such as a sweep repetition) the loop runs
+///   a parallel `map` worker such as a sweep repetition) the loop runs
 ///   serially on `scratch[0]`, mirroring real rayon's single global pool
 ///   — never threads².
 pub fn par_for_each_scratch<T, S, F>(items: &mut [T], scratch: &mut Vec<S>, f: F)
@@ -482,27 +452,22 @@ mod tests {
 
     #[test]
     fn range_maps_compute_each_item_from_the_bounds() {
-        let signed: Vec<i64> = (-3i64..3).into_par_iter().map(|x| x * 10).collect();
-        assert_eq!(signed, vec![-30, -20, -10, 0, 10, 20]);
-        let top: Vec<u64> = (u64::MAX - 2..u64::MAX)
+        let offset: Vec<usize> = (3..7).into_par_iter().map(|x| x * 10).collect();
+        assert_eq!(offset, vec![30, 40, 50, 60]);
+        let top: Vec<usize> = (usize::MAX - 2..usize::MAX)
             .into_par_iter()
             .map(|x| x)
             .collect();
-        assert_eq!(top, vec![u64::MAX - 2, u64::MAX - 1]);
-        let wide: Vec<i32> = (i32::MIN..i32::MIN + 2)
-            .into_par_iter()
-            .map(|x| x)
-            .collect();
-        assert_eq!(wide, vec![i32::MIN, i32::MIN + 1]);
+        assert_eq!(top, vec![usize::MAX - 2, usize::MAX - 1]);
         #[allow(clippy::reversed_empty_ranges)]
-        let empty: Vec<u32> = (5u32..2).into_par_iter().map(|x| x).collect();
+        let empty: Vec<usize> = (5..2).into_par_iter().map(|x| x).collect();
         assert!(empty.is_empty());
     }
 
     #[test]
-    fn par_iter_borrows() {
+    fn vec_maps_by_value_in_order() {
         let data = vec![1.0f64, 2.0, 3.0];
-        let out: Vec<f64> = data.par_iter().map(|&x| x + 0.5).collect();
+        let out: Vec<f64> = data.into_par_iter().map(|x| x + 0.5).collect();
         assert_eq!(out, vec![1.5, 2.5, 3.5]);
     }
 
@@ -554,15 +519,15 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let reference: Vec<u64> = crate::with_num_threads(1, || {
-            (0..500u64)
+        let reference: Vec<usize> = crate::with_num_threads(1, || {
+            (0..500usize)
                 .into_par_iter()
                 .map(|x| x.wrapping_mul(x))
                 .collect()
         });
         for threads in [2, 3, 8, 64] {
-            let out: Vec<u64> = crate::with_num_threads(threads, || {
-                (0..500u64)
+            let out: Vec<usize> = crate::with_num_threads(threads, || {
+                (0..500usize)
                     .into_par_iter()
                     .map(|x| x.wrapping_mul(x))
                     .collect()
@@ -623,15 +588,17 @@ mod tests {
     #[test]
     fn for_each_nested_inside_par_iter_runs_serially() {
         crate::with_num_threads(4, || {
-            let out: Vec<u64> = (0..8u64)
+            let out: Vec<usize> = (0..8usize)
                 .into_par_iter()
                 .map(|i| {
                     let mut v = vec![i; 16];
-                    crate::par_for_each_mut(&mut v, |j, x| *x += j as u64);
+                    crate::par_for_each_mut(&mut v, |j, x| *x += j);
                     v.iter().sum()
                 })
                 .collect();
-            let expect: Vec<u64> = (0..8u64).map(|i| 16 * i + (0..16).sum::<u64>()).collect();
+            let expect: Vec<usize> = (0..8usize)
+                .map(|i| 16 * i + (0..16).sum::<usize>())
+                .collect();
             assert_eq!(out, expect);
         });
     }
@@ -654,7 +621,7 @@ mod tests {
         // below (concurrent tests ask for fewer).
         let run = || {
             crate::with_num_threads(64, || {
-                let out: Vec<u64> = (0..128u64).into_par_iter().map(|x| x + 1).collect();
+                let out: Vec<usize> = (0..128usize).into_par_iter().map(|x| x + 1).collect();
                 assert_eq!(out.len(), 128);
             });
         };
@@ -675,7 +642,7 @@ mod tests {
     fn worker_panic_propagates_and_pool_survives() {
         let result = std::panic::catch_unwind(|| {
             crate::with_num_threads(4, || {
-                let _: Vec<u64> = (0..64u64)
+                let _: Vec<usize> = (0..64usize)
                     .into_par_iter()
                     .map(|x| {
                         assert!(x != 13, "boom");
@@ -689,8 +656,8 @@ mod tests {
         // rest of this test thread is unaffected.
         super::THREAD_OVERRIDE.with(|c| c.set(None));
         // The pool keeps serving jobs after a worker panic.
-        let out: Vec<u64> =
-            crate::with_num_threads(4, || (0..8u64).into_par_iter().map(|x| x + 1).collect());
+        let out: Vec<usize> =
+            crate::with_num_threads(4, || (0..8usize).into_par_iter().map(|x| x + 1).collect());
         assert_eq!(out, (1..=8).collect::<Vec<_>>());
         let mut v = vec![0u64; 64];
         crate::with_num_threads(4, || {
@@ -701,8 +668,8 @@ mod tests {
 
     #[test]
     fn more_threads_than_items() {
-        let out: Vec<u32> =
-            crate::with_num_threads(32, || (0..3u32).into_par_iter().map(|x| x + 1).collect());
+        let out: Vec<usize> =
+            crate::with_num_threads(32, || (0..3usize).into_par_iter().map(|x| x + 1).collect());
         assert_eq!(out, vec![1, 2, 3]);
     }
 }

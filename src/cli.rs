@@ -1219,6 +1219,45 @@ mod tests {
         assert_eq!(s.rounds, 50);
     }
 
+    /// The option table restates library defaults as text (the seed
+    /// `5937134` is `0x5A97EE`); `run` with no flags must build what
+    /// `Scenario::default()` holds for every knob the table defaults.
+    #[test]
+    fn absent_flags_restate_the_scenario_defaults() {
+        let s = args(&["run"]).unwrap().scenario().unwrap();
+        let d = Scenario::default();
+        assert_eq!(s.byzantine_fraction, d.byzantine_fraction, "--f");
+        assert_eq!(s.trusted_fraction, d.trusted_fraction, "--t");
+        assert_eq!(s.seed, d.seed, "--seed");
+        assert_eq!(s.eviction, d.eviction, "--eviction");
+        assert_eq!(s.protocol, d.protocol, "--protocol");
+        assert_eq!(s.attack, d.attack, "--attack");
+        assert_eq!(s.adversary_mode, d.adversary_mode, "--adversary");
+        assert_eq!(s.discovery, d.discovery, "--discovery");
+        assert_eq!(s.network, d.network, "--network");
+        assert_eq!(s.churn, d.churn, "--churn, --catastrophe, --rejoin");
+        assert_eq!(s.audit, d.audit, "--audit");
+        assert_eq!(s.attest_ttl, d.attest_ttl, "--attest-ttl");
+        assert_eq!(
+            s.trusted_directory_refresh, d.trusted_directory_refresh,
+            "--trusted-refresh"
+        );
+        assert_eq!(
+            s.injected_poisoned_fraction, d.injected_poisoned_fraction,
+            "--injected"
+        );
+    }
+
+    /// `--network events` alone builds the event network's defaults.
+    #[test]
+    fn a_bare_events_network_restates_its_defaults() {
+        let s = args(&["run", "--network", "events"])
+            .unwrap()
+            .scenario()
+            .unwrap();
+        assert_eq!(s.network, NetworkModel::Events(EventNetConfig::default()));
+    }
+
     #[test]
     fn scale_presets_apply_and_yield_to_explicit_flags() {
         let s = args(&["run", "--scale", "tiny"])

@@ -338,7 +338,7 @@ proptest! {
             (0usize..4, 8usize..49, 0usize..4, 0usize..4, 0usize..4, 0usize..4, 0usize..49, 0usize..3),
         (byz, trusted, injected, gamma, loss, _threshold, flood, victim) in
             (WILD, WILD, WILD, WILD, WILD, WILD, WILD, WILD),
-        (focus, lo, hi, crash_fraction, crash_rate, restart, burst_rate, nat) in
+        (focus, lo, _hi, crash_fraction, crash_rate, restart, burst_rate, nat) in
             (WILD, WILD, WILD, WILD, WILD, WILD, WILD, WILD),
         (kind, kind_a, kind_b, p, q, attack, fixed_eviction, exact) in
             (0u8..6, 0u8..6, 0u8..6, 0usize..3, 0usize..3, 0u8..3, any::<bool>(), any::<bool>()),
@@ -368,10 +368,10 @@ proptest! {
                 1 => AttackStrategy::ForcePush,
                 _ => AttackStrategy::Targeted { victim_fraction: victim, focus },
             },
-            eviction: match (w(13), fixed_eviction) {
-                (false, _) => EvictionPolicy::adaptive(),
-                (true, true) => EvictionPolicy::Fixed(lo),
-                (true, false) => EvictionPolicy::Adaptive { lo, hi },
+            eviction: if w(13) && fixed_eviction {
+                EvictionPolicy::Fixed(lo)
+            } else {
+                EvictionPolicy::adaptive()
             },
             churn: ChurnSchedule {
                 crash_fraction: pick(w(14), crash_fraction, 0.0),
