@@ -45,7 +45,7 @@ pub struct BasaltRoundReport {
 /// let mut node = BasaltNode::new(NodeId(0), cfg, &bootstrap, 42);
 /// let mut plan = BasaltPlan::default();
 /// node.plan_round_into(&mut plan);
-/// assert_eq!(plan.push_targets.len(), cfg.push_count);
+/// assert_eq!(plan.push_targets.len(), cfg.fanout());
 /// assert!(!plan.pull_targets.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -82,6 +82,11 @@ impl BasaltNode {
     /// The per-slot ranking seeds are derived (HMAC-SHA-256) from a key
     /// expanded out of `seed` and the node identity, so they are
     /// node-local secrets the adversary cannot precompute against.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule when [`BasaltConfig::validate`]
+    /// rejects `config`; call it first to get the rule as a value.
     pub fn new(id: NodeId, config: BasaltConfig, bootstrap: &[NodeId], seed: u64) -> Self {
         Self::with_trust(id, config, bootstrap, seed, None)
     }
@@ -89,6 +94,7 @@ impl BasaltNode {
     /// Creates a *trusted* node of the BASALT+TEE hybrid, holding the
     /// attested `group_key` (see `raptee::provisioning` — the same
     /// enclave-load → remote-attestation flow RAPTEE trusted nodes use).
+    /// Panics as [`BasaltNode::new`] does.
     pub fn new_trusted(
         id: NodeId,
         config: BasaltConfig,
@@ -106,7 +112,9 @@ impl BasaltNode {
         seed: u64,
         group_key: Option<SecretKey>,
     ) -> Self {
-        config.validate();
+        if let Err(rule) = config.validate() {
+            panic!("{rule}");
+        }
         let rng = Xoshiro256StarStar::seed_from_u64(seed);
         let ranking_key = SecretKey::from_seed(seed).derive("basalt-ranking-key", &id.to_bytes());
         let mut view = BasaltView::new(id, config.view_size, ranking_key);
@@ -120,7 +128,7 @@ impl BasaltNode {
             rotations: 0,
             trusted: group_key.is_some(),
             group_key,
-            wlist: WaitingList::new(config.wlist_ttl, config.wlist_probe),
+            wlist: WaitingList::new(config.wlist_ttl, config.fanout()),
             scratch_distinct: Vec::new(),
             scratch_seen: IdSet::new(),
             scratch_order: Vec::new(),
@@ -154,7 +162,7 @@ impl BasaltNode {
         self.wlist.clear();
         self.view
             .distinct_into(&mut self.scratch_distinct, &mut self.scratch_seen);
-        let indices = self.view.rotate(self.config.rotation_count);
+        let indices = self.view.rotate(self.config.rotation_count());
         let rotated = indices.len();
         self.rotations += rotated as u64;
         self.view.observe_into(&indices, &self.scratch_distinct);
@@ -196,9 +204,9 @@ impl BasaltNode {
         self.rotations
     }
 
-    /// Chooses this round's targets: `push_count` uniform draws from the
+    /// Chooses this round's targets: `fanout` uniform draws from the
     /// distinct view (with replacement, like Brahms' `rand(V)`), and the
-    /// `pull_count` least-confirmed samples as exchange partners, probed
+    /// `fanout` least-confirmed samples as exchange partners, probed
     /// first, into a caller-owned plan whose target vectors are cleared
     /// and refilled — the engine keeps one plan per worker thread alive
     /// across rounds, so planning allocates nothing.
@@ -210,12 +218,12 @@ impl BasaltNode {
         if self.scratch_distinct.is_empty() {
             return;
         }
-        for _ in 0..self.config.push_count {
+        for _ in 0..self.config.fanout() {
             plan.push_targets
                 .push(self.scratch_distinct[self.rng.index(self.scratch_distinct.len())]);
         }
         self.view.least_confirmed_into(
-            self.config.pull_count,
+            self.config.fanout(),
             &mut self.scratch_order,
             &mut plan.pull_targets,
         );
@@ -271,7 +279,7 @@ impl BasaltNode {
     }
 
     /// Verifies waiting-list candidates (oldest first): up to
-    /// `wlist_probe` *contact attempts* per round, where `is_alive`
+    /// `fanout` *contact attempts* per round, where `is_alive`
     /// decides whether the connection succeeds. Reachable candidates are
     /// admitted to the ranking; unreachable ones are dropped (the probe
     /// is still spent). Entries whose TTL expired are discarded without
@@ -296,7 +304,7 @@ impl BasaltNode {
         {
             self.view
                 .distinct_into(&mut self.scratch_distinct, &mut self.scratch_seen);
-            let indices = self.view.rotate(self.config.rotation_count);
+            let indices = self.view.rotate(self.config.rotation_count());
             rotated = indices.len();
             self.rotations += rotated as u64;
             self.view.observe_into(&indices, &self.scratch_distinct);
@@ -474,7 +482,7 @@ mod tests {
     #[test]
     fn drain_admits_at_probe_rate_and_expires_stale_entries() {
         let mut n = wlist_node(2);
-        let probe = n.config().wlist_probe;
+        let probe = n.config().fanout();
         n.record_pull_answer(NodeId(500), &ids(600..620));
         let r = n.drain_wlist(|_| true);
         assert_eq!(r.admitted, probe, "admission is probe-rate-limited");
@@ -494,7 +502,7 @@ mod tests {
         let mut n = wlist_node(5);
         n.record_pull_answer(NodeId(500), &ids(600..604));
         let r = n.drain_wlist(|id| id.0 % 2 == 0);
-        assert_eq!(r.admitted + r.dropped, 4.min(n.config().wlist_probe));
+        assert_eq!(r.admitted + r.dropped, 4.min(n.config().fanout()));
         assert!(r.dropped >= 1, "odd IDs fail the verification contact");
         assert!(!n.view().contains(NodeId(601)));
     }
@@ -551,7 +559,7 @@ mod tests {
         assert_eq!(n.wlist_len(), 20);
         let survivors = n.view().sample_ids();
         let rotated = n.rejoin_warm();
-        assert_eq!(rotated, n.config().rotation_count, "staleness penalty");
+        assert_eq!(rotated, n.config().rotation_count(), "staleness penalty");
         assert_eq!(n.rotations(), rotated as u64);
         assert_eq!(n.wlist_len(), 0, "unverified hearsay does not survive");
         // Rotation re-ranks rather than blanking: the view stays full and

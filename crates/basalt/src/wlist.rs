@@ -63,7 +63,7 @@ impl WaitingList {
     }
 
     /// Whether the quarantine is active (`ttl > 0`).
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.ttl > 0
     }
 

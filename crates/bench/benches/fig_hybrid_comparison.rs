@@ -27,6 +27,7 @@
 //! counterpart. Every trusted node pays the Table I enclave overhead —
 //! printed in the header via `SgxOverheadModel::expected_round_overhead`.
 
+use raptee::RapteeConfig;
 use raptee_bench::{byzantine_fractions, emit, header, Scale};
 use raptee_sim::{runner, Protocol};
 use raptee_tee::SgxOverheadModel;
@@ -47,7 +48,9 @@ fn main() {
         &scale,
     );
     let model = SgxOverheadModel::paper_table1();
-    let fanout = ((0.4 * scale.view as f64).round() as usize).max(1);
+    // Every family matches Brahms' α·l1 pushes and β·l1 pulls.
+    let brahms = RapteeConfig::paper_defaults(scale.view).brahms;
+    let fanout = brahms.alpha_count();
     println!(
         "    trusted nodes pay ~{} cycles/round of enclave overhead (Table I means: {fanout} pulls + {fanout} pushes + 1 trusted exchange)",
         model.expected_round_overhead(fanout, fanout, 1)

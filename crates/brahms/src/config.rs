@@ -112,11 +112,15 @@ mod tests {
 
     #[test]
     fn the_paper_split_is_alpha_and_beta_of_four_tenths() {
-        // The counts the literal α = β = 0.4 gave, bit for bit.
+        // The counts the literal α = β = 0.4 gave, bit for bit: the
+        // parity fanout the comparison families spend, which is at least
+        // 1 where round(0.4) is 0.
+        assert_eq!(BrahmsConfig::paper_defaults(1, 1).alpha_count(), 0);
         for l1 in 1..=1000 {
             let cfg = BrahmsConfig::paper_defaults(l1, l1);
-            let literal = (0.4 * l1 as f64).round() as usize;
-            assert_eq!((cfg.alpha_count(), cfg.beta_count()), (literal, literal));
+            let (alpha, beta) = (cfg.alpha_count(), cfg.beta_count());
+            assert_eq!(alpha, beta);
+            assert_eq!(alpha.max(1), raptee_net::parity_fanout(l1), "{l1}");
         }
     }
 

@@ -62,7 +62,7 @@ struct ActiveWalk {
 /// let mut node = HoneybeeNode::new(NodeId(0), cfg, &bootstrap, 42);
 /// let (mut pushes, mut pulls) = (Vec::new(), Vec::new());
 /// node.plan_round_into(&mut pushes, &mut pulls);
-/// assert_eq!(pushes.len(), cfg.push_count);
+/// assert_eq!(pushes.len(), cfg.fanout());
 /// assert!(!pulls.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -75,7 +75,7 @@ pub struct HoneybeeNode {
     /// reservoir-style — verified (and probed) walk endpoints replace a
     /// uniform slot, keeping the view a sample of endpoints.
     view: Vec<NodeId>,
-    /// In-flight walks, at most `pull_count` of them.
+    /// In-flight walks, at most `fanout` of them.
     walks: Vec<ActiveWalk>,
     /// Quarantine for verified endpoints (and push hearsay) awaiting a
     /// reachability probe — the shared BASALT waiting list.
@@ -91,8 +91,15 @@ pub struct HoneybeeNode {
 impl HoneybeeNode {
     /// Creates a node whose view starts as (up to `view_size` of) the
     /// bootstrap sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule when [`HoneybeeConfig::validate`]
+    /// rejects `config`; call it first to get the rule as a value.
     pub fn new(id: NodeId, config: HoneybeeConfig, bootstrap: &[NodeId], seed: u64) -> Self {
-        config.validate();
+        if let Err(rule) = config.validate() {
+            panic!("{rule}");
+        }
         let mut node = Self {
             id,
             config,
@@ -100,7 +107,7 @@ impl HoneybeeNode {
             rounds: 0,
             view: Vec::with_capacity(config.view_size),
             walks: Vec::new(),
-            wlist: WaitingList::new(config.wlist_ttl, config.wlist_probe),
+            wlist: WaitingList::new(config.timeout(), config.fanout()),
             admitted_pending: Vec::new(),
             completed_this_round: 0,
             rejected_this_round: 0,
@@ -124,11 +131,7 @@ impl HoneybeeNode {
     /// Records an incoming push. A push is unverified hearsay — it goes
     /// to the quarantine, never straight into the view.
     pub fn record_push(&mut self, advertised: NodeId) {
-        if self.wlist.is_enabled() {
-            self.wlist.enqueue(self.id, advertised, self.rounds);
-        } else {
-            self.admit(advertised);
-        }
+        self.wlist.enqueue(self.id, advertised, self.rounds);
     }
 
     /// Answers a pull request: the current view, into a caller-owned
@@ -173,11 +176,7 @@ impl HoneybeeNode {
                 .transcript
                 .endpoint()
                 .expect("full-length transcripts have an endpoint");
-            if self.wlist.is_enabled() {
-                self.wlist.enqueue(self.id, endpoint, self.rounds);
-            } else {
-                self.admit(endpoint);
-            }
+            self.wlist.enqueue(self.id, endpoint, self.rounds);
         } else {
             self.rejected_this_round += 1;
             self.quarantine(responder);
@@ -185,25 +184,26 @@ impl HoneybeeNode {
     }
 
     /// Chooses this round's targets into caller-owned buffers (cleared
-    /// and refilled): `push_count` uniform view draws, and one pull per
+    /// and refilled): `fanout` uniform view draws, and one pull per
     /// walk — in-flight frontiers first, then fresh walks (origin-bound
     /// nonce from the node RNG) started from uniform view members until
-    /// the `pull_count` budget is spent.
+    /// the `fanout` budget is spent.
     pub fn plan_round_into(&mut self, pushes: &mut Vec<NodeId>, pulls: &mut Vec<NodeId>) {
         pushes.clear();
         pulls.clear();
         if self.view.is_empty() && self.walks.is_empty() {
             return;
         }
+        let fanout = self.config.fanout();
         if !self.view.is_empty() {
-            for _ in 0..self.config.push_count {
+            for _ in 0..fanout {
                 pushes.push(self.view[self.rng.index(self.view.len())]);
             }
         }
-        for walk in self.walks.iter().take(self.config.pull_count) {
+        for walk in self.walks.iter().take(fanout) {
             pulls.push(walk.frontier);
         }
-        while pulls.len() < self.config.pull_count && !self.view.is_empty() {
+        while pulls.len() < fanout && !self.view.is_empty() {
             let start = self.view[self.rng.index(self.view.len())];
             let nonce = self.rng.next_u64();
             self.walks.push(ActiveWalk {
@@ -216,7 +216,7 @@ impl HoneybeeNode {
     }
 
     /// Probes quarantined candidates (walk endpoints and push hearsay):
-    /// up to `wlist_probe` contact attempts, `is_alive` deciding
+    /// up to `fanout` contact attempts, `is_alive` deciding
     /// success. Reachable candidates are staged for view admission at
     /// the next [`HoneybeeNode::finish_round`].
     pub fn drain_wlist(&mut self, is_alive: impl FnMut(NodeId) -> bool) -> WlistReport {
@@ -247,7 +247,7 @@ impl HoneybeeNode {
         while let Some(id) = self.admitted_pending.pop() {
             self.admit(id);
         }
-        let timeout = self.config.walk_timeout as u64;
+        let timeout = self.config.timeout() as u64;
         let now = self.rounds;
         let before = self.walks.len();
         self.walks.retain(|w| now - w.last_progress < timeout);
@@ -429,7 +429,7 @@ mod tests {
         let (mut pushes, mut pulls) = (Vec::new(), Vec::new());
         n.plan_round_into(&mut pushes, &mut pulls);
         assert!(!n.walks.is_empty());
-        let timeout = n.config().walk_timeout;
+        let timeout = n.config().timeout();
         let mut expired = 0;
         for _ in 0..=timeout {
             // Never answer: frontiers stall until the timeout hits.

@@ -1,14 +1,15 @@
 //! LIFT protocol parameters.
 
 use crate::table;
+use raptee_net::parity_fanout;
 
 /// Parameters of a LIFT node.
 ///
 /// The defaults mirror the message budget of the Brahms/RAPTEE and
 /// BASALT scenarios so head-to-head comparisons spend the same
-/// bandwidth: `push_count` and `pull_count` are both `round(0.4·v)` —
-/// the `α·l1`/`β·l1` split `BrahmsConfig` uses at equal view sizes (and
-/// therefore the same per-identity rate-limiter budget).
+/// bandwidth: the node pushes and pulls [`parity_fanout`] peers per
+/// round — the `α·l1`/`β·l1` split `BrahmsConfig` uses at equal view
+/// sizes (and therefore the same per-identity rate-limiter budget).
 ///
 /// # Examples
 ///
@@ -16,7 +17,7 @@ use crate::table;
 /// use raptee_lift::LiftConfig;
 /// let cfg = LiftConfig::for_view(20, 30);
 /// assert_eq!(cfg.view_size, 20);
-/// assert_eq!(cfg.push_count, 8);
+/// assert_eq!(cfg.fanout(), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiftConfig {
@@ -25,11 +26,6 @@ pub struct LiftConfig {
     /// Rounds between hub-score fades (each fade halves every counter);
     /// `0` disables fading, making scores monotone forever.
     pub(crate) fade_interval: usize,
-    /// Push messages sent per round (own ID advertised to view peers).
-    pub push_count: usize,
-    /// Pull (exchange) requests sent per round, aimed at the
-    /// lowest-score — least hub-like — view members.
-    pub(crate) pull_count: usize,
     /// Maximum tracked hub-score counters, view members included.
     /// Estimation state stays bounded regardless of how many IDs gossip
     /// mentions: once full, the coldest off-view counter is evicted, so
@@ -38,46 +34,52 @@ pub struct LiftConfig {
 }
 
 impl LiftConfig {
-    /// The largest view [`for_view`](Self::for_view) accepts: its score
-    /// table's index (two slots per tracked ID, a power of two in all)
-    /// must stay addressable by 15-bit entries.
+    /// The largest view [`LiftConfig::validate`] accepts from
+    /// [`for_view`](Self::for_view): its score table's index (two slots
+    /// per tracked ID, a power of two in all) must stay addressable by
+    /// 15-bit entries.
     pub const MAX_VIEW_SIZE: usize = 2047;
 
     /// Brahms-budget-parity configuration for a view of `view_size`
-    /// slots, fading hub scores every `fade_interval` rounds.
+    /// slots, fading hub scores every `fade_interval` rounds. Not
+    /// validated: [`LiftConfig::validate`] reports a broken rule, and
+    /// the node constructor panics with it.
     pub fn for_view(view_size: usize, fade_interval: usize) -> Self {
-        let fanout = ((0.4 * view_size as f64).round() as usize).max(1);
-        let cfg = Self {
+        Self {
             view_size,
             fade_interval,
-            push_count: fanout,
-            pull_count: fanout,
-            score_capacity: (view_size * 8).max(64),
-        };
-        cfg.validate();
-        cfg
+            score_capacity: view_size.saturating_mul(8).max(64),
+        }
     }
 
-    /// Checks parameter consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any size is zero, the score table cannot hold the
-    /// view plus one off-view counter, or its index would outgrow
-    /// [`table::MAX_INDEX_SLOTS`](crate::table::MAX_INDEX_SLOTS).
-    pub(crate) fn validate(&self) {
-        assert!(self.view_size > 0, "LIFT view size must be positive");
-        assert!(self.push_count > 0, "push count must be positive");
-        assert!(self.pull_count > 0, "pull count must be positive");
-        assert!(
-            self.score_capacity > self.view_size,
-            "score capacity must exceed the view: a full view needs an off-view counter to evict"
-        );
-        assert!(
-            table::index_slots(self.score_capacity) <= table::MAX_INDEX_SLOTS,
-            "score capacity {} outgrows the table's index",
-            self.score_capacity
-        );
+    /// Pushes (own ID advertised to view peers) and pulls (aimed at the
+    /// lowest-score — least hub-like — view members) per round:
+    /// [`parity_fanout`] of the view, at least 1.
+    pub fn fanout(&self) -> usize {
+        parity_fanout(self.view_size)
+    }
+
+    /// Checks parameter consistency, returning the first broken rule:
+    /// the view must be positive, and the score table's index must fit
+    /// its 15-bit entries (views up to [`LiftConfig::MAX_VIEW_SIZE`]) yet
+    /// the table hold the view plus one off-view counter.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        const _: () = assert!(LiftConfig::MAX_VIEW_SIZE == 2047); // the reason below names it
+        if self.view_size == 0 {
+            return Err("LIFT view size must be positive");
+        }
+        // `index_slots(c) <= MAX_INDEX_SLOTS`: both are powers of two, so
+        // it is `2·(c + 1) <= MAX_INDEX_SLOTS`, written so that no
+        // capacity overflows it.
+        if self.score_capacity >= table::MAX_INDEX_SLOTS / 2 {
+            return Err("LIFT views above 2047 outgrow the score table's index");
+        }
+        if self.score_capacity <= self.view_size {
+            return Err(
+                "score capacity must exceed the view: a full view needs an off-view counter to evict",
+            );
+        }
+        Ok(())
     }
 }
 
@@ -88,22 +90,20 @@ mod tests {
     #[test]
     fn for_view_matches_brahms_budget() {
         let cfg = LiftConfig::for_view(16, 30);
-        assert_eq!(cfg.push_count, 6); // round(0.4·16) = α·l1 at l1=16
-        assert_eq!(cfg.pull_count, 6);
+        assert_eq!(cfg.fanout(), 6); // round(0.4·16) = α·l1 at l1=16
         assert_eq!(cfg.fade_interval, 30);
         assert!(cfg.score_capacity >= 16);
     }
 
     #[test]
     fn tiny_views_keep_positive_fanout() {
-        let cfg = LiftConfig::for_view(1, 0);
-        assert_eq!(cfg.push_count, 1);
-        assert_eq!(cfg.pull_count, 1);
+        assert_eq!(LiftConfig::for_view(1, 0).fanout(), 1);
     }
 
     #[test]
     fn the_largest_view_fits_the_index() {
         let cfg = LiftConfig::for_view(LiftConfig::MAX_VIEW_SIZE, 0);
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(
             table::index_slots(cfg.score_capacity),
             table::MAX_INDEX_SLOTS
@@ -111,34 +111,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outgrows the table's index")]
     fn views_past_the_largest_rejected() {
-        LiftConfig::for_view(LiftConfig::MAX_VIEW_SIZE + 1, 0);
+        for view in [LiftConfig::MAX_VIEW_SIZE + 1, usize::MAX] {
+            let reason = LiftConfig::for_view(view, 0).validate().unwrap_err();
+            let max = LiftConfig::MAX_VIEW_SIZE;
+            assert_eq!(
+                reason,
+                format!("LIFT views above {max} outgrow the score table's index"),
+                "{view}"
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "view size must be positive")]
     fn zero_view_rejected() {
-        LiftConfig::for_view(0, 10);
+        assert_eq!(
+            LiftConfig::for_view(0, 10).validate(),
+            Err("LIFT view size must be positive")
+        );
     }
 
     #[test]
-    #[should_panic(expected = "score capacity")]
     fn undersized_score_table_rejected() {
-        LiftConfig {
+        let cfg = LiftConfig {
             score_capacity: 4,
             ..LiftConfig::for_view(8, 0)
-        }
-        .validate();
+        };
+        assert!(cfg.validate().unwrap_err().starts_with("score capacity"));
     }
 
     #[test]
-    #[should_panic(expected = "score capacity must exceed the view")]
     fn view_sized_score_table_rejected() {
-        LiftConfig {
+        let cfg = LiftConfig {
             score_capacity: 8,
             ..LiftConfig::for_view(8, 0)
-        }
-        .validate();
+        };
+        assert!(cfg
+            .validate()
+            .unwrap_err()
+            .starts_with("score capacity must exceed the view"));
     }
 }

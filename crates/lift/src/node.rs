@@ -53,7 +53,7 @@ pub struct LiftRoundReport {
 /// let mut node = LiftNode::new(NodeId(0), cfg, &bootstrap, 42);
 /// let (mut pushes, mut pulls) = (Vec::new(), Vec::new());
 /// node.plan_round_into(&mut pushes, &mut pulls);
-/// assert_eq!(pushes.len(), cfg.push_count);
+/// assert_eq!(pushes.len(), cfg.fanout());
 /// assert!(!pulls.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -76,8 +76,15 @@ pub struct LiftNode {
 impl LiftNode {
     /// Creates a node bootstrapped from `bootstrap` (observed in order,
     /// as if gossip had mentioned each once).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the broken rule when [`LiftConfig::validate`]
+    /// rejects `config`; call it first to get the rule as a value.
     pub fn new(id: NodeId, config: LiftConfig, bootstrap: &[NodeId], seed: u64) -> Self {
-        config.validate();
+        if let Err(rule) = config.validate() {
+            panic!("{rule}");
+        }
         let mut node = Self {
             id,
             config,
@@ -158,8 +165,8 @@ impl LiftNode {
     }
 
     /// Chooses this round's targets into caller-owned buffers (cleared
-    /// and refilled): `push_count` uniform draws from the view (with
-    /// replacement, like Brahms' `rand(V)`), and the `pull_count`
+    /// and refilled): `fanout` uniform draws from the view (with
+    /// replacement, like Brahms' `rand(V)`), and the `fanout`
     /// lowest-score — least hub-like — members as exchange partners,
     /// ordered by the scores held beside the view slots.
     pub fn plan_round_into(&mut self, pushes: &mut Vec<NodeId>, pulls: &mut Vec<NodeId>) {
@@ -169,7 +176,7 @@ impl LiftNode {
         if view.is_empty() {
             return;
         }
-        for _ in 0..self.config.push_count {
+        for _ in 0..self.config.fanout() {
             pushes.push(view[self.rng.index(view.len())]);
         }
         let scores = self.table.view_scores();
@@ -180,7 +187,7 @@ impl LiftNode {
         pulls.extend(
             self.scratch_order
                 .iter()
-                .take(self.config.pull_count)
+                .take(self.config.fanout())
                 .map(|&i| view[i as usize]),
         );
     }

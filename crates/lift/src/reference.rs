@@ -35,7 +35,9 @@ impl ReferenceNode {
     /// Creates a node bootstrapped from `bootstrap` (observed in order,
     /// as if gossip had mentioned each once).
     pub(crate) fn new(id: NodeId, config: LiftConfig, bootstrap: &[NodeId], seed: u64) -> Self {
-        config.validate();
+        if let Err(rule) = config.validate() {
+            panic!("{rule}");
+        }
         let mut node = Self {
             id,
             config,
@@ -110,8 +112,8 @@ impl ReferenceNode {
     }
 
     /// Chooses this round's targets into caller-owned buffers (cleared
-    /// and refilled): `push_count` uniform draws from the view (with
-    /// replacement, like Brahms' `rand(V)`), and the `pull_count`
+    /// and refilled): `fanout` uniform draws from the view (with
+    /// replacement, like Brahms' `rand(V)`), and the `fanout`
     /// lowest-score — least hub-like — members as exchange partners.
     pub(crate) fn plan_round_into(&mut self, pushes: &mut Vec<NodeId>, pulls: &mut Vec<NodeId>) {
         pushes.clear();
@@ -119,7 +121,7 @@ impl ReferenceNode {
         if self.view.is_empty() {
             return;
         }
-        for _ in 0..self.config.push_count {
+        for _ in 0..self.config.fanout() {
             pushes.push(self.view[self.rng.index(self.view.len())]);
         }
         self.scratch_order.clear();
@@ -133,7 +135,7 @@ impl ReferenceNode {
         pulls.extend(
             self.scratch_order
                 .iter()
-                .take(self.config.pull_count)
+                .take(self.config.fanout())
                 .map(|&i| view[i as usize]),
         );
     }

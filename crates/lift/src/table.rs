@@ -459,7 +459,7 @@ impl ScoreTable {
     }
 
     /// Bytes the table holds on the heap.
-    fn allocated_bytes(&self) -> usize {
+    fn held_bytes(&self) -> usize {
         self.view.capacity() * std::mem::size_of::<NodeId>()
             + self.view_scores.capacity() * 4
             + self.heap.capacity() * std::mem::size_of::<Counter>()
@@ -481,19 +481,19 @@ mod tests {
         assert!(Counter::new(2, NodeId(1 << 32)) > Counter::new(2, NodeId(u64::from(u32::MAX))));
     }
 
-    /// The table never allocates more than the two sorted counter
+    /// The table never holds more bytes than the two sorted counter
     /// arrays it replaced, `12·v + 24·(c + 1 − v)` bytes, at any view
     /// `LiftConfig` admits.
     #[test]
-    fn allocates_less_than_the_sorted_arrays() {
+    fn holds_fewer_bytes_than_the_sorted_arrays() {
         for view in 1..=LiftConfig::MAX_VIEW_SIZE {
             let c = LiftConfig::for_view(view, 0).score_capacity;
             let t = ScoreTable::new(view, c);
             let sorted_arrays = 12 * view + 24 * (c + 1 - view);
-            assert!(t.allocated_bytes() <= sorted_arrays, "view {view}");
+            assert!(t.held_bytes() <= sorted_arrays, "view {view}");
             if view == 24 || view == 200 {
                 let expected = if view == 24 { 3_678 } else { 30_206 };
-                assert_eq!(t.allocated_bytes(), expected, "view {view}");
+                assert_eq!(t.held_bytes(), expected, "view {view}");
             }
         }
     }

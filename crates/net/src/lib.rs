@@ -9,7 +9,8 @@
 //! * [`NodeId`], the transport address of a simulated node, its dense
 //!   arena slot [`NodeIdx`], and [`IdInterner`], the mapping between the
 //!   two that a population with sparse wire IDs would need.
-//! * [`RoundPlan`], the push and pull targets a node draws each round.
+//! * [`RoundPlan`], the push and pull targets a node draws each round,
+//!   and [`parity_fanout`], how many of each a comparison family draws.
 //! * [`PushRateLimiter`], the "limited pushes" defence
 //!   Brahms assumes (computational puzzles / virtual currency): it caps
 //!   how many pushes any identity can emit per round, which bounds the
@@ -32,5 +33,5 @@ mod rate;
 
 pub use channel::SecureChannel;
 pub use id::{IdInterner, NodeId, NodeIdx};
-pub use plan::RoundPlan;
+pub use plan::{parity_fanout, RoundPlan};
 pub use rate::PushRateLimiter;

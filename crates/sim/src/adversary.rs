@@ -448,13 +448,13 @@ impl AdaptiveCoordinator {
     /// The coordinator of `AdversaryMode::Adaptive` over a population of
     /// `segments` segments: one arm per (segment, candidate strategy)
     /// pair.
-    pub(crate) fn for_segments(segments: usize) -> Self {
+    pub fn for_segments(segments: usize) -> Self {
         Self::new(segments * ADAPTIVE_STRATEGIES.len())
     }
 
     /// The play arm `arm` of [`AdaptiveCoordinator::for_segments`] stands
     /// for: the segment it aims the whole budget at, and the strategy.
-    pub(crate) fn play(arm: usize) -> (usize, AttackStrategy) {
+    pub fn play(arm: usize) -> (usize, AttackStrategy) {
         let n = ADAPTIVE_STRATEGIES.len();
         (arm / n, ADAPTIVE_STRATEGIES[arm % n])
     }
@@ -480,16 +480,6 @@ impl AdaptiveCoordinator {
         best
     }
 
-    /// The per-arm budget allocation for this round: the entire lawful
-    /// `budget` goes to [`AdaptiveCoordinator::choose`]'s arm, every
-    /// other arm gets zero — so the allocation always sums exactly to
-    /// `budget` (the lawfulness invariant the property tests assert).
-    pub fn allocate(&self, budget: usize) -> Vec<usize> {
-        let mut out = vec![0usize; self.arms.len()];
-        out[self.choose()] = budget;
-        out
-    }
-
     /// Records the observed pollution yield of playing `arm` this round
     /// (the engine feeds the attacked segment's mean Byzantine view
     /// share after the round's stats fold).
@@ -499,6 +489,34 @@ impl AdaptiveCoordinator {
         a.total_yield += observed_yield.clamp(0.0, 1.0);
         self.rounds += 1;
     }
+}
+
+/// The adversary's lawful per-round push `budget` split across the
+/// population's segments of `lens` nodes, in segment order. A static
+/// adversary gives each segment its share in proportion to its size,
+/// rounded down, and the last segment the remainder; the adaptive
+/// adversary's bandit aims the whole budget at segment `aimed` (the
+/// segment [`AdaptiveCoordinator::play`] names, which must be one of the
+/// `lens.len()` segments) and gives every other segment zero. Either way
+/// the shares sum to `budget` exactly: the adversary never mints budget.
+pub fn split_budget<I>(budget: usize, lens: I, aimed: Option<usize>) -> impl Iterator<Item = usize>
+where
+    I: ExactSizeIterator<Item = usize> + Clone,
+{
+    debug_assert!(aimed.is_none_or(|a| a < lens.len()));
+    let total: usize = lens.clone().sum();
+    let last = lens.len().saturating_sub(1);
+    let mut assigned = 0;
+    lens.enumerate().map(move |(si, len)| {
+        let share = match aimed {
+            Some(aimed) if si == aimed => budget,
+            Some(_) => 0,
+            None if si == last => budget - assigned,
+            None => budget * len / total,
+        };
+        assigned += share;
+        share
+    })
 }
 
 /// The maximal runs of consecutive indices in `ids`, in order.
@@ -892,14 +910,36 @@ mod tests {
 
     #[test]
     fn bandit_allocation_conserves_the_budget() {
-        let mut c = AdaptiveCoordinator::new(5);
+        let lens = [40, 7, 13, 22, 1];
+        let mut c = AdaptiveCoordinator::for_segments(lens.len());
         for round in 0..50 {
-            let alloc = c.allocate(777);
-            assert_eq!(alloc.iter().sum::<usize>(), 777);
-            assert_eq!(alloc.iter().filter(|&&b| b > 0).count(), 1);
-            let arm = alloc.iter().position(|&b| b > 0).unwrap();
+            let arm = c.choose();
+            let aimed = AdaptiveCoordinator::play(arm).0;
+            let split: Vec<usize> = split_budget(777, lens.iter().copied(), Some(aimed)).collect();
+            assert_eq!(split.iter().sum::<usize>(), 777);
+            assert_eq!(split.iter().filter(|&&b| b > 0).count(), 1);
+            assert_eq!(
+                split[aimed], 777,
+                "the whole budget rides the chosen arm's segment"
+            );
             c.reward(arm, (round % 3) as f64 * 0.1);
         }
+        let split: Vec<usize> = split_budget(777, lens.iter().copied(), None).collect();
+        assert_eq!(
+            split,
+            [374, 65, 121, 205, 12],
+            "shares by size, remainder last"
+        );
+    }
+
+    /// The bandit's segment must be one of the population's: an aim past
+    /// the last segment would drop the whole budget, so debug builds
+    /// refuse it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "aimed.is_none_or")]
+    fn aiming_past_the_last_segment_is_refused() {
+        let _ = split_budget(10, [3, 4].into_iter(), Some(2));
     }
 
     #[test]

@@ -158,9 +158,9 @@ pub(super) struct WorkerScratch {
 /// One fixed-stride row of dense IDs per population index plus each
 /// row's occupied length: a round's push targets and pull targets
 /// (stride: the largest fanout in play — every family plans at most its
-/// fanout of pushes and as many pulls, α = β for the Brahms family,
-/// `push_count = pull_count` for the ranked ones) and its post-plan view
-/// snapshots (stride: `view_size`).
+/// fanout of pushes and as many pulls: α = β for the Brahms family, one
+/// `fanout` for the ranked ones) and its post-plan view snapshots
+/// (stride: `view_size`).
 #[derive(Default)]
 pub(super) struct IdRows {
     stride: usize,
@@ -287,6 +287,8 @@ pub(super) struct Scratch {
     pub(super) live: Vec<bool>,
     /// The adversary's push plan for the segment being attacked.
     pub(super) byz_plan: PushPlan,
+    /// Each segment's share of the adversary's push budget this round.
+    pub(super) byz_budgets: Vec<usize>,
     /// Honest pushes surviving limiter, liveness, loss and the net, in
     /// sender-major order.
     pub(super) honest: PushLane,

@@ -14,16 +14,8 @@ use raptee_net::NodeId;
 use raptee_tee::AttestationService;
 use raptee_util::rng::mix64;
 
-/// The attestation service that certifies the run's trusted platforms,
-/// derived from the scenario seed: the constructor provisions through it
-/// and [`TrustTier::new`] rebuilds the same one (same measurement, same
-/// group key), so renewals verify.
-pub(super) fn attestation_service(scenario: &Scenario) -> AttestationService {
-    provisioning::new_attestation_service(scenario.seed ^ 0x6E0C)
-}
-
 /// The attested platform of trusted actor `abs`: the one the constructor
-/// provisions and the trust tier re-certifies and renews.
+/// certifies and provisions and the trust tier renews.
 pub(super) fn platform(abs: usize) -> u64 {
     0x1000 + abs as u64
 }
@@ -47,22 +39,24 @@ pub(super) struct TrustTier {
 
 impl TrustTier {
     /// The tier of a run with `Scenario::attest_ttl > 0` (`None`
-    /// otherwise): the attestation service the constructor provisioned
-    /// through, rebuilt (same measurement, same group key) with every
-    /// trusted platform re-certified so renewals verify.
-    pub(super) fn new(scenario: &Scenario, trusted: &[bool]) -> Option<Self> {
+    /// otherwise), taking over `service`, the attestation service that
+    /// certified every trusted platform and provisioned its group key,
+    /// so renewals verify.
+    pub(super) fn new(
+        scenario: &Scenario,
+        trusted: &[bool],
+        service: AttestationService,
+    ) -> Option<Self> {
         if scenario.attest_ttl == 0 {
             return None;
         }
         let ttl = scenario.attest_ttl as u64;
-        let mut service = attestation_service(scenario);
         let seed = mix64(scenario.seed ^ 0x7255_7ED0_0DDA_7E5A);
         let mut expires = vec![0u64; trusted.len()];
         for (abs, expiry) in expires.iter_mut().enumerate() {
             if !trusted[abs] {
                 continue;
             }
-            service.certify_platform(platform(abs));
             // Staggered initial expiry in [ttl, 2·ttl): certificates
             // issued at different pre-run moments, so the tier never
             // expires as one synchronized cliff.

@@ -201,6 +201,7 @@ impl Simulation {
             trusted,
             segs,
             answer_size,
+            attestation,
         } = Population::build(&scenario, &byz_ids, &mut rng);
         let non_byz_total = total - byz;
 
@@ -243,7 +244,7 @@ impl Simulation {
             best_identification: None,
             churn_seed: mix64(scenario.seed ^ 0x0C4A_54E5_50DD_BA11),
             recovery: RecoveryState::new(&scenario, non_byz_total),
-            trust: TrustTier::new(&scenario, &trusted),
+            trust: TrustTier::new(&scenario, &trusted, attestation),
             audit: scenario
                 .audit
                 .map(|cfg| Challenger::new(cfg, scenario.seed, total, byz)),

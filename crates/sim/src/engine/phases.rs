@@ -9,7 +9,7 @@ use super::arena::{
 };
 use super::population::Node;
 use super::Simulation;
-use crate::adversary::{AdaptiveCoordinator, Replays};
+use crate::adversary::{split_budget, AdaptiveCoordinator, Replays};
 use crate::bitset::DiscoveryRows;
 use crate::event::Lane as NetLane;
 use crate::metrics::IdentificationResult;
@@ -121,8 +121,9 @@ impl Simulation {
     }
 
     /// Adversary pushes (sequential control): the adversary's lawful
-    /// budget B·fanout, split across segments in proportion to their
-    /// sizes, each share planned by
+    /// budget B·fanout, split across segments by
+    /// [`split_budget`](crate::adversary::split_budget) in proportion to
+    /// their sizes, each share planned by
     /// [`Adversary::plan_attack`](crate::adversary::Adversary::plan_attack)
     /// for its victim family. In adaptive mode the bandit instead aims
     /// the entire budget at its chosen (segment, strategy) arm, which is
@@ -139,28 +140,26 @@ impl Simulation {
         let bandit_arm = self.bandit.as_ref().map(AdaptiveCoordinator::choose);
         let Scratch {
             byz_plan: plan,
+            byz_budgets: budgets,
             byz: lane,
             ..
         } = s;
         lane.survivors.clear();
         self.net
             .drain_due_pushes(NetLane::Adversary, &mut lane.survivors);
-        let total_budget = self.byz_count * self.limiter_fanout;
-        let mut assigned = 0usize;
+        let (aimed, attack) = match bandit_arm.map(AdaptiveCoordinator::play) {
+            Some((aimed, attack)) => (Some(aimed), attack),
+            None => (None, self.scenario.attack),
+        };
+        budgets.clear();
+        budgets.extend(split_budget(
+            self.byz_count * self.limiter_fanout,
+            self.segs.iter().map(|seg| seg.len),
+            aimed,
+        ));
         let mut charge_rotor = 0usize;
-        for si in 0..self.segs.len() {
+        for (si, &budget) in budgets.iter().enumerate() {
             let seg = &self.segs[si];
-            let (budget, attack) = match bandit_arm.map(AdaptiveCoordinator::play) {
-                Some((aimed, attack)) => (if si == aimed { total_budget } else { 0 }, attack),
-                None if si + 1 == self.segs.len() => {
-                    (total_budget - assigned, self.scenario.attack)
-                }
-                None => (
-                    total_budget * seg.len / self.non_byz_total,
-                    self.scenario.attack,
-                ),
-            };
-            assigned += budget;
             let ranked = seg.protocol.is_ranked_family();
             let victims = &self.victims[seg.range()];
             self.adversary

@@ -4,15 +4,14 @@
 
 use super::{membership, Simulation};
 use crate::bitset::EXACT_DISCOVERY_THRESHOLD;
-use crate::scenario::{Protocol, Scenario};
+use crate::scenario::{FamilyConfig, Protocol, Scenario};
 use raptee::provisioning;
-use raptee::{RapteeConfig, RapteeNode};
-use raptee_basalt::{BasaltConfig, BasaltNode};
-use raptee_brahms::BrahmsConfig;
-use raptee_crypto::SecretKey;
-use raptee_honeybee::{HoneybeeConfig, HoneybeeNode};
-use raptee_lift::{LiftConfig, LiftNode};
+use raptee::RapteeNode;
+use raptee_basalt::BasaltNode;
+use raptee_honeybee::HoneybeeNode;
+use raptee_lift::LiftNode;
 use raptee_net::{NodeId, RoundPlan};
+use raptee_tee::AttestationService;
 use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 
 /// One correct node. The correct population is one flat arena of these,
@@ -22,10 +21,10 @@ use raptee_util::rng::{IndexScratch, Xoshiro256StarStar};
 /// `i - byz_count` for `i >= byz_count`. `Raptee` carries both
 /// Brahms-family protocols (Brahms is a RAPTEE node without a trusted
 /// tier), `Basalt` both BASALT protocols (the +TEE hybrid's trusted tier
-/// is the node's group key). `BasaltNode` is the largest variant and
-/// lends `Node` its niche, so a `Node` costs exactly a `BasaltNode`
-/// (`the_arena_costs_nothing_over_its_largest_node` pins 384 B, and
-/// `RapteeNode` at 368 B).
+/// is the node's group key). `RapteeNode` is the largest variant and
+/// lends `Node` its niche, so a `Node` costs exactly a `RapteeNode`
+/// (`the_arena_costs_nothing_over_its_largest_node` pins 368 B, and
+/// `BasaltNode` at 352 B).
 ///
 /// [`Population::build`] fills each segment with the one family its
 /// protocol runs, so a caller that found a node in a segment knows its
@@ -214,6 +213,9 @@ pub(super) struct Population {
     /// The largest view size in play: what a Byzantine pull answer
     /// holds.
     pub(super) answer_size: usize,
+    /// The attestation service that certified every trusted platform
+    /// and provisioned its group key.
+    pub(super) attestation: AttestationService,
 }
 
 impl Population {
@@ -241,27 +243,10 @@ impl Population {
             specs[0].count += total - n;
         }
 
-        let mut brahms = BrahmsConfig {
-            view_size: scenario.view_size,
-            sample_size: scenario.sample_size,
-            gamma: scenario.gamma,
-            flood_threshold: None,
-        };
-        if scenario.flood_slack_sigmas > 0.0 {
-            let alpha_count = brahms.alpha_count() as f64;
-            let slack = scenario.flood_slack_sigmas * alpha_count.sqrt();
-            brahms.flood_threshold = Some((alpha_count + slack).round() as usize);
-        }
-        let config = RapteeConfig {
-            brahms,
-            eviction: scenario.eviction,
-        };
-
         // Group-key provisioning through the full simulated attestation
-        // flow: one certified platform per trusted node.
-        let mut attestation = membership::attestation_service(scenario);
-        let mut provision =
-            |platform: u64| provisioning::certify_and_provision(&mut attestation, platform);
+        // flow: one certified platform per trusted node. The trust tier
+        // takes the service over to renew certificates.
+        let mut attestation = provisioning::new_attestation_service(scenario.seed ^ 0x6E0C);
 
         let all_ids: Vec<NodeId> = (0..n as u64).map(NodeId).collect();
         // One index table and one list buffer serve every bootstrap draw,
@@ -276,90 +261,17 @@ impl Population {
         let mut segs: Vec<SegMeta> = Vec::with_capacity(specs.len());
         let mut nodes: Vec<Node> = Vec::with_capacity(total - byz);
         let mut answer_size = 0;
-        let raptee = |id, boot: &[NodeId], seed, key: Option<SecretKey>| {
-            let mut node = match key {
-                Some(key) => RapteeNode::new_trusted(id, config.clone(), boot, seed, key),
-                None => RapteeNode::new_untrusted(id, config.clone(), boot, seed),
-            };
-            // The sampler seen-cache is pure memoization (identical
-            // samples either way) whose backing bitset grows toward one
-            // bit per live identity *per node* — an O(N²)-bit structure
-            // in aggregate (≈ 125 KiB/node at N = 1,000,000, dwarfing
-            // the protocol state). Past the same population threshold
-            // that retires exact discovery bitsets, run uncached.
-            if total > EXACT_DISCOVERY_THRESHOLD {
-                node.brahms_mut().sampler_mut().disable_seen_cache();
-            }
-            Node::Raptee(node)
-        };
-        let basalt = |cfg| {
-            move |id, boot: &[NodeId], seed, key: Option<SecretKey>| {
-                Node::Basalt(match key {
-                    Some(key) => BasaltNode::new_trusted(id, cfg, boot, seed, key),
-                    None => BasaltNode::new(id, cfg, boot, seed),
-                })
-            }
-        };
         for (spec, &seg_trusted) in specs.iter().zip(&trusted_counts) {
             let start = nodes.len();
-            // The segment's family, configured once: the view size its
-            // bootstraps draw and its answers hold, its per-identity push
-            // fanout, and its node constructor, which takes the group
-            // key of a trusted-tier node. Only RAPTEE and BASALT+TEE
-            // segments have a trusted tier
-            // (`Scenario::segment_trusted_counts`).
-            let (view_size, fanout, make): (usize, usize, &dyn Fn(_, &_, _, _) -> Node) =
-                match spec.protocol {
-                    Protocol::Brahms | Protocol::Raptee => {
-                        (scenario.view_size, config.brahms.alpha_count(), &raptee)
-                    }
-                    Protocol::Basalt {
-                        view_size,
-                        rotation_interval,
-                    }
-                    | Protocol::BasaltTee {
-                        view_size,
-                        rotation_interval,
-                        wlist_ttl: 0,
-                    } => {
-                        let cfg = BasaltConfig::for_view(view_size, rotation_interval);
-                        (view_size, cfg.push_count, &basalt(cfg))
-                    }
-                    Protocol::BasaltTee {
-                        view_size,
-                        rotation_interval,
-                        wlist_ttl,
-                    } => {
-                        let cfg = BasaltConfig::with_wlist(view_size, rotation_interval, wlist_ttl);
-                        (view_size, cfg.push_count, &basalt(cfg))
-                    }
-                    Protocol::Lift {
-                        view_size,
-                        fade_interval,
-                    } => {
-                        let cfg = LiftConfig::for_view(view_size, fade_interval);
-                        (
-                            view_size,
-                            cfg.push_count,
-                            &move |id, boot: &[NodeId], seed, _| {
-                                Node::Lift(LiftNode::new(id, cfg, boot, seed))
-                            },
-                        )
-                    }
-                    Protocol::Honeybee {
-                        view_size,
-                        walk_length,
-                    } => {
-                        let cfg = HoneybeeConfig::for_view(view_size, walk_length);
-                        (
-                            view_size,
-                            cfg.push_count,
-                            &move |id, boot: &[NodeId], seed, _| {
-                                Node::Honeybee(HoneybeeNode::new(id, cfg, boot, seed))
-                            },
-                        )
-                    }
-                };
+            // The view size bootstraps draw and answers hold, and the
+            // per-identity push fanout.
+            let family = scenario.family_config(spec.protocol);
+            let (view_size, fanout) = match &family {
+                FamilyConfig::Raptee(cfg) => (cfg.brahms.view_size, cfg.brahms.alpha_count()),
+                FamilyConfig::Basalt(cfg) => (cfg.view_size, cfg.fanout()),
+                FamilyConfig::Lift(cfg) => (cfg.view_size, cfg.fanout()),
+                FamilyConfig::Honeybee(cfg) => (cfg.view_size, cfg.fanout()),
+            };
             for i in 0..spec.count {
                 let abs = byz + start + i;
                 let is_injected = abs >= n;
@@ -373,11 +285,42 @@ impl Population {
                     (&all_ids[..], view_size + 2)
                 };
                 rng.sample_into(pool, k, &mut idx, &mut bootstrap);
+                // Only RAPTEE and BASALT+TEE segments have a trusted tier
+                // (`Scenario::segment_trusted_counts`).
                 let key = (i < seg_trusted || is_injected).then(|| {
                     trusted[abs] = true;
-                    provision(membership::platform(abs))
+                    let platform = membership::platform(abs);
+                    provisioning::certify_and_provision(&mut attestation, platform)
                 });
-                nodes.push(make(NodeId(abs as u64), &bootstrap, seed, key));
+                let id = NodeId(abs as u64);
+                nodes.push(match &family {
+                    FamilyConfig::Raptee(cfg) => {
+                        let cfg = cfg.clone();
+                        let mut node = match key {
+                            Some(key) => RapteeNode::new_trusted(id, cfg, &bootstrap, seed, key),
+                            None => RapteeNode::new_untrusted(id, cfg, &bootstrap, seed),
+                        };
+                        // The seen-cache is pure memoization whose bitset
+                        // grows toward one bit per live identity per node
+                        // (≈ 125 KiB/node at N = 1,000,000): past the
+                        // threshold that retires exact discovery bitsets,
+                        // run uncached.
+                        if total > EXACT_DISCOVERY_THRESHOLD {
+                            node.brahms_mut().sampler_mut().disable_seen_cache();
+                        }
+                        Node::Raptee(node)
+                    }
+                    &FamilyConfig::Basalt(cfg) => Node::Basalt(match key {
+                        Some(key) => BasaltNode::new_trusted(id, cfg, &bootstrap, seed, key),
+                        None => BasaltNode::new(id, cfg, &bootstrap, seed),
+                    }),
+                    &FamilyConfig::Lift(cfg) => {
+                        Node::Lift(LiftNode::new(id, cfg, &bootstrap, seed))
+                    }
+                    &FamilyConfig::Honeybee(cfg) => {
+                        Node::Honeybee(HoneybeeNode::new(id, cfg, &bootstrap, seed))
+                    }
+                });
             }
             segs.push(SegMeta {
                 protocol: spec.protocol,
@@ -392,6 +335,7 @@ impl Population {
             trusted,
             segs,
             answer_size,
+            attestation,
         }
     }
 }
@@ -508,6 +452,10 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raptee::RapteeConfig;
+    use raptee_basalt::BasaltConfig;
+    use raptee_honeybee::HoneybeeConfig;
+    use raptee_lift::LiftConfig;
 
     fn ids(range: std::ops::Range<u64>) -> Vec<NodeId> {
         range.map(NodeId).collect()

@@ -327,6 +327,52 @@ fn block_edges_are_invisible_to_results() {
     }
 }
 
+/// Every family spends Brahms' budget: at one view size, each segment
+/// of a six-family population grants the same per-identity push fanout,
+/// the Brahms family's `α·l1`, which is the parity fanout from a view of
+/// two up (at one slot `α·l1` rounds to 0 and the parity fanout to 1).
+#[test]
+fn every_segment_spends_the_brahms_budget() {
+    for view_size in [2, 5, 8, 13, 21] {
+        let segments = [
+            Protocol::Raptee,
+            Protocol::Brahms,
+            Protocol::Basalt {
+                view_size,
+                rotation_interval: 30,
+            },
+            basalt_tee(view_size),
+            Protocol::Lift {
+                view_size,
+                fade_interval: 20,
+            },
+            Protocol::Honeybee {
+                view_size,
+                walk_length: 5,
+            },
+        ]
+        .map(|protocol| SegmentSpec {
+            protocol,
+            count: 10,
+        });
+        let s = Scenario {
+            view_size,
+            sample_size: view_size,
+            ..with_correct(60)
+        }
+        .with_population(segments.to_vec());
+        assert_eq!(s.validate(), Ok(()), "view {view_size}");
+        let sim = Simulation::new(s);
+        let fanouts: Vec<usize> = sim.segs.iter().map(|seg| seg.fanout).collect();
+        let alpha = raptee::RapteeConfig::paper_defaults(view_size)
+            .brahms
+            .alpha_count();
+        assert_eq!(fanouts, [alpha; 6], "view {view_size}");
+        assert_eq!(alpha, raptee_net::parity_fanout(view_size));
+        assert_eq!(sim.limiter_fanout, alpha, "view {view_size}");
+    }
+}
+
 #[test]
 fn the_arena_costs_nothing_over_its_largest_node() {
     let sizes = (
@@ -334,8 +380,8 @@ fn the_arena_costs_nothing_over_its_largest_node() {
         std::mem::size_of::<RapteeNode>(),
         std::mem::size_of::<BasaltNode>(),
     );
-    assert_eq!(sizes.0, sizes.2, "Node, RapteeNode, BasaltNode: {sizes:?}");
-    assert_eq!(sizes, (384, 368, 384), "Node, RapteeNode, BasaltNode");
+    assert_eq!(sizes.0, sizes.1, "Node, RapteeNode, BasaltNode: {sizes:?}");
+    assert_eq!(sizes, (368, 368, 352), "Node, RapteeNode, BasaltNode");
 }
 
 #[test]
@@ -414,6 +460,35 @@ fn basalt_role_queries() {
         "no RAPTEE nodes under BASALT"
     );
     assert!(!sim.is_trusted(NodeId(byz as u64)));
+}
+
+/// BASALT+TEE with its waiting list off and no trusted tier is plain
+/// BASALT: the same config, the same nodes, the same run, bit for bit.
+#[test]
+fn basalt_tee_without_wlist_or_tier_runs_plain_basalt() {
+    let basalt = Protocol::Basalt {
+        view_size: 12,
+        rotation_interval: 15,
+    };
+    let tee = Protocol::BasaltTee {
+        view_size: 12,
+        rotation_interval: 15,
+        wlist_ttl: 0,
+    };
+    let run = |protocol| {
+        let s = Scenario {
+            trusted_fraction: 0.0,
+            ..small(protocol)
+        };
+        assert_eq!(s.trusted_count(), 0);
+        let mut result = Simulation::new(s).run();
+        assert_eq!(result.segments[0].protocol, protocol);
+        result.segments[0].protocol = basalt;
+        result
+    };
+    let plain = run(basalt);
+    assert!(plain.resilience > 0.0);
+    assert_eq!(run(tee), plain);
 }
 
 fn basalt_tee(view: usize) -> Protocol {

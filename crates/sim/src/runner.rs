@@ -94,9 +94,9 @@ const REP_SEED_STRIDE: u64 = 0x9E37_79B9;
 pub const MAX_REPETITIONS: usize = (u64::MAX / REP_SEED_STRIDE) as usize;
 
 /// Runs `repetitions` independent repetitions (seeds derived from the
-/// scenario seed) in parallel and aggregates: [`aggregate`] of
-/// [`run_repetitions`], without holding more than a few results per
-/// worker at a time (see [`run_repeated_with`]).
+/// scenario seed) in parallel and aggregates their means, without
+/// holding more than a few results per worker at a time (see
+/// [`run_repeated_with`]).
 ///
 /// # Panics
 ///
@@ -113,8 +113,8 @@ const REPETITIONS_PER_WORKER: usize = 4;
 /// [`run_repeated`], handing each repetition's result to `visit` with its
 /// repetition number before folding it in. The repetitions run in
 /// parallel in chunks of `REPETITIONS_PER_WORKER` per worker and fold
-/// in repetition order, so the aggregate is [`aggregate`] of
-/// [`run_repetitions`] bit for bit, and memory does not grow with
+/// in repetition order, so the aggregate is the one of all results
+/// collected first, bit for bit, and memory does not grow with
 /// `repetitions`.
 ///
 /// # Panics
@@ -141,21 +141,6 @@ pub fn run_repeated_with(
     tally.expect("at least one repetition ran").finish()
 }
 
-/// Runs repetitions `0..repetitions` of `scenario` in parallel, the
-/// `k`-th at the seed `seed + stride · (k + 1)`; the results are in
-/// repetition order.
-///
-/// # Panics
-///
-/// Panics if `repetitions` is zero or above [`MAX_REPETITIONS`].
-pub fn run_repetitions(scenario: &Scenario, repetitions: usize) -> Vec<RunResult> {
-    check_repetitions(repetitions);
-    (0..repetitions)
-        .into_par_iter()
-        .map(|k| run_scenario(repetition(scenario, k)))
-        .collect()
-}
-
 /// The documented contract: `raptee-cli` rejects `--reps 0` and `--reps`
 /// above the bound, and every `raptee_bench::Scale` profile runs at
 /// least one repetition.
@@ -168,23 +153,11 @@ fn check_repetitions(repetitions: usize) {
 }
 
 /// Repetition `k` of `scenario`: the scenario at the seed
-/// [`run_repetitions`] derives for its `k`-th run.
+/// `seed + stride · (k + 1)`.
 fn repetition(scenario: &Scenario, k: usize) -> Scenario {
     let mut s = scenario.clone();
     s.seed = scenario.seed.wrapping_add(REP_SEED_STRIDE * (k as u64 + 1));
     s
-}
-
-/// Aggregates a set of run results into means.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn aggregate(results: &[RunResult]) -> AggregatedResult {
-    assert!(!results.is_empty(), "cannot aggregate zero results");
-    let mut tally = Tally::new(&results[0]);
-    results.iter().for_each(|r| tally.add(r));
-    tally.finish()
 }
 
 /// A running sum and count: the mean of what was added, `None` for
@@ -434,6 +407,29 @@ mod tests {
     use super::*;
     use crate::metrics::IdentificationResult;
     use crate::scenario::Protocol;
+
+    /// Runs repetitions `0..repetitions` of `scenario` in parallel, all
+    /// results held at once and in repetition order: the reference
+    /// [`run_repeated`] folds chunk by chunk.
+    fn run_repetitions(scenario: &Scenario, repetitions: usize) -> Vec<RunResult> {
+        check_repetitions(repetitions);
+        (0..repetitions)
+            .into_par_iter()
+            .map(|k| run_scenario(repetition(scenario, k)))
+            .collect()
+    }
+
+    /// Aggregates a set of run results into means, in one fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty slice.
+    fn aggregate(results: &[RunResult]) -> AggregatedResult {
+        assert!(!results.is_empty(), "cannot aggregate zero results");
+        let mut tally = Tally::new(&results[0]);
+        results.iter().for_each(|r| tally.add(r));
+        tally.finish()
+    }
 
     fn tiny() -> Scenario {
         Scenario {

@@ -1,7 +1,11 @@
 //! Experiment configuration.
 
 use crate::bitset::EXACT_DISCOVERY_THRESHOLD;
-use raptee::EvictionPolicy;
+use raptee::{EvictionPolicy, RapteeConfig};
+use raptee_basalt::BasaltConfig;
+use raptee_brahms::BrahmsConfig;
+use raptee_honeybee::HoneybeeConfig;
+use raptee_lift::LiftConfig;
 use std::fmt;
 
 /// How the engine tracks per-node discovery (see
@@ -152,13 +156,7 @@ impl Protocol {
     /// or node-level trusted directory): BASALT, BASALT+TEE, LIFT or
     /// Honeybee, as opposed to the Brahms/RAPTEE view-renewal family.
     pub fn is_ranked_family(&self) -> bool {
-        matches!(
-            self,
-            Protocol::Basalt { .. }
-                | Protocol::BasaltTee { .. }
-                | Protocol::Lift { .. }
-                | Protocol::Honeybee { .. }
-        )
+        !matches!(self, Protocol::Brahms | Protocol::Raptee)
     }
 
     /// Whether a trusted tier exists under this protocol.
@@ -675,32 +673,26 @@ impl Check {
     }
 }
 
-/// Each family's own parameter checks, for the uniform protocol
-/// (`knob = "protocol"`) and every population segment (`"population"`).
-fn validate_protocol(protocol: Protocol, knob: &'static str) -> Result<(), ScenarioError> {
-    match protocol {
-        Protocol::Brahms | Protocol::Raptee => Ok(()),
-        Protocol::Basalt { view_size, .. } | Protocol::BasaltTee { view_size, .. } => {
-            check(view_size > 0, knob).or("BASALT view size must be positive")
-        }
-        Protocol::Lift {
-            view_size,
-            fade_interval,
-        } => {
-            check(view_size > 0, knob).or("LIFT view size must be positive")?;
-            let max = raptee_lift::LiftConfig::MAX_VIEW_SIZE;
-            check(view_size <= max, knob).or(format_args!(
-                "LIFT view size {view_size} exceeds {max}, the largest its score table indexes"
-            ))?;
-            check(fade_interval > 0, knob)
-                .or("LIFT needs a positive fade interval (scores must decay)")
-        }
-        Protocol::Honeybee {
-            view_size,
-            walk_length,
-        } => {
-            check(view_size > 0, knob).or("Honeybee view size must be positive")?;
-            check(walk_length > 0, knob).or("Honeybee walk length must be positive")
+/// A protocol family's node parameters, as [`Scenario::family_config`]
+/// maps a [`Protocol`] to them for [`Scenario::validate`] and the
+/// engine's population builder alike.
+pub(crate) enum FamilyConfig {
+    /// Brahms and RAPTEE.
+    Raptee(RapteeConfig),
+    /// BASALT and BASALT+TEE.
+    Basalt(BasaltConfig),
+    Lift(LiftConfig),
+    Honeybee(HoneybeeConfig),
+}
+
+impl FamilyConfig {
+    /// The first rule of the family config's own `validate` broken.
+    fn validate(&self) -> Result<(), &'static str> {
+        match self {
+            FamilyConfig::Raptee(cfg) => cfg.brahms.validate(),
+            FamilyConfig::Basalt(cfg) => cfg.validate(),
+            FamilyConfig::Lift(cfg) => cfg.validate(),
+            FamilyConfig::Honeybee(cfg) => cfg.validate(),
         }
     }
 }
@@ -829,10 +821,76 @@ impl Scenario {
             }
         }
         if self.population.is_empty() {
-            validate_protocol(self.protocol, "protocol")
+            self.validate_protocol(self.protocol, "protocol")
         } else {
             self.validate_population()
         }
+    }
+
+    /// The node parameters `protocol` runs with, unvalidated: a ranked
+    /// family's from the protocol's own fields, the Brahms family's from
+    /// the scenario's view and sample sizes, `gamma`, eviction policy and
+    /// flood slack.
+    pub(crate) fn family_config(&self, protocol: Protocol) -> FamilyConfig {
+        match protocol {
+            Protocol::Brahms | Protocol::Raptee => {
+                let mut brahms = BrahmsConfig {
+                    view_size: self.view_size,
+                    sample_size: self.sample_size,
+                    gamma: self.gamma,
+                    flood_threshold: None,
+                };
+                if self.flood_slack_sigmas > 0.0 {
+                    let alpha_count = brahms.alpha_count() as f64;
+                    let slack = self.flood_slack_sigmas * alpha_count.sqrt();
+                    brahms.flood_threshold = Some((alpha_count + slack).round() as usize);
+                }
+                FamilyConfig::Raptee(RapteeConfig {
+                    brahms,
+                    eviction: self.eviction,
+                })
+            }
+            Protocol::Basalt {
+                view_size,
+                rotation_interval,
+            } => FamilyConfig::Basalt(BasaltConfig::for_view(view_size, rotation_interval)),
+            Protocol::BasaltTee {
+                view_size,
+                rotation_interval,
+                wlist_ttl,
+            } => FamilyConfig::Basalt(BasaltConfig::with_wlist(
+                view_size,
+                rotation_interval,
+                wlist_ttl,
+            )),
+            Protocol::Lift {
+                view_size,
+                fade_interval,
+            } => FamilyConfig::Lift(LiftConfig::for_view(view_size, fade_interval)),
+            Protocol::Honeybee {
+                view_size,
+                walk_length,
+            } => FamilyConfig::Honeybee(HoneybeeConfig::for_view(view_size, walk_length)),
+        }
+    }
+
+    /// The rules of `protocol`'s family config, for the uniform protocol
+    /// (`knob = "protocol"`) and every population segment
+    /// (`"population"`), then the one rule no config states: LIFT's
+    /// positive fade interval (see [`Protocol::Lift`]).
+    fn validate_protocol(
+        &self,
+        protocol: Protocol,
+        knob: &'static str,
+    ) -> Result<(), ScenarioError> {
+        if let Err(rule) = self.family_config(protocol).validate() {
+            return check(false, knob).or(rule);
+        }
+        if let Protocol::Lift { fade_interval, .. } = protocol {
+            check(fade_interval > 0, knob)
+                .or("LIFT needs a positive fade interval (scores must decay)")?;
+        }
+        Ok(())
     }
 
     /// Event-network consistency checks.
@@ -941,7 +999,7 @@ impl Scenario {
         let mut sum = 0usize;
         for (i, seg) in self.population.iter().enumerate() {
             check(seg.count > 0, "population").or("population segments must be non-empty")?;
-            validate_protocol(seg.protocol, "population")?;
+            self.validate_protocol(seg.protocol, "population")?;
             check(
                 !self.population[..i].iter().any(|s| {
                     std::mem::discriminant(&s.protocol) == std::mem::discriminant(&seg.protocol)
@@ -1360,11 +1418,106 @@ mod tests {
         assert_eq!(lift(max).validate(), Ok(()));
         let err = lift(max + 1).validate().unwrap_err();
         assert_eq!(err.knob, "protocol");
-        assert!(
-            err.reason.contains("largest its score table indexes"),
-            "{err}"
+        assert_eq!(
+            err.reason,
+            format!("LIFT views above {max} outgrow the score table's index")
         );
         assert_eq!(lift(usize::MAX).validate().unwrap_err().knob, "protocol");
+    }
+
+    /// A ranked protocol with a zero parameter is rejected with knob
+    /// `"protocol"` and the reason its family config gives, except the
+    /// zeros that mean "off" (no rotation, no waiting list) and LIFT's
+    /// fade interval, the one rule no config states.
+    #[test]
+    fn ranked_zero_parameters_rejected_with_their_configs_reason() {
+        let uniform = |protocol| Scenario {
+            protocol,
+            ..Scenario::default()
+        };
+        let (view_size, rotation_interval) = (0, 10);
+        for protocol in [
+            Protocol::Basalt {
+                view_size,
+                rotation_interval,
+            },
+            Protocol::BasaltTee {
+                view_size,
+                rotation_interval,
+                wlist_ttl: 8,
+            },
+            Protocol::Lift {
+                view_size,
+                fade_interval: 10,
+            },
+            Protocol::Honeybee {
+                view_size,
+                walk_length: 4,
+            },
+            Protocol::Honeybee {
+                view_size: 20,
+                walk_length: 0,
+            },
+        ] {
+            let s = uniform(protocol);
+            let reason = s.family_config(protocol).validate().unwrap_err();
+            let err = s.validate().unwrap_err();
+            assert_eq!((err.knob, err.reason.as_str()), ("protocol", reason));
+        }
+        let err = uniform(Protocol::Lift {
+            view_size: 20,
+            fade_interval: 0,
+        })
+        .validate()
+        .unwrap_err();
+        assert_eq!(err.knob, "protocol");
+        assert!(err.reason.contains("fade interval"), "{err}");
+        for off in [
+            Protocol::Basalt {
+                view_size: 20,
+                rotation_interval: 0,
+            },
+            Protocol::BasaltTee {
+                view_size: 20,
+                rotation_interval: 0,
+                wlist_ttl: 0,
+            },
+        ] {
+            assert_eq!(uniform(off).validate(), Ok(()), "{off:?}");
+        }
+    }
+
+    /// A population segment with a zero parameter is rejected the same
+    /// way, under knob `"population"`.
+    #[test]
+    fn segment_zero_parameters_rejected_under_population() {
+        for protocol in [
+            Protocol::Basalt {
+                view_size: 0,
+                rotation_interval: 10,
+            },
+            Protocol::Lift {
+                view_size: 20,
+                fade_interval: 0,
+            },
+            Protocol::Honeybee {
+                view_size: 20,
+                walk_length: 0,
+            },
+        ] {
+            let s = Scenario {
+                n: 401,
+                ..Scenario::default()
+            }
+            .half_and_half(Protocol::Raptee, protocol);
+            let uniform = Scenario {
+                protocol,
+                ..Scenario::default()
+            };
+            let (mixed, alone) = (s.validate().unwrap_err(), uniform.validate().unwrap_err());
+            assert_eq!(mixed.knob, "population", "{protocol:?}");
+            assert_eq!(mixed.reason, alone.reason, "{protocol:?}");
+        }
     }
 
     #[test]

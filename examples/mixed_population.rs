@@ -86,7 +86,7 @@ fn main() {
     // What the trusted tier costs: the Table I enclave-overhead model,
     // applied to the hybrid's per-round message budget.
     let model = SgxOverheadModel::paper_table1();
-    let fanout = ((0.4 * base.view_size as f64).round()) as usize;
+    let fanout = raptee_net::parity_fanout(base.view_size);
     let cycles = model.expected_round_overhead(fanout, fanout, 1);
     println!();
     println!(

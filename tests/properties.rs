@@ -10,6 +10,7 @@ use raptee_brahms::BrahmsConfig;
 use raptee_crypto::auth::AuthOutcome;
 use raptee_crypto::SecretKey;
 use raptee_net::{NodeId, SecureChannel};
+use raptee_sim::adversary::split_budget;
 use raptee_sim::event::EventNet;
 use raptee_sim::{
     AdaptiveCoordinator, AdversaryMode, AttackStrategy, AuditConfig, ChurnBurst, ChurnSchedule,
@@ -297,23 +298,29 @@ proptest! {
         prop_assert_eq!(decoded, answer);
     }
 
-    /// The adaptive adversary never mints budget: whatever reward
-    /// sequence the bandit observes, each round's per-arm allocation
-    /// sums to exactly the lawful budget it was handed.
+    /// The adversary never mints budget: whatever the segment sizes,
+    /// the static split and, whatever reward sequence the bandit
+    /// observes, each round's adaptive split sum to exactly the lawful
+    /// budget the engine hands `split_budget`.
     #[test]
     fn adaptive_allocations_conserve_the_budget(
-        arm_count in 1usize..12,
+        lens in proptest::collection::vec(1usize..5_000, 1..12),
         budget in 0usize..10_000,
         rewards in proptest::collection::vec(0.0f64..1.5, 1..60),
     ) {
-        let mut bandit = AdaptiveCoordinator::new(arm_count);
+        let split = |aimed| split_budget(budget, lens.iter().copied(), aimed).collect::<Vec<_>>();
+        let shares = split(None);
+        prop_assert_eq!(shares.len(), lens.len());
+        prop_assert_eq!(shares.iter().sum::<usize>(), budget);
+        let mut bandit = AdaptiveCoordinator::for_segments(lens.len());
         for reward in rewards {
-            let allocation = bandit.allocate(budget);
-            prop_assert_eq!(allocation.len(), arm_count);
-            prop_assert_eq!(allocation.iter().sum::<usize>(), budget);
             let arm = bandit.choose();
-            prop_assert_eq!(allocation[arm], budget,
-                "the whole budget rides the chosen arm");
+            let aimed = AdaptiveCoordinator::play(arm).0;
+            let shares = split(Some(aimed));
+            prop_assert_eq!(shares.len(), lens.len());
+            prop_assert_eq!(shares.iter().sum::<usize>(), budget);
+            prop_assert_eq!(shares[aimed], budget,
+                "the whole budget rides the chosen arm's segment");
             bandit.reward(arm, reward);
         }
     }
