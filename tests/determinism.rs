@@ -293,6 +293,18 @@ fn audit_eclipse_scenario() -> Scenario {
     s
 }
 
+/// The audit layer on the round model: uniform RAPTEE whose 10 %
+/// trusted tier commits its views, with no partition for the
+/// challenger's lookup to find.
+fn audited_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.audit = Some(AuditConfig {
+        budget: 4,
+        grace: 8,
+    });
+    s
+}
+
 /// Every family at once: Raptee, Brahms, BASALT, BASALT+TEE, LIFT and
 /// Honeybee segments under steady churn, loss, audits and the proactive
 /// trusted directory, with `rejoin` as every restart's path — so each
@@ -1145,6 +1157,67 @@ fn golden_audit_eclipse() {
             0xd162244893257efb,
         ),
         "audit-eclipse: AuditStats diverged from the introduction commit"
+    );
+}
+
+// Golden constant for the audit layer on the round model, captured at
+// the commit before the asynchrony suite's zero-latency check of the
+// same scenario moved into `assert_golden`.
+
+#[test]
+fn golden_raptee_audited() {
+    assert_golden(
+        "raptee-audited",
+        audited_scenario(),
+        Fingerprint {
+            resilience_bits: 0x3fbf31867d410a5d,
+            series_hash: 0x2d393329c5099d22,
+            discovery: Some(57),
+            mean_discovery_bits: Some(4630642924328920723),
+            stability: Some(53),
+            spread_stability: None,
+            floods: 7,
+            evicted: 20881,
+            rotations: 0,
+        },
+    );
+    let r = Simulation::new(audited_scenario()).run();
+    let a = r.audit.expect("the audit layer is on, stats must report");
+    let series_hash = a
+        .quarantine_series
+        .iter()
+        .fold(0u64, |acc, &v| acc.rotate_left(7) ^ u64::from(v));
+    assert_eq!(
+        (
+            a.audits_issued,
+            a.audits_answered,
+            a.cleared,
+            a.suspected,
+            a.convictions,
+            a.false_accusations,
+            a.detected_byzantine,
+            a.mean_detection_latency.map(f64::to_bits),
+            a.commitments_recorded,
+            a.chain_restarts,
+            a.quarantine_series.len(),
+            series_hash,
+        ),
+        (
+            228u64,
+            228u64,
+            218u64,
+            0u64,
+            9u64,
+            0u64,
+            9u64,
+            // ≈ 19.78 rounds from activity to conviction at budget 4.
+            Some(0x4033c71c71c71c72),
+            900u64,
+            0u64,
+            60usize,
+            0xcb366cd6eddab96c,
+        ),
+        "raptee-audited: AuditStats diverged from the capture commit"
     );
 }
 
