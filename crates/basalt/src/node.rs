@@ -56,15 +56,11 @@ pub struct BasaltNode {
     rng: Xoshiro256StarStar,
     rounds: u64,
     rotations: u64,
-    /// Whether this node runs inside an attested enclave (the
-    /// BASALT+TEE hybrid). Trust changes nothing about ranking — it
-    /// gates how *peers* treat this node's answers (the engine's
-    /// trusted-exchange path) and which answers bypass the wlist.
-    trusted: bool,
-    /// The attested group key, present iff [`BasaltNode::is_trusted`].
-    /// Held for API honesty (proof of provisioning); authentication in
-    /// the simulation uses the engine's role shortcut, like the
-    /// RAPTEE fast path.
+    /// The attested group key, present iff the node runs inside an
+    /// attested enclave (the BASALT+TEE hybrid; see
+    /// [`BasaltNode::is_trusted`]). Held for API honesty (proof of
+    /// provisioning); authentication in the simulation uses the
+    /// engine's role shortcut, like the RAPTEE fast path.
     group_key: Option<SecretKey>,
     /// FIFO waiting list of hearsay candidates (enabled by
     /// `config.wlist_ttl > 0`); see [`WaitingList`].
@@ -115,24 +111,28 @@ impl BasaltNode {
         if let Err(rule) = config.validate() {
             panic!("{rule}");
         }
-        let rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let ranking_key = SecretKey::from_seed(seed).derive("basalt-ranking-key", &id.to_bytes());
-        let mut view = BasaltView::new(id, config.view_size, ranking_key);
-        view.observe_all(bootstrap.iter().copied());
         Self {
             id,
             config,
-            view,
-            rng,
+            view: Self::ranked_view(id, config.view_size, bootstrap, seed),
+            rng: Xoshiro256StarStar::seed_from_u64(seed),
             rounds: 0,
             rotations: 0,
-            trusted: group_key.is_some(),
             group_key,
             wlist: WaitingList::new(config.wlist_ttl, config.fanout()),
             scratch_distinct: Vec::new(),
             scratch_seen: IdSet::new(),
             scratch_order: Vec::new(),
         }
+    }
+
+    /// A view of `id` ranked over `bootstrap` under slot seeds derived
+    /// from `seed`.
+    fn ranked_view(id: NodeId, view_size: usize, bootstrap: &[NodeId], seed: u64) -> BasaltView {
+        let ranking_key = SecretKey::from_seed(seed).derive("basalt-ranking-key", &id.to_bytes());
+        let mut view = BasaltView::new(id, view_size, ranking_key);
+        view.observe_all(bootstrap.iter().copied());
+        view
     }
 
     /// Cold rejoin after a crash–restart: fresh node-local ranking
@@ -144,11 +144,7 @@ impl BasaltNode {
     /// waiting-list quarantine like any other unverified candidate.
     pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         self.rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let ranking_key =
-            SecretKey::from_seed(seed).derive("basalt-ranking-key", &self.id.to_bytes());
-        let mut view = BasaltView::new(self.id, self.config.view_size, ranking_key);
-        view.observe_all(bootstrap.iter().copied());
-        self.view = view;
+        self.view = Self::ranked_view(self.id, self.config.view_size, bootstrap, seed);
         self.wlist.clear();
     }
 
@@ -160,13 +156,19 @@ impl BasaltNode {
     /// unverified. Returns the number of rotated slots.
     pub fn rejoin_warm(&mut self) -> usize {
         self.wlist.clear();
+        self.rotate()
+    }
+
+    /// Rotates `rotation_count` slot seeds round-robin and re-ranks the
+    /// surviving view into the fresh slots (so rotation re-ranks instead
+    /// of blanking). Returns the number of rotated slots.
+    fn rotate(&mut self) -> usize {
         self.view
             .distinct_into(&mut self.scratch_distinct, &mut self.scratch_seen);
         let indices = self.view.rotate(self.config.rotation_count());
-        let rotated = indices.len();
-        self.rotations += rotated as u64;
+        self.rotations += indices.len() as u64;
         self.view.observe_into(&indices, &self.scratch_distinct);
-        rotated
+        indices.len()
     }
 
     /// This node's identifier.
@@ -184,9 +186,12 @@ impl BasaltNode {
         &self.view
     }
 
-    /// Whether this node runs inside an (attested, simulated) enclave.
+    /// Whether this node runs inside an (attested, simulated) enclave:
+    /// the BASALT+TEE hybrid. Trust changes nothing about ranking — it
+    /// gates how *peers* treat this node's answers (the engine's
+    /// trusted-exchange path) and which answers bypass the wlist.
     pub fn is_trusted(&self) -> bool {
-        self.trusted
+        self.group_key.is_some()
     }
 
     /// The attested group key (trusted nodes only).
@@ -291,25 +296,18 @@ impl BasaltNode {
         })
     }
 
-    /// Finalises the round: when a rotation is due, rotates
-    /// `rotation_count` seeds round-robin and re-ranks the surviving view
-    /// into the fresh slots (so rotation re-ranks instead of blanking).
+    /// Finalises the round: every `rotation_interval` rounds (never
+    /// when it is 0), rotates `rotation_count` seeds round-robin and
+    /// re-ranks the surviving view into the fresh slots.
     pub fn finish_round(&mut self) -> BasaltRoundReport {
         self.rounds += 1;
-        let mut rotated = 0;
-        if self.config.rotation_interval > 0
+        let due = self.config.rotation_interval > 0
             && self
                 .rounds
-                .is_multiple_of(self.config.rotation_interval as u64)
-        {
-            self.view
-                .distinct_into(&mut self.scratch_distinct, &mut self.scratch_seen);
-            let indices = self.view.rotate(self.config.rotation_count());
-            rotated = indices.len();
-            self.rotations += rotated as u64;
-            self.view.observe_into(&indices, &self.scratch_distinct);
+                .is_multiple_of(self.config.rotation_interval as u64);
+        BasaltRoundReport {
+            rotated: if due { self.rotate() } else { 0 },
         }
-        BasaltRoundReport { rotated }
     }
 }
 
@@ -568,6 +566,41 @@ mod tests {
         for id in n.view().sample_ids() {
             assert!(survivors.contains(&id));
         }
+    }
+
+    #[test]
+    fn warm_rejoin_rotates_as_a_due_round_does() {
+        // Interval 1: every finished round is due. Both paths rotate the
+        // same slots and re-rank the same survivors into them.
+        let (mut due, mut rejoined) = (node(30, 1), node(30, 1));
+        for n in [&mut due, &mut rejoined] {
+            n.record_pull_answer(NodeId(500), &ids(600..640));
+        }
+        let rotated = due.finish_round().rotated;
+        assert_eq!(rotated, 3);
+        assert_eq!(rejoined.rejoin_warm(), rotated);
+        assert_eq!(rejoined.rotations(), due.rotations());
+        assert_eq!(rejoined.view(), due.view());
+        assert_eq!(plan(&mut rejoined), plan(&mut due));
+    }
+
+    #[test]
+    fn cold_rejoin_keeps_the_enclave() {
+        let key = SecretKey::from_seed(99);
+        let mut n = BasaltNode::new_trusted(
+            NodeId(0),
+            BasaltConfig::for_view(10, 0),
+            &ids(1..40),
+            7,
+            key.clone(),
+        );
+        let boot = ids(1000..1030);
+        n.rejoin_cold(&boot, 31337);
+        // A restart reseeds the ranking, not the attested key.
+        assert!(n.is_trusted());
+        assert_eq!(n.group_key(), Some(&key));
+        let fresh = BasaltNode::new(NodeId(0), *n.config(), &boot, 31337);
+        assert_eq!(n.view(), fresh.view());
     }
 
     #[test]

@@ -49,7 +49,18 @@ impl BrahmsConfig {
     }
 
     /// Checks parameter consistency, returning the first broken rule:
-    /// sizes must be positive and `γ` within `[0, 1]`.
+    /// sizes must be positive, `γ` within `[0, 1]`, and `α·l1` must
+    /// round to at least 1 — a node that pushes and pulls nothing never
+    /// renews its view (`l1 = 1` at the paper's `γ`, or `γ` near 1).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use raptee_brahms::BrahmsConfig;
+    /// // α·l1 = 0.4 rounds to 0 at one slot, 0.8 to 1 at two.
+    /// assert!(BrahmsConfig::paper_defaults(1, 1).validate().is_err());
+    /// assert_eq!(BrahmsConfig::paper_defaults(2, 2).validate(), Ok(()));
+    /// ```
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.view_size == 0 {
             return Err("view size l1 must be positive");
@@ -60,6 +71,9 @@ impl BrahmsConfig {
         // Written as what must hold, so a NaN fails it.
         if !(0.0..=1.0).contains(&self.gamma) {
             return Err("gamma must be in [0,1]");
+        }
+        if self.alpha_count() == 0 {
+            return Err("alpha*l1 rounds to 0: the view would push and pull nothing");
         }
         Ok(())
     }
@@ -149,6 +163,23 @@ mod tests {
     }
 
     #[test]
+    fn a_split_with_no_push_or_pull_rejected() {
+        let renews_nothing = Err("alpha*l1 rounds to 0: the view would push and pull nothing");
+        let cfg = |l1, gamma| BrahmsConfig {
+            gamma,
+            ..BrahmsConfig::paper_defaults(l1, l1)
+        };
+        // The paper's γ: α·l1 is 0.4 at l1 = 1, 0.8 at l1 = 2.
+        assert_eq!(cfg(1, 0.2).validate(), renews_nothing);
+        assert_eq!(cfg(2, 0.2).validate(), Ok(()));
+        // γ near 1 at l1 = 10: α·l1 is 0.25 at γ = 0.95, 0 at γ = 1
+        // and 1 at γ = 0.8.
+        assert_eq!(cfg(10, 0.95).validate(), renews_nothing);
+        assert_eq!(cfg(10, 1.0).validate(), renews_nothing);
+        assert_eq!(cfg(10, 0.8).validate(), Ok(()));
+    }
+
+    #[test]
     fn gamma_outside_the_unit_interval_rejected() {
         for gamma in [-0.2, 1.5, f64::NAN] {
             let cfg = BrahmsConfig {
@@ -157,7 +188,8 @@ mod tests {
             };
             assert_eq!(cfg.validate(), Err("gamma must be in [0,1]"), "{gamma}");
         }
-        for gamma in [0.0, 1.0] {
+        // γ = 1 is in range too, but renews nothing (see above).
+        for gamma in [0.0, 0.8] {
             let cfg = BrahmsConfig {
                 gamma,
                 ..BrahmsConfig::paper_defaults(10, 10)

@@ -641,6 +641,38 @@ mod tests {
         };
         assert_eq!(mk(), mk());
     }
+
+    /// The renewal rule accepts exactly the configs whose node plans
+    /// traffic: over views 1..=12 and `γ` from 0 to 0.95, an accepted
+    /// config plans `α·l1 ≥ 1` pushes and as many pulls, and a rejected
+    /// one is rejected by that rule alone.
+    #[test]
+    fn every_accepted_config_plans_a_push_and_a_pull() {
+        let (mut accepted, mut rejected) = (0, 0);
+        for l1 in 1..=12 {
+            for gamma in [0.0, 0.2, 0.5, 0.8, 0.9, 0.95] {
+                let config = BrahmsConfig { gamma, ..cfg(l1) };
+                if let Err(rule) = config.validate() {
+                    assert!(rule.contains("rounds to 0"), "l1 {l1}, γ {gamma}: {rule}");
+                    rejected += 1;
+                    continue;
+                }
+                let mut n = BrahmsNode::new(NodeId(0), config, &ids(1..(l1 as u64 + 1)), 7);
+                let plan = plan(&mut n);
+                assert!(!plan.push_targets.is_empty(), "l1 {l1}, γ {gamma}");
+                assert_eq!(plan.push_targets.len(), config.alpha_count());
+                assert_eq!(plan.pull_targets.len(), config.beta_count());
+                accepted += 1;
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha*l1 rounds to 0")]
+    fn a_node_that_would_renew_nothing_is_refused() {
+        node(1);
+    }
 }
 
 #[cfg(test)]

@@ -785,6 +785,25 @@ mod tests {
         RapteeNode::trusted_swap(&mut t, &mut u);
     }
 
+    /// A view of one slot renews nothing, and the Brahms half is checked
+    /// first: the panic names that rule even when the eviction rate is
+    /// out of range too.
+    #[test]
+    #[should_panic(expected = "alpha*l1 rounds to 0")]
+    fn a_view_that_renews_nothing_is_refused_before_the_eviction_rule() {
+        let config = RapteeConfig {
+            brahms: BrahmsConfig::paper_defaults(1, 1),
+            eviction: EvictionPolicy::Fixed(1.5),
+        };
+        RapteeNode::new_trusted(
+            NodeId(1),
+            config,
+            &boot(100..110),
+            1,
+            SecretKey::from_seed(42),
+        );
+    }
+
     #[test]
     fn plan_round_resets_contact_counters() {
         let mut a = trusted(1, 1, EvictionPolicy::adaptive());

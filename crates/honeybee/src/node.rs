@@ -351,6 +351,19 @@ mod tests {
         }
     }
 
+    /// One slot is a valid Honeybee view, unlike a Brahms one (`α·l1`
+    /// rounds to 0 there): it pushes to its one member and starts one
+    /// walk there.
+    #[test]
+    fn a_one_slot_view_plans_one_push_and_one_walk() {
+        let mut n = node(1, 3);
+        let (mut pushes, mut pulls) = (Vec::new(), Vec::new());
+        n.plan_round_into(&mut pushes, &mut pulls);
+        assert_eq!(pushes, n.view());
+        assert_eq!(pulls, n.view());
+        assert_eq!(n.walks.len(), 1);
+    }
+
     /// Drives `n` for one round against an honest oracle in which every
     /// node answers with `answer`.
     fn run_round(n: &mut HoneybeeNode, answer: &[NodeId]) -> HoneybeeRoundReport {

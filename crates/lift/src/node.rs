@@ -292,6 +292,17 @@ mod tests {
         }
     }
 
+    /// One slot is a valid LIFT view, unlike a Brahms one (`α·l1`
+    /// rounds to 0 there): it plans the parity fanout of 1.
+    #[test]
+    fn a_one_slot_view_plans_one_push_and_one_pull() {
+        let mut n = node(1);
+        let (mut pushes, mut pulls) = (Vec::new(), Vec::new());
+        n.plan_round_into(&mut pushes, &mut pulls);
+        assert_eq!(pushes, pulls);
+        assert_eq!(pushes, n.view());
+    }
+
     #[test]
     fn pulls_prefer_low_score_members() {
         let mut n = node(10);

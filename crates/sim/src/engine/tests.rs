@@ -330,7 +330,7 @@ fn block_edges_are_invisible_to_results() {
 /// Every family spends Brahms' budget: at one view size, each segment
 /// of a six-family population grants the same per-identity push fanout,
 /// the Brahms family's `α·l1`, which is the parity fanout from a view of
-/// two up (at one slot `α·l1` rounds to 0 and the parity fanout to 1).
+/// two up (at one slot `α·l1` rounds to 0, which validation rejects).
 #[test]
 fn every_segment_spends_the_brahms_budget() {
     for view_size in [2, 5, 8, 13, 21] {
@@ -371,6 +371,46 @@ fn every_segment_spends_the_brahms_budget() {
         assert_eq!(alpha, raptee_net::parity_fanout(view_size));
         assert_eq!(sim.limiter_fanout, alpha, "view {view_size}");
     }
+}
+
+/// At one slot, where the Brahms family is rejected (`α·l1` rounds to
+/// 0), every ranked family validates, and so must run: each segment
+/// pushes the parity fanout of 1, which the shared limiter grants.
+#[test]
+fn every_ranked_family_runs_at_a_view_of_one() {
+    let segments = [
+        Protocol::Basalt {
+            view_size: 1,
+            rotation_interval: 2,
+        },
+        basalt_tee(1),
+        Protocol::Lift {
+            view_size: 1,
+            fade_interval: 2,
+        },
+        Protocol::Honeybee {
+            view_size: 1,
+            walk_length: 3,
+        },
+    ]
+    .map(|protocol| SegmentSpec {
+        protocol,
+        count: 10,
+    });
+    let s = Scenario {
+        view_size: 1,
+        sample_size: 1,
+        ..with_correct(40)
+    }
+    .with_population(segments.to_vec());
+    assert_eq!(s.validate(), Ok(()));
+    let sim = Simulation::new(s);
+    let fanouts: Vec<usize> = sim.segs.iter().map(|seg| seg.fanout).collect();
+    assert_eq!(fanouts, [1; 4]);
+    assert_eq!(sim.limiter_fanout, 1);
+    let result = sim.run();
+    assert_eq!(result.segments.len(), 4);
+    assert!((0.0..=1.0).contains(&result.resilience), "{result:?}");
 }
 
 #[test]

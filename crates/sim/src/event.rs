@@ -19,8 +19,8 @@
 //! nothing is ever filed, so a [`NetworkModel::Rounds`] run is built on
 //! that configuration and differs from its zero-latency
 //! [`NetworkModel::Events`] twin only in how the result reports time and
-//! network counters (`tests/asynchrony.rs` pins the equality on every
-//! round-model golden).
+//! network counters (`assert_golden` in `tests/determinism.rs` pins
+//! the equality on every round-model golden).
 //!
 //! # The round calendar
 //!

@@ -335,7 +335,7 @@ pub enum NetworkModel {
     /// tick and deliver in `(tick, sending order)`, with per-link
     /// latency, partitions and NAT-like reachability. With the all-zero
     /// default config this reproduces the round engine bit-for-bit
-    /// (`tests/asynchrony.rs`).
+    /// (`assert_golden` in `tests/determinism.rs`).
     Events(EventNetConfig),
 }
 
@@ -1256,8 +1256,9 @@ impl Scenario {
 
     /// A copy of this scenario on the event engine in its equivalence
     /// configuration: zero latency, no partitions, full reachability,
-    /// synchronized round timers. `tests/asynchrony.rs` asserts this
-    /// reproduces the round engine bit-for-bit.
+    /// synchronized round timers. Every round-model golden of
+    /// `tests/determinism.rs` asserts this reproduces the round engine
+    /// bit-for-bit.
     pub fn evented_zero_latency(&self) -> Scenario {
         self.with_network(EventNetConfig::default())
     }
@@ -1485,6 +1486,79 @@ mod tests {
         ] {
             assert_eq!(uniform(off).validate(), Ok(()), "{off:?}");
         }
+    }
+
+    /// At view size 1, `α·l1` rounds to 0: a Brahms or RAPTEE node
+    /// would push and pull nothing, so the run is rejected with its
+    /// config's reason, while a ranked family at the same view runs on
+    /// a parity fanout of 1.
+    #[test]
+    fn a_brahms_family_view_that_renews_nothing_rejected() {
+        let view_one = |protocol| Scenario {
+            view_size: 1,
+            sample_size: 1,
+            protocol,
+            ..Scenario::default()
+        };
+        let s = view_one(Protocol::Raptee);
+        let reason = s.family_config(Protocol::Raptee).validate().unwrap_err();
+        assert!(reason.contains("rounds to 0"), "{reason}");
+        let err = s.validate().unwrap_err();
+        assert_eq!((err.knob, err.reason.as_str()), ("protocol", reason));
+        let basalt = view_one(Protocol::Basalt {
+            view_size: 1,
+            rotation_interval: 10,
+        });
+        assert_eq!(basalt.validate(), Ok(()));
+    }
+
+    /// The same rule at a larger view: `γ` close enough to 1 leaves
+    /// `α·l1 = (1 − γ)/2 · l1` below one half, inside the `[0, 1)` range
+    /// the `gamma` knob accepts.
+    #[test]
+    fn a_gamma_that_renews_nothing_rejected_under_protocol() {
+        let with = |gamma, view_size| Scenario {
+            gamma,
+            view_size,
+            sample_size: view_size,
+            ..Scenario::default()
+        };
+        let err = with(0.95, 10).validate().unwrap_err();
+        assert_eq!(err.knob, "protocol");
+        assert!(err.reason.contains("rounds to 0"), "{err}");
+        // α·l1 = 1 at γ = 0.8 and at γ = 0.95 over a view of 40.
+        assert_eq!(with(0.8, 10).validate(), Ok(()));
+        assert_eq!(with(0.95, 40).validate(), Ok(()));
+    }
+
+    /// In a population the Brahms-family segment is what breaks the
+    /// rule, under knob `"population"`; ranked segments alone run at a
+    /// view of one slot.
+    #[test]
+    fn a_segment_that_renews_nothing_rejected_under_population() {
+        let s = Scenario {
+            view_size: 1,
+            sample_size: 1,
+            n: 401,
+            ..Scenario::default()
+        };
+        let basalt = Protocol::Basalt {
+            view_size: 1,
+            rotation_interval: 10,
+        };
+        let lift = Protocol::Lift {
+            view_size: 1,
+            fade_interval: 10,
+        };
+        for brahms_family in [Protocol::Brahms, Protocol::Raptee] {
+            let err = s
+                .half_and_half(basalt, brahms_family)
+                .validate()
+                .unwrap_err();
+            assert_eq!(err.knob, "population", "{brahms_family:?}");
+            assert!(err.reason.contains("rounds to 0"), "{err}");
+        }
+        assert_eq!(s.half_and_half(basalt, lift).validate(), Ok(()));
     }
 
     /// A population segment with a zero parameter is rejected the same

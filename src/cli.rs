@@ -1132,6 +1132,35 @@ mod tests {
     }
 
     #[test]
+    fn a_view_that_renews_nothing_is_a_scenario_error() {
+        let err = args(&["run", "--view", "1"])
+            .unwrap()
+            .scenario()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "protocol: alpha*l1 rounds to 0: the view would push and pull nothing"
+        );
+        // A ranked family pushes its parity fanout of 1 at the same view.
+        let out = execute(
+            &args(&[
+                "run",
+                "--protocol",
+                "basalt",
+                "--view",
+                "1",
+                "--n",
+                "40",
+                "--rounds",
+                "5",
+            ])
+            .unwrap(),
+        )
+        .unwrap();
+        assert!(out.contains("resilience:"), "{out}");
+    }
+
+    #[test]
     fn duplicate_rate_of_one_runs() {
         let a = args(&[
             "run",

@@ -1,20 +1,18 @@
 //! Asynchrony suite for the event network every run owns.
 //!
-//! Three layers:
+//! The zero-latency equivalence — a `NetworkModel::Rounds` run equals
+//! the same scenario on the event network at its all-zero
+//! configuration, bit for bit, apart from the reporting rule — is part
+//! of the determinism contract and runs on every round-model golden in
+//! `assert_golden` (tests/determinism.rs). Two layers remain here:
 //!
-//! 1. **Zero-latency equivalence** — a `NetworkModel::Rounds` run is
-//!    the net at its all-zero configuration (constant-0 latency,
-//!    synchronized round timers, no partitions, full reachability), so
-//!    it must equal the same scenario on `NetworkModel::Events` with
-//!    that configuration *bit-for-bit*, on every round-model golden
-//!    scenario. The two differ only in the reporting rule: a round run
-//!    counts one tick per round and reports no net counters. Runs
-//!    stepped past their last round keep both models going.
-//! 2. **A pollution effect the round model cannot express** — a
+//! 1. **A pollution effect the round model cannot express** — a
 //!    partition-and-heal run whose held-then-released message burst
 //!    trips the flood defences and delays convergence, visible in the
-//!    substrate counters and the pollution series.
-//! 3. **Scheduler properties** (via the proptest shim) — `(time, seq)`
+//!    substrate counters and the pollution series — with message
+//!    conservation checked on single-stepped runs, and runs stepped past
+//!    their last round, which keep either model going.
+//! 2. **Scheduler properties** (via the proptest shim) — `(time, seq)`
 //!    pop order is invariant under insertion order, nothing crosses an
 //!    active cut, and healed partitions drop no message forever.
 
@@ -22,15 +20,15 @@ use proptest::prelude::*;
 use raptee_net::{NodeId, NodeIdx};
 use raptee_sim::event::{EventNet, Lane, PullGate};
 use raptee_sim::{
-    AdversaryMode, AttackStrategy, AuditConfig, ChurnSchedule, DiscoveryMode, EventNetConfig,
-    EventQueue, LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol, Reachability,
-    RejoinPolicy, RetryConfig, Scenario, SegmentSpec, Simulation,
+    EventNetConfig, EventQueue, LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol,
+    Reachability, RetryConfig, Scenario, Simulation,
 };
 
 // ---------------------------------------------------------------------
-// The golden scenarios (mirrors tests/determinism.rs).
+// Fixtures.
 
-fn base(protocol: Protocol) -> Scenario {
+/// A 150-node uniform RAPTEE run on the round model.
+fn base() -> Scenario {
     Scenario {
         n: 150,
         byzantine_fraction: 0.1,
@@ -39,161 +37,15 @@ fn base(protocol: Protocol) -> Scenario {
         sample_size: 12,
         rounds: 60,
         tail_window: 10,
-        protocol,
+        protocol: Protocol::Raptee,
         seed: 0xD5EED,
         ..Scenario::default()
     }
 }
 
-fn churn_scenario() -> Scenario {
-    let mut s = base(Protocol::Raptee);
-    s.message_loss = 0.1;
-    s.churn = ChurnSchedule::one_shot(0.15, 20);
-    s.sampler_validation_period = 5;
-    s.identification_attack = true;
-    s
-}
-
-fn basalt_targeted_scenario() -> Scenario {
-    let mut s = base(Protocol::Brahms).basalt_variant(10);
-    s.attack = AttackStrategy::Targeted {
-        victim_fraction: 0.2,
-        focus: 0.6,
-    };
-    s.message_loss = 0.05;
-    s
-}
-
-fn mixed_raptee_basalt_tee_scenario() -> Scenario {
-    let mut s = base(Protocol::Raptee).half_and_half(
-        Protocol::Raptee,
-        Protocol::BasaltTee {
-            view_size: 12,
-            rotation_interval: 15,
-            wlist_ttl: 8,
-        },
-    );
-    s.churn = ChurnSchedule::one_shot(0.1, 25);
-    s.sampler_validation_period = 5;
-    s
-}
-
-fn sketch_scenario() -> Scenario {
-    let mut s = base(Protocol::Raptee);
-    s.discovery = DiscoveryMode::Sketch;
-    s.rounds = 120;
-    s
-}
-
-fn injected_scenario() -> Scenario {
-    let mut s = base(Protocol::Raptee);
-    s.injected_poisoned_fraction = 0.05;
-    s.message_loss = 0.05;
-    s
-}
-
-fn real_handshakes_scenario() -> Scenario {
-    let mut s = base(Protocol::Raptee);
-    s.real_crypto_handshakes = true;
-    s
-}
-
-fn mixed_brahms_basalt_scenario() -> Scenario {
-    let mut s = base(Protocol::Brahms).brahms_baseline().half_and_half(
-        Protocol::Brahms,
-        Protocol::Basalt {
-            view_size: 12,
-            rotation_interval: 15,
-        },
-    );
-    s.message_loss = 0.05;
-    s
-}
-
-fn lift_scenario() -> Scenario {
-    let mut s = base(Protocol::Brahms).lift_variant(15);
-    s.message_loss = 0.05;
-    s
-}
-
-fn honeybee_scenario() -> Scenario {
-    let mut s = base(Protocol::Brahms).honeybee_variant(4);
-    s.message_loss = 0.05;
-    s
-}
-
-fn adaptive_mixed_scenario() -> Scenario {
-    let mut s = mixed_brahms_basalt_scenario();
-    s.adversary_mode = AdversaryMode::Adaptive;
-    s
-}
-
-fn trusted_expiry_scenario() -> Scenario {
-    let mut s = base(Protocol::Raptee);
-    s.attest_ttl = 15;
-    s
-}
-
-/// The audit layer on the round model: the 10 % trusted tier commits
-/// its views, and the challenger's partition lookup finds no cut.
-fn audited_scenario() -> Scenario {
-    let mut s = base(Protocol::Raptee);
-    s.audit = Some(AuditConfig {
-        budget: 4,
-        grace: 8,
-    });
-    s
-}
-
-/// Every family under steady churn, loss, audits and the proactive
-/// trusted directory (mirrors `six_families_churn_scenario` in
-/// tests/determinism.rs).
-fn six_families_churn_scenario(rejoin: RejoinPolicy) -> Scenario {
-    let base = base(Protocol::Raptee);
-    let families = [
-        Protocol::Raptee,
-        Protocol::Brahms,
-        Protocol::Basalt {
-            view_size: 12,
-            rotation_interval: 15,
-        },
-        Protocol::BasaltTee {
-            view_size: 12,
-            rotation_interval: 15,
-            wlist_ttl: 8,
-        },
-        Protocol::Lift {
-            view_size: 12,
-            fade_interval: 15,
-        },
-        Protocol::Honeybee {
-            view_size: 12,
-            walk_length: 4,
-        },
-    ];
-    let correct = base.n - base.byzantine_count();
-    let segments = families
-        .into_iter()
-        .enumerate()
-        .map(|(i, protocol)| SegmentSpec {
-            protocol,
-            count: correct / 6 + usize::from(i < correct % 6),
-        })
-        .collect();
-    let mut s = base.with_population(segments);
-    s.churn = ChurnSchedule::steady(0.02, 0.4);
-    s.churn.rejoin = rejoin;
-    s.audit = Some(AuditConfig {
-        budget: 4,
-        grace: 8,
-    });
-    s.trusted_directory_refresh = 5;
-    s.message_loss = 0.05;
-    s
-}
-
+/// `base` on the event network, cut in half for rounds 10..25.
 fn event_partition_scenario() -> Scenario {
-    base(Protocol::Raptee).with_network(EventNetConfig {
+    base().with_network(EventNetConfig {
         latency: LatencyModel::Uniform { min: 50, max: 600 },
         partitions: vec![PartitionWindow {
             start: 10,
@@ -205,130 +57,7 @@ fn event_partition_scenario() -> Scenario {
 }
 
 // ---------------------------------------------------------------------
-// 1. Zero-latency equivalence: a round run is the zero-latency event
-//    run under another reporting rule, bit for bit.
-
-/// Runs `scenario` on both network models and asserts the zero-latency
-/// event run reproduces the round run exactly — every metric, every
-/// series value, every per-segment result — with only the reporting
-/// rule's fields apart.
-fn assert_equivalent(name: &str, scenario: Scenario) {
-    let round = Simulation::new(scenario.clone()).run();
-    let mut event = Simulation::new(scenario.evented_zero_latency()).run();
-    assert_eq!(
-        event.net,
-        Some(NetRunStats::default()),
-        "{name}: the zero-latency substrate must route nothing through the queue"
-    );
-    assert_eq!(
-        event.virtual_ticks,
-        round.rounds as u64 * 1_000,
-        "{name}: event time advances in whole synchronized rounds"
-    );
-    // The only fields allowed to differ are the reporting rule's.
-    assert_eq!(
-        round.net, None,
-        "{name}: a round run reports no net counters"
-    );
-    assert_eq!(round.virtual_ticks, round.rounds as u64);
-    event.net = round.net;
-    event.virtual_ticks = round.virtual_ticks;
-    assert_eq!(
-        event, round,
-        "{name}: zero-latency event run diverged from the round run"
-    );
-}
-
-#[test]
-fn zero_latency_matches_rounds_brahms() {
-    assert_equivalent("brahms", base(Protocol::Brahms).brahms_baseline());
-}
-
-#[test]
-fn zero_latency_matches_rounds_raptee() {
-    assert_equivalent("raptee", base(Protocol::Raptee));
-}
-
-#[test]
-fn zero_latency_matches_rounds_basalt() {
-    assert_equivalent("basalt", base(Protocol::Brahms).basalt_variant(15));
-}
-
-#[test]
-fn zero_latency_matches_rounds_raptee_under_churn() {
-    assert_equivalent("raptee-churn", churn_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_basalt_targeted() {
-    assert_equivalent("basalt-targeted", basalt_targeted_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_sketch_discovery() {
-    assert_equivalent("raptee-sketch", sketch_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_mixed_population() {
-    assert_equivalent(
-        "mixed-raptee-basalt-tee",
-        mixed_raptee_basalt_tee_scenario(),
-    );
-}
-
-#[test]
-fn zero_latency_matches_rounds_injected() {
-    assert_equivalent("raptee-injected", injected_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_real_handshakes() {
-    assert_equivalent("raptee-real-handshakes", real_handshakes_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_mixed_brahms_basalt() {
-    assert_equivalent("mixed-brahms-basalt", mixed_brahms_basalt_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_lift() {
-    assert_equivalent("lift", lift_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_honeybee() {
-    assert_equivalent("honeybee", honeybee_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_adaptive_mixed() {
-    assert_equivalent("adaptive-mixed", adaptive_mixed_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_trusted_expiry() {
-    assert_equivalent("trusted-expiry", trusted_expiry_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_audited() {
-    assert_equivalent("raptee-audited", audited_scenario());
-}
-
-#[test]
-fn zero_latency_matches_rounds_six_families_churn() {
-    for rejoin in [RejoinPolicy::Cold, RejoinPolicy::Warm] {
-        assert_equivalent(
-            &format!("six-families-churn-{rejoin:?}"),
-            six_families_churn_scenario(rejoin),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. The partition effect the round model cannot express.
+// 1. The partition effect the round model cannot express.
 
 #[test]
 fn partition_heal_burst_is_inexpressible_in_the_round_model() {
@@ -337,7 +66,7 @@ fn partition_heal_burst_is_inexpressible_in_the_round_model() {
     // uniform loss (messages vanish) or like nothing. Only the event
     // model can hold fifteen rounds of cross-cut traffic and then
     // release it as one burst at the heal.
-    let round = Simulation::new(base(Protocol::Raptee)).run();
+    let round = Simulation::new(base()).run();
     let event = Simulation::new(event_partition_scenario()).run();
     let net = event.net.expect("event run reports substrate counters");
 
@@ -414,7 +143,7 @@ fn partitioned_run_conserves_every_message() {
 #[test]
 fn stepping_past_the_last_round_keeps_either_model_going() {
     let (rounds, extra) = (40, 5);
-    let mut short = base(Protocol::Raptee);
+    let mut short = base();
     short.rounds = rounds;
     let mut long = short.clone();
     long.rounds = rounds + extra;
@@ -476,7 +205,7 @@ fn nat_with_retries_survives_a_hole_dated_in_the_next_round() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Scheduler properties (proptest shim).
+// 2. Scheduler properties (proptest shim).
 
 /// A substrate-only scenario: 100 actors, event network `cfg`.
 fn harness(rounds: usize, cfg: EventNetConfig) -> EventNet {

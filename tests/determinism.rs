@@ -3,24 +3,26 @@
 //! The performance work (allocation-free round engine, sampler
 //! seen-cache, batched delivery, dynamically scheduled sweeps) is only valid if
 //! it is *observationally invisible*: identical seeds must keep yielding
-//! bit-identical [`RunResult`]s. Three layers of protection:
+//! bit-identical [`RunResult`]s. Two layers of protection:
 //!
-//! 1. **Golden fingerprints** — the exact metric bits produced by the
-//!    pre-optimization engine (captured at the seed commit for five
-//!    scenarios spanning Brahms / RAPTEE / BASALT, churn, loss,
-//!    validation, identification and targeted attacks). Any change to
-//!    an RNG draw, a delivery order that matters, or a metric fold
-//!    breaks these constants.
-//! 2. **Run-to-run identity** — the same scenario twice in one process.
-//! 3. **Thread-count invariance** — repetition/sweep aggregates under 1
-//!    worker vs several (through the rayon shim's scoped override), so
-//!    the shim's dynamic scheduler provably cannot leak schedule
-//!    dependence into results.
+//! 1. **Golden fingerprints** — the exact metric bits each pinned
+//!    scenario produced when it was introduced (the first five at the
+//!    seed commit). Any change to an RNG draw, a delivery order that
+//!    matters, or a metric fold breaks these constants. Every golden is
+//!    one [`assert_golden`] call, which checks the whole determinism
+//!    contract on it: the same result at 1, 2 and 4 intra-run threads,
+//!    the pinned fingerprint, and — on the round model — the same
+//!    result as the zero-latency event run, the one engine path under
+//!    the other reporting rule.
+//! 2. **Thread-count invariance of aggregates** — repetition/sweep
+//!    aggregates under 1 worker vs several (through the rayon shim's
+//!    scoped override), so the shim's dynamic scheduler provably cannot
+//!    leak schedule dependence into results.
 
 use raptee_sim::{
-    runner, AdversaryMode, AttackStrategy, AuditConfig, ChurnSchedule, DiscoveryMode,
-    EventNetConfig, LatencyModel, PartitionWindow, Protocol, Reachability, RejoinPolicy,
-    RetryConfig, RunResult, Scenario, SegmentSpec, Simulation,
+    runner, AdversaryMode, AttackStrategy, AuditConfig, AuditStats, ChurnSchedule, DiscoveryMode,
+    EventNetConfig, LatencyModel, NetRunStats, NetworkModel, PartitionWindow, Protocol,
+    Reachability, RejoinPolicy, RetryConfig, RunResult, Scenario, SegmentSpec, Simulation,
 };
 
 /// A compact, bit-exact fingerprint of a [`RunResult`].
@@ -354,24 +356,161 @@ fn six_families_churn_scenario(rejoin: RejoinPolicy) -> Scenario {
     s
 }
 
-/// Asserts `scenario` still produces the exact metric bits the
-/// pre-optimization engine produced, and that a second run agrees.
-fn assert_golden(name: &str, scenario: Scenario, golden: Fingerprint) {
-    let a = Simulation::new(scenario.clone()).run();
-    let b = Simulation::new(scenario).run();
-    assert_eq!(a, b, "{name}: same-seed runs must be identical");
+/// The determinism contract, checked on one golden scenario:
+///
+/// 1. the run is the same at 1, 2 and 4 intra-run threads, so neither
+///    a repeated run nor the phase-parallel schedule moves a bit — and
+///    at the ambient `RAYON_NUM_THREADS` when it is none of these, so a
+///    suite pinned to 8 workers runs every golden at 8;
+/// 2. it produces the pinned `golden` fingerprint, and a lone segment
+///    reports the combined resilience;
+/// 3. on the round model, the zero-latency event run equals it (see
+///    [`assert_equivalent`]).
+///
+/// Returns the 1-thread result, from which a golden reads its further
+/// pins instead of running the scenario again.
+fn assert_golden(name: &str, scenario: Scenario, golden: Fingerprint) -> RunResult {
+    let run =
+        |threads| rayon::with_num_threads(threads, || Simulation::new(scenario.clone()).run());
+    let result = run(1);
+    let mut counts = vec![2, 4];
+    let ambient = rayon::current_num_threads();
+    if ![1, 2, 4].contains(&ambient) {
+        counts.push(ambient);
+    }
+    for threads in counts {
+        assert_eq!(
+            run(threads),
+            result,
+            "{name}: RunResult must match at {threads} intra-run threads"
+        );
+    }
     assert_eq!(
-        fingerprint(&a),
+        fingerprint(&result),
         golden,
         "{name}: RunResult diverged from the seed-commit engine"
     );
-    if let [only] = &a.segments[..] {
+    if let [only] = &result.segments[..] {
         assert_eq!(
             only.resilience.to_bits(),
-            a.resilience.to_bits(),
+            result.resilience.to_bits(),
             "{name}: the single segment must report the combined resilience"
         );
     }
+    if scenario.network == NetworkModel::Rounds {
+        assert_equivalent(name, &scenario, &result);
+    }
+    result
+}
+
+/// Asserts the zero-latency event run of round-model `scenario`
+/// reproduces its round run exactly — every metric, every series value,
+/// every per-segment result — with only the reporting rule's fields
+/// apart: a round run counts one tick per round and reports no net
+/// counters.
+fn assert_equivalent(name: &str, scenario: &Scenario, round: &RunResult) {
+    let mut event = Simulation::new(scenario.evented_zero_latency()).run();
+    assert_eq!(
+        event.net,
+        Some(NetRunStats::default()),
+        "{name}: the zero-latency substrate must route nothing through the queue"
+    );
+    assert_eq!(
+        event.virtual_ticks,
+        round.rounds as u64 * 1_000,
+        "{name}: event time advances in whole synchronized rounds"
+    );
+    assert_eq!(
+        round.net, None,
+        "{name}: a round run reports no net counters"
+    );
+    assert_eq!(round.virtual_ticks, round.rounds as u64);
+    event.net = None;
+    event.virtual_ticks = round.virtual_ticks;
+    assert_eq!(
+        &event, round,
+        "{name}: zero-latency event run diverged from the round run"
+    );
+}
+
+/// An [`AuditStats`] as one comparable tuple, in field order, with the
+/// quarantine series folded to its length and hash.
+type AuditPins = (
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    Option<u64>,
+    u64,
+    u64,
+    usize,
+    u64,
+);
+
+fn audit_pins(a: &AuditStats) -> AuditPins {
+    let series_hash = a
+        .quarantine_series
+        .iter()
+        .fold(0u64, |acc, &v| acc.rotate_left(7) ^ u64::from(v));
+    (
+        a.audits_issued,
+        a.audits_answered,
+        a.cleared,
+        a.suspected,
+        a.convictions,
+        a.false_accusations,
+        a.detected_byzantine,
+        a.mean_detection_latency.map(f64::to_bits),
+        a.commitments_recorded,
+        a.chain_restarts,
+        a.quarantine_series.len(),
+        series_hash,
+    )
+}
+
+/// A ten-round `base` run: small enough to break on purpose.
+fn tiny() -> Scenario {
+    Scenario {
+        n: 60,
+        rounds: 10,
+        tail_window: 5,
+        ..base(Protocol::Raptee)
+    }
+}
+
+// The contract's checks bite: each refuses a result that breaks it.
+
+#[test]
+#[should_panic(expected = "RunResult diverged from the seed-commit engine")]
+fn assert_golden_refuses_a_moved_pin() {
+    let pinned = fingerprint(&Simulation::new(tiny()).run());
+    assert_golden(
+        "moved pin",
+        tiny(),
+        Fingerprint {
+            floods: pinned.floods + 1,
+            ..pinned
+        },
+    );
+}
+
+#[test]
+#[should_panic(expected = "zero-latency event run diverged from the round run")]
+fn assert_equivalent_refuses_a_diverged_round_run() {
+    let mut round = Simulation::new(tiny()).run();
+    round.total_evicted += 1;
+    assert_equivalent("diverged", &tiny(), &round);
+}
+
+#[test]
+#[should_panic(expected = "a round run reports no net counters")]
+fn assert_equivalent_refuses_net_counters_on_a_round_run() {
+    let mut round = Simulation::new(tiny()).run();
+    round.net = Some(NetRunStats::default());
+    assert_equivalent("net counters", &tiny(), &round);
 }
 
 // Golden constants captured from the engine BEFORE the perf rewrite
@@ -436,7 +575,7 @@ fn golden_basalt() {
 
 #[test]
 fn golden_raptee_under_churn_loss_validation_and_identification() {
-    assert_golden(
+    let r = assert_golden(
         "raptee-churn",
         churn_scenario(),
         Fingerprint {
@@ -453,10 +592,7 @@ fn golden_raptee_under_churn_loss_validation_and_identification() {
     );
     // The fingerprint omits `RunResult::identification`, so the attack's
     // observation pulls and per-round classification are pinned here.
-    let id = Simulation::new(churn_scenario())
-        .run()
-        .identification
-        .expect("the identification attack is on");
+    let id = r.identification.expect("the identification attack is on");
     assert_eq!(
         (
             id.precision.to_bits(),
@@ -583,7 +719,7 @@ fn golden_brahms_under_force_push() {
 
 #[test]
 fn golden_mixed_brahms_basalt() {
-    assert_golden(
+    let r = assert_golden(
         "mixed-brahms-basalt",
         mixed_brahms_basalt_scenario(),
         Fingerprint {
@@ -599,7 +735,6 @@ fn golden_mixed_brahms_basalt() {
         },
     );
     // Per-segment pollution is part of the pinned surface as well.
-    let r = Simulation::new(mixed_brahms_basalt_scenario()).run();
     let seg_bits: Vec<u64> = r.segments.iter().map(|s| s.resilience.to_bits()).collect();
     assert_eq!(seg_bits, vec![0x3fd1c93ab62af98b, 0x3fbfc6f0f89ce953]);
     assert_eq!(r.segments[0].protocol, Protocol::Brahms);
@@ -611,7 +746,7 @@ fn golden_mixed_brahms_basalt() {
 
 #[test]
 fn golden_mixed_raptee_basalt_tee() {
-    assert_golden(
+    let r = assert_golden(
         "mixed-raptee-basalt-tee",
         mixed_raptee_basalt_tee_scenario(),
         Fingerprint {
@@ -626,7 +761,6 @@ fn golden_mixed_raptee_basalt_tee() {
             rotations: 250,
         },
     );
-    let r = Simulation::new(mixed_raptee_basalt_tee_scenario()).run();
     let seg_bits: Vec<u64> = r.segments.iter().map(|s| s.resilience.to_bits()).collect();
     assert_eq!(seg_bits, vec![0x3fd267dd24c3b6aa, 0x3fc0bc035b7d0ff2]);
 }
@@ -702,7 +836,7 @@ fn golden_honeybee() {
 
 #[test]
 fn golden_adaptive_mixed() {
-    assert_golden(
+    let adaptive = assert_golden(
         "adaptive-mixed",
         adaptive_mixed_scenario(),
         Fingerprint {
@@ -719,14 +853,13 @@ fn golden_adaptive_mixed() {
     );
     // The adaptive coordinator must *move the needle* relative to the
     // same mixed population under the static balanced split — its whole
-    // point is concentrating the budget where pollution sticks.
-    let adaptive = Simulation::new(adaptive_mixed_scenario()).run();
-    let static_run = Simulation::new(mixed_brahms_basalt_scenario()).run();
+    // point is concentrating the budget where pollution sticks. The
+    // static run's resilience is `golden_mixed_brahms_basalt`'s.
+    let static_resilience = f64::from_bits(0x3fc9cda0a95bb63b);
     assert!(
-        adaptive.resilience > static_run.resilience,
-        "adaptive ({}) must out-pollute the static proportional split ({})",
+        adaptive.resilience > static_resilience,
+        "adaptive ({}) must out-pollute the static proportional split ({static_resilience})",
         adaptive.resilience,
-        static_run.resilience
     );
 }
 
@@ -795,58 +928,6 @@ fn one_segment_runs_report_the_combined_result_however_spelled() {
 }
 
 #[test]
-fn single_run_identical_across_intra_run_thread_counts() {
-    // PR 4's phase-parallel engine shards the plan and apply phases of
-    // ONE run across workers. The schedule must be invisible: the same
-    // scenario at RAYON_NUM_THREADS ∈ {1, 2, 4} (via the shim's scoped
-    // override) must produce bit-identical RunResults for all three
-    // protocols and each attack type, including churn/loss/validation
-    // and the deferred Byzantine pull-answer replay.
-    let scenarios: [(&str, Scenario); 21] = [
-        ("brahms", base(Protocol::Brahms).brahms_baseline()),
-        ("raptee", base(Protocol::Raptee)),
-        ("basalt", base(Protocol::Brahms).basalt_variant(15)),
-        ("lift", lift_scenario()),
-        ("honeybee", honeybee_scenario()),
-        ("raptee-churn", churn_scenario()),
-        ("raptee-injected", injected_scenario()),
-        ("raptee-real-handshakes", real_handshakes_scenario()),
-        ("basalt-targeted", basalt_targeted_scenario()),
-        ("raptee-targeted", raptee_targeted_scenario()),
-        ("brahms-force-push", brahms_force_push_scenario()),
-        ("adaptive-mixed", adaptive_mixed_scenario()),
-        ("mixed-brahms-basalt", mixed_brahms_basalt_scenario()),
-        (
-            "mixed-raptee-basalt-tee",
-            mixed_raptee_basalt_tee_scenario(),
-        ),
-        ("raptee-sketch", sketch_scenario()),
-        ("event-latency", event_latency_scenario()),
-        ("event-partition", event_partition_scenario()),
-        ("event-nat-eclipse", event_nat_eclipse_scenario()),
-        ("event-churn-recovery", event_churn_recovery_scenario()),
-        ("trusted-expiry", trusted_expiry_scenario()),
-        ("audit-eclipse", audit_eclipse_scenario()),
-    ];
-    for (name, scenario) in scenarios {
-        let serial = rayon::with_num_threads(1, || Simulation::new(scenario.clone()).run());
-        for threads in [2, 4] {
-            let parallel =
-                rayon::with_num_threads(threads, || Simulation::new(scenario.clone()).run());
-            assert_eq!(
-                fingerprint(&serial),
-                fingerprint(&parallel),
-                "{name}: single-run results must match at {threads} intra-run threads"
-            );
-            assert_eq!(
-                serial, parallel,
-                "{name}: full RunResult must match at {threads} intra-run threads"
-            );
-        }
-    }
-}
-
-#[test]
 fn repetitions_identical_across_thread_counts() {
     // One scenario per protocol; the repetition loop is the rayon-shim
     // surface, so aggregates must not depend on the worker count.
@@ -880,7 +961,7 @@ fn series_hash(series: &[f64]) -> u64 {
 
 #[test]
 fn golden_event_churn_recovery() {
-    assert_golden(
+    let r = assert_golden(
         "event-churn-recovery",
         event_churn_recovery_scenario(),
         Fingerprint {
@@ -895,10 +976,9 @@ fn golden_event_churn_recovery() {
             rotations: 0,
         },
     );
-    let r = Simulation::new(event_churn_recovery_scenario()).run();
     assert_eq!(
         r.net,
-        Some(raptee_sim::NetRunStats {
+        Some(NetRunStats {
             late_deliveries: 68930,
             partition_held: 0,
             partition_released: 0,
@@ -925,7 +1005,7 @@ fn golden_event_churn_recovery() {
 
 #[test]
 fn golden_trusted_expiry() {
-    assert_golden(
+    let r = assert_golden(
         "trusted-expiry",
         trusted_expiry_scenario(),
         Fingerprint {
@@ -940,7 +1020,6 @@ fn golden_trusted_expiry() {
             rotations: 0,
         },
     );
-    let r = Simulation::new(trusted_expiry_scenario()).run();
     let rec = r.recovery.expect("attestation expiry pins recovery stats");
     // No churn: every node-round is live and nothing restarts.
     assert_eq!(rec.availability.to_bits(), 1.0f64.to_bits());
@@ -979,8 +1058,7 @@ fn sweep_grid_identical_across_thread_counts() {
 // beyond the protocol metrics.
 
 /// Asserts the substrate counters of one event-family golden run.
-fn assert_golden_net(name: &str, scenario: Scenario, net: raptee_sim::NetRunStats) {
-    let r = Simulation::new(scenario).run();
+fn assert_golden_net(name: &str, r: &RunResult, net: NetRunStats) {
     assert_eq!(
         r.net,
         Some(net),
@@ -991,7 +1069,7 @@ fn assert_golden_net(name: &str, scenario: Scenario, net: raptee_sim::NetRunStat
 
 #[test]
 fn golden_event_latency() {
-    assert_golden(
+    let r = assert_golden(
         "event-latency",
         event_latency_scenario(),
         Fingerprint {
@@ -1008,8 +1086,8 @@ fn golden_event_latency() {
     );
     assert_golden_net(
         "event-latency",
-        event_latency_scenario(),
-        raptee_sim::NetRunStats {
+        &r,
+        NetRunStats {
             late_deliveries: 36088,
             partition_held: 0,
             partition_released: 0,
@@ -1025,7 +1103,7 @@ fn golden_event_latency() {
 
 #[test]
 fn golden_event_partition() {
-    assert_golden(
+    let r = assert_golden(
         "event-partition",
         event_partition_scenario(),
         Fingerprint {
@@ -1042,8 +1120,8 @@ fn golden_event_partition() {
     );
     assert_golden_net(
         "event-partition",
-        event_partition_scenario(),
-        raptee_sim::NetRunStats {
+        &r,
+        NetRunStats {
             late_deliveries: 5946,
             partition_held: 3510,
             // Every held message releases at the heal — none dropped.
@@ -1060,7 +1138,7 @@ fn golden_event_partition() {
 
 #[test]
 fn golden_event_nat_eclipse() {
-    assert_golden(
+    let r = assert_golden(
         "event-nat-eclipse",
         event_nat_eclipse_scenario(),
         Fingerprint {
@@ -1077,8 +1155,8 @@ fn golden_event_nat_eclipse() {
     );
     assert_golden_net(
         "event-nat-eclipse",
-        event_nat_eclipse_scenario(),
-        raptee_sim::NetRunStats {
+        &r,
+        NetRunStats {
             late_deliveries: 0,
             partition_held: 0,
             partition_released: 0,
@@ -1105,7 +1183,7 @@ fn golden_event_nat_eclipse() {
 
 #[test]
 fn golden_audit_eclipse() {
-    assert_golden(
+    let r = assert_golden(
         "audit-eclipse",
         audit_eclipse_scenario(),
         Fingerprint {
@@ -1120,27 +1198,9 @@ fn golden_audit_eclipse() {
             rotations: 0,
         },
     );
-    let r = Simulation::new(audit_eclipse_scenario()).run();
     let a = r.audit.expect("the audit layer is on, stats must report");
-    let series_hash = a
-        .quarantine_series
-        .iter()
-        .fold(0u64, |acc, &v| acc.rotate_left(7) ^ u64::from(v));
     assert_eq!(
-        (
-            a.audits_issued,
-            a.audits_answered,
-            a.cleared,
-            a.suspected,
-            a.convictions,
-            a.false_accusations,
-            a.detected_byzantine,
-            a.mean_detection_latency.map(f64::to_bits),
-            a.commitments_recorded,
-            a.chain_restarts,
-            a.quarantine_series.len(),
-            series_hash,
-        ),
+        audit_pins(&a),
         (
             231u64,
             227u64,
@@ -1161,12 +1221,11 @@ fn golden_audit_eclipse() {
 }
 
 // Golden constant for the audit layer on the round model, captured at
-// the commit before the asynchrony suite's zero-latency check of the
-// same scenario moved into `assert_golden`.
+// its introduction commit: the fingerprint plus the full AuditStats.
 
 #[test]
 fn golden_raptee_audited() {
-    assert_golden(
+    let r = assert_golden(
         "raptee-audited",
         audited_scenario(),
         Fingerprint {
@@ -1181,27 +1240,9 @@ fn golden_raptee_audited() {
             rotations: 0,
         },
     );
-    let r = Simulation::new(audited_scenario()).run();
     let a = r.audit.expect("the audit layer is on, stats must report");
-    let series_hash = a
-        .quarantine_series
-        .iter()
-        .fold(0u64, |acc, &v| acc.rotate_left(7) ^ u64::from(v));
     assert_eq!(
-        (
-            a.audits_issued,
-            a.audits_answered,
-            a.cleared,
-            a.suspected,
-            a.convictions,
-            a.false_accusations,
-            a.detected_byzantine,
-            a.mean_detection_latency.map(f64::to_bits),
-            a.commitments_recorded,
-            a.chain_restarts,
-            a.quarantine_series.len(),
-            series_hash,
-        ),
+        audit_pins(&a),
         (
             228u64,
             228u64,
@@ -1237,8 +1278,7 @@ fn assert_six_families_golden(
     audit: (u64, u64, u64),
 ) {
     let name = format!("six-families-churn-{rejoin:?}");
-    assert_golden(&name, six_families_churn_scenario(rejoin), golden);
-    let r = Simulation::new(six_families_churn_scenario(rejoin)).run();
+    let r = assert_golden(&name, six_families_churn_scenario(rejoin), golden);
     let seg_bits: Vec<u64> = r.segments.iter().map(|s| s.resilience.to_bits()).collect();
     assert_eq!(seg_bits, segments, "{name}: per-segment resilience");
     let rec = r.recovery.expect("steady churn reports recovery stats");

@@ -116,3 +116,19 @@ fn cli_binary_rejects_an_invalid_scenario_with_exit_code_2() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A Brahms-family view whose `α·l1` rounds to 0 is refused the same
+/// way: exit code 2 and the config's rule under knob `protocol`.
+#[test]
+fn cli_binary_rejects_a_view_that_renews_nothing_with_exit_code_2() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_raptee-cli"))
+        .args(["run", "--view", "1"])
+        .output()
+        .expect("the raptee-cli binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: protocol: alpha*l1 rounds to 0"),
+        "{stderr}"
+    );
+}
