@@ -46,7 +46,7 @@ pub struct FinishScratch {
     positions: Vec<usize>,
     pick: Vec<NodeId>,
     samples: Vec<NodeId>,
-    next: Vec<ViewEntry>,
+    next: Vec<NodeId>,
     pub(crate) rope: RopeScratch,
 }
 
@@ -342,9 +342,7 @@ impl BrahmsNode {
                 &mut scratch.idx,
                 &mut scratch.pick,
             );
-            scratch
-                .next
-                .extend(scratch.pick.iter().copied().map(ViewEntry::fresh));
+            scratch.next.extend_from_slice(&scratch.pick);
             self.rng.sample_indices_into(
                 pulled_ids_received,
                 self.config.beta_count(),
@@ -352,19 +350,18 @@ impl BrahmsNode {
                 &mut scratch.positions,
             );
             pulled.pick_into(&scratch.positions, &mut scratch.rope, &mut scratch.pick);
-            scratch
-                .next
-                .extend(scratch.pick.iter().copied().map(ViewEntry::fresh));
+            scratch.next.extend_from_slice(&scratch.pick);
             // Defence (iv): history sample for self-healing — `γ·l1`
             // draws with replacement from the current sample list (the
             // same draws `SamplerArray::history_sample` would make).
             if !scratch.samples.is_empty() {
                 for _ in 0..self.config.gamma_count() {
                     let i = self.rng.index(scratch.samples.len());
-                    scratch.next.push(ViewEntry::fresh(scratch.samples[i]));
+                    scratch.next.push(scratch.samples[i]);
                 }
             }
-            self.view.replace_with(scratch.next.drain(..));
+            self.view
+                .replace_with(scratch.next.drain(..).map(ViewEntry::fresh));
         }
 
         RoundReport {

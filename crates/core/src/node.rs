@@ -30,7 +30,7 @@ use raptee_crypto::auth::{
 };
 use raptee_crypto::SecretKey;
 use raptee_gossip::exchange::{integrate, prepare_buffer};
-use raptee_gossip::view::View;
+use raptee_gossip::view::Directory;
 use raptee_net::NodeId;
 
 /// Full RAPTEE node configuration.
@@ -98,10 +98,11 @@ pub struct RapteeNode {
     trusted: bool,
     /// Directory of peers that have mutually authenticated as trusted —
     /// the "mutual trusted capacity" trusted nodes learn (paper
-    /// Section III-A). Aged like a framework view; partner selection for
-    /// the proactive trusted exchange probes the oldest entry
-    /// (round-robin). Never revealed to untrusted parties.
-    directory: View,
+    /// Section III-A). The one structure whose entries age: partner
+    /// selection for the proactive trusted exchange probes the oldest
+    /// entry (round-robin), and entries past [`Self::DIRECTORY_TTL`]
+    /// expire. Never revealed to untrusted parties.
+    directory: Directory,
     /// This round's recorded pull answers, boxed on first use (see
     /// [`Pulled`]).
     pulled: Option<Box<Pulled>>,
@@ -165,7 +166,7 @@ impl RapteeNode {
         }
         Self {
             brahms,
-            directory: View::new(id, config.brahms.view_size),
+            directory: Directory::empty(id, config.brahms.view_size),
             eviction: config.eviction,
             authenticator: Authenticator::new(key),
             trusted,
@@ -184,7 +185,7 @@ impl RapteeNode {
     /// see the sealing test in [`crate::provisioning`]).
     pub fn rejoin_cold(&mut self, bootstrap: &[NodeId], seed: u64) {
         self.brahms.rejoin_cold(bootstrap, seed);
-        self.directory = View::new(self.id(), self.brahms.config().view_size);
+        self.directory = Directory::empty(self.id(), self.brahms.config().view_size);
         self.clear_pulled();
         self.contacts_total = 0;
         self.contacts_trusted = 0;
@@ -258,7 +259,7 @@ impl RapteeNode {
         self.contacts_total = 0;
         self.contacts_trusted = 0;
         self.directory.increase_age();
-        self.directory.retain(|e| e.age <= Self::DIRECTORY_TTL);
+        self.directory.expire(Self::DIRECTORY_TTL);
         self.brahms.plan_round_into(plan);
     }
 
@@ -275,7 +276,7 @@ impl RapteeNode {
 
     /// The directory of known trusted peers (read-only; exposed for
     /// metrics and tests).
-    pub fn directory(&self) -> &View {
+    pub fn directory(&self) -> &Directory {
         &self.directory
     }
 

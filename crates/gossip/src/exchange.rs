@@ -29,7 +29,7 @@
 //! assert_eq!((a.len(), b.len()), (4, 4));
 //! ```
 
-use crate::view::{View, ViewEntry};
+use crate::view::{Entry, View};
 use raptee_util::rng::Xoshiro256StarStar;
 
 /// Builds the buffer a node sends to its partner and reorders the local
@@ -38,10 +38,10 @@ use raptee_util::rng::Xoshiro256StarStar;
 ///
 /// Framework steps with `H = 0`: buffer ← {(self, 0)}; permute view;
 /// append the first `max(c/2, 1) - 1` entries.
-pub fn prepare_buffer(view: &mut View, rng: &mut Xoshiro256StarStar) -> Vec<ViewEntry> {
+pub fn prepare_buffer<E: Entry>(view: &mut View<E>, rng: &mut Xoshiro256StarStar) -> Vec<E> {
     let len = (view.capacity() / 2).max(1);
     let mut buffer = Vec::with_capacity(len);
-    buffer.push(ViewEntry::fresh(view.owner()));
+    buffer.push(E::fresh(view.owner()));
     view.permute(rng);
     buffer.extend_from_slice(view.head_slice(len - 1));
     buffer
@@ -50,12 +50,12 @@ pub fn prepare_buffer(view: &mut View, rng: &mut Xoshiro256StarStar) -> Vec<View
 /// Merges a received buffer into the view (the framework's
 /// `select(c, H = 0, S = c/2, buffer)`):
 ///
-/// 1. append the buffer, dropping duplicates (keeping the youngest age)
-///    and the owner's own ID;
+/// 1. append the buffer, dropping the owner's own ID and duplicates (a
+///    directory's present entry keeps the younger age);
 /// 2. remove `min(c/2, len - c)` entries from the *head* (the ones just
 ///    sent — swap semantics, criterion (3) of the paper);
 /// 3. remove random entries until the view is back at capacity `c`.
-pub fn integrate(view: &mut View, received: &[ViewEntry], rng: &mut Xoshiro256StarStar) {
+pub fn integrate<E: Entry>(view: &mut View<E>, received: &[E], rng: &mut Xoshiro256StarStar) {
     let c = view.capacity();
     view.append_dedup(received);
     view.remove_head(c / 2, c);
@@ -65,6 +65,7 @@ pub fn integrate(view: &mut View, received: &[ViewEntry], rng: &mut Xoshiro256St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::{AgedEntry, Directory, ViewEntry};
     use raptee_net::NodeId;
 
     fn full_view(owner: u64, ids: std::ops::Range<u64>, cap: usize) -> View {
@@ -213,26 +214,18 @@ mod tests {
     #[test]
     fn integrate_skips_the_owner_and_keeps_the_younger_duplicate() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(12);
-        let mut v = View::new(NodeId(0), 8);
-        v.insert(ViewEntry {
-            id: NodeId(5),
-            age: 6,
-        });
-        let received = [
-            ViewEntry::fresh(NodeId(0)),
-            ViewEntry {
-                id: NodeId(5),
-                age: 2,
-            },
-        ];
+        let mut v = Directory::empty(NodeId(0), 8);
+        v.insert_fresh(NodeId(5));
+        for _ in 0..6 {
+            v.increase_age();
+        }
+        let mut sent = Directory::empty(NodeId(9), 8);
+        sent.insert_fresh(NodeId(5));
+        sent.increase_age();
+        sent.increase_age();
+        let received = [AgedEntry::fresh(NodeId(0)), sent.entries()[0]];
         integrate(&mut v, &received, &mut rng);
-        assert_eq!(
-            v.entries(),
-            [ViewEntry {
-                id: NodeId(5),
-                age: 2
-            }]
-        );
+        assert_eq!(v.entries(), &sent.entries()[..1]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Aged partial views and the trusted half-view exchange.
+//! Partial views and the trusted half-view exchange.
 //!
 //! RAPTEE's *trusted communications* follow "the instantiation of the
 //! Gossip-based Peer Sampling framework" of Jelasity, Voulgaris,
@@ -12,18 +12,21 @@
 //! 3. **swap** semantics: a link sent by the initiator is kept only by the
 //!    partner and vice-versa.
 //!
-//! This crate holds that one instantiation: the aged [`View`] (whose
-//! [`View::oldest`] entry is criterion 1's partner) and the two halves of
-//! the exchange, [`exchange::prepare_buffer`] and [`exchange::integrate`]
-//! (criteria 2 and 3).
+//! This crate holds that one instantiation: one generic [`View`] body
+//! over two entry types — the ID-only [`ViewEntry`] and the aged
+//! [`view::AgedEntry`] of the trusted [`Directory`], whose [`View::oldest`]
+//! entry is criterion 1's partner — and the two halves of the exchange,
+//! [`exchange::prepare_buffer`] and [`exchange::integrate`] (criteria 2
+//! and 3), which serve both.
 //!
 //! `raptee` (the core crate) runs the exchange for the trusted view-swap
-//! and the trusted-directory gossip; `raptee-brahms` reuses [`View`] for
-//! its dynamic view.
+//! (on the Brahms view) and the trusted-directory gossip (on the
+//! directory); `raptee-brahms` keeps its dynamic view in the ID-only
+//! [`View`].
 
 #![warn(unreachable_pub)]
 
 pub mod exchange;
 pub mod view;
 
-pub use view::{View, ViewEntry};
+pub use view::{Directory, View, ViewEntry};

@@ -1,32 +1,104 @@
-//! Aged partial views.
+//! Partial views: the ID-only Brahms view and RAPTEE's aged trusted
+//! directory.
 //!
 //! A [`View`] is the local, partial knowledge a node has of the global
-//! membership: a bounded list of (node ID, age) entries. Ages drive
-//! partner selection (round-robin by oldest) and the expiry of RAPTEE's
-//! trusted directory. The view maintains two invariants at all
-//! times: no duplicate IDs, and never the owner's own ID.
+//! membership: a bounded, ordered list of entries. One generic body
+//! serves two entry types:
+//!
+//! - [`ViewEntry`], the peer's ID alone (8 bytes): the Brahms dynamic
+//!   view, which nothing ever ages;
+//! - [`AgedEntry`], the ID and the rounds since the link was made:
+//!   RAPTEE's trusted [`Directory`], which trusted nodes probe
+//!   oldest-first (the framework's partner selection) and expire by TTL.
+//!
+//! Ages exist only in the directory, so only it has
+//! [`View::increase_age`], [`View::oldest`] and [`View::expire`], and
+//! only its duplicate arrivals do any work (the present entry keeps the
+//! younger age); in the ID-only view a duplicate is simply dropped. Both
+//! keep two invariants at all times: no duplicate IDs, and never the
+//! owner's own ID.
 
 use raptee_net::NodeId;
 use raptee_util::bitset::{IdSet, DENSE_ID_LIMIT};
 use raptee_util::rng::Xoshiro256StarStar;
+use std::fmt::Debug;
 
-/// One view entry: a known peer and how many rounds it has been known.
+/// What a [`View`] holds: one entry per known peer.
+pub trait Entry: Copy + Eq + Debug {
+    /// A new link to `id`.
+    fn fresh(id: NodeId) -> Self;
+
+    /// The peer this entry names.
+    fn id(&self) -> NodeId;
+
+    /// Folds `dup` into `entries`, which already hold an entry with its
+    /// ID. Nothing to fold by default.
+    #[inline]
+    fn merge_duplicate(_entries: &mut [Self], _dup: Self) {}
+}
+
+/// One entry of the Brahms view: a known peer, nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(transparent)]
 pub struct ViewEntry {
     /// The peer's identifier.
     pub id: NodeId,
-    /// Rounds since this link was created (0 = fresh).
-    pub age: u32,
 }
 
 impl ViewEntry {
-    /// A fresh (age-0) entry.
+    /// A link to `id`.
     pub fn fresh(id: NodeId) -> Self {
-        Self { id, age: 0 }
+        Self { id }
     }
 }
 
-/// A bounded, aged partial view owned by one node.
+impl Entry for ViewEntry {
+    #[inline]
+    fn fresh(id: NodeId) -> Self {
+        Self { id }
+    }
+
+    #[inline]
+    fn id(&self) -> NodeId {
+        self.id
+    }
+}
+
+/// One trusted-directory entry: a known trusted peer and how many rounds
+/// it has been known.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AgedEntry {
+    /// The peer's identifier.
+    pub id: NodeId,
+    /// Rounds since this link was created (0 = fresh).
+    age: u32,
+}
+
+impl Entry for AgedEntry {
+    #[inline]
+    fn fresh(id: NodeId) -> Self {
+        Self { id, age: 0 }
+    }
+
+    #[inline]
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    /// The present entry keeps the younger of the two ages.
+    fn merge_duplicate(entries: &mut [Self], dup: Self) {
+        let existing = entries
+            .iter_mut()
+            .find(|e| e.id == dup.id)
+            .expect("membership index in sync with entries");
+        existing.age = existing.age.min(dup.age);
+    }
+}
+
+/// RAPTEE's trusted directory: a view whose entries age.
+pub type Directory = View<AgedEntry>;
+
+/// A bounded partial view owned by one node.
 ///
 /// # Examples
 ///
@@ -42,10 +114,10 @@ impl ViewEntry {
 /// assert!(!v.contains(NodeId(0)), "own ID is never stored");
 /// ```
 #[derive(Debug, Clone)]
-pub struct View {
+pub struct View<E = ViewEntry> {
     owner: NodeId,
     capacity: usize,
-    entries: Vec<ViewEntry>,
+    entries: Vec<E>,
     /// O(1) membership index over the dense ID range (IDs at or above
     /// [`DENSE_ID_LIMIT`] fall back to a linear scan — they only occur in
     /// adversarial corner cases, never in the contiguous simulation
@@ -68,7 +140,7 @@ pub(crate) const LINEAR_SCAN_CAPACITY: usize = 64;
 /// Equality is defined by owner, capacity and entry sequence; the
 /// membership index is derived state (its grown size depends on insert
 /// history, not content).
-impl PartialEq for View {
+impl<E: Entry> PartialEq for View<E> {
     fn eq(&self, other: &Self) -> bool {
         self.owner == other.owner
             && self.capacity == other.capacity
@@ -76,9 +148,20 @@ impl PartialEq for View {
     }
 }
 
-impl Eq for View {}
+impl<E: Entry> Eq for View<E> {}
 
 impl View {
+    /// Creates an empty Brahms view (see [`View::empty`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(owner: NodeId, capacity: usize) -> Self {
+        Self::empty(owner, capacity)
+    }
+}
+
+impl<E: Entry> View<E> {
     /// Creates an empty view for `owner` with the given capacity. Nothing
     /// is allocated until the first entry arrives, which reserves exactly
     /// `capacity` slots — a view that is never written (the trusted
@@ -87,7 +170,7 @@ impl View {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(owner: NodeId, capacity: usize) -> Self {
+    pub fn empty(owner: NodeId, capacity: usize) -> Self {
         assert!(capacity > 0, "view capacity must be positive");
         Self {
             owner,
@@ -99,12 +182,12 @@ impl View {
 
     /// Appends a new entry, reserving the full capacity on the first one.
     #[inline]
-    fn push_entry(&mut self, entry: ViewEntry) {
+    fn push_entry(&mut self, entry: E) {
         if self.entries.capacity() == 0 {
             self.entries.reserve_exact(self.capacity);
         }
         self.entries.push(entry);
-        self.index_insert(entry.id);
+        self.index_insert(entry.id());
     }
 
     /// Whether this view maintains the O(1) membership index (large
@@ -155,13 +238,13 @@ impl View {
     }
 
     /// The entries, in current (order-significant) sequence.
-    pub fn entries(&self) -> &[ViewEntry] {
+    pub fn entries(&self) -> &[E] {
         &self.entries
     }
 
     /// Iterator over the IDs in the view.
-    pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().map(|e| e.id)
+    pub fn ids(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.entries.iter().map(E::id)
     }
 
     /// Collects the IDs into a vector (convenience for message building).
@@ -177,24 +260,25 @@ impl View {
         if self.indexed() && idx < DENSE_ID_LIMIT {
             self.present.contains(idx)
         } else {
-            self.entries.iter().any(|e| e.id == id)
+            self.entries.iter().any(|e| e.id() == id)
         }
     }
 
-    /// Inserts a fresh (age-0) entry if `id` is neither the owner nor a
+    /// Inserts a fresh entry if `id` is neither the owner nor a
     /// duplicate and capacity remains. Returns `true` on insertion.
     pub fn insert_fresh(&mut self, id: NodeId) -> bool {
-        self.insert(ViewEntry::fresh(id))
+        self.insert(E::fresh(id))
     }
 
     /// Inserts an entry under the same rules as [`View::insert_fresh`]; a
-    /// duplicate ID keeps the *younger* age of the two.
-    pub(crate) fn insert(&mut self, entry: ViewEntry) -> bool {
-        if entry.id == self.owner {
+    /// duplicate ID is folded into the present entry
+    /// ([`Entry::merge_duplicate`]).
+    pub(crate) fn insert(&mut self, entry: E) -> bool {
+        if entry.id() == self.owner {
             return false;
         }
-        if self.contains(entry.id) {
-            self.keep_younger(entry);
+        if self.contains(entry.id()) {
+            E::merge_duplicate(&mut self.entries, entry);
             return false;
         }
         if self.entries.len() >= self.capacity {
@@ -204,45 +288,14 @@ impl View {
         true
     }
 
-    /// Gives the present entry for `entry.id` the younger of the two ages.
-    fn keep_younger(&mut self, entry: ViewEntry) {
-        let existing = self
-            .entries
-            .iter_mut()
-            .find(|e| e.id == entry.id)
-            .expect("membership index in sync with entries");
-        existing.age = existing.age.min(entry.age);
-    }
-
-    /// Increments every entry's age by one round.
-    pub fn increase_age(&mut self) {
-        for e in &mut self.entries {
-            e.age = e.age.saturating_add(1);
-        }
-    }
-
-    /// The entry that has been in the view the longest (ties broken by
-    /// position), or `None` when empty.
-    pub fn oldest(&self) -> Option<ViewEntry> {
-        self.oldest_index().map(|i| self.entries[i])
-    }
-
-    fn oldest_index(&self) -> Option<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, e)| e.age)
-            .map(|(i, _)| i)
-    }
-
     /// Removes and returns the entry for `id`, if present.
-    pub fn remove(&mut self, id: NodeId) -> Option<ViewEntry> {
+    pub fn remove(&mut self, id: NodeId) -> Option<E> {
         if !self.contains(id) {
             return None;
         }
-        let pos = self.entries.iter().position(|e| e.id == id)?;
+        let pos = self.entries.iter().position(|e| e.id() == id)?;
         let removed = self.entries.remove(pos);
-        self.index_remove(removed.id);
+        self.index_remove(id);
         Some(removed)
     }
 
@@ -253,20 +306,20 @@ impl View {
 
     /// The first `n` entries in current order (the "head" the exchange
     /// sends to the partner).
-    pub(crate) fn head_slice(&self, n: usize) -> &[ViewEntry] {
+    pub(crate) fn head_slice(&self, n: usize) -> &[E] {
         &self.entries[..n.min(self.entries.len())]
     }
 
     /// Appends entries without enforcing capacity (used mid-exchange; the
     /// follow-up `shrink_to_capacity` pipeline restores it).
-    /// Duplicates keep the youngest age; the owner ID is still excluded.
-    pub fn append_dedup(&mut self, incoming: &[ViewEntry]) {
+    /// Duplicates are folded as on insert; the owner ID is still excluded.
+    pub fn append_dedup(&mut self, incoming: &[E]) {
         for &e in incoming {
-            if e.id == self.owner {
+            if e.id() == self.owner {
                 continue;
             }
-            if self.contains(e.id) {
-                self.keep_younger(e);
+            if self.contains(e.id()) {
+                E::merge_duplicate(&mut self.entries, e);
             } else {
                 self.push_entry(e);
             }
@@ -278,7 +331,7 @@ impl View {
     pub(crate) fn remove_head(&mut self, n: usize, floor: usize) -> usize {
         let removable = self.entries.len().saturating_sub(floor).min(n);
         for i in 0..removable {
-            let id = self.entries[i].id;
+            let id = self.entries[i].id();
             self.index_remove(id);
         }
         self.entries.drain(..removable);
@@ -290,13 +343,13 @@ impl View {
         while self.entries.len() > self.capacity {
             let i = rng.index(self.entries.len());
             let removed = self.entries.swap_remove(i);
-            self.index_remove(removed.id);
+            self.index_remove(removed.id());
         }
     }
 
     /// Replaces the content with `entries` (applying owner/duplicate
     /// rules), used when renewing the dynamic view in Brahms.
-    pub fn replace_with(&mut self, entries: impl IntoIterator<Item = ViewEntry>) {
+    pub fn replace_with(&mut self, entries: impl IntoIterator<Item = E>) {
         self.entries.clear();
         self.present.clear();
         for e in entries {
@@ -305,7 +358,7 @@ impl View {
     }
 
     /// Selects a uniformly random entry.
-    pub fn random(&self, rng: &mut Xoshiro256StarStar) -> Option<ViewEntry> {
+    pub fn random(&self, rng: &mut Xoshiro256StarStar) -> Option<E> {
         if self.entries.is_empty() {
             None
         } else {
@@ -315,14 +368,14 @@ impl View {
 
     /// Keeps only the entries satisfying the predicate; returns how many
     /// were removed.
-    pub fn retain<F: FnMut(&ViewEntry) -> bool>(&mut self, mut pred: F) -> usize {
+    pub fn retain<F: FnMut(&E) -> bool>(&mut self, mut pred: F) -> usize {
         let before = self.entries.len();
         let indexed = self.indexed();
         let present = &mut self.present;
         self.entries.retain(|e| {
             let keep = pred(e);
             if !keep && indexed {
-                let idx = e.id.0 as usize;
+                let idx = e.id().0 as usize;
                 if idx < DENSE_ID_LIMIT {
                     present.remove(idx);
                 }
@@ -344,14 +397,14 @@ impl View {
     /// allocates nothing once the buffer has grown to the largest view.
     pub fn invariants_hold_using(&self, ids: &mut Vec<NodeId>) -> bool {
         let e = &self.entries;
-        if e.iter().any(|x| x.id == self.owner) {
+        if e.iter().any(|x| x.id() == self.owner) {
             return false;
         }
         if !self.indexed() {
             // Small views never touch the index: it must stay empty; a
             // pairwise scan of at most 64 entries finds any duplicate.
             return self.present.is_empty()
-                && (1..e.len()).all(|i| e[..i].iter().all(|x| x.id != e[i].id));
+                && (1..e.len()).all(|i| e[..i].iter().all(|x| x.id() != e[i].id()));
         }
         ids.clear();
         ids.extend(self.ids());
@@ -362,6 +415,27 @@ impl View {
         let dense = ids.iter().filter(|id| (id.0 as usize) < DENSE_ID_LIMIT);
         dense.clone().count() == self.present.count()
             && dense.clone().all(|id| self.present.contains(id.0 as usize))
+    }
+}
+
+/// The age-only operations: they exist for the trusted directory alone.
+impl Directory {
+    /// Increments every entry's age by one round.
+    pub fn increase_age(&mut self) {
+        for e in &mut self.entries {
+            e.age = e.age.saturating_add(1);
+        }
+    }
+
+    /// Drops every entry older than `ttl` rounds; returns how many left.
+    pub fn expire(&mut self, ttl: u32) -> usize {
+        self.retain(|e| e.age <= ttl)
+    }
+
+    /// The entry that has been in the view the longest (ties broken by
+    /// position), or `None` when empty.
+    pub fn oldest(&self) -> Option<AgedEntry> {
+        self.entries.iter().copied().max_by_key(|e| e.age)
     }
 }
 
@@ -377,6 +451,27 @@ mod tests {
         v
     }
 
+    fn dir_with(owner: u64, cap: usize, ids: &[u64]) -> Directory {
+        let mut v = Directory::empty(NodeId(owner), cap);
+        for &i in ids {
+            v.insert_fresh(NodeId(i));
+        }
+        v
+    }
+
+    fn aged(id: u64, age: u32) -> AgedEntry {
+        AgedEntry {
+            id: NodeId(id),
+            age,
+        }
+    }
+
+    #[test]
+    fn a_view_entry_is_its_id() {
+        assert_eq!(std::mem::size_of::<ViewEntry>(), 8);
+        assert_eq!(std::mem::size_of::<AgedEntry>(), 16);
+    }
+
     #[test]
     fn rejects_owner_and_duplicates() {
         let mut v = View::new(NodeId(0), 4);
@@ -389,20 +484,11 @@ mod tests {
 
     #[test]
     fn duplicate_insert_keeps_younger_age() {
-        let mut v = View::new(NodeId(0), 4);
-        v.insert(ViewEntry {
-            id: NodeId(1),
-            age: 5,
-        });
-        v.insert(ViewEntry {
-            id: NodeId(1),
-            age: 2,
-        });
+        let mut v = Directory::empty(NodeId(0), 4);
+        v.insert(aged(1, 5));
+        v.insert(aged(1, 2));
         assert_eq!(v.entries()[0].age, 2);
-        v.insert(ViewEntry {
-            id: NodeId(1),
-            age: 9,
-        });
+        v.insert(aged(1, 9));
         assert_eq!(
             v.entries()[0].age,
             2,
@@ -419,7 +505,7 @@ mod tests {
 
     #[test]
     fn aging_and_oldest() {
-        let mut v = view_with(0, 4, &[1, 2]);
+        let mut v = dir_with(0, 4, &[1, 2]);
         v.increase_age();
         v.insert_fresh(NodeId(3));
         let oldest = v.oldest().unwrap();
@@ -432,10 +518,7 @@ mod tests {
         let mut v = view_with(0, 2, &[1]);
         v.append_dedup(&[
             ViewEntry::fresh(NodeId(0)), // owner: skipped
-            ViewEntry {
-                id: NodeId(1),
-                age: 0,
-            },
+            ViewEntry::fresh(NodeId(1)),
             ViewEntry::fresh(NodeId(2)),
             ViewEntry::fresh(NodeId(3)),
         ]);
@@ -502,10 +585,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(12);
         let mut v = View::new(NodeId(0), 6);
         for i in 1..=6 {
-            v.insert(ViewEntry {
-                id: NodeId(i),
-                age: i as u32,
-            });
+            v.insert_fresh(NodeId(i));
         }
         assert!(v.invariants_hold());
         v.remove(NodeId(1));
@@ -638,19 +718,10 @@ mod tests {
 
     #[test]
     fn remove_returns_the_entry_or_none() {
-        let mut v = View::new(NodeId(0), 4);
-        v.insert(ViewEntry {
-            id: NodeId(3),
-            age: 7,
-        });
+        let mut v = Directory::empty(NodeId(0), 4);
+        v.insert(aged(3, 7));
         assert_eq!(v.remove(NodeId(9)), None);
-        assert_eq!(
-            v.remove(NodeId(3)),
-            Some(ViewEntry {
-                id: NodeId(3),
-                age: 7
-            })
-        );
+        assert_eq!(v.remove(NodeId(3)), Some(aged(3, 7)));
         assert_eq!(v.remove(NodeId(3)), None, "second remove finds nothing");
         assert!(v.is_empty());
     }
@@ -665,22 +736,30 @@ mod tests {
 
     #[test]
     fn ages_saturate_instead_of_wrapping() {
-        let mut v = View::new(NodeId(0), 2);
-        v.insert(ViewEntry {
-            id: NodeId(1),
-            age: u32::MAX,
-        });
+        let mut v = Directory::empty(NodeId(0), 2);
+        v.insert(aged(1, u32::MAX));
         v.insert_fresh(NodeId(2));
         v.increase_age();
-        assert_eq!(v.entries()[0].age, u32::MAX);
-        assert_eq!(v.entries()[1].age, 1);
+        assert_eq!(v.entries(), [aged(1, u32::MAX), aged(2, 1)]);
+    }
+
+    #[test]
+    fn expire_drops_the_entries_past_the_ttl() {
+        let mut v = Directory::empty(NodeId(0), 4);
+        v.insert(aged(1, 3));
+        v.insert(aged(2, 4));
+        v.insert_fresh(NodeId(3));
+        assert_eq!(v.expire(3), 1);
+        assert_eq!(v.id_vec(), [NodeId(1), NodeId(3)]);
+        assert_eq!(v.expire(3), 0);
+        assert!(v.invariants_hold());
     }
 
     #[test]
     fn oldest_of_an_empty_view_is_none_and_ties_go_to_the_later_entry() {
-        assert_eq!(View::new(NodeId(0), 4).oldest(), None);
-        let v = view_with(0, 4, &[1, 2, 3]);
-        assert_eq!(v.oldest(), Some(ViewEntry::fresh(NodeId(3))));
+        assert_eq!(Directory::empty(NodeId(0), 4).oldest(), None);
+        let v = dir_with(0, 4, &[1, 2, 3]);
+        assert_eq!(v.oldest(), Some(aged(3, 0)));
     }
 
     #[test]
@@ -773,19 +852,68 @@ mod prop_tests {
             seed in 0u64..1000,
         ) {
             let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-            let mut v = View::new(NodeId(7), 8);
+            let mut v = Directory::empty(NodeId(7), 8);
             for id in base {
                 v.insert_fresh(NodeId(id));
             }
-            let entries: Vec<ViewEntry> = incoming
+            let entries: Vec<AgedEntry> = incoming
                 .into_iter()
-                .map(|(id, age)| ViewEntry { id: NodeId(id), age })
+                .map(|(id, age)| AgedEntry { id: NodeId(id), age })
                 .collect();
             v.append_dedup(&entries);
             prop_assert!(v.invariants_hold());
             v.shrink_to_capacity(&mut rng);
             prop_assert!(v.len() <= 8);
             prop_assert!(v.invariants_hold());
+        }
+
+        /// The ID-only view and the aged directory share one body: driven
+        /// through the same operations from one seed (the directory aging
+        /// a round after each), they hold the same IDs in the same order
+        /// and leave their RNGs in the same state.
+        #[test]
+        fn id_only_and_aged_views_agree(
+            cap in 1usize..80,
+            ops in proptest::collection::vec((0u8..8, 0u64..120, 0usize..12), 0..80),
+            seed in any::<u64>(),
+        ) {
+            let mut plain = View::new(NodeId(0), cap);
+            let mut dir = Directory::empty(NodeId(0), cap);
+            let mut plain_rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let mut dir_rng = plain_rng.clone();
+            for (op, id, n) in ops {
+                apply(&mut plain, &mut plain_rng, op, id, n);
+                apply(&mut dir, &mut dir_rng, op, id, n);
+                dir.increase_age();
+                prop_assert_eq!(plain.id_vec(), dir.id_vec());
+                prop_assert!(plain.invariants_hold() && dir.invariants_hold());
+            }
+            prop_assert_eq!(plain_rng, dir_rng);
+        }
+    }
+
+    /// One operation of the differential test, chosen by `op`; `id` and
+    /// `n` parameterise it (IDs wrap at 50 so batches repeat known peers,
+    /// and ID 0 is the owner).
+    fn apply<E: Entry>(v: &mut View<E>, rng: &mut Xoshiro256StarStar, op: u8, id: u64, n: usize) {
+        let batch = || (id..id + n as u64).map(|i| E::fresh(NodeId(i % 50)));
+        match op {
+            0 => {
+                v.insert_fresh(NodeId(id));
+            }
+            1 => v.append_dedup(&batch().collect::<Vec<_>>()),
+            2 => {
+                v.remove_head(n, id as usize % 8);
+            }
+            3 => v.shrink_to_capacity(rng),
+            4 => v.permute(rng),
+            5 => {
+                v.retain(|e| e.id().0 % (n as u64 + 2) != id % (n as u64 + 2));
+            }
+            6 => v.replace_with(batch()),
+            _ => {
+                v.remove(NodeId(id));
+            }
         }
     }
 }

@@ -84,8 +84,7 @@ impl Simulation {
                 }
                 node.plan_into(&mut ws.plan);
                 if let Node::Raptee(node) = node {
-                    let view = node.brahms().view().entries();
-                    block.snaps.store(k, view.iter().map(|e| e.id));
+                    block.snaps.store(k, node.brahms().view().ids());
                 }
                 block.pushes.store(k, ws.plan.push_targets.iter().copied());
                 block.pulls.store(k, ws.plan.pull_targets.iter().copied());
