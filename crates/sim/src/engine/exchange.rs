@@ -1,7 +1,7 @@
 //! The pull exchange (sequential control): answers due from earlier
 //! rounds, then every node's pulls in population-index order. Only the
 //! shared ordered streams run here for the Brahms family — loss draws,
-//! handshakes, the adversary RNG and the (rare) trusted swaps — with
+//! the adversary RNG and the (rare) trusted swaps — with
 //! every untrusted answer deferred as a pull event for the parallel
 //! apply phase. Ranked-family answers are ranked on arrival and shape
 //! later answers, so they cannot shard.
@@ -10,7 +10,6 @@ use super::arena::{two_nodes, PullEvent, Scratch};
 use super::Simulation;
 use crate::event::PullGate;
 use raptee::RapteeNode;
-use raptee_crypto::auth::AuthOutcome;
 use raptee_net::{NodeId, NodeIdx};
 
 impl Simulation {
@@ -133,25 +132,7 @@ impl Simulation {
         // Effective trust: an expired attestation certificate fails the
         // freshness check even though the group keys still agree, so a
         // degraded pair's exchange falls back to the untrusted path.
-        let mut trusted = self.effective_trusted(me.index()) && self.effective_trusted(t);
-        if self.scenario.real_crypto_handshakes {
-            // The real four-message handshake instead of the role-based
-            // shortcut; its nonces draw from both nodes' own RNGs.
-            // `Scenario::validate` admits it in uniform Brahms/RAPTEE
-            // runs only, so both ends are Brahms-family nodes.
-            let (a, b) = two_nodes(&mut self.nodes, ci, tc);
-            let (oa, ob) = RapteeNode::run_handshake(a.raptee_mut(), b.raptee_mut());
-            // Unreachable failures: each end concludes `Trusted` iff the
-            // two keys agree (`raptee_crypto::auth`), and a node holds
-            // the group key iff it was built trusted (untrusted keys are
-            // derived per node), so both ends and the roles agree.
-            debug_assert_eq!(oa, ob);
-            debug_assert_eq!(
-                oa == AuthOutcome::Trusted,
-                self.trusted[me.index()] && self.trusted[t]
-            );
-            trusted &= oa == AuthOutcome::Trusted;
-        }
+        let trusted = self.effective_trusted(me.index()) && self.effective_trusted(t);
         let target_ranked = self.in_ranked_segment(tc);
         if raptee_requester && !target_ranked {
             if trusted && self.scenario.trusted_swap {

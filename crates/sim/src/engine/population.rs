@@ -342,7 +342,10 @@ impl Population {
 
 impl Simulation {
     /// Checks the protocol invariants every correct node must hold
-    /// between rounds. A Brahms-family node:
+    /// between rounds. Every node's role agrees with the trusted table
+    /// the exchange authenticates pulls by: a RAPTEE or BASALT node is
+    /// trusted iff its actor is, and a LIFT or Honeybee node never is.
+    /// A Brahms-family node:
     ///
     /// * a live node's view passes `View::invariants_hold` (no
     ///   duplicate, never its owner), holds at most `view_size`
@@ -372,6 +375,17 @@ impl Simulation {
         for (ci, node) in self.nodes.iter().enumerate() {
             let abs = byz + ci;
             let fail = |what: String| Err(format!("round {round}, node {abs}: {what}"));
+            let role = match node {
+                Node::Raptee(node) => node.is_trusted(),
+                Node::Basalt(node) => node.is_trusted(),
+                Node::Lift(_) | Node::Honeybee(_) => false,
+            };
+            if role != self.trusted[abs] {
+                return fail(format!(
+                    "role trusted = {role}, but the trusted table says {}",
+                    self.trusted[abs]
+                ));
+            }
             let node = match node {
                 Node::Raptee(node) => node,
                 ranked => {

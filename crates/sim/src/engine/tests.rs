@@ -1,7 +1,8 @@
 use super::arena::{BLOCK, SMOOTHING_WINDOW};
 use super::*;
 use crate::scenario::{Protocol, RejoinPolicy, SegmentSpec};
-use raptee::EvictionPolicy;
+use raptee::{EvictionPolicy, RapteeNode};
+use raptee_crypto::auth::AuthOutcome;
 
 fn small(protocol: Protocol) -> Scenario {
     Scenario {
@@ -77,22 +78,6 @@ fn deterministic_per_seed() {
     other.seed = 99;
     let c = Simulation::new(other).run();
     assert_ne!(a.byz_share_series, c.byz_share_series);
-}
-
-#[test]
-fn real_crypto_handshakes_match_shortcut() {
-    let mut with_crypto = small(Protocol::Raptee);
-    with_crypto.real_crypto_handshakes = true;
-    with_crypto.rounds = 12;
-    let mut shortcut = with_crypto.clone();
-    shortcut.real_crypto_handshakes = false;
-    // The handshake outcome is key equality either way; the RNG
-    // streams differ (nonce draws), so compare qualitative behaviour:
-    // both runs complete and produce sane shares.
-    let a = Simulation::new(with_crypto).run();
-    let b = Simulation::new(shortcut).run();
-    assert_eq!(a.rounds, b.rounds);
-    assert!((a.resilience - b.resilience).abs() < 0.25);
 }
 
 #[test]
@@ -258,6 +243,70 @@ fn ranked_nodes_are_checked_too() {
     }
     let err = sim.check_invariants().expect_err("a sampled stranger");
     assert!(err.contains("not an actor of this run"), "{err}");
+}
+
+#[test]
+fn every_node_role_matches_the_trusted_table() {
+    // The first node of each segment: trusted RAPTEE and BASALT+TEE
+    // nodes, then untrusted Brahms, BASALT, LIFT and Honeybee ones.
+    for s in [half_mixed(), mixed5_with_correct(50)] {
+        let mut sim = Simulation::new(s);
+        assert_eq!(sim.check_invariants(), Ok(()));
+        let firsts: Vec<usize> = sim
+            .segs
+            .iter()
+            .map(|seg| sim.byz_count + seg.start)
+            .collect();
+        for abs in firsts {
+            sim.trusted[abs] ^= true;
+            let err = sim.check_invariants().expect_err("a flipped table entry");
+            assert!(err.contains(&format!("node {abs}: role")), "{err}");
+            sim.trusted[abs] ^= true;
+        }
+        assert_eq!(sim.check_invariants(), Ok(()));
+    }
+}
+
+#[test]
+fn handshakes_agree_with_the_role_table() {
+    // The exchange authenticates a pull by the trusted table alone; the
+    // real four-message handshake between the two nodes must reach the
+    // same verdict for every pair of actor classes.
+    let mut s = small(Protocol::Raptee);
+    s.injected_poisoned_fraction = 0.1;
+    let sim = Simulation::new(s.clone());
+    let (byz, trusted) = (s.byzantine_count(), s.trusted_count());
+    let classes = [
+        ("genuine trusted", byz..byz + trusted, true),
+        ("untrusted", byz + trusted..s.n, false),
+        ("injected", s.n..s.total_actors(), true),
+    ];
+    for (name, range, expected) in &classes {
+        assert!(range.len() >= 2, "two {name} nodes");
+        for abs in range.clone() {
+            assert_eq!(
+                sim.is_trusted(NodeId(abs as u64)),
+                *expected,
+                "{name} {abs}"
+            );
+        }
+    }
+    for (a_name, a_range, _) in &classes {
+        for (b_name, b_range, _) in &classes {
+            // Distinct nodes, also within one class.
+            let (a, b) = (a_range.start, b_range.end - 1);
+            let mut initiator = sim.node(NodeId(a as u64)).unwrap().clone();
+            let mut responder = sim.node(NodeId(b as u64)).unwrap().clone();
+            let (oa, ob) = RapteeNode::run_handshake(&mut initiator, &mut responder);
+            let table = sim.trusted[a] && sim.trusted[b];
+            assert_eq!(oa, ob, "{a_name} {a} → {b_name} {b}");
+            assert_eq!(
+                oa == AuthOutcome::Trusted,
+                table,
+                "{a_name} {a} → {b_name} {b}"
+            );
+        }
+    }
 }
 
 /// Uniform RAPTEE with exactly `correct` correct nodes.

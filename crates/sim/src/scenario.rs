@@ -525,15 +525,9 @@ pub struct Scenario {
     /// runs [`Scenario::protocol`]. When non-empty, the counts must sum
     /// to `n - byzantine_count()`, each protocol may appear at most
     /// once, and the RAPTEE-only attack toggles
-    /// (`injected_poisoned_fraction`, `identification_attack`,
-    /// `real_crypto_handshakes`) must stay off.
+    /// (`injected_poisoned_fraction`, `identification_attack`) must stay
+    /// off.
     pub population: Vec<SegmentSpec>,
-    /// Run the real four-message HMAC handshake for every pull
-    /// (`true`), or the role-based shortcut whose equivalence is
-    /// asserted by `real_crypto_handshakes_match_shortcut` in
-    /// `crates/sim/src/engine/tests.rs` (`false`, default for large
-    /// sweeps).
-    pub real_crypto_handshakes: bool,
     /// Enable the trusted-node identification attack bookkeeping
     /// (Section VI-A); costs β·l1 extra observation pulls per Byzantine
     /// node per round, the lawful pull fanout.
@@ -609,7 +603,6 @@ impl Default for Scenario {
             rounds: 120,
             protocol: Protocol::Raptee,
             population: Vec::new(),
-            real_crypto_handshakes: false,
             identification_attack: false,
             message_loss: 0.0,
             churn: ChurnSchedule::default(),
@@ -718,8 +711,9 @@ impl Scenario {
     ///
     /// A [`ScenarioError`] naming the offending knob when, for example,
     /// a fraction leaves `[0, 1]`, the fractions sum past 1, a size or
-    /// window is zero or outside the run, or a RAPTEE-only toggle is set
-    /// outside a uniform Brahms or RAPTEE run.
+    /// window is zero or outside the run, a RAPTEE-only toggle is set
+    /// outside a uniform Brahms or RAPTEE run, or the trusted target
+    /// exceeds the TEE-capable correct population.
     ///
     /// # Examples
     ///
@@ -805,8 +799,8 @@ impl Scenario {
         if let NetworkModel::Events(net) = &self.network {
             self.validate_network(net)?;
         }
-        // Injected poisoned trusted nodes, the identification attack and
-        // real handshakes are wired into the Brahms/RAPTEE node alone.
+        // Injected poisoned trusted nodes and the identification attack
+        // are wired into the Brahms/RAPTEE node alone.
         if !self.population.is_empty() || self.protocol.is_ranked_family() {
             for (knob, on) in [
                 (
@@ -814,17 +808,25 @@ impl Scenario {
                     self.injected_poisoned_fraction > 0.0,
                 ),
                 ("identification_attack", self.identification_attack),
-                ("real_crypto_handshakes", self.real_crypto_handshakes),
             ] {
                 check(!on, knob)
                     .or("RAPTEE-only toggle: it needs a uniform Brahms or RAPTEE run")?;
             }
         }
         if self.population.is_empty() {
-            self.validate_protocol(self.protocol, "protocol")
+            self.validate_protocol(self.protocol, "protocol")?;
         } else {
-            self.validate_population()
+            self.validate_population()?;
         }
+        // Like Brahms or BASALT, a run without TEE-capable segments
+        // simply ignores `trusted_fraction`; but where a tier *can*
+        // exist, it must fit, however the population is spelled.
+        let capacity = self.tee_capacity();
+        check(
+            capacity == 0 || self.total_trusted_target() <= capacity,
+            "trusted_fraction",
+        )
+        .or("trusted fraction exceeds the TEE-capable segment capacity")
     }
 
     /// The node parameters `protocol` runs with, unvalidated: a ranked
@@ -1013,24 +1015,10 @@ impl Scenario {
         check(sum == correct, "population").or(format_args!(
             "population segment counts must sum to the correct population \
              (n - byzantine_count = {correct})"
-        ))?;
-        // Like uniform Brahms/BASALT, a population without TEE-capable
-        // segments simply ignores `trusted_fraction`; but where a tier
-        // *can* exist, it must fit.
-        let capacity: usize = self
-            .population
-            .iter()
-            .filter(|s| s.protocol.supports_trusted())
-            .map(|s| s.count)
-            .sum();
-        check(
-            capacity == 0 || self.total_trusted_target() <= capacity,
-            "trusted_fraction",
-        )
-        .or("trusted fraction exceeds the TEE-capable segment capacity")
+        ))
     }
 
-    /// Number of Byzantine nodes `⌊f·N⌋` (at least 1 when `f > 0`).
+    /// Number of Byzantine nodes `round(f·N)` (at least 1 when `f > 0`).
     pub fn byzantine_count(&self) -> usize {
         let b = (self.byzantine_fraction * self.n as f64).round() as usize;
         if self.byzantine_fraction > 0.0 {
@@ -1040,8 +1028,8 @@ impl Scenario {
         }
     }
 
-    /// The scenario-level trusted-tier target `⌊t·N⌋` (at least 1 when
-    /// `t > 0`), before any capping to TEE-capable segment capacity.
+    /// The scenario-level trusted-tier target `round(t·N)` (at least 1
+    /// when `t > 0`), before any capping to TEE-capable segment capacity.
     fn total_trusted_target(&self) -> usize {
         let t = (self.trusted_fraction * self.n as f64).round() as usize;
         if self.trusted_fraction > 0.0 {
@@ -1051,20 +1039,30 @@ impl Scenario {
         }
     }
 
-    /// Number of trusted nodes `⌊t·N⌋` (at least 1 when `t > 0` and a
-    /// TEE-capable protocol — RAPTEE or BasaltTee — runs somewhere; the
-    /// paper's smallest setting is "1 % of SGX-capable devices"). Brahms
-    /// and plain BASALT run no trusted tier. For mixed populations this
-    /// is the sum of [`Scenario::segment_trusted_counts`].
+    /// Number of trusted nodes the engine builds: `round(t·N)` (at least
+    /// 1 when `t > 0` and a TEE-capable protocol — RAPTEE or BasaltTee —
+    /// runs somewhere; the paper's smallest setting is "1 % of
+    /// SGX-capable devices"), capped at the TEE-capable segments'
+    /// capacity, which `validate` requires it to fit. Brahms and plain
+    /// BASALT run no trusted tier. It is read off
+    /// [`Scenario::segments`], so a uniform run and its one-segment
+    /// population agree, and [`Scenario::segment_trusted_counts`]
+    /// distributes exactly this many.
     pub fn trusted_count(&self) -> usize {
-        if self.population.is_empty() {
-            if !self.protocol.supports_trusted() {
-                return 0;
-            }
-            self.total_trusted_target()
-        } else {
-            self.segment_trusted_counts().iter().sum()
+        match self.tee_capacity() {
+            0 => 0,
+            capacity => self.total_trusted_target().min(capacity),
         }
+    }
+
+    /// The correct nodes in TEE-capable segments of
+    /// [`Scenario::segments`], without building the list: `validate`
+    /// asks for it on every scenario. Saturating, so it stays total on
+    /// counts `validate` has yet to reject.
+    fn tee_capacity(&self) -> usize {
+        self.segment_iter()
+            .filter(|s| s.protocol.supports_trusted())
+            .fold(0usize, |sum, s| sum.saturating_add(s.count))
     }
 
     /// The effective per-protocol layout of the correct population: the
@@ -1073,60 +1071,52 @@ impl Scenario {
     /// [`Scenario::protocol`]. Segments occupy contiguous index ranges
     /// after the Byzantine prefix, in spec order.
     pub fn segments(&self) -> Vec<SegmentSpec> {
-        if self.population.is_empty() {
-            vec![SegmentSpec {
-                protocol: self.protocol,
-                count: self.n - self.byzantine_count(),
-            }]
-        } else {
-            self.population.clone()
-        }
+        self.segment_iter().collect()
+    }
+
+    /// [`Scenario::segments`], one by one.
+    fn segment_iter(&self) -> impl Iterator<Item = SegmentSpec> + '_ {
+        let uniform = self.population.is_empty().then(|| SegmentSpec {
+            protocol: self.protocol,
+            count: self.n.saturating_sub(self.byzantine_count()),
+        });
+        uniform.into_iter().chain(self.population.iter().copied())
     }
 
     /// Trusted-node counts per segment (aligned with
-    /// [`Scenario::segments`]): the scenario-level target `round(t·N)`
-    /// distributed over the TEE-capable segments proportionally to their
-    /// sizes (floor shares first, then the remainder one-by-one in
-    /// segment order), capped at segment capacity. Within a segment, the
-    /// trusted nodes occupy the first indices — mirroring the uniform
-    /// layout, where trusted nodes directly follow the Byzantine prefix.
+    /// [`Scenario::segments`]): [`Scenario::trusted_count`] distributed
+    /// over the TEE-capable segments proportionally to their sizes (floor
+    /// shares first, then the remainder one-by-one in segment order),
+    /// capped at segment capacity. Within a segment, the trusted nodes
+    /// occupy the first indices — mirroring the uniform layout, where
+    /// trusted nodes directly follow the Byzantine prefix.
     pub fn segment_trusted_counts(&self) -> Vec<usize> {
         let segs = self.segments();
-        let mut out = vec![0usize; segs.len()];
-        let capable: Vec<usize> = (0..segs.len())
-            .filter(|&i| segs[i].protocol.supports_trusted())
-            .collect();
         // No capacity (no TEE-capable segment, or only empty ones, which
-        // `validate` rejects) takes no trusted tier. The arithmetic
-        // cannot overflow even on the counts `validate` has yet to reject.
-        let cap_total = capable
+        // `validate` rejects) takes no trusted tier, and `total` is 0.
+        // The arithmetic cannot overflow even on the counts `validate`
+        // has yet to reject.
+        let (capacity, total) = (self.tee_capacity(), self.trusted_count());
+        let mut out: Vec<usize> = segs
             .iter()
-            .fold(0usize, |sum, &i| sum.saturating_add(segs[i].count));
-        if cap_total == 0 {
-            return out;
-        }
-        let total = self.total_trusted_target().min(cap_total);
-        let mut assigned = 0usize;
-        for &i in &capable {
-            let share = total as u128 * segs[i].count as u128 / cap_total as u128;
-            out[i] = (share as usize).min(segs[i].count);
-            assigned = assigned.saturating_add(out[i]);
-        }
+            .map(|s| {
+                if total == 0 || !s.protocol.supports_trusted() {
+                    return 0;
+                }
+                let share = total as u128 * s.count as u128 / capacity as u128;
+                (share as usize).min(s.count)
+            })
+            .collect();
+        // One pass places the remainder: a remainder above 0 means the
+        // target is below capacity, so every non-empty segment's floor
+        // share left it room, and the remainder (the sum of fractional
+        // parts) is smaller than the number of such segments.
+        let assigned = out.iter().fold(0usize, |sum, &c| sum.saturating_add(c));
         let mut remainder = total.saturating_sub(assigned);
-        while remainder > 0 {
-            let mut progressed = false;
-            for &i in &capable {
-                if remainder == 0 {
-                    break;
-                }
-                if out[i] < segs[i].count {
-                    out[i] += 1;
-                    remainder -= 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
+        for (c, s) in out.iter_mut().zip(&segs) {
+            if remainder > 0 && s.protocol.supports_trusted() && *c < s.count {
+                *c += 1;
+                remainder -= 1;
             }
         }
         out
@@ -1239,7 +1229,6 @@ impl Scenario {
             population: segments,
             injected_poisoned_fraction: 0.0,
             identification_attack: false,
-            real_crypto_handshakes: false,
             ..self.clone()
         }
     }
@@ -1595,9 +1584,9 @@ mod tests {
     }
 
     #[test]
-    fn real_handshakes_need_a_uniform_brahms_family_run() {
+    fn raptee_only_toggles_need_a_uniform_brahms_family_run() {
         let s = Scenario {
-            real_crypto_handshakes: true,
+            identification_attack: true,
             ..Scenario::default()
         };
         assert_eq!(s.validate(), Ok(()));
@@ -1626,11 +1615,11 @@ mod tests {
             },
         ] {
             let err = ranked.validate().unwrap_err();
-            assert_eq!(err.knob, "real_crypto_handshakes", "{err}");
+            assert_eq!(err.knob, "identification_attack", "{err}");
             // The family variants clear the toggle they would reject.
             assert_eq!(
                 Scenario {
-                    real_crypto_handshakes: false,
+                    identification_attack: false,
                     ..ranked
                 }
                 .validate(),
@@ -1835,6 +1824,55 @@ mod tests {
         s.trusted_fraction = 0.05; // 5 trusted over two 45-node segments
         s.validate().unwrap();
         assert_eq!(s.segment_trusted_counts(), vec![3, 2]);
+    }
+
+    #[test]
+    fn both_spellings_size_the_tier_alike() {
+        // A uniform run and its one-segment population must agree on
+        // validity, on the tier's size, and on the tier the engine
+        // builds. The grid reaches trusted targets above the correct
+        // population, n = 3, f = t = 0.5 among them.
+        const FRACTIONS: [f64; 6] = [0.0, 0.05, 0.1, 0.25, 0.5, 0.75];
+        let built = |s: &Scenario| {
+            let sim = crate::Simulation::new(s.clone());
+            (0..s.total_actors() as u64)
+                .filter(|&i| sim.is_trusted(raptee_net::NodeId(i)))
+                .count()
+        };
+        for protocol in [Protocol::Raptee, basalt_tee(8)] {
+            for n in 2..=40 {
+                for (f, t) in FRACTIONS.iter().flat_map(|&f| FRACTIONS.map(|t| (f, t))) {
+                    let uniform = Scenario {
+                        n,
+                        byzantine_fraction: f,
+                        trusted_fraction: t,
+                        view_size: 8,
+                        sample_size: 8,
+                        protocol,
+                        ..Scenario::default()
+                    };
+                    let correct = n - uniform.byzantine_count();
+                    if f + t > 1.0 || correct == 0 {
+                        continue;
+                    }
+                    let spelled = uniform.with_population(vec![SegmentSpec {
+                        protocol,
+                        count: correct,
+                    }]);
+                    let case = format!("{protocol:?} n={n} f={f} t={t}");
+                    let knob = |s: &Scenario| s.validate().map_err(|e| e.knob);
+                    assert_eq!(knob(&uniform), knob(&spelled), "{case}");
+                    if knob(&uniform).is_ok() {
+                        let count = uniform.trusted_count();
+                        assert_eq!(count, spelled.trusted_count(), "{case}");
+                        assert_eq!(uniform.segment_trusted_counts(), [count], "{case}");
+                        assert_eq!(spelled.segment_trusted_counts(), [count], "{case}");
+                        // One segment either way: the builder lays out both alike.
+                        assert_eq!(count, built(&uniform), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Cross-crate cryptographic integration: the real handshake carried as
-//! encoded wire messages, wire indistinguishability, and the
-//! crypto-shortcut equivalence the large sweeps rely on.
+//! encoded wire messages and wire indistinguishability. The engine's
+//! role-table authentication is held to the handshake pair by pair in
+//! `raptee-sim`'s `engine::tests::handshakes_agree_with_the_role_table`.
 
 use raptee::wire::Message;
 use raptee::{provisioning, EvictionPolicy, RapteeConfig, RapteeNode};
 use raptee_brahms::BrahmsConfig;
 use raptee_crypto::auth::AuthOutcome;
 use raptee_net::NodeId;
-use raptee_sim::{run_scenario, Scenario};
 
 fn cfg() -> RapteeConfig {
     RapteeConfig {
@@ -87,36 +87,6 @@ fn wire_trace_is_identical_for_trusted_and_untrusted_handshakes() {
         trusted_trace, untrusted_trace,
         "wire patterns must be indistinguishable"
     );
-}
-
-#[test]
-fn real_crypto_simulation_matches_shortcut_qualitatively() {
-    // The sweeps use a role-based shortcut instead of running 4 HMAC
-    // messages per pull. This test runs the full crypto path end-to-end
-    // and checks the protocol outcome is the same phenomenon (the RNG
-    // streams differ, so we compare converged metrics, not bit-equality).
-    let mut with_crypto = Scenario {
-        n: 120,
-        byzantine_fraction: 0.15,
-        trusted_fraction: 0.15,
-        view_size: 12,
-        sample_size: 12,
-        rounds: 60,
-        tail_window: 10,
-        seed: 31,
-        real_crypto_handshakes: true,
-        ..Scenario::default()
-    };
-    let crypto_run = run_scenario(with_crypto.clone());
-    with_crypto.real_crypto_handshakes = false;
-    let shortcut_run = run_scenario(with_crypto);
-    assert!(
-        (crypto_run.resilience - shortcut_run.resilience).abs() < 0.15,
-        "crypto and shortcut runs must agree: {:.3} vs {:.3}",
-        crypto_run.resilience,
-        shortcut_run.resilience
-    );
-    assert!(crypto_run.total_evicted > 0);
 }
 
 #[test]

@@ -91,16 +91,6 @@ fn injected_scenario() -> Scenario {
     s
 }
 
-/// The raptee golden scenario with the real four-message HMAC
-/// handshake before every pull instead of the role shortcut (the nonce
-/// draws shift the node RNG streams, so the bits differ from
-/// `golden_raptee`).
-fn real_handshakes_scenario() -> Scenario {
-    let mut s = base(Protocol::Raptee);
-    s.real_crypto_handshakes = true;
-    s
-}
-
 fn basalt_targeted_scenario() -> Scenario {
     let mut s = base(Protocol::Brahms).basalt_variant(10);
     s.attack = AttackStrategy::Targeted {
@@ -610,9 +600,9 @@ fn golden_raptee_under_churn_loss_validation_and_identification() {
     );
 }
 
-// Golden constants for the two uniform-RAPTEE capabilities no other
-// golden reaches — injected poisoned trusted nodes and real handshakes —
-// captured at the last commit that still had a separate uniform lane.
+// Golden constants for the uniform-RAPTEE capability no other golden
+// reaches — injected poisoned trusted nodes — captured at the last
+// commit that still had a separate uniform lane.
 
 #[test]
 fn golden_raptee_injected() {
@@ -628,25 +618,6 @@ fn golden_raptee_injected() {
             spread_stability: None,
             floods: 1,
             evicted: 29666,
-            rotations: 0,
-        },
-    );
-}
-
-#[test]
-fn golden_raptee_real_handshakes() {
-    assert_golden(
-        "raptee-real-handshakes",
-        real_handshakes_scenario(),
-        Fingerprint {
-            resilience_bits: 0x3fd709d1d78e3735,
-            series_hash: 0x6048a23232ae5a17,
-            discovery: None,
-            mean_discovery_bits: Some(4632969405969277141),
-            stability: Some(10),
-            spread_stability: None,
-            floods: 3,
-            evicted: 21970,
             rotations: 0,
         },
     );

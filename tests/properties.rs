@@ -403,7 +403,7 @@ proptest! {
             adversary_mode: pick(w(22), AdversaryMode::Adaptive, AdversaryMode::Static),
             protocol: pick(w(23), protocol(kind, p, p, q), Protocol::Raptee),
             identification_attack: toggles[0],
-            real_crypto_handshakes: toggles[1],
+            // toggles[1] is unused (its knob is gone); drawing it keeps every case as it was.
             trusted_swap: toggles[2],
             sampler_validation_period: small(4),
             seed: masks[0],
